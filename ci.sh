@@ -11,6 +11,9 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> scheduling-flake loop (scheduling-sensitive tests, 3x on one CPU)"
+scripts/flake.sh 3
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

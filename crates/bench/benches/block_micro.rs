@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use harmony_core::index::{
-    generate_candidates, reference, BlockingPolicy, ElementTokenIndex, ProbeScratch,
+    generate_candidates, reference, BlockingPolicy, ElementTokenIndex, GovernedExec, ProbeScratch,
 };
 use harmony_core::prelude::*;
 use sm_bench::case_study;
@@ -99,7 +99,19 @@ fn bench_generate(c: &mut Criterion) {
     let mut group = c.benchmark_group("block_generate");
     group.sample_size(20);
     group.bench_function("csr", |b| {
-        b.iter(|| generate_candidates(&pair.source, &pair.target, &ps, &pt, &policy));
+        b.iter(|| {
+            generate_candidates(
+                &pair.source,
+                &pair.target,
+                &ps,
+                &pt,
+                None,
+                &policy,
+                engine.executor(),
+                1,
+                GovernedExec::default(),
+            )
+        });
     });
     group.bench_function("map_reference", |b| {
         b.iter(|| reference::generate_candidates(&pair.source, &pair.target, &ps, &pt, &policy));

@@ -4,8 +4,9 @@
 //! Harmony to perform matches of this size, and the fully automated match
 //! executed in 10.2 seconds" for 1378×784 ≈ 1.08·10^6 pairs (§3.3). The
 //! actual execution lives in [`crate::pipeline::MatchPipeline`], which stages
-//! the run as `Prepare → Score → Merge → Propagate → Select` and shards rows
-//! across scoped threads with chunked work-stealing. Linguistic
+//! the run as `Prepare → Block → Score → Merge → Propagate → Select` over a
+//! candidate set and shards rows across executor lanes with chunked
+//! work-stealing. Linguistic
 //! preprocessing is served by the engine's [`FeatureCache`], so repeated
 //! matching against the same schemata (incremental sessions, n-way efforts,
 //! repository search) amortizes the Prepare stage across runs.
@@ -22,7 +23,7 @@ use crate::prepare::{FeatureCache, PreparedSchema};
 use crate::voter::{default_voters, MatchVoter};
 use sm_schema::{ElementId, Schema};
 use sm_text::normalize::Normalizer;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Detect the worker-thread count for this host.
@@ -397,10 +398,12 @@ impl MatchEngine {
     /// depth-filtered increments of the paper's workflow). Returns scored
     /// pairs rather than a dense matrix, since restrictions are sparse.
     ///
-    /// Source rows are sharded across executor lanes (each increment is
-    /// 10^4–10^5 pairs in the paper's case study); every lane keeps a
-    /// private parent-score memo, so per-pair values — and the source-major
-    /// output order — are identical to the historical sequential loop.
+    /// The increment is the pipeline's Score → Merge → Propagate over
+    /// [`CandidateSet::rectangle`] (`source_ids × target_ids`, closed under
+    /// parenthood), so every pair carries exactly the score [`Self::run`]
+    /// gives that cell — floor, cascade, lane budget and job token
+    /// included. Pairs come back in source-major caller order: one per
+    /// `(source_ids[i], target_ids[j])`, repeated ids included.
     pub fn run_restricted(
         &self,
         ctx: &MatchContext<'_>,
@@ -408,40 +411,17 @@ impl MatchEngine {
         target_ids: &[ElementId],
     ) -> RestrictedResult {
         let started = Instant::now();
-        let alpha = self.propagation_alpha;
-        let cols = target_ids.len();
-        let mut pairs =
-            vec![(ElementId(0), ElementId(0), Confidence::NEUTRAL); source_ids.len() * cols];
-
-        // One work item per source row: deterministic output slots, lane-
-        // local memoized parent-pair base scores (propagation stays cheap
-        // when many leaves share a parent).
-        let threads = self.threads.min(source_ids.len()).max(1);
-        let queue = Mutex::new(pairs.chunks_mut(cols.max(1)).zip(source_ids.iter()));
-        self.exec.run_lanes(threads, |_| {
-            let mut parent_memo: std::collections::HashMap<(ElementId, ElementId), f64> =
-                std::collections::HashMap::new();
-            loop {
-                let claimed = queue.lock().expect("restricted queue poisoned").next();
-                let Some((row, &s)) = claimed else { break };
-                let ps = ctx.source.element(s).parent;
-                for (slot, &t) in row.iter_mut().zip(target_ids) {
-                    let own = self.score_pair(ctx, s, t).value();
-                    let blended = match (alpha > 0.0, ps, ctx.target.element(t).parent) {
-                        (true, Some(ps), Some(pt)) => {
-                            let par = *parent_memo
-                                .entry((ps, pt))
-                                .or_insert_with(|| self.score_pair(ctx, ps, pt).value());
-                            (1.0 - alpha) * own + alpha * par
-                        }
-                        _ => own,
-                    };
-                    *slot = (s, t, Confidence::new(blended));
-                }
-            }
+        let mut timings = StageTimings::default();
+        let (_, matrix) = self.pipeline().run_candidates(ctx, &mut timings, || {
+            CandidateSet::rectangle(ctx.source, ctx.target, source_ids, target_ids)
         });
+        let pairs = source_ids
+            .iter()
+            .flat_map(|&s| target_ids.iter().map(move |&t| (s, t)))
+            .map(|(s, t)| (s, t, matrix.get(s, t)))
+            .collect();
         RestrictedResult {
-            pairs_considered: source_ids.len() * cols,
+            pairs_considered: source_ids.len() * target_ids.len(),
             pairs,
             elapsed: started.elapsed(),
         }

@@ -37,9 +37,9 @@
 //! # Parallelism
 //!
 //! Index build and probing both run on the persistent
-//! [`crate::exec::Executor`] when the caller provides one
-//! ([`generate_candidates_exec`] / [`ElementTokenIndex::build_parallel`];
-//! the plain entry points run the same code inline). Build fans element
+//! [`crate::exec::Executor`] ([`generate_candidates`] /
+//! [`ElementTokenIndex::build_parallel`]; at parallelism 1, or through
+//! [`ElementTokenIndex::build`], the same code runs inline). Build fans element
 //! chunks out to lanes and merges their `(feature, element)` pair lists in
 //! deterministic chunk order; probing fans chunks of *both* directions out
 //! through one shared claim queue, so the source→target and target→source
@@ -64,7 +64,7 @@
 
 use crate::exec::Executor;
 use crate::prepare::PreparedSchema;
-use sm_schema::Schema;
+use sm_schema::{ElementId, Schema};
 use sm_text::intern::{TokenArena, TokenId};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -254,6 +254,32 @@ impl CandidateSet {
             offsets,
             targets,
         }
+    }
+
+    /// The rectangle `source_ids × target_ids`, closed under parenthood
+    /// like every blocked candidate set, so Propagate blends each of its
+    /// pairs with a scored parent base. Ids may repeat and come in any
+    /// order; the set holds each pair once.
+    pub fn rectangle(
+        source: &Schema,
+        target: &Schema,
+        source_ids: &[ElementId],
+        target_ids: &[ElementId],
+    ) -> Self {
+        let sorted = |ids: &[ElementId]| {
+            let mut ids: Vec<u32> = ids.iter().map(|id| id.0).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        let (rows, cols) = (sorted(source_ids), sorted(target_ids));
+        // Sorted ids yield the packed pairs already sorted and distinct.
+        let pairs: Vec<u64> = rows
+            .iter()
+            .flat_map(|&s| cols.iter().map(move |&t| pack(s, t)))
+            .collect();
+        let pairs = close_over_parents(source, target, pairs);
+        CandidateSet::from_sorted_pairs(source.len(), target.len(), &pairs)
     }
 
     /// Number of source rows.
@@ -742,7 +768,8 @@ fn probe_sides(
     source_index: &ElementTokenIndex,
     target_index: &ElementTokenIndex,
     policy: &BlockingPolicy,
-    par: Option<(&Executor, usize)>,
+    exec: &Executor,
+    parallelism: usize,
     gov: GovernedExec<'_>,
 ) -> (ProbeRows, ProbeRows) {
     let rows = prepared_source.len();
@@ -789,44 +816,29 @@ fn probe_sides(
         out
     };
 
-    let outs: Vec<ChunkOut> = match par {
-        Some((exec, parallelism)) if parallelism > 1 && descs.len() > 1 => {
-            let done: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::with_capacity(descs.len()));
-            let queue = Mutex::new(descs.iter().enumerate());
-            exec.run_lanes_budgeted(parallelism.min(descs.len()), gov.budget, |_| {
-                let mut scratch = ProbeScratch::new(rows.max(cols));
-                loop {
-                    let claimed = queue.lock().expect("probe queue poisoned").next();
-                    let Some((index, desc)) = claimed else { break };
-                    // Cancellation point (queue lock released, chunk not
-                    // yet probed).
-                    if let Some(token) = gov.token {
-                        token.checkpoint();
-                    }
-                    let out = run_chunk(desc, &mut scratch);
-                    done.lock()
-                        .expect("probe results poisoned")
-                        .push((index, out));
-                }
-                scratch.flush_probe_counters();
-            });
-            let mut done = done.into_inner().expect("probe results poisoned");
-            done.sort_unstable_by_key(|&(index, _)| index);
-            done.into_iter().map(|(_, out)| out).collect()
-        }
-        _ => {
-            let mut scratch = ProbeScratch::new(rows.max(cols));
-            let mut outs = Vec::with_capacity(descs.len());
-            for desc in &descs {
-                if let Some(token) = gov.token {
-                    token.checkpoint();
-                }
-                outs.push(run_chunk(desc, &mut scratch));
+    // At parallelism 1 the caller's lane alone drains the claim queue.
+    let done: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::with_capacity(descs.len()));
+    let queue = Mutex::new(descs.iter().enumerate());
+    exec.run_lanes_budgeted(parallelism.min(descs.len()), gov.budget, |_| {
+        let mut scratch = ProbeScratch::new(rows.max(cols));
+        loop {
+            let claimed = queue.lock().expect("probe queue poisoned").next();
+            let Some((index, desc)) = claimed else { break };
+            // Cancellation point (queue lock released, chunk not yet
+            // probed).
+            if let Some(token) = gov.token {
+                token.checkpoint();
             }
-            scratch.flush_probe_counters();
-            outs
+            let out = run_chunk(desc, &mut scratch);
+            done.lock()
+                .expect("probe results poisoned")
+                .push((index, out));
         }
-    };
+        scratch.flush_probe_counters();
+    });
+    let mut outs = done.into_inner().expect("probe results poisoned");
+    outs.sort_unstable_by_key(|&(index, _)| index);
+    let outs: Vec<ChunkOut> = outs.into_iter().map(|(_, out)| out).collect();
 
     // Stitch per direction, in chunk (= element) order.
     let stitch = |dir: usize, n: usize| -> ProbeRows {
@@ -867,8 +879,55 @@ const CHILD_RESCUE_WEIGHT: f64 = 5.0;
 /// the number of containers instead of quadratic.
 const CHILD_RESCUE_PARTNERS: usize = 3;
 
+/// [`generate_candidates`] over pre-built indices, without serving-layer
+/// controls.
+#[allow(clippy::too_many_arguments)]
+pub fn generate_candidates_with_exec(
+    source: &Schema,
+    target: &Schema,
+    prepared_source: &PreparedSchema,
+    prepared_target: &PreparedSchema,
+    source_index: &ElementTokenIndex,
+    target_index: &ElementTokenIndex,
+    policy: &BlockingPolicy,
+    exec: &Executor,
+    parallelism: usize,
+) -> CandidateSet {
+    generate_candidates(
+        source,
+        target,
+        prepared_source,
+        prepared_target,
+        Some((source_index, target_index)),
+        policy,
+        exec,
+        parallelism,
+        GovernedExec::default(),
+    )
+}
+
+/// Pack a pair into the sort key of the flat union/closure passes.
+#[inline]
+fn pack(s: u32, t: u32) -> u64 {
+    (u64::from(s) << 32) | u64::from(t)
+}
+
 /// Generate the candidate pair set for matching `source` against `target`
-/// under `policy`, inline on the calling thread (index builds included).
+/// under `policy`.
+///
+/// `indices`, when given, are pre-built token indices over exactly
+/// `prepared_source` / `prepared_target` — the batch planner indexes each
+/// of a batch's N schemata once instead of once per pair per direction.
+/// Index construction is deterministic per schema, so sharing one build
+/// across pairs changes no bit of the result. Without them the per-pair
+/// builds run here.
+///
+/// Index builds and both probe directions fan out across up to
+/// `parallelism` lanes of `exec`; at parallelism 1 everything runs inline
+/// on the caller. Helper lanes are drawn from `gov.budget` and
+/// cancellation is checked at chunk boundaries against `gov.token` (see
+/// [`GovernedExec`]). The candidate set is bit-identical at every lane
+/// count and under every governance setting.
 ///
 /// Both directions are probed and unioned, then the set is closed
 /// structurally:
@@ -888,247 +947,57 @@ const CHILD_RESCUE_PARTNERS: usize = 3;
 /// * **parent closure** (transitive) — for every candidate `(s, t)` whose
 ///   elements both have parents, `(parent(s), parent(t))` is added, up to
 ///   the roots, keeping the Propagate stage's base reads scored.
+#[allow(clippy::too_many_arguments)]
 pub fn generate_candidates(
     source: &Schema,
     target: &Schema,
     prepared_source: &PreparedSchema,
     prepared_target: &PreparedSchema,
-    policy: &BlockingPolicy,
-) -> CandidateSet {
-    generate_candidates_opt(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        policy,
-        None,
-        GovernedExec::default(),
-    )
-}
-
-/// [`generate_candidates`] with index builds and probes fanned out across
-/// up to `parallelism` lanes of `exec` — the pipeline's entry point.
-pub fn generate_candidates_exec(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
+    indices: Option<(&ElementTokenIndex, &ElementTokenIndex)>,
     policy: &BlockingPolicy,
     exec: &Executor,
     parallelism: usize,
-) -> CandidateSet {
-    generate_candidates_governed(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        policy,
-        exec,
-        parallelism,
-        GovernedExec::default(),
-    )
-}
-
-/// [`generate_candidates_exec`] under serving-layer controls: helper lanes
-/// drawn from `gov.budget`, cancellation checked at chunk boundaries
-/// against `gov.token`. With both `None` this is byte-identical to the
-/// ungoverned path.
-#[allow(clippy::too_many_arguments)]
-pub fn generate_candidates_governed(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
-    policy: &BlockingPolicy,
-    exec: &Executor,
-    parallelism: usize,
-    gov: GovernedExec<'_>,
-) -> CandidateSet {
-    generate_candidates_opt(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        policy,
-        Some((exec, parallelism)),
-        gov,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn generate_candidates_opt(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
-    policy: &BlockingPolicy,
-    par: Option<(&Executor, usize)>,
-    gov: GovernedExec<'_>,
-) -> CandidateSet {
-    let rows = prepared_source.len();
-    let cols = prepared_target.len();
-    if rows == 0 || cols == 0 {
-        return CandidateSet::empty(rows, cols);
-    }
-    if matches!(policy, BlockingPolicy::Exhaustive) {
-        return CandidateSet::exhaustive(rows, cols);
-    }
-    // Per-pair index builds; a batch amortizes them via
-    // [`generate_candidates_with`] instead.
-    if let Some(token) = gov.token {
-        token.checkpoint();
-    }
-    let (source_index, target_index) = match par {
-        Some((exec, parallelism)) => (
-            ElementTokenIndex::build_parallel(prepared_source, exec, parallelism),
-            ElementTokenIndex::build_parallel(prepared_target, exec, parallelism),
-        ),
-        None => (
-            ElementTokenIndex::build(prepared_source),
-            ElementTokenIndex::build(prepared_target),
-        ),
-    };
-    generate_candidates_with_opt(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        &source_index,
-        &target_index,
-        policy,
-        par,
-        gov,
-    )
-}
-
-/// [`generate_candidates`] against pre-built per-schema token indices — the
-/// batch planner's entry point, which indexes each of a batch's N schemata
-/// once instead of once per pair per direction.
-///
-/// `source_index` / `target_index` must be built over exactly
-/// `prepared_source` / `prepared_target`; the result is then bit-for-bit the
-/// set [`generate_candidates`] produces (index construction is deterministic
-/// per schema, so sharing one build across pairs changes nothing).
-#[allow(clippy::too_many_arguments)]
-pub fn generate_candidates_with(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
-    source_index: &ElementTokenIndex,
-    target_index: &ElementTokenIndex,
-    policy: &BlockingPolicy,
-) -> CandidateSet {
-    generate_candidates_with_opt(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        source_index,
-        target_index,
-        policy,
-        None,
-        GovernedExec::default(),
-    )
-}
-
-/// [`generate_candidates_with`] with the two probe directions running as
-/// concurrent lanes on `exec` (each direction further chunked; see
-/// [`probe_sides`]).
-#[allow(clippy::too_many_arguments)]
-pub fn generate_candidates_with_exec(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
-    source_index: &ElementTokenIndex,
-    target_index: &ElementTokenIndex,
-    policy: &BlockingPolicy,
-    exec: &Executor,
-    parallelism: usize,
-) -> CandidateSet {
-    generate_candidates_with_governed(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        source_index,
-        target_index,
-        policy,
-        exec,
-        parallelism,
-        GovernedExec::default(),
-    )
-}
-
-/// [`generate_candidates_with_exec`] under serving-layer controls (see
-/// [`GovernedExec`]).
-#[allow(clippy::too_many_arguments)]
-pub fn generate_candidates_with_governed(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
-    source_index: &ElementTokenIndex,
-    target_index: &ElementTokenIndex,
-    policy: &BlockingPolicy,
-    exec: &Executor,
-    parallelism: usize,
-    gov: GovernedExec<'_>,
-) -> CandidateSet {
-    generate_candidates_with_opt(
-        source,
-        target,
-        prepared_source,
-        prepared_target,
-        source_index,
-        target_index,
-        policy,
-        Some((exec, parallelism)),
-        gov,
-    )
-}
-
-/// Pack a pair into the sort key of the flat union/closure passes.
-#[inline]
-fn pack(s: u32, t: u32) -> u64 {
-    (u64::from(s) << 32) | u64::from(t)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn generate_candidates_with_opt(
-    source: &Schema,
-    target: &Schema,
-    prepared_source: &PreparedSchema,
-    prepared_target: &PreparedSchema,
-    source_index: &ElementTokenIndex,
-    target_index: &ElementTokenIndex,
-    policy: &BlockingPolicy,
-    par: Option<(&Executor, usize)>,
     gov: GovernedExec<'_>,
 ) -> CandidateSet {
     let rows = prepared_source.len();
     let cols = prepared_target.len();
     debug_assert_eq!(rows, source.len());
     debug_assert_eq!(cols, target.len());
-    // Hard checks (cheap next to the probe): a stale or swapped index would
-    // otherwise produce a plausible-but-wrong candidate set in release.
-    assert_eq!(
-        source_index.len(),
-        rows,
-        "source index does not match the prepared source schema"
-    );
-    assert_eq!(
-        target_index.len(),
-        cols,
-        "target index does not match the prepared target schema"
-    );
+    if let Some((source_index, target_index)) = indices {
+        // Hard checks (cheap next to the probe): a stale or swapped index
+        // would otherwise produce a plausible-but-wrong candidate set in
+        // release.
+        assert_eq!(
+            source_index.len(),
+            rows,
+            "source index does not match the prepared source schema"
+        );
+        assert_eq!(
+            target_index.len(),
+            cols,
+            "target index does not match the prepared target schema"
+        );
+    }
     if rows == 0 || cols == 0 {
         return CandidateSet::empty(rows, cols);
     }
     if matches!(policy, BlockingPolicy::Exhaustive) {
         return CandidateSet::exhaustive(rows, cols);
     }
+    let built;
+    let (source_index, target_index) = match indices {
+        Some(indices) => indices,
+        None => {
+            if let Some(token) = gov.token {
+                token.checkpoint();
+            }
+            built = (
+                ElementTokenIndex::build_parallel(prepared_source, exec, parallelism),
+                ElementTokenIndex::build_parallel(prepared_target, exec, parallelism),
+            );
+            (&built.0, &built.1)
+        }
+    };
 
     // Both probe directions (concurrent lanes under an executor). Features
     // come pre-interned from the preparations, so probing allocates no
@@ -1139,7 +1008,8 @@ fn generate_candidates_with_opt(
         source_index,
         target_index,
         policy,
-        par,
+        exec,
+        parallelism,
         gov,
     );
 
@@ -1224,8 +1094,15 @@ fn generate_candidates_with_opt(
 
     pairs.sort_unstable();
     pairs.dedup();
+    let pairs = close_over_parents(source, target, pairs);
+    CandidateSet::from_sorted_pairs(rows, cols, &pairs)
+}
 
-    // Parent closure (transitive): parents of candidates are candidates.
+/// Close a sorted, deduplicated packed pair list under parenthood: for
+/// every pair whose elements both have parents, the parent pair joins the
+/// set, transitively up to the roots. This keeps the Propagate stage's base
+/// reads scored.
+fn close_over_parents(source: &Schema, target: &Schema, mut pairs: Vec<u64>) -> Vec<u64> {
     // Level by level: the frontier is the sorted set of parent pairs of the
     // previous level's *new* pairs; membership is a merge walk against the
     // sorted accumulated set, and each level merges in sorted order. The
@@ -1289,8 +1166,7 @@ fn generate_candidates_with_opt(
         pairs = merged;
         frontier = parents_of(&fresh);
     }
-
-    CandidateSet::from_sorted_pairs(rows, cols, &pairs)
+    pairs
 }
 
 pub mod reference {
@@ -1599,6 +1475,27 @@ mod tests {
         PreparedSchema::build(s, default_normalizer())
     }
 
+    /// Candidate generation at parallelism 1 with per-pair index builds.
+    fn inline_candidates(
+        a: &Schema,
+        b: &Schema,
+        pa: &PreparedSchema,
+        pb: &PreparedSchema,
+        policy: &BlockingPolicy,
+    ) -> CandidateSet {
+        generate_candidates(
+            a,
+            b,
+            pa,
+            pb,
+            None,
+            policy,
+            Executor::global(),
+            1,
+            GovernedExec::default(),
+        )
+    }
+
     fn fixture() -> (Schema, Schema) {
         let mut a = Schema::new(SchemaId(1), "S_A", SchemaFormat::Relational);
         let p = a.add_root("Person", ElementKind::Table, DataType::None);
@@ -1718,7 +1615,7 @@ mod tests {
     fn default_policy_finds_true_pairs_and_prunes() {
         let (a, b) = fixture();
         let (pa, pb) = (prepared(&a), prepared(&b));
-        let cands = generate_candidates(&a, &b, &pa, &pb, &BlockingPolicy::default());
+        let cands = inline_candidates(&a, &b, &pa, &pb, &BlockingPolicy::default());
         let pid = a.find_by_name("person_id").unwrap();
         let pid2 = b.find_by_name("PersonIdentifier").unwrap();
         assert!(cands.contains(pid.index(), pid2.index()));
@@ -1734,7 +1631,7 @@ mod tests {
         let (pa, pb) = (prepared(&a), prepared(&b));
         // A tight threshold policy: only strong shared evidence survives;
         // the acronym key must be enough to rescue COI.
-        let cands = generate_candidates(
+        let cands = inline_candidates(
             &a,
             &b,
             &pa,
@@ -1782,7 +1679,7 @@ mod tests {
             .unwrap();
         }
         let (pa, pb) = (prepared(&a), prepared(&b));
-        let cands = generate_candidates(
+        let cands = inline_candidates(
             &a,
             &b,
             &pa,
@@ -1803,7 +1700,7 @@ mod tests {
     fn parents_of_candidates_are_candidates() {
         let (a, b) = fixture();
         let (pa, pb) = (prepared(&a), prepared(&b));
-        let cands = generate_candidates(&a, &b, &pa, &pb, &BlockingPolicy::default());
+        let cands = inline_candidates(&a, &b, &pa, &pb, &BlockingPolicy::default());
         for s in 0..cands.rows() {
             for &t in cands.row(s) {
                 let ps = a.elements()[s].parent;
@@ -1819,10 +1716,32 @@ mod tests {
     }
 
     #[test]
+    fn rectangle_is_the_id_product_closed_under_parenthood() {
+        let (a, b) = fixture();
+        let pid = a.find_by_name("person_id").unwrap();
+        let member = a.find_by_name("member").unwrap();
+        let last = b.find_by_name("LastName").unwrap();
+        // Repeated ids collapse; both leaves' parent pairs join the set.
+        let cands = CandidateSet::rectangle(&a, &b, &[member, pid, pid], &[last]);
+        let got: Vec<(usize, usize)> = (0..cands.rows())
+            .flat_map(|s| cands.row(s).iter().map(move |&t| (s, t as usize)))
+            .collect();
+        let parent = |s: &Schema, id: ElementId| s.element(id).parent.unwrap().index();
+        let mut want = vec![
+            (pid.index(), last.index()),
+            (member.index(), last.index()),
+            (parent(&a, pid), parent(&b, last)),
+            (parent(&a, member), parent(&b, last)),
+        ];
+        want.sort_unstable();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn exhaustive_policy_is_the_full_cross_product() {
         let (a, b) = fixture();
         let (pa, pb) = (prepared(&a), prepared(&b));
-        let cands = generate_candidates(&a, &b, &pa, &pb, &BlockingPolicy::Exhaustive);
+        let cands = inline_candidates(&a, &b, &pa, &pb, &BlockingPolicy::Exhaustive);
         assert_eq!(cands.len(), a.len() * b.len());
         assert!((cands.density() - 1.0).abs() < 1e-12);
         for s in 0..a.len() {
@@ -1834,7 +1753,7 @@ mod tests {
     fn weighted_threshold_at_infinity_keeps_exactly_the_name_rescue_closure() {
         let (a, b) = fixture();
         let (pa, pb) = (prepared(&a), prepared(&b));
-        let cands = generate_candidates(
+        let cands = inline_candidates(
             &a,
             &b,
             &pa,
@@ -1885,9 +1804,19 @@ mod tests {
             BlockingPolicy::Exhaustive,
         ] {
             let expect = reference::generate_candidates(&a, &b, &pa, &pb, &policy);
-            let inline = generate_candidates(&a, &b, &pa, &pb, &policy);
+            let inline = inline_candidates(&a, &b, &pa, &pb, &policy);
             assert_eq!(inline, expect, "inline CSR diverged under {policy:?}");
-            let parallel = generate_candidates_exec(&a, &b, &pa, &pb, &policy, &exec, 3);
+            let parallel = generate_candidates(
+                &a,
+                &b,
+                &pa,
+                &pb,
+                None,
+                &policy,
+                &exec,
+                3,
+                GovernedExec::default(),
+            );
             assert_eq!(parallel, expect, "parallel CSR diverged under {policy:?}");
         }
     }
@@ -1897,7 +1826,7 @@ mod tests {
         let (a, _) = fixture();
         let empty = Schema::new(SchemaId(9), "E", SchemaFormat::Generic);
         let (pa, pe) = (prepared(&a), prepared(&empty));
-        let cands = generate_candidates(&a, &empty, &pa, &pe, &BlockingPolicy::default());
+        let cands = inline_candidates(&a, &empty, &pa, &pe, &BlockingPolicy::default());
         assert!(cands.is_empty());
         assert_eq!(cands.rows(), a.len());
         assert_eq!(cands.cols(), 0);

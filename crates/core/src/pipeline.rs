@@ -1,26 +1,36 @@
-//! The staged match pipeline: `Prepare → Score → Merge → Propagate → Select`.
+//! The staged match pipeline: `Prepare → Block → Score → Merge → Propagate
+//! → Select`.
 //!
-//! `MatchEngine::run` historically fused everything into one opaque loop.
-//! This module restructures the hot path into explicit, individually timed
-//! stages:
+//! Every match — dense [`MatchPipeline::run`], blocked
+//! [`MatchPipeline::run_blocked`] and restricted
+//! [`MatchEngine::run_restricted`] — runs the same stages over a
+//! [`CandidateSet`]; the three differ only in how the Block stage builds
+//! that set:
 //!
 //! 1. **Prepare** — fetch both schemata's [`crate::prepare::PreparedSchema`]
 //!    from the engine's feature cache (linguistic preprocessing runs only on
 //!    a cache miss) and assemble the pairwise [`MatchContext`] (joint TF-IDF
 //!    corpus).
-//! 2. **Score** — every voter scores every candidate pair into a per-block
-//!    `f64` vote buffer. Rows are sharded across the persistent
+//! 2. **Block** — the candidate pairs: the whole cross product
+//!    ([`CandidateSet::exhaustive`]) for a dense run, the token-blocking
+//!    index's pruned set (see [`crate::index`]) for a blocked run, and the
+//!    caller's `source_ids × target_ids` ([`CandidateSet::rectangle`]) for a
+//!    restricted increment. Every set is closed under parenthood, so
+//!    Propagate only ever reads scored parent bases.
+//! 3. **Score** — the voter panel scores every candidate pair. Candidate-
+//!    bearing rows are sharded across the persistent
 //!    [`crate::exec::Executor`] with chunked work-stealing: lanes repeatedly
 //!    claim the next block of rows from a shared queue, so a straggler block
 //!    cannot idle the other cores the way a static partition can, and the
 //!    pool is shared with every concurrent pair of a batch instead of being
 //!    spawned and joined per run. When the engine's score cascade is active
-//!    ([`MatchEngine::cascade_active`]), the blocked path scores in two
-//!    tiers (see [`crate::cascade`]): tier 1 prunes candidate pairs whose
-//!    provable upper bound on the merged score falls below the engine's
-//!    floor, tier 2 runs the remaining voter lanes SoA-style over the
-//!    survivors — losslessly, the matrix stays bit-identical.
-//! 3. **Merge** — the engine's [`crate::merger::MergeStrategy`] collapses
+//!    ([`MatchEngine::cascade_active`]), Score runs in two tiers (see
+//!    [`crate::cascade`]): tier 1 prunes candidate pairs whose provable
+//!    upper bound on the merged score falls below the engine's floor, tier 2
+//!    runs the remaining voter lanes SoA-style over the survivors —
+//!    losslessly, the matrix stays bit-identical to the full-panel
+//!    reference ([`MatchEngine::with_cascade`]`(false)`).
+//! 4. **Merge** — the engine's [`crate::merger::MergeStrategy`] collapses
 //!    each pair's votes into one score. Score and Merge execute as one fused
 //!    parallel pass over block-sized scratch (never a full
 //!    `rows × cols × voters` tensor — at the paper's 1378×784 scale that
@@ -28,25 +38,24 @@
 //!    tier-1, tier-2, and merge phases directly with per-row monotonic
 //!    timestamps; the fused pass's wall-clock is then split across
 //!    `score_tier1`/`score_tier2`/`merge` proportionally to those measured
-//!    CPU nanoseconds (`score` is the sum of the two tiers), replacing the
-//!    old whole-pass estimate that attributed time by a single
-//!    score-vs-merge ratio.
-//! 4. **Propagate** — one structural pass blends every non-root pair with its
-//!    parents' merged score (the engine's `propagation_alpha`).
-//! 5. **Select** — an optional [`Selection`] turns the matrix into candidate
+//!    CPU nanoseconds (`score` is the sum of the two tiers).
+//! 5. **Propagate** — one structural pass blends every parented cell of a
+//!    candidate-bearing row with its parents' merged score (the engine's
+//!    `propagation_alpha`).
+//! 6. **Select** — an optional [`Selection`] turns the matrix into candidate
 //!    correspondences.
 //!
-//! Stage results are bit-identical to the historical fused loop: votes are
-//! kept in `f64`, merged exactly as `MatchEngine::score_pair` does, and only
-//! the merged score is narrowed to the matrix's `f32`.
+//! Votes are kept in `f64` and merged exactly as `MatchEngine::score_pair`
+//! does; only the merged score is narrowed to the matrix's `f32`. A cell's
+//! value therefore does not depend on which other pairs are candidates: a
+//! restricted increment's cells are the dense run's cells, bit for bit.
 
 use crate::confidence::Confidence;
 use crate::context::MatchContext;
 use crate::correspondence::MatchSet;
 use crate::engine::MatchEngine;
 use crate::index::{
-    generate_candidates_governed, generate_candidates_with_governed, BlockingPolicy, CandidateSet,
-    ElementTokenIndex,
+    generate_candidates, BlockingPolicy, CandidateSet, ElementTokenIndex, GovernedExec,
 };
 use crate::matrix::MatchMatrix;
 use crate::obs;
@@ -54,7 +63,6 @@ use crate::obs::SpanKind;
 use crate::prepare::PreparedSchema;
 use crate::select::Selection;
 use sm_schema::{ElementId, Schema};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -80,15 +88,17 @@ pub struct StageTimings {
     pub plan_schedule: Duration,
     /// Feature-cache lookup / linguistic preprocessing + corpus assembly.
     pub prepare: Duration,
-    /// Candidate generation over the token-blocking index (zero on dense
-    /// runs, which score the full cross product).
+    /// Candidate generation: the token-blocking index's probe on blocked
+    /// runs, building the exhaustive set on dense runs, and building the
+    /// id rectangle on restricted runs.
     pub block: Duration,
     /// Voter panel over all candidate pairs. Always the sum of
     /// `score_tier1` and `score_tier2`.
     pub score: Duration,
     /// Cascade tier 1: signature/profile bound computation and pruning.
-    /// Zero when the cascade is off (dense runs, non-default panels, no
-    /// score floor). A sub-component of `score`, not an extra stage.
+    /// Zero when the cascade is off (no score floor, a non-default panel or
+    /// merger, or [`MatchEngine::with_cascade`]`(false)`). A sub-component
+    /// of `score`, not an extra stage.
     pub score_tier1: Duration,
     /// Cascade tier 2 (full voter panel over surviving pairs), or the
     /// whole Score stage when the cascade is off. A sub-component of
@@ -141,12 +151,12 @@ impl StageTimings {
     }
 }
 
-/// Output of one pipeline execution (stages 1–4).
+/// Output of one dense pipeline execution (Prepare through Propagate).
 #[derive(Debug)]
 pub struct PipelineRun {
     /// The merged, propagated score matrix.
     pub matrix: MatchMatrix,
-    /// Number of candidate pairs scored (`|S1| · |S2|`).
+    /// Number of candidate pairs (`|S1| · |S2|`).
     pub pairs_considered: usize,
     /// Per-stage wall-clock timings.
     pub timings: StageTimings,
@@ -172,6 +182,7 @@ pub struct BlockedRun {
 /// Per-worker CPU-nanosecond totals and prune counter from the fused
 /// Score/Merge pass, used for the proportional wall-clock split. On the
 /// reference (non-cascade) path all score time lands in `tier2_ns`.
+#[derive(Default)]
 struct FusedStats {
     tier1_ns: u64,
     tier2_ns: u64,
@@ -212,7 +223,8 @@ impl<'e> MatchPipeline<'e> {
         MatchPipeline { engine }
     }
 
-    /// Run stages 1–4 (no selection).
+    /// The dense run: Prepare, then every pair of the cross product
+    /// through Score, Merge and Propagate (no selection).
     pub fn run(&self, source: &Schema, target: &Schema) -> PipelineRun {
         let mut timings = StageTimings::default();
 
@@ -235,7 +247,7 @@ impl<'e> MatchPipeline<'e> {
         self.run_on_context(&ctx, timings)
     }
 
-    /// Run stages 1–5, applying `selection` to the final matrix.
+    /// [`Self::run`], then `selection` applied to the final matrix.
     pub fn run_select(
         &self,
         source: &Schema,
@@ -249,57 +261,21 @@ impl<'e> MatchPipeline<'e> {
         (run, selected)
     }
 
-    /// Run stages 2–4 against an existing context (the context build time, if
-    /// any, is the caller's; `timings.prepare` is carried through).
+    /// The dense run against an existing context (the context build time,
+    /// if any, is the caller's; `timings.prepare` is carried through).
     pub fn run_on_context(&self, ctx: &MatchContext<'_>, mut timings: StageTimings) -> PipelineRun {
-        let rows = ctx.source.len();
-        let cols = ctx.target.len();
-        let mut matrix = MatchMatrix::new(rows, cols);
-        if rows == 0 || cols == 0 {
-            return PipelineRun {
-                matrix,
-                pairs_considered: 0,
-                timings,
-            };
-        }
-
-        // Stages 2+3: Score and Merge, fused per block. The dense path
-        // always runs the full panel (the cascade only pays off against
-        // CSR candidate rows), so tier 1 is zero by definition.
-        let started = Instant::now();
-        let fused_start = obs::now_ns();
-        let (score_ns, merge_ns) = self.score_and_merge(ctx, &mut matrix, rows, cols);
-        let fused = started.elapsed();
-        let total_ns = (score_ns + merge_ns).max(1);
-        timings.score = fused.mul_f64(score_ns as f64 / total_ns as f64);
-        timings.score_tier2 = timings.score;
-        timings.merge = fused.saturating_sub(timings.score);
-        timings.pairs_full = (rows * cols) as u64;
-        record_fused_stage_spans(fused_start, &timings);
-
-        // Stage 4: Propagate.
-        let started = Instant::now();
-        let prop_start = obs::now_ns();
-        if self.engine.propagation_alpha > 0.0 {
-            self.propagate(ctx.source, ctx.target, &mut matrix);
-        }
-        timings.propagate = started.elapsed();
-        obs::record_span(
-            SpanKind::StagePropagate,
-            0,
-            prop_start,
-            timings.propagate.as_nanos() as u64,
-        );
-
+        let (candidates, matrix) = self.run_candidates(ctx, &mut timings, || {
+            CandidateSet::exhaustive(ctx.source.len(), ctx.target.len())
+        });
         PipelineRun {
             matrix,
-            pairs_considered: rows * cols,
+            pairs_considered: candidates.len(),
             timings,
         }
     }
 
-    /// Run the blocked pipeline: Prepare → Block → sparse Score/Merge →
-    /// sparse Propagate.
+    /// Run the blocked pipeline: Prepare → Block → Score/Merge → Propagate
+    /// over the blocking index's candidates.
     ///
     /// The Block stage builds token indices over both prepared schemata and
     /// lets `policy` prune the cross product to a [`CandidateSet`]; only
@@ -368,41 +344,48 @@ impl<'e> MatchPipeline<'e> {
         });
         timings.prepare = Duration::from_nanos(prepare_ns);
 
-        // Stage 1.5: Block. With pre-built indices the stage is pure
-        // probing; otherwise the per-pair index builds land here, exactly as
-        // before the batch planner existed. Both probe directions (and the
-        // per-pair builds) fan out across the engine's executor lanes.
+        // Block. With pre-built indices the stage is pure probing;
+        // otherwise the per-pair index builds land here. Both probe
+        // directions (and the per-pair builds) fan out across the engine's
+        // executor lanes.
+        let (candidates, matrix) = self.run_candidates(&ctx, &mut timings, || {
+            generate_candidates(
+                source,
+                target,
+                prepared_source,
+                prepared_target,
+                indices,
+                policy,
+                self.engine.executor(),
+                self.engine.threads,
+                GovernedExec {
+                    budget: self.engine.lane_budget.as_deref(),
+                    token: self.engine.job_token.as_ref(),
+                },
+            )
+        });
+        BlockedRun {
+            matrix,
+            pairs_considered: ctx.source.len() * ctx.target.len(),
+            pairs_scored: candidates.len(),
+            candidates,
+            timings,
+        }
+    }
+
+    /// Block, then Score → Merge → Propagate: the one implementation behind
+    /// dense, blocked and restricted runs, which differ only in the
+    /// candidate set `block` builds. Cells outside the set keep the neutral
+    /// `0.0` until Propagate blends them.
+    pub(crate) fn run_candidates(
+        &self,
+        ctx: &MatchContext<'_>,
+        timings: &mut StageTimings,
+        block: impl FnOnce() -> CandidateSet,
+    ) -> (CandidateSet, MatchMatrix) {
         let started = Instant::now();
         let block_start = obs::now_ns();
-        let exec = self.engine.executor();
-        let gov = crate::index::GovernedExec {
-            budget: self.engine.lane_budget.as_deref(),
-            token: self.engine.job_token.as_ref(),
-        };
-        let candidates = match indices {
-            Some((source_index, target_index)) => generate_candidates_with_governed(
-                source,
-                target,
-                prepared_source,
-                prepared_target,
-                source_index,
-                target_index,
-                policy,
-                exec,
-                self.engine.threads,
-                gov,
-            ),
-            None => generate_candidates_governed(
-                source,
-                target,
-                prepared_source,
-                prepared_target,
-                policy,
-                exec,
-                self.engine.threads,
-                gov,
-            ),
-        };
+        let candidates = block();
         timings.block = started.elapsed();
         obs::record_span(
             SpanKind::StageBlock,
@@ -413,26 +396,17 @@ impl<'e> MatchPipeline<'e> {
         // Stage boundary: a token tripped during Block stops before Score
         // allocates the matrix.
         self.engine.checkpoint();
-
-        let rows = ctx.source.len();
-        let cols = ctx.target.len();
-        let mut matrix = MatchMatrix::new(rows, cols);
-        if rows == 0 || cols == 0 || candidates.is_empty() {
-            return BlockedRun {
-                matrix,
-                pairs_considered: rows * cols,
-                pairs_scored: 0,
-                candidates,
-                timings,
-            };
+        let mut matrix = MatchMatrix::new(ctx.source.len(), ctx.target.len());
+        if candidates.is_empty() {
+            return (candidates, matrix);
         }
 
-        // Stages 2+3: sparse Score and Merge over the candidates. The
-        // workers time their tier-1/tier-2/merge phases directly; the
-        // fused wall-clock is split in proportion to those measurements.
+        // Score and Merge, fused. The workers time their tier-1/tier-2/merge
+        // phases directly; the fused wall-clock is split in proportion to
+        // those measurements.
         let started = Instant::now();
         let fused_start = obs::now_ns();
-        let stats = self.score_and_merge_blocked(&ctx, &mut matrix, &candidates);
+        let stats = self.score_and_merge(ctx, &mut matrix, &candidates);
         let fused = started.elapsed();
         let total_ns = (stats.tier1_ns + stats.tier2_ns + stats.merge_ns).max(1);
         timings.score_tier1 = fused.mul_f64(stats.tier1_ns as f64 / total_ns as f64);
@@ -441,17 +415,16 @@ impl<'e> MatchPipeline<'e> {
         timings.merge = fused.saturating_sub(timings.score);
         timings.pairs_pruned = stats.pruned;
         timings.pairs_full = candidates.len() as u64 - stats.pruned;
-        record_fused_stage_spans(fused_start, &timings);
+        record_fused_stage_spans(fused_start, timings);
         obs::add(obs::Counter::CascadePairsPruned, timings.pairs_pruned);
         if self.engine.cascade_active() {
             obs::add(obs::Counter::CascadePairsFull, timings.pairs_full);
         }
 
-        // Stage 4: sparse Propagate.
         let started = Instant::now();
         let prop_start = obs::now_ns();
         if self.engine.propagation_alpha > 0.0 {
-            self.propagate_blocked(ctx.source, ctx.target, &mut matrix, &candidates);
+            self.propagate(ctx.source, ctx.target, &mut matrix, &candidates);
         }
         timings.propagate = started.elapsed();
         obs::record_span(
@@ -460,14 +433,7 @@ impl<'e> MatchPipeline<'e> {
             prop_start,
             timings.propagate.as_nanos() as u64,
         );
-
-        BlockedRun {
-            matrix,
-            pairs_considered: rows * cols,
-            pairs_scored: candidates.len(),
-            candidates,
-            timings,
-        }
+        (candidates, matrix)
     }
 
     /// Rows per work-stealing block: small enough that every worker claims
@@ -477,117 +443,22 @@ impl<'e> MatchPipeline<'e> {
         (rows / (threads * 4)).clamp(1, 64)
     }
 
-    /// Stages 2+3, fused: per claimed block, fill a block-local `f64` vote
-    /// buffer (Score), then collapse it into the matrix rows (Merge). Peak
-    /// scratch is `lanes × block_rows × cols × voters` doubles instead of
-    /// a full-matrix tensor. Chunk lanes run on the engine's persistent
-    /// [`crate::exec::Executor`] — under a batch, idle pool workers steal
-    /// these blocks from whichever pair is currently executing. Returns
-    /// accumulated `(score, merge)` CPU nanoseconds across all lanes, for
-    /// the proportional wall-clock split.
-    fn score_and_merge(
-        &self,
-        ctx: &MatchContext<'_>,
-        matrix: &mut MatchMatrix,
-        rows: usize,
-        cols: usize,
-    ) -> (u64, u64) {
-        let voters = &self.engine.voters;
-        let merger = &self.engine.merger;
-        // No floor is a floor of -∞: `merged < floor` is never true and
-        // every merged value is written verbatim. The comparison runs on
-        // the f64 merged value before the f32 narrowing, so floored and
-        // unfloored runs agree bit-for-bit on every surviving cell.
-        let floor = self.engine.score_floor.unwrap_or(f64::NEG_INFINITY);
-        let nv = voters.len();
-        let threads = self.engine.threads.min(rows).max(1);
-        let block_rows = self.block_rows(rows, threads);
-
-        // Per-worker state: block vote buffer + merge scratch + timers.
-        struct Worker {
-            votes: Vec<f64>,
-            scratch: Vec<Confidence>,
-            score_ns: u64,
-            merge_ns: u64,
-        }
-
-        let process_block = |first_row: usize, block: &mut [f32], w: &mut Worker| {
-            let block_len = block.len() * nv;
-            let t0 = Instant::now();
-            w.votes.clear();
-            w.votes.resize(block_len, 0.0);
-            for (r, row_votes) in w.votes.chunks_mut(cols * nv).enumerate() {
-                let s = ElementId((first_row + r) as u32);
-                for (j, cell) in row_votes.chunks_mut(nv).enumerate() {
-                    let t = ElementId(j as u32);
-                    for (slot, voter) in cell.iter_mut().zip(voters) {
-                        *slot = voter.vote(ctx, s, t).value();
-                    }
-                }
-            }
-            w.score_ns += t0.elapsed().as_nanos() as u64;
-
-            let t1 = Instant::now();
-            for (cell, pair_votes) in block.iter_mut().zip(w.votes.chunks(nv)) {
-                w.scratch.clear();
-                w.scratch
-                    .extend(pair_votes.iter().map(|&v| Confidence::new(v)));
-                let merged = merger.merge(&w.scratch).value();
-                *cell = if merged < floor { 0.0 } else { merged as f32 };
-            }
-            w.merge_ns += t1.elapsed().as_nanos() as u64;
-        };
-
-        let new_worker = || Worker {
-            votes: Vec::with_capacity(block_rows * cols * nv),
-            scratch: Vec::with_capacity(nv),
-            score_ns: 0,
-            merge_ns: 0,
-        };
-
-        let score_total = AtomicU64::new(0);
-        let merge_total = AtomicU64::new(0);
-        let queue = Mutex::new(
-            matrix
-                .as_mut_slice()
-                .chunks_mut(block_rows * cols)
-                .enumerate(),
-        );
-        self.engine.run_lanes(threads, |_| {
-            let mut w = new_worker();
-            loop {
-                let claimed = queue.lock().expect("pipeline queue poisoned").next();
-                let Some((index, block)) = claimed else { break };
-                // Cancellation point: the claim-queue lock is released and
-                // this block is untouched, so unwinding here leaves the
-                // matrix exactly as the previous chunks wrote it.
-                self.engine.checkpoint();
-                let _chunk = obs::span(SpanKind::ScoreChunk, (index * block_rows) as u64);
-                process_block(index * block_rows, block, &mut w);
-            }
-            score_total.fetch_add(w.score_ns, Ordering::Relaxed);
-            merge_total.fetch_add(w.merge_ns, Ordering::Relaxed);
-        });
-        (
-            score_total.load(Ordering::Relaxed),
-            merge_total.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Sparse Stages 2+3: score and merge only the candidate pairs. The
-    /// per-pair arithmetic is exactly the dense path's (same voter order,
-    /// same `f64` vote buffer, same merge), so a cell scored here is bit-
-    /// identical to the same cell of a dense run; non-candidates are left at
-    /// the matrix's neutral `0.0`. Work-stealing operates on blocks of
-    /// *candidate-bearing rows* — rows blocking emptied cost nothing — and
-    /// the lanes come from the engine's persistent executor.
+    /// Score and Merge, fused: only the candidate pairs are scored, and
+    /// non-candidates are left at the matrix's neutral `0.0`. Each pair's
+    /// arithmetic (voter order, `f64` vote buffer, merge) is independent of
+    /// the rest of the set, so a cell is bit-identical whichever candidate
+    /// set it was scored in. Work-stealing operates on blocks of
+    /// *candidate-bearing rows* — rows without candidates cost nothing — and
+    /// the lanes come from the engine's persistent executor through its
+    /// lane budget. Returns per-worker CPU-nanosecond totals for the
+    /// proportional wall-clock split.
     ///
     /// With [`MatchEngine::cascade_active`] the pass dispatches to the
     /// two-tier cascade kernels in [`crate::cascade`] instead of the
     /// reference full-panel loop; pruned pairs are written as `0.0`, which
     /// the floor would have written anyway (that is the cascade's
     /// losslessness invariant, pinned by `tests/cascade_pin.rs`).
-    fn score_and_merge_blocked(
+    fn score_and_merge(
         &self,
         ctx: &MatchContext<'_>,
         matrix: &mut MatchMatrix,
@@ -595,7 +466,10 @@ impl<'e> MatchPipeline<'e> {
     ) -> FusedStats {
         let voters = &self.engine.voters;
         let merger = &self.engine.merger;
-        // See `score_and_merge`: absent floor = -∞, nothing is floored.
+        // No floor is a floor of -∞: `merged < floor` is never true and
+        // every merged value is written verbatim. The comparison runs on
+        // the f64 merged value before the f32 narrowing, so floored and
+        // unfloored runs agree bit-for-bit on every surviving cell.
         let floor = self.engine.score_floor.unwrap_or(f64::NEG_INFINITY);
         let nv = voters.len();
         let cols = ctx.target.len();
@@ -612,89 +486,42 @@ impl<'e> MatchPipeline<'e> {
             .collect();
         let threads = self.engine.threads.min(work.len()).max(1);
         let block_rows = self.block_rows(work.len(), threads);
+        let cascade = self.engine.cascade_active();
+        debug_assert!(!cascade || nv == crate::cascade::LANES);
 
-        if self.engine.cascade_active() {
-            debug_assert_eq!(nv, crate::cascade::LANES);
-            let floor = self
-                .engine
-                .score_floor
-                .expect("cascade_active implies a floor");
-
-            struct Worker {
-                row: crate::cascade::CascadeScratch,
-                tier1_ns: u64,
-                tier2_ns: u64,
-                merge_ns: u64,
-                pruned: u64,
-            }
-
-            // Each phase runs under `obs::timed`, which both feeds the
-            // per-worker nanosecond totals (the proportional stage split —
-            // same arithmetic as the old hand-rolled timestamps) and, when
-            // recording is on, emits one span per row and phase.
-            let process_block = |block: &mut [(usize, &mut [f32], &[u32])], w: &mut Worker| {
-                for (r, slice, cand) in block.iter_mut() {
-                    let s = ElementId(*r as u32);
-                    let row = &mut w.row;
-                    let (pruned, t1_ns) = obs::timed(SpanKind::ScoreTier1, *r as u64, || {
-                        crate::cascade::tier1_row(ctx, s, cand, floor, slice, row)
-                    });
-                    let ((), t2_ns) = obs::timed(SpanKind::ScoreTier2, *r as u64, || {
-                        crate::cascade::tier2_row(ctx, s, row)
-                    });
-                    let ((), merge_ns) = obs::timed(SpanKind::MergeRow, *r as u64, || {
-                        crate::cascade::merge_row(merger, floor, row, slice)
-                    });
-                    w.pruned += pruned;
-                    w.tier1_ns += t1_ns;
-                    w.tier2_ns += t2_ns;
-                    w.merge_ns += merge_ns;
-                }
-            };
-
-            let mut work = work;
-            let tier1_total = AtomicU64::new(0);
-            let tier2_total = AtomicU64::new(0);
-            let merge_total = AtomicU64::new(0);
-            let pruned_total = AtomicU64::new(0);
-            let queue = Mutex::new(work.chunks_mut(block_rows));
-            self.engine.run_lanes(threads, |_| {
-                let mut w = Worker {
-                    row: crate::cascade::CascadeScratch::default(),
-                    tier1_ns: 0,
-                    tier2_ns: 0,
-                    merge_ns: 0,
-                    pruned: 0,
-                };
-                loop {
-                    let claimed = queue.lock().expect("pipeline queue poisoned").next();
-                    let Some(block) = claimed else { break };
-                    // Cancellation point (lock released, block untouched).
-                    self.engine.checkpoint();
-                    let _chunk = obs::span(SpanKind::ScoreChunk, block.len() as u64);
-                    process_block(block, &mut w);
-                }
-                tier1_total.fetch_add(w.tier1_ns, Ordering::Relaxed);
-                tier2_total.fetch_add(w.tier2_ns, Ordering::Relaxed);
-                merge_total.fetch_add(w.merge_ns, Ordering::Relaxed);
-                pruned_total.fetch_add(w.pruned, Ordering::Relaxed);
-            });
-            return FusedStats {
-                tier1_ns: tier1_total.load(Ordering::Relaxed),
-                tier2_ns: tier2_total.load(Ordering::Relaxed),
-                merge_ns: merge_total.load(Ordering::Relaxed),
-                pruned: pruned_total.load(Ordering::Relaxed),
-            };
-        }
-
+        #[derive(Default)]
         struct Worker {
+            row: crate::cascade::CascadeScratch,
             votes: Vec<f64>,
             scratch: Vec<Confidence>,
-            score_ns: u64,
-            merge_ns: u64,
+            stats: FusedStats,
         }
 
-        let process_block = |block: &mut [(usize, &mut [f32], &[u32])], w: &mut Worker| {
+        // Cascade: each phase runs under `obs::timed`, which both feeds the
+        // per-worker nanosecond totals (the proportional stage split) and,
+        // when recording is on, emits one span per row and phase.
+        let cascade_block = |block: &mut [(usize, &mut [f32], &[u32])], w: &mut Worker| {
+            for (r, slice, cand) in block.iter_mut() {
+                let s = ElementId(*r as u32);
+                let row = &mut w.row;
+                let (pruned, t1_ns) = obs::timed(SpanKind::ScoreTier1, *r as u64, || {
+                    crate::cascade::tier1_row(ctx, s, cand, floor, slice, row)
+                });
+                let ((), t2_ns) = obs::timed(SpanKind::ScoreTier2, *r as u64, || {
+                    crate::cascade::tier2_row(ctx, s, row)
+                });
+                let ((), merge_ns) = obs::timed(SpanKind::MergeRow, *r as u64, || {
+                    crate::cascade::merge_row(merger, floor, row, slice)
+                });
+                w.stats.pruned += pruned;
+                w.stats.tier1_ns += t1_ns;
+                w.stats.tier2_ns += t2_ns;
+                w.stats.merge_ns += merge_ns;
+            }
+        };
+
+        // Full-panel reference: all score time lands in `tier2_ns`.
+        let reference_block = |block: &mut [(usize, &mut [f32], &[u32])], w: &mut Worker| {
             let pairs: usize = block.iter().map(|(_, _, cand)| cand.len()).sum();
             let t0 = Instant::now();
             w.votes.clear();
@@ -710,7 +537,7 @@ impl<'e> MatchPipeline<'e> {
                     cursor += nv;
                 }
             }
-            w.score_ns += t0.elapsed().as_nanos() as u64;
+            w.stats.tier2_ns += t0.elapsed().as_nanos() as u64;
 
             let t1 = Instant::now();
             let mut votes = w.votes.chunks(nv);
@@ -724,49 +551,42 @@ impl<'e> MatchPipeline<'e> {
                     slice[t as usize] = if merged < floor { 0.0 } else { merged as f32 };
                 }
             }
-            w.merge_ns += t1.elapsed().as_nanos() as u64;
-        };
-
-        let new_worker = || Worker {
-            votes: Vec::new(),
-            scratch: Vec::with_capacity(nv),
-            score_ns: 0,
-            merge_ns: 0,
+            w.stats.merge_ns += t1.elapsed().as_nanos() as u64;
         };
 
         let mut work = work;
-        let score_total = AtomicU64::new(0);
-        let merge_total = AtomicU64::new(0);
+        let total = Mutex::new(FusedStats::default());
         let queue = Mutex::new(work.chunks_mut(block_rows));
         self.engine.run_lanes(threads, |_| {
-            let mut w = new_worker();
+            let mut w = Worker::default();
             loop {
                 let claimed = queue.lock().expect("pipeline queue poisoned").next();
                 let Some(block) = claimed else { break };
                 // Cancellation point (lock released, block untouched).
                 self.engine.checkpoint();
                 let _chunk = obs::span(SpanKind::ScoreChunk, block.len() as u64);
-                process_block(block, &mut w);
+                if cascade {
+                    cascade_block(block, &mut w);
+                } else {
+                    reference_block(block, &mut w);
+                }
             }
-            score_total.fetch_add(w.score_ns, Ordering::Relaxed);
-            merge_total.fetch_add(w.merge_ns, Ordering::Relaxed);
+            let mut total = total.lock().expect("pipeline stats poisoned");
+            total.tier1_ns += w.stats.tier1_ns;
+            total.tier2_ns += w.stats.tier2_ns;
+            total.merge_ns += w.stats.merge_ns;
+            total.pruned += w.stats.pruned;
         });
-        FusedStats {
-            tier1_ns: 0,
-            tier2_ns: score_total.load(Ordering::Relaxed),
-            merge_ns: merge_total.load(Ordering::Relaxed),
-            pruned: 0,
-        }
+        total.into_inner().expect("pipeline stats poisoned")
     }
 
-    /// Sparse Stage 4: the dense propagation blend, applied only to rows
-    /// that have candidates. Within such a row every parented cell is
-    /// blended (non-candidate cells blend their stored neutral `0.0` with
-    /// the parents' scored base — densifying children of strong container
-    /// pairs for free). Rows without candidates are untouched. Under the
-    /// exhaustive policy every row has candidates, making this identical to
-    /// the dense pass.
-    fn propagate_blocked(
+    /// Propagate: blend every parented cell of each candidate-bearing row
+    /// with its parents' *base* merged score (order-independent single
+    /// pass). Non-candidate cells of such a row blend their stored neutral
+    /// `0.0` with the parents' scored base — densifying children of strong
+    /// container pairs for free. Rows without candidates are untouched.
+    /// Only the parent rows are snapshotted, not the whole matrix.
+    fn propagate(
         &self,
         source: &Schema,
         target: &Schema,
@@ -774,43 +594,31 @@ impl<'e> MatchPipeline<'e> {
         candidates: &CandidateSet,
     ) {
         let alpha = self.engine.propagation_alpha;
-        let base = matrix.clone();
+        let cols = target.len();
         let target_parents: Vec<Option<ElementId>> =
             target.elements().iter().map(|e| e.parent).collect();
-        for s in source.ids() {
-            if candidates.row(s.index()).is_empty() {
-                continue;
-            }
-            let Some(ps) = source.element(s).parent else {
-                continue;
-            };
-            let row = matrix.row_mut(s);
-            for (j, cell) in row.iter_mut().enumerate() {
-                if let Some(pt) = target_parents[j] {
+        let blended: Vec<(ElementId, ElementId)> = source
+            .elements()
+            .iter()
+            .filter(|e| !candidates.row(e.id.index()).is_empty())
+            .filter_map(|e| Some((e.id, e.parent?)))
+            .collect();
+        let mut parents: Vec<ElementId> = blended.iter().map(|&(_, ps)| ps).collect();
+        parents.sort_unstable();
+        parents.dedup();
+        let base: Vec<f32> = parents
+            .iter()
+            .flat_map(|&ps| &matrix.as_slice()[ps.index() * cols..(ps.index() + 1) * cols])
+            .copied()
+            .collect();
+        for (s, ps) in blended {
+            let at = parents.binary_search(&ps).expect("parent row snapshotted");
+            let base_row = &base[at * cols..(at + 1) * cols];
+            for (cell, pt) in matrix.row_mut(s).iter_mut().zip(&target_parents) {
+                if let Some(pt) = pt {
                     let own = f64::from(*cell);
-                    let par = base.get(ps, pt).value();
-                    *cell = ((1.0 - alpha) * own + alpha * par) as f32;
-                }
-            }
-        }
-    }
-
-    /// Stage 4: blend every non-root pair with its parents' *base* merged
-    /// score (order-independent single pass).
-    fn propagate(&self, source: &Schema, target: &Schema, matrix: &mut MatchMatrix) {
-        let alpha = self.engine.propagation_alpha;
-        let base = matrix.clone();
-        let target_parents: Vec<Option<ElementId>> =
-            target.elements().iter().map(|e| e.parent).collect();
-        for s in source.ids() {
-            let Some(ps) = source.element(s).parent else {
-                continue;
-            };
-            let row = matrix.row_mut(s);
-            for (j, cell) in row.iter_mut().enumerate() {
-                if let Some(pt) = target_parents[j] {
-                    let own = f64::from(*cell);
-                    let par = base.get(ps, pt).value();
+                    // Read through `Confidence`, exactly as `MatchMatrix::get`.
+                    let par = Confidence::new(f64::from(base_row[pt.index()])).value();
                     *cell = ((1.0 - alpha) * own + alpha * par) as f32;
                 }
             }

@@ -161,8 +161,9 @@ impl<'a> IncrementalSession<'a> {
     /// threshold go to `oracle`; accepted pairs are recorded as validated.
     ///
     /// Scoring runs on the engine's persistent executor (each increment is
-    /// the paper's 10^4–10^5 pairs — `run_restricted` shards its source
-    /// rows across pool lanes); only the human-review loop is sequential.
+    /// the paper's 10^4–10^5 pairs — `run_restricted` runs the pipeline's
+    /// Score/Merge/Propagate over the id rectangle); only the human-review
+    /// loop is sequential.
     pub fn run_increment(
         &mut self,
         label: impl Into<String>,

@@ -9,7 +9,7 @@
 //!   to `run` — the sparse Score/Merge/Propagate machinery reproduces the
 //!   dense pipeline bit for bit when nothing is pruned.
 
-use harmony_core::index::{generate_candidates, BlockingPolicy};
+use harmony_core::index::{generate_candidates, BlockingPolicy, GovernedExec};
 use harmony_core::prelude::*;
 use proptest::prelude::*;
 use sm_synth::{GeneratorConfig, SchemaPair};
@@ -59,7 +59,11 @@ proptest! {
             &pair.target,
             &prepared_source,
             &prepared_target,
+            None,
             &BlockingPolicy::default(),
+            engine.executor(),
+            1,
+            GovernedExec::default(),
         );
         prop_assert!(
             candidates.len() < pair.source.len() * pair.target.len(),

@@ -6,6 +6,10 @@
 //!   byte-identical to the cascade-off reference (full voter panel on every
 //!   candidate, floor applied at merge) — matrices and selections alike,
 //!   across seeds, blocking policies, executor widths, and floors.
+//! * A restricted increment (`MatchEngine::run_restricted`) runs the same
+//!   Score/Merge/Propagate over an id rectangle: its pairs are the
+//!   exhaustive run's cells bit for bit, under every floor, with the
+//!   cascade on or off, at every executor width.
 //! * The signature popcount bound that powers tier 1 must dominate the true
 //!   token Jaccard for arbitrary id sets (property-tested).
 
@@ -13,10 +17,12 @@ use harmony_core::index::BlockingPolicy;
 use harmony_core::prelude::*;
 use harmony_core::select::Selection;
 use proptest::prelude::*;
+use sm_schema::ElementId;
 use sm_synth::{GeneratorConfig, SchemaPair};
 use sm_text::bounds::{id_signature, signature_intersection_bound, signature_jaccard_bound};
 use sm_text::intern::{sorted_ids_jaccard, TokenId};
 use sm_text::normalize::Normalizer;
+use std::sync::Arc;
 
 fn engine() -> MatchEngine {
     // Private cache so other tests' global-cache traffic can't interfere.
@@ -128,6 +134,80 @@ fn cascade_exhaustive_matches_floored_dense_run() {
             .pipeline()
             .run_blocked(&pair.source, &pair.target, &BlockingPolicy::Exhaustive);
     assert_eq!(dense.matrix.as_slice(), blocked.matrix.as_slice());
+}
+
+/// Pin: restricted increments read the exhaustive run's cells. Across
+/// seeds × floors × cascade on/off × executor widths, `run_restricted`
+/// returns one pair per `source_ids × target_ids` entry, in caller order
+/// (repeats included), scored bit-for-bit as the exhaustive `run` scores
+/// that cell. Source filters are concept subtrees (also reversed, with a
+/// repeated id) and the depth-2 attributes; target filters are the whole
+/// schema and the depth-2 attributes alone, whose parents lie outside the
+/// rectangle.
+#[test]
+fn restricted_pairs_are_exhaustive_run_cells() {
+    let pools: Vec<(usize, Arc<Executor>)> = [1usize, 2, 8]
+        .into_iter()
+        .map(|threads| (threads, Arc::new(Executor::new(threads))))
+        .collect();
+    for seed in [3u64, 17, 42] {
+        let pair = SchemaPair::generate(&GeneratorConfig::paper_case_study(seed, 0.08));
+        let (source, target) = (&pair.source, &pair.target);
+        let mut source_sets: Vec<Vec<ElementId>> = pair
+            .source_anchors
+            .iter()
+            .take(3)
+            .map(|&(anchor, _)| NodeFilter::subtree(anchor).select(source))
+            .collect();
+        let mut reordered = source_sets[0].clone();
+        reordered.reverse();
+        reordered.push(reordered[0]);
+        source_sets.push(reordered);
+        source_sets.push(NodeFilter::at_depth(2).select(source));
+        let all = NodeFilter::All.select(target);
+        let attributes = NodeFilter::at_depth(2).select(target);
+        assert!(attributes.iter().all(|&t| target
+            .element(t)
+            .parent
+            .is_some_and(|p| !attributes.contains(&p))));
+
+        for floor in [None, Some(0.0), Some(0.30)] {
+            for cascade in [true, false] {
+                for (threads, pool) in &pools {
+                    let engine = engine()
+                        .with_executor(Arc::clone(pool))
+                        .with_threads(*threads)
+                        .with_score_floor(floor)
+                        .with_cascade(cascade);
+                    let full = engine.run(source, target);
+                    let ctx = engine.build_context(source, target);
+                    for source_ids in &source_sets {
+                        for target_ids in [&all, &attributes] {
+                            let got = engine.run_restricted(&ctx, source_ids, target_ids);
+                            let want: Vec<(ElementId, ElementId, u64)> = source_ids
+                                .iter()
+                                .flat_map(|&s| target_ids.iter().map(move |&t| (s, t)))
+                                .map(|(s, t)| (s, t, full.matrix.get(s, t).value().to_bits()))
+                                .collect();
+                            let got: Vec<(ElementId, ElementId, u64)> = got
+                                .pairs
+                                .iter()
+                                .map(|&(s, t, c)| (s, t, c.value().to_bits()))
+                                .collect();
+                            assert!(
+                                got == want,
+                                "restricted cells diverged from the exhaustive run (seed \
+                                 {seed}, floor {floor:?}, cascade {cascade}, {threads} \
+                                 threads, {} x {} ids)",
+                                source_ids.len(),
+                                target_ids.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// A non-default voter panel deactivates the cascade (its bounds are

@@ -1,14 +1,15 @@
 //! Pin: the flat CSR blocking index (`harmony_core::index`) is an
 //! *execution* change, never a semantics change. The retained map-based
 //! implementation (`harmony_core::index::reference`) is the oracle: the CSR
-//! path — inline or fanned out across executor lanes — must produce
-//! byte-identical `CandidateSet`s across seeds × policies × thread counts,
+//! path — inline at one lane or fanned out across executor lanes — must
+//! produce byte-identical `CandidateSet`s across seeds × policies × thread
+//! counts,
 //! and the CSR store must round-trip every posting list and every IDF
 //! weight bit the reference index knows.
 
 use harmony_core::exec::Executor;
 use harmony_core::index::{
-    generate_candidates, generate_candidates_exec, reference, BlockingPolicy, ElementTokenIndex,
+    generate_candidates, reference, BlockingPolicy, ElementTokenIndex, GovernedExec,
 };
 use harmony_core::prelude::*;
 use proptest::prelude::*;
@@ -39,8 +40,8 @@ fn policies() -> Vec<BlockingPolicy> {
 }
 
 /// CSR candidate sets are byte-identical to the map-based reference across
-/// seeds × policies × executor widths (1, 2, 8 — plus the inline no-executor
-/// path).
+/// seeds × policies × executor widths (1 — the inline path — 2 and 8), with
+/// per-pair index builds and with pre-built indices.
 #[test]
 fn csr_candidates_pin_to_reference_across_seeds_policies_threads() {
     for seed in [1u64, 29, 404] {
@@ -51,26 +52,31 @@ fn csr_candidates_pin_to_reference_across_seeds_policies_threads() {
         for policy in policies() {
             let expect =
                 reference::generate_candidates(&pair.source, &pair.target, &ps, &pt, &policy);
-            let inline = generate_candidates(&pair.source, &pair.target, &ps, &pt, &policy);
-            assert_eq!(
-                inline, expect,
-                "inline CSR diverged (seed {seed}, {policy:?})"
-            );
             for threads in [1usize, 2, 8] {
                 let exec = Executor::new(threads);
-                let parallel = generate_candidates_exec(
-                    &pair.source,
-                    &pair.target,
-                    &ps,
-                    &pt,
-                    &policy,
-                    &exec,
-                    threads,
+                let indices = (
+                    ElementTokenIndex::build_parallel(&ps, &exec, threads),
+                    ElementTokenIndex::build_parallel(&pt, &exec, threads),
                 );
-                assert_eq!(
-                    parallel, expect,
-                    "CSR diverged at {threads} lanes (seed {seed}, {policy:?})"
-                );
+                for prebuilt in [None, Some((&indices.0, &indices.1))] {
+                    let got = generate_candidates(
+                        &pair.source,
+                        &pair.target,
+                        &ps,
+                        &pt,
+                        prebuilt,
+                        &policy,
+                        &exec,
+                        threads,
+                        GovernedExec::default(),
+                    );
+                    assert_eq!(
+                        got,
+                        expect,
+                        "CSR diverged at {threads} lanes, prebuilt {} (seed {seed}, {policy:?})",
+                        prebuilt.is_some()
+                    );
+                }
             }
         }
     }

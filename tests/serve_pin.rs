@@ -10,7 +10,7 @@ use harmony_core::prelude::*;
 use harmony_core::serve::{
     AdmissionController, CancelReason, JobClass, JobToken, ServeConfig, ServeError,
 };
-use sm_schema::Schema;
+use sm_schema::{ElementId, Schema};
 use sm_synth::{RepositoryConfig, SyntheticRepository};
 use sm_text::normalize::Normalizer;
 use std::sync::Arc;
@@ -245,4 +245,86 @@ fn mid_run_cancellation_unwinds_without_poisoning_shared_state() {
     .as_slice()
     .to_vec();
     assert_eq!(served, reference);
+}
+
+/// A schema pair and one restricted increment over it: the first schema's
+/// second root subtree against the whole second schema.
+fn increment_fixture(seed: u64) -> (Vec<Schema>, Vec<ElementId>, Vec<ElementId>) {
+    let schemas = population(seed, 2);
+    let root = schemas[0].roots()[1];
+    let source_ids = NodeFilter::subtree(root).select(&schemas[0]);
+    let target_ids = NodeFilter::All.select(&schemas[1]);
+    (schemas, source_ids, target_ids)
+}
+
+/// A restricted increment on a bound engine honours the job token: a token
+/// tripped before submission cancels the increment at its first
+/// checkpoint.
+#[test]
+fn restricted_increment_with_tripped_token_is_cancelled() {
+    const THREADS: usize = 4;
+    let (schemas, source_ids, target_ids) = increment_fixture(61);
+    let exec = Arc::new(Executor::new(THREADS));
+    let cache = Arc::new(FeatureCache::new(Normalizer::new()));
+    let ctl = AdmissionController::new(
+        Arc::clone(&exec),
+        Arc::clone(&cache),
+        ServeConfig::for_pool(THREADS),
+    );
+    let ctx = engine(&exec, &cache, THREADS).build_context(&schemas[0], &schemas[1]);
+    let token = JobToken::new();
+    token.cancel();
+    let outcome = ctl.submit_with_token(JobClass::PointMatch, 5, token, |grant| {
+        grant
+            .bind(engine(&exec, &cache, THREADS))
+            .run_restricted(&ctx, &source_ids, &target_ids)
+            .pairs
+    });
+    match outcome {
+        Err(ServeError::Cancelled { reason, .. }) => assert_eq!(reason, CancelReason::Cancelled),
+        Err(other) => panic!("unexpected error {other}"),
+        Ok(_) => panic!("restricted increment ran to completion with a tripped token"),
+    }
+}
+
+/// A restricted increment draws its helper lanes from the class budget: at
+/// a zero budget it runs inline on the caller (no lane is offered to the
+/// pool) and returns pairs identical to the unbudgeted run.
+#[test]
+fn restricted_increment_under_zero_lane_budget_runs_inline_identically() {
+    const THREADS: usize = 4;
+    let (schemas, source_ids, target_ids) = increment_fixture(67);
+    let exec = Arc::new(Executor::new(THREADS));
+    let cache = Arc::new(FeatureCache::new(Normalizer::new()));
+    let mut config = ServeConfig::for_pool(THREADS);
+    config.policy_mut(JobClass::PointMatch).lane_fraction = 0.0;
+    let ctl = AdmissionController::new(Arc::clone(&exec), Arc::clone(&cache), config);
+    assert_eq!(ctl.budget(JobClass::PointMatch).width(), 0);
+
+    let unbudgeted = engine(&exec, &cache, THREADS);
+    let ctx = unbudgeted.build_context(&schemas[0], &schemas[1]);
+    let reference = unbudgeted
+        .run_restricted(&ctx, &source_ids, &target_ids)
+        .pairs;
+
+    let before = exec.stats();
+    let served = ctl
+        .submit(JobClass::PointMatch, 5, |grant| {
+            grant
+                .bind(engine(&exec, &cache, THREADS))
+                .run_restricted(&ctx, &source_ids, &target_ids)
+                .pairs
+        })
+        .expect("increment admitted and completed");
+    let after = exec.stats();
+    assert_eq!(
+        after.enqueued, before.enqueued,
+        "a zero lane budget must not offer helper lanes to the pool"
+    );
+    assert!(
+        after.inline_runs > before.inline_runs,
+        "increment ran inline"
+    );
+    assert!(!served.is_empty());
+    assert_eq!(served, reference, "budgeted increment diverged");
 }

@@ -40,7 +40,11 @@ fn snapcell_readers_only_observe_published_versions_in_order() {
                 let mut last: u64 = 0;
                 let mut observed: HashSet<u64> = HashSet::new();
                 let mut reads: u64 = 0;
-                while !done.load(Ordering::Acquire) {
+                // Read before checking `done`, so every reader validates at
+                // least one snapshot even if the writer finished before the
+                // reader was first scheduled (single-core runners).
+                loop {
+                    let stop = done.load(Ordering::Acquire);
                     let snap = cell.read().expect("cell starts published");
                     assert!(
                         *snap >= last,
@@ -49,6 +53,9 @@ fn snapcell_readers_only_observe_published_versions_in_order() {
                     last = *snap;
                     observed.insert(*snap);
                     reads += 1;
+                    if stop {
+                        break;
+                    }
                 }
                 (observed, reads)
             })
@@ -119,7 +126,9 @@ fn token_index_snapshots_stay_consistent_under_interleaved_registration() {
             std::thread::spawn(move || {
                 let mut last_len = 0usize;
                 let mut reads = 0u64;
-                while !done.load(Ordering::Acquire) {
+                // Read before checking `done` (see the test above).
+                loop {
+                    let stop = done.load(Ordering::Acquire);
                     let index = repo.read().expect("repo lock").token_index();
                     // Internal consistency: the live count, the live slot
                     // list, and per-slot resolution all agree — a torn
@@ -140,6 +149,9 @@ fn token_index_snapshots_stay_consistent_under_interleaved_registration() {
                     );
                     last_len = index.len();
                     reads += 1;
+                    if stop {
+                        break;
+                    }
                 }
                 reads
             })
