@@ -92,8 +92,14 @@ import sys
 # is 65% of the map-path anchor rather than the original 50% — the
 # regression signal (hashing/ln or quadratic bookkeeping creeping back
 # would land well above 0.056 s) is unchanged.
+#
+# The Block stage must also scale: in the same run, the 2-thread Block
+# stage must take at most 70% of the 1-thread one. A serial tail after the
+# probe (a global pair sort, a single-lane closure) breaks this first.
 OLD_BLOCK_SECS = 0.056186
-MAX_BLOCK_SECS = OLD_BLOCK_SECS * 0.65
+BLOCK_ALLOWANCE = 0.65
+MAX_BLOCK_SECS = OLD_BLOCK_SECS * BLOCK_ALLOWANCE
+MAX_TWO_OVER_ONE_THREAD = 0.7
 
 path = sys.argv[1]
 with open(path) as fh:
@@ -102,7 +108,8 @@ block = doc["block_stage_secs"]
 if block > MAX_BLOCK_SECS:
     sys.exit(
         f"{path}: block_stage_secs = {block:.6f} s exceeds the CSR gate of "
-        f"{MAX_BLOCK_SECS:.6f} s (50% of the map-path {OLD_BLOCK_SECS} s)"
+        f"{MAX_BLOCK_SECS:.6f} s ({100 * BLOCK_ALLOWANCE:.0f}% of the map-path "
+        f"{OLD_BLOCK_SECS} s)"
     )
 for key in ("candidate_recall", "score_recall"):
     if doc[key] != 1.0:
@@ -117,10 +124,21 @@ for prev, cur in zip(curve, curve[1:]):
             f"({cur['block_stage_secs']:.6f} s) is slower than at "
             f"{prev['threads']} ({prev['block_stage_secs']:.6f} s)"
         )
+by_threads = {p["threads"]: p["block_stage_secs"] for p in curve}
+if 2 not in by_threads:
+    sys.exit(f"{path}: block_scaling has no 2-thread point")
+two_over_one = by_threads[2] / by_threads[1]
+if two_over_one > MAX_TWO_OVER_ONE_THREAD:
+    sys.exit(
+        f"{path}: 2-thread block stage ({by_threads[2]:.6f} s) is "
+        f"{two_over_one:.3f}x the 1-thread one ({by_threads[1]:.6f} s), "
+        f"above {MAX_TWO_OVER_ONE_THREAD}x"
+    )
 print(
     f"{path}: block stage {block:.6f} s <= {MAX_BLOCK_SECS:.6f} s "
     f"({OLD_BLOCK_SECS / max(block, 1e-12):.1f}x vs map path), recalls 1.0, "
-    f"scaling curve non-increasing over {len(curve)} thread points"
+    f"scaling curve non-increasing over {len(curve)} thread points, "
+    f"2 threads at {two_over_one:.3f}x of 1 (gate {MAX_TWO_OVER_ONE_THREAD}x)"
 )
 PY
 
@@ -303,7 +321,7 @@ REGISTERED_COUNTERS = [
 REQUIRED_SPANS = {
     "stage.prepare", "stage.block", "stage.score", "stage.merge",
     "stage.propagate", "stage.select", "score.tier1", "score.tier2",
-    "merge.row", "exec.lane",
+    "merge.row", "exec.lane", "block.rescue", "block.assemble", "block.close",
 }
 
 trace_path, report_path = sys.argv[1], sys.argv[2]

@@ -193,6 +193,21 @@ fn run_trace(req: &sm_bench::TraceRequest) {
         selected.len(),
         result.elapsed.as_secs_f64(),
     );
+    // Dark time of the Block stage: wall time no child pass accounts for.
+    let block_passes = [
+        obs::SpanKind::IndexBuild,
+        obs::SpanKind::ProbeChunk,
+        obs::SpanKind::BlockRescue,
+        obs::SpanKind::BlockAssemble,
+        obs::SpanKind::BlockClose,
+    ];
+    for covered in obs::coverage(&obs::collect(), obs::SpanKind::StageBlock, &block_passes) {
+        println!(
+            "stage.block child-span coverage: {:.1}% (index.build, probe.chunk, \
+             block.rescue, block.assemble, block.close)",
+            100.0 * covered
+        );
+    }
     sm_bench::write_trace(req);
 }
 

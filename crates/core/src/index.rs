@@ -44,8 +44,9 @@
 //! deterministic chunk order; probing fans chunks of *both* directions out
 //! through one shared claim queue, so the source→target and target→source
 //! probes execute as concurrent lanes and each lane reuses one
-//! accumulator/scratch block across every element it claims. Results are
-//! assembled in element order, so the candidate set is bit-identical at
+//! accumulator/scratch block across every element it claims. The passes
+//! after the probe run on the same lanes in row chunks (see below). Results
+//! are assembled in element order, so the candidate set is bit-identical at
 //! every lane count.
 //!
 //! Candidate generation runs in both directions (source→target and
@@ -57,14 +58,18 @@
 //! reads its parents' *scored* base value, never an unscored zero) and
 //! implicitly recovers container pairs whose own names disagree but whose
 //! children overlap — exactly the pairs the `StructureVoter` exists for.
-//! The union, child-rescue, and parent-closure passes all operate on one
-//! flat packed pair list (sorted `(row << 32) | col` keys) instead of
-//! per-row `Vec<Vec<u32>>` buffers: closure membership is a merge walk over
-//! sorted runs, not a linear `contains` per frontier pair.
+//! After the probe, the union, rescue and closure passes are row-native.
+//! Each probe chunk hands its pairs over bucketed by source row chunk, so
+//! one row-assembly chunk per lane claim merges its rows' forward and
+//! backward pairs, exact-name postings and child-rescue columns through a
+//! column bitset into one flat arena — sorted and deduplicated without a
+//! sort. The parent closure then runs one source tree level at a time,
+//! deepest first, with the rows of a level fanned out across the lanes.
+//! Only the order-dependent child-rescue selection runs serially.
 
 use crate::exec::Executor;
 use crate::prepare::PreparedSchema;
-use sm_schema::{ElementId, Schema};
+use sm_schema::{Element, ElementId, Schema};
 use sm_text::intern::{TokenArena, TokenId};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -181,7 +186,8 @@ pub struct CandidateSet {
 impl CandidateSet {
     /// Build from per-row candidate lists (each list must be sorted and
     /// deduplicated). Used by the [`reference`] implementation and tests;
-    /// the CSR path assembles from a flat sorted pair list instead.
+    /// the production path stitches its per-chunk row arenas instead
+    /// ([`RowStore::into_candidates`]).
     pub(crate) fn from_rows(rows_lists: Vec<Vec<u32>>, cols: usize) -> Self {
         let rows = rows_lists.len();
         let mut offsets = Vec::with_capacity(rows + 1);
@@ -191,35 +197,6 @@ impl CandidateSet {
             debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
             targets.extend(list);
             offsets.push(targets.len());
-        }
-        CandidateSet {
-            rows,
-            cols,
-            offsets,
-            targets,
-        }
-    }
-
-    /// Build from a sorted, deduplicated flat list of packed
-    /// `(row << 32) | col` pairs — the zero-copy output of the flat
-    /// union/closure passes.
-    fn from_sorted_pairs(rows: usize, cols: usize, pairs: &[u64]) -> Self {
-        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-        let mut offsets = Vec::with_capacity(rows + 1);
-        let mut targets = Vec::with_capacity(pairs.len());
-        offsets.push(0);
-        let mut row = 0usize;
-        for &p in pairs {
-            let (r, c) = ((p >> 32) as usize, (p & 0xffff_ffff) as u32);
-            while row < r {
-                offsets.push(targets.len());
-                row += 1;
-            }
-            targets.push(c);
-        }
-        while row < rows {
-            offsets.push(targets.len());
-            row += 1;
         }
         CandidateSet {
             rows,
@@ -273,13 +250,21 @@ impl CandidateSet {
             ids
         };
         let (rows, cols) = (sorted(source_ids), sorted(target_ids));
-        // Sorted ids yield the packed pairs already sorted and distinct.
-        let pairs: Vec<u64> = rows
-            .iter()
-            .flat_map(|&s| cols.iter().map(move |&t| pack(s, t)))
-            .collect();
-        let pairs = close_over_parents(source, target, pairs);
-        CandidateSet::from_sorted_pairs(source.len(), target.len(), &pairs)
+        let mut arena = RowArena::with_rows(rows.len());
+        for _ in &rows {
+            arena.push_row(&cols);
+        }
+        let mut store = RowStore::new(source.len());
+        store.install(arena, rows.iter().map(|&s| s as usize));
+        close_over_parents(
+            source,
+            target,
+            &mut store,
+            rows.iter().map(|&s| s as usize),
+            None,
+            GovernedExec::default(),
+        );
+        store.into_candidates(target.len())
     }
 
     /// Number of source rows.
@@ -334,6 +319,12 @@ impl CandidateSet {
 /// push) is noise next to the posting walks inside.
 const CHUNK_ELEMENTS: usize = 64;
 
+/// Rows per parent-closure chunk. A closure row merges all of its
+/// children's rows, so one costs about as much as a chunk of its children;
+/// a smaller chunk spreads a tree level of a few dozen containers across
+/// the lanes.
+const CLOSE_CHUNK_ROWS: usize = 16;
+
 /// Run `f` over `chunk`-sized ranges of `0..n`, returning the chunk outputs
 /// in chunk order. With `Some((exec, parallelism))` and more than one chunk,
 /// ranges are claimed as [`Executor::run_map`] items; otherwise the loop
@@ -347,19 +338,172 @@ pub fn run_chunked<T: Send>(
     chunk: usize,
     f: impl Fn(usize, Range<usize>) -> T + Sync,
 ) -> Vec<T> {
+    run_chunked_governed(par, GovernedExec::default(), n, chunk, f)
+}
+
+/// [`run_chunked`] under serving-layer controls: helper lanes are claimed
+/// against `gov.budget`, and `gov.token` is checked before every chunk.
+fn run_chunked_governed<T: Send>(
+    par: Option<(&Executor, usize)>,
+    gov: GovernedExec<'_>,
+    n: usize,
+    chunk: usize,
+    f: impl Fn(usize, Range<usize>) -> T + Sync,
+) -> Vec<T> {
     let ranges: Vec<Range<usize>> = (0..n)
         .step_by(chunk.max(1))
         .map(|start| start..(start + chunk).min(n))
         .collect();
+    let run = |index: usize, range: Range<usize>| {
+        if let Some(token) = gov.token {
+            token.checkpoint();
+        }
+        f(index, range)
+    };
     match par {
         Some((exec, parallelism)) if parallelism > 1 && ranges.len() > 1 => {
-            exec.run_map(parallelism, &ranges, |index, range| f(index, range.clone()))
+            exec.run_map_budgeted(parallelism, gov.budget, &ranges, |index, range| {
+                run(index, range.clone())
+            })
         }
         _ => ranges
             .into_iter()
             .enumerate()
-            .map(|(index, range)| f(index, range))
+            .map(|(index, range)| run(index, range))
             .collect(),
+    }
+}
+
+/// Reusable sets of column indices, one bit per column per set: inserts
+/// land in any order, and [`Self::drain`] visits a set's members in
+/// ascending order while emptying it — a merge and dedup of any number of
+/// column lists without a sort.
+#[derive(Debug)]
+struct ColumnSets {
+    /// Words per set.
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl ColumnSets {
+    fn new(sets: usize, cols: usize) -> Self {
+        let stride = cols.div_ceil(64);
+        ColumnSets {
+            stride,
+            words: vec![0; sets * stride],
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, set: usize, col: u32) {
+        self.words[set * self.stride + col as usize / 64] |= 1 << (col % 64);
+    }
+
+    /// Visit every member of `set` in ascending order and empty it. Only
+    /// the words of columns below `limit` are walked; every member must lie
+    /// below it.
+    #[inline]
+    fn drain(&mut self, set: usize, limit: usize, mut visit: impl FnMut(u32)) {
+        let base = set * self.stride;
+        for (at, word) in self.words[base..base + limit.div_ceil(64)]
+            .iter_mut()
+            .enumerate()
+        {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                visit((at * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// Sorted, deduplicated candidate columns of a run of rows in one flat
+/// arena (`offsets[i]..offsets[i + 1]` slices `cols` for the `i`-th row):
+/// one allocation pair per chunk of rows, none per row.
+struct RowArena {
+    offsets: Vec<usize>,
+    cols: Vec<u32>,
+}
+
+impl RowArena {
+    fn with_rows(rows: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        RowArena {
+            offsets,
+            cols: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[u32] {
+        &self.cols[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    fn push_row(&mut self, cols: &[u32]) {
+        self.cols.extend_from_slice(cols);
+        self.offsets.push(self.cols.len());
+    }
+
+    /// Append the members of `sets[set]` as the next row, emptying it.
+    fn push_drained(&mut self, sets: &mut ColumnSets, set: usize) {
+        let limit = sets.stride * 64;
+        sets.drain(set, limit, |col| self.cols.push(col));
+        self.offsets.push(self.cols.len());
+    }
+}
+
+/// Every source row's candidate columns, held in [`RowArena`]s: `at[r]`
+/// names the arena and slot of row `r`, so a closure level replaces rows by
+/// installing one new arena instead of moving the others.
+struct RowStore {
+    arenas: Vec<RowArena>,
+    /// `(arena, slot)` per source row; `arena == u32::MAX` for rows that
+    /// hold no pairs.
+    at: Vec<(u32, u32)>,
+}
+
+impl RowStore {
+    fn new(rows: usize) -> Self {
+        RowStore {
+            arenas: Vec::new(),
+            at: vec![(u32::MAX, 0); rows],
+        }
+    }
+
+    #[inline]
+    fn row(&self, r: usize) -> &[u32] {
+        match self.at[r] {
+            (u32::MAX, _) => &[],
+            (arena, slot) => self.arenas[arena as usize].row(slot as usize),
+        }
+    }
+
+    /// Make `arena`'s rows, in order, the current rows `rows`.
+    fn install(&mut self, arena: RowArena, rows: impl IntoIterator<Item = usize>) {
+        let id = self.arenas.len() as u32;
+        for (slot, r) in rows.into_iter().enumerate() {
+            self.at[r] = (id, slot as u32);
+        }
+        self.arenas.push(arena);
+    }
+
+    fn into_candidates(self, cols: usize) -> CandidateSet {
+        let rows = self.at.len();
+        let mut offsets = Vec::with_capacity(rows + 1);
+        let mut targets = Vec::with_capacity(self.arenas.iter().map(|a| a.cols.len()).sum());
+        offsets.push(0);
+        for r in 0..rows {
+            targets.extend_from_slice(self.row(r));
+            offsets.push(targets.len());
+        }
+        CandidateSet {
+            rows,
+            cols,
+            offsets,
+            targets,
+        }
     }
 }
 
@@ -614,17 +758,44 @@ impl ElementTokenIndex {
     }
 }
 
-/// One side's probe output in CSR form: per probing element, a slice of
-/// `(candidate, overlap weight)` entries.
-struct ProbeRows {
-    offsets: Vec<u32>,
-    entries: Vec<(u32, f64)>,
+/// One probe chunk's kept pairs as `(source, target)`, grouped by source
+/// row chunk: `buckets[c]..buckets[c + 1]` slices `pairs` for the source
+/// rows of chunk `c` (`c * CHUNK_ELEMENTS..`), in probe order within a
+/// bucket.
+struct ProbedChunk {
+    buckets: Vec<usize>,
+    pairs: Vec<(u32, u32)>,
+    /// Child-rescue candidates the chunk found.
+    strong: Vec<(u32, u32, f64)>,
 }
 
-impl ProbeRows {
+impl ProbedChunk {
+    /// Counting-sort `kept` into `buckets` source row chunks.
+    fn bucketed(kept: &[(u32, u32)], buckets: usize, strong: Vec<(u32, u32, f64)>) -> Self {
+        let mut offsets = vec![0usize; buckets + 1];
+        for &(s, _) in kept {
+            offsets[s as usize / CHUNK_ELEMENTS + 1] += 1;
+        }
+        for b in 0..buckets {
+            offsets[b + 1] += offsets[b];
+        }
+        let mut next = offsets.clone();
+        let mut pairs = vec![(0, 0); kept.len()];
+        for &pair in kept {
+            let b = pair.0 as usize / CHUNK_ELEMENTS;
+            pairs[next[b]] = pair;
+            next[b] += 1;
+        }
+        ProbedChunk {
+            buckets: offsets,
+            pairs,
+            strong,
+        }
+    }
+
     #[inline]
-    fn row(&self, r: usize) -> &[(u32, f64)] {
-        &self.entries[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    fn bucket(&self, c: usize) -> &[(u32, u32)] {
+        &self.pairs[self.buckets[c]..self.buckets[c + 1]]
     }
 }
 
@@ -634,14 +805,16 @@ impl ProbeRows {
 /// without paying an allocation per row.
 #[derive(Debug)]
 pub struct ProbeScratch {
-    /// Per-candidate accumulated overlap weight (reset via `touched`).
+    /// Per-candidate accumulated overlap weight (zeroed as `touched`
+    /// drains).
     acc: Vec<f64>,
-    /// Candidates touched by the current element, in first-touch order.
-    touched: Vec<u32>,
-    /// Ranking buffer for the top-k policy.
-    ranked: Vec<u32>,
-    /// The current element's kept candidates before they join the chunk
-    /// output.
+    /// Candidates touched by the current element.
+    touched: ColumnSets,
+    /// Touched candidates below the policy's weight bound, in column order:
+    /// the top-k policy's selection pool when too few clear the bound.
+    weak: Vec<(u32, f64)>,
+    /// The current element's kept candidates, in column order, before they
+    /// join the chunk output.
     kept: Vec<(u32, f64)>,
     /// Rows probed through this scratch since the last flush — accumulated
     /// locally so the posting hot loop never touches a process-wide atomic.
@@ -655,8 +828,8 @@ impl ProbeScratch {
     pub fn new(max_candidates: usize) -> Self {
         ProbeScratch {
             acc: vec![0.0; max_candidates],
-            touched: Vec::new(),
-            ranked: Vec::new(),
+            touched: ColumnSets::new(1, max_candidates),
+            weak: Vec::new(),
             kept: Vec::new(),
             rows_probed: 0,
             postings_touched: 0,
@@ -676,10 +849,12 @@ impl ProbeScratch {
 }
 
 /// Probe one element's features against `index`, applying `policy` into
-/// `scratch.kept`. The accumulation order (features in prepared order,
-/// postings ascending) and every policy decision are exactly the historical
-/// [`reference`] implementation's; only the per-feature weight lookup moved
-/// from a recomputed `ln` to the precomputed table.
+/// `scratch.kept` (column order). The accumulation order (features in
+/// prepared order, postings ascending) is exactly the historical
+/// [`reference`] implementation's, and so is the kept set; the weight
+/// lookup reads the precomputed table instead of a recomputed `ln`, and the
+/// selection takes a cheaper route to the same set (threshold first, see
+/// below).
 fn probe_element(
     feats: &[TokenId],
     index: &ElementTokenIndex,
@@ -687,70 +862,61 @@ fn probe_element(
     scratch: &mut ProbeScratch,
 ) {
     scratch.rows_probed += 1;
+    let n = index.len();
     let acc = &mut scratch.acc;
     let touched = &mut scratch.touched;
-    touched.clear();
     for &feat in feats {
         let Some((posting, w)) = index.probe_feature(feat) else {
             continue;
         };
         scratch.postings_touched += posting.len() as u64;
         for &t in posting {
-            if acc[t as usize] == 0.0 {
-                touched.push(t);
-            }
             acc[t as usize] += w;
+            touched.insert(0, t);
         }
     }
     let kept = &mut scratch.kept;
+    let weak = &mut scratch.weak;
     kept.clear();
-    match *policy {
+    weak.clear();
+    // A threshold policy is a top-0 policy.
+    let (k, min_weight) = match *policy {
         BlockingPolicy::Exhaustive => {
-            kept.extend((0..index.len() as u32).map(|t| (t, acc[t as usize])));
+            kept.extend((0..n as u32).map(|t| (t, acc[t as usize])));
+            acc[..n].fill(0.0);
+            touched.drain(0, n, |_| {});
+            return;
         }
-        BlockingPolicy::WeightedThreshold { min_weight } => {
-            kept.extend(
-                touched
-                    .iter()
-                    .filter(|&&t| acc[t as usize] >= min_weight)
-                    .map(|&t| (t, acc[t as usize])),
-            );
-            kept.sort_unstable_by_key(|&(t, _)| t);
+        BlockingPolicy::WeightedThreshold { min_weight } => (0, min_weight),
+        BlockingPolicy::TopK { k, min_weight } => (k, min_weight),
+    };
+    // Threshold first. Every touched candidate at or above `min_weight` is
+    // kept, and any of them outranks every weaker one, so when at least k
+    // clear the bound they already hold the top k and no ranking happens.
+    // The drain walks the touched bits in column order, so `kept` comes out
+    // sorted.
+    touched.drain(0, n, |t| {
+        let w = std::mem::take(&mut acc[t as usize]);
+        if w >= min_weight {
+            kept.push((t, w));
+        } else if k > 0 {
+            weak.push((t, w));
         }
-        BlockingPolicy::TopK { k, min_weight } => {
-            let ranked = &mut scratch.ranked;
-            ranked.clear();
-            ranked.extend_from_slice(touched);
-            // Deterministic rank order: weight desc, column asc. The
-            // reference sorts the whole buffer; selecting the k-th pivot
-            // partitions the identical total order, so the kept *set* —
-            // ranks below k, plus everything at or above `min_weight` — is
-            // unchanged while the cost drops from O(m log m) to O(m).
-            let by_rank = |&a: &u32, &b: &u32| {
-                acc[b as usize]
-                    .partial_cmp(&acc[a as usize])
+    });
+    if kept.len() < k && !weak.is_empty() {
+        // The remaining `k - strong` slots go to the best weak candidates
+        // under the reference's total order: weight desc, column asc.
+        let slots = k - kept.len();
+        if weak.len() > slots {
+            weak.select_nth_unstable_by(slots - 1, |a, b| {
+                b.1.partial_cmp(&a.1)
                     .expect("finite overlap weight")
-                    .then(a.cmp(&b))
-            };
-            if ranked.len() > k {
-                if k > 0 {
-                    ranked.select_nth_unstable_by(k - 1, by_rank);
-                }
-                kept.extend(ranked[..k].iter().map(|&t| (t, acc[t as usize])));
-                kept.extend(
-                    ranked[k..]
-                        .iter()
-                        .filter(|&&t| acc[t as usize] >= min_weight)
-                        .map(|&t| (t, acc[t as usize])),
-                );
-            } else {
-                kept.extend(ranked.iter().map(|&t| (t, acc[t as usize])));
-            }
-            kept.sort_unstable_by_key(|&(t, _)| t);
+                    .then(a.0.cmp(&b.0))
+            });
+            weak.truncate(slots);
         }
-    }
-    for &t in touched.iter() {
-        acc[t as usize] = 0.0;
+        kept.extend_from_slice(weak);
+        kept.sort_unstable_by_key(|&(t, _)| t);
     }
 }
 
@@ -759,29 +925,34 @@ fn probe_element(
 /// shared claim queue, so the directions run as concurrent executor lanes
 /// and a lane finishing one direction's chunks immediately steals the
 /// other's. Each lane owns one [`ProbeScratch`], reused across all its
-/// claims. Outputs are stitched per direction in element order:
-/// bit-identical at any lane count.
+/// claims. Chunk outputs come back in chunk order (forward chunks first),
+/// whichever lane produced them: bit-identical at any lane count.
+///
+/// Every chunk hands its kept pairs over bucketed by source row chunk (see
+/// [`ProbedChunk`]), so the row assembly reads both directions without a
+/// global transpose. The lanes also collect the child-rescue candidates:
+/// kept pairs of two containers (`containers` flags source, then target,
+/// elements with children) that overlap by at least
+/// [`CHILD_RESCUE_WEIGHT`], as `(source, target, weight)`.
 #[allow(clippy::too_many_arguments)]
 fn probe_sides(
     prepared_source: &PreparedSchema,
     prepared_target: &PreparedSchema,
     source_index: &ElementTokenIndex,
     target_index: &ElementTokenIndex,
+    containers: [&[bool]; 2],
     policy: &BlockingPolicy,
     exec: &Executor,
     parallelism: usize,
     gov: GovernedExec<'_>,
-) -> (ProbeRows, ProbeRows) {
+) -> (Vec<ProbedChunk>, Vec<(u32, u32, f64)>) {
     let rows = prepared_source.len();
     let cols = prepared_target.len();
+    let buckets = rows.div_ceil(CHUNK_ELEMENTS);
     struct ChunkDesc {
         /// 0 = forward (source→target index), 1 = backward.
         dir: usize,
         range: Range<usize>,
-    }
-    struct ChunkOut {
-        counts: Vec<u32>,
-        entries: Vec<(u32, f64)>,
     }
     let mut descs: Vec<ChunkDesc> = Vec::new();
     for start in (0..rows).step_by(CHUNK_ELEMENTS) {
@@ -797,27 +968,39 @@ fn probe_sides(
         });
     }
 
-    let run_chunk = |desc: &ChunkDesc, scratch: &mut ProbeScratch| -> ChunkOut {
+    let run_chunk = |desc: &ChunkDesc, scratch: &mut ProbeScratch| -> ProbedChunk {
         let _chunk = crate::obs::span(crate::obs::SpanKind::ProbeChunk, desc.range.len() as u64);
-        let (from, index) = if desc.dir == 0 {
-            (prepared_source, target_index)
+        let (from, index, [from_containers, to_containers]) = if desc.dir == 0 {
+            (prepared_source, target_index, containers)
         } else {
-            (prepared_target, source_index)
+            (
+                prepared_target,
+                source_index,
+                [containers[1], containers[0]],
+            )
         };
-        let mut out = ChunkOut {
-            counts: Vec::with_capacity(desc.range.len()),
-            entries: Vec::new(),
-        };
+        let mut kept: Vec<(u32, u32)> = Vec::new();
+        let mut strong: Vec<(u32, u32, f64)> = Vec::new();
         for idx in desc.range.clone() {
             probe_element(from.block_features_of(idx), index, policy, scratch);
-            out.counts.push(scratch.kept.len() as u32);
-            out.entries.extend_from_slice(&scratch.kept);
+            let from_container = from_containers[idx];
+            for &(other, w) in &scratch.kept {
+                let pair = if desc.dir == 0 {
+                    (idx as u32, other)
+                } else {
+                    (other, idx as u32)
+                };
+                kept.push(pair);
+                if from_container && w >= CHILD_RESCUE_WEIGHT && to_containers[other as usize] {
+                    strong.push((pair.0, pair.1, w));
+                }
+            }
         }
-        out
+        ProbedChunk::bucketed(&kept, buckets, strong)
     };
 
     // At parallelism 1 the caller's lane alone drains the claim queue.
-    let done: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::with_capacity(descs.len()));
+    let done: Mutex<Vec<(usize, ProbedChunk)>> = Mutex::new(Vec::with_capacity(descs.len()));
     let queue = Mutex::new(descs.iter().enumerate());
     exec.run_lanes_budgeted(parallelism.min(descs.len()), gov.budget, |_| {
         let mut scratch = ProbeScratch::new(rows.max(cols));
@@ -838,29 +1021,11 @@ fn probe_sides(
     });
     let mut outs = done.into_inner().expect("probe results poisoned");
     outs.sort_unstable_by_key(|&(index, _)| index);
-    let outs: Vec<ChunkOut> = outs.into_iter().map(|(_, out)| out).collect();
-
-    // Stitch per direction, in chunk (= element) order.
-    let stitch = |dir: usize, n: usize| -> ProbeRows {
-        let mut probe = ProbeRows {
-            offsets: Vec::with_capacity(n + 1),
-            entries: Vec::new(),
-        };
-        probe.offsets.push(0);
-        for (desc, out) in descs.iter().zip(&outs) {
-            if desc.dir != dir {
-                continue;
-            }
-            probe.entries.extend_from_slice(&out.entries);
-            let mut at = *probe.offsets.last().expect("non-empty offsets");
-            for &c in &out.counts {
-                at += c;
-                probe.offsets.push(at);
-            }
-        }
-        probe
-    };
-    (stitch(0, rows), stitch(1, cols))
+    let strong = outs
+        .iter()
+        .flat_map(|(_, out)| out.strong.iter().copied())
+        .collect();
+    (outs.into_iter().map(|(_, out)| out).collect(), strong)
 }
 
 /// Overlap weight at which a candidate *container* pair also enqueues its
@@ -906,12 +1071,6 @@ pub fn generate_candidates_with_exec(
     )
 }
 
-/// Pack a pair into the sort key of the flat union/closure passes.
-#[inline]
-fn pack(s: u32, t: u32) -> u64 {
-    (u64::from(s) << 32) | u64::from(t)
-}
-
 /// Generate the candidate pair set for matching `source` against `target`
 /// under `policy`.
 ///
@@ -922,9 +1081,10 @@ fn pack(s: u32, t: u32) -> u64 {
 /// across pairs changes no bit of the result. Without them the per-pair
 /// builds run here.
 ///
-/// Index builds and both probe directions fan out across up to
-/// `parallelism` lanes of `exec`; at parallelism 1 everything runs inline
-/// on the caller. Helper lanes are drawn from `gov.budget` and
+/// Index builds, both probe directions, the row assembly and each parent
+/// closure level fan out across up to `parallelism` lanes of `exec`; at
+/// parallelism 1 (or with a single chunk) they run inline on the caller.
+/// Helper lanes are drawn from `gov.budget` and
 /// cancellation is checked at chunk boundaries against `gov.token` (see
 /// [`GovernedExec`]). The candidate set is bit-identical at every lane
 /// count and under every governance setting.
@@ -984,189 +1144,215 @@ pub fn generate_candidates(
     if matches!(policy, BlockingPolicy::Exhaustive) {
         return CandidateSet::exhaustive(rows, cols);
     }
+    let par = Some((exec, parallelism));
     let built;
     let (source_index, target_index) = match indices {
         Some(indices) => indices,
         None => {
-            if let Some(token) = gov.token {
-                token.checkpoint();
-            }
-            built = (
-                ElementTokenIndex::build_parallel(prepared_source, exec, parallelism),
-                ElementTokenIndex::build_parallel(prepared_target, exec, parallelism),
-            );
-            (&built.0, &built.1)
+            // The two builds run side by side, each fanning its own element
+            // chunks out too.
+            built = run_chunked_governed(par, gov, 2, 1, |side, _| {
+                let prepared = [prepared_source, prepared_target][side];
+                ElementTokenIndex::build_parallel(prepared, exec, parallelism)
+            });
+            (&built[0], &built[1])
         }
     };
 
+    let containers = |schema: &Schema| -> Vec<bool> {
+        schema
+            .elements()
+            .iter()
+            .map(|e| !e.children.is_empty())
+            .collect()
+    };
+    let (source_containers, target_containers) = (containers(source), containers(target));
     // Both probe directions (concurrent lanes under an executor). Features
     // come pre-interned from the preparations, so probing allocates no
     // strings.
-    let (fwd, bwd) = probe_sides(
+    let (probed, strong) = probe_sides(
         prepared_source,
         prepared_target,
         source_index,
         target_index,
+        [&source_containers, &target_containers],
         policy,
         exec,
         parallelism,
         gov,
     );
+    let rescue = {
+        let _span = crate::obs::span(crate::obs::SpanKind::BlockRescue, strong.len() as u64);
+        child_rescue(source, target, &strong)
+    };
 
-    // Union + rescues into one flat packed pair list (no per-row buffers).
-    // `strong` collects child-rescue candidates: only pairs where *both*
-    // elements are containers can ever fan out, and a childless entry has
-    // zero side effects in the capped rescue loop (its skip increments no
-    // fanout counter), so filtering here is invisible to the result while
-    // shrinking the weight-sorted buffer from "most kept pairs" (almost
-    // everything clears the weight bound) to the handful of container
-    // collisions.
-    let source_has_children: Vec<bool> = source
-        .elements()
-        .iter()
-        .map(|e| !e.children.is_empty())
-        .collect();
-    let target_has_children: Vec<bool> = target
-        .elements()
-        .iter()
-        .map(|e| !e.children.is_empty())
-        .collect();
-    let mut pairs: Vec<u64> =
-        Vec::with_capacity(fwd.entries.len() + bwd.entries.len() + rows + cols);
-    let mut strong: Vec<(u32, u32, f64)> = Vec::new();
-    for (s, &s_container) in source_has_children.iter().enumerate() {
-        for &(t, w) in fwd.row(s) {
-            pairs.push(pack(s as u32, t));
-            if w >= CHILD_RESCUE_WEIGHT && s_container && target_has_children[t as usize] {
-                strong.push((s as u32, t, w));
+    // Row assembly, in row chunks on the lanes: each source row's forward
+    // and backward probe pairs, exact-name postings and child-rescue
+    // columns merged into one sorted row of the chunk's arena.
+    let chunks = run_chunked_governed(par, gov, rows, CHUNK_ELEMENTS, |chunk, range| {
+        let _span = crate::obs::span(crate::obs::SpanKind::BlockAssemble, range.len() as u64);
+        let mut sets = ColumnSets::new(range.len(), cols);
+        for probe in &probed {
+            for &(s, t) in probe.bucket(chunk) {
+                sets.insert(s as usize - range.start, t);
             }
         }
-        // Exact-name rescue: equal normalized name-token sequences (the
-        // exact-name voter's equality test) are always candidates. Empty
-        // bags excepted — the voter is neutral on those. The name table
-        // lives on the prebuilt index, so a batch pays it once per schema.
-        let ids = prepared_source.element(s).name_ids.as_slice();
-        for &t in target_index.name_postings(ids) {
-            pairs.push(pack(s as u32, t));
-        }
-    }
-    for (t, &t_container) in target_has_children.iter().enumerate() {
-        for &(s, w) in bwd.row(t) {
-            pairs.push(pack(s, t as u32));
-            if w >= CHILD_RESCUE_WEIGHT && t_container && source_has_children[s as usize] {
-                strong.push((s, t as u32, w));
+        let mut arena = RowArena::with_rows(range.len());
+        let mut at = rescue.partition_point(|&(s, _)| (s as usize) < range.start);
+        for (set, s) in range.enumerate() {
+            // Exact-name rescue: equal normalized name-token sequences (the
+            // exact-name voter's equality test) are always candidates.
+            // Empty bags excepted — the voter is neutral on those. The name
+            // table lives on the prebuilt index, so a batch pays it once
+            // per schema.
+            for &t in target_index.name_postings(&prepared_source.element(s).name_ids) {
+                sets.insert(set, t);
             }
+            while at < rescue.len() && rescue[at].0 as usize == s {
+                for ct in &target.elements()[rescue[at].1 as usize].children {
+                    sets.insert(set, ct.0);
+                }
+                at += 1;
+            }
+            arena.push_drained(&mut sets, set);
         }
+        arena
+    });
+    let mut store = RowStore::new(rows);
+    for (chunk, arena) in chunks.into_iter().enumerate() {
+        let start = chunk * CHUNK_ELEMENTS;
+        store.install(arena, start..(start + CHUNK_ELEMENTS).min(rows));
     }
+    close_over_parents(source, target, &mut store, 0..rows, par, gov);
+    store.into_candidates(cols)
+}
 
-    // Child rescue for strongly-overlapping container pairs, capped at each
-    // container's strongest partners (both directions).
-    strong.sort_unstable_by(|a, b| {
-        (a.0, a.1)
-            .cmp(&(b.0, b.1))
-            .then(b.2.partial_cmp(&a.2).expect("finite"))
-    });
-    strong.dedup_by_key(|&mut (s, t, _)| (s, t));
-    strong.sort_unstable_by(|a, b| {
-        b.2.partial_cmp(&a.2)
-            .expect("finite")
-            .then((a.0, a.1).cmp(&(b.0, b.1)))
-    });
-    let mut source_fanout = vec![0usize; rows];
-    let mut target_fanout = vec![0usize; cols];
-    for (s, t, _) in strong {
-        let (s, t) = (s as usize, t as usize);
+/// The child-rescue selection over the probes' strong container pairs:
+/// strongest first (weight desc, then pair asc), each container fanning
+/// out to at most [`CHILD_RESCUE_PARTNERS`] partners. An accepted pair
+/// `(s, t)` adds the cross product of their children, returned as
+/// `(child of s, t)` entries sorted by source row; the row assembly expands
+/// `t` into its children. Serial: the fan-out caps make the greedy pass
+/// order-dependent.
+///
+/// The probes collect only pairs where *both* elements have children. A
+/// childless pair could never fan out, and skipping it moves no fan-out
+/// cap, so leaving it out is invisible to the result while shrinking the
+/// weight-sorted buffer from "most kept pairs" to the container collisions.
+fn child_rescue(source: &Schema, target: &Schema, strong: &[(u32, u32, f64)]) -> Vec<(u32, u32)> {
+    // Integer sort keys: the weights are positive, where an `f64`'s bit
+    // pattern orders like its value, so `!bits` orders weight descending.
+    // Both directions may report a pair; keep its strongest weight.
+    let mut keys: Vec<u128> = strong
+        .iter()
+        .map(|&(s, t, w)| {
+            debug_assert!(w > 0.0);
+            u128::from(s) << 96 | u128::from(t) << 64 | u128::from(!w.to_bits())
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.dedup_by_key(|key| *key >> 64);
+    // Strongest first, then pair ascending.
+    for key in &mut keys {
+        *key = key.rotate_right(64);
+    }
+    keys.sort_unstable();
+    let mut source_fanout = vec![0usize; source.len()];
+    let mut target_fanout = vec![0usize; target.len()];
+    let mut rescue: Vec<(u32, u32)> = Vec::new();
+    for key in keys {
+        let (s, t) = ((key >> 32) as u32 as usize, key as u32 as usize);
         if source_fanout[s] >= CHILD_RESCUE_PARTNERS || target_fanout[t] >= CHILD_RESCUE_PARTNERS {
             continue;
         }
-        // Both sides have children by the collection filter above.
-        let sc = &source.elements()[s].children;
-        let tc = &target.elements()[t].children;
-        debug_assert!(!sc.is_empty() && !tc.is_empty());
         source_fanout[s] += 1;
         target_fanout[t] += 1;
-        for &cs in sc {
-            for ct in tc {
-                pairs.push(pack(cs.0, ct.0));
-            }
-        }
+        rescue.extend(
+            source.elements()[s]
+                .children
+                .iter()
+                .map(|cs| (cs.0, t as u32)),
+        );
     }
-
-    pairs.sort_unstable();
-    pairs.dedup();
-    let pairs = close_over_parents(source, target, pairs);
-    CandidateSet::from_sorted_pairs(rows, cols, &pairs)
+    rescue.sort_unstable();
+    rescue
 }
 
-/// Close a sorted, deduplicated packed pair list under parenthood: for
-/// every pair whose elements both have parents, the parent pair joins the
-/// set, transitively up to the roots. This keeps the Propagate stage's base
-/// reads scored.
-fn close_over_parents(source: &Schema, target: &Schema, mut pairs: Vec<u64>) -> Vec<u64> {
-    // Level by level: the frontier is the sorted set of parent pairs of the
-    // previous level's *new* pairs; membership is a merge walk against the
-    // sorted accumulated set, and each level merges in sorted order. The
-    // loop depth is the schema tree height, and the resulting set is the
-    // unique parenthood closure — identical to the reference's
-    // stack-based `contains` walk, without its linear scans.
-    let source_parents: Vec<Option<u32>> = source
-        .elements()
-        .iter()
-        .map(|e| e.parent.map(|p| p.0))
-        .collect();
-    let target_parents: Vec<Option<u32>> = target
-        .elements()
-        .iter()
-        .map(|e| e.parent.map(|p| p.0))
-        .collect();
-    let parents_of = |level: &[u64]| -> Vec<u64> {
-        let mut up: Vec<u64> = level
-            .iter()
-            .filter_map(|&p| {
-                let (s, t) = ((p >> 32) as usize, (p & 0xffff_ffff) as usize);
-                match (source_parents[s], target_parents[t]) {
-                    (Some(ps), Some(pt)) => Some(pack(ps, pt)),
-                    _ => None,
-                }
-            })
-            .collect();
-        up.sort_unstable();
-        up.dedup();
-        up
-    };
-    let mut frontier = parents_of(&pairs);
-    while !frontier.is_empty() {
-        // fresh = frontier \ pairs (both sorted).
-        let mut fresh: Vec<u64> = Vec::new();
-        let mut at = 0usize;
-        for &p in &frontier {
-            while at < pairs.len() && pairs[at] < p {
-                at += 1;
-            }
-            if at >= pairs.len() || pairs[at] != p {
-                fresh.push(p);
-            }
+/// Record `r`'s parent (if any) in `levels`, indexed by the parent's
+/// source depth: it is a row the closure must visit.
+fn mark_parent(levels: &mut Vec<Vec<u32>>, elements: &[Element], r: usize) {
+    if let Some(p) = elements[r].parent {
+        let depth = usize::from(elements[p.index()].depth);
+        debug_assert_eq!(depth + 1, usize::from(elements[r].depth));
+        if levels.len() <= depth {
+            levels.resize_with(depth + 1, Vec::new);
         }
-        if fresh.is_empty() {
-            break;
-        }
-        let mut merged: Vec<u64> = Vec::with_capacity(pairs.len() + fresh.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < pairs.len() && j < fresh.len() {
-            if pairs[i] < fresh[j] {
-                merged.push(pairs[i]);
-                i += 1;
-            } else {
-                merged.push(fresh[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&pairs[i..]);
-        merged.extend_from_slice(&fresh[j..]);
-        pairs = merged;
-        frontier = parents_of(&fresh);
+        levels[depth].push(p.0);
     }
-    pairs
+}
+
+/// Close the rows of `store` under parenthood: for every pair `(s, t)`
+/// whose elements both have parents, `(parent(s), parent(t))` joins the
+/// set, transitively up to the roots. This keeps the Propagate stage's
+/// base reads scored. `seeds` lists every row that may hold pairs.
+///
+/// A row gains pairs only from its children's rows, so the pass walks the
+/// source tree one depth level at a time, deepest first: row `p` becomes
+/// its own columns plus `parent(t)` for every `t` of each child row. Rows
+/// of one level are independent, so each level fans out across the lanes
+/// in row chunks. Only ancestors of rows holding pairs are visited, so the
+/// cost follows the pairs, not the size of the source schema.
+fn close_over_parents(
+    source: &Schema,
+    target: &Schema,
+    store: &mut RowStore,
+    seeds: impl IntoIterator<Item = usize>,
+    par: Option<(&Executor, usize)>,
+    gov: GovernedExec<'_>,
+) {
+    let (elements, targets, cols) = (source.elements(), target.elements(), target.len());
+    // levels[d]: rows at source depth d with a child row that holds pairs.
+    let mut levels: Vec<Vec<u32>> = Vec::new();
+    for r in seeds {
+        if !store.row(r).is_empty() {
+            mark_parent(&mut levels, elements, r);
+        }
+    }
+    while let Some(mut level) = levels.pop() {
+        if level.is_empty() {
+            continue;
+        }
+        level.sort_unstable();
+        level.dedup();
+        let _span = crate::obs::span(crate::obs::SpanKind::BlockClose, level.len() as u64);
+        let current = &*store;
+        let chunks = run_chunked_governed(par, gov, level.len(), CLOSE_CHUNK_ROWS, |_, range| {
+            let mut sets = ColumnSets::new(1, cols);
+            let mut arena = RowArena::with_rows(range.len());
+            for &p in &level[range] {
+                for &t in current.row(p as usize) {
+                    sets.insert(0, t);
+                }
+                for child in &elements[p as usize].children {
+                    for &t in current.row(child.index()) {
+                        if let Some(pt) = targets[t as usize].parent {
+                            sets.insert(0, pt.0);
+                        }
+                    }
+                }
+                arena.push_drained(&mut sets, 0);
+            }
+            arena
+        });
+        for (arena, rows) in chunks.into_iter().zip(level.chunks(CLOSE_CHUNK_ROWS)) {
+            for (slot, &p) in rows.iter().enumerate() {
+                if !arena.row(slot).is_empty() {
+                    mark_parent(&mut levels, elements, p as usize);
+                }
+            }
+            store.install(arena, rows.iter().map(|&p| p as usize));
+        }
+    }
 }
 
 pub mod reference {
@@ -1818,6 +2004,67 @@ mod tests {
                 GovernedExec::default(),
             );
             assert_eq!(parallel, expect, "parallel CSR diverged under {policy:?}");
+        }
+    }
+
+    #[test]
+    fn top_k_ties_at_the_kth_weight_break_by_column() {
+        // The probing element `shared_alpha` overlaps its exact namesake
+        // most and four `shared_*` targets equally on `shared`, so with
+        // k = 3 two of the four tied targets fit, chosen by column. The
+        // other `shared_*` sources outrank `shared_alpha` in every tied
+        // target's backward probe (same weight, lower column), so the
+        // backward union adds nothing to its row.
+        let mut a = Schema::new(SchemaId(1), "A", SchemaFormat::Generic);
+        let ra = a.add_root("Root", ElementKind::Group, DataType::None);
+        for name in [
+            "shared_p",
+            "shared_q",
+            "shared_r",
+            "shared_s",
+            "shared_alpha",
+        ] {
+            a.add_child(ra, name, ElementKind::Column, DataType::Integer)
+                .unwrap();
+        }
+        let mut b = Schema::new(SchemaId(2), "B", SchemaFormat::Generic);
+        let rb = b.add_root("Base", ElementKind::Group, DataType::None);
+        let mut tied = Vec::new();
+        for name in ["shared_one", "shared_two", "shared_three", "shared_four"] {
+            tied.push(
+                b.add_child(rb, name, ElementKind::Column, DataType::Integer)
+                    .unwrap(),
+            );
+        }
+        let namesake = b
+            .add_child(rb, "shared_alpha", ElementKind::Column, DataType::Integer)
+            .unwrap();
+        let (pa, pb) = (prepared(&a), prepared(&b));
+        let alpha = a.find_by_name("shared_alpha").unwrap();
+        let index = ElementTokenIndex::build(&pb);
+        let mut scratch = ProbeScratch::new(b.len());
+        let every = BlockingPolicy::WeightedThreshold { min_weight: 0.0 };
+        let touched = index
+            .probe_row(pa.block_features_of(alpha.index()), &every, &mut scratch)
+            .to_vec();
+        let weight = |t: ElementId| touched.iter().find(|&&(c, _)| c == t.0).unwrap().1;
+        let tie = weight(tied[0]);
+        assert!(tied.iter().all(|&t| weight(t).to_bits() == tie.to_bits()));
+        assert!(weight(namesake) > tie);
+
+        // Threshold above everything (rank alone), and a threshold only the
+        // namesake clears (one strong candidate, two weak slots).
+        for min_weight in [f64::INFINITY, weight(namesake)] {
+            let policy = BlockingPolicy::TopK { k: 3, min_weight };
+            let kept: Vec<u32> = index
+                .probe_row(pa.block_features_of(alpha.index()), &policy, &mut scratch)
+                .iter()
+                .map(|&(t, _)| t)
+                .collect();
+            assert_eq!(kept, vec![tied[0].0, tied[1].0, namesake.0]);
+            let expect = reference::generate_candidates(&a, &b, &pa, &pb, &policy);
+            assert_eq!(inline_candidates(&a, &b, &pa, &pb, &policy), expect);
+            assert_eq!(expect.row(alpha.index()), kept.as_slice());
         }
     }
 

@@ -102,10 +102,17 @@ pub enum SpanKind {
     /// Time a serving-layer job spent queued before admission (payload =
     /// job class discriminant).
     ServeQueueWait = 24,
+    /// Block's serial post-probe pass: backward-probe transpose plus the
+    /// child-rescue selection (payload = strong container pairs).
+    BlockRescue = 25,
+    /// One row chunk of Block's candidate assembly (payload = rows).
+    BlockAssemble = 26,
+    /// One source tree level of Block's parent closure (payload = rows).
+    BlockClose = 27,
 }
 
 /// All kinds, in discriminant order (export iteration order).
-pub const SPAN_KINDS: [SpanKind; 25] = [
+pub const SPAN_KINDS: [SpanKind; 28] = [
     SpanKind::StagePrepare,
     SpanKind::StageBlock,
     SpanKind::StageScore,
@@ -131,6 +138,9 @@ pub const SPAN_KINDS: [SpanKind; 25] = [
     SpanKind::RepoWarmLoad,
     SpanKind::ServeJob,
     SpanKind::ServeQueueWait,
+    SpanKind::BlockRescue,
+    SpanKind::BlockAssemble,
+    SpanKind::BlockClose,
 ];
 
 impl SpanKind {
@@ -162,6 +172,9 @@ impl SpanKind {
             SpanKind::RepoWarmLoad => "repo.warm_load",
             SpanKind::ServeJob => "serve.job",
             SpanKind::ServeQueueWait => "serve.queue",
+            SpanKind::BlockRescue => "block.rescue",
+            SpanKind::BlockAssemble => "block.assemble",
+            SpanKind::BlockClose => "block.close",
         }
     }
 
@@ -798,6 +811,27 @@ fn interval_union_ns(mut spans: Vec<(u64, u64)>) -> u64 {
     busy
 }
 
+/// Dark-time measure of the `parent`-kind spans: for each, the share of its
+/// wall time during which at least one `children`-kind span (on any lane)
+/// was open. 1.0 means every instant of the parent is attributed to a
+/// child pass; the remainder is uninstrumented time.
+pub fn coverage(events: &[TraceEvent], parent: SpanKind, children: &[SpanKind]) -> Vec<f64> {
+    events
+        .iter()
+        .filter(|e| e.kind == parent && e.dur_ns > 0)
+        .map(|p| {
+            let end = p.ts_ns + p.dur_ns;
+            let spans = events
+                .iter()
+                .filter(|e| children.contains(&e.kind))
+                .map(|e| (e.ts_ns.max(p.ts_ns), (e.ts_ns + e.dur_ns).min(end)))
+                .filter(|(start, stop)| start < stop)
+                .collect();
+            interval_union_ns(spans) as f64 / p.dur_ns as f64
+        })
+        .collect()
+}
+
 impl TraceReport {
     /// Aggregate everything recorded since the last [`reset`].
     pub fn build() -> TraceReport {
@@ -980,6 +1014,33 @@ mod tests {
             assert!(names.insert(k.name()));
         }
         assert_eq!(SpanKind::from_u8(SPAN_KINDS.len() as u8), None);
+    }
+
+    #[test]
+    fn coverage_is_the_clipped_union_of_child_spans() {
+        let event = |kind, ts_ns, dur_ns, lane| TraceEvent {
+            ts_ns,
+            dur_ns,
+            kind,
+            payload: 0,
+            lane,
+            thread: String::new(),
+        };
+        let events = [
+            event(SpanKind::StageBlock, 100, 100, 0),
+            // Overlapping children on two lanes count once; a child
+            // reaching outside the stage is clipped to it.
+            event(SpanKind::ProbeChunk, 100, 40, 0),
+            event(SpanKind::ProbeChunk, 120, 40, 1),
+            event(SpanKind::BlockClose, 180, 50, 0),
+            // Not a child kind.
+            event(SpanKind::ExecLane, 160, 20, 1),
+        ];
+        let children = [SpanKind::ProbeChunk, SpanKind::BlockClose];
+        assert_eq!(
+            coverage(&events, SpanKind::StageBlock, &children),
+            vec![0.8]
+        );
     }
 
     #[test]

@@ -121,6 +121,13 @@ fn trace_is_well_formed_across_lanes() {
         );
     }
 
+    // Block's post-probe passes: the serial child-rescue pass once, and at
+    // least one row-assembly chunk and one closure level.
+    let count = |kind| events.iter().filter(|e| e.kind == kind).count();
+    assert_eq!(count(obs::SpanKind::BlockRescue), 1, "block.rescue");
+    assert!(count(obs::SpanKind::BlockAssemble) >= 1, "block.assemble");
+    assert!(count(obs::SpanKind::BlockClose) >= 1, "block.close");
+
     // Well-formed nesting per lane: sweep events in start order keeping a
     // stack of open intervals; every event must fall entirely inside the
     // enclosing open one (ring eviction can drop a *parent*, which only
