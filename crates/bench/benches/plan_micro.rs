@@ -23,8 +23,8 @@ fn prepared_registry() -> Vec<Arc<PreparedSchema>> {
     });
     let schemas: Vec<&Schema> = population.schemas.iter().collect();
     let engine = MatchEngine::new().with_normalizer(Normalizer::new());
-    let (prepared, _) = engine.batch().plan_all_pairs(&schemas).into_plan_parts();
-    prepared
+    let batch = engine.batch().plan_all_pairs(&schemas);
+    batch.prepared().to_vec()
 }
 
 fn bench_overlap_walk(c: &mut Criterion) {

@@ -35,7 +35,7 @@ use crate::correspondence::MatchSet;
 use crate::engine::{BlockedMatchResult, MatchEngine};
 use crate::exec::Executor;
 use crate::index::{idf_weight, BlockingPolicy, ElementTokenIndex};
-use crate::pipeline::StageTimings;
+use crate::pipeline::{BlockedRun, StageTimings};
 use crate::prepare::{CacheStats, FeatureCache, PreparedSchema};
 use crate::select::Selection;
 use sm_schema::Schema;
@@ -603,18 +603,6 @@ impl BatchIndex {
     pub fn schema(&self, slot: usize) -> &ElementTokenIndex {
         &self.per_schema[slot]
     }
-
-    /// Surrender the per-schema partitions (for callers that keep standing
-    /// index state across executions, like the incremental N-way path).
-    pub fn into_per_schema(self) -> Vec<ElementTokenIndex> {
-        self.per_schema
-    }
-
-    /// Append one more schema's partition (the incremental N-way path
-    /// indexes schema N+1 against the standing batch artifacts).
-    pub fn push(&mut self, index: ElementTokenIndex) {
-        self.per_schema.push(index);
-    }
 }
 
 /// A planned batch: prepared schemata, the shared index, and the request
@@ -665,13 +653,6 @@ impl MatchBatch<'_, '_> {
         self.clusters.as_ref()
     }
 
-    /// Surrender the planned artifacts — prepared schemata and the shared
-    /// index — for callers that keep standing state across executions
-    /// (the incremental N-way consolidation path).
-    pub fn into_plan_parts(self) -> (Vec<Arc<PreparedSchema>>, BatchIndex) {
-        (self.prepared, self.index)
-    }
-
     /// The prepared schemata, in schema-list order.
     pub fn prepared(&self) -> &[Arc<PreparedSchema>] {
         &self.prepared
@@ -709,14 +690,9 @@ impl MatchBatch<'_, '_> {
     /// one-per-lane transiently.
     pub fn run_select_only(&self, selection: &Selection) -> BatchSelectResult {
         let started = Instant::now();
-        let pairs: Vec<BatchSelection> = self.engine.run_map(
-            self.engine.threads,
-            &self.requests,
-            |_, &PairRequest { left, right }| {
-                let mut run = self.run_pair(left, right);
-                let select_started = Instant::now();
-                let selected = selection.apply(&run.matrix);
-                run.timings.select = select_started.elapsed();
+        let (pairs, timings) = self.run_jobs(
+            |PairRequest { left, right }, _, mut run| {
+                let selected = select_timed(selection, &mut run);
                 BatchSelection {
                     left,
                     right,
@@ -726,17 +702,8 @@ impl MatchBatch<'_, '_> {
                     timings: run.timings,
                 }
             },
+            |p| &p.timings,
         );
-        let mut timings = StageTimings {
-            plan: self.plan,
-            plan_estimate: self.breakdown.estimate,
-            plan_cluster: self.breakdown.cluster,
-            plan_schedule: self.breakdown.schedule,
-            ..StageTimings::default()
-        };
-        for p in &pairs {
-            timings.accumulate(&p.timings);
-        }
         BatchSelectResult {
             pairs,
             timings,
@@ -745,10 +712,76 @@ impl MatchBatch<'_, '_> {
         }
     }
 
+    fn execute(&self, selection: Option<&Selection>) -> BatchResult {
+        let started = Instant::now();
+        let (pairs, timings) = self.run_jobs(
+            |PairRequest { left, right }, pair_started, mut run| {
+                let selected = selection.map(|sel| select_timed(sel, &mut run));
+                BatchPairResult {
+                    left,
+                    right,
+                    selected,
+                    result: BlockedMatchResult {
+                        matrix: run.matrix,
+                        elapsed: pair_started.elapsed(),
+                        pairs_considered: run.pairs_considered,
+                        pairs_scored: run.pairs_scored,
+                        candidates: run.candidates,
+                        timings: run.timings,
+                    },
+                }
+            },
+            |p| &p.result.timings,
+        );
+        BatchResult {
+            pairs,
+            timings,
+            cache: self.cache,
+            elapsed: started.elapsed(),
+        }
+    }
+
+    /// The batch's one pair-job loop. Job-level lanes claim whole requests
+    /// and run each through [`Self::run_pair`], while each pair's
+    /// Score/Merge fans chunk lanes out to the same pool (see the module
+    /// docs). `finish` turns a run, given the instant its job started, into
+    /// the caller's per-pair result inside the job, so whatever it drops (a
+    /// selection-only caller's matrix) never outlives the job. Returns the
+    /// per-pair results in request order plus the aggregated timings: the
+    /// Plan stage and its breakdown, then the sum of every pair's stage
+    /// times (read through `timings_of`).
+    fn run_jobs<R, F>(
+        &self,
+        finish: F,
+        timings_of: fn(&R) -> &StageTimings,
+    ) -> (Vec<R>, StageTimings)
+    where
+        R: Send,
+        F: Fn(PairRequest, Instant, BlockedRun) -> R + Sync,
+    {
+        let pairs = self
+            .engine
+            .run_map(self.engine.threads, &self.requests, |_, &request| {
+                let started = Instant::now();
+                finish(request, started, self.run_pair(request.left, request.right))
+            });
+        let mut timings = StageTimings {
+            plan: self.plan,
+            plan_estimate: self.breakdown.estimate,
+            plan_cluster: self.breakdown.cluster,
+            plan_schedule: self.breakdown.schedule,
+            ..StageTimings::default()
+        };
+        for p in &pairs {
+            timings.accumulate(timings_of(p));
+        }
+        (pairs, timings)
+    }
+
     /// One pair's blocked run against the batch's shared preparation and
     /// index (exhaustive batches carry no index — candidate generation
     /// short-circuits before probing).
-    fn run_pair(&self, left: usize, right: usize) -> crate::pipeline::BlockedRun {
+    fn run_pair(&self, left: usize, right: usize) -> BlockedRun {
         // Pair-job cancellation point: a tripped token stops between pairs
         // before this pair touches the cache or allocates a matrix.
         self.engine.checkpoint();
@@ -768,56 +801,15 @@ impl MatchBatch<'_, '_> {
             &self.policy,
         )
     }
+}
 
-    fn execute(&self, selection: Option<&Selection>) -> BatchResult {
-        let started = Instant::now();
-
-        // Job-level lanes claim whole pairs; each pair's Score/Merge fans
-        // chunk lanes out to the same pool (see the module docs).
-        let pairs: Vec<BatchPairResult> = self.engine.run_map(
-            self.engine.threads,
-            &self.requests,
-            |_, &PairRequest { left, right }| {
-                let pair_started = Instant::now();
-                let mut run = self.run_pair(left, right);
-                let selected = selection.map(|sel| {
-                    let select_started = Instant::now();
-                    let set = sel.apply(&run.matrix);
-                    run.timings.select = select_started.elapsed();
-                    set
-                });
-                BatchPairResult {
-                    left,
-                    right,
-                    selected,
-                    result: BlockedMatchResult {
-                        matrix: run.matrix,
-                        elapsed: pair_started.elapsed(),
-                        pairs_considered: run.pairs_considered,
-                        pairs_scored: run.pairs_scored,
-                        candidates: run.candidates,
-                        timings: run.timings,
-                    },
-                }
-            },
-        );
-        let mut timings = StageTimings {
-            plan: self.plan,
-            plan_estimate: self.breakdown.estimate,
-            plan_cluster: self.breakdown.cluster,
-            plan_schedule: self.breakdown.schedule,
-            ..StageTimings::default()
-        };
-        for p in &pairs {
-            timings.accumulate(&p.result.timings);
-        }
-        BatchResult {
-            pairs,
-            timings,
-            cache: self.cache,
-            elapsed: started.elapsed(),
-        }
-    }
+/// Apply `selection` to a pair's matrix, timing it as the pair's Select
+/// stage.
+fn select_timed(selection: &Selection, run: &mut BlockedRun) -> MatchSet {
+    let started = Instant::now();
+    let set = selection.apply(&run.matrix);
+    run.timings.select = started.elapsed();
+    set
 }
 
 /// One pair's outcome within a batch.

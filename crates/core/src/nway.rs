@@ -13,20 +13,16 @@
 //! touches is the term's *signature*; grouping terms by signature yields the
 //! 2^N − 1 partition cells.
 
-use crate::batch::{prepare_schemas, PlanPolicy};
+use crate::batch::{PairRequest, PlanPolicy};
 use crate::confidence::Confidence;
 use crate::correspondence::{MatchAnnotation, MatchSet};
 use crate::engine::MatchEngine;
-use crate::index::{idf_weight, BlockingPolicy, ElementTokenIndex};
+use crate::index::BlockingPolicy;
 use crate::pipeline::StageTimings;
-use crate::prepare::PreparedSchema;
 use crate::select::Selection;
 use serde::{Deserialize, Serialize};
 use sm_schema::{ElementId, Schema, SchemaId};
-use sm_text::intern::TokenId;
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// A node in the N-way union-find: element `element` of schema index
 /// `schema_idx` (index into the [`NWayMatch`]'s schema list).
@@ -73,61 +69,20 @@ pub struct NWayMatch<'a> {
     parent: Vec<usize>,
     /// Offsets of each schema's elements in the dense node space.
     offsets: Vec<usize>,
-    /// How many leading schemata have been consolidated by a planned
-    /// population ([`Self::populate_planned`] /
-    /// [`Self::populate_incremental`]).
+    /// How many leading schemata have had all their pairs planned by a
+    /// `populate_*` call.
     populated: usize,
-    /// Standing planning artifacts carried between planned populations.
-    standing: Option<Standing>,
+    /// Settings of the last planned population, for incremental add-ones.
+    standing: Option<PlanSettings>,
 }
 
-/// Standing artifacts of a planned population: everything an incremental
-/// add-one consolidation probes instead of replanning all pairs — the
-/// prepared schemata, the per-schema blocking indexes, and the schema-level
-/// token postings behind the overlap estimates.
-struct Standing {
+/// The settings a population plans and selects under; those of the last
+/// planned population stand for incremental add-ones.
+#[derive(Clone, Copy)]
+struct PlanSettings {
     blocking: BlockingPolicy,
     plan_policy: PlanPolicy,
     threshold: Confidence,
-    prepared: Vec<Arc<PreparedSchema>>,
-    /// Per-schema blocking indexes, aligned with `prepared` (empty under
-    /// [`BlockingPolicy::Exhaustive`], which never probes one).
-    indexes: Vec<ElementTokenIndex>,
-    /// Schema-level posting list of every blocking token: ascending slots
-    /// whose distinct blocking vocabulary holds it.
-    postings: HashMap<TokenId, Vec<u32>>,
-    /// Each slot's distinct blocking vocabulary (sorted).
-    vocab: Vec<Vec<TokenId>>,
-    /// Each slot's total distinct-token IDF weight at the current N.
-    self_weights: Vec<f64>,
-}
-
-impl Standing {
-    /// The sorted distinct blocking vocabulary of one preparation — the
-    /// same per-schema token set [`crate::batch::OverlapEstimates`] walks.
-    fn vocab_of(prepared: &PreparedSchema) -> Vec<TokenId> {
-        let mut ids: Vec<TokenId> = (0..prepared.len())
-            .flat_map(|e| prepared.block_features_of(e).iter().copied())
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Recompute every slot's self weight under the current postings
-    /// (weights shift with N, so they are refreshed whenever slots join).
-    fn refresh_self_weights(&mut self) {
-        let n = self.vocab.len() as f64;
-        self.self_weights = self
-            .vocab
-            .iter()
-            .map(|v| {
-                v.iter()
-                    .map(|t| idf_weight(n, self.postings[t].len() as f64))
-                    .sum()
-            })
-            .collect();
-    }
 }
 
 impl<'a> NWayMatch<'a> {
@@ -275,34 +230,20 @@ impl<'a> NWayMatch<'a> {
         threshold: Confidence,
         asserted_by: &str,
     ) -> Vec<PairwiseOutcome> {
-        let selection = Selection::OneToOne { min: threshold };
-        let batch = engine
-            .batch()
-            .with_policy(*policy)
-            .plan_all_pairs(&self.schemas);
-        // Selection-only execution: vocabulary building never reads scores,
-        // so per-pair matrices drop inside the batch jobs.
-        let result = batch.run_select_only(&selection);
-        let mut outcomes = Vec::with_capacity(result.pairs.len());
-        for pair in result.pairs {
-            let validated =
-                MatchSet::validated_from(&pair.selected, asserted_by, MatchAnnotation::Equivalent);
-            self.add_pairwise(pair.left, pair.right, &validated);
-            outcomes.push(PairwiseOutcome {
-                left: pair.left,
-                right: pair.right,
-                pairs_considered: pair.pairs_considered,
-                pairs_scored: pair.pairs_scored,
-                validated: validated.len(),
-            });
-        }
-        outcomes
+        let settings = PlanSettings {
+            blocking: *policy,
+            plan_policy: PlanPolicy::Exhaustive,
+            threshold,
+        };
+        let all_pairs = self.pairs_from(0);
+        self.record(engine, &settings, all_pairs, asserted_by)
+            .outcomes
     }
 
     /// Populate pairwise matches through the overlap-aware batch planner
-    /// ([`PlanPolicy`]) and keep the planned artifacts **standing** so later
+    /// ([`PlanPolicy`]) and keep its settings **standing** so later
     /// schemata join incrementally ([`Self::populate_incremental`]) instead
-    /// of replanning all N·(N−1)/2 pairs.
+    /// of re-executing all N·(N−1)/2 pairs.
     ///
     /// Under [`PlanPolicy::provable`] the consolidation equals
     /// [`Self::populate_pairwise_with_policy`] exactly: the pruned pairs
@@ -316,14 +257,92 @@ impl<'a> NWayMatch<'a> {
         threshold: Confidence,
         asserted_by: &str,
     ) -> NWayPopulation {
-        let selection = Selection::OneToOne { min: threshold };
+        let standing = PlanSettings {
+            blocking: *blocking,
+            plan_policy,
+            threshold,
+        };
+        let all_pairs = self.pairs_from(0);
+        let population = self.record(engine, &standing, all_pairs, asserted_by);
+        self.standing = Some(standing);
+        population
+    }
+
+    /// Consolidate the schemata appended since the last planned population
+    /// (via [`Self::add_schema`]) **incrementally**: only the pairs that
+    /// involve a new slot — `(s, j)` for every new `j` and every `s < j` —
+    /// go through the batch planner, under the standing blocking policy,
+    /// [`PlanPolicy`] and threshold. The existing N-way union-find is
+    /// reused, never replayed, and no standing pair is re-executed.
+    ///
+    /// The plan is made over all N+k schemata, so every new pair is kept or
+    /// pruned exactly as a full [`Self::populate_planned`] replan would keep
+    /// or prune it: its overlap bound is computed at the final N, and under
+    /// [`PlanPolicy::ClusterFirst`] the new slots take part in the
+    /// re-clustering and hub election of all N+k schemata. Standing pairs
+    /// keep the decisions made at their own N. Under
+    /// [`PlanPolicy::Exhaustive`] and [`PlanPolicy::provable`] those never
+    /// change with N, so the grown consolidation is byte-identical to a
+    /// full replan. Under other cuts a replan may decide some standing pairs
+    /// differently — IDF weights shift with N, and a new schema can bridge
+    /// two components or take over a hub — and those are not revisited.
+    ///
+    /// The new pairs run as one batch on the engine's executor, drawing
+    /// lanes from its lane budget and stopping at its job token's pair-job
+    /// checkpoints. A cancelled call unwinds before recording anything, so
+    /// it leaves the match as it was and may simply be retried.
+    ///
+    /// # Panics
+    /// Panics without a prior [`Self::populate_planned`].
+    pub fn populate_incremental(
+        &mut self,
+        engine: &MatchEngine,
+        asserted_by: &str,
+    ) -> NWayPopulation {
+        let standing = self
+            .standing
+            .expect("populate_planned must precede incremental consolidation");
+        let new_pairs = self.pairs_from(self.populated);
+        if new_pairs.is_empty() {
+            return NWayPopulation {
+                outcomes: Vec::new(),
+                pruned: 0,
+                timings: StageTimings::default(),
+            };
+        }
+        self.record(engine, &standing, new_pairs, asserted_by)
+    }
+
+    /// Every unordered pair `(i, j)`, `i < j`, whose right slot `j` is at
+    /// least `first`, in `(i, j)` order.
+    fn pairs_from(&self, first: usize) -> Vec<PairRequest> {
+        let n = self.schemas.len();
+        (0..n)
+            .flat_map(|left| (first.max(left + 1)..n).map(move |right| PairRequest { left, right }))
+            .collect()
+    }
+
+    /// Plan `requests` over all schemata under `settings`, run the
+    /// survivors selection-only (vocabulary building never reads scores, so
+    /// per-pair matrices drop inside the batch jobs), then validate every
+    /// pair's selections as `asserted_by` and fold them into the
+    /// union-find in plan order. Only after the run succeeds do all
+    /// schemata count as consolidated.
+    fn record(
+        &mut self,
+        engine: &MatchEngine,
+        settings: &PlanSettings,
+        requests: Vec<PairRequest>,
+        asserted_by: &str,
+    ) -> NWayPopulation {
         let batch = engine
             .batch()
-            .with_policy(*blocking)
-            .with_plan_policy(plan_policy)
-            .plan_all_pairs(&self.schemas);
-        let pruned = batch.pruned().len();
-        let result = batch.run_select_only(&selection);
+            .with_policy(settings.blocking)
+            .with_plan_policy(settings.plan_policy)
+            .plan(&self.schemas, requests);
+        let result = batch.run_select_only(&Selection::OneToOne {
+            min: settings.threshold,
+        });
         let mut outcomes = Vec::with_capacity(result.pairs.len());
         for pair in result.pairs {
             let validated =
@@ -337,233 +356,11 @@ impl<'a> NWayMatch<'a> {
                 validated: validated.len(),
             });
         }
-
-        // Keep the plan standing: prepared schemata, blocking indexes, and
-        // the schema-level postings the incremental path probes.
-        let (prepared, index) = batch.into_plan_parts();
-        let vocab: Vec<Vec<TokenId>> = prepared.iter().map(|p| Standing::vocab_of(p)).collect();
-        let mut postings: HashMap<TokenId, Vec<u32>> = HashMap::new();
-        for (slot, v) in vocab.iter().enumerate() {
-            for &t in v {
-                postings.entry(t).or_default().push(slot as u32);
-            }
-        }
-        let mut standing = Standing {
-            blocking: *blocking,
-            plan_policy,
-            threshold,
-            prepared,
-            indexes: index.into_per_schema(),
-            postings,
-            vocab,
-            self_weights: Vec::new(),
-        };
-        standing.refresh_self_weights();
-        self.standing = Some(standing);
         self.populated = self.schemas.len();
-
         NWayPopulation {
             outcomes,
-            pruned,
+            pruned: batch.pruned().len(),
             timings: result.timings,
-        }
-    }
-
-    /// Consolidate the schemata appended since the last planned population
-    /// (via [`Self::add_schema`]) **incrementally**: probe the standing
-    /// schema-level postings for the new rows' overlap bounds in one walk,
-    /// prune per the standing [`PlanPolicy`], and execute only the
-    /// surviving `(old, new)` and `(new, new)` pairs — the existing N-way
-    /// union-find is reused, never replayed.
-    ///
-    /// Bounds for the new rows are exactly those a full replan at the new N
-    /// would compute, so under [`PlanPolicy::provable`] the resulting
-    /// consolidation is byte-identical to a full
-    /// [`Self::populate_planned`] over all N+k schemata. For
-    /// [`PlanPolicy::ClusterFirst`] the incremental path prunes new pairs
-    /// by the distance cut alone (no re-clustering or hub re-election —
-    /// standing pairs are already committed), which plans a superset of the
-    /// within-cluster pairs a full replan would.
-    ///
-    /// # Panics
-    /// Panics without a prior [`Self::populate_planned`], or when `engine`
-    /// does not share the standing plan's token arena (use the same engine
-    /// for the whole consolidation).
-    pub fn populate_incremental(
-        &mut self,
-        engine: &MatchEngine,
-        asserted_by: &str,
-    ) -> NWayPopulation {
-        let standing = self
-            .standing
-            .as_mut()
-            .expect("populate_planned must precede incremental consolidation");
-        let base = self.populated;
-        let n_new = self.schemas.len();
-        if n_new == base {
-            return NWayPopulation {
-                outcomes: Vec::new(),
-                pruned: 0,
-                timings: StageTimings::default(),
-            };
-        }
-
-        let plan_started = Instant::now();
-        // Prepare (and, under a probing blocking policy, index) only the
-        // new schemata; the standing slots are reused as-is.
-        let cache = engine.feature_cache();
-        let exec = engine.executor();
-        let new_refs: Vec<&Schema> = self.schemas[base..].to_vec();
-        let newly = prepare_schemas(cache, exec, engine.threads, &new_refs);
-        if let (Some(old), Some(new)) = (standing.prepared.first(), newly.first()) {
-            assert!(
-                Arc::ptr_eq(old.arena(), new.arena()),
-                "incremental consolidation requires the standing token arena"
-            );
-        }
-        if !matches!(standing.blocking, BlockingPolicy::Exhaustive) {
-            for p in &newly {
-                standing
-                    .indexes
-                    .push(ElementTokenIndex::build_parallel(p, exec, engine.threads));
-            }
-        }
-        standing.prepared.extend(newly.iter().cloned());
-
-        // Estimate: extend the standing postings with the new slots, then
-        // one walk over the new slots' vocabularies scores every (·, new)
-        // pair — old×old rows are never revisited.
-        let estimate_started = Instant::now();
-        for (k, p) in newly.iter().enumerate() {
-            let slot = (base + k) as u32;
-            let v = Standing::vocab_of(p);
-            for &t in &v {
-                standing.postings.entry(t).or_default().push(slot);
-            }
-            standing.vocab.push(v);
-        }
-        standing.refresh_self_weights();
-        let added = n_new - base;
-        let nf = n_new as f64;
-        // Row-major bounds of the new columns: bounds[k * n_new + s] is the
-        // exact shared weight of pair (s, base + k), s < base + k.
-        let mut bounds = vec![0.0f64; added * n_new];
-        for k in 0..added {
-            let j = base + k;
-            for t in &standing.vocab[j] {
-                let posting = &standing.postings[t];
-                let w = idf_weight(nf, posting.len() as f64);
-                for &s in posting {
-                    if (s as usize) < j {
-                        bounds[k * n_new + s as usize] += w;
-                    }
-                }
-            }
-        }
-        let plan_estimate = estimate_started.elapsed();
-
-        // Schedule: every pair involving a new slot, filtered by the
-        // standing plan policy.
-        let schedule_started = Instant::now();
-        let mut kept: Vec<(usize, usize)> = Vec::new();
-        let mut pruned = 0usize;
-        for k in 0..added {
-            let j = base + k;
-            for s in 0..j {
-                let bound = bounds[k * n_new + s];
-                let keep = match standing.plan_policy {
-                    PlanPolicy::Exhaustive => true,
-                    PlanPolicy::OverlapThreshold { min_weight } => bound >= min_weight,
-                    PlanPolicy::ClusterFirst { max_distance } => {
-                        let denom = standing.self_weights[s].min(standing.self_weights[j]);
-                        let distance = if denom <= 0.0 {
-                            1.0
-                        } else {
-                            (1.0 - bound / denom).clamp(0.0, 1.0)
-                        };
-                        distance <= max_distance
-                    }
-                };
-                if keep {
-                    kept.push((s, j));
-                } else {
-                    pruned += 1;
-                }
-            }
-        }
-        let plan_schedule = schedule_started.elapsed();
-        let plan = plan_started.elapsed();
-
-        // Execute the surviving pairs exactly as the batch executor does
-        // (same pair jobs, counters, and spans), against the standing
-        // preparation and indexes.
-        let selection = Selection::OneToOne {
-            min: standing.threshold,
-        };
-        let standing = &*standing;
-        let schemas = &self.schemas;
-        let selected: Vec<(
-            usize,
-            usize,
-            crate::pipeline::StageTimings,
-            usize,
-            usize,
-            MatchSet,
-        )> = exec.run_map(engine.threads, &kept, |_, &(left, right)| {
-            crate::obs::add(crate::obs::Counter::PairJobs, 1);
-            let _job = crate::obs::span(
-                crate::obs::SpanKind::PairJob,
-                ((left as u64) << 32) | right as u64,
-            );
-            let indices = (!matches!(standing.blocking, BlockingPolicy::Exhaustive))
-                .then(|| (&standing.indexes[left], &standing.indexes[right]));
-            let mut run = engine.pipeline().run_blocked_prepared(
-                schemas[left],
-                schemas[right],
-                &standing.prepared[left],
-                &standing.prepared[right],
-                indices,
-                &standing.blocking,
-            );
-            let select_started = Instant::now();
-            let set = selection.apply(&run.matrix);
-            run.timings.select = select_started.elapsed();
-            (
-                left,
-                right,
-                run.timings,
-                run.pairs_considered,
-                run.pairs_scored,
-                set,
-            )
-        });
-
-        let mut timings = StageTimings {
-            plan,
-            plan_estimate,
-            plan_schedule,
-            ..StageTimings::default()
-        };
-        let mut outcomes = Vec::with_capacity(selected.len());
-        for (left, right, pair_timings, pairs_considered, pairs_scored, set) in selected {
-            timings.accumulate(&pair_timings);
-            let validated =
-                MatchSet::validated_from(&set, asserted_by, MatchAnnotation::Equivalent);
-            self.add_pairwise(left, right, &validated);
-            outcomes.push(PairwiseOutcome {
-                left,
-                right,
-                pairs_considered,
-                pairs_scored,
-                validated: validated.len(),
-            });
-        }
-        self.populated = n_new;
-
-        NWayPopulation {
-            outcomes,
-            pruned,
-            timings,
         }
     }
 
@@ -870,6 +667,7 @@ mod tests {
     use crate::confidence::Confidence;
     use crate::correspondence::{Correspondence, MatchAnnotation};
     use sm_schema::{DataType, ElementKind, SchemaFormat};
+    use std::sync::Arc;
 
     fn schema(id: u32, names: &[&str]) -> Schema {
         let mut s = Schema::new(SchemaId(id), format!("S{id}"), SchemaFormat::Generic);
@@ -1223,6 +1021,61 @@ mod tests {
         );
         assert!(pop.pruned > 0, "the island pairs must be pruned");
         assert_eq!(planned.vocabulary(), unplanned.vocabulary());
+    }
+
+    /// Pin: a cancelled add-one leaves the match as it was. Retried on an
+    /// untripped engine sharing the feature cache, it equals an add-one
+    /// that was never cancelled — same outcomes, same pruned count, same
+    /// vocabulary. The cut sits exactly at the largest new-pair bound, so
+    /// a retry that counted the new slot's tokens twice (an inflated df,
+    /// hence a smaller IDF weight) would prune that pair.
+    #[test]
+    fn cancelled_add_one_retries_like_an_uncancelled_one() {
+        let schemas = five_mixed();
+        let refs: Vec<&Schema> = schemas[..4].iter().collect();
+        let engine = MatchEngine::new().with_threads(2);
+        let new = refs.len() - 1;
+        let batch = engine
+            .batch()
+            .with_plan_policy(PlanPolicy::provable())
+            .plan_all_pairs(&refs);
+        let estimates = batch.overlap().expect("the provable policy estimates");
+        let cut = (0..new)
+            .map(|s| estimates.bound(s, new))
+            .fold(0.0, f64::max);
+        assert!(cut > 0.0, "the new schema must share vocabulary");
+        let grown = || {
+            let mut nway = NWayMatch::new(refs[..new].to_vec());
+            nway.populate_planned(
+                &engine,
+                &BlockingPolicy::default(),
+                PlanPolicy::OverlapThreshold { min_weight: cut },
+                Confidence::new(0.3),
+                "x",
+            );
+            nway.add_schema(refs[new]);
+            nway
+        };
+
+        let mut clean = grown();
+        let want = clean.populate_incremental(&engine, "x");
+        assert!(want.planned() > 0 && want.pruned > 0);
+
+        let mut retried = grown();
+        let token = crate::serve::JobToken::new();
+        token.cancel();
+        let tripped = MatchEngine::new()
+            .with_threads(2)
+            .with_feature_cache(Arc::clone(engine.feature_cache()))
+            .with_job_token(token);
+        let cancelled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            retried.populate_incremental(&tripped, "x")
+        }));
+        assert!(cancelled.is_err(), "a tripped token must stop the add-one");
+        let got = retried.populate_incremental(&engine, "x");
+        assert_eq!(got.outcomes, want.outcomes);
+        assert_eq!(got.pruned, want.pruned);
+        assert_eq!(retried.vocabulary(), clean.vocabulary());
     }
 
     #[test]

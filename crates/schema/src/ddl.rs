@@ -435,6 +435,7 @@ pub fn to_ddl(schema: &Schema) -> String {
 mod tests {
     use super::*;
     use crate::datatype::DataType;
+    use proptest::prelude::*;
 
     const SAMPLE: &str = r#"
 -- individuals tracked by the system
@@ -599,5 +600,19 @@ COMMENT ON COLUMN T.a IS 'alpha''s value';
         // References U(u_id) implicitly; builds fine because U.u_id exists.
         let s = parse_ddl(SchemaId(1), "x", ddl).unwrap();
         assert_eq!(s.len(), 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Truncated and byte-flipped samples parse or fail with an error;
+        /// the parser never panics.
+        #[test]
+        fn mutated_sample_never_panics(
+            cut in 0..=SAMPLE.len(),
+            flips in prop::collection::vec((0..SAMPLE.len(), any::<u8>()), 0..8),
+        ) {
+            let _ = parse_ddl(SchemaId(4), "mutated", &crate::mutated(SAMPLE, cut, &flips));
+        }
     }
 }

@@ -50,3 +50,17 @@ pub use relational::{ColumnSpec, RelationalSchemaBuilder, TableSpec};
 pub use schema::{Schema, SchemaFormat, SchemaId};
 pub use stats::SchemaStats;
 pub use xml::{XmlNodeSpec, XmlSchemaBuilder};
+
+/// `sample` cut to its first `cut` bytes with each `(offset, byte)` flip
+/// applied inside the cut, read back as text (invalid UTF-8 becomes
+/// U+FFFD) — the input mutation behind the parsers' robustness proptests.
+#[cfg(test)]
+pub(crate) fn mutated(sample: &str, cut: usize, flips: &[(usize, u8)]) -> String {
+    let mut bytes = sample.as_bytes()[..cut].to_vec();
+    for &(at, byte) in flips {
+        if let Some(b) = bytes.get_mut(at) {
+            *b = byte;
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}

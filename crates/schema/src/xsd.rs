@@ -30,10 +30,29 @@ use crate::error::SchemaError;
 use crate::schema::{Schema, SchemaId};
 use crate::xml::{Occurs, XmlNodeSpec, XmlSchemaBuilder};
 
+/// Deepest `xs:complexType` nesting [`parse_xsd`] accepts; deeper input is a
+/// [`SchemaError::Parse`]. Parsing, building and dropping a nested element
+/// each recurse once per level, so without a limit untrusted input can
+/// overflow the stack. The limit must parse on a 2 MB thread stack (Rust's
+/// default for spawned and test threads): an unoptimized build spends about
+/// 6 KB of stack per level and overflows 2 MB near 350 levels, so 128
+/// levels keep more than half of that stack free. Hand-written schemata
+/// nest a few dozen levels at most.
+const MAX_NESTING: usize = 128;
+
 /// Parse mini-XSD text into an XML [`Schema`].
+///
+/// # Errors
+/// [`SchemaError::Parse`] on malformed XML, on XSD structure the parser
+/// does not understand, and on complex types nested beyond a fixed depth
+/// limit (128 levels).
 pub fn parse_xsd(id: SchemaId, name: &str, input: &str) -> Result<Schema, SchemaError> {
     let tokens = tokenize(input)?;
-    let mut parser = XsdParser { tokens, pos: 0 };
+    let mut parser = XsdParser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+    };
     let roots = parser.parse_schema()?;
     XmlSchemaBuilder::new(id, name).roots(roots).build()
 }
@@ -198,6 +217,8 @@ fn decode_entities(s: &str) -> String {
 struct XsdParser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Complex-type bodies currently open (see [`MAX_NESTING`]).
+    nesting: usize,
 }
 
 impl XsdParser {
@@ -343,7 +364,7 @@ impl XsdParser {
                     }
                     "complexType" => {
                         if !sc {
-                            let (children, doc) = self.parse_complex_body()?;
+                            let (children, doc) = self.parse_complex_body(cl)?;
                             for c in children {
                                 spec = spec.child(c);
                             }
@@ -393,7 +414,7 @@ impl XsdParser {
         })?;
         let mut spec = XmlNodeSpec::complex(name);
         if !self_closing {
-            let (children, doc) = self.parse_complex_body()?;
+            let (children, doc) = self.parse_complex_body(line)?;
             for c in children {
                 spec = spec.child(c);
             }
@@ -406,7 +427,17 @@ impl XsdParser {
 
     /// Parse the body of a complexType (open tag consumed) up to its close.
     /// Returns (children, documentation).
-    fn parse_complex_body(&mut self) -> Result<(Vec<XmlNodeSpec>, Option<String>), SchemaError> {
+    fn parse_complex_body(
+        &mut self,
+        line: usize,
+    ) -> Result<(Vec<XmlNodeSpec>, Option<String>), SchemaError> {
+        if self.nesting == MAX_NESTING {
+            return Err(SchemaError::Parse {
+                line,
+                message: format!("xs:complexType nested deeper than {MAX_NESTING} levels"),
+            });
+        }
+        self.nesting += 1;
         let mut children = Vec::new();
         let mut doc = None;
         loop {
@@ -473,6 +504,7 @@ impl XsdParser {
                 }
             }
         }
+        self.nesting -= 1;
         Ok((children, doc))
     }
 
@@ -666,6 +698,7 @@ fn xsd_type_name(t: DataType) -> &'static str {
 mod tests {
     use super::*;
     use crate::element::ElementKind;
+    use proptest::prelude::*;
 
     const SAMPLE: &str = r#"<?xml version="1.0"?>
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
@@ -792,5 +825,48 @@ mod tests {
         let s = parse_xsd(SchemaId(2), "x", xsd).unwrap();
         let a = s.find_by_name("a").unwrap();
         assert_eq!(s.element(a).doc_text(), "attr doc");
+    }
+
+    /// `depth` elements, each nested in the previous one's complex type,
+    /// around one leaf.
+    fn nested(depth: usize) -> String {
+        let mut doc = String::from(r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">"#);
+        for i in 0..depth {
+            doc.push_str(&format!(
+                r#"<xs:element name="e{i}"><xs:complexType><xs:sequence>"#
+            ));
+        }
+        doc.push_str(r#"<xs:element name="leaf" type="xs:string"/>"#);
+        for _ in 0..depth {
+            doc.push_str("</xs:sequence></xs:complexType></xs:element>");
+        }
+        doc.push_str("</xs:schema>");
+        doc
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        let s = parse_xsd(SchemaId(3), "deep", &nested(MAX_NESTING)).unwrap();
+        assert_eq!(s.len(), MAX_NESTING + 1);
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_a_parse_error() {
+        let err = parse_xsd(SchemaId(3), "deep", &nested(100_000)).unwrap_err();
+        assert!(matches!(err, SchemaError::Parse { .. }), "{err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Truncated and byte-flipped samples parse or fail with an error;
+        /// the parser never panics.
+        #[test]
+        fn mutated_sample_never_panics(
+            cut in 0..=SAMPLE.len(),
+            flips in prop::collection::vec((0..SAMPLE.len(), any::<u8>()), 0..8),
+        ) {
+            let _ = parse_xsd(SchemaId(4), "mutated", &crate::mutated(SAMPLE, cut, &flips));
+        }
     }
 }

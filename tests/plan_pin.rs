@@ -12,7 +12,9 @@
 //!   and the provable cut (`PlanPolicy::provable()`) never prunes a pair
 //!   that would have selected anything;
 //! * incremental N-way consolidation (`populate_planned` + `add_schema` +
-//!   `populate_incremental`) reproduces the full replan's vocabulary.
+//!   `populate_incremental`) reproduces the full replan's vocabulary, and
+//!   under `ClusterFirst` keeps and prunes exactly the new pairs the
+//!   replan does.
 
 use harmony_core::index::idf_weight;
 use harmony_core::prelude::*;
@@ -69,7 +71,8 @@ proptest! {
         let schemas = population(seed, 3);
         let refs: Vec<&Schema> = schemas.iter().collect();
         let engine = engine();
-        let (prepared, _) = engine.batch().plan_all_pairs(&refs).into_plan_parts();
+        let batch = engine.batch().plan_all_pairs(&refs);
+        let prepared = batch.prepared();
         let n = prepared.len();
 
         let vocab: Vec<BTreeSet<_>> = prepared
@@ -87,8 +90,8 @@ proptest! {
             }
         }
 
-        let exact = OverlapEstimates::from_prepared(&prepared);
-        let capped = OverlapEstimates::from_prepared_capped(&prepared, df_cap);
+        let exact = OverlapEstimates::from_prepared(prepared);
+        let capped = OverlapEstimates::from_prepared_capped(prepared, df_cap);
         for i in 0..n {
             for j in (i + 1)..n {
                 let truth: f64 = vocab[i]
@@ -202,6 +205,57 @@ proptest! {
             grown.vocabulary(),
             full.vocabulary(),
             "incremental add-one diverged from the full replan"
+        );
+    }
+
+    /// Under `ClusterFirst`, the add-one step decides every new pair the
+    /// way a full replan over all N+1 schemata does: it executes exactly
+    /// the replan's planned requests with `right ≥ base` and prunes exactly
+    /// its pruned ones — same-component and hub×hub pairs included, not
+    /// only direct `distance ≤ cut` edges.
+    #[test]
+    fn incremental_addone_cluster_first_decides_new_pairs_like_replan(
+        seed in 0u64..300,
+        max_distance in 0.3f64..0.95,
+    ) {
+        let schemas = population(seed, 3);
+        let refs: Vec<&Schema> = schemas.iter().collect();
+        let engine = engine();
+        let blocking = BlockingPolicy::default();
+        let policy = PlanPolicy::ClusterFirst { max_distance };
+        let base = refs.len() - 1;
+
+        let replan = engine
+            .batch()
+            .with_policy(blocking)
+            .with_plan_policy(policy)
+            .plan_all_pairs(&refs);
+        let new_pairs = |requests: &[PairRequest]| -> Vec<(usize, usize)> {
+            requests
+                .iter()
+                .filter(|r| r.right >= base)
+                .map(|r| (r.left, r.right))
+                .collect()
+        };
+
+        let mut grown = NWayMatch::new(refs[..base].to_vec());
+        grown.populate_planned(&engine, &blocking, policy, Confidence::new(0.5), "pin");
+        grown.add_schema(refs[base]);
+        let added = grown.populate_incremental(&engine, "pin");
+        let executed: Vec<(usize, usize)> =
+            added.outcomes.iter().map(|o| (o.left, o.right)).collect();
+
+        prop_assert_eq!(
+            executed,
+            new_pairs(replan.requests()),
+            "add-one executed other new pairs than the replan plans (cut {})",
+            max_distance
+        );
+        prop_assert_eq!(
+            added.pruned,
+            new_pairs(replan.pruned()).len(),
+            "add-one pruned other new pairs than the replan prunes (cut {})",
+            max_distance
         );
     }
 }
