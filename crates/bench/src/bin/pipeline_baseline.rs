@@ -20,7 +20,11 @@
 //! instead of oversubscribing (requesting more workers is never slower
 //! than requesting fewer; see `harmony_core::exec`). The block-stage
 //! scaling section reports the blocked Block stage at 1, 2, and max
-//! threads, median of N reps each.
+//! threads, median of N reps each; the tier-1 scaling section reports the
+//! cascade's Score tier 1 at 1 and 2 threads the same way. One further
+//! counted cascade run reads where tier 1 settled its pairs off the obs
+//! exit counters (`score_cascade.exits`): the prune exits sum to
+//! `pairs_pruned`, the survive exits to `pairs_full`.
 //!
 //! The bench also measures the observability recorder's own cost: the same
 //! blocked cascade engine runs with recording enabled and runtime-disabled
@@ -351,6 +355,44 @@ fn main() {
     let obs_off_secs = median_secs(&mut obs_samples[1]);
     let obs_ratio = obs_on_secs / obs_off_secs.max(1e-12);
 
+    // Where tier 1 settles the blocked cascade run's pairs: one counted
+    // run, read off the obs exit counters.
+    obs::reset();
+    std::hint::black_box(engine_bst.run_blocked(&pair.source, &pair.target, &policy));
+    let exits = [
+        ("coarse_prune", obs::Counter::CascadeCoarsePrune),
+        ("early_survive", obs::Counter::CascadeEarlySurvive),
+        ("phase_a_prune", obs::Counter::CascadePhaseAPrune),
+        ("phase_b_prune", obs::Counter::CascadePhaseBPrune),
+        ("final_survive", obs::Counter::CascadeFinalSurvive),
+    ]
+    .map(|(name, counter)| (name, obs::counter_value(counter)));
+
+    // Score tier-1 thread scaling at 1 and 2 threads (median of REPS
+    // interleaved rounds), beside the block-stage curve.
+    let tier1_threads = [1usize, 2];
+    let tier1_engines: Vec<MatchEngine> = tier1_threads
+        .iter()
+        .map(|&n| {
+            MatchEngine::new()
+                .with_feature_cache(std::sync::Arc::clone(&cache))
+                .with_threads(n)
+                .with_score_floor(Some(CASCADE_FLOOR))
+        })
+        .collect();
+    let mut tier1_samples: Vec<Vec<f64>> = vec![Vec::with_capacity(REPS); tier1_threads.len()];
+    for round in 0..REPS {
+        for point in round_order(round, tier1_engines.len()) {
+            let r = tier1_engines[point].run_blocked(&pair.source, &pair.target, &policy);
+            tier1_samples[point].push(r.timings.score_tier1.as_secs_f64());
+        }
+    }
+    let tier1_scaling: Vec<(usize, f64)> = tier1_threads
+        .iter()
+        .zip(&mut tier1_samples)
+        .map(|(&n, samples)| (n, median_secs(samples)))
+        .collect();
+
     let speedup = cold_context / cached_context.max(1e-12);
     let stats = cache.stats();
     println!("cold features        {:>10.4} s", cold_features);
@@ -408,6 +450,18 @@ fn main() {
     for (n, secs) in &block_scaling {
         println!("  {n} thread(s): block {secs:.4}s");
     }
+    println!("score tier-1 scaling (median of {REPS}):");
+    for (n, secs) in &tier1_scaling {
+        println!("  {n} thread(s): tier 1 {secs:.4}s");
+    }
+    println!(
+        "tier-1 exits: {}",
+        exits
+            .iter()
+            .map(|(name, n)| format!("{name} {n}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
 
     // Hand-rolled JSON (the offline serde stand-in has no serializer).
     let json = format!(
@@ -423,12 +477,14 @@ fn main() {
          \"tier1_skip_rate\": {skip_rate:.6},\n    \
          \"cascade_score_secs\": {cascade_score:.6},\n    \
          \"reference_score_secs\": {reference_score:.6},\n    \
-         \"score_speedup\": {score_speedup:.2}\n  }},\n  \
+         \"score_speedup\": {score_speedup:.2},\n    \
+         \"exits\": {{{exits}}}\n  }},\n  \
          \"obs_overhead\": {{\n    \"instrumented_secs\": {obs_on_secs:.6},\n    \
          \"disabled_secs\": {obs_off_secs:.6},\n    \"ratio\": {obs_ratio:.4}\n  }},\n  \
          \"edit_memo\": {{\"misses\": {memo_misses}, \"flushes\": {memo_flushes}, \
          \"capacity\": {memo_capacity}}},\n  \
          \"block_stage_scaling\": [\n{scaling}\n  ],\n  \
+         \"score_tier1_scaling\": [\n{tier1_scaling}\n  ],\n  \
          \"feature_cache\": {{\"hits\": {hits}, \"misses\": {misses}, \
          \"evictions\": {evictions}, \"entries\": {entries}}},\n  \
          \"paper_reference_secs\": 10.2\n}}\n",
@@ -444,6 +500,16 @@ fn main() {
         scaling = block_scaling
             .iter()
             .map(|(n, secs)| format!("    {{\"threads\": {n}, \"block_stage_secs\": {secs:.6}}}"))
+            .collect::<Vec<_>>()
+            .join(",\n"),
+        exits = exits
+            .iter()
+            .map(|(name, n)| format!("\"{name}\": {n}"))
+            .collect::<Vec<_>>()
+            .join(", "),
+        tier1_scaling = tier1_scaling
+            .iter()
+            .map(|(n, secs)| format!("    {{\"threads\": {n}, \"score_tier1_secs\": {secs:.6}}}"))
             .collect::<Vec<_>>()
             .join(",\n"),
         single = stage_json("full_run_secs", 1, st_total, &st_stages),

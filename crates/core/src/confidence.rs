@@ -28,18 +28,20 @@ impl Confidence {
     /// Complete uncertainty: no evidence either way.
     pub const NEUTRAL: Confidence = Confidence(0.0);
 
+    /// The largest magnitude a confidence takes: `1 − 1e-9`.
+    pub const LIMIT: f64 = 1.0 - 1e-9;
+
     /// Construct from a raw value, clamped into `(−1, +1)`.
     ///
-    /// The open interval is enforced by clamping to ±(1 − ε): the paper's
+    /// The open interval is enforced by clamping to ±[`Self::LIMIT`]: the paper's
     /// semantics reserve exactly ±1 for *definite* knowledge, which evidence
     /// accumulation can approach but not reach.
     #[inline]
     pub fn new(value: f64) -> Self {
-        const LIMIT: f64 = 1.0 - 1e-9;
         if value.is_nan() {
             return Confidence(0.0);
         }
-        Confidence(value.clamp(-LIMIT, LIMIT))
+        Confidence(value.clamp(-Self::LIMIT, Self::LIMIT))
     }
 
     /// The Harmony construction: combine an evidence *ratio* with the total
@@ -54,11 +56,24 @@ impl Confidence {
     /// With `evidence == 0` the result is exactly [`Confidence::NEUTRAL`].
     #[inline]
     pub fn from_evidence(ratio: f64, evidence: f64, damping: f64) -> Self {
-        let ratio = ratio.clamp(0.0, 1.0);
+        Confidence::weighted(ratio, Confidence::evidence_weight(evidence, damping))
+    }
+
+    /// The evidence half of [`Confidence::from_evidence`]: the weight
+    /// `n / (n + k)` in `[0, 1)`. Computing it once and reusing it through
+    /// [`Confidence::weighted`] gives bit-identical confidences.
+    #[inline]
+    pub fn evidence_weight(evidence: f64, damping: f64) -> f64 {
         let evidence = evidence.max(0.0);
         let damping = damping.max(f64::MIN_POSITIVE);
-        let raw = 2.0 * ratio - 1.0;
-        let weight = evidence / (evidence + damping);
+        evidence / (evidence + damping)
+    }
+
+    /// The ratio half of [`Confidence::from_evidence`], given the weight
+    /// from [`Confidence::evidence_weight`].
+    #[inline]
+    pub fn weighted(ratio: f64, weight: f64) -> Self {
+        let raw = 2.0 * ratio.clamp(0.0, 1.0) - 1.0;
         Confidence::new(raw * weight)
     }
 

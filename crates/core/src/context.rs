@@ -10,6 +10,7 @@
 //! instance profiles. Per-pair voter cost stays a handful of set
 //! intersections.
 
+use crate::cascade::Digests;
 use crate::prepare::{PreparedElement, PreparedSchema};
 use sm_schema::instances::{InstanceData, InstanceProfile};
 use sm_schema::{ElementId, Schema};
@@ -39,12 +40,6 @@ pub struct ElementFeatures {
     pub base: std::sync::Arc<PreparedElement>,
     /// TF-IDF vector of name + documentation against the pair's joint corpus.
     pub doc_vector: DocVector,
-    /// Prefix sums of [`Self::doc_vector`]'s squared weights in descending
-    /// order (see [`DocVector::top_squared_prefix`]) — with a cap on the
-    /// number of shared terms, Cauchy-Schwarz bounds the cosine from above.
-    /// Tier-1 cascade input; empty-document vectors get the single-entry
-    /// `[0.0]` prefix.
-    pub doc_sq_prefix: Vec<f64>,
     /// Distributional profile of sampled instance values, when available.
     /// `None` in the paper's common case ("data … may not yet exist, or may
     /// be sensitive").
@@ -72,6 +67,10 @@ pub struct MatchContext<'a> {
     pub corpus: FinalizedCorpus,
     /// Tag of the arena both preparations' ids point into (memo keys).
     arena_tag: u32,
+    /// Fixed-width per-element records the score cascade's tier 1 reads,
+    /// built on first use: a context scored without the cascade never
+    /// pays for them.
+    digests: std::sync::OnceLock<Digests>,
 }
 
 impl<'a> MatchContext<'a> {
@@ -212,14 +211,10 @@ impl<'a> MatchContext<'a> {
                 .iter()
                 .zip(prepared.elements())
                 .enumerate()
-                .map(|(idx, (e, p))| {
-                    let doc_vector = corpus.vector(doc_offset + idx).clone();
-                    ElementFeatures {
-                        base: std::sync::Arc::clone(p),
-                        doc_sq_prefix: doc_vector.top_squared_prefix(),
-                        doc_vector,
-                        instances: instances.get(e.id).and_then(InstanceProfile::from_values),
-                    }
+                .map(|(idx, (e, p))| ElementFeatures {
+                    base: std::sync::Arc::clone(p),
+                    doc_vector: corpus.vector(doc_offset + idx).clone(),
+                    instances: instances.get(e.id).and_then(InstanceProfile::from_values),
                 })
                 .collect()
         };
@@ -234,6 +229,7 @@ impl<'a> MatchContext<'a> {
             target_features,
             corpus,
             arena_tag: prepared_source.arena().tag(),
+            digests: std::sync::OnceLock::new(),
         }
     }
 
@@ -243,6 +239,19 @@ impl<'a> MatchContext<'a> {
     #[inline]
     pub fn arena_tag(&self) -> u32 {
         self.arena_tag
+    }
+
+    /// The cascade's per-element digests of this context, built on the
+    /// first call.
+    pub(crate) fn digests(&self) -> &Digests {
+        self.digests.get_or_init(|| {
+            Digests::build(
+                self.source,
+                self.target,
+                &self.source_features,
+                &self.target_features,
+            )
+        })
     }
 
     /// Features of a source element.

@@ -272,10 +272,21 @@ pub enum Counter {
     CacheResidentBytes = 33,
     /// Shard compactions deferred because of memory pressure.
     RepoCompactionsDeferred = 34,
+    /// Cascade tier-1 exit: pruned by the straight-line coarse pass.
+    CascadeCoarsePrune = 35,
+    /// Cascade tier-1 exit: proved to survive by the coarse pass.
+    CascadeEarlySurvive = 36,
+    /// Cascade tier-1 exit: pruned by the char-profile edit cap (phase A).
+    CascadePhaseAPrune = 37,
+    /// Cascade tier-1 exit: pruned by the per-token soft-overlap cap
+    /// (phase B).
+    CascadePhaseBPrune = 38,
+    /// Cascade tier-1 exit: survived every refinement.
+    CascadeFinalSurvive = 39,
 }
 
 /// Number of registered counters.
-pub const COUNTER_COUNT: usize = 35;
+pub const COUNTER_COUNT: usize = 40;
 
 /// All counters, in slot order (export iteration order).
 pub const COUNTERS: [Counter; COUNTER_COUNT] = [
@@ -314,6 +325,11 @@ pub const COUNTERS: [Counter; COUNTER_COUNT] = [
     Counter::ServeRssPeak,
     Counter::CacheResidentBytes,
     Counter::RepoCompactionsDeferred,
+    Counter::CascadeCoarsePrune,
+    Counter::CascadeEarlySurvive,
+    Counter::CascadePhaseAPrune,
+    Counter::CascadePhaseBPrune,
+    Counter::CascadeFinalSurvive,
 ];
 
 impl Counter {
@@ -355,6 +371,11 @@ impl Counter {
             Counter::ServeRssPeak => "serve.rss_peak_bytes",
             Counter::CacheResidentBytes => "cache.resident_bytes",
             Counter::RepoCompactionsDeferred => "repo.compactions_deferred",
+            Counter::CascadeCoarsePrune => "cascade.exit.coarse_prune",
+            Counter::CascadeEarlySurvive => "cascade.exit.early_survive",
+            Counter::CascadePhaseAPrune => "cascade.exit.phase_a_prune",
+            Counter::CascadePhaseBPrune => "cascade.exit.phase_b_prune",
+            Counter::CascadeFinalSurvive => "cascade.exit.final_survive",
         }
     }
 }

@@ -187,7 +187,8 @@ struct FusedStats {
     tier1_ns: u64,
     tier2_ns: u64,
     merge_ns: u64,
-    pruned: u64,
+    /// Where tier 1 settled the scored pairs (all zero without the cascade).
+    exits: crate::cascade::Tier1Exits,
 }
 
 /// Emit the `stage.score` / `stage.merge` spans for one fused Score+Merge
@@ -413,12 +414,19 @@ impl<'e> MatchPipeline<'e> {
         timings.score_tier2 = fused.mul_f64(stats.tier2_ns as f64 / total_ns as f64);
         timings.score = timings.score_tier1 + timings.score_tier2;
         timings.merge = fused.saturating_sub(timings.score);
-        timings.pairs_pruned = stats.pruned;
-        timings.pairs_full = candidates.len() as u64 - stats.pruned;
+        timings.pairs_pruned = stats.exits.pruned();
+        timings.pairs_full = candidates.len() as u64 - timings.pairs_pruned;
         record_fused_stage_spans(fused_start, timings);
         obs::add(obs::Counter::CascadePairsPruned, timings.pairs_pruned);
         if self.engine.cascade_active() {
             obs::add(obs::Counter::CascadePairsFull, timings.pairs_full);
+            let exits = &stats.exits;
+            debug_assert_eq!(exits.survived(), timings.pairs_full);
+            obs::add(obs::Counter::CascadeCoarsePrune, exits.coarse_prune);
+            obs::add(obs::Counter::CascadeEarlySurvive, exits.early_survive);
+            obs::add(obs::Counter::CascadePhaseAPrune, exits.phase_a_prune);
+            obs::add(obs::Counter::CascadePhaseBPrune, exits.phase_b_prune);
+            obs::add(obs::Counter::CascadeFinalSurvive, exits.final_survive);
         }
 
         let started = Instant::now();
@@ -500,12 +508,14 @@ impl<'e> MatchPipeline<'e> {
         // Cascade: each phase runs under `obs::timed`, which both feeds the
         // per-worker nanosecond totals (the proportional stage split) and,
         // when recording is on, emits one span per row and phase.
+        let tier1 = cascade.then(|| crate::cascade::Tier1::new(ctx, floor));
         let cascade_block = |block: &mut [(usize, &mut [f32], &[u32])], w: &mut Worker| {
+            let tier1 = tier1.as_ref().expect("cascade pass has its tier-1 tables");
             for (r, slice, cand) in block.iter_mut() {
                 let s = ElementId(*r as u32);
                 let row = &mut w.row;
-                let (pruned, t1_ns) = obs::timed(SpanKind::ScoreTier1, *r as u64, || {
-                    crate::cascade::tier1_row(ctx, s, cand, floor, slice, row)
+                let (exits, t1_ns) = obs::timed(SpanKind::ScoreTier1, *r as u64, || {
+                    tier1.row(s, cand, slice, row)
                 });
                 let ((), t2_ns) = obs::timed(SpanKind::ScoreTier2, *r as u64, || {
                     crate::cascade::tier2_row(ctx, s, row)
@@ -513,7 +523,7 @@ impl<'e> MatchPipeline<'e> {
                 let ((), merge_ns) = obs::timed(SpanKind::MergeRow, *r as u64, || {
                     crate::cascade::merge_row(merger, floor, row, slice)
                 });
-                w.stats.pruned += pruned;
+                w.stats.exits.add(&exits);
                 w.stats.tier1_ns += t1_ns;
                 w.stats.tier2_ns += t2_ns;
                 w.stats.merge_ns += merge_ns;
@@ -575,7 +585,7 @@ impl<'e> MatchPipeline<'e> {
             total.tier1_ns += w.stats.tier1_ns;
             total.tier2_ns += w.stats.tier2_ns;
             total.merge_ns += w.stats.merge_ns;
-            total.pruned += w.stats.pruned;
+            total.exits.add(&w.stats.exits);
         });
         total.into_inner().expect("pipeline stats poisoned")
     }

@@ -30,6 +30,118 @@ pub trait MatchVoter: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
+// Evidence laws. Each voter that weighs its ratio by a count of evidence
+// reads that count through one law, and the cascade's per-context weight
+// tables (`crate::cascade`) are built from the same laws, so the bound
+// arithmetic cannot drift from the votes it bounds.
+// ---------------------------------------------------------------------------
+
+/// How a voter combines its two sides' counts into one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Combine {
+    Sum,
+    Min,
+    Max,
+}
+
+/// A voter's evidence law: combine the two sides' counts, divide by `per`
+/// to get the evidence, weigh it against `damping` (see
+/// [`Confidence::from_evidence`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EvidenceLaw {
+    combine: Combine,
+    per: f64,
+    damping: f64,
+}
+
+impl EvidenceLaw {
+    /// The combined count of one pair.
+    #[inline]
+    pub(crate) fn count(self, a: usize, b: usize) -> usize {
+        match self.combine {
+            Combine::Sum => a + b,
+            Combine::Min => a.min(b),
+            Combine::Max => a.max(b),
+        }
+    }
+
+    /// The evidence weight of a combined count.
+    #[inline]
+    pub(crate) fn weight(self, count: usize) -> f64 {
+        Confidence::evidence_weight(count as f64 / self.per, self.damping)
+    }
+
+    /// The vote for `ratio` backed by the two sides' counts.
+    #[inline]
+    pub(crate) fn vote(self, ratio: f64, a: usize, b: usize) -> Confidence {
+        Confidence::weighted(ratio, self.weight(self.count(a, b)))
+    }
+}
+
+/// Exact-name hit: the number of (equal) name tokens.
+pub(crate) const EXACT_EVIDENCE: EvidenceLaw = EvidenceLaw {
+    combine: Combine::Min,
+    per: 1.0,
+    damping: 0.8,
+};
+/// Token overlap: the mean name length.
+pub(crate) const TOKEN_EVIDENCE: EvidenceLaw = EvidenceLaw {
+    combine: Combine::Sum,
+    per: 2.0,
+    damping: 1.5,
+};
+/// Edit distance: a third of the shorter raw name's characters.
+pub(crate) const EDIT_EVIDENCE: EvidenceLaw = EvidenceLaw {
+    combine: Combine::Min,
+    per: 3.0,
+    damping: 1.2,
+};
+/// Documentation: the smaller document's token count.
+pub(crate) const DOC_EVIDENCE: EvidenceLaw = EvidenceLaw {
+    combine: Combine::Min,
+    per: 1.0,
+    damping: 5.0,
+};
+/// Path: the mean parent-name length, tokens counted with multiplicity.
+pub(crate) const PATH_EVIDENCE: EvidenceLaw = EvidenceLaw {
+    combine: Combine::Sum,
+    per: 2.0,
+    damping: 2.0,
+};
+/// Structure: the smaller children-token bag.
+pub(crate) const STRUCTURE_EVIDENCE: EvidenceLaw = EvidenceLaw {
+    combine: Combine::Min,
+    per: 1.0,
+    damping: 6.0,
+};
+/// Acronym: the longer name's token count.
+pub(crate) const ACRONYM_EVIDENCE: EvidenceLaw = EvidenceLaw {
+    combine: Combine::Max,
+    per: 1.0,
+    damping: 1.0,
+};
+
+/// Ratio of an acronym hit.
+pub(crate) const ACRONYM_RATIO: f64 = 0.95;
+
+/// Discount on the token voter's soft (Monge-Elkan) overlap.
+pub(crate) const SOFT_DISCOUNT: f64 = 0.85;
+
+/// The exact-name voter's vote on a mismatch: weak negative evidence only,
+/// since most true correspondences do NOT share exact names.
+#[inline]
+pub(crate) fn exact_mismatch() -> Confidence {
+    Confidence::from_evidence(0.35, 1.0, 6.0)
+}
+
+/// The role voter's vote on a container/leaf mismatch: solid negative
+/// evidence.
+#[inline]
+pub(crate) fn role_clash() -> Confidence {
+    Confidence::from_evidence(0.0, 4.0, 2.0)
+}
+
+// ---------------------------------------------------------------------------
 // Free-function voter kernels. One body per voter, shared by the trait impls
 // below and by the cascade's batch path (`crate::cascade`) — the only way to
 // guarantee both paths produce bit-identical confidences.
@@ -44,11 +156,9 @@ pub(crate) fn exact_name_vote(fa: &ElementFeatures, fb: &ElementFeatures) -> Con
     }
     // Interned-sequence equality ⇔ normalized-token-sequence equality.
     if a == b {
-        Confidence::from_evidence(1.0, a.len() as f64, 0.8)
+        EXACT_EVIDENCE.vote(1.0, a.len(), b.len())
     } else {
-        // Exact mismatch is weak negative evidence only: most true
-        // correspondences do NOT share exact names.
-        Confidence::from_evidence(0.35, 1.0, 6.0)
+        exact_mismatch()
     }
 }
 
@@ -73,9 +183,8 @@ pub(crate) fn token_vote(tag: u32, fa: &ElementFeatures, fb: &ElementFeatures) -
         &fb.name_ids,
         &fb.name_set,
     );
-    let sim = jaccard.max(0.85 * soft);
-    let evidence = (fa.name_ids.len() + fb.name_ids.len()) as f64 / 2.0;
-    Confidence::from_evidence(sim, evidence, 1.5)
+    let sim = jaccard.max(SOFT_DISCOUNT * soft);
+    TOKEN_EVIDENCE.vote(sim, fa.name_ids.len(), fb.name_ids.len())
 }
 
 /// The memoized raw-name similarity blend behind [`EditDistanceVoter`].
@@ -114,8 +223,7 @@ pub(crate) fn edit_distance_vote(
     }
     let sim = edit_distance_sim(tag, fa, fb);
     // Short names provide little evidence; evidence grows with length.
-    let evidence = (fa.raw_chars.len().min(fb.raw_chars.len()) as f64) / 3.0;
-    Confidence::from_evidence(sim, evidence, 1.2)
+    EDIT_EVIDENCE.vote(sim, fa.raw_chars.len(), fb.raw_chars.len())
 }
 
 /// [`DocVoter`]'s body.
@@ -128,13 +236,16 @@ pub(crate) fn doc_vote(fa: &ElementFeatures, fb: &ElementFeatures) -> Confidence
     // near 0.5, so raw cosine is a poor evidence *ratio*. The square
     // root re-centres it: cosine 0.25 ≈ "as much for as against".
     let ratio = cosine.sqrt();
-    let evidence = fa.doc_vector.token_count.min(fb.doc_vector.token_count) as f64;
-    Confidence::from_evidence(ratio, evidence, 5.0)
+    DOC_EVIDENCE.vote(ratio, fa.doc_vector.token_count, fb.doc_vector.token_count)
 }
 
 /// [`TypeVoter`]'s body.
 pub(crate) fn type_vote(ta: DataType, tb: DataType) -> Confidence {
-    let compat = ta.compatibility(tb);
+    type_vote_of(ta.compatibility(tb))
+}
+
+/// [`TypeVoter`]'s vote for a given type compatibility.
+pub(crate) fn type_vote_of(compat: f64) -> Confidence {
     // A single type observation is modest evidence; incompatibility is
     // stronger evidence than compatibility (types rule out, they don't
     // rule in).
@@ -149,8 +260,7 @@ pub(crate) fn path_vote(fa: &ElementFeatures, fb: &ElementFeatures) -> Confidenc
     }
     let jaccard = sorted_ids_jaccard(&fa.parent_set, &fb.parent_set);
     // Evidence counts tokens with multiplicity, as the bags do.
-    let evidence = (fa.parent_bag.len() + fb.parent_bag.len()) as f64 / 2.0;
-    Confidence::from_evidence(jaccard, evidence, 2.0)
+    PATH_EVIDENCE.vote(jaccard, fa.parent_bag.len(), fb.parent_bag.len())
 }
 
 /// [`StructureVoter`]'s body.
@@ -159,8 +269,7 @@ pub(crate) fn structure_vote(fa: &ElementFeatures, fb: &ElementFeatures) -> Conf
         return Confidence::NEUTRAL;
     }
     let jaccard = sorted_ids_jaccard(&fa.children_set, &fb.children_set);
-    let evidence = (fa.children_bag.len().min(fb.children_bag.len())) as f64;
-    Confidence::from_evidence(jaccard, evidence, 6.0)
+    STRUCTURE_EVIDENCE.vote(jaccard, fa.children_bag.len(), fb.children_bag.len())
 }
 
 /// [`RoleVoter`]'s body.
@@ -168,8 +277,7 @@ pub(crate) fn role_vote(ka: ElementKind, kb: ElementKind) -> Confidence {
     if ka.role_compatible(kb) {
         Confidence::NEUTRAL
     } else {
-        // A container/leaf mismatch is solid negative evidence.
-        Confidence::from_evidence(0.0, 4.0, 2.0)
+        role_clash()
     }
 }
 
@@ -184,8 +292,7 @@ pub(crate) fn acronym_vote(fa: &ElementFeatures, fb: &ElementFeatures) -> Confid
     let hit = (fb.name_ids.len() >= 2 && fa.raw_name_id == fb.acronym_id)
         || (fa.name_ids.len() >= 2 && fb.raw_name_id == fa.acronym_id);
     if hit {
-        let evidence = fa.name_ids.len().max(fb.name_ids.len()) as f64;
-        Confidence::from_evidence(0.95, evidence, 1.0)
+        ACRONYM_EVIDENCE.vote(ACRONYM_RATIO, fa.name_ids.len(), fb.name_ids.len())
     } else {
         Confidence::NEUTRAL
     }

@@ -105,10 +105,18 @@ impl DataType {
     /// is [`DataType::Unknown`] there is *no* evidence, and the measure
     /// returns `0.5` (neutral) so voters can recognise the absence of signal.
     pub fn compatibility(self, other: DataType) -> f64 {
-        use TypeFamily::*;
         if self == other {
-            return 1.0;
+            1.0
+        } else {
+            self.distinct_compatibility(other)
         }
+    }
+
+    /// [`DataType::compatibility`] of two types taken to differ. It reads
+    /// the two variants and never their parameters, so it is a function of
+    /// the variants alone — which lets a caller table it per variant pair.
+    pub fn distinct_compatibility(self, other: DataType) -> f64 {
+        use TypeFamily::*;
         let (a, b) = (self.family(), other.family());
         if a == Unknown || b == Unknown {
             return 0.5;

@@ -285,24 +285,25 @@ impl DocVector {
         dot.clamp(0.0, 1.0)
     }
 
-    /// Prefix sums of the squared weights in *descending* weight order:
-    /// entry `i` is the sum of the `i` largest squared weights (entry 0 is
-    /// 0). By Cauchy-Schwarz, the dot product of two vectors that can
-    /// share at most `k` terms is bounded by
-    /// `sqrt(a.top_squared_prefix()[k] * b.top_squared_prefix()[k])` —
-    /// the cap the score cascade combines with the corpus-id signature
-    /// bound to skip documentation cosines that provably cannot matter.
-    pub fn top_squared_prefix(&self) -> Vec<f64> {
-        let mut sq: Vec<f64> = self.weights.iter().map(|&(_, w)| w * w).collect();
+    /// Append the prefix sums of the squared weights in *descending* weight
+    /// order to `out`: `term_count() + 1` entries, entry `i` the sum of the
+    /// `i` largest squared weights (entry 0 is 0). By Cauchy-Schwarz, the
+    /// dot product of two vectors that can share at most `k` terms is
+    /// bounded by `sqrt(prefix_a[k] * prefix_b[k])` — the cap the score
+    /// cascade combines with the corpus-id signature bound to skip
+    /// documentation cosines that provably cannot matter. Appending lets a
+    /// match context keep every element's prefix in one flat buffer.
+    pub fn append_top_squared_prefix(&self, out: &mut Vec<f64>) {
+        let start = out.len();
+        out.push(0.0);
+        out.extend(self.weights.iter().map(|&(_, w)| w * w));
+        let sq = &mut out[start + 1..];
         sq.sort_unstable_by(|a, b| b.partial_cmp(a).expect("weights are finite"));
-        let mut prefix = Vec::with_capacity(sq.len() + 1);
         let mut acc = 0.0;
-        prefix.push(0.0);
         for w in sq {
-            acc += w;
-            prefix.push(acc);
+            acc += *w;
+            *w = acc;
         }
-        prefix
     }
 
     /// Number of distinct terms.
@@ -431,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn top_squared_prefix_bounds_cosine() {
+    fn appended_squared_prefix_bounds_cosine() {
         let mut c = Corpus::new();
         let docs = [
             toks("date event began code"),
@@ -444,7 +445,11 @@ mod tests {
         for &i in &idx {
             for &j in &idx {
                 let (a, b) = (f.vector(i), f.vector(j));
-                let (pa, pb) = (a.top_squared_prefix(), b.top_squared_prefix());
+                let (mut pa, mut pb) = (vec![7.0], vec![7.0]);
+                a.append_top_squared_prefix(&mut pa);
+                b.append_top_squared_prefix(&mut pb);
+                // Appending keeps what was already there.
+                let (pa, pb) = (&pa[1..], &pb[1..]);
                 assert_eq!(pa.len(), a.term_count() + 1);
                 // With k = min(term counts) shared terms allowed, the
                 // Cauchy-Schwarz cap must dominate the true cosine.

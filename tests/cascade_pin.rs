@@ -12,12 +12,16 @@
 //!   cascade on or off, at every executor width.
 //! * The signature popcount bound that powers tier 1 must dominate the true
 //!   token Jaccard for arbitrary id sets (property-tested).
+//! * On adversarial names — either side of the 64-char Jaro/Levenshtein
+//!   fast path, combining marks and other non-ASCII text, single-char
+//!   tokens, empty docs — tier 1 never prunes a pair the full panel scores
+//!   at or above the floor (property-tested).
 
 use harmony_core::index::BlockingPolicy;
 use harmony_core::prelude::*;
 use harmony_core::select::Selection;
 use proptest::prelude::*;
-use sm_schema::ElementId;
+use sm_schema::{DataType, Documentation, ElementId, ElementKind, Schema, SchemaFormat, SchemaId};
 use sm_synth::{GeneratorConfig, SchemaPair};
 use sm_text::bounds::{id_signature, signature_intersection_bound, signature_jaccard_bound};
 use sm_text::intern::{sorted_ids_jaccard, TokenId};
@@ -220,11 +224,145 @@ fn non_default_panel_keeps_floor_but_not_cascade() {
     assert!(!with_panel.cascade_active());
 }
 
+/// Name stems that stress the tier-1 bounds: combining marks and other
+/// non-ASCII text, single-char tokens, acronyms, and near-duplicates.
+const STEMS: [&str; 16] = [
+    "customer_id",
+    "CustomerId",
+    "cust_nm",
+    "DATE_BEGIN_156",
+    "date_begin",
+    "cafe\u{301}_name",
+    "caf\u{e9}_name",
+    "Gr\u{f6}\u{df}e",
+    "\u{6570}\u{636e}_id",
+    "a_b_c",
+    "x",
+    "q_1",
+    "A_B",
+    "coi",
+    "community_of_interest",
+    "r\u{e9}sume\u{301}_date",
+];
+
+/// Docs, including empty and absent ones.
+const DOCS: [Option<&str>; 5] = [
+    None,
+    Some(""),
+    Some("the date the customer account began"),
+    Some("identifiant du caf\u{e9} \u{2014} na\u{ef}ve r\u{e9}sum\u{e9}"),
+    Some("a b c x"),
+];
+
+/// A small deterministic generator driven by the proptest seed.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+
+    /// A name: a stem, or a long name cut to 63, 64 or 65 chars (either
+    /// side of the 64-char fast path), sometimes with one char changed.
+    fn name(&mut self) -> String {
+        let stem = STEMS[self.below(STEMS.len())];
+        if self.below(3) > 0 {
+            return stem.to_string();
+        }
+        let len = 63 + self.below(3);
+        let mut chars: Vec<char> = stem.chars().chain("_".chars()).cycle().take(len).collect();
+        if self.below(2) == 0 {
+            let at = self.below(len);
+            chars[at] = if chars[at] == 'z' { 'y' } else { 'z' };
+        }
+        chars.into_iter().collect()
+    }
+}
+
+/// A two-level schema of `tables` containers with a few children each.
+fn adversarial_schema(id: u32, draw: &mut Draw, tables: usize, xml: bool) -> Schema {
+    let (format, container, leaf) = if xml {
+        (
+            SchemaFormat::Xml,
+            ElementKind::ComplexType,
+            ElementKind::XmlElement,
+        )
+    } else {
+        (
+            SchemaFormat::Relational,
+            ElementKind::Table,
+            ElementKind::Column,
+        )
+    };
+    let types = [
+        DataType::Integer,
+        DataType::text(),
+        DataType::varchar(20),
+        DataType::Date,
+    ];
+    let mut schema = Schema::new(SchemaId(id), format!("adversarial_{id}"), format);
+    let doc = |schema: &mut Schema, draw: &mut Draw, e: ElementId| {
+        if let Some(text) = DOCS[draw.below(DOCS.len())] {
+            schema
+                .set_doc(e, Documentation::embedded(text))
+                .expect("element exists");
+        }
+    };
+    for _ in 0..tables {
+        let root = schema.add_root(draw.name(), container, DataType::None);
+        doc(&mut schema, draw, root);
+        for _ in 0..1 + draw.below(4) {
+            let dt = types[draw.below(types.len())];
+            let child = schema
+                .add_child(root, draw.name(), leaf, dt)
+                .expect("parent exists");
+            doc(&mut schema, draw, child);
+        }
+    }
+    schema
+}
+
 fn sorted_set(ids: Vec<u32>) -> Vec<TokenId> {
     let mut ids: Vec<TokenId> = ids.into_iter().map(TokenId).collect();
     ids.sort_unstable();
     ids.dedup();
     ids
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Tier 1 is sound on adversarial names: at floors 0.0 and 0.3, the
+    /// cascade-on blocked and exhaustive matrices equal the cascade-off
+    /// reference's, so no pruned pair had a full-panel merged score at or
+    /// above the floor.
+    #[test]
+    fn cascade_is_lossless_on_adversarial_names(seed in any::<u64>()) {
+        let mut draw = Draw(seed);
+        let (n_source, n_target) = (1 + draw.below(4), 1 + draw.below(4));
+        let source = adversarial_schema(1, &mut draw, n_source, false);
+        let target = adversarial_schema(2, &mut draw, n_target, true);
+        for floor in [0.0, 0.3] {
+            let cascade = engine().with_score_floor(Some(floor));
+            let reference = engine().with_score_floor(Some(floor)).with_cascade(false);
+            for policy in [BlockingPolicy::default(), BlockingPolicy::Exhaustive] {
+                let got = cascade.pipeline().run_blocked(&source, &target, &policy);
+                let want = reference.pipeline().run_blocked(&source, &target, &policy);
+                prop_assert_eq!(
+                    got.matrix.as_slice(),
+                    want.matrix.as_slice(),
+                    "cascade diverged (seed {:#x}, floor {}, {:?})",
+                    seed,
+                    floor,
+                    policy
+                );
+            }
+        }
+    }
 }
 
 proptest! {
