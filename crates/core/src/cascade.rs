@@ -51,7 +51,7 @@
 //!   the cascade never pays for them): one `Copy` [`ColumnDigest`] per
 //!   element holding
 //!   every scalar the coarse verdict reads — the name, parent, children
-//!   and corpus signatures; set and bag lengths; doc term and token
+//!   and corpus signatures; set lengths and token counts; doc term and token
 //!   counts and the offset of the element's squared-weight prefix in one
 //!   flat buffer; raw-name length, Soundex key, raw-name and acronym ids;
 //!   the first four name ids (exact-name equality); name and parent sets
@@ -107,6 +107,7 @@
 use crate::confidence::Confidence;
 use crate::context::{ElementFeatures, MatchContext};
 use crate::merger::MergeStrategy;
+use crate::prepare::count;
 use crate::voter::{
     doc_vote, edit_distance_vote, exact_mismatch, role_clash, structure_vote, token_vote,
     type_vote_of, EvidenceLaw, ACRONYM_EVIDENCE, ACRONYM_RATIO, DOC_EVIDENCE, EDIT_EVIDENCE,
@@ -153,7 +154,7 @@ const CONTAINER: u8 = 1;
 /// [`ColumnDigest::flags`]: the raw name has a Soundex key.
 const SOUNDEX: u8 = 2;
 /// [`ColumnDigest::flags`]: the raw name has at least two bytes (the
-/// acronym voter's gate).
+/// acronym voter's gate, [`crate::prepare::PreparedElement::raw_name_spans_two_bytes`]).
 const ACRONYM_GATE: u8 = 4;
 /// [`ColumnDigest::flags`]: the name set rides inline.
 const NAME_INLINE: u8 = 8;
@@ -183,9 +184,9 @@ struct ColumnDigest {
     name_len: u32,
     name_set_len: u32,
     parent_set_len: u32,
-    parent_bag_len: u32,
+    parent_len: u32,
     children_set_len: u32,
-    children_bag_len: u32,
+    children_len: u32,
     doc_terms: u32,
     doc_tokens: u32,
     /// Start of the element's squared-weight prefix in
@@ -267,8 +268,8 @@ impl Weights {
             token: table(TOKEN_EVIDENCE, |d| d.name_len),
             edit: table(EDIT_EVIDENCE, |d| d.raw_chars),
             doc: table(DOC_EVIDENCE, |d| d.doc_tokens),
-            path: table(PATH_EVIDENCE, |d| d.parent_bag_len),
-            structure: table(STRUCTURE_EVIDENCE, |d| d.children_bag_len),
+            path: table(PATH_EVIDENCE, |d| d.parent_len),
+            structure: table(STRUCTURE_EVIDENCE, |d| d.children_len),
             acronym: table(ACRONYM_EVIDENCE, |d| d.name_len),
         }
     }
@@ -346,13 +347,6 @@ fn fits_inline(set: &[TokenId]) -> bool {
     set.len() <= INLINE_IDS && set.iter().all(|id| id.0 < TARGET_PAD)
 }
 
-/// A per-element count as a digest field. Counts are lengths of
-/// in-memory collections of ids, chars and terms, which the `u32` ids
-/// and offsets elsewhere in the engine already bound.
-fn count(n: usize) -> u32 {
-    u32::try_from(n).expect("per-element counts fit in u32")
-}
-
 fn digest_side(
     schema: &Schema,
     features: &[ElementFeatures],
@@ -373,7 +367,7 @@ fn digest_side(
             if f.raw_soundex.is_some() {
                 flags |= SOUNDEX;
             }
-            if f.raw_name.len() >= 2 {
+            if f.raw_name_spans_two_bytes() {
                 flags |= ACRONYM_GATE;
             }
             if fits_inline(&f.name_set) {
@@ -393,9 +387,9 @@ fn digest_side(
                 name_len: count(f.name_ids.len()),
                 name_set_len: count(f.name_set.len()),
                 parent_set_len: count(f.parent_set.len()),
-                parent_bag_len: count(f.parent_bag.len()),
+                parent_len: f.parent_len,
                 children_set_len: count(f.children_set.len()),
-                children_bag_len: count(f.children_bag.len()),
+                children_len: f.children_len,
                 doc_terms: count(f.doc_vector.term_count()),
                 doc_tokens: count(f.doc_vector.token_count),
                 doc_prefix: offset,
@@ -938,7 +932,7 @@ impl<'a> Row<'a> {
         let path = Exact::new(
             vote(
                 path_jacc,
-                weight(&w.path, PATH_EVIDENCE, a.parent_bag_len, b.parent_bag_len),
+                weight(&w.path, PATH_EVIDENCE, a.parent_len, b.parent_len),
             ),
             floor,
         )
@@ -990,8 +984,7 @@ impl<'a> Row<'a> {
         // Structure lane: children-signature Jaccard cap; disjoint
         // signatures resolve the vote exactly (0.0 Jaccard).
         let kids = (a.children_set_len != 0) & (b.children_set_len != 0);
-        let kids_count =
-            STRUCTURE_EVIDENCE.count(a.children_bag_len as usize, b.children_bag_len as usize);
+        let kids_count = STRUCTURE_EVIDENCE.count(a.children_len as usize, b.children_len as usize);
         let kids_lower = pass.kids_lower[kids_count];
         let kids_jacc_ub = signature_jaccard_bound(
             a.children_sig,

@@ -26,17 +26,18 @@ pub enum Side {
     Target,
 }
 
-/// Per-element precomputed features: the shared per-schema part (token
-/// bags, raw name — see [`PreparedElement`]) plus the per-pair part
-/// (TF-IDF vector against the joint corpus, instance profile).
+/// Per-element precomputed features: the shared per-schema part (interned
+/// name, parent, children and corpus ids with their token counts, raw-name
+/// chars — see [`PreparedElement`]) plus the per-pair part (TF-IDF vector
+/// against the joint corpus, instance profile).
 ///
 /// The per-schema half is held by `Arc` and surfaced through `Deref`, so
-/// voters read `feat.name_bag` etc. without the context having deep-cloned
-/// any token bag: a context build against a warm cache copies only pointers
+/// voters read `feat.name_set` etc. without the context having deep-cloned
+/// any feature: a context build against a warm cache copies only pointers
 /// and the per-pair vectors.
 #[derive(Debug, Clone)]
 pub struct ElementFeatures {
-    /// Shared per-schema features (name/doc/parent/children bags, raw name).
+    /// Shared per-schema features (interned ids and counts, raw-name chars).
     pub base: std::sync::Arc<PreparedElement>,
     /// TF-IDF vector of name + documentation against the pair's joint corpus.
     pub doc_vector: DocVector,
@@ -304,7 +305,7 @@ mod tests {
         let ctx = MatchContext::build(&a, &b, &n);
         for id in a.ids() {
             let f = ctx.source_feat(id);
-            assert!(!f.raw_name.is_empty());
+            assert!(!f.raw_chars.is_empty());
         }
         for id in b.ids() {
             let _ = ctx.target_feat(id);
@@ -328,24 +329,26 @@ mod tests {
     }
 
     #[test]
-    fn parent_and_children_bags() {
+    fn parent_and_children_sets() {
         let (a, b) = schemas();
         let n = Normalizer::new();
         let ctx = MatchContext::build(&a, &b, &n);
-        let col = a.find_by_name("birth_dt").unwrap();
-        assert!(
-            !ctx.source_feat(col).parent_bag.is_empty(),
-            "column has parent"
+        let arena = sm_text::intern::TokenArena::global();
+        let col = ctx.source_feat(a.find_by_name("birth_dt").unwrap());
+        let table = ctx.source_feat(a.find_by_name("Person").unwrap());
+        assert_eq!(
+            arena.resolve_shared(&col.parent_set),
+            n.name("Person").tokens,
+            "column sees its parent's name tokens"
         );
-        let table = a.find_by_name("Person").unwrap();
         assert!(
-            ctx.source_feat(table).parent_bag.is_empty(),
+            table.parent_set.is_empty() && table.parent_len == 0,
             "root has none"
         );
-        assert!(
-            !ctx.source_feat(table).children_bag.is_empty(),
-            "table sees child tokens"
-        );
+        let mut child_tokens = arena.resolve_all(&table.children_set);
+        child_tokens.sort();
+        assert_eq!(child_tokens, ["birth", "date"], "table sees child tokens");
+        assert_eq!(table.children_len, 2);
     }
 
     #[test]
@@ -385,12 +388,8 @@ mod tests {
         for id in a.ids() {
             let d = direct.source_feat(id);
             let c = cached.source_feat(id);
-            assert_eq!(d.name_bag, c.name_bag);
-            assert_eq!(d.raw_name, c.raw_name);
-            assert_eq!(d.doc_bag, c.doc_bag);
+            assert_eq!(d.base, c.base);
             assert_eq!(d.doc_vector, c.doc_vector);
-            assert_eq!(d.parent_bag, c.parent_bag);
-            assert_eq!(d.children_bag, c.children_bag);
         }
         for id in b.ids() {
             assert_eq!(

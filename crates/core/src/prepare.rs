@@ -9,15 +9,19 @@
 //! dominates, and it is pure per-schema work: nothing about it depends on the
 //! opposing schema.
 //!
-//! [`PreparedSchema`] captures exactly that per-schema work (token bags,
-//! abbreviation expansion, stems, raw names, parent/child context bags, the
-//! per-element TF-IDF documents, and the schema-level name-token signature),
-//! computed once and shared by every consumer. [`FeatureCache`] memoizes
-//! prepared schemata by content fingerprint, so repeated matching against a
-//! repository amortizes preprocessing across runs; [`FeatureCache::global`]
-//! is the process-wide instance behind `MatchEngine::new()` and the
-//! enterprise layer. Only the pairwise TF-IDF corpus (whose IDF weights
-//! depend on the *joint* vocabulary of a match problem) remains per-pair; see
+//! [`PreparedSchema`] captures exactly that per-schema work (normalized,
+//! abbreviation-expanded, stemmed name and documentation tokens, the raw
+//! name, parent/child context, the per-element TF-IDF documents, and the
+//! schema-level name-token signature), computed once and shared by every
+//! consumer. Every feature is held once, as [`TokenId`]s interned into the
+//! schema's [`TokenArena`] plus the multiplicity counts the voters weigh
+//! evidence by; the name tokens alone also keep their text, which
+//! Jaro-Winkler reads. [`FeatureCache`] memoizes prepared schemata by
+//! content fingerprint, so repeated matching against a repository amortizes
+//! preprocessing across runs; [`FeatureCache::global`] is the process-wide
+//! instance behind `MatchEngine::new()` and the enterprise layer. Only the
+//! pairwise TF-IDF corpus (whose IDF weights depend on the *joint*
+//! vocabulary of a match problem) remains per-pair; see
 //! [`crate::context::MatchContext`].
 
 use sm_schema::{Schema, SchemaId};
@@ -74,46 +78,43 @@ pub(crate) const MAX_ACRONYM_LEN: usize = 6;
 /// Precomputed linguistic features of one element, independent of any
 /// opposing schema.
 ///
-/// The string-valued fields are the canonical features (and what reports,
-/// summaries, and reference tests read); the interned fields are the same
-/// features as `u32` [`TokenId`]s into the schema's [`TokenArena`], which is
-/// what every per-pair kernel consumes — the voter hot loop never hashes or
-/// compares a `String`.
-#[derive(Debug, Clone)]
+/// Features are `u32` [`TokenId`]s into the schema's [`TokenArena`], plus
+/// the token counts with multiplicity that the voters weigh evidence by —
+/// the voter hot loop never hashes or compares a `String`. Reports and
+/// tests read the text back through the arena. The one string list is
+/// [`Self::name_bag`]: Monge-Elkan Jaro-Winkler reads those tokens' text on
+/// every memo miss, and resolving them through the arena's lock per pair
+/// would be a slower second path.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreparedElement {
-    /// Normalized name tokens.
+    /// Normalized name tokens, aligned with [`Self::name_ids`].
     pub name_bag: TokenBag,
-    /// Raw lowercased name (for edit-distance voters).
-    pub raw_name: String,
-    /// Normalized documentation tokens.
-    pub doc_bag: TokenBag,
-    /// Normalized tokens of the parent's name (empty for roots).
-    pub parent_bag: TokenBag,
-    /// Normalized name tokens of the element's children (flattened).
-    pub children_bag: TokenBag,
-    /// The element's TF-IDF document: name tokens then documentation tokens,
-    /// in normalization order. Feeding these to a pairwise corpus reproduces
-    /// the historical `MatchContext` vectors exactly. Shared `Arc<str>`s
-    /// (one allocation per distinct token process-wide), like [`TokenBag`].
-    pub corpus_tokens: Vec<Arc<str>>,
-    /// `name_bag.tokens`, interned, in normalization order (sequence
-    /// equality ⇔ exact-name equality).
+    /// The normalized name tokens, interned, in normalization order
+    /// (sequence equality ⇔ exact-name equality).
     pub name_ids: Vec<TokenId>,
     /// Sorted, deduplicated set form of [`Self::name_ids`] (merge-walk
     /// Jaccards and membership tests).
     pub name_set: Vec<TokenId>,
     /// Sorted, deduplicated interned parent-name tokens (empty for roots).
     pub parent_set: Vec<TokenId>,
-    /// Sorted, deduplicated interned children-name tokens.
+    /// Number of parent-name tokens, with multiplicity (path-voter
+    /// evidence).
+    pub parent_len: u32,
+    /// Sorted, deduplicated interned name tokens of the element's children.
     pub children_set: Vec<TokenId>,
-    /// [`Self::corpus_tokens`], interned, in the same order — the zero-copy
-    /// input to each match pair's joint TF-IDF corpus.
+    /// Number of children-name tokens over all children, with multiplicity
+    /// (structure-voter evidence).
+    pub children_len: u32,
+    /// The element's TF-IDF document, interned: name tokens then
+    /// documentation tokens, in normalization order — the zero-copy input
+    /// to each match pair's joint TF-IDF corpus. The documentation ids are
+    /// [`Self::doc_ids`].
     pub corpus_ids: Vec<TokenId>,
-    /// [`Self::raw_name`] interned whole (acronym-voter equality in one
-    /// integer compare).
+    /// The raw lowercased name, interned whole (acronym-voter equality in
+    /// one integer compare).
     pub raw_name_id: TokenId,
-    /// [`Self::raw_name`] decoded to chars once (edit-distance voters run
-    /// on slices instead of re-collecting per pair). Shared: warm-start
+    /// The raw lowercased name decoded to chars once (edit-distance voters
+    /// run on slices instead of re-collecting per pair). Shared: warm-start
     /// reconstruction memoizes one decode per distinct raw name and every
     /// element holding that name clones the `Arc`.
     pub raw_chars: Arc<[char]>,
@@ -148,6 +149,30 @@ pub struct PreparedElement {
     pub name_token_stats: Vec<TokenStat>,
 }
 
+impl PreparedElement {
+    /// The documentation tokens, interned, in normalization order.
+    pub fn doc_ids(&self) -> &[TokenId] {
+        &self.corpus_ids[self.name_ids.len()..]
+    }
+
+    /// Is the raw lowercased name at least two bytes long? The acronym
+    /// voter's gate, shared with the cascade's digest build. Counted from
+    /// [`Self::raw_chars`]: two chars are at least two bytes, and one char
+    /// is when it is multibyte.
+    #[inline]
+    pub fn raw_name_spans_two_bytes(&self) -> bool {
+        self.raw_chars.len() >= 2 || self.raw_chars.first().is_some_and(|c| c.len_utf8() >= 2)
+    }
+}
+
+/// A per-element count as a `u32` field (prepared elements, cascade
+/// digests). Counts are lengths of in-memory collections of ids, chars and
+/// terms, which the `u32` ids and offsets elsewhere in the engine already
+/// bound.
+pub(crate) fn count(n: usize) -> u32 {
+    u32::try_from(n).expect("per-element counts fit in u32")
+}
+
 /// All per-schema linguistic preprocessing, computed once and reused by the
 /// match pipeline, n-way matching, incremental sessions, and the enterprise
 /// search / clustering / COI operators.
@@ -160,7 +185,7 @@ pub struct PreparedSchema {
     /// The arena all interned ids in this preparation point into.
     arena: Arc<TokenArena>,
     /// Individually shared so match contexts can reference element features
-    /// without deep-cloning token bags per run.
+    /// without deep-cloning them per run.
     elements: Vec<Arc<PreparedElement>>,
     /// Distinct normalized name tokens over the whole schema — the cheap
     /// vocabulary signature used by search, clustering, COI proposal, and
@@ -207,31 +232,18 @@ impl PreparedSchema {
         let elements: Vec<Arc<PreparedElement>> = schema
             .elements()
             .iter()
-            .map(|e| {
-                let idx = e.id.index();
-                let parent_bag = e
-                    .parent
-                    .map(|p| bags[p.index()].clone())
-                    .unwrap_or_default();
-                let parent_set = e
-                    .parent
-                    .map(|p| to_sorted_set(bag_ids[p.index()].clone()))
-                    .unwrap_or_default();
-                let mut children_tokens = Vec::new();
+            .zip(bags)
+            .map(|(e, name_bag)| {
+                let name_ids = bag_ids[e.id.index()].clone();
+                let parent_ids: &[TokenId] = e.parent.map_or(&[], |p| &bag_ids[p.index()]);
                 let mut children_ids = Vec::new();
                 for &c in &e.children {
-                    children_tokens.extend(bags[c.index()].tokens.iter().cloned());
-                    children_ids.extend(bag_ids[c.index()].iter().copied());
+                    children_ids.extend_from_slice(&bag_ids[c.index()]);
                 }
-                let name_bag = bags[idx].clone();
-                let name_ids = bag_ids[idx].clone();
-                let doc_bag = normalizer.prose(e.doc_text());
-                let doc_ids = arena.intern_all(&doc_bag.tokens);
-                let mut corpus_tokens = name_bag.tokens.clone();
-                corpus_tokens.extend(doc_bag.tokens.iter().cloned());
+                let children_len = count(children_ids.len());
                 let mut corpus_ids = name_ids.clone();
-                corpus_ids.extend(doc_ids.iter().copied());
-                let raw_name = e.name.to_lowercase();
+                corpus_ids.extend(arena.intern_all(&normalizer.prose(e.doc_text()).tokens));
+                let raw = e.name.to_lowercase();
 
                 // Blocking features: distinct corpus tokens plus prefixed
                 // Soundex / acronym keys, interned and ordered by resolved
@@ -248,15 +260,15 @@ impl PreparedSchema {
                 if name_bag.len() >= 2 {
                     block_features.push(arena.intern(&format!("a:{acronym}")));
                 }
-                if (2..=MAX_ACRONYM_LEN).contains(&raw_name.len()) {
-                    block_features.push(arena.intern(&format!("a:{raw_name}")));
+                if (2..=MAX_ACRONYM_LEN).contains(&raw.len()) {
+                    block_features.push(arena.intern(&format!("a:{raw}")));
                 }
                 block_features = to_sorted_set(block_features);
                 arena.sort_lexical(&mut block_features);
 
                 let name_set = to_sorted_set(name_ids.clone());
                 let children_set = to_sorted_set(children_ids);
-                let raw_chars: Arc<[char]> = raw_name.chars().collect();
+                let raw_chars: Arc<[char]> = raw.chars().collect();
                 Arc::new(PreparedElement {
                     name_sig: id_signature(&name_set),
                     children_sig: id_signature(&children_set),
@@ -265,43 +277,27 @@ impl PreparedSchema {
                     name_token_stats: name_bag.tokens.iter().map(|t| TokenStat::of(t)).collect(),
                     name_set,
                     name_ids,
-                    raw_name_id: arena.intern(&raw_name),
+                    raw_name_id: arena.intern(&raw),
                     raw_chars,
                     acronym_id: arena.intern(&acronym),
-                    raw_soundex: soundex_key(&raw_name),
-                    parent_set,
+                    raw_soundex: soundex_key(&raw),
+                    parent_set: to_sorted_set(parent_ids.to_vec()),
+                    parent_len: count(parent_ids.len()),
                     children_set,
+                    children_len,
                     corpus_ids,
                     block_features,
                     name_bag,
-                    raw_name,
-                    doc_bag,
-                    parent_bag,
-                    children_bag: TokenBag {
-                        tokens: children_tokens,
-                    },
-                    corpus_tokens,
                 })
             })
             .collect();
-        let mut block_feature_offsets: Vec<u32> = Vec::with_capacity(elements.len() + 1);
-        block_feature_offsets.push(0);
-        let mut block_feature_ids: Vec<TokenId> =
-            Vec::with_capacity(elements.iter().map(|e| e.block_features.len()).sum());
-        for e in &elements {
-            block_feature_ids.extend_from_slice(&e.block_features);
-            block_feature_offsets.push(block_feature_ids.len() as u32);
-        }
-        PreparedSchema {
-            schema_id: schema.id,
-            fingerprint: schema_fingerprint(schema),
-            arena,
+        Self::from_prepared_elements_presorted(
+            schema.id,
+            schema_fingerprint(schema),
             elements,
-            signature: OnceLock::new(),
             signature_ids,
-            block_feature_offsets,
-            block_feature_ids,
-        }
+            arena,
+        )
     }
 
     /// Number of prepared elements.
@@ -375,15 +371,10 @@ impl PreparedSchema {
             + self.signature_ids.len() * id;
         for e in &self.elements {
             bytes += size_of::<PreparedElement>() + size_of::<Arc<PreparedElement>>();
-            bytes += e.raw_name.len() + e.raw_chars.len() * size_of::<char>();
-            // Bags and the corpus list hold `Arc<str>` handles; the string
-            // bodies are shared process-wide, so price the handles only.
-            bytes += (e.name_bag.tokens.len()
-                + e.doc_bag.tokens.len()
-                + e.parent_bag.tokens.len()
-                + e.children_bag.tokens.len()
-                + e.corpus_tokens.len())
-                * size_of::<Arc<str>>();
+            bytes += e.raw_chars.len() * size_of::<char>();
+            // The name bag holds `Arc<str>` handles; the string bodies are
+            // shared process-wide, so price the handles only.
+            bytes += e.name_bag.tokens.len() * size_of::<Arc<str>>();
             bytes += (e.name_ids.len()
                 + e.name_set.len()
                 + e.parent_set.len()
@@ -401,74 +392,14 @@ impl PreparedSchema {
         self.schema_id == schema.id && self.fingerprint == schema_fingerprint(schema)
     }
 
-    /// The portable content of this preparation — exactly the fields that
-    /// cannot be recomputed without re-running the [`Normalizer`] (token
-    /// bags are normalizer output; `raw_name` is lowercased, so camelCase
-    /// boundaries are unrecoverable from it). Everything else —
-    /// signatures, Soundex keys, char profiles, interned ids — is cheap
-    /// derived data that [`Self::from_parts`] recomputes at load.
-    pub fn parts(&self) -> PreparedSchemaParts {
-        PreparedSchemaParts {
-            schema_id: self.schema_id,
-            fingerprint: self.fingerprint,
-            elements: self
-                .elements
-                .iter()
-                .map(|e| {
-                    let owned = |ts: &[Arc<str>]| ts.iter().map(|t| t.to_string()).collect();
-                    PreparedElementParts {
-                        raw_name: e.raw_name.clone(),
-                        name_tokens: owned(&e.name_bag.tokens),
-                        doc_tokens: owned(&e.doc_bag.tokens),
-                        parent_tokens: owned(&e.parent_bag.tokens),
-                        children_tokens: owned(&e.children_bag.tokens),
-                        block_feature_tokens: self.arena.resolve_all(&e.block_features),
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Assemble a preparation from already-built elements — the bulk path of
-    /// warm-start loading. The caller (the image loader) constructs each
-    /// [`PreparedElement`] directly from features memoized **per distinct
-    /// image-table string** (char profiles, token stats, Soundex, shared
-    /// `Arc<str>` tokens and `Arc<[char]>` decodes), so this constructor
-    /// performs no hashing and no per-character analysis — it only derives
-    /// the schema-level views: the interned signature (string form stays
-    /// lazy) and the flat blocking-feature CSR. A registry has millions of
-    /// token occurrences but only thousands of distinct tokens; re-deriving
-    /// per occurrence is what made naive reconstruction cost more than cold
-    /// preparation.
-    pub fn from_prepared_elements(
-        schema_id: SchemaId,
-        fingerprint: u64,
-        elements: Vec<Arc<PreparedElement>>,
-        arena: Arc<TokenArena>,
-    ) -> Self {
-        let mut signature_ids = to_sorted_set(
-            elements
-                .iter()
-                .flat_map(|e| e.name_ids.iter().copied())
-                .collect(),
-        );
-        arena.sort_lexical(&mut signature_ids);
-        Self::from_prepared_elements_presorted(
-            schema_id,
-            fingerprint,
-            elements,
-            signature_ids,
-            arena,
-        )
-    }
-
-    /// [`Self::from_prepared_elements`] with the signature id list supplied
-    /// by the caller: the distinct name-token ids, already sorted
-    /// lexicographically by resolved string. The warm-start image carries
-    /// each schema's signature in that order (lexical *string* order is
-    /// process-independent, unlike the ids themselves), so the loader skips
-    /// a per-schema dedup pass and string-compare sort — at registry scale
-    /// those were the dominant cost of schema assembly.
+    /// Assemble a preparation from built elements plus its signature ids:
+    /// the distinct name-token ids, already sorted lexicographically by
+    /// resolved string. Both [`Self::build`] and the warm-start loader end
+    /// here; only the flat blocking-feature CSR is derived. The warm-start
+    /// image carries each schema's signature in that order (lexical
+    /// *string* order is process-independent, unlike the ids themselves),
+    /// so the loader skips a per-schema dedup pass and string-compare sort
+    /// — at registry scale those were the dominant cost of schema assembly.
     pub fn from_prepared_elements_presorted(
         schema_id: SchemaId,
         fingerprint: u64,
@@ -509,101 +440,6 @@ impl PreparedSchema {
             block_feature_ids,
         }
     }
-
-    /// Reconstruct a preparation from its [`Self::parts`], re-interning the
-    /// stored token strings through `arena` and recomputing all derived
-    /// fields. In the arena the parts were saved against, the result is
-    /// field-for-field identical to the original; in a fresh arena, ids
-    /// differ but every string-valued and string-ordered field (the ones
-    /// scores depend on) is preserved — which is what makes warm-started
-    /// repositories answer queries bit-identically to cold ones.
-    ///
-    /// This is the reference reconstruction; the warm-start loader builds
-    /// elements directly and assembles with the hash-free
-    /// [`Self::from_prepared_elements`] for bulk work.
-    pub fn from_parts(parts: &PreparedSchemaParts, arena: Arc<TokenArena>) -> Self {
-        let elements: Vec<Arc<PreparedElement>> = parts
-            .elements
-            .iter()
-            .map(|p| {
-                let name_bag = TokenBag::from_strings(p.name_tokens.clone());
-                let name_ids = arena.intern_all(&name_bag.tokens);
-                let doc_bag = TokenBag::from_strings(p.doc_tokens.clone());
-                let doc_ids = arena.intern_all(&doc_bag.tokens);
-                let parent_bag = TokenBag::from_strings(p.parent_tokens.clone());
-                let parent_set = to_sorted_set(arena.intern_all(&parent_bag.tokens));
-                let children_ids = arena.intern_all(&p.children_tokens);
-                let mut corpus_tokens = name_bag.tokens.clone();
-                corpus_tokens.extend(doc_bag.tokens.iter().cloned());
-                let mut corpus_ids = name_ids.clone();
-                corpus_ids.extend(doc_ids.iter().copied());
-                // Stored in resolved-string order (how the saving process
-                // kept them), which re-interning preserves — no re-sort.
-                let block_features = arena.intern_all(&p.block_feature_tokens);
-                let name_set = to_sorted_set(name_ids.clone());
-                let children_set = to_sorted_set(children_ids);
-                let raw_chars: Arc<[char]> = p.raw_name.chars().collect();
-                let acronym = acronym_of(&name_bag.tokens);
-                Arc::new(PreparedElement {
-                    name_sig: id_signature(&name_set),
-                    children_sig: id_signature(&children_set),
-                    corpus_sig: id_signature(&corpus_ids),
-                    raw_profile: CharProfile::of_chars(&raw_chars),
-                    name_token_stats: name_bag.tokens.iter().map(|t| TokenStat::of(t)).collect(),
-                    name_set,
-                    name_ids,
-                    raw_name_id: arena.intern(&p.raw_name),
-                    raw_chars,
-                    acronym_id: arena.intern(&acronym),
-                    raw_soundex: soundex_key(&p.raw_name),
-                    parent_set,
-                    children_set,
-                    corpus_ids,
-                    block_features,
-                    name_bag,
-                    raw_name: p.raw_name.clone(),
-                    doc_bag,
-                    parent_bag,
-                    children_bag: TokenBag::from_strings(p.children_tokens.clone()),
-                    corpus_tokens,
-                })
-            })
-            .collect();
-        Self::from_prepared_elements(parts.schema_id, parts.fingerprint, elements, arena)
-    }
-}
-
-/// The serializable content of one [`PreparedElement`] — see
-/// [`PreparedSchema::parts`]. All token lists keep their canonical orders
-/// (normalization order for bags, resolved-string order for blocking
-/// features), so reconstruction is order-exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreparedElementParts {
-    /// Raw lowercased element name.
-    pub raw_name: String,
-    /// Normalized name tokens, normalization order.
-    pub name_tokens: Vec<String>,
-    /// Normalized documentation tokens, normalization order.
-    pub doc_tokens: Vec<String>,
-    /// Parent name tokens (empty for roots), normalization order.
-    pub parent_tokens: Vec<String>,
-    /// Flattened children name tokens, child order.
-    pub children_tokens: Vec<String>,
-    /// Blocking feature strings, deduplicated, resolved-string order.
-    pub block_feature_tokens: Vec<String>,
-}
-
-/// The serializable content of a [`PreparedSchema`] — see
-/// [`PreparedSchema::parts`] / [`PreparedSchema::from_parts`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreparedSchemaParts {
-    /// Identity of the prepared schema.
-    pub schema_id: SchemaId,
-    /// Content fingerprint the preparation reflects (not recomputable from
-    /// the parts: the fingerprint hashes raw pre-normalization content).
-    pub fingerprint: u64,
-    /// Per-element parts, element-id order.
-    pub elements: Vec<PreparedElementParts>,
 }
 
 /// Hit/miss counters of a [`FeatureCache`] (observability for benches and
@@ -926,9 +762,8 @@ impl FeatureCache {
     }
 
     /// Admit an externally-built preparation (e.g. one reconstructed from a
-    /// warm-start image by [`PreparedSchema::from_parts`]) so subsequent
-    /// [`Self::prepare`] calls for the same content hit instead of
-    /// rebuilding. The preparation must intern through this cache's arena —
+    /// warm-start image) so subsequent [`Self::prepare`] calls for the same
+    /// content hit instead of rebuilding. The preparation must intern through this cache's arena —
     /// ids from a foreign arena would corrupt every consumer.
     pub fn admit(&self, prepared: Arc<PreparedSchema>) {
         assert!(
@@ -1049,19 +884,29 @@ mod tests {
         let s = schema(1);
         let n = Normalizer::new();
         let p = PreparedSchema::build(&s, &n);
+        let arena = p.arena();
+        let resolved = |ids: &[TokenId]| arena.resolve_shared(ids);
         assert_eq!(p.len(), s.len());
         let col = s.find_by_name("birth_dt").unwrap();
-        let e = p.element(col.index());
-        assert_eq!(e.name_bag, n.name("birth_dt"));
-        assert_eq!(e.raw_name, "birth_dt");
-        assert_eq!(e.doc_bag, n.prose("date of birth"));
-        assert!(!e.parent_bag.is_empty(), "column has a parent bag");
         let root = s.find_by_name("Person").unwrap();
-        assert!(!p.element(root.index()).children_bag.is_empty());
+        let e = p.element(col.index());
+        let person = n.name("Person").tokens;
+        assert_eq!(e.name_bag, n.name("birth_dt"));
+        assert_eq!(resolved(&e.name_ids), n.name("birth_dt").tokens);
+        assert_eq!(&*arena.resolve(e.raw_name_id), "birth_dt");
+        assert_eq!(resolved(e.doc_ids()), n.prose("date of birth").tokens);
+        // Parent and children features are the parent's and the children's
+        // name tokens, counted with multiplicity.
+        assert_eq!(arena.resolve_shared(&e.parent_set), person);
+        assert_eq!(e.parent_len as usize, person.len());
+        let table = p.element(root.index());
+        assert!(table.parent_set.is_empty() && table.parent_len == 0);
+        assert_eq!(table.children_set, e.name_set);
+        assert_eq!(table.children_len as usize, e.name_ids.len());
         // Corpus document is name tokens then doc tokens.
-        let mut expect = e.name_bag.tokens.clone();
-        expect.extend(e.doc_bag.tokens.iter().cloned());
-        assert_eq!(e.corpus_tokens, expect);
+        let mut expect = n.name("birth_dt").tokens;
+        expect.extend(n.prose("date of birth").tokens);
+        assert_eq!(resolved(&e.corpus_ids), expect);
     }
 
     #[test]
@@ -1069,21 +914,17 @@ mod tests {
         let s = schema(1);
         let p = PreparedSchema::build(&s, &Normalizer::new());
         let arena = p.arena();
-        let owned = |ts: &[Arc<str>]| ts.iter().map(|t| t.to_string()).collect::<Vec<String>>();
         for e in p.elements() {
-            assert_eq!(arena.resolve_all(&e.name_ids), owned(&e.name_bag.tokens));
-            assert_eq!(arena.resolve_all(&e.corpus_ids), owned(&e.corpus_tokens));
-            assert_eq!(&*arena.resolve(e.raw_name_id), e.raw_name);
-            assert_eq!(&e.raw_chars[..], e.raw_name.chars().collect::<Vec<char>>());
+            assert_eq!(arena.resolve_shared(&e.name_ids), e.name_bag.tokens);
+            let raw: String = e.raw_chars.iter().collect();
+            assert_eq!(*arena.resolve(e.raw_name_id), raw);
             assert_eq!(
                 &*arena.resolve(e.acronym_id),
                 sm_text::tokenize::acronym_of(&e.name_bag.tokens)
             );
-            // Sets are sorted, deduped views of the corresponding bags.
-            let mut expect = e.name_ids.clone();
-            expect.sort_unstable();
-            expect.dedup();
-            assert_eq!(e.name_set, expect);
+            assert_eq!(e.raw_name_spans_two_bytes(), raw.len() >= 2);
+            // Sets are sorted, deduped views of the corresponding lists.
+            assert_eq!(e.name_set, to_sorted_set(e.name_ids.clone()));
             // Cascade signatures/profiles mirror the fields they summarize.
             assert_eq!(e.name_sig, id_signature(&e.name_set));
             assert_eq!(e.children_sig, id_signature(&e.children_set));
@@ -1099,6 +940,9 @@ mod tests {
             let mut sorted = resolved.clone();
             sorted.sort();
             assert_eq!(resolved, sorted);
+        }
+        for i in 0..p.len() {
+            assert_eq!(p.block_features_of(i), p.element(i).block_features);
         }
         // Signature ids resolve to the signature set, lexicographically.
         let resolved: HashSet<String> = arena.resolve_all(p.signature_ids()).into_iter().collect();
@@ -1221,56 +1065,6 @@ mod tests {
         // Accounting stays consistent: draining to zero keeps one entry.
         cache.evict_to_bytes(0);
         assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn from_parts_reconstructs_field_for_field() {
-        let mut s = schema(7);
-        // Exercise camelCase (lost in `raw_name`, preserved in stored
-        // bags), acronym-length raw names, and multi-child parents.
-        let root = s.find_by_name("Person").unwrap();
-        s.add_child(
-            root,
-            "customerAccountId",
-            ElementKind::Column,
-            DataType::Integer,
-        )
-        .unwrap();
-        s.add_child(root, "dob", ElementKind::Column, DataType::Date)
-            .unwrap();
-        let p = PreparedSchema::build(&s, &Normalizer::new());
-        let back = PreparedSchema::from_parts(&p.parts(), Arc::clone(p.arena()));
-        assert_eq!(back.schema_id, p.schema_id);
-        assert_eq!(back.fingerprint, p.fingerprint);
-        assert_eq!(back.signature(), p.signature());
-        assert_eq!(back.signature_ids(), p.signature_ids());
-        assert_eq!(back.len(), p.len());
-        for (b, o) in back.elements().iter().zip(p.elements()) {
-            assert_eq!(b.name_bag, o.name_bag);
-            assert_eq!(b.raw_name, o.raw_name);
-            assert_eq!(b.doc_bag, o.doc_bag);
-            assert_eq!(b.parent_bag, o.parent_bag);
-            assert_eq!(b.children_bag, o.children_bag);
-            assert_eq!(b.corpus_tokens, o.corpus_tokens);
-            assert_eq!(b.name_ids, o.name_ids);
-            assert_eq!(b.name_set, o.name_set);
-            assert_eq!(b.parent_set, o.parent_set);
-            assert_eq!(b.children_set, o.children_set);
-            assert_eq!(b.corpus_ids, o.corpus_ids);
-            assert_eq!(b.raw_name_id, o.raw_name_id);
-            assert_eq!(b.raw_chars, o.raw_chars);
-            assert_eq!(b.acronym_id, o.acronym_id);
-            assert_eq!(b.raw_soundex, o.raw_soundex);
-            assert_eq!(b.block_features, o.block_features);
-            assert_eq!(b.name_sig, o.name_sig);
-            assert_eq!(b.children_sig, o.children_sig);
-            assert_eq!(b.corpus_sig, o.corpus_sig);
-            assert_eq!(b.raw_profile, o.raw_profile);
-            assert_eq!(b.name_token_stats, o.name_token_stats);
-        }
-        for i in 0..p.len() {
-            assert_eq!(back.block_features_of(i), p.block_features_of(i));
-        }
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub(crate) const PATH_EVIDENCE: EvidenceLaw = EvidenceLaw {
     per: 2.0,
     damping: 2.0,
 };
-/// Structure: the smaller children-token bag.
+/// Structure: the smaller children-token count, with multiplicity.
 pub(crate) const STRUCTURE_EVIDENCE: EvidenceLaw = EvidenceLaw {
     combine: Combine::Min,
     per: 1.0,
@@ -259,8 +259,8 @@ pub(crate) fn path_vote(fa: &ElementFeatures, fb: &ElementFeatures) -> Confidenc
         return Confidence::NEUTRAL;
     }
     let jaccard = sorted_ids_jaccard(&fa.parent_set, &fb.parent_set);
-    // Evidence counts tokens with multiplicity, as the bags do.
-    PATH_EVIDENCE.vote(jaccard, fa.parent_bag.len(), fb.parent_bag.len())
+    // Evidence counts tokens with multiplicity.
+    PATH_EVIDENCE.vote(jaccard, fa.parent_len as usize, fb.parent_len as usize)
 }
 
 /// [`StructureVoter`]'s body.
@@ -269,7 +269,7 @@ pub(crate) fn structure_vote(fa: &ElementFeatures, fb: &ElementFeatures) -> Conf
         return Confidence::NEUTRAL;
     }
     let jaccard = sorted_ids_jaccard(&fa.children_set, &fb.children_set);
-    STRUCTURE_EVIDENCE.vote(jaccard, fa.children_bag.len(), fb.children_bag.len())
+    STRUCTURE_EVIDENCE.vote(jaccard, fa.children_len as usize, fb.children_len as usize)
 }
 
 /// [`RoleVoter`]'s body.
@@ -283,7 +283,7 @@ pub(crate) fn role_vote(ka: ElementKind, kb: ElementKind) -> Confidence {
 
 /// [`AcronymVoter`]'s body.
 pub(crate) fn acronym_vote(fa: &ElementFeatures, fb: &ElementFeatures) -> Confidence {
-    if fa.raw_name.len() < 2 || fb.raw_name.len() < 2 {
+    if !fa.raw_name_spans_two_bytes() || !fb.raw_name_spans_two_bytes() {
         return Confidence::NEUTRAL;
     }
     // Acronyms were computed and interned at prepare time; the per-pair

@@ -3,24 +3,27 @@
 //! Cold-starting a registry of 10⁴ schemata re-runs the full linguistic
 //! pipeline (tokenization, abbreviation expansion, stemming, Soundex,
 //! blocking features) on every element — by far the dominant cost of the
-//! first query. This module serializes each schema's
-//! [`PreparedSchemaParts`] — exactly the normalizer *output* — to a compact
-//! binary image, so a restarted process re-interns strings and recomputes
-//! the cheap derived fields instead of re-normalizing.
+//! first query. This module serializes each schema's prepared elements —
+//! exactly the normalizer *output*, as token lists and counts — to a
+//! compact binary image, so a restarted process re-interns strings and
+//! recomputes the cheap derived fields instead of re-normalizing.
 //!
-//! ## Format (version 1, little-endian)
+//! ## Format (version 2, little-endian)
 //!
 //! ```text
 //! magic              8 B   b"SMREPIDX"
-//! version            u32   1
+//! version            u32   2
 //! shard_count        u32   ShardConfig::shards at save time
 //! string table       u32 count, then per string: u32 len + UTF-8 bytes
 //!                    + 1 role byte (bit 0: appears as a raw element name,
 //!                    bit 1: appears as a normalized name token)
 //! element table      u32 count, then per distinct element record:
-//!                    raw-name table id, acronym table id, then 5 id lists
-//!                    (name / doc / parent / children / block features),
-//!                    each u32 count + u32 table ids
+//!                    raw-name table id, acronym table id,
+//!                    name list, doc list,
+//!                    parent token count + parent set,
+//!                    children token count + children set,
+//!                    block-feature list;
+//!                    each list/set is u32 count + u32 table ids
 //! schema count       u32
 //! per schema:        schema id u32, fingerprint u64,
 //!                    signature (u32 count + u32 table ids, in canonical
@@ -29,26 +32,34 @@
 //! checksum           u64   FNV-1a (64-bit folded) over every preceding byte
 //! ```
 //!
-//! Every token string is stored **once** in the string table, and every
-//! distinct element record **once** in the element table — registries are
-//! massively repetitive at both granularities (the same column under the
-//! same concept recurs across thousands of schema variants), and a
-//! [`PreparedElement`] carries no schema-specific state, so
-//! identical records reconstruct to one shared `Arc<PreparedElement>`. At
-//! load the string table is interned into the process-wide [`TokenArena`]
-//! in one pass — the table position → arena id remap — every string-derived
-//! feature (char profile, token stats, Soundex key, decoded chars) is
-//! memoized per distinct table string, and each distinct element record is
-//! built exactly once; per-schema reconstruction is then `Arc` clones plus
-//! integer-level schema-level views. Interned arena ids are deliberately
-//! *not* stored: they are process-local (intern order differs run to run),
-//! and everything score-relevant is ordered by resolved string, which the
-//! table preserves exactly.
+//! Name and doc lists keep normalization order and block features keep
+//! resolved-string order. Parent and children sets are stored in the
+//! saving process's id order, which means nothing after a restart, so the
+//! loader re-sorts them; the token counts beside them keep the voters'
+//! evidence with multiplicity.
 //!
-//! Corruption (bad magic, unknown version, truncation, checksum mismatch,
-//! invalid UTF-8, out-of-range table ids) surfaces as
-//! [`std::io::ErrorKind::InvalidData`] — a damaged image falls back to a
-//! cold start, never a wrong index.
+//! The writer walks interned ids only: its string table is keyed by
+//! [`TokenId`] and resolves each distinct id once, when the table is
+//! written. Every token string is stored **once** in the string table, and
+//! every distinct element record **once** in the element table —
+//! registries are massively repetitive at both granularities (the same
+//! column under the same concept recurs across thousands of schema
+//! variants), and a [`PreparedElement`] carries no schema-specific state,
+//! so identical records reconstruct to one shared `Arc<PreparedElement>`.
+//! At load the string table is interned into the process-wide
+//! [`TokenArena`] in one pass — the table position → arena id remap —
+//! every string-derived feature (char profile, token stats, Soundex key,
+//! decoded chars) is memoized per distinct table string, and each distinct
+//! element record is built exactly once; per-schema reconstruction is then
+//! `Arc` clones plus integer-level schema-level views. Interned arena ids
+//! are deliberately *not* stored: they are process-local (intern order
+//! differs run to run), and everything score-relevant is ordered by
+//! resolved string or re-sorted at load.
+//!
+//! Corruption (bad magic, unknown version — a version-1 image included —
+//! truncation, checksum mismatch, invalid UTF-8, out-of-range table ids)
+//! surfaces as [`std::io::ErrorKind::InvalidData`] — a damaged image falls
+//! back to a cold start, never a wrong index.
 
 use crate::shard::ShardConfig;
 use harmony_core::prepare::{PreparedElement, PreparedSchema};
@@ -63,7 +74,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"SMREPIDX";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// A loaded warm-start image.
 #[derive(Debug)]
@@ -110,45 +121,63 @@ const ROLE_RAW: u8 = 1;
 /// loader must memoize its [`TokenStat`].
 const ROLE_NAME: u8 = 2;
 
-/// Deduplicating string table builder: first appearance assigns the id.
-/// Each entry accumulates the roles it is referenced under, so the loader
-/// derives per-string features only where some element will consume them
-/// (block-feature and documentation vocabulary — most of the table —
-/// needs none).
+/// Deduplicating string table builder keyed by interned id: first
+/// appearance assigns the table position. Each entry accumulates the roles
+/// it is referenced under, so the loader derives per-string features only
+/// where some element will consume them (block-feature and documentation
+/// vocabulary — most of the table — needs none).
 #[derive(Default)]
 struct TableBuilder {
-    strings: Vec<String>,
+    tokens: Vec<TokenId>,
     roles: Vec<u8>,
-    ids: HashMap<String, u32>,
+    ids: HashMap<TokenId, u32>,
 }
 
 impl TableBuilder {
-    fn id(&mut self, s: &str, role: u8) -> u32 {
-        if let Some(&id) = self.ids.get(s) {
-            self.roles[id as usize] |= role;
-            return id;
+    fn id(&mut self, token: TokenId, role: u8) -> u32 {
+        let next = self.tokens.len() as u32;
+        let id = *self.ids.entry(token).or_insert(next);
+        if id == next {
+            self.tokens.push(token);
+            self.roles.push(0);
         }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.roles.push(role);
-        self.ids.insert(s.to_string(), id);
+        self.roles[id as usize] |= role;
         id
+    }
+
+    /// Append `tokens` to `out` as a u32 count plus table ids.
+    fn put_list(&mut self, out: &mut Vec<u8>, tokens: &[TokenId], role: u8) {
+        put_u32(out, tokens.len() as u32);
+        for &t in tokens {
+            put_u32(out, self.id(t, role));
+        }
     }
 }
 
 /// Serialize `prepared` (plus the index shard count) to `path`. The image
 /// is written atomically-enough for a cache: to a temp sibling first, then
 /// renamed over `path`, so readers never observe a half-written file.
+///
+/// Every preparation must intern through one [`TokenArena`] (a registry's
+/// always do); mixed arenas are rejected as
+/// [`std::io::ErrorKind::InvalidInput`].
 pub fn save_registry(
     path: &Path,
     prepared: &[Arc<PreparedSchema>],
     config: ShardConfig,
 ) -> io::Result<()> {
-    // Stream schema records straight off the prepared elements, borrowing
-    // every token string in place. The historical `parts()`-based walk
-    // materialized millions of transient `String`s at registry scale; the
-    // ensuing free-list churn degraded every later allocation in the
-    // process (measured 25x+ on warm-start loads that ran after a save).
+    let arena = prepared.first().map_or(TokenArena::global(), |p| p.arena());
+    if let Some(p) = prepared.iter().find(|p| !Arc::ptr_eq(p.arena(), arena)) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "schema {:?} interns through a different token arena",
+                p.schema_id
+            ),
+        ));
+    }
+    // Stream schema records straight off the prepared elements' ids; token
+    // strings are resolved once per distinct id, when the table is written.
     //
     // Elements are deduplicated by serialized body: registries repeat the
     // same columns across thousands of schema variants, so the element
@@ -167,42 +196,28 @@ pub fn save_registry(
     for p in prepared {
         put_u32(&mut records, p.schema_id.0);
         put_u64(&mut records, p.fingerprint);
-        let arena = p.arena();
         // The schema signature, in its canonical order (distinct name
         // tokens sorted lexicographically by string). Lexical *string*
         // order is process-independent even though arena ids are not, so
         // the loader can reuse this order verbatim and skip a per-schema
         // dedup + string-compare sort — at 10⁴ schemata those dominated
         // warm-start schema assembly.
-        let signature = arena.resolve_shared(p.signature_ids());
-        put_u32(&mut records, signature.len() as u32);
-        for s in &signature {
-            put_u32(&mut records, table.id(s, 0));
-        }
+        table.put_list(&mut records, p.signature_ids(), 0);
         put_u32(&mut records, p.elements().len() as u32);
         for e in p.elements().iter() {
             scratch.clear();
-            put_u32(&mut scratch, table.id(&e.raw_name, ROLE_RAW));
-            put_u32(&mut scratch, table.id(&arena.resolve(e.acronym_id), 0));
-            for (list, role) in [
-                (&e.name_bag.tokens, ROLE_NAME),
-                (&e.doc_bag.tokens, 0),
-                (&e.parent_bag.tokens, 0),
-                (&e.children_bag.tokens, 0),
-            ] {
-                put_u32(&mut scratch, list.len() as u32);
-                for t in list {
-                    put_u32(&mut scratch, table.id(t, role));
-                }
-            }
-            let blocks = arena.resolve_shared(&e.block_features);
-            put_u32(&mut scratch, blocks.len() as u32);
-            for b in &blocks {
-                put_u32(&mut scratch, table.id(b, 0));
-            }
-            // String-table ids are assigned deterministically during this
-            // walk, so identical element content serializes to identical
-            // bytes — the body is its own dedup key.
+            put_u32(&mut scratch, table.id(e.raw_name_id, ROLE_RAW));
+            put_u32(&mut scratch, table.id(e.acronym_id, 0));
+            table.put_list(&mut scratch, &e.name_ids, ROLE_NAME);
+            table.put_list(&mut scratch, e.doc_ids(), 0);
+            put_u32(&mut scratch, e.parent_len);
+            table.put_list(&mut scratch, &e.parent_set, 0);
+            put_u32(&mut scratch, e.children_len);
+            table.put_list(&mut scratch, &e.children_set, 0);
+            table.put_list(&mut scratch, &e.block_features, 0);
+            // Table ids are assigned deterministically during this walk,
+            // so identical element content serializes to identical bytes —
+            // the body is its own dedup key.
             let eid = *element_ids.entry(scratch.clone()).or_insert_with(|| {
                 element_bodies.extend_from_slice(&scratch);
                 n_distinct_elements += 1;
@@ -212,13 +227,14 @@ pub fn save_registry(
         }
     }
 
+    let strings = arena.resolve_shared(&table.tokens);
     let mut out =
-        Vec::with_capacity(records.len() + element_bodies.len() + 16 * table.strings.len() + 64);
+        Vec::with_capacity(records.len() + element_bodies.len() + 16 * strings.len() + 64);
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
     put_u32(&mut out, config.shards as u32);
-    put_u32(&mut out, table.strings.len() as u32);
-    for (s, &role) in table.strings.iter().zip(&table.roles) {
+    put_u32(&mut out, strings.len() as u32);
+    for (s, &role) in strings.iter().zip(&table.roles) {
         put_u32(&mut out, s.len() as u32);
         out.extend_from_slice(s.as_bytes());
         out.push(role);
@@ -277,6 +293,33 @@ impl<'a> Reader<'a> {
         }
         Ok(n)
     }
+
+    /// A string-table id, range-checked.
+    fn table_id(&mut self, table_len: usize) -> io::Result<u32> {
+        let t = self.u32()?;
+        if t as usize >= table_len {
+            return Err(corrupt("token id out of range"));
+        }
+        Ok(t)
+    }
+
+    /// A u32 count plus that many range-checked string-table ids.
+    fn table_list(&mut self, table_len: usize) -> io::Result<Vec<u32>> {
+        let n = self.count()?;
+        (0..n).map(|_| self.table_id(table_len)).collect()
+    }
+
+    /// The next `u32` of a record [`walk_element_record`] already
+    /// validated.
+    fn walked(&mut self) -> usize {
+        self.u32().expect("record walked") as usize
+    }
+
+    /// The next id list of a walked record, remapped to arena ids.
+    fn walked_ids(&mut self, remap: &[TokenId]) -> Vec<TokenId> {
+        let n = self.walked();
+        (0..n).map(|_| remap[self.walked()]).collect()
+    }
 }
 
 /// Skip one element record, validating structure (counts, bounds, table id
@@ -285,20 +328,19 @@ impl<'a> Reader<'a> {
 /// body.
 fn walk_element_record(r: &mut Reader<'_>, table_len: usize) -> io::Result<(usize, usize)> {
     let start = r.pos;
-    for _ in 0..2 {
-        // raw name id, acronym id
-        if r.u32()? as usize >= table_len {
-            return Err(corrupt("token id out of range"));
-        }
-    }
-    for _ in 0..5 {
+    let skip_list = |r: &mut Reader<'_>| -> io::Result<()> {
         let n = r.count()?;
-        for _ in 0..n {
-            if r.u32()? as usize >= table_len {
-                return Err(corrupt("token id out of range"));
-            }
-        }
-    }
+        (0..n).try_for_each(|_| r.table_id(table_len).map(drop))
+    };
+    r.table_id(table_len)?; // raw name
+    r.table_id(table_len)?; // acronym
+    skip_list(r)?; // name
+    skip_list(r)?; // doc
+    r.u32()?; // parent token count
+    skip_list(r)?; // parent set
+    r.u32()?; // children token count
+    skip_list(r)?; // children set
+    skip_list(r)?; // block features
     Ok((start, r.pos))
 }
 
@@ -310,7 +352,7 @@ fn walk_element_record(r: &mut Reader<'_>, table_len: usize) -> io::Result<(usiz
 /// table removes from the warm path.
 struct TableMemos {
     remap: Vec<TokenId>,
-    /// The arena's own shared allocation of each table string — token lists
+    /// The arena's own shared allocation of each table string — name bags
     /// are assembled by `Arc` clone, never by copying string bytes.
     arcs: Vec<Arc<str>>,
     stats: Vec<TokenStat>,
@@ -386,101 +428,64 @@ impl TableMemos {
 }
 
 /// Parse one walked (already-validated) element record straight into a
-/// [`PreparedElement`]: token lists by `Arc` clone off the memos, ids via
-/// the remap, string-derived features by memo lookup. No hashing, no
-/// string-byte copies, no per-character analysis, and no intermediate
-/// "parts" representation — at registry scale the transient allocations of
-/// a two-step parse-then-assemble were themselves a dominant load cost.
-/// Runs once per **distinct** element record; every schema holding the
-/// record shares the resulting `Arc`.
-fn parse_element_record(bytes: &[u8], table: &[&str], memos: &TableMemos) -> Arc<PreparedElement> {
+/// [`PreparedElement`]: ids via the remap, name tokens by `Arc` clone off
+/// the memos, string-derived features by memo lookup. No hashing, no
+/// string-byte copies, and no per-character analysis. Runs once per
+/// **distinct** element record; every schema holding the record shares the
+/// resulting `Arc`.
+fn parse_element_record(bytes: &[u8], memos: &TableMemos) -> Arc<PreparedElement> {
     let remap = &memos.remap;
     let mut r = Reader { buf: bytes, pos: 0 };
-    let take_u32 = |r: &mut Reader<'_>| r.u32().expect("record walked");
-    let raw_id = take_u32(&mut r) as usize;
-    let acro_id = take_u32(&mut r) as usize;
+    let raw = r.walked();
+    let acronym = r.walked();
 
-    let n_names = take_u32(&mut r) as usize;
+    let n_names = r.walked();
     let mut name_tokens = Vec::with_capacity(n_names);
     let mut name_ids = Vec::with_capacity(n_names);
     let mut name_token_stats = Vec::with_capacity(n_names);
     for _ in 0..n_names {
-        let tid = take_u32(&mut r) as usize;
-        name_tokens.push(Arc::clone(&memos.arcs[tid]));
-        name_ids.push(remap[tid]);
-        name_token_stats.push(memos.stats[tid]);
+        let t = r.walked();
+        name_tokens.push(Arc::clone(&memos.arcs[t]));
+        name_ids.push(remap[t]);
+        name_token_stats.push(memos.stats[t]);
     }
-
-    // The corpus document is name tokens then doc tokens; fill it at exact
-    // capacity while streaming the doc list instead of clone-then-extend
-    // (which reallocates mid-growth).
-    let n_docs = take_u32(&mut r) as usize;
-    let mut doc_tokens = Vec::with_capacity(n_docs);
-    let mut corpus_tokens = Vec::with_capacity(n_names + n_docs);
-    corpus_tokens.extend(name_tokens.iter().cloned());
+    // The corpus document is name tokens then doc tokens, filled at exact
+    // capacity.
+    let n_docs = r.walked();
     let mut corpus_ids = Vec::with_capacity(n_names + n_docs);
     corpus_ids.extend_from_slice(&name_ids);
     for _ in 0..n_docs {
-        let tid = take_u32(&mut r) as usize;
-        doc_tokens.push(Arc::clone(&memos.arcs[tid]));
-        corpus_tokens.push(Arc::clone(&memos.arcs[tid]));
-        corpus_ids.push(remap[tid]);
+        corpus_ids.push(remap[r.walked()]);
     }
-
-    let n_parents = take_u32(&mut r) as usize;
-    let mut parent_tokens = Vec::with_capacity(n_parents);
-    let mut parent_ids = Vec::with_capacity(n_parents);
-    for _ in 0..n_parents {
-        let tid = take_u32(&mut r) as usize;
-        parent_tokens.push(Arc::clone(&memos.arcs[tid]));
-        parent_ids.push(remap[tid]);
-    }
-    let n_children = take_u32(&mut r) as usize;
-    let mut children_tokens = Vec::with_capacity(n_children);
-    let mut children_ids = Vec::with_capacity(n_children);
-    for _ in 0..n_children {
-        let tid = take_u32(&mut r) as usize;
-        children_tokens.push(Arc::clone(&memos.arcs[tid]));
-        children_ids.push(remap[tid]);
-    }
-    // PreparedElement keeps block features as ids only — no string clones.
-    let n_blocks = take_u32(&mut r) as usize;
-    let mut block_features = Vec::with_capacity(n_blocks);
-    for _ in 0..n_blocks {
-        block_features.push(remap[take_u32(&mut r) as usize]);
-    }
+    // Sets were written in the saving process's id order; re-sort.
+    let parent_len = r.walked() as u32;
+    let parent_set = to_sorted_set(r.walked_ids(remap));
+    let children_len = r.walked() as u32;
+    let children_set = to_sorted_set(r.walked_ids(remap));
+    let block_features = r.walked_ids(remap);
 
     let name_set = to_sorted_set(name_ids.clone());
-    let parent_set = to_sorted_set(parent_ids);
-    let children_set = to_sorted_set(children_ids);
     Arc::new(PreparedElement {
         name_sig: id_signature(&name_set),
         children_sig: id_signature(&children_set),
         corpus_sig: id_signature(&corpus_ids),
-        raw_profile: memos.profiles[raw_id].clone(),
+        raw_profile: memos.profiles[raw].clone(),
         name_token_stats,
         name_set,
         name_ids,
-        raw_name_id: remap[raw_id],
-        raw_chars: Arc::clone(&memos.chars[raw_id]),
-        acronym_id: remap[acro_id],
-        raw_soundex: memos.soundex[raw_id],
+        raw_name_id: remap[raw],
+        raw_chars: Arc::clone(&memos.chars[raw]),
+        acronym_id: remap[acronym],
+        raw_soundex: memos.soundex[raw],
         parent_set,
+        parent_len,
         children_set,
+        children_len,
         corpus_ids,
         block_features,
         name_bag: TokenBag {
             tokens: name_tokens,
         },
-        raw_name: table[raw_id].to_string(),
-        doc_bag: TokenBag { tokens: doc_tokens },
-        parent_bag: TokenBag {
-            tokens: parent_tokens,
-        },
-        children_bag: TokenBag {
-            tokens: children_tokens,
-        },
-        corpus_tokens,
     })
 }
 
@@ -541,15 +546,7 @@ pub fn load_registry(path: &Path) -> io::Result<LoadedRegistry> {
     for _ in 0..n_schemas {
         let id = SchemaId(r.u32()?);
         let fingerprint = r.u64()?;
-        let n_sig = r.count()?;
-        let mut sig = Vec::with_capacity(n_sig);
-        for _ in 0..n_sig {
-            let t = r.u32()?;
-            if t as usize >= table.len() {
-                return Err(corrupt("token id out of range"));
-            }
-            sig.push(t);
-        }
+        let sig = r.table_list(table.len())?;
         let n = r.count()?;
         let mut refs = Vec::with_capacity(n);
         for _ in 0..n {
@@ -578,7 +575,7 @@ pub fn load_registry(path: &Path) -> io::Result<LoadedRegistry> {
     let exec = harmony_core::exec::Executor::global();
     let elements: Vec<Arc<PreparedElement>> =
         exec.run_map(exec.threads(), &extents, |_idx, &(start, end)| {
-            parse_element_record(&body[start..end], &table, &memos)
+            parse_element_record(&body[start..end], &memos)
         });
 
     let prepared = exec.run_map(exec.threads(), &schema_recs, |_idx, rec| {
@@ -623,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_reconstructs_parts_exactly() {
+    fn round_trip_reconstructs_elements_exactly() {
         let arena = TokenArena::global();
         let prepared: Vec<Arc<PreparedSchema>> = (0..5)
             .map(|i| {
@@ -642,13 +639,34 @@ mod tests {
         assert_eq!(loaded.prepared.len(), prepared.len());
         for (l, p) in loaded.prepared.iter().zip(&prepared) {
             // Same process, same arena: reconstruction is exact down to ids.
-            assert_eq!(l.parts(), p.parts());
+            assert_eq!((l.schema_id, l.fingerprint), (p.schema_id, p.fingerprint));
             assert_eq!(l.signature_ids(), p.signature_ids());
-            for (le, pe) in l.elements().iter().zip(p.elements()) {
-                assert_eq!(le.block_features, pe.block_features);
-                assert_eq!(le.corpus_ids, pe.corpus_ids);
+            assert_eq!(l.elements(), p.elements());
+            for i in 0..p.len() {
+                assert_eq!(l.block_features_of(i), p.block_features_of(i));
             }
         }
+    }
+
+    #[test]
+    fn preparations_from_a_foreign_arena_are_rejected() {
+        let global = Arc::clone(TokenArena::global());
+        let own = Arc::new(TokenArena::new());
+        let prepared: Vec<Arc<PreparedSchema>> = [global, own]
+            .into_iter()
+            .enumerate()
+            .map(|(i, arena)| {
+                Arc::new(PreparedSchema::build_with_arena(
+                    &schema(i as u32),
+                    default_normalizer(),
+                    arena,
+                ))
+            })
+            .collect();
+        let path = tmp("foreign_arena");
+        let err = save_registry(&path, &prepared, ShardConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!path.exists());
     }
 
     #[test]

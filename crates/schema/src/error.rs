@@ -7,7 +7,8 @@ use std::fmt;
 pub enum SchemaError {
     /// An element id did not refer to an element of this schema.
     UnknownElement(usize),
-    /// An element name was empty or otherwise invalid.
+    /// An element name was empty, longer than [`crate::MAX_NAME_BYTES`], or
+    /// otherwise invalid.
     InvalidName(String),
     /// A parent/child edge would create a cycle or cross schemata.
     InvalidStructure(String),
@@ -37,6 +38,15 @@ impl fmt::Display for SchemaError {
 }
 
 impl std::error::Error for SchemaError {}
+
+/// The builders' element-name check: a name must not be blank, nor longer
+/// than [`crate::MAX_NAME_BYTES`].
+pub(crate) fn check_name(name: &str) -> Result<(), SchemaError> {
+    if name.trim().is_empty() || name.len() > crate::MAX_NAME_BYTES {
+        return Err(SchemaError::InvalidName(name.to_string()));
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {

@@ -51,6 +51,13 @@ pub use schema::{Schema, SchemaFormat, SchemaId};
 pub use stats::SchemaStats;
 pub use xml::{XmlNodeSpec, XmlSchemaBuilder};
 
+/// Longest element name, in bytes, the relational and XML builders (and so
+/// `parse_ddl` and `parse_xsd`) accept: 8× the 128-byte identifier limit
+/// of Oracle and SQL Server. The raw-name edit-distance voters are
+/// quadratic in name length, so an unbounded name from untrusted input
+/// would stall a match.
+pub const MAX_NAME_BYTES: usize = 1024;
+
 /// `sample` cut to its first `cut` bytes with each `(offset, byte)` flip
 /// applied inside the cut, read back as text (invalid UTF-8 becomes
 /// U+FFFD) — the input mutation behind the parsers' robustness proptests.

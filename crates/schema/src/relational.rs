@@ -7,7 +7,7 @@
 use crate::datatype::DataType;
 use crate::doc::Documentation;
 use crate::element::ElementKind;
-use crate::error::SchemaError;
+use crate::error::{check_name, SchemaError};
 use crate::schema::{Schema, SchemaFormat, SchemaId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -159,9 +159,7 @@ impl RelationalSchemaBuilder {
         let mut schema = Schema::new(self.id, self.name, SchemaFormat::Relational);
         let mut table_names: HashSet<String> = HashSet::with_capacity(self.tables.len());
         for t in &self.tables {
-            if t.name.trim().is_empty() {
-                return Err(SchemaError::InvalidName(t.name.clone()));
-            }
+            check_name(&t.name)?;
             if !table_names.insert(t.name.to_ascii_lowercase()) {
                 return Err(SchemaError::Duplicate(t.name.clone()));
             }
@@ -199,9 +197,7 @@ impl RelationalSchemaBuilder {
             }
             let mut col_names: HashSet<String> = HashSet::with_capacity(t.columns.len());
             for c in t.columns {
-                if c.name.trim().is_empty() {
-                    return Err(SchemaError::InvalidName(c.name));
-                }
+                check_name(&c.name)?;
                 if !col_names.insert(c.name.to_ascii_lowercase()) {
                     return Err(SchemaError::Duplicate(format!("{}.{}", t.name, c.name)));
                 }

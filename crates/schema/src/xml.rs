@@ -8,7 +8,7 @@
 use crate::datatype::DataType;
 use crate::doc::Documentation;
 use crate::element::{ElementId, ElementKind};
-use crate::error::SchemaError;
+use crate::error::{check_name, SchemaError};
 use crate::schema::{Schema, SchemaFormat, SchemaId};
 use serde::{Deserialize, Serialize};
 
@@ -185,9 +185,7 @@ impl XmlSchemaBuilder {
     }
 
     fn check_names(spec: &XmlNodeSpec) -> Result<(), SchemaError> {
-        if spec.name.trim().is_empty() {
-            return Err(SchemaError::InvalidName(spec.name.clone()));
-        }
+        check_name(&spec.name)?;
         spec.children.iter().try_for_each(Self::check_names)
     }
 

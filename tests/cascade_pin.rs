@@ -14,8 +14,8 @@
 //!   token Jaccard for arbitrary id sets (property-tested).
 //! * On adversarial names — either side of the 64-char Jaro/Levenshtein
 //!   fast path, combining marks and other non-ASCII text, single-char
-//!   tokens, empty docs — tier 1 never prunes a pair the full panel scores
-//!   at or above the floor (property-tested).
+//!   tokens, one-char multibyte names, empty docs — tier 1 never prunes a
+//!   pair the full panel scores at or above the floor (property-tested).
 
 use harmony_core::index::BlockingPolicy;
 use harmony_core::prelude::*;
@@ -245,6 +245,9 @@ const STEMS: [&str; 16] = [
     "r\u{e9}sume\u{301}_date",
 ];
 
+/// One-char names of two, two and three bytes.
+const SINGLE_CHARS: [&str; 3] = ["\u{e9}", "\u{df}", "\u{2116}"];
+
 /// Docs, including empty and absent ones.
 const DOCS: [Option<&str>; 5] = [
     None,
@@ -266,9 +269,14 @@ impl Draw {
         ((self.0 >> 33) % n as u64) as usize
     }
 
-    /// A name: a stem, or a long name cut to 63, 64 or 65 chars (either
-    /// side of the 64-char fast path), sometimes with one char changed.
+    /// A name: a stem, a single multibyte char (one char but at least two
+    /// bytes: the acronym gate counts bytes), or a long name cut to 63, 64
+    /// or 65 chars (either side of the 64-char fast path), sometimes with
+    /// one char changed.
     fn name(&mut self) -> String {
+        if self.below(6) == 0 {
+            return SINGLE_CHARS[self.below(SINGLE_CHARS.len())].to_string();
+        }
         let stem = STEMS[self.below(STEMS.len())];
         if self.below(3) > 0 {
             return stem.to_string();

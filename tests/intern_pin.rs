@@ -8,15 +8,15 @@
 //! propagation blend must produce bit-for-bit the scores the string path
 //! produced. This test re-implements the seed's string-path scoring —
 //! string-keyed TF-IDF corpus, `TokenBag` set Jaccards, per-pair acronym
-//! allocation, string Soundex — straight from the string-valued
-//! `PreparedElement` features, and demands exact `f64` equality against the
-//! production pipeline across synthetic seeds and scales.
+//! allocation, string Soundex — on string features it derives from the
+//! `Schema` itself with a `Normalizer`, independent of `PreparedElement`,
+//! and demands exact `f64` equality against the production pipeline across
+//! synthetic seeds and scales.
 
 use harmony_core::prelude::*;
-use harmony_core::prepare::PreparedSchema;
 use sm_schema::Schema;
 use sm_synth::{GeneratorConfig, SchemaPair};
-use sm_text::normalize::Normalizer;
+use sm_text::normalize::{Normalizer, TokenBag};
 use sm_text::similarity::{jaro_winkler, levenshtein_sim, monge_elkan};
 use sm_text::soundex::soundex_sim;
 use sm_text::tokenize::acronym_of;
@@ -101,44 +101,85 @@ fn ref_cosine(a: &RefVector, b: &RefVector) -> f64 {
 
 // ---------------------------------------------------------------------------
 // Reference string-path voter panel (the seed's per-pair arithmetic, run on
-// the string-valued PreparedElement features only).
+// string features derived straight from the schema).
 // ---------------------------------------------------------------------------
+
+/// The seed's string-valued features of one element.
+struct RefFeatures {
+    name_bag: TokenBag,
+    parent_bag: TokenBag,
+    children_bag: TokenBag,
+    raw_name: String,
+    corpus_tokens: Vec<std::sync::Arc<str>>,
+}
+
+/// Normalize every element of `schema` the way the seed's preparation did.
+fn ref_features(schema: &Schema, normalizer: &Normalizer) -> Vec<RefFeatures> {
+    let names: Vec<TokenBag> = schema
+        .elements()
+        .iter()
+        .map(|e| normalizer.name(&e.name))
+        .collect();
+    schema
+        .elements()
+        .iter()
+        .map(|e| {
+            let name_bag = names[e.id.index()].clone();
+            let doc_bag = normalizer.prose(e.doc_text());
+            let mut corpus_tokens = name_bag.tokens.clone();
+            corpus_tokens.extend(doc_bag.tokens);
+            RefFeatures {
+                parent_bag: e
+                    .parent
+                    .map(|p| names[p.index()].clone())
+                    .unwrap_or_default(),
+                children_bag: TokenBag {
+                    tokens: e
+                        .children
+                        .iter()
+                        .flat_map(|c| names[c.index()].tokens.iter().cloned())
+                        .collect(),
+                },
+                raw_name: e.name.to_lowercase(),
+                corpus_tokens,
+                name_bag,
+            }
+        })
+        .collect()
+}
 
 struct RefScorer<'a> {
     source: &'a Schema,
     target: &'a Schema,
-    prepared_source: &'a PreparedSchema,
-    prepared_target: &'a PreparedSchema,
+    features_source: Vec<RefFeatures>,
+    features_target: Vec<RefFeatures>,
     vectors: Vec<RefVector>,
 }
 
 impl<'a> RefScorer<'a> {
-    fn build(
-        source: &'a Schema,
-        target: &'a Schema,
-        prepared_source: &'a PreparedSchema,
-        prepared_target: &'a PreparedSchema,
-    ) -> Self {
+    fn build(source: &'a Schema, target: &'a Schema, normalizer: &Normalizer) -> Self {
+        let features_source = ref_features(source, normalizer);
+        let features_target = ref_features(target, normalizer);
         let mut corpus = RefCorpus::default();
-        for e in prepared_source.elements() {
+        for e in &features_source {
             corpus.add_document(&e.corpus_tokens);
         }
-        for e in prepared_target.elements() {
+        for e in &features_target {
             corpus.add_document(&e.corpus_tokens);
         }
         RefScorer {
             source,
             target,
-            prepared_source,
-            prepared_target,
+            features_source,
+            features_target,
             vectors: corpus.finalize(),
         }
     }
 
     /// The seed's nine-voter panel in panel order, all-string kernels.
     fn votes(&self, s: usize, t: usize) -> Vec<Confidence> {
-        let fa = self.prepared_source.element(s);
-        let fb = self.prepared_target.element(t);
+        let fa = &self.features_source[s];
+        let fb = &self.features_target[t];
         let ea = &self.source.elements()[s];
         let eb = &self.target.elements()[t];
         let va = &self.vectors[s];
@@ -243,15 +284,8 @@ impl<'a> RefScorer<'a> {
 
 /// Full string-path matrix: merge every pair, narrow to f32, then apply the
 /// documented propagation blend (α = 0.3, single base pass).
-fn reference_matrix(pair: &SchemaPair, engine: &MatchEngine, alpha: f64) -> Vec<f32> {
-    let prepared_source = engine.prepare(&pair.source);
-    let prepared_target = engine.prepare(&pair.target);
-    let scorer = RefScorer::build(
-        &pair.source,
-        &pair.target,
-        &prepared_source,
-        &prepared_target,
-    );
+fn reference_matrix(pair: &SchemaPair, alpha: f64) -> Vec<f32> {
+    let scorer = RefScorer::build(&pair.source, &pair.target, &Normalizer::new());
     let rows = pair.source.len();
     let cols = pair.target.len();
     let merger = MergeStrategy::default();
@@ -294,7 +328,7 @@ fn interned_scoring_is_byte_identical_to_string_path() {
         let alpha = 0.3;
         for threads in [1usize, 3] {
             let engine = engine().with_threads(threads).with_propagation(alpha);
-            let reference = reference_matrix(&pair, &engine, alpha);
+            let reference = reference_matrix(&pair, alpha);
             let produced = engine.run(&pair.source, &pair.target);
             assert_eq!(
                 produced.matrix.as_slice(),
@@ -322,7 +356,7 @@ fn blocked_candidates_carry_string_path_scores() {
     let pair = SchemaPair::generate(&GeneratorConfig::paper_case_study(5, 0.06));
     // α = 0 isolates Score/Merge from propagation densification.
     let engine = engine().with_threads(2).with_propagation(0.0);
-    let reference = reference_matrix(&pair, &engine, 0.0);
+    let reference = reference_matrix(&pair, 0.0);
     let cols = pair.target.len();
     let blocked = engine.run_blocked(&pair.source, &pair.target, &BlockingPolicy::default());
     assert!(

@@ -2,10 +2,18 @@
 //! gracefully, never panic, on degenerate schemata.
 
 use harmony_core::prelude::*;
+use harmony_core::prepare::PreparedSchema;
 use harmony_core::workflow::NoisyOracle;
 use sm_export::{MatchReport, ScreenModel, Workbook};
-use sm_schema::{DataType, ElementKind, Schema, SchemaFormat, SchemaId};
+use sm_schema::ddl::parse_ddl;
+use sm_schema::xsd::parse_xsd;
+use sm_schema::{
+    DataType, ElementKind, Schema, SchemaError, SchemaFormat, SchemaId, MAX_NAME_BYTES,
+};
+use sm_text::normalize::Normalizer;
+use sm_text::soundex::soundex;
 use std::collections::HashSet;
+use std::time::{Duration, Instant};
 
 fn empty(id: u32) -> Schema {
     Schema::new(SchemaId(id), format!("S{id}"), SchemaFormat::Generic)
@@ -194,4 +202,139 @@ fn noisy_oracle_with_certain_error_inverts_truth() {
         sm_schema::ElementId(1),
         Confidence::NEUTRAL
     ));
+}
+
+fn one_table_ddl(table: &str, column: &str) -> String {
+    format!("CREATE TABLE {table} (\n    {column} INT\n);\n")
+}
+
+fn one_element_xsd(root: &str, child: &str) -> String {
+    format!(
+        r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="{root}">
+    <xs:complexType>
+      <xs:sequence>
+        <xs:element name="{child}" type="xs:string"/>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:element>
+</xs:schema>"#
+    )
+}
+
+fn is_invalid_name<T>(result: Result<T, SchemaError>) -> bool {
+    matches!(result, Err(SchemaError::InvalidName(_)))
+}
+
+/// A 1 MB element name from untrusted DDL or XSD text is a typed error,
+/// returned in time linear in the input, instead of a schema whose
+/// raw-name voters are quadratic in the name's length.
+#[test]
+fn megabyte_names_are_rejected_by_the_parsers() {
+    let started = Instant::now();
+    for huge in ["n".repeat(1 << 20), "\u{e9}".repeat(1 << 19)] {
+        assert!(is_invalid_name(parse_ddl(
+            SchemaId(1),
+            "big",
+            &one_table_ddl(&huge, "id")
+        )));
+        assert!(is_invalid_name(parse_ddl(
+            SchemaId(1),
+            "big",
+            &one_table_ddl("t", &huge)
+        )));
+        assert!(is_invalid_name(parse_xsd(
+            SchemaId(2),
+            "big",
+            &one_element_xsd(&huge, "id")
+        )));
+        assert!(is_invalid_name(parse_xsd(
+            SchemaId(2),
+            "big",
+            &one_element_xsd("t", &huge)
+        )));
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(20),
+        "rejecting huge names took {:?}",
+        started.elapsed()
+    );
+
+    // The limit counts bytes: 512 two-byte chars fit, 513 do not.
+    let at_limit = "\u{e9}".repeat(MAX_NAME_BYTES / 2);
+    let over = "\u{e9}".repeat(MAX_NAME_BYTES / 2 + 1);
+    assert!(parse_ddl(SchemaId(1), "edge", &one_table_ddl("t", &at_limit)).is_ok());
+    assert!(is_invalid_name(parse_ddl(
+        SchemaId(1),
+        "edge",
+        &one_table_ddl("t", &over)
+    )));
+    assert!(parse_xsd(SchemaId(2), "edge", &one_element_xsd("t", &at_limit)).is_ok());
+    assert!(is_invalid_name(parse_xsd(
+        SchemaId(2),
+        "edge",
+        &one_element_xsd("t", &over)
+    )));
+}
+
+/// Names under the limit — non-ASCII, combining-mark-only, emoji, dotted
+/// capital I (which lowercases to two chars), and one at the byte limit —
+/// pass through normalization, Soundex, preparation and a full match
+/// without panicking.
+#[test]
+fn hostile_names_under_the_limit_prepare_and_match() {
+    let names = [
+        "Gr\u{f6}\u{df}e".to_string(),
+        "\u{6570}\u{636e}_id".to_string(),
+        "\u{301}\u{308}".to_string(),
+        "\u{301}".to_string(),
+        "\u{1f600}_\u{1f680}".to_string(),
+        "\u{1f468}\u{200d}\u{1f469}\u{200d}\u{1f467}".to_string(),
+        "\u{130}STANBUL_code".to_string(),
+        "\u{130}".to_string(),
+        "\u{e9}".to_string(),
+        "\u{2116}".to_string(),
+        "x".repeat(MAX_NAME_BYTES),
+        "\u{e9}".repeat(MAX_NAME_BYTES / 2),
+    ];
+    let normalizer = Normalizer::new();
+    for name in &names {
+        let _ = normalizer.name(name);
+        let _ = normalizer.prose(name);
+        let _ = soundex(name);
+    }
+    let build = |id: u32, format: SchemaFormat, container: ElementKind, leaf: ElementKind| {
+        let mut s = Schema::new(SchemaId(id), format!("hostile_{id}"), format);
+        let root = s.add_root(names[6].as_str(), container, DataType::None);
+        for name in &names {
+            s.add_child(root, name.as_str(), leaf, DataType::text())
+                .unwrap();
+        }
+        s
+    };
+    let a = build(
+        1,
+        SchemaFormat::Relational,
+        ElementKind::Table,
+        ElementKind::Column,
+    );
+    let b = build(
+        2,
+        SchemaFormat::Xml,
+        ElementKind::ComplexType,
+        ElementKind::XmlElement,
+    );
+    let prepared = PreparedSchema::build(&a, &normalizer);
+    assert_eq!(prepared.len(), a.len());
+
+    let engine = MatchEngine::new().with_threads(1);
+    let dense = engine.run(&a, &b);
+    assert_eq!(dense.pairs_considered, a.len() * b.len());
+    let blocked = engine.run_blocked(&a, &b, &BlockingPolicy::default());
+    // Both sides hold the same names, so some pair is selected.
+    let selected = Selection::OneToOne {
+        min: Confidence::new(0.0),
+    }
+    .apply(&blocked.matrix);
+    assert!(!selected.is_empty());
 }
