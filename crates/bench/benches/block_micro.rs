@@ -1,11 +1,12 @@
-//! Block-stage kernel micro-benches: index build, per-row probe, and
-//! CSR-vs-map posting lookup, at half the paper's 1378×784 scale. These
-//! isolate the candidate-generation kernels so probe-level regressions are
-//! visible without running the full `blocking_baseline` bin.
+//! Block-stage kernel micro-benches: index build, per-row probe, posting
+//! lookup and full candidate generation, at half the paper's 1378×784
+//! scale. These isolate the candidate-generation kernels so probe-level
+//! regressions are visible without running the full `blocking_baseline`
+//! bin.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use harmony_core::index::{
-    generate_candidates, reference, BlockingPolicy, ElementTokenIndex, GovernedExec, ProbeScratch,
+    generate_candidates, BlockingPolicy, ElementTokenIndex, GovernedExec, ProbeScratch,
 };
 use harmony_core::prelude::*;
 use sm_bench::case_study;
@@ -18,9 +19,6 @@ fn bench_index_build(c: &mut Criterion) {
     group.throughput(Throughput::Elements(prepared.len() as u64));
     group.bench_function("csr", |b| {
         b.iter(|| ElementTokenIndex::build(&prepared));
-    });
-    group.bench_function("map_reference", |b| {
-        b.iter(|| reference::ReferenceTokenIndex::build(&prepared));
     });
     group.finish();
 }
@@ -57,7 +55,6 @@ fn bench_posting_lookup(c: &mut Criterion) {
     let ps = engine.prepare(&pair.source);
     let pt = engine.prepare(&pair.target);
     let csr = ElementTokenIndex::build(&pt);
-    let mapped = reference::ReferenceTokenIndex::build(&pt);
     // The probe's lookup stream: every source element's features, in probe
     // order.
     let feats: Vec<_> = (0..ps.len())
@@ -72,17 +69,6 @@ fn bench_posting_lookup(c: &mut Criterion) {
             for &f in &feats {
                 hits += csr.postings_by_id(f).len();
                 weight += csr.weight_by_id(f);
-            }
-            (hits, weight)
-        });
-    });
-    group.bench_function("map_reference", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            let mut weight = 0.0f64;
-            for &f in &feats {
-                hits += mapped.postings_by_id(f).len();
-                weight += mapped.weight_by_id(f);
             }
             (hits, weight)
         });
@@ -112,9 +98,6 @@ fn bench_generate(c: &mut Criterion) {
                 GovernedExec::default(),
             )
         });
-    });
-    group.bench_function("map_reference", |b| {
-        b.iter(|| reference::generate_candidates(&pair.source, &pair.target, &ps, &pt, &policy));
     });
     group.finish();
 }

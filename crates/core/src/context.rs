@@ -246,6 +246,10 @@ impl<'a> MatchContext<'a> {
     /// first call.
     pub(crate) fn digests(&self) -> &Digests {
         self.digests.get_or_init(|| {
+            let _span = crate::obs::span(
+                crate::obs::SpanKind::ScoreDigests,
+                (self.source.len() + self.target.len()) as u64,
+            );
             Digests::build(
                 self.source,
                 self.target,

@@ -29,10 +29,11 @@
 //! feature per probing element. The exact-name table is flattened the same
 //! way (sorted distinct name-token sequences + CSR postings). Weights are
 //! per-feature functions of `(n, df)` only, so precomputation changes no
-//! bit of any accumulated overlap: each probe row still adds the exact same
-//! `f64` values in the exact same feature order as the historical map-keyed
-//! implementation (retained, verbatim, in [`reference`] and pinned against
-//! this module in `tests/csr_index_pin.rs`).
+//! bit of any accumulated overlap: each probe row adds the same `f64`
+//! values in the same feature order as summing the law directly.
+//! `tests/csr_index_pin.rs` pins every candidate set, posting list and
+//! weight bit against a brute-force oracle that restates the policy below
+//! over all `(s, t)` pairs.
 //!
 //! # Parallelism
 //!
@@ -77,68 +78,28 @@ use std::sync::{Arc, Mutex};
 /// Smoothed IDF weight of a feature present in `df` of `n` documents — the
 /// same shape the repository search index uses, so "rare ⇒ discriminating"
 /// means the same thing at both element and schema granularity. Public so
-/// the batch planner's overlap estimator (and the enterprise repository
-/// index) weigh schema-level tokens with the identical formula; note
+/// the batch planner's overlap estimator and the enterprise repository
+/// index weigh schema-level tokens with the identical formula; note
 /// `idf_weight(n, df) >= 1.0` whenever `df <= n`, which is what lets a
 /// zero overlap bound mean "zero shared tokens" exactly.
 pub fn idf_weight(n: f64, df: f64) -> f64 {
     ((n + 1.0) / (df + 1.0)).ln() + 1.0
 }
 
-/// Flat CSR posting arrays assembled from *sorted* packed
-/// `(key << 32) | slot` pairs: distinct keys ascending, `offsets[k]..[k+1]`
-/// slicing `postings` (slots ascending per key), and
-/// `weights[k] = ln((n_docs+1)/(df+1)) + 1` — the one smoothed-IDF formula
-/// shared by the element-level blocking index and the repository index, so
-/// precomputed weight bits are identical wherever the layout is used.
-pub fn csr_from_sorted_pairs(pairs: &[u64], n_docs: f64) -> CsrPostings {
-    debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]), "pairs sorted");
-    let mut keys: Vec<u32> = Vec::new();
-    let mut offsets: Vec<u32> = vec![0];
-    let mut postings: Vec<u32> = Vec::with_capacity(pairs.len());
-    let mut weights: Vec<f64> = Vec::new();
-    let mut i = 0usize;
-    while i < pairs.len() {
-        let key = (pairs[i] >> 32) as u32;
-        let start = i;
-        while i < pairs.len() && (pairs[i] >> 32) as u32 == key {
-            postings.push((pairs[i] & 0xffff_ffff) as u32);
-            i += 1;
-        }
-        keys.push(key);
-        offsets.push(postings.len() as u32);
-        weights.push(idf_weight(n_docs, (i - start) as f64));
-    }
-    CsrPostings {
-        keys,
-        offsets,
-        postings,
-        weights,
-    }
-}
-
-/// Output of [`csr_from_sorted_pairs`]: one flat CSR posting store with its
-/// precomputed per-key IDF weights.
-#[derive(Debug)]
-pub struct CsrPostings {
-    /// Distinct keys, ascending.
-    pub keys: Vec<u32>,
-    /// `offsets[k]..offsets[k+1]` slices `postings` for `keys[k]`.
-    pub offsets: Vec<u32>,
-    /// Contiguous posting arena: ascending slots per key.
-    pub postings: Vec<u32>,
-    /// Precomputed smoothed IDF weight per key.
-    pub weights: Vec<f64>,
-}
-
 /// How aggressively to prune the candidate space. All policies operate on
-/// the IDF-weighted feature-overlap accumulated over the inverted index.
+/// the IDF-weighted feature overlap of a probing element `e` with an
+/// opposite element `o`: the sum, in `e`'s feature order, of
+/// [`idf_weight`]`(n, df)` over each of `e`'s blocking features that `o`
+/// also holds, where `n` is the size of `o`'s side and `df` the number of
+/// its elements holding the feature. Only opposites sharing at least one
+/// feature are considered.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BlockingPolicy {
     /// Keep, for every element, its `k` best-overlapping opposites (both
     /// directions, unioned), plus *every* pair whose overlap weight reaches
     /// `min_weight` — so dense neighborhoods are capped at `k` while pairs
-    /// with strong shared evidence are never dropped by the cap.
+    /// with strong shared evidence are never dropped by the cap. Opposites
+    /// rank by weight descending, ties by element index ascending.
     TopK {
         /// Candidates kept per element (per direction).
         k: usize,
@@ -184,28 +145,6 @@ pub struct CandidateSet {
 }
 
 impl CandidateSet {
-    /// Build from per-row candidate lists (each list must be sorted and
-    /// deduplicated). Used by the [`reference`] implementation and tests;
-    /// the production path stitches its per-chunk row arenas instead
-    /// ([`RowStore::into_candidates`]).
-    pub(crate) fn from_rows(rows_lists: Vec<Vec<u32>>, cols: usize) -> Self {
-        let rows = rows_lists.len();
-        let mut offsets = Vec::with_capacity(rows + 1);
-        let mut targets = Vec::with_capacity(rows_lists.iter().map(Vec::len).sum());
-        offsets.push(0);
-        for list in rows_lists {
-            debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-            targets.extend(list);
-            offsets.push(targets.len());
-        }
-        CandidateSet {
-            rows,
-            cols,
-            offsets,
-            targets,
-        }
-    }
-
     /// A set with no candidates at all.
     fn empty(rows: usize, cols: usize) -> Self {
         CandidateSet {
@@ -329,8 +268,8 @@ const CLOSE_CHUNK_ROWS: usize = 16;
 /// in chunk order. With `Some((exec, parallelism))` and more than one chunk,
 /// ranges are claimed as [`Executor::run_map`] items; otherwise the loop
 /// runs inline on the caller (no executor required — tests and the plain
-/// entry points take this path). Shared with the repository-level index
-/// (`sm_enterprise::index`), whose parallel build has the same
+/// entry points take this path). Shared with the sharded repository index
+/// (`sm_enterprise::shard`), whose parallel build has the same
 /// deterministic chunk-merge shape.
 pub fn run_chunked<T: Send>(
     par: Option<(&Executor, usize)>,
@@ -599,9 +538,16 @@ impl ElementTokenIndex {
         // Feature-major, element-ascending: exactly the CSR layout order.
         // Features are distinct per element, so there are no duplicates.
         pairs.sort_unstable();
-        let csr = csr_from_sorted_pairs(&pairs, n as f64);
-        let features: Vec<TokenId> = csr.keys.into_iter().map(TokenId).collect();
-        let (offsets, postings, weights) = (csr.offsets, csr.postings, csr.weights);
+        let mut features: Vec<TokenId> = Vec::new();
+        let mut offsets: Vec<u32> = vec![0];
+        let mut postings: Vec<u32> = Vec::with_capacity(pairs.len());
+        let mut weights: Vec<f64> = Vec::new();
+        for run in pairs.chunk_by(|a, b| a >> 32 == b >> 32) {
+            features.push(TokenId((run[0] >> 32) as u32));
+            postings.extend(run.iter().map(|&pair| pair as u32));
+            offsets.push(postings.len() as u32);
+            weights.push(idf_weight(n as f64, run.len() as f64));
+        }
 
         // Phase 2 (serial; cheap next to the postings sort): the flattened
         // exact-name table. Elements sort by (name sequence, element), so
@@ -849,12 +795,10 @@ impl ProbeScratch {
 }
 
 /// Probe one element's features against `index`, applying `policy` into
-/// `scratch.kept` (column order). The accumulation order (features in
-/// prepared order, postings ascending) is exactly the historical
-/// [`reference`] implementation's, and so is the kept set; the weight
-/// lookup reads the precomputed table instead of a recomputed `ln`, and the
-/// selection takes a cheaper route to the same set (threshold first, see
-/// below).
+/// `scratch.kept` (column order). Each candidate's weight sums the IDF
+/// weights of the shared features in the probing element's feature order,
+/// read from the precomputed table. The selection takes a cheaper route
+/// to the policy's kept set (threshold first, see below).
 fn probe_element(
     feats: &[TokenId],
     index: &ElementTokenIndex,
@@ -905,7 +849,7 @@ fn probe_element(
     });
     if kept.len() < k && !weak.is_empty() {
         // The remaining `k - strong` slots go to the best weak candidates
-        // under the reference's total order: weight desc, column asc.
+        // under the policy's total order: weight desc, column asc.
         let slots = k - kept.len();
         if weak.len() > slots {
             weak.select_nth_unstable_by(slots - 1, |a, b| {
@@ -1355,301 +1299,6 @@ fn close_over_parents(
     }
 }
 
-pub mod reference {
-    //! The retained map-based reference implementation of the blocking
-    //! index — the exact pre-CSR code path, kept as the oracle for the pin
-    //! tests (`tests/csr_index_pin.rs`) and the CSR-vs-map micro-benches.
-    //! Semantics documentation lives on the production items; this module
-    //! only mirrors them.
-
-    use super::{
-        idf_weight, BlockingPolicy, CandidateSet, CHILD_RESCUE_PARTNERS, CHILD_RESCUE_WEIGHT,
-    };
-    use crate::prepare::PreparedSchema;
-    use sm_schema::Schema;
-    use sm_text::intern::{TokenArena, TokenId};
-    use std::collections::HashMap;
-    use std::sync::Arc;
-
-    /// The historical map-keyed inverted index: `HashMap` postings, IDF
-    /// weights recomputed on every probe.
-    #[derive(Debug)]
-    pub struct ReferenceTokenIndex {
-        postings: HashMap<TokenId, Vec<u32>>,
-        name_postings: HashMap<Vec<TokenId>, Vec<u32>>,
-        arena: Arc<TokenArena>,
-        len: usize,
-    }
-
-    impl ReferenceTokenIndex {
-        /// Index every element of a prepared schema (single-threaded map
-        /// inserts, exactly as before the CSR rebuild).
-        pub fn build(prepared: &PreparedSchema) -> Self {
-            let mut postings: HashMap<TokenId, Vec<u32>> = HashMap::new();
-            let mut name_postings: HashMap<Vec<TokenId>, Vec<u32>> = HashMap::new();
-            for idx in 0..prepared.len() {
-                let element = prepared.element(idx);
-                for &feat in &element.block_features {
-                    postings.entry(feat).or_default().push(idx as u32);
-                }
-                if !element.name_ids.is_empty() {
-                    match name_postings.get_mut(element.name_ids.as_slice()) {
-                        Some(list) => list.push(idx as u32),
-                        None => {
-                            name_postings.insert(element.name_ids.clone(), vec![idx as u32]);
-                        }
-                    }
-                }
-            }
-            ReferenceTokenIndex {
-                postings,
-                name_postings,
-                arena: Arc::clone(prepared.arena()),
-                len: prepared.len(),
-            }
-        }
-
-        /// Elements whose full normalized name equals `name_ids`.
-        pub fn name_postings(&self, name_ids: &[TokenId]) -> &[u32] {
-            self.name_postings.get(name_ids).map_or(&[], Vec::as_slice)
-        }
-
-        /// Number of indexed elements.
-        pub fn len(&self) -> usize {
-            self.len
-        }
-
-        /// True when no elements are indexed.
-        pub fn is_empty(&self) -> bool {
-            self.len == 0
-        }
-
-        /// Every indexed feature id (arbitrary map order).
-        pub fn feature_ids(&self) -> impl Iterator<Item = TokenId> + '_ {
-            self.postings.keys().copied()
-        }
-
-        /// Posting list of an interned feature (empty when absent).
-        pub fn postings_by_id(&self, feature: TokenId) -> &[u32] {
-            self.postings.get(&feature).map_or(&[], Vec::as_slice)
-        }
-
-        /// Posting list of a feature string (empty when absent).
-        pub fn postings(&self, feature: &str) -> &[u32] {
-            self.arena
-                .lookup(feature)
-                .map_or(&[], |id| self.postings_by_id(id))
-        }
-
-        /// IDF weight, recomputed from the document frequency per call —
-        /// the historical per-probe cost the CSR table eliminates.
-        pub fn weight_by_id(&self, feature: TokenId) -> f64 {
-            idf_weight(self.len as f64, self.postings_by_id(feature).len() as f64)
-        }
-
-        /// String-keyed [`Self::weight_by_id`].
-        pub fn weight(&self, feature: &str) -> f64 {
-            idf_weight(self.len as f64, self.postings(feature).len() as f64)
-        }
-    }
-
-    /// One direction of candidate generation over the map index, verbatim
-    /// from the pre-CSR implementation.
-    fn probe_side(
-        from: &PreparedSchema,
-        index: &ReferenceTokenIndex,
-        policy: &BlockingPolicy,
-    ) -> Vec<Vec<(u32, f64)>> {
-        let n_to = index.len();
-        let mut acc: Vec<f64> = vec![0.0; n_to];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut out: Vec<Vec<(u32, f64)>> = Vec::with_capacity(from.len());
-        for idx in 0..from.len() {
-            let feats = &from.element(idx).block_features;
-            touched.clear();
-            for &feat in feats {
-                let posting = index.postings_by_id(feat);
-                if posting.is_empty() {
-                    continue;
-                }
-                let w = idf_weight(n_to as f64, posting.len() as f64);
-                for &t in posting {
-                    if acc[t as usize] == 0.0 {
-                        touched.push(t);
-                    }
-                    acc[t as usize] += w;
-                }
-            }
-            let mut kept: Vec<(u32, f64)> = match *policy {
-                BlockingPolicy::Exhaustive => {
-                    (0..n_to as u32).map(|t| (t, acc[t as usize])).collect()
-                }
-                BlockingPolicy::WeightedThreshold { min_weight } => {
-                    let mut kept: Vec<(u32, f64)> = touched
-                        .iter()
-                        .filter(|&&t| acc[t as usize] >= min_weight)
-                        .map(|&t| (t, acc[t as usize]))
-                        .collect();
-                    kept.sort_unstable_by_key(|&(t, _)| t);
-                    kept
-                }
-                BlockingPolicy::TopK { k, min_weight } => {
-                    let mut ranked: Vec<u32> = touched.clone();
-                    ranked.sort_unstable_by(|&a, &b| {
-                        acc[b as usize]
-                            .partial_cmp(&acc[a as usize])
-                            .expect("finite overlap weight")
-                            .then(a.cmp(&b))
-                    });
-                    let mut kept: Vec<(u32, f64)> = ranked
-                        .iter()
-                        .enumerate()
-                        .filter(|&(rank, &t)| rank < k || acc[t as usize] >= min_weight)
-                        .map(|(_, &t)| (t, acc[t as usize]))
-                        .collect();
-                    kept.sort_unstable_by_key(|&(t, _)| t);
-                    kept
-                }
-            };
-            kept.dedup_by_key(|&mut (t, _)| t);
-            for &t in &touched {
-                acc[t as usize] = 0.0;
-            }
-            out.push(kept);
-        }
-        out
-    }
-
-    /// The pre-CSR candidate generation: map-keyed indices, per-row
-    /// `Vec<Vec<u32>>` union buffers, stack-based parent closure. The CSR
-    /// path must reproduce its output byte for byte under every policy.
-    pub fn generate_candidates(
-        source: &Schema,
-        target: &Schema,
-        prepared_source: &PreparedSchema,
-        prepared_target: &PreparedSchema,
-        policy: &BlockingPolicy,
-    ) -> CandidateSet {
-        let rows = prepared_source.len();
-        let cols = prepared_target.len();
-        if rows == 0 || cols == 0 {
-            return CandidateSet::from_rows(vec![Vec::new(); rows], cols);
-        }
-        if matches!(policy, BlockingPolicy::Exhaustive) {
-            return CandidateSet::exhaustive(rows, cols);
-        }
-        let source_index = ReferenceTokenIndex::build(prepared_source);
-        let target_index = ReferenceTokenIndex::build(prepared_target);
-
-        let weighted = probe_side(prepared_source, &target_index, policy);
-        let mut per_row: Vec<Vec<u32>> = weighted
-            .iter()
-            .map(|list| list.iter().map(|&(t, _)| t).collect())
-            .collect();
-        let mut strong: Vec<(u32, u32, f64)> = weighted
-            .iter()
-            .enumerate()
-            .flat_map(|(s, list)| {
-                list.iter()
-                    .filter(|&&(_, w)| w >= CHILD_RESCUE_WEIGHT)
-                    .map(move |&(t, w)| (s as u32, t, w))
-            })
-            .collect();
-
-        for (t, sources) in probe_side(prepared_target, &source_index, policy)
-            .into_iter()
-            .enumerate()
-        {
-            for (s, w) in sources {
-                per_row[s as usize].push(t as u32);
-                if w >= CHILD_RESCUE_WEIGHT {
-                    strong.push((s, t as u32, w));
-                }
-            }
-        }
-
-        for (s, list) in per_row.iter_mut().enumerate() {
-            let ids = prepared_source.element(s).name_ids.as_slice();
-            if !ids.is_empty() {
-                list.extend(target_index.name_postings(ids).iter().copied());
-            }
-        }
-
-        strong.sort_unstable_by(|a, b| {
-            (a.0, a.1)
-                .cmp(&(b.0, b.1))
-                .then(b.2.partial_cmp(&a.2).expect("finite"))
-        });
-        strong.dedup_by_key(|&mut (s, t, _)| (s, t));
-        strong.sort_unstable_by(|a, b| {
-            b.2.partial_cmp(&a.2)
-                .expect("finite")
-                .then((a.0, a.1).cmp(&(b.0, b.1)))
-        });
-        let mut source_fanout = vec![0usize; rows];
-        let mut target_fanout = vec![0usize; cols];
-        for (s, t, _) in strong {
-            let (s, t) = (s as usize, t as usize);
-            if source_fanout[s] >= CHILD_RESCUE_PARTNERS
-                || target_fanout[t] >= CHILD_RESCUE_PARTNERS
-            {
-                continue;
-            }
-            let sc = &source.elements()[s].children;
-            let tc = &target.elements()[t].children;
-            if sc.is_empty() || tc.is_empty() {
-                continue;
-            }
-            source_fanout[s] += 1;
-            target_fanout[t] += 1;
-            for &cs in sc {
-                let list = &mut per_row[cs.index()];
-                list.extend(tc.iter().map(|ct| ct.0));
-            }
-        }
-
-        let source_parents: Vec<Option<u32>> = source
-            .elements()
-            .iter()
-            .map(|e| e.parent.map(|p| p.0))
-            .collect();
-        let target_parents: Vec<Option<u32>> = target
-            .elements()
-            .iter()
-            .map(|e| e.parent.map(|p| p.0))
-            .collect();
-        for list in &mut per_row {
-            list.sort_unstable();
-            list.dedup();
-        }
-        let mut frontier: Vec<(u32, u32)> = Vec::new();
-        for (s, list) in per_row.iter().enumerate() {
-            for &t in list {
-                if let (Some(ps), Some(pt)) = (source_parents[s], target_parents[t as usize]) {
-                    frontier.push((ps, pt));
-                }
-            }
-        }
-        while let Some((s, t)) = frontier.pop() {
-            let list = &mut per_row[s as usize];
-            if !list.contains(&t) {
-                list.push(t);
-                if let (Some(ps), Some(pt)) =
-                    (source_parents[s as usize], target_parents[t as usize])
-                {
-                    frontier.push((ps, pt));
-                }
-            }
-        }
-
-        for list in &mut per_row {
-            list.sort_unstable();
-            list.dedup();
-        }
-        CandidateSet::from_rows(per_row, cols)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1737,27 +1386,39 @@ mod tests {
         assert!(index.postings("a:coi").contains(&(coi.0)));
     }
 
+    /// The CSR store mirrors the index's definition on the fixture: each
+    /// feature posts the ascending elements holding it and weighs
+    /// `idf_weight(n, df)` to the bit, no feature is phantom, and each
+    /// element's exact name posts its namesakes.
     #[test]
     fn csr_index_mirrors_reference_postings_and_weights() {
         let (a, b) = fixture();
         for s in [&a, &b] {
             let p = prepared(s);
             let csr = ElementTokenIndex::build(&p);
-            let reference = reference::ReferenceTokenIndex::build(&p);
-            let mut seen = 0usize;
-            for feat in reference.feature_ids() {
-                assert_eq!(csr.postings_by_id(feat), reference.postings_by_id(feat));
+            let n = p.len();
+            let mut features: Vec<TokenId> = (0..n)
+                .flat_map(|idx| p.block_features_of(idx).iter().copied())
+                .collect();
+            features.sort_unstable();
+            features.dedup();
+            for &feat in &features {
+                let holders: Vec<u32> = (0..n as u32)
+                    .filter(|&idx| p.block_features_of(idx as usize).contains(&feat))
+                    .collect();
+                assert_eq!(csr.postings_by_id(feat), holders.as_slice());
                 assert_eq!(
                     csr.weight_by_id(feat).to_bits(),
-                    reference.weight_by_id(feat).to_bits()
+                    idf_weight(n as f64, holders.len() as f64).to_bits()
                 );
-                seen += 1;
             }
-            assert_eq!(csr.feature_count(), seen);
-            // Name table round-trips every element's name key.
-            for idx in 0..p.len() {
-                let ids = p.element(idx).name_ids.as_slice();
-                assert_eq!(csr.name_postings(ids), reference.name_postings(ids));
+            assert_eq!(csr.feature_count(), features.len());
+            for idx in 0..n {
+                let name = p.element(idx).name_ids.as_slice();
+                let namesakes: Vec<u32> = (0..n as u32)
+                    .filter(|&e| !name.is_empty() && p.element(e as usize).name_ids == name)
+                    .collect();
+                assert_eq!(csr.name_postings(name), namesakes.as_slice());
             }
         }
     }
@@ -1975,35 +1636,41 @@ mod tests {
         assert!(cands.density() < 1.0, "still prunes almost everything");
     }
 
+    /// On the fixture, in both directions and under each policy, pre-built
+    /// indices and executor lanes yield the inline per-pair generation's
+    /// set.
     #[test]
     fn csr_generation_matches_reference_on_fixture() {
         let (a, b) = fixture();
-        let (pa, pb) = (prepared(&a), prepared(&b));
         let exec = Executor::new(3);
-        for policy in [
-            BlockingPolicy::default(),
-            BlockingPolicy::TopK {
-                k: 2,
-                min_weight: 3.0,
-            },
-            BlockingPolicy::WeightedThreshold { min_weight: 2.0 },
-            BlockingPolicy::Exhaustive,
-        ] {
-            let expect = reference::generate_candidates(&a, &b, &pa, &pb, &policy);
-            let inline = inline_candidates(&a, &b, &pa, &pb, &policy);
-            assert_eq!(inline, expect, "inline CSR diverged under {policy:?}");
-            let parallel = generate_candidates(
-                &a,
-                &b,
-                &pa,
-                &pb,
-                None,
-                &policy,
-                &exec,
-                3,
-                GovernedExec::default(),
-            );
-            assert_eq!(parallel, expect, "parallel CSR diverged under {policy:?}");
+        for (s, t) in [(&a, &b), (&b, &a)] {
+            let (ps, pt) = (prepared(s), prepared(t));
+            let (is, it) = (ElementTokenIndex::build(&ps), ElementTokenIndex::build(&pt));
+            for policy in [
+                BlockingPolicy::default(),
+                BlockingPolicy::TopK {
+                    k: 2,
+                    min_weight: 3.0,
+                },
+                BlockingPolicy::WeightedThreshold { min_weight: 2.0 },
+                BlockingPolicy::Exhaustive,
+            ] {
+                let expect = inline_candidates(s, t, &ps, &pt, &policy);
+                for indices in [None, Some((&is, &it))] {
+                    let parallel = generate_candidates(
+                        s,
+                        t,
+                        &ps,
+                        &pt,
+                        indices,
+                        &policy,
+                        &exec,
+                        3,
+                        GovernedExec::default(),
+                    );
+                    assert_eq!(parallel, expect, "CSR diverged under {policy:?}");
+                }
+            }
         }
     }
 
@@ -2043,6 +1710,7 @@ mod tests {
         let alpha = a.find_by_name("shared_alpha").unwrap();
         let index = ElementTokenIndex::build(&pb);
         let mut scratch = ProbeScratch::new(b.len());
+        let exec = Executor::new(3);
         let every = BlockingPolicy::WeightedThreshold { min_weight: 0.0 };
         let touched = index
             .probe_row(pa.block_features_of(alpha.index()), &every, &mut scratch)
@@ -2062,9 +1730,20 @@ mod tests {
                 .map(|&(t, _)| t)
                 .collect();
             assert_eq!(kept, vec![tied[0].0, tied[1].0, namesake.0]);
-            let expect = reference::generate_candidates(&a, &b, &pa, &pb, &policy);
-            assert_eq!(inline_candidates(&a, &b, &pa, &pb, &policy), expect);
-            assert_eq!(expect.row(alpha.index()), kept.as_slice());
+            let inline = inline_candidates(&a, &b, &pa, &pb, &policy);
+            let parallel = generate_candidates(
+                &a,
+                &b,
+                &pa,
+                &pb,
+                None,
+                &policy,
+                &exec,
+                3,
+                GovernedExec::default(),
+            );
+            assert_eq!(parallel, inline, "parallel generation diverged");
+            assert_eq!(inline.row(alpha.index()), kept.as_slice());
         }
     }
 

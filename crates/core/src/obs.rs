@@ -109,10 +109,13 @@ pub enum SpanKind {
     BlockAssemble = 26,
     /// One source tree level of Block's parent closure (payload = rows).
     BlockClose = 27,
+    /// A match context's tier-1 column digests built, before the score
+    /// lanes start (payload = source + target elements).
+    ScoreDigests = 28,
 }
 
 /// All kinds, in discriminant order (export iteration order).
-pub const SPAN_KINDS: [SpanKind; 28] = [
+pub const SPAN_KINDS: [SpanKind; 29] = [
     SpanKind::StagePrepare,
     SpanKind::StageBlock,
     SpanKind::StageScore,
@@ -141,6 +144,7 @@ pub const SPAN_KINDS: [SpanKind; 28] = [
     SpanKind::BlockRescue,
     SpanKind::BlockAssemble,
     SpanKind::BlockClose,
+    SpanKind::ScoreDigests,
 ];
 
 impl SpanKind {
@@ -175,6 +179,7 @@ impl SpanKind {
             SpanKind::BlockRescue => "block.rescue",
             SpanKind::BlockAssemble => "block.assemble",
             SpanKind::BlockClose => "block.close",
+            SpanKind::ScoreDigests => "score.digests",
         }
     }
 

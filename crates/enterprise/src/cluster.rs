@@ -93,8 +93,7 @@ impl DistanceMatrix {
 
     /// Overlap distances straight from the batch planner's Plan-stage
     /// estimates ([`harmony_core::batch::OverlapEstimates`], also served
-    /// by [`ShardedRepositoryIndex::overlap_estimates`] and
-    /// `RepositoryIndex::overlap_estimates`): the same one-walk bounds
+    /// by [`ShardedRepositoryIndex::overlap_estimates`]): the same one-walk bounds
     /// that prune pair execution feed clustering, so a cluster-first plan
     /// over a registry estimates once and reuses it for both decisions.
     /// `ids[i]` labels row `i` of the estimates.

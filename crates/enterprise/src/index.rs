@@ -1,437 +1,13 @@
-//! The repository-level token index.
-//!
-//! §5's registry scenarios — query-by-schema search, overlap clustering, COI
-//! proposal — all reduce to questions about shared vocabulary between
-//! schemata. Before this module each of them answered those questions by
-//! linear scans over per-schema signature sets: `SchemaSearch::query`
-//! intersected the query signature with *every* indexed schema,
-//! `DistanceMatrix` intersected all `n²` signature pairs, and COI proposal
-//! re-intersected member signatures cluster by cluster.
-//!
-//! [`RepositoryIndex`] inverts the data once: token → sorted posting list of
-//! schema slots, plus the frozen IDF weight table and per-schema total
-//! weights that used to be rebuilt per query. Searching then touches only
-//! the posting lists of the query's tokens (schemata sharing no vocabulary
-//! are never visited), pairwise intersection counts come from walking each
-//! posting list once, and all-member shared vocabulary is a posting-list
-//! membership test.
-//!
-//! Like the element-level blocking index (`harmony_core::index`), the store
-//! is a flat CSR layout: one sorted token table, one contiguous postings
-//! arena sliced by offsets, and a parallel `f64` weight table — lookups are
-//! binary searches over contiguous `u32`s instead of `HashMap` probes, and
-//! query accumulation runs over a dense per-slot buffer instead of a
-//! `HashMap<u32, f64>`. Building fans schema chunks out across the
-//! persistent executor ([`RepositoryIndex::build_parallel`]) and merges the
-//! per-chunk `(token, slot)` pair lists in chunk order, so the index — and
-//! every weight bit — is identical at any lane count.
-//!
-//! The index is maintained by
-//! [`crate::repository::MetadataRepository::token_index`], which caches it
-//! and drops the cache whenever a schema is (re-)registered; schema
-//! preparations themselves come from the process-wide
-//! [`harmony_core::prepare::FeatureCache`], whose content fingerprints make
-//! re-registered-but-unchanged schemata free to re-index.
-
-use harmony_core::exec::Executor;
-use harmony_core::prepare::PreparedSchema;
-use sm_schema::SchemaId;
-use sm_text::intern::{TokenArena, TokenId};
-use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Smoothed IDF weight of a token present in `df` of `n` schemata — the one
-/// definition shared by the index, search scoring, and fragment scoring.
-pub(crate) fn idf_weight(n: f64, df: f64) -> f64 {
-    ((n + 1.0) / (df + 1.0)).ln() + 1.0
-}
-
-/// An inverted token index over a repository's schema signatures, with the
-/// IDF weight table frozen at build time.
-///
-/// Internally everything is keyed by interned [`TokenId`]s straight from the
-/// preparations' `signature_ids` — index build resolves strings once (for
-/// the display-facing signature lists) and every query afterwards moves
-/// integers. Signature id lists are ordered lexicographically by resolved
-/// string, which keeps all weight summations in the historical string-sorted
-/// order (float addition is not associative).
-#[derive(Debug)]
-pub struct RepositoryIndex {
-    /// Schema ids in slot order (registration order).
-    ids: Vec<SchemaId>,
-    /// id → slot.
-    slot_of: HashMap<SchemaId, u32>,
-    /// Content fingerprint of each indexed schema (staleness checks).
-    fingerprints: Vec<u64>,
-    /// The arena the token ids point into.
-    arena: Arc<TokenArena>,
-    /// Distinct name token ids of each schema, lexicographically ordered by
-    /// resolved string.
-    signature_ids: Vec<Vec<TokenId>>,
-    /// The same signatures, resolved (display, reports, compat).
-    signatures: Vec<Vec<String>>,
-    /// Distinct indexed token ids, ascending — the binary-search table.
-    tokens: Vec<TokenId>,
-    /// `offsets[t]..offsets[t+1]` slices `postings` for `tokens[t]`.
-    offsets: Vec<u32>,
-    /// Contiguous posting arena: ascending schema slots per token.
-    postings: Vec<u32>,
-    /// Frozen IDF weight of `tokens[t]`, parallel to `tokens`.
-    weights: Vec<f64>,
-    /// Weight of a token absent from every indexed schema (`df = 0`).
-    unseen_weight: f64,
-    /// Per-schema total signature weight, summed in sorted-token order.
-    total_weights: Vec<f64>,
-}
-
-/// Schemata per parallel build chunk — signature resolution (the string
-/// half of a build) dominates, so chunks stay small enough to balance.
-const BUILD_CHUNK_SCHEMAS: usize = 16;
-
-impl RepositoryIndex {
-    /// Build the index over prepared schemata, in the given (slot) order,
-    /// inline on the calling thread.
-    ///
-    /// # Panics
-    /// Panics when the preparations do not all share one token arena
-    /// (mixed-arena ids are not comparable).
-    pub fn build(prepared: &[Arc<PreparedSchema>]) -> Self {
-        Self::build_opt(prepared, None)
-    }
-
-    /// [`Self::build`] with schema chunks fanned out across up to
-    /// `parallelism` executor lanes. Per-chunk outputs merge in slot order
-    /// before the sort that lays out the postings arena, so the index is
-    /// bit-identical to the inline build at every lane count.
-    pub fn build_parallel(
-        prepared: &[Arc<PreparedSchema>],
-        exec: &Executor,
-        parallelism: usize,
-    ) -> Self {
-        Self::build_opt(prepared, Some((exec, parallelism)))
-    }
-
-    fn build_opt(prepared: &[Arc<PreparedSchema>], par: Option<(&Executor, usize)>) -> Self {
-        harmony_core::obs::add(harmony_core::obs::Counter::RepoIndexBuilds, 1);
-        let _span = harmony_core::obs::span(
-            harmony_core::obs::SpanKind::RepoIndexBuild,
-            prepared.len() as u64,
-        );
-        let arena = prepared
-            .first()
-            .map(|p| Arc::clone(p.arena()))
-            .unwrap_or_else(|| Arc::clone(TokenArena::global()));
-        for p in prepared {
-            assert!(
-                Arc::ptr_eq(p.arena(), &arena),
-                "all indexed preparations must share one token arena"
-            );
-        }
-        let ids: Vec<SchemaId> = prepared.iter().map(|p| p.schema_id).collect();
-        let fingerprints: Vec<u64> = prepared.iter().map(|p| p.fingerprint).collect();
-
-        // Parallel phase: per schema chunk, resolve the display signatures
-        // (the string-allocating half) and emit packed `(token << 32) |
-        // slot` posting pairs. Chunk outputs stitch in slot order via the
-        // shared deterministic chunk runner.
-        struct ChunkOut {
-            pairs: Vec<u64>,
-            signatures: Vec<Vec<String>>,
-        }
-        let outs: Vec<ChunkOut> = harmony_core::index::run_chunked(
-            par,
-            prepared.len(),
-            BUILD_CHUNK_SCHEMAS,
-            |_, range| {
-                let mut out = ChunkOut {
-                    pairs: Vec::new(),
-                    signatures: Vec::with_capacity(range.len()),
-                };
-                for slot in range {
-                    let sig = prepared[slot].signature_ids();
-                    for &t in sig {
-                        out.pairs.push((u64::from(t.0) << 32) | slot as u64);
-                    }
-                    out.signatures.push(arena.resolve_all(sig));
-                }
-                out
-            },
-        );
-
-        let mut signatures: Vec<Vec<String>> = Vec::with_capacity(prepared.len());
-        let mut pairs: Vec<u64> = Vec::with_capacity(outs.iter().map(|o| o.pairs.len()).sum());
-        for out in outs {
-            signatures.extend(out.signatures);
-            pairs.extend(out.pairs);
-        }
-        let signature_ids: Vec<Vec<TokenId>> = prepared
-            .iter()
-            .map(|p| p.signature_ids().to_vec())
-            .collect();
-
-        // Token-major, slot-ascending: the CSR layout order. Signatures are
-        // distinct per schema, so there are no duplicate pairs. The CSR
-        // assembly (and the one smoothed-IDF formula) is shared with the
-        // element-level blocking index.
-        pairs.sort_unstable();
-        let n = ids.len().max(1) as f64;
-        let csr = harmony_core::index::csr_from_sorted_pairs(&pairs, n);
-        let tokens: Vec<TokenId> = csr.keys.into_iter().map(TokenId).collect();
-        let (offsets, postings, weights) = (csr.offsets, csr.postings, csr.weights);
-        let unseen_weight = idf_weight(n, 0.0);
-
-        // Sorted-token summation order keeps totals deterministic (float
-        // addition is not associative).
-        let weight_of = |t: TokenId| -> f64 {
-            let slot = tokens.binary_search(&t).expect("signature token indexed");
-            weights[slot]
-        };
-        let total_weights: Vec<f64> = signature_ids
-            .iter()
-            .map(|sig| sig.iter().map(|&t| weight_of(t)).sum())
-            .collect();
-        let slot_of = ids
-            .iter()
-            .enumerate()
-            .map(|(slot, &id)| (id, slot as u32))
-            .collect();
-        RepositoryIndex {
-            ids,
-            slot_of,
-            fingerprints,
-            arena,
-            signature_ids,
-            signatures,
-            tokens,
-            offsets,
-            postings,
-            weights,
-            unseen_weight,
-            total_weights,
-        }
-    }
-
-    /// Number of indexed schemata.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Schema ids in slot order.
-    pub fn ids(&self) -> &[SchemaId] {
-        &self.ids
-    }
-
-    /// Slot of a schema id.
-    pub fn slot(&self, id: SchemaId) -> Option<u32> {
-        self.slot_of.get(&id).copied()
-    }
-
-    /// Content fingerprint the slot was indexed under.
-    pub fn fingerprint(&self, slot: u32) -> u64 {
-        self.fingerprints[slot as usize]
-    }
-
-    /// Sorted distinct name tokens of a slot.
-    pub fn signature(&self, slot: u32) -> &[String] {
-        &self.signatures[slot as usize]
-    }
-
-    /// Interned signature of a slot, lexicographically ordered by resolved
-    /// string.
-    pub fn signature_ids(&self, slot: u32) -> &[TokenId] {
-        &self.signature_ids[slot as usize]
-    }
-
-    /// The arena this index's token ids point into.
-    pub fn arena(&self) -> &Arc<TokenArena> {
-        &self.arena
-    }
-
-    /// Total signature weight of a slot (frozen at build).
-    pub fn total_weight(&self, slot: u32) -> f64 {
-        self.total_weights[slot as usize]
-    }
-
-    /// Slot of a token in the sorted table, if indexed.
-    #[inline]
-    fn token_slot(&self, token: TokenId) -> Option<usize> {
-        self.tokens.binary_search(&token).ok()
-    }
-
-    /// Frozen IDF weight of an interned token (`df = 0` weight for tokens
-    /// absent from every indexed schema).
-    pub fn weight_by_id(&self, token: TokenId) -> f64 {
-        self.token_slot(token)
-            .map_or(self.unseen_weight, |slot| self.weights[slot])
-    }
-
-    /// Frozen IDF weight of a token (`df = 0` weight for unseen tokens).
-    pub fn weight(&self, token: &str) -> f64 {
-        self.arena
-            .lookup(token)
-            .map_or(self.unseen_weight, |id| self.weight_by_id(id))
-    }
-
-    /// Posting slice and frozen IDF weight of an interned token — one
-    /// binary search for both (`None` when unindexed).
-    #[inline]
-    fn probe_token(&self, token: TokenId) -> Option<(&[u32], f64)> {
-        let slot = self.token_slot(token)?;
-        let range = self.offsets[slot] as usize..self.offsets[slot + 1] as usize;
-        Some((&self.postings[range], self.weights[slot]))
-    }
-
-    /// Posting list of an interned token: ascending slots of schemata
-    /// containing it.
-    pub fn postings_by_id(&self, token: TokenId) -> &[u32] {
-        self.probe_token(token).map_or(&[], |(posting, _)| posting)
-    }
-
-    /// Posting list of a token: ascending slots of schemata containing it.
-    pub fn postings(&self, token: &str) -> &[u32] {
-        self.arena
-            .lookup(token)
-            .map_or(&[], |id| self.postings_by_id(id))
-    }
-
-    /// Accumulate the shared signature weight between a query signature and
-    /// every indexed schema, visiting only posting lists of the query's
-    /// tokens. Returns `(slot, shared_weight)` for every schema sharing at
-    /// least one token, slots ascending. `query_tokens` must be in
-    /// lexicographic resolved-string order so each slot's weight sum has the
-    /// deterministic historical order.
-    pub fn accumulate_ids(&self, query_tokens: &[TokenId]) -> Vec<(u32, f64)> {
-        // Dense per-slot accumulator + touched list: the per-slot addition
-        // order is the query-token order, exactly as the historical
-        // map-keyed accumulator summed.
-        let mut acc: Vec<f64> = vec![0.0; self.len()];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut postings_touched = 0u64;
-        for &t in query_tokens {
-            let Some((posting, w)) = self.probe_token(t) else {
-                continue;
-            };
-            postings_touched += posting.len() as u64;
-            for &slot in posting {
-                if acc[slot as usize] == 0.0 {
-                    touched.push(slot);
-                }
-                acc[slot as usize] += w;
-            }
-        }
-        harmony_core::obs::add(harmony_core::obs::Counter::RepoProbeRows, 1);
-        harmony_core::obs::add(harmony_core::obs::Counter::RepoPostings, postings_touched);
-        touched.sort_unstable();
-        touched
-            .into_iter()
-            .map(|slot| (slot, acc[slot as usize]))
-            .collect()
-    }
-
-    /// String-keyed [`Self::accumulate_ids`] (inspection and tests; the
-    /// search path feeds pre-interned signature ids).
-    pub fn accumulate<'q>(
-        &self,
-        query_tokens: impl IntoIterator<Item = &'q str>,
-    ) -> Vec<(u32, f64)> {
-        let ids: Vec<TokenId> = query_tokens
-            .into_iter()
-            .filter_map(|t| self.arena.lookup(t))
-            .collect();
-        self.accumulate_ids(&ids)
-    }
-
-    /// Pairwise signature-intersection counts, as a dense row-major `n×n`
-    /// symmetric matrix (diagonal zero). Each posting list is walked once,
-    /// so the cost is `Σ_token df(token)²` instead of the `n² · |signature|`
-    /// of all-pairs set intersection — far cheaper when overlap is sparse,
-    /// never asymptotically worse.
-    pub fn pairwise_intersections(&self) -> Vec<u32> {
-        let n = self.len();
-        let mut inter = vec![0u32; n * n];
-        for w in self.offsets.windows(2) {
-            let posting = &self.postings[w[0] as usize..w[1] as usize];
-            for (i, &a) in posting.iter().enumerate() {
-                for &b in &posting[i + 1..] {
-                    inter[a as usize * n + b as usize] += 1;
-                    inter[b as usize * n + a as usize] += 1;
-                }
-            }
-        }
-        inter
-    }
-
-    /// IDF-weighted vocabulary-overlap upper bounds for all `n²` schema
-    /// pairs — the batch planner's Plan-stage estimator
-    /// ([`harmony_core::batch::OverlapEstimates`]) served straight from
-    /// this index's frozen postings and weights in **one walk** over the
-    /// posting arena, no per-pair probes. Tokens posted in more than
-    /// `df_cap` schemata are charged to the shared ubiquitous mass instead
-    /// of walked quadratically (pass `usize::MAX` for exact bounds).
-    ///
-    /// The vocabulary here is the registry's *signature* (name-token)
-    /// vocabulary, weighted by the same frozen IDF table every search and
-    /// clustering probe uses — coarser than the element-level blocking
-    /// features the in-core batch estimator walks, which is what makes it
-    /// free at registry scale.
-    pub fn overlap_estimates(&self, df_cap: usize) -> harmony_core::batch::OverlapEstimates {
-        harmony_core::batch::OverlapEstimates::from_token_postings(
-            self.len(),
-            self.offsets.windows(2).enumerate().map(|(t, w)| {
-                let posting = &self.postings[w[0] as usize..w[1] as usize];
-                (self.weights[t], posting)
-            }),
-            df_cap,
-        )
-    }
-
-    /// Tokens present in *every* given schema, sorted. Walks the smallest
-    /// member's signature and keeps tokens whose posting list contains all
-    /// other members (binary search per member). Unindexed ids yield an
-    /// empty result.
-    pub fn shared_tokens(&self, members: &[SchemaId]) -> Vec<String> {
-        let Some(mut slots) = members
-            .iter()
-            .map(|&id| self.slot(id))
-            .collect::<Option<Vec<u32>>>()
-        else {
-            return Vec::new();
-        };
-        // Dedup: a repeated member must not inflate the posting-size
-        // pre-check below.
-        slots.sort_unstable();
-        slots.dedup();
-        let Some(&smallest) = slots
-            .iter()
-            .min_by_key(|&&s| self.signature_ids[s as usize].len())
-        else {
-            return Vec::new();
-        };
-        // Walk the smallest signature's ids (lexical order is preserved
-        // into the result) and keep tokens posted in every member.
-        let kept: Vec<TokenId> = self.signature_ids[smallest as usize]
-            .iter()
-            .filter(|&&t| {
-                let posting = self.postings_by_id(t);
-                posting.len() >= slots.len()
-                    && slots.iter().all(|s| posting.binary_search(s).is_ok())
-            })
-            .copied()
-            .collect();
-        self.arena.resolve_all(&kept)
-    }
-}
+//! Unit checks of the registry token-index law (see [`crate::shard`]) on
+//! small hand-built registries whose answers are known by inspection:
+//! posting order, IDF weight ordering, probe visits, pairwise counts and
+//! all-member shared vocabulary.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::shard::{ShardConfig, ShardedRepositoryIndex};
     use harmony_core::prepare::FeatureCache;
-    use sm_schema::{DataType, ElementKind, Schema, SchemaFormat};
+    use sm_schema::{DataType, ElementKind, Schema, SchemaFormat, SchemaId};
     use sm_text::normalize::Normalizer;
 
     fn schema(id: u32, words: &[&str]) -> Schema {
@@ -444,10 +20,10 @@ mod tests {
         s
     }
 
-    fn index(schemas: &[Schema]) -> RepositoryIndex {
+    fn index(schemas: &[Schema]) -> ShardedRepositoryIndex {
         let cache = FeatureCache::new(Normalizer::new());
         let prepared: Vec<_> = schemas.iter().map(|s| cache.prepare(s)).collect();
-        RepositoryIndex::build(&prepared)
+        ShardedRepositoryIndex::build(&prepared, ShardConfig::default())
     }
 
     fn world() -> Vec<Schema> {
@@ -462,9 +38,9 @@ mod tests {
     fn postings_are_sorted_slots() {
         let idx = index(&world());
         assert_eq!(idx.len(), 3);
-        assert_eq!(idx.postings("vin"), &[0, 1]);
-        assert_eq!(idx.postings("patient"), &[2]);
-        assert_eq!(idx.postings("absent"), &[] as &[u32]);
+        assert_eq!(idx.postings("vin"), [0, 1]);
+        assert_eq!(idx.postings("patient"), [2]);
+        assert!(idx.postings("absent").is_empty());
         assert_eq!(idx.slot(SchemaId(1)), Some(1));
         assert_eq!(idx.slot(SchemaId(9)), None);
     }

@@ -10,14 +10,14 @@
 //! * [`repository`] — a metadata repository storing schemata *and matches as
 //!   knowledge artifacts*, with context tags and provenance ("who said that X
 //!   is the same as Y, and should I trust that assertion?", §5).
-//! * [`index`] — the repository-level inverted token index behind search,
-//!   clustering, and COI proposal: posting lists + a frozen IDF weight
-//!   table, so repository operations touch only schemata that share
-//!   vocabulary instead of scanning the whole registry.
-//! * [`shard`] — the production form of that index: token-range sharded,
-//!   incrementally maintained (delta logs + tombstones + per-shard
-//!   compaction), built in parallel, and score-pinned byte-identical to a
-//!   from-scratch [`index::RepositoryIndex`] rebuild.
+//! * [`shard`] — the repository-level inverted token index behind search,
+//!   clustering, and COI proposal: posting lists weighted by smoothed IDF
+//!   over the live schemata, so repository operations touch only schemata
+//!   that share vocabulary instead of scanning the whole registry.
+//!   Token-range sharded, incrementally maintained (delta logs +
+//!   tombstones + per-shard compaction) and built in parallel; its weights,
+//!   totals and probe sums are pinned bit for bit against a brute-force
+//!   scan of the live schemata.
 //! * [`persist`] — compact binary warm-start images of the prepared
 //!   registry, so a restarted process skips linguistic re-preparation.
 //! * [`search`] — query-by-schema search ("simply use one's target schema as
@@ -36,7 +36,8 @@
 pub mod cluster;
 pub mod coi;
 pub mod feasibility;
-pub mod index;
+#[cfg(test)]
+mod index;
 pub mod persist;
 pub mod repository;
 pub mod search;
@@ -46,7 +47,6 @@ pub mod team;
 pub use cluster::{agglomerative, ClusterEval, Clustering, Linkage};
 pub use coi::{attach_match_evidence, propose_cois, CoiProposal};
 pub use feasibility::{FeasibilityGrade, FeasibilityReport};
-pub use index::RepositoryIndex;
 pub use persist::{load_registry, save_registry, LoadedRegistry};
 pub use repository::{MatchContextTag, MatchRecord, MetadataRepository, Provenance};
 pub use search::{FragmentHit, SchemaSearch, SearchHit};

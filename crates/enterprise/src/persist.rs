@@ -14,6 +14,7 @@
 //! magic              8 B   b"SMREPIDX"
 //! version            u32   2
 //! shard_count        u32   ShardConfig::shards at save time
+//!                          (at most MAX_SHARD_COUNT)
 //! string table       u32 count, then per string: u32 len + UTF-8 bytes
 //!                    + 1 role byte (bit 0: appears as a raw element name,
 //!                    bit 1: appears as a normalized name token)
@@ -57,7 +58,8 @@
 //! resolved string or re-sorted at load.
 //!
 //! Corruption (bad magic, unknown version — a version-1 image included —
-//! truncation, checksum mismatch, invalid UTF-8, out-of-range table ids)
+//! truncation, checksum mismatch, an implausible shard count, invalid
+//! UTF-8, out-of-range table ids)
 //! surfaces as [`std::io::ErrorKind::InvalidData`] — a damaged image falls
 //! back to a cold start, never a wrong index.
 
@@ -75,6 +77,13 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"SMREPIDX";
 const VERSION: u32 = 2;
+
+/// The largest shard count an image may carry: 128× the default of 8. A
+/// warm start builds an index with the image's shard count, and the build
+/// allocates per shard, so an untrusted count is bounded at load instead
+/// of becoming a multi-GB allocation (and a larger one is refused at save,
+/// so every saved image loads).
+pub const MAX_SHARD_COUNT: usize = 1024;
 
 /// A loaded warm-start image.
 #[derive(Debug)]
@@ -159,8 +168,8 @@ impl TableBuilder {
 /// renamed over `path`, so readers never observe a half-written file.
 ///
 /// Every preparation must intern through one [`TokenArena`] (a registry's
-/// always do); mixed arenas are rejected as
-/// [`std::io::ErrorKind::InvalidInput`].
+/// always do); mixed arenas, and a shard count above [`MAX_SHARD_COUNT`],
+/// are rejected as [`std::io::ErrorKind::InvalidInput`].
 pub fn save_registry(
     path: &Path,
     prepared: &[Arc<PreparedSchema>],
@@ -173,6 +182,15 @@ pub fn save_registry(
             format!(
                 "schema {:?} interns through a different token arena",
                 p.schema_id
+            ),
+        ));
+    }
+    if config.shards > MAX_SHARD_COUNT {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{} shards exceed the loadable {MAX_SHARD_COUNT}",
+                config.shards
             ),
         ));
     }
@@ -522,6 +540,9 @@ pub fn load_registry(path: &Path) -> io::Result<LoadedRegistry> {
         return Err(corrupt("unsupported version"));
     }
     let shard_count = r.u32()? as usize;
+    if shard_count > MAX_SHARD_COUNT {
+        return Err(corrupt("implausible shard count"));
+    }
 
     // Borrowed straight off the image bytes — the table is only read during
     // this load, so there is no reason to own 10⁵ short strings.
@@ -715,8 +736,18 @@ mod tests {
         )
         .unwrap();
         let loaded = load_registry(&path).unwrap();
-        std::fs::remove_file(&path).ok();
         assert_eq!(loaded.shard_count, 3);
         assert!(loaded.prepared.is_empty());
+
+        // A shard count no load would accept is refused at save, and the
+        // published image stays the last good one.
+        let too_many = ShardConfig {
+            shards: MAX_SHARD_COUNT + 1,
+            ..Default::default()
+        };
+        let err = save_registry(&path, &[], too_many).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(load_registry(&path).unwrap().shard_count, 3);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,11 +1,39 @@
-//! The sharded, incrementally-maintained repository index.
+//! The repository-level token index: sharded and incrementally maintained.
 //!
-//! [`crate::index::RepositoryIndex`] is a single monolithic CSR blob: every
-//! registration throws the whole structure away and the next reader rebuilds
-//! all of it. At the paper's repository scale (10^4–10^6 schemata) that write
-//! path costs seconds per registration. [`ShardedRepositoryIndex`] keeps the
-//! same query semantics — byte-identical scores, see below — while making
-//! maintenance incremental:
+//! §5's registry scenarios — query-by-schema search, overlap clustering,
+//! COI proposal — all reduce to questions about shared vocabulary between
+//! schemata. [`ShardedRepositoryIndex`] inverts the registry once: token →
+//! ascending posting list of schema slots, with IDF weights over the live
+//! schemata. Searching touches only the posting lists of the query's
+//! tokens (schemata sharing no vocabulary are never visited), pairwise
+//! intersection counts come from walking each posting list once, and
+//! all-member shared vocabulary is a posting-list membership test.
+//!
+//! ## What the index answers
+//!
+//! Over the live (registered, not removed) schemata, with `n` their count
+//! (at least 1) and `df(t)` the number of live signatures holding token `t`:
+//!
+//! * a token weighs `idf_weight(n, df(t))` =
+//!   `ln((n + 1) / (df(t) + 1)) + 1`; a token no live schema holds weighs
+//!   `idf_weight(n, 0)`;
+//! * a schema's total weight sums its signature's token weights in the
+//!   signature's lexicographic order;
+//! * a probe ([`ShardedRepositoryIndex::accumulate_ids`]) returns, for every
+//!   live schema holding at least one query token, the weights of the query
+//!   tokens it holds summed in query order, slots ascending.
+//!
+//! Float addition is not associative, so the summation orders are part of
+//! the contract. `tests/shard_pin.rs` checks every one of these quantities
+//! bit for bit against a brute-force scan of the live signatures, through
+//! any interleaving of inserts, removals, replacements and compactions.
+//!
+//! ## Layout and maintenance
+//!
+//! A monolithic index would throw the whole structure away on every
+//! registration and rebuild all of it on the next read — seconds per
+//! registration at the paper's repository scale (10^4–10^6 schemata).
+//! This one makes maintenance incremental:
 //!
 //! * **Token-range shards.** The interned token-id space is dealt out to
 //!   shards in blocks of 64 consecutive ids (block-cyclic, so shards stay
@@ -25,23 +53,17 @@
 //!   Compaction only re-arranges storage — which slots are live and every
 //!   per-token live df are unchanged — so it is invisible to scores.
 //!
-//! ## Score equivalence with a from-scratch rebuild
-//!
-//! The pinned invariant (see `tests/shard_pin.rs`): after any interleaving
-//! of insert / remove / compact, query scores are **byte-identical** to a
-//! monolithic [`crate::index::RepositoryIndex`] built from scratch over the
-//! live schemata. Three properties carry it:
+//! Three properties keep the answers above exact under maintenance:
 //!
 //! 1. Weights are the pure function `idf_weight(n_live, df_live)`; `n_live`
 //!    and each token's live df are maintained exactly (tombstones decrement
 //!    df), not approximated.
 //! 2. Probes iterate *query tokens* in their given (lexicographic) order and
 //!    route each token to its shard — never shard-major — so each slot's
-//!    shared-weight sum adds the same `f64`s in the same order as the
-//!    monolithic accumulator (float addition is not associative).
-//! 3. Per-schema total weights sum `signature_ids` in the same lexicographic
-//!    order, computed lazily per snapshot (they depend on `n_live`, which
-//!    moves with every maintenance op).
+//!    shared-weight sum adds its `f64`s in query order.
+//! 3. Per-schema total weights sum `signature_ids` in lexicographic order,
+//!    computed lazily per snapshot (they depend on `n_live`, which moves
+//!    with every maintenance op).
 //!
 //! Slot numbers are physical (append-only, holes where tombstones sit) and
 //! differ from a fresh build's registration-order slots, but no score
@@ -53,8 +75,8 @@
 //! [`harmony_core::swap::SnapCell`] — see
 //! [`crate::repository::MetadataRepository::token_index`].
 
-use crate::index::idf_weight;
 use harmony_core::exec::Executor;
+use harmony_core::index::idf_weight;
 use harmony_core::obs;
 use harmony_core::prepare::PreparedSchema;
 use sm_schema::SchemaId;
@@ -200,9 +222,9 @@ impl Shard {
     }
 }
 
-/// The sharded repository index — same query surface as
-/// [`crate::index::RepositoryIndex`], plus in-place maintenance. See the
-/// module docs for the layout and the score-equivalence argument.
+/// The sharded repository index: token postings and IDF weights over the
+/// live schemata, with in-place maintenance. See the module docs for what
+/// it answers, its layout, and why maintenance keeps the answers exact.
 #[derive(Debug)]
 pub struct ShardedRepositoryIndex {
     arena: Arc<TokenArena>,
@@ -482,7 +504,7 @@ impl ShardedRepositoryIndex {
     /// sharing at least one token, slots ascending. `query_tokens` must be
     /// in lexicographic resolved-string order — each token routes to its
     /// shard O(1), so the per-slot addition order stays the query-token
-    /// order (the monolithic accumulator's order, bit for bit).
+    /// order.
     pub fn accumulate_ids(&self, query_tokens: &[TokenId]) -> Vec<(u32, f64)> {
         let n = self.n_live();
         let mut acc: Vec<f64> = vec![0.0; self.slots.len()];
@@ -534,7 +556,7 @@ impl ShardedRepositoryIndex {
     }
 
     /// Live posting slots of an interned token, ascending (base ∪ delta,
-    /// tombstones skipped — materialized, unlike the monolithic slice view).
+    /// tombstones skipped, materialized).
     pub fn postings_by_id(&self, token: TokenId) -> Vec<u32> {
         let shard = &self.shards[self.route(token)];
         let mut out = Vec::new();
@@ -879,7 +901,6 @@ impl ShardedRepositoryIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::RepositoryIndex;
     use harmony_core::prepare::FeatureCache;
     use sm_schema::{DataType, ElementKind, Schema, SchemaFormat};
     use sm_text::normalize::Normalizer;
@@ -917,13 +938,48 @@ mod tests {
         }
     }
 
-    /// The sharded index must agree with the monolithic reference, bit for
-    /// bit, on weights, accumulation, and totals — at any shard count.
+    /// A fresh one-shard build: every token in one CSR store, no deltas.
+    fn monolithic(prepared: &[Arc<PreparedSchema>]) -> ShardedRepositoryIndex {
+        ShardedRepositoryIndex::build(
+            prepared,
+            ShardConfig {
+                shards: 1,
+                ..ShardConfig::default()
+            },
+        )
+    }
+
+    /// The live schemata left by `maintained`: schemata 0, 2 and 3.
+    fn live_after_maintenance(prepared: &[Arc<PreparedSchema>]) -> Vec<Arc<PreparedSchema>> {
+        [0usize, 2, 3]
+            .iter()
+            .map(|&i| Arc::clone(&prepared[i]))
+            .collect()
+    }
+
+    /// Builds the first two schemata, inserts the rest one update at a
+    /// time, then removes schema 1.
+    fn maintained(prepared: &[Arc<PreparedSchema>], config: ShardConfig) -> ShardedRepositoryIndex {
+        let mut idx = ShardedRepositoryIndex::build(&prepared[..2], config);
+        for p in &prepared[2..] {
+            let mut next = idx.begin_update();
+            next.upsert_in_place(p);
+            idx = next;
+        }
+        let mut next = idx.begin_update();
+        assert!(next.remove_in_place(SchemaId(1)));
+        assert!(!next.remove_in_place(SchemaId(99)));
+        next
+    }
+
+    /// Token-range sharding is invisible: at any shard count, signatures,
+    /// totals, probe sums and weights equal the one-shard build's bit for
+    /// bit.
     #[test]
     fn full_build_matches_monolithic_bitwise() {
         let prepared = prepare(&world());
-        let mono = RepositoryIndex::build(&prepared);
-        for shards in [1usize, 2, 3, 8, 64] {
+        let mono = monolithic(&prepared);
+        for shards in [2usize, 3, 8, 64] {
             let sharded = ShardedRepositoryIndex::build(
                 &prepared,
                 ShardConfig {
@@ -955,29 +1011,14 @@ mod tests {
         }
     }
 
-    /// Overlap estimates served from the sharded index must equal the
-    /// monolithic index's — at build time and after delta maintenance
-    /// (live slots only, live weights).
+    /// Overlap estimates served after delta maintenance (live slots only,
+    /// live weights) equal a fresh one-shard build's over the live set.
     #[test]
     fn overlap_estimates_match_monolithic_through_maintenance() {
-        let schemas = world();
-        let prepared = prepare(&schemas);
+        let prepared = prepare(&world());
+        let rebuilt = monolithic(&live_after_maintenance(&prepared));
         for config in [ShardConfig::default(), eager()] {
-            let mut idx = ShardedRepositoryIndex::build(&prepared[..2], config);
-            for p in &prepared[2..] {
-                let mut next = idx.begin_update();
-                next.upsert_in_place(p);
-                idx = next;
-            }
-            let mut next = idx.begin_update();
-            assert!(next.remove_in_place(SchemaId(1)));
-            idx = next;
-
-            let live: Vec<Arc<PreparedSchema>> = [0usize, 2, 3]
-                .iter()
-                .map(|&i| Arc::clone(&prepared[i]))
-                .collect();
-            let rebuilt = RepositoryIndex::build(&live);
+            let idx = maintained(&prepared, config);
             let a = idx.overlap_estimates(usize::MAX);
             let b = rebuilt.overlap_estimates(usize::MAX);
             assert_eq!(a.len(), 3);
@@ -1004,41 +1045,22 @@ mod tests {
         }
     }
 
-    /// Incremental inserts + removals must agree with a from-scratch build
-    /// over the live set — including with compaction forced on every op.
+    /// Incremental inserts + removals agree with a from-scratch build over
+    /// the live set — including with compaction forced on every op.
     #[test]
     fn delta_maintenance_matches_rebuild() {
-        let schemas = world();
-        let prepared = prepare(&schemas);
+        let prepared = prepare(&world());
+        let rebuilt = monolithic(&live_after_maintenance(&prepared));
         for config in [ShardConfig::default(), eager()] {
-            // Start from the first two, insert the rest, remove one, replace
-            // one.
-            let mut idx = ShardedRepositoryIndex::build(&prepared[..2], config);
-            for p in &prepared[2..] {
-                let mut next = idx.begin_update();
-                next.upsert_in_place(p);
-                idx = next;
-            }
-            let mut next = idx.begin_update();
-            assert!(next.remove_in_place(SchemaId(1)));
-            assert!(!next.remove_in_place(SchemaId(99)));
-            idx = next;
-
-            let live: Vec<Arc<PreparedSchema>> = [0usize, 2, 3]
-                .iter()
-                .map(|&i| Arc::clone(&prepared[i]))
-                .collect();
-            let rebuilt = RepositoryIndex::build(&live);
+            let idx = maintained(&prepared, config);
             assert_eq!(idx.len(), 3);
             let q = prepared[1].signature_ids();
             let a = idx.accumulate_ids(q);
             let b = rebuilt.accumulate_ids(q);
             assert_eq!(a.len(), b.len(), "config {config:?}");
-            for ((s1, w1), (s2, w2)) in a.iter().zip(&b) {
-                assert_eq!(idx.id_at(*s1), rebuilt.ids()[*s2 as usize]);
+            for (&(s1, w1), &(s2, w2)) in a.iter().zip(&b) {
+                assert_eq!(idx.id_at(s1), rebuilt.id_at(s2));
                 assert_eq!(w1.to_bits(), w2.to_bits(), "config {config:?}");
-            }
-            for (&(s1, _), &(s2, _)) in a.iter().zip(&b) {
                 assert_eq!(
                     idx.total_weight(s1).to_bits(),
                     rebuilt.total_weight(s2).to_bits()
@@ -1048,6 +1070,25 @@ mod tests {
             assert_eq!(idx.slot(SchemaId(1)), None);
             assert!(idx.postings("engin").is_empty());
         }
+    }
+
+    /// Shared tokens see removals, and pairwise counts over the live slots
+    /// equal a fresh one-shard build's.
+    #[test]
+    fn shared_tokens_and_intersections_over_live_set() {
+        let prepared = prepare(&world());
+        let mut idx = ShardedRepositoryIndex::build(&prepared, eager());
+        let shared = idx.shared_tokens(&[SchemaId(0), SchemaId(1)]);
+        assert!(shared.contains(&"vin".to_string()));
+        let mut next = idx.begin_update();
+        next.remove_in_place(SchemaId(1));
+        idx = next;
+        assert!(idx.shared_tokens(&[SchemaId(0), SchemaId(1)]).is_empty());
+        let rebuilt = monolithic(&live_after_maintenance(&prepared));
+        assert_eq!(
+            idx.pairwise_intersections(),
+            rebuilt.pairwise_intersections()
+        );
     }
 
     #[test]
@@ -1085,29 +1126,6 @@ mod tests {
         next.upsert_in_place(&prepared[0]);
         assert_eq!(next.len(), 4);
         assert_eq!(next.postings("vin").len(), 3);
-    }
-
-    #[test]
-    fn shared_tokens_and_intersections_over_live_set() {
-        let prepared = prepare(&world());
-        let mut idx = ShardedRepositoryIndex::build(&prepared, eager());
-        let shared = idx.shared_tokens(&[SchemaId(0), SchemaId(1)]);
-        assert!(shared.contains(&"vin".to_string()));
-        let mut next = idx.begin_update();
-        next.remove_in_place(SchemaId(1));
-        idx = next;
-        assert!(idx.shared_tokens(&[SchemaId(0), SchemaId(1)]).is_empty());
-
-        // Pairwise counts over live slots match the monolithic rebuild.
-        let live: Vec<Arc<PreparedSchema>> = [0usize, 2, 3]
-            .iter()
-            .map(|&i| Arc::clone(&prepared[i]))
-            .collect();
-        let rebuilt = RepositoryIndex::build(&live);
-        assert_eq!(
-            idx.pairwise_intersections(),
-            rebuilt.pairwise_intersections()
-        );
     }
 
     /// Parallel build equals the inline build exactly.

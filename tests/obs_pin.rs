@@ -127,6 +127,9 @@ fn trace_is_well_formed_across_lanes() {
     assert_eq!(count(obs::SpanKind::BlockRescue), 1, "block.rescue");
     assert!(count(obs::SpanKind::BlockAssemble) >= 1, "block.assemble");
     assert!(count(obs::SpanKind::BlockClose) >= 1, "block.close");
+    // Score's serial prologue: the context's tier-1 digests, built once
+    // before the lanes start.
+    assert_eq!(count(obs::SpanKind::ScoreDigests), 1, "score.digests");
 
     // Well-formed nesting per lane: sweep events in start order keeping a
     // stack of open intervals; every event must fall entirely inside the

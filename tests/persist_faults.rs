@@ -7,8 +7,8 @@
 //! each section (caught by the checksum), truncation at every stride
 //! (caught by the length guard or the checksum), and *structural*
 //! corruption with a correctly recomputed trailer (caught by the parser's
-//! own bounds checks: magic, version, counts, table-id ranges, UTF-8,
-//! trailing bytes). A torn tmp+rename crash must leave the previous image
+//! own bounds checks: magic, version, shard count, counts, table-id ranges,
+//! UTF-8, trailing bytes). A torn tmp+rename crash must leave the previous image
 //! loadable.
 
 use harmony_core::prepare::{default_normalizer, PreparedSchema};
@@ -157,6 +157,13 @@ fn resealed_structural_corruption_is_invalid_data() {
     doctored[8..12].copy_from_slice(&99u32.to_le_bytes());
     std::fs::write(&path, reseal(doctored)).unwrap();
     expect_invalid(&path, "unsupported version");
+
+    // Implausible shard count (offset 12): a warm start would build that
+    // many shards, so it must fail here, not as a ~100 GB allocation.
+    let mut doctored = bytes.clone();
+    doctored[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&path, reseal(doctored)).unwrap();
+    expect_invalid(&path, "implausible shard count");
 
     // Implausible string-table count (offset 16): must fail fast, not
     // attempt a multi-GB allocation.

@@ -1,22 +1,243 @@
 //! Pin: the sharded, incrementally-maintained repository index
-//! (`sm_enterprise::shard`) is an *execution* change, never a semantics
-//! change. The monolithic `RepositoryIndex` built from scratch over the
-//! current live set is the oracle: any interleaving of insert / remove /
-//! replace ops — with or without forced per-op compaction, at any shard
-//! count, at any executor width — must yield bit-identical token weights,
-//! total weights, and probe accumulations, and therefore identical search
+//! (`sm_enterprise::shard`) answers exactly what its module docs define
+//! over the live schemata. The oracle is a brute-force scan of the live
+//! signatures that restates that law; it shares no code with the index.
+//! Any interleaving of insert / remove / replace ops — with or without
+//! forced per-op compaction, at any shard count, at any executor width —
+//! must yield the oracle's token weights, total weights, postings and
+//! probe accumulations bit for bit, its pairwise intersection counts and
+//! shared tokens, and its overlap estimates, and therefore the same search
 //! rankings. Warm-start serialization must round-trip to the same bits.
 
+use harmony_core::batch::OverlapEstimates;
 use harmony_core::exec::Executor;
-use harmony_core::prepare::FeatureCache;
+use harmony_core::prepare::{FeatureCache, PreparedSchema};
 use proptest::prelude::*;
-use sm_enterprise::index::RepositoryIndex;
 use sm_enterprise::shard::{ShardConfig, ShardedRepositoryIndex};
 use sm_enterprise::{MetadataRepository, SchemaSearch};
-use sm_schema::{DataType, ElementKind, Schema, SchemaId};
+use sm_schema::{DataType, ElementKind, Schema, SchemaFormat, SchemaId};
 use sm_synth::{RepositoryConfig, SyntheticRepository};
+use sm_text::intern::TokenId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+// ---------------------------------------------------------------------------
+// The brute-force oracle. Its law is restated from the module docs of
+// `sm_enterprise::shard`, not imported.
+// ---------------------------------------------------------------------------
+
+/// Smoothed IDF weight of a token held by `df` of `n` live schemata.
+fn idf(n: usize, df: usize) -> f64 {
+    ((n as f64 + 1.0) / (df as f64 + 1.0)).ln() + 1.0
+}
+
+/// The live schemata's signatures (lexicographic token order), listed in
+/// the index's live-slot order: rank `r` is the `r`-th live slot.
+struct Oracle {
+    ids: Vec<SchemaId>,
+    sigs: Vec<Vec<TokenId>>,
+}
+
+impl Oracle {
+    /// The oracle over `live`. The index supplies only the rank order; the
+    /// signatures come from the caller's own preparations, and the index's
+    /// live set must be exactly theirs.
+    fn new(index: &ShardedRepositoryIndex, live: &[Arc<PreparedSchema>]) -> Self {
+        let ids: Vec<SchemaId> = index
+            .live_slots()
+            .iter()
+            .map(|&slot| index.id_at(slot))
+            .collect();
+        let mut expect: Vec<SchemaId> = live.iter().map(|p| p.schema_id).collect();
+        let mut got = ids.clone();
+        expect.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, expect, "live schema set diverged");
+        let sigs = ids
+            .iter()
+            .map(|&id| {
+                let p = live.iter().find(|p| p.schema_id == id).expect("live id");
+                p.signature_ids().to_vec()
+            })
+            .collect();
+        Oracle { ids, sigs }
+    }
+
+    fn df(&self, t: TokenId) -> usize {
+        self.sigs.iter().filter(|sig| sig.contains(&t)).count()
+    }
+
+    /// `n` counts the live schemata, and is at least 1.
+    fn weight(&self, t: TokenId) -> f64 {
+        idf(self.ids.len().max(1), self.df(t))
+    }
+
+    /// Signature weights summed in signature order.
+    fn total_weight(&self, rank: usize) -> f64 {
+        self.sigs[rank].iter().map(|&t| self.weight(t)).sum()
+    }
+
+    /// `(rank, shared weight)` of every live schema holding a query token:
+    /// the weights of the query tokens it holds, summed in query order.
+    fn accumulate(&self, query: &[TokenId]) -> Vec<(usize, f64)> {
+        let mut hits = Vec::new();
+        for (rank, sig) in self.sigs.iter().enumerate() {
+            let mut shared = None;
+            for t in query.iter().filter(|t| sig.contains(t)) {
+                *shared.get_or_insert(0.0) += self.weight(*t);
+            }
+            hits.extend(shared.map(|w| (rank, w)));
+        }
+        hits
+    }
+
+    /// Ranks of the live schemata holding `t`, ascending.
+    fn postings(&self, t: TokenId) -> Vec<u32> {
+        (0..self.sigs.len() as u32)
+            .filter(|&rank| self.sigs[rank as usize].contains(&t))
+            .collect()
+    }
+
+    /// `|sigᵢ ∩ sigⱼ|` for every pair of ranks, row-major, diagonal zero.
+    fn intersections(&self) -> Vec<u32> {
+        let n = self.sigs.len();
+        let mut counts = vec![0u32; n * n];
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                let shared = self.sigs[i].iter().filter(|t| self.sigs[j].contains(t));
+                counts[i * n + j] = shared.count() as u32;
+            }
+        }
+        counts
+    }
+
+    /// The planner's estimates over every live token's postings.
+    fn overlap_estimates(&self, df_cap: usize) -> OverlapEstimates {
+        let mut tokens: Vec<TokenId> = self.sigs.iter().flatten().copied().collect();
+        tokens.sort_unstable();
+        tokens.dedup();
+        let postings = tokens.iter().map(|&t| (self.weight(t), self.postings(t)));
+        OverlapEstimates::from_token_postings(self.ids.len(), postings, df_cap)
+    }
+
+    /// Tokens every member holds, in signature order; empty when a member
+    /// is not live.
+    fn shared_tokens(&self, members: &[SchemaId]) -> Vec<TokenId> {
+        let Some(sigs) = members
+            .iter()
+            .map(|id| Some(&self.sigs[self.ids.iter().position(|x| x == id)?]))
+            .collect::<Option<Vec<_>>>()
+        else {
+            return Vec::new();
+        };
+        let Some(first) = sigs.first() else {
+            return Vec::new();
+        };
+        first
+            .iter()
+            .filter(|t| sigs.iter().all(|sig| sig.contains(t)))
+            .copied()
+            .collect()
+    }
+}
+
+/// Assert `index` answers exactly what the oracle over `live` defines: for
+/// every token of the live and query vocabularies (unseen ones included),
+/// its weight bits and live postings; every live schema's signature and
+/// total-weight bits; the probe of every query and live signature, bit for
+/// bit; pairwise intersection counts; shared tokens of member sets; and
+/// overlap estimates, capped and uncapped.
+fn assert_pinned(
+    index: &ShardedRepositoryIndex,
+    live: &[Arc<PreparedSchema>],
+    queries: &[Arc<PreparedSchema>],
+) {
+    let oracle = Oracle::new(index, live);
+    let slots = index.live_slots();
+    assert_eq!(index.len(), oracle.ids.len());
+    let at = |ranks: Vec<u32>| -> Vec<u32> { ranks.iter().map(|&r| slots[r as usize]).collect() };
+
+    let probes: Vec<&[TokenId]> = oracle
+        .sigs
+        .iter()
+        .map(Vec::as_slice)
+        .chain(queries.iter().map(|q| q.signature_ids()))
+        .collect();
+    let mut vocabulary: Vec<TokenId> = probes.iter().flat_map(|p| p.iter().copied()).collect();
+    vocabulary.sort_unstable();
+    vocabulary.dedup();
+    for &t in &vocabulary {
+        assert_eq!(
+            index.weight_by_id(t).to_bits(),
+            oracle.weight(t).to_bits(),
+            "weight of token {t:?} diverged"
+        );
+        assert_eq!(index.postings_by_id(t), at(oracle.postings(t)));
+    }
+    for (rank, &slot) in slots.iter().enumerate() {
+        assert_eq!(
+            index.signature(slot),
+            index.arena().resolve_all(&oracle.sigs[rank]).as_slice()
+        );
+        assert_eq!(
+            index.total_weight(slot).to_bits(),
+            oracle.total_weight(rank).to_bits(),
+            "total weight of {} diverged",
+            oracle.ids[rank]
+        );
+    }
+    for probe in probes {
+        let got: Vec<(u32, u64)> = index
+            .accumulate_ids(probe)
+            .into_iter()
+            .map(|(slot, w)| (slot, w.to_bits()))
+            .collect();
+        let want: Vec<(u32, u64)> = oracle
+            .accumulate(probe)
+            .into_iter()
+            .map(|(rank, w)| (slots[rank], w.to_bits()))
+            .collect();
+        assert_eq!(got, want, "probe accumulations diverged");
+    }
+
+    assert_eq!(index.pairwise_intersections(), oracle.intersections());
+    let unknown = SchemaId(u32::MAX);
+    let mut member_sets: Vec<Vec<SchemaId>> = oracle.ids.windows(2).map(<[_]>::to_vec).collect();
+    member_sets.push(oracle.ids.clone());
+    member_sets.extend(oracle.ids.first().map(|&id| vec![id, id]));
+    member_sets.extend(oracle.ids.first().map(|&id| vec![id, unknown]));
+    for members in member_sets {
+        assert_eq!(
+            index.shared_tokens(&members),
+            index.arena().resolve_all(&oracle.shared_tokens(&members)),
+            "shared tokens of {members:?} diverged"
+        );
+    }
+
+    // The index walks its tokens shard by shard, the oracle in id order,
+    // so each bound adds the same weights in a different order.
+    for df_cap in [usize::MAX, 2] {
+        let (got, want) = (
+            index.overlap_estimates(df_cap),
+            oracle.overlap_estimates(df_cap),
+        );
+        assert_eq!(got.len(), want.len());
+        for i in 0..want.len() {
+            assert!((got.self_weight(i) - want.self_weight(i)).abs() < 1e-9);
+            for j in 0..want.len() {
+                assert!(
+                    (got.bound(i, j) - want.bound(i, j)).abs() < 1e-9,
+                    "bound({i}, {j}) at df cap {df_cap}"
+                );
+                assert!((got.distance(i, j) - want.distance(i, j)).abs() < 1e-9);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Inputs
+// ---------------------------------------------------------------------------
 
 /// A small synthetic registry population with overlapping vocabulary.
 fn pool(seed: u64) -> Vec<Schema> {
@@ -29,6 +250,11 @@ fn pool(seed: u64) -> Vec<Schema> {
         ..Default::default()
     })
     .schemas
+}
+
+fn prepare(schemas: &[Schema]) -> Vec<Arc<PreparedSchema>> {
+    let cache = FeatureCache::global();
+    schemas.iter().map(|s| cache.prepare(s)).collect()
 }
 
 /// A content-mutated version of a schema (same id, different fingerprint) —
@@ -46,80 +272,35 @@ fn variant(schema: &Schema) -> Schema {
     v
 }
 
-/// Probe results keyed by schema id with exact score bits — the
-/// slot-numbering-agnostic form both index flavors must agree on.
-#[allow(clippy::type_complexity)]
-fn probe_bits(
-    accumulate: &dyn Fn(&[sm_text::intern::TokenId]) -> Vec<(SchemaId, f64)>,
-    queries: &[Schema],
-) -> Vec<BTreeMap<u32, u64>> {
-    let cache = FeatureCache::global();
-    queries
-        .iter()
-        .map(|q| {
-            let prepared = cache.prepare(q);
-            accumulate(prepared.signature_ids())
-                .into_iter()
-                .map(|(id, w)| (id.0, w.to_bits()))
-                .collect()
-        })
-        .collect()
+/// One `Root` container holding one column per word.
+fn schema(id: u32, words: &[&str]) -> Schema {
+    let mut s = Schema::new(SchemaId(id), format!("S{id}"), SchemaFormat::Generic);
+    let r = s.add_root("Root", ElementKind::Group, DataType::None);
+    for w in words {
+        s.add_child(r, *w, ElementKind::Column, DataType::text())
+            .unwrap();
+    }
+    s
 }
 
-/// Assert the sharded index and a from-scratch monolithic rebuild over the
-/// same live set agree bit-for-bit on every score-relevant quantity.
-fn assert_pinned(sharded: &ShardedRepositoryIndex, queries: &[Schema]) {
-    let live = sharded.live_slots();
-    let prepared: Vec<_> = live
-        .iter()
-        .map(|&s| Arc::clone(sharded.prepared(s).expect("live slot keeps preparation")))
-        .collect();
-    let oracle = RepositoryIndex::build(&prepared);
-    assert_eq!(sharded.len(), oracle.len());
+/// Four hand-sized schemata: three share `vin`, two share `blood`, and
+/// every one holds the `root` container token.
+fn world() -> Vec<Schema> {
+    vec![
+        schema(0, &["vin", "make", "model"]),
+        schema(1, &["vin", "engine"]),
+        schema(2, &["patient", "blood"]),
+        schema(3, &["vin", "blood", "cargo"]),
+    ]
+}
 
-    // Per-token weights over the whole live vocabulary.
-    for &slot in &live {
-        for &t in sharded.signature_ids(slot) {
-            assert_eq!(
-                sharded.weight_by_id(t).to_bits(),
-                oracle.weight_by_id(t).to_bits(),
-                "weight of token {t:?} diverged"
-            );
-        }
+/// Tiny thresholds so every maintenance op triggers compaction paths.
+fn eager() -> ShardConfig {
+    ShardConfig {
+        shards: 3,
+        min_compact_ops: 1,
+        compact_fraction: 0.0,
     }
-    // Total signature weights, per schema id.
-    for (rank, &slot) in live.iter().enumerate() {
-        assert_eq!(
-            sharded.total_weight(slot).to_bits(),
-            oracle.total_weight(rank as u32).to_bits(),
-            "total weight of {} diverged",
-            sharded.id_at(slot)
-        );
-        // Live postings of every signature token must contain the slot.
-        assert_eq!(sharded.id_at(slot), oracle.ids()[rank]);
-    }
-    // Probe accumulations (the quantity search scores are made of).
-    let sharded_probe = probe_bits(
-        &|ids| {
-            sharded
-                .accumulate_ids(ids)
-                .into_iter()
-                .map(|(s, w)| (sharded.id_at(s), w))
-                .collect()
-        },
-        queries,
-    );
-    let oracle_probe = probe_bits(
-        &|ids| {
-            oracle
-                .accumulate_ids(ids)
-                .into_iter()
-                .map(|(s, w)| (oracle.ids()[s as usize], w))
-                .collect()
-        },
-        queries,
-    );
-    assert_eq!(sharded_probe, oracle_probe, "probe accumulations diverged");
 }
 
 /// Apply one encoded op to the snapshot chain, mirroring it into `live`.
@@ -150,21 +331,24 @@ fn apply_op(
     next
 }
 
+// ---------------------------------------------------------------------------
+// Pins
+// ---------------------------------------------------------------------------
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any interleaving of insert / remove / replace, at several shard
-    /// counts, with default and per-op ("eager") compaction, stays
-    /// bit-identical to a from-scratch monolithic rebuild of the live set.
+    /// counts, with default and per-op ("eager") compaction, answers what
+    /// the oracle over the live set defines.
     #[test]
     fn interleavings_pin_to_full_rebuild(
         seed in 0u64..3,
         ops in proptest::collection::vec(any::<u8>(), 1..20),
     ) {
         let schemas = pool(seed);
-        let cache = FeatureCache::global();
-        let initial: Vec<_> = schemas[..6].iter().map(|s| cache.prepare(s)).collect();
-        let queries = &schemas[6..10];
+        let initial = prepare(&schemas[..6]);
+        let queries = prepare(&schemas[6..10]);
         for shards in [1usize, 3, 8] {
             for (min_compact_ops, compact_fraction) in [(64usize, 0.25f64), (1, 0.0)] {
                 let config = ShardConfig { shards, min_compact_ops, compact_fraction };
@@ -174,62 +358,123 @@ proptest! {
                 for &op in &ops {
                     index = apply_op(index, op, &schemas, &mut live);
                 }
+                let live: Vec<Schema> = live.into_values().collect();
+                let live = prepare(&live);
                 prop_assert_eq!(index.len(), live.len());
-                assert_pinned(&index, queries);
+                assert_pinned(&index, &live, &queries);
                 // One terminal full compaction is score-invisible too.
                 let mut compacted = index.begin_update();
                 compacted.compact_all();
                 prop_assert_eq!(compacted.pending_ops(), 0);
-                assert_pinned(&compacted, queries);
+                assert_pinned(&compacted, &live, &queries);
             }
         }
     }
 }
 
-/// Executor width never changes the built index: every lane count yields
-/// the same postings, weights, and probe results as the inline build.
+/// A fresh build answers what the oracle defines at every shard count —
+/// plus hand-checked anchors on the tiny world: postings are ascending
+/// slots, rare tokens outweigh common ones and unseen tokens weigh most, a
+/// probe visits only schemata sharing a query token, and shared tokens
+/// need every member.
+#[test]
+fn full_build_matches_oracle_bitwise() {
+    let prepared = prepare(&world());
+    for shards in [1usize, 2, 3, 8, 64] {
+        let idx = ShardedRepositoryIndex::build(
+            &prepared,
+            ShardConfig {
+                shards,
+                ..ShardConfig::default()
+            },
+        );
+        assert_eq!(idx.shard_count(), shards);
+        assert_pinned(&idx, &prepared, &prepared);
+
+        assert_eq!(idx.postings("vin"), vec![0, 1, 3]);
+        assert_eq!(idx.postings("patient"), vec![2]);
+        assert!(idx.postings("absent").is_empty());
+        assert_eq!(idx.slot(SchemaId(1)), Some(1));
+        assert_eq!(idx.slot(SchemaId(9)), None);
+
+        assert!(idx.weight("patient") > idx.weight("vin"));
+        assert!(idx.weight("never-indexed") > idx.weight("patient"));
+
+        // "engin" is the stemmed form of "engine", held by slot 1 only.
+        let hits = idx.accumulate(["engin", "vin"]);
+        assert_eq!(hits.iter().map(|&(s, _)| s).collect::<Vec<_>>(), [0, 1, 3]);
+        assert!(
+            hits[1].1 > hits[0].1,
+            "slot 1 shares vin + engin, slot 0 vin"
+        );
+
+        let both = idx.shared_tokens(&[SchemaId(0), SchemaId(1)]);
+        assert!(both.contains(&"vin".to_string()));
+        assert!(!both.contains(&"make".to_string()));
+        let unrelated = idx.shared_tokens(&[SchemaId(0), SchemaId(2)]);
+        assert!(unrelated.iter().all(|t| t == "root"));
+        assert!(idx.shared_tokens(&[SchemaId(0), SchemaId(99)]).is_empty());
+    }
+}
+
+/// Inserts, a removal and a no-op removal of an unknown id answer what the
+/// oracle over the live set defines, at the default compaction trigger
+/// and with compaction forced on every op. The removed schema vanishes
+/// from postings and shared tokens.
+#[test]
+fn maintenance_pins_to_oracle() {
+    let prepared = prepare(&world());
+    for config in [ShardConfig::default(), eager()] {
+        let mut idx = ShardedRepositoryIndex::build(&prepared[..2], config);
+        for p in &prepared[2..] {
+            let mut next = idx.begin_update();
+            next.upsert_in_place(p);
+            idx = next;
+        }
+        assert_pinned(&idx, &prepared, &prepared);
+        assert!(idx
+            .shared_tokens(&[SchemaId(0), SchemaId(1)])
+            .contains(&"vin".to_string()));
+
+        let mut next = idx.begin_update();
+        assert!(next.remove_in_place(SchemaId(1)));
+        assert!(!next.remove_in_place(SchemaId(99)));
+        idx = next;
+        let live = [0usize, 2, 3].map(|i| Arc::clone(&prepared[i]));
+        assert_eq!(idx.len(), 3);
+        assert_pinned(&idx, &live, &prepared);
+
+        assert_eq!(idx.slot(SchemaId(1)), None);
+        assert!(idx.postings("engin").is_empty());
+        assert!(idx.shared_tokens(&[SchemaId(0), SchemaId(1)]).is_empty());
+        // Live ranks: 0 → schema 0, 1 → schema 2, 2 → schema 3. Schemata 0
+        // and 3 share "vin", 0 and 2 only the "root" container token.
+        let estimates = idx.overlap_estimates(usize::MAX);
+        assert!(estimates.bound(0, 1) < estimates.bound(0, 2));
+    }
+}
+
+/// Executor width never changes the built index: at every lane count it
+/// answers what the oracle defines, as the inline build does.
 #[test]
 fn build_parallel_is_width_invariant() {
     let schemas = pool(7);
-    let cache = FeatureCache::global();
-    let prepared: Vec<_> = schemas.iter().map(|s| cache.prepare(s)).collect();
-    let queries = &schemas[..4];
+    let prepared = prepare(&schemas);
+    let queries = &prepared[..4];
     for shards in [1usize, 3, 8] {
         let config = ShardConfig {
             shards,
             ..Default::default()
         };
-        let inline = ShardedRepositoryIndex::build(&prepared, config);
-        let inline_probe = probe_bits(
-            &|ids| {
-                inline
-                    .accumulate_ids(ids)
-                    .into_iter()
-                    .map(|(s, w)| (inline.id_at(s), w))
-                    .collect()
-            },
+        assert_pinned(
+            &ShardedRepositoryIndex::build(&prepared, config),
+            &prepared,
             queries,
         );
         for width in [1usize, 2, 4, 8] {
             let exec = Executor::global();
             let par = ShardedRepositoryIndex::build_parallel(&prepared, exec, width, config);
-            for &t in prepared.iter().flat_map(|p| p.signature_ids()) {
-                assert_eq!(
-                    par.weight_by_id(t).to_bits(),
-                    inline.weight_by_id(t).to_bits()
-                );
-                assert_eq!(par.postings_by_id(t), inline.postings_by_id(t));
-            }
-            let par_probe = probe_bits(
-                &|ids| {
-                    par.accumulate_ids(ids)
-                        .into_iter()
-                        .map(|(s, w)| (par.id_at(s), w))
-                        .collect()
-                },
-                queries,
-            );
-            assert_eq!(par_probe, inline_probe, "width {width} diverged");
+            assert_pinned(&par, &prepared, queries);
         }
     }
 }
