@@ -15,7 +15,7 @@ use crate::prepare::{PreparedElement, PreparedSchema};
 use sm_schema::instances::{InstanceData, InstanceProfile};
 use sm_schema::{ElementId, Schema};
 use sm_text::normalize::Normalizer;
-use sm_text::tfidf::{Corpus, DocVector, FinalizedCorpus};
+use sm_text::tfidf::{Corpus, DocVector, IdfTable};
 
 /// Which side of the match an element belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,9 +63,11 @@ pub struct MatchContext<'a> {
     pub target: &'a Schema,
     source_features: Vec<ElementFeatures>,
     target_features: Vec<ElementFeatures>,
-    /// TF-IDF corpus built over *both* schemata's documentation, so IDF
-    /// reflects the joint vocabulary of the match problem.
-    pub corpus: FinalizedCorpus,
+    /// TF-IDF statistics of the corpus built over *both* schemata's
+    /// documentation, so IDF reflects the joint vocabulary of the match
+    /// problem. The document vectors themselves moved into the elements'
+    /// [`ElementFeatures::doc_vector`].
+    pub corpus: IdfTable,
     /// Tag of the arena both preparations' ids point into (memo keys).
     arena_tag: u32,
     /// Fixed-width per-element records the score cascade's tier 1 reads,
@@ -200,28 +202,28 @@ impl<'a> MatchContext<'a> {
         for e in prepared_target.elements() {
             corpus.add_document_ids(&e.corpus_ids);
         }
-        let corpus = corpus.finalize();
+        let (corpus, vectors) = corpus.finalize().into_parts();
+        let mut vectors = vectors.into_iter();
 
-        let attach = |schema: &Schema,
-                      prepared: &PreparedSchema,
-                      instances: &InstanceData,
-                      doc_offset: usize|
+        let mut attach = |schema: &Schema,
+                          prepared: &PreparedSchema,
+                          instances: &InstanceData|
          -> Vec<ElementFeatures> {
             schema
                 .elements()
                 .iter()
                 .zip(prepared.elements())
-                .enumerate()
-                .map(|(idx, (e, p))| ElementFeatures {
+                .zip(vectors.by_ref())
+                .map(|((e, p), doc_vector)| ElementFeatures {
                     base: std::sync::Arc::clone(p),
-                    doc_vector: corpus.vector(doc_offset + idx).clone(),
+                    doc_vector,
                     instances: instances.get(e.id).and_then(InstanceProfile::from_values),
                 })
                 .collect()
         };
 
-        let source_features = attach(source, prepared_source, source_instances, 0);
-        let target_features = attach(target, prepared_target, target_instances, source.len());
+        let source_features = attach(source, prepared_source, source_instances);
+        let target_features = attach(target, prepared_target, target_instances);
 
         MatchContext {
             source,

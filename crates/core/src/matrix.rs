@@ -108,13 +108,45 @@ impl MatchMatrix {
         })
     }
 
-    /// Iterate pairs whose score is at least `threshold`.
+    /// Iterate pairs whose score is at least `threshold`, in row-major
+    /// order: exactly the cells of [`Self::iter`] whose read-back score
+    /// `c` has `c.value() >= threshold.value()`.
+    ///
+    /// The scan walks each row in segments and skips a segment only when
+    /// no cell in it can pass: for a positive threshold `th`, a passing
+    /// cell's raw `f32` is at least `th` (NaN reads as 0, and clamping
+    /// lowers only values above `LIMIT >= th`), hence at least `th as f32`
+    /// (round-to-nearest leaves no `f32` between the two). That
+    /// vectorizable prefilter is a superset of the exact predicate, which
+    /// then runs on the surviving segments. At `th <= 0` NaN cells and
+    /// clamped negatives can pass, so every cell takes the exact
+    /// predicate.
     pub fn iter_above(
         &self,
         threshold: Confidence,
     ) -> impl Iterator<Item = (ElementId, ElementId, Confidence)> + '_ {
+        const SEGMENT: usize = 64;
         let th = threshold.value();
-        self.iter().filter(move |(_, _, c)| c.value() >= th)
+        let prefilter = (th > 0.0).then_some(th as f32);
+        let may_pass = move |segment: &[f32]| {
+            prefilter.is_none_or(|f| segment.iter().fold(false, |any, &v| any | (v >= f)))
+        };
+        self.scores
+            .chunks(self.cols.max(1))
+            .enumerate()
+            .flat_map(move |(r, row)| {
+                row.chunks(SEGMENT)
+                    .enumerate()
+                    .filter(move |&(_, segment)| may_pass(segment))
+                    .flat_map(move |(k, segment)| {
+                        segment.iter().enumerate().filter_map(move |(j, &v)| {
+                            let c = Confidence::new(f64::from(v));
+                            (c.value() >= th).then(|| {
+                                (ElementId(r as u32), ElementId((k * SEGMENT + j) as u32), c)
+                            })
+                        })
+                    })
+            })
     }
 
     /// The best-scoring target for a source row, with its score.
@@ -159,10 +191,10 @@ impl MatchMatrix {
             .collect()
     }
 
-    /// Count of cells with score ≥ `threshold`.
+    /// Count of cells with score ≥ `threshold`: exactly the cells
+    /// [`Self::iter_above`] yields.
     pub fn count_above(&self, threshold: Confidence) -> usize {
-        let th = threshold.value() as f32;
-        self.scores.iter().filter(|&&v| v >= th).count()
+        self.iter_above(threshold).count()
     }
 
     /// Mean score over all cells (0 for an empty matrix).
@@ -228,6 +260,71 @@ mod tests {
         assert_eq!(hits.len(), 3); // 0.9, 0.7, 0.4
         assert_eq!(m.count_above(th), 3);
         assert_eq!(m.count_above(Confidence::new(0.95)), 0);
+    }
+
+    #[test]
+    fn count_above_counts_what_iter_above_yields() {
+        // 0.7 rounds down in f32: the stored cell reads back below 0.7,
+        // so the threshold selects nothing, and must count nothing.
+        let mut m = MatchMatrix::new(1, 2);
+        m.set(ElementId(0), ElementId(0), Confidence::new(0.7));
+        let th = Confidence::new(0.7);
+        assert_eq!(m.iter_above(th).count(), 0);
+        assert_eq!(m.count_above(th), 0);
+    }
+
+    /// Raw `f32` cells around a threshold: the threshold rounded to `f32`
+    /// and its two neighbours.
+    fn neighbours(th: f64) -> [f32; 3] {
+        let f = th as f32;
+        let up = |v: f32| {
+            if v == 0.0 {
+                f32::from_bits(1)
+            } else if v > 0.0 {
+                f32::from_bits(v.to_bits() + 1)
+            } else {
+                f32::from_bits(v.to_bits() - 1)
+            }
+        };
+        let down = |v: f32| -up(-v);
+        [down(f), f, up(f)]
+    }
+
+    #[test]
+    fn iter_above_yields_exactly_the_filtered_cells() {
+        let limit = Confidence::LIMIT;
+        let thresholds = [-limit, -0.5, 0.0, 0.3, 0.7, limit];
+        let mut raw = vec![f32::NAN, 2.0, -2.0, -limit as f32, 0.0, -0.0];
+        for th in thresholds {
+            raw.extend(neighbours(th));
+        }
+        // Rows shorter and longer than a scan segment, and degenerate
+        // shapes. Rows cycle through mixed raw cells, all zeros, all NaN
+        // (passing every threshold <= 0) and all -2.0 (clamped to -LIMIT,
+        // passing -LIMIT).
+        for (rows, cols) in [(0, 5), (5, 0), (3, 7), (4, 150), (2, 64), (6, 129)] {
+            let mut m = MatchMatrix::new(rows, cols);
+            for (i, cell) in m.as_mut_slice().iter_mut().enumerate() {
+                *cell = match (i / cols) % 4 {
+                    0 => raw[(i * 7) % raw.len()],
+                    1 => 0.0,
+                    2 => f32::NAN,
+                    _ => -2.0,
+                };
+            }
+            for th in thresholds {
+                let th = Confidence::new(th);
+                let expected: Vec<_> = m.iter().filter(|c| c.2.value() >= th.value()).collect();
+                let got: Vec<_> = m.iter_above(th).collect();
+                let key = |v: &[(ElementId, ElementId, Confidence)]| -> Vec<(u32, u32, u64)> {
+                    v.iter()
+                        .map(|(s, t, c)| (s.0, t.0, c.value().to_bits()))
+                        .collect()
+                };
+                assert_eq!(key(&got), key(&expected), "{rows}x{cols} at {th:?}");
+                assert_eq!(m.count_above(th), expected.len());
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum SpanKind {
-    /// Pipeline Prepare stage (whole stage, main thread).
+    /// Pipeline Prepare stage (whole stage, main thread); payload = the
+    /// pair corpus's documents (source plus target elements).
     StagePrepare = 0,
     /// Pipeline Block stage.
     StageBlock = 1,
@@ -58,7 +59,7 @@ pub enum SpanKind {
     /// Merge share of the fused window (proportional split, like
     /// `StageTimings`).
     StageMerge = 3,
-    /// Pipeline Propagate stage.
+    /// Pipeline Propagate stage; payload = source rows blended.
     StagePropagate = 4,
     /// Selection over a finished matrix.
     StageSelect = 5,

@@ -231,7 +231,8 @@ impl<'e> MatchPipeline<'e> {
 
         // Stage 1: Prepare. The preparations come straight from the engine's
         // cache, so the trusted (no re-fingerprint) assembly applies.
-        let (ctx, prepare_ns) = obs::timed(SpanKind::StagePrepare, 0, || {
+        let documents = (source.len() + target.len()) as u64;
+        let (ctx, prepare_ns) = obs::timed(SpanKind::StagePrepare, documents, || {
             let prepared_source = self.engine.prepare(source);
             let prepared_target = self.engine.prepare(target);
             MatchContext::from_prepared_trusted(
@@ -333,7 +334,8 @@ impl<'e> MatchPipeline<'e> {
 
         // Stage 1: Prepare (the per-schema half is the caller's cache hit;
         // only the joint TF-IDF corpus is assembled here).
-        let (ctx, prepare_ns) = obs::timed(SpanKind::StagePrepare, 0, || {
+        let documents = (source.len() + target.len()) as u64;
+        let (ctx, prepare_ns) = obs::timed(SpanKind::StagePrepare, documents, || {
             MatchContext::from_prepared_trusted(
                 source,
                 target,
@@ -431,13 +433,15 @@ impl<'e> MatchPipeline<'e> {
 
         let started = Instant::now();
         let prop_start = obs::now_ns();
-        if self.engine.propagation_alpha > 0.0 {
-            self.propagate(ctx.source, ctx.target, &mut matrix, &candidates);
-        }
+        let rows_blended = if self.engine.propagation_alpha > 0.0 {
+            self.propagate(ctx.source, ctx.target, &mut matrix, &candidates)
+        } else {
+            0
+        };
         timings.propagate = started.elapsed();
         obs::record_span(
             SpanKind::StagePropagate,
-            0,
+            rows_blended as u64,
             prop_start,
             timings.propagate.as_nanos() as u64,
         );
@@ -595,18 +599,27 @@ impl<'e> MatchPipeline<'e> {
     /// pass). Non-candidate cells of such a row blend their stored neutral
     /// `0.0` with the parents' scored base — densifying children of strong
     /// container pairs for free. Rows without candidates are untouched.
-    /// Only the parent rows are snapshotted, not the whole matrix.
+    /// Returns the number of rows blended.
+    ///
+    /// The parent term `α · Confidence::new(base[ps][pt])` (read through
+    /// `Confidence`, exactly as `MatchMatrix::get`) depends only on the
+    /// source parent row and the target column, so it is hoisted into one
+    /// table per distinct parent row, built from the pre-blend rows before
+    /// any row blends. Each blended row is then one branch-free pass of
+    /// `(1 − α) · own + hoisted` — the same `f64` operations in the same
+    /// order as blending cell by cell, so the same bits.
     fn propagate(
         &self,
         source: &Schema,
         target: &Schema,
         matrix: &mut MatchMatrix,
         candidates: &CandidateSet,
-    ) {
+    ) -> usize {
         let alpha = self.engine.propagation_alpha;
         let cols = target.len();
         let target_parents: Vec<Option<ElementId>> =
             target.elements().iter().map(|e| e.parent).collect();
+        let parented: Vec<bool> = target_parents.iter().map(Option::is_some).collect();
         let blended: Vec<(ElementId, ElementId)> = source
             .elements()
             .iter()
@@ -616,23 +629,58 @@ impl<'e> MatchPipeline<'e> {
         let mut parents: Vec<ElementId> = blended.iter().map(|&(_, ps)| ps).collect();
         parents.sort_unstable();
         parents.dedup();
-        let base: Vec<f32> = parents
-            .iter()
-            .flat_map(|&ps| &matrix.as_slice()[ps.index() * cols..(ps.index() + 1) * cols])
-            .copied()
-            .collect();
-        for (s, ps) in blended {
-            let at = parents.binary_search(&ps).expect("parent row snapshotted");
-            let base_row = &base[at * cols..(at + 1) * cols];
-            for (cell, pt) in matrix.row_mut(s).iter_mut().zip(&target_parents) {
-                if let Some(pt) = pt {
-                    let own = f64::from(*cell);
-                    // Read through `Confidence`, exactly as `MatchMatrix::get`.
-                    let par = Confidence::new(f64::from(base_row[pt.index()])).value();
-                    *cell = ((1.0 - alpha) * own + alpha * par) as f32;
-                }
-            }
+        let mut hoisted: Vec<f64> = Vec::with_capacity(parents.len() * cols);
+        for ps in &parents {
+            let base_row = &matrix.as_slice()[ps.index() * cols..(ps.index() + 1) * cols];
+            hoisted.extend(target_parents.iter().map(|pt| {
+                pt.map_or(0.0, |pt| {
+                    alpha * Confidence::new(f64::from(base_row[pt.index()])).value()
+                })
+            }));
         }
+        let keep = 1.0 - alpha;
+        for &(s, ps) in &blended {
+            let at = parents.binary_search(&ps).expect("parent row hoisted");
+            let terms = &hoisted[at * cols..(at + 1) * cols];
+            blend_row(matrix.row_mut(s), terms, &parented, keep);
+        }
+        blended.len()
+    }
+}
+
+/// One Propagate row: `row[t] = ((keep · row[t]) + terms[t]) as f32` where
+/// `parented[t]`, unchanged elsewhere. Dispatches to an AVX2 build of the
+/// same loop when the CPU has it: it converts and blends four `f64` lanes
+/// per instruction instead of two, and the float operations (no fused
+/// multiply-add contraction) give the same bits either way.
+fn blend_row(row: &mut [f32], terms: &[f64], parented: &[bool], keep: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports `avx2`, the feature the
+        // function is compiled with.
+        return unsafe { blend_row_x86_64_v3(row, terms, parented, keep) };
+    }
+    blend_row_kernel(row, terms, parented, keep)
+}
+
+/// [`blend_row_kernel`] compiled with AVX2.
+///
+/// # Safety
+///
+/// The running CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn blend_row_x86_64_v3(row: &mut [f32], terms: &[f64], parented: &[bool], keep: f64) {
+    blend_row_kernel(row, terms, parented, keep)
+}
+
+#[inline(always)]
+fn blend_row_kernel(row: &mut [f32], terms: &[f64], parented: &[bool], keep: f64) {
+    let n = row.len();
+    let (terms, parented) = (&terms[..n], &parented[..n]);
+    for t in 0..n {
+        let mixed = (keep * f64::from(row[t]) + terms[t]) as f32;
+        row[t] = if parented[t] { mixed } else { row[t] };
     }
 }
 
@@ -705,6 +753,108 @@ mod tests {
                     "pipeline diverged from per-pair reference at ({s:?},{t:?})"
                 );
             }
+        }
+    }
+
+    /// A blocked-run fixture where some source rows share no token with
+    /// the target (no candidates), and the target's roots sit between
+    /// children, so parented and root columns interleave.
+    fn interleaved_fixture() -> (Schema, Schema) {
+        let mut a = Schema::new(SchemaId(1), "S_A", SchemaFormat::Relational);
+        let person = a.add_root("Person", ElementKind::Table, DataType::None);
+        for name in ["person_id", "last_name", "birth_date"] {
+            a.add_child(person, name, ElementKind::Column, DataType::text())
+                .unwrap();
+        }
+        let order = a.add_root("Order", ElementKind::Table, DataType::None);
+        for name in ["order_id", "order_date", "total_amount"] {
+            a.add_child(order, name, ElementKind::Column, DataType::text())
+                .unwrap();
+        }
+        a.add_child(person, "xyzzy_plugh", ElementKind::Column, DataType::None)
+            .unwrap();
+        let stray = a.add_root("Quuxwobble", ElementKind::Table, DataType::None);
+        a.add_child(stray, "frobnitz_zyx", ElementKind::Column, DataType::text())
+            .unwrap();
+
+        let mut b = Schema::new(SchemaId(2), "S_B", SchemaFormat::Xml);
+        let person = b.add_root("PersonType", ElementKind::ComplexType, DataType::None);
+        b.add_child(
+            person,
+            "PersonId",
+            ElementKind::XmlElement,
+            DataType::text(),
+        )
+        .unwrap();
+        let order = b.add_root("OrderType", ElementKind::ComplexType, DataType::None);
+        b.add_root("Amount", ElementKind::XmlElement, DataType::text());
+        b.add_child(
+            person,
+            "LastName",
+            ElementKind::XmlElement,
+            DataType::text(),
+        )
+        .unwrap();
+        b.add_child(
+            order,
+            "OrderDate",
+            ElementKind::XmlElement,
+            DataType::text(),
+        )
+        .unwrap();
+        b.add_root("BirthDate", ElementKind::XmlElement, DataType::text());
+        b.add_child(order, "OrderId", ElementKind::XmlElement, DataType::text())
+            .unwrap();
+        (a, b)
+    }
+
+    /// Propagate on a blocked run is the documented blend applied to the
+    /// same engine's unpropagated matrix, bit for bit: a candidate-bearing
+    /// row with a parent blends every parented column with
+    /// `α · Confidence::new(base[ps][pt])`, and every other cell — root
+    /// columns, root rows, rows without candidates — keeps its base. One
+    /// candidate-free row has a scored parent row, so blending it would
+    /// show.
+    #[test]
+    fn blocked_propagation_is_the_documented_blend() {
+        let (a, b) = interleaved_fixture();
+        let policy = BlockingPolicy::default();
+        for alpha in [0.3, 0.95] {
+            let engine = |alpha| MatchEngine::new().with_threads(2).with_propagation(alpha);
+            let run = engine(alpha).pipeline().run_blocked(&a, &b, &policy);
+            let base = engine(0.0).pipeline().run_blocked(&a, &b, &policy);
+            assert_eq!(run.candidates, base.candidates);
+            let (mut blended, mut untouched) = (0, 0);
+            for s in a.ids() {
+                let parent = a.element(s).parent;
+                let has_candidates = !run.candidates.row(s.index()).is_empty();
+                match parent {
+                    Some(_) if has_candidates => blended += 1,
+                    Some(ps) if !run.candidates.row(ps.index()).is_empty() => untouched += 1,
+                    _ => {}
+                }
+                for t in b.ids() {
+                    let own = base.matrix.as_slice()[s.index() * b.len() + t.index()];
+                    let expected = match (parent, b.element(t).parent) {
+                        (Some(ps), Some(pt)) if has_candidates => {
+                            let par = base.matrix.get(ps, pt).value();
+                            ((1.0 - alpha) * f64::from(own) + alpha * par) as f32
+                        }
+                        _ => own,
+                    };
+                    let got = run.matrix.as_slice()[s.index() * b.len() + t.index()];
+                    assert_eq!(
+                        got.to_bits(),
+                        expected.to_bits(),
+                        "α {alpha}: cell ({s:?},{t:?})"
+                    );
+                }
+            }
+            assert!(blended > 0, "fixture must blend some rows");
+            assert!(
+                untouched > 0,
+                "fixture must leave a candidate-free row under a scored parent"
+            );
         }
     }
 

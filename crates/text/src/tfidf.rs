@@ -8,10 +8,23 @@
 //! ## Interned representation
 //!
 //! Terms are interned through a [`TokenArena`] on the way in, and everything
-//! downstream moves integers: document frequencies are keyed by [`TokenId`],
-//! and a [`DocVector`] is a sorted `(rank, weight)` slice where `rank` is a
-//! corpus-local dense index. Cosine is then a branch-light merge walk over
-//! `u32`s — no hashing, no string compares in the pair loop.
+//! downstream moves integers: a [`DocVector`] is a sorted `(rank, weight)`
+//! slice where `rank` is a corpus-local dense index. Cosine is then a
+//! branch-light merge walk over `u32`s — no hashing, no string compares in
+//! the pair loop.
+//!
+//! Assembly builds no `HashMap` either. [`Corpus`] appends every
+//! document's ids to one flat buffer. [`Corpus::finalize`] then makes three
+//! passes:
+//!
+//! 1. every token gets a dense local term index from an open-addressed
+//!    table over the corpus's own ids (sized by the distinct terms it
+//!    holds, not by the arena), and document frequencies are counted per
+//!    local term;
+//! 2. only the joint vocabulary is sorted by string, giving each term its
+//!    rank;
+//! 3. each document's few ranks are sorted, and every run of one rank
+//!    becomes a `(rank, tf)` pair and then a weight.
 //!
 //! Ranks are assigned in *lexicographic order of the resolved term strings*,
 //! not in id order. This matters for determinism and for byte-compatibility
@@ -23,7 +36,6 @@
 //! string→id migration.
 
 use crate::intern::{TokenArena, TokenId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A term-frequency/inverse-document-frequency corpus.
@@ -33,10 +45,10 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct Corpus {
     arena: Arc<TokenArena>,
-    /// term id → document frequency.
-    doc_freq: HashMap<TokenId, u32>,
-    /// Raw documents (term counts), retained until finalize.
-    documents: Vec<HashMap<TokenId, u32>>,
+    /// Every document's token ids, back to back.
+    ids: Vec<TokenId>,
+    /// Document `d` is `ids[ends[d - 1]..ends[d]]` (from 0 for `d = 0`).
+    ends: Vec<usize>,
 }
 
 impl Default for Corpus {
@@ -67,8 +79,8 @@ impl Corpus {
     pub fn with_arena(arena: Arc<TokenArena>) -> Self {
         Corpus {
             arena,
-            doc_freq: HashMap::new(),
-            documents: Vec::new(),
+            ids: Vec::new(),
+            ends: Vec::new(),
         }
     }
 
@@ -89,81 +101,106 @@ impl Corpus {
     /// uses: prepared schemata intern once, every per-pair corpus reuses the
     /// ids.
     pub fn add_document_ids(&mut self, ids: &[TokenId]) -> usize {
-        let mut counts: HashMap<TokenId, u32> = HashMap::with_capacity(ids.len());
-        for &id in ids {
-            *counts.entry(id).or_insert(0) += 1;
-        }
-        for &term in counts.keys() {
-            *self.doc_freq.entry(term).or_insert(0) += 1;
-        }
-        self.documents.push(counts);
-        self.documents.len() - 1
+        self.ids.extend_from_slice(ids);
+        self.ends.push(self.ids.len());
+        self.ends.len() - 1
     }
 
     /// Number of documents added so far.
     pub fn len(&self) -> usize {
-        self.documents.len()
+        self.ends.len()
     }
 
     /// True when no documents were added.
     pub fn is_empty(&self) -> bool {
-        self.documents.is_empty()
+        self.ends.is_empty()
     }
 
     /// Freeze the corpus and compute per-document TF-IDF vectors.
     pub fn finalize(self) -> FinalizedCorpus {
-        let n = self.documents.len().max(1) as f64;
-        // Corpus-local ranks in lexicographic string order: the one sort that
-        // keeps every later float summation (norms here, dots in `cosine`)
-        // byte-identical to the historical string-keyed implementation.
-        let mut vocab: Vec<TokenId> = self.doc_freq.keys().copied().collect();
+        let docs = self.ends.len();
+        let n = docs.max(1) as f64;
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let spans: Vec<(usize, usize)> = starts.zip(self.ends.iter().copied()).collect();
+
+        // Pass 1: a local term index per token, and df per local term (a
+        // term counts once per document: `last_doc` remembers where it
+        // was last counted).
+        let mut terms = TermTable::default();
+        let mut local: Vec<u32> = Vec::with_capacity(self.ids.len());
+        let mut df: Vec<u32> = Vec::new();
+        let mut last_doc: Vec<usize> = Vec::new();
+        for (d, &(start, end)) in spans.iter().enumerate() {
+            for &id in &self.ids[start..end] {
+                let l = terms.get_or_insert(id, df.len() as u32);
+                if l as usize == df.len() {
+                    df.push(0);
+                    last_doc.push(usize::MAX);
+                }
+                if last_doc[l as usize] != d {
+                    last_doc[l as usize] = d;
+                    df[l as usize] += 1;
+                }
+                local.push(l);
+            }
+        }
+
+        // Pass 2: corpus-local ranks in lexicographic string order — the
+        // one sort that keeps every later float summation (norms here,
+        // dots in `cosine`) byte-identical to the historical string-keyed
+        // implementation. The table's values become ranks.
+        let mut vocab = terms.keys();
         self.arena.sort_lexical(&mut vocab);
-        let rank_of: HashMap<TokenId, u32> = vocab
+        let mut rank_of_local = vec![0u32; vocab.len()];
+        let mut idf = Vec::with_capacity(vocab.len());
+        for (rank, &id) in vocab.iter().enumerate() {
+            let l = terms.set(id, rank as u32);
+            rank_of_local[l as usize] = rank as u32;
+            // Smoothed IDF; never negative, never zero.
+            idf.push(((n + 1.0) / (f64::from(df[l as usize]) + 1.0)).ln() + 1.0);
+        }
+
+        // Pass 3: each document's ranks, sorted; a run of one rank is that
+        // term's tf. Weights come out in rank order, which is string order,
+        // so the norm sums exactly as the historical implementation did.
+        let mut ranks: Vec<u32> = Vec::new();
+        let vectors = spans
             .iter()
-            .enumerate()
-            .map(|(rank, &id)| (id, rank as u32))
-            .collect();
-        let idf: Vec<f64> = vocab
-            .iter()
-            .map(|id| {
-                let df = self.doc_freq[id];
-                // Smoothed IDF; never negative, never zero.
-                ((n + 1.0) / (f64::from(df) + 1.0)).ln() + 1.0
-            })
-            .collect();
-        let vectors: Vec<DocVector> = self
-            .documents
-            .iter()
-            .map(|counts| {
-                let token_count = counts.values().map(|&c| c as usize).sum();
-                let mut weights: Vec<(u32, f64)> = counts
-                    .iter()
-                    .map(|(term, &tf)| {
-                        let rank = rank_of[term];
-                        let w = (1.0 + f64::from(tf).ln()) * idf[rank as usize];
-                        (rank, w)
-                    })
-                    .collect();
-                // Sort *before* the norm so the float summation order is
-                // deterministic (HashMap iteration order is not): rank order
-                // is string order, so identical documents produce
-                // bit-identical vectors across runs and representations.
-                weights.sort_unstable_by_key(|&(rank, _)| rank);
-                normalize(&mut weights);
+            .map(|&(start, end)| {
+                ranks.clear();
+                ranks.extend(local[start..end].iter().map(|&l| rank_of_local[l as usize]));
+                let weights = rank_runs(&mut ranks, |rank| idf[rank as usize]);
                 DocVector {
                     weights,
-                    token_count,
+                    token_count: end - start,
                 }
             })
             .collect();
         FinalizedCorpus {
-            arena: self.arena,
-            vocab,
-            rank_of,
-            idf,
+            table: IdfTable {
+                arena: self.arena,
+                docs,
+                rank_of: terms,
+                idf,
+            },
             vectors,
         }
     }
+}
+
+/// Sort `ranks` and turn every run of one rank into its TF-IDF weight
+/// `(1 + ln tf) · idf(rank)`, L2-normalized in rank order.
+fn rank_runs(ranks: &mut [u32], idf: impl Fn(u32) -> f64) -> Vec<(u32, f64)> {
+    ranks.sort_unstable();
+    // Exact capacity: the vector lives as long as the match context.
+    let terms = 1 + ranks.windows(2).filter(|w| w[0] != w[1]).count();
+    let mut weights: Vec<(u32, f64)> = Vec::with_capacity(terms.min(ranks.len()));
+    weights.extend(ranks.chunk_by(|a, b| a == b).map(|run| {
+        let tf = u32::try_from(run.len()).expect("term frequency fits u32");
+        (run[0], (1.0 + f64::from(tf).ln()) * idf(run[0]))
+    }));
+    normalize(&mut weights);
+    weights
 }
 
 /// L2-normalize in slice order (callers sort first for determinism).
@@ -176,16 +213,173 @@ fn normalize(weights: &mut [(u32, f64)]) {
     }
 }
 
+/// An open-addressed `TokenId → u32` table with linear probing, sized by
+/// the distinct ids it holds (it doubles at half load), so a corpus over a
+/// few hundred terms never touches memory proportional to the arena. Keys
+/// are arena-assigned ids (dense, in first-intern order), not values input
+/// can choose, so a multiplicative hash spreads them.
+#[derive(Debug, Clone)]
+struct TermTable {
+    /// `(id, value)` slots, a power of two of them; `EMPTY` ids are free.
+    slots: Vec<(u32, u32)>,
+    /// `32 − log2(slots.len())`: Fibonacci hashing keeps the top bits.
+    shift: u32,
+    len: usize,
+}
+
+impl Default for TermTable {
+    fn default() -> Self {
+        TermTable::with_slots(64)
+    }
+}
+
+impl TermTable {
+    const EMPTY: u32 = u32::MAX;
+
+    fn with_slots(slots: usize) -> Self {
+        debug_assert!(slots.is_power_of_two());
+        TermTable {
+            slots: vec![(Self::EMPTY, 0); slots],
+            shift: 32 - slots.trailing_zeros(),
+            len: 0,
+        }
+    }
+
+    /// The slot `id` occupies, or the free slot where it belongs.
+    #[inline]
+    fn slot(&self, id: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (id.wrapping_mul(0x9E37_79B9) >> self.shift) as usize;
+        while self.slots[i].0 != id && self.slots[i].0 != Self::EMPTY {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The value of `id`, inserting `value` when absent.
+    #[inline]
+    fn get_or_insert(&mut self, id: TokenId, value: u32) -> u32 {
+        assert_ne!(id.0, Self::EMPTY, "token id collides with the empty slot");
+        let i = self.slot(id.0);
+        if self.slots[i].0 == id.0 {
+            return self.slots[i].1;
+        }
+        self.slots[i] = (id.0, value);
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            let mut grown = TermTable::with_slots(self.slots.len() * 2);
+            for &(key, v) in self.slots.iter().filter(|&&(key, _)| key != Self::EMPTY) {
+                let j = grown.slot(key);
+                grown.slots[j] = (key, v);
+            }
+            grown.len = self.len;
+            *self = grown;
+        }
+        value
+    }
+
+    /// The value of `id`, if present.
+    #[inline]
+    fn get(&self, id: TokenId) -> Option<u32> {
+        let slot = self.slots[self.slot(id.0)];
+        (slot.0 == id.0).then_some(slot.1)
+    }
+
+    /// Replace the value of a present `id`, returning the old one.
+    fn set(&mut self, id: TokenId, value: u32) -> u32 {
+        let i = self.slot(id.0);
+        debug_assert_eq!(self.slots[i].0, id.0, "set on an absent id");
+        std::mem::replace(&mut self.slots[i].1, value)
+    }
+
+    /// Every key, in slot order.
+    fn keys(&self) -> Vec<TokenId> {
+        self.slots
+            .iter()
+            .filter(|&&(key, _)| key != Self::EMPTY)
+            .map(|&(key, _)| TokenId(key))
+            .collect()
+    }
+}
+
+/// The frozen statistics of a finalized corpus — document count, ranks and
+/// IDF per term — without its document vectors: what a holder that moved
+/// the vectors out ([`FinalizedCorpus::into_parts`]) keeps to vectorize
+/// further documents.
+#[derive(Debug)]
+pub struct IdfTable {
+    arena: Arc<TokenArena>,
+    /// Number of documents the corpus held.
+    docs: usize,
+    /// term id → rank.
+    rank_of: TermTable,
+    /// IDF per rank.
+    idf: Vec<f64>,
+}
+
+impl IdfTable {
+    /// Number of documents.
+    pub fn len(&self) -> usize {
+        self.docs
+    }
+
+    /// True when the corpus contained no documents.
+    pub fn is_empty(&self) -> bool {
+        self.docs == 0
+    }
+
+    /// Number of distinct terms across the corpus.
+    pub fn vocab_len(&self) -> usize {
+        self.idf.len()
+    }
+
+    /// IDF of a term (`None` for unseen terms).
+    pub fn idf(&self, term: &str) -> Option<f64> {
+        let id = self.arena.lookup(term)?;
+        self.rank_of.get(id).map(|rank| self.idf[rank as usize])
+    }
+
+    /// Vectorize an out-of-corpus document against the frozen IDF table.
+    /// Unseen terms receive the maximum default IDF (they are maximally
+    /// discriminating within this corpus) and the pseudo-rank
+    /// `vocab_len + token_id` — a stable function of the *term*, so two
+    /// separately vectorized documents agree on unseen terms exactly as the
+    /// string-keyed implementation did (shared unseen term ⇒ shared rank;
+    /// distinct unseen terms can never collide, in this call or across
+    /// calls) while staying above every in-corpus rank. Query tokens are
+    /// interned into the corpus's arena on the way in, the same append-only
+    /// codebook growth `add_document` exhibits.
+    pub fn vectorize<S: AsRef<str>>(&self, tokens: &[S]) -> DocVector {
+        let default_idf = self.idf.iter().fold(1.0_f64, |acc, &v| acc.max(v));
+        let vocab_len = u32::try_from(self.idf.len()).expect("vocab fits u32");
+        let mut ranks: Vec<u32> = tokens
+            .iter()
+            .map(|t| {
+                let id = self.arena.intern(t.as_ref());
+                self.rank_of.get(id).unwrap_or_else(|| {
+                    vocab_len
+                        .checked_add(id.0)
+                        .expect("pseudo-rank overflows u32")
+                })
+            })
+            .collect();
+        // Deterministic summation order, as in `Corpus::finalize` (unseen
+        // pseudo-ranks order by token id rather than lexicographically —
+        // deterministic, merely a different fixed order for the norm sum).
+        let weights = rank_runs(&mut ranks, |rank| {
+            self.idf.get(rank as usize).copied().unwrap_or(default_idf)
+        });
+        DocVector {
+            weights,
+            token_count: tokens.len(),
+        }
+    }
+}
+
 /// A finalized corpus: IDF table plus per-document vectors.
 #[derive(Debug)]
 pub struct FinalizedCorpus {
-    arena: Arc<TokenArena>,
-    /// rank → term id, lexicographically ordered by resolved string.
-    vocab: Vec<TokenId>,
-    /// term id → rank.
-    rank_of: HashMap<TokenId, u32>,
-    /// IDF per rank.
-    idf: Vec<f64>,
+    table: IdfTable,
     vectors: Vec<DocVector>,
 }
 
@@ -207,57 +401,24 @@ impl FinalizedCorpus {
 
     /// Number of distinct terms across the corpus.
     pub fn vocab_len(&self) -> usize {
-        self.vocab.len()
+        self.table.vocab_len()
     }
 
     /// IDF of a term (`None` for unseen terms).
     pub fn idf(&self, term: &str) -> Option<f64> {
-        let id = self.arena.lookup(term)?;
-        self.rank_of.get(&id).map(|&rank| self.idf[rank as usize])
+        self.table.idf(term)
     }
 
-    /// Vectorize an out-of-corpus document against the frozen IDF table.
-    /// Unseen terms receive the maximum default IDF (they are maximally
-    /// discriminating within this corpus) and the pseudo-rank
-    /// `vocab_len + token_id` — a stable function of the *term*, so two
-    /// separately vectorized documents agree on unseen terms exactly as the
-    /// string-keyed implementation did (shared unseen term ⇒ shared rank;
-    /// distinct unseen terms can never collide, in this call or across
-    /// calls) while staying above every in-corpus rank. Query tokens are
-    /// interned into the corpus's arena on the way in, the same append-only
-    /// codebook growth `add_document` exhibits.
+    /// Vectorize an out-of-corpus document; see [`IdfTable::vectorize`].
     pub fn vectorize<S: AsRef<str>>(&self, tokens: &[S]) -> DocVector {
-        let default_idf = self.idf.iter().fold(1.0_f64, |acc, &v| acc.max(v));
-        let mut counts: HashMap<TokenId, u32> = HashMap::with_capacity(tokens.len());
-        for t in tokens {
-            *counts.entry(self.arena.intern(t.as_ref())).or_insert(0) += 1;
-        }
-        let token_count = tokens.len();
-        let vocab_len = u32::try_from(self.vocab.len()).expect("vocab fits u32");
-        let mut weights: Vec<(u32, f64)> = counts
-            .iter()
-            .map(|(term, &tf)| {
-                let (rank, idf) = match self.rank_of.get(term) {
-                    Some(&rank) => (rank, self.idf[rank as usize]),
-                    None => (
-                        vocab_len
-                            .checked_add(term.0)
-                            .expect("pseudo-rank overflows u32"),
-                        default_idf,
-                    ),
-                };
-                (rank, (1.0 + f64::from(tf).ln()) * idf)
-            })
-            .collect();
-        // Deterministic summation order, as in `Corpus::finalize` (unseen
-        // pseudo-ranks order by token id rather than lexicographically —
-        // deterministic, merely a different fixed order for the norm sum).
-        weights.sort_unstable_by_key(|&(rank, _)| rank);
-        normalize(&mut weights);
-        DocVector {
-            weights,
-            token_count,
-        }
+        self.table.vectorize(tokens)
+    }
+
+    /// Split into the IDF table and the document vectors (in document
+    /// order), so a holder can move the vectors out instead of cloning
+    /// them and keep only the table.
+    pub fn into_parts(self) -> (IdfTable, Vec<DocVector>) {
+        (self.table, self.vectors)
     }
 }
 
@@ -304,6 +465,11 @@ impl DocVector {
             acc += *w;
             *w = acc;
         }
+    }
+
+    /// The sorted `(corpus rank, weight)` pairs.
+    pub fn weights(&self) -> &[(u32, f64)] {
+        &self.weights
     }
 
     /// Number of distinct terms.

@@ -2,11 +2,140 @@
 
 use proptest::prelude::*;
 use sm_text::abbrev::AbbrevDict;
+use sm_text::intern::TokenArena;
 use sm_text::normalize::{NormalizeOptions, Normalizer};
 use sm_text::soundex::soundex;
 use sm_text::stem::porter_stem;
-use sm_text::tfidf::Corpus;
+use sm_text::tfidf::{Corpus, DocVector, FinalizedCorpus};
 use sm_text::tokenize::{char_ngrams, tokenize_identifier};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// Corpus terms: non-ASCII ones, prefixes of each other, and an upper-case
+/// one (sorting before every lower-case term) among them.
+const WORDS: [&str; 10] = [
+    "alpha", "al", "beta", "zulu", "Zeta", "émile", "naïve", "straße", "日本", "ωmega",
+];
+
+/// Query-only terms, never in any corpus document.
+const UNSEEN: [&str; 3] = ["okapi", "ζ", "quagga"];
+
+/// The TF-IDF definition, string-keyed: df over distinct terms per
+/// document, smoothed IDF `ln((n+1)/(df+1)) + 1` with `n = max(docs, 1)`,
+/// ranks in string order, weights `(1 + ln tf) · idf` L2-normalized with
+/// every sum in rank order.
+struct RefCorpus {
+    /// term → (rank, idf).
+    terms: BTreeMap<String, (u32, f64)>,
+    vectors: Vec<(Vec<(u32, f64)>, usize)>,
+}
+
+impl RefCorpus {
+    fn build(docs: &[Vec<&str>]) -> Self {
+        let n = docs.len().max(1) as f64;
+        let mut df: BTreeMap<String, u32> = BTreeMap::new();
+        for doc in docs {
+            let distinct: std::collections::BTreeSet<&str> = doc.iter().copied().collect();
+            for term in distinct {
+                *df.entry(term.to_string()).or_insert(0) += 1;
+            }
+        }
+        let terms: BTreeMap<String, (u32, f64)> = df
+            .into_iter()
+            .enumerate()
+            .map(|(rank, (term, df))| {
+                let idf = ((n + 1.0) / (f64::from(df) + 1.0)).ln() + 1.0;
+                (term, (rank as u32, idf))
+            })
+            .collect();
+        let vectors = docs
+            .iter()
+            .map(|doc| {
+                let tf = Self::tf(doc);
+                let weights = tf
+                    .iter()
+                    .map(|(term, &tf)| (terms[term].0, terms[term].1, tf));
+                (Self::weigh(weights), doc.len())
+            })
+            .collect();
+        RefCorpus { terms, vectors }
+    }
+
+    fn tf(doc: &[&str]) -> BTreeMap<String, u32> {
+        let mut tf = BTreeMap::new();
+        for &term in doc {
+            *tf.entry(term.to_string()).or_insert(0) += 1;
+        }
+        tf
+    }
+
+    /// `(rank, idf, tf)` triples → weights sorted by rank, normalized.
+    fn weigh(terms: impl Iterator<Item = (u32, f64, u32)>) -> Vec<(u32, f64)> {
+        let mut weights: Vec<(u32, f64)> = terms
+            .map(|(rank, idf, tf)| (rank, (1.0 + f64::from(tf).ln()) * idf))
+            .collect();
+        weights.sort_by_key(|&(rank, _)| rank);
+        let norm = weights.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
+        if norm > 0.0 {
+            for (_, w) in &mut weights {
+                *w /= norm;
+            }
+        }
+        weights
+    }
+
+    /// Out-of-corpus vectorization: unseen terms take the largest IDF (at
+    /// least 1) and the pseudo-rank `vocab_len + token id`.
+    fn vectorize(&self, arena: &TokenArena, query: &[&str]) -> (Vec<(u32, f64)>, usize) {
+        let max_idf = self
+            .terms
+            .values()
+            .fold(1.0_f64, |acc, &(_, idf)| acc.max(idf));
+        let vocab_len = self.terms.len() as u32;
+        let weights = Self::tf(query).into_iter().map(|(term, tf)| {
+            let (rank, idf) = self
+                .terms
+                .get(&term)
+                .copied()
+                .unwrap_or_else(|| (vocab_len + arena.intern(&term).0, max_idf));
+            (rank, idf, tf)
+        });
+        (Self::weigh(weights), query.len())
+    }
+}
+
+fn bits(weights: &[(u32, f64)]) -> Vec<(u32, u64)> {
+    weights
+        .iter()
+        .map(|&(rank, w)| (rank, w.to_bits()))
+        .collect()
+}
+
+/// Every answer of `corpus` equals the reference's, bit for bit.
+fn assert_corpus_matches(
+    arena: &TokenArena,
+    corpus: &FinalizedCorpus,
+    reference: &RefCorpus,
+    queries: &[Vec<&str>],
+) {
+    assert_eq!(corpus.len(), reference.vectors.len());
+    assert_eq!(corpus.vocab_len(), reference.terms.len());
+    for (i, (weights, tokens)) in reference.vectors.iter().enumerate() {
+        let v: &DocVector = corpus.vector(i);
+        assert_eq!(bits(v.weights()), bits(weights), "document {i}");
+        assert_eq!(v.token_count, *tokens, "document {i} token count");
+    }
+    for term in WORDS.iter().chain(&UNSEEN) {
+        let expected = reference.terms.get(*term).map(|&(_, idf)| idf.to_bits());
+        assert_eq!(corpus.idf(term).map(f64::to_bits), expected, "idf({term})");
+    }
+    for query in queries {
+        let (weights, tokens) = reference.vectorize(arena, query);
+        let v = corpus.vectorize(query);
+        assert_eq!(bits(v.weights()), bits(&weights), "vectorize({query:?})");
+        assert_eq!(v.token_count, tokens);
+    }
+}
 
 proptest! {
     /// Soundex output is always empty or letter + 3 digits.
@@ -120,5 +249,76 @@ proptest! {
         let once = tokenize_identifier(&s);
         let again = tokenize_identifier(&once.join(" "));
         prop_assert_eq!(once, again);
+    }
+
+    /// The interned, hash-free corpus answers exactly as the string-keyed
+    /// definition: every vector's weights and token count, `idf`,
+    /// `vocab_len` and `vectorize`, bit for bit — over empty documents,
+    /// documents made only of repeats, a single-document corpus, non-ASCII
+    /// terms, and arenas whose id order is not string order.
+    #[test]
+    fn tfidf_corpus_matches_string_keyed_reference(
+        picks in prop::collection::vec(prop::collection::vec(0usize..WORDS.len(), 0..9), 1..9),
+        repeat in 0usize..WORDS.len(),
+        repeats in 2usize..6,
+        query_picks in prop::collection::vec(
+            prop::collection::vec(0usize..WORDS.len() + UNSEEN.len(), 0..6),
+            1..4,
+        ),
+        reverse_lexical in any::<bool>(),
+        intern_seed in any::<u64>(),
+    ) {
+        // Intern every term before any corpus sees it: in reverse string
+        // order, or in an order drawn from the seed — either way ids do
+        // not follow string order.
+        let arena = TokenArena::new();
+        let mut order: Vec<&str> = WORDS.to_vec();
+        if reverse_lexical {
+            order.sort_unstable_by(|a, b| b.cmp(a));
+        } else {
+            order.sort_unstable_by_key(|w| {
+                w.bytes().fold(intern_seed, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
+            });
+        }
+        for w in &order {
+            arena.intern(w);
+        }
+        let arena = Arc::new(arena);
+
+        let mut docs: Vec<Vec<&str>> = picks
+            .iter()
+            .map(|p| p.iter().map(|&i| WORDS[i]).collect())
+            .collect();
+        docs.push(Vec::new());
+        docs.push(vec![WORDS[repeat]; repeats]);
+        let pool: Vec<&str> = WORDS.iter().chain(&UNSEEN).copied().collect();
+        let queries: Vec<Vec<&str>> = query_picks
+            .iter()
+            .map(|p| p.iter().map(|&i| pool[i]).collect())
+            .collect();
+
+        let build = |docs: &[Vec<&str>]| {
+            let mut corpus = Corpus::with_arena(Arc::clone(&arena));
+            for (i, doc) in docs.iter().enumerate() {
+                // Half the documents go in as strings, half as ids.
+                let index = if i % 2 == 0 {
+                    corpus.add_document(doc)
+                } else {
+                    corpus.add_document_ids(&arena.intern_all(doc))
+                };
+                assert_eq!(index, i);
+            }
+            corpus.finalize()
+        };
+        assert_corpus_matches(&arena, &build(&docs), &RefCorpus::build(&docs), &queries);
+        let single = &docs[..1];
+        assert_corpus_matches(&arena, &build(single), &RefCorpus::build(single), &queries);
+        let repeats_only = &docs[docs.len() - 1..];
+        assert_corpus_matches(
+            &arena,
+            &build(repeats_only),
+            &RefCorpus::build(repeats_only),
+            &queries,
+        );
     }
 }

@@ -130,6 +130,26 @@ fn trace_is_well_formed_across_lanes() {
     // Score's serial prologue: the context's tier-1 digests, built once
     // before the lanes start.
     assert_eq!(count(obs::SpanKind::ScoreDigests), 1, "score.digests");
+    // Stage payloads: Prepare counts the pair corpus's documents (one per
+    // element of either schema), Propagate the rows it blended (at most
+    // one per source element, and some on this pair).
+    let payload = |kind| {
+        events
+            .iter()
+            .find(|e| e.kind == kind)
+            .map(|e| e.payload)
+            .expect("stage span recorded")
+    };
+    assert_eq!(
+        payload(obs::SpanKind::StagePrepare),
+        (pair.source.len() + pair.target.len()) as u64,
+        "stage.prepare payload"
+    );
+    let blended = payload(obs::SpanKind::StagePropagate);
+    assert!(
+        blended > 0 && blended <= pair.source.len() as u64,
+        "stage.propagate payload {blended}"
+    );
 
     // Well-formed nesting per lane: sweep events in start order keeping a
     // stack of open intervals; every event must fall entirely inside the
