@@ -323,7 +323,7 @@ REGISTERED_COUNTERS = [
     "repo.shard_builds", "repo.delta_ops", "repo.compactions",
     "repo.snapshots", "repo.compactions_deferred",
     "memo.misses", "memo.flushes",
-    "exec.budget_denied",
+    "exec.budget_denied", "exec.withheld",
     "serve.admitted", "serve.rejected", "serve.shed", "serve.timeouts",
     "serve.cancelled", "serve.degraded", "serve.queue_depth_max",
     "serve.rss_peak_bytes",

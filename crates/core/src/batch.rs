@@ -21,10 +21,12 @@
 //! weights are bit-for-bit those of a standalone run. [`MatchBatch::run`]
 //! then executes all requested pairs concurrently on the persistent
 //! [`Executor`]: pairs are job-level lanes claiming from the batch's
-//! request queue, and each pair's Score/Merge stage fans its row chunks out
-//! to the *same* pool, so an idle worker steals chunk work from the
-//! straggler pair instead of idling at the tail (two-level scheduling; see
-//! [`crate::exec`]).
+//! request queue, and each pair's Block and Score/Merge stages fan their
+//! chunks out to the *same* pool (two-level scheduling; see
+//! [`crate::exec`]). While the job lanes hold the whole pool those chunk
+//! fan-outs run inline, since a fan-out offers only unreserved lanes; at
+//! the tail, a job lane that runs out of pairs frees its lane, and the
+//! straggler pair's next fan-out takes it instead of the worker idling.
 //!
 //! The contract mirrors the blocking index's: batching is an *execution*
 //! change, never a semantics change. Per-pair results are byte-identical to
@@ -742,14 +744,14 @@ impl MatchBatch<'_, '_> {
     }
 
     /// The batch's one pair-job loop. Job-level lanes claim whole requests
-    /// and run each through [`Self::run_pair`], while each pair's
-    /// Score/Merge fans chunk lanes out to the same pool (see the module
-    /// docs). `finish` turns a run, given the instant its job started, into
-    /// the caller's per-pair result inside the job, so whatever it drops (a
-    /// selection-only caller's matrix) never outlives the job. Returns the
-    /// per-pair results in request order plus the aggregated timings: the
-    /// Plan stage and its breakdown, then the sum of every pair's stage
-    /// times (read through `timings_of`).
+    /// and run each through [`Self::run_pair`], while each pair's Block and
+    /// Score/Merge fan chunk lanes out to the same pool's unreserved lanes
+    /// (see the module docs). `finish` turns a run, given the instant its
+    /// job started, into the caller's per-pair result inside the job, so
+    /// whatever it drops (a selection-only caller's matrix) never outlives
+    /// the job. Returns the per-pair results in request order plus the
+    /// aggregated timings: the Plan stage and its breakdown, then the sum of
+    /// every pair's stage times (read through `timings_of`).
     fn run_jobs<R, F>(
         &self,
         finish: F,
@@ -1262,5 +1264,84 @@ mod tests {
         assert!(batch.overlap().is_none());
         assert!(batch.pruned().is_empty());
         assert_eq!(batch.plan_breakdown(), PlanBreakdown::default());
+    }
+
+    /// `n` schemata of `cols` columns each, named over one small
+    /// vocabulary so every pair has candidates to block and score.
+    fn population(n: u32, cols: usize) -> Vec<Schema> {
+        const WORDS: [&str; 16] = [
+            "begin", "end", "date", "location", "name", "site", "priority", "severity", "remarks",
+            "code", "status", "owner", "amount", "kind", "region", "note",
+        ];
+        (0..n)
+            .map(|id| {
+                let i = id as usize;
+                let words: Vec<String> = (0..cols)
+                    .map(|c| format!("{}_{}", WORDS[(c + i) % 16], WORDS[(7 * c + 3 * i) % 16]))
+                    .collect();
+                let words: Vec<&str> = words.iter().map(String::as_str).collect();
+                schema(id, &words)
+            })
+            .collect()
+    }
+
+    /// A job token tripped mid-round unwinds `CancelUnwind` through the
+    /// job lanes and the pair fan-outs nested in them, and leaves no lane
+    /// of the pool reserved: a standalone two-lane fan-out on the 2-wide
+    /// pool still gets its one helper. A cancel that lands only after the
+    /// round finished proves nothing, so rounds repeat until one is
+    /// actually cancelled.
+    #[test]
+    fn cancelled_round_releases_every_lane() {
+        crate::serve::install_cancel_hook();
+        let schemas = population(20, 30);
+        let refs: Vec<&Schema> = schemas.iter().collect();
+        let exec = Arc::new(Executor::new(2));
+        let mut cancelled = false;
+        for _ in 0..20 {
+            let token = crate::serve::JobToken::new();
+            let engine = engine()
+                .with_executor(Arc::clone(&exec))
+                .with_threads(2)
+                .with_job_token(token.clone());
+            let batch = engine.batch().plan_all_pairs(&refs);
+            let planned = exec.stats().enqueued;
+            let outcome = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    // The round's job-level fan-out has started once it
+                    // enqueued its helper.
+                    let until = Instant::now() + Duration::from_secs(10);
+                    while exec.stats().enqueued == planned && Instant::now() < until {
+                        std::thread::yield_now();
+                    }
+                    token.cancel();
+                });
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| batch.run()))
+            });
+            if let Err(payload) = outcome {
+                assert!(
+                    payload
+                        .downcast_ref::<crate::serve::CancelUnwind>()
+                        .is_some(),
+                    "the round must unwind with the cancel payload"
+                );
+                cancelled = true;
+            }
+            // On a fresh thread, so a lane marker leaked on this one
+            // cannot mask a leaked lane.
+            let before = exec.stats().enqueued;
+            std::thread::scope(|scope| {
+                scope.spawn(|| exec.run_lanes(2, |_| {}));
+            });
+            assert_eq!(
+                exec.stats().enqueued,
+                before + 1,
+                "a lane of the pool stayed reserved"
+            );
+            if cancelled {
+                break;
+            }
+        }
+        assert!(cancelled, "no round was cancelled mid-run");
     }
 }

@@ -14,10 +14,10 @@
 //! * **job level** — a batch (see [`crate::batch`]) enqueues its pairs as
 //!   independent lanes; each lane claims whole pairs from the batch's job
 //!   queue;
-//! * **chunk level** — inside one pair, the Score/Merge stage enqueues its
-//!   row-shard lanes onto the *same* pool, so an idle worker can steal chunk
-//!   work from whichever pair is currently the straggler instead of sitting
-//!   out the tail.
+//! * **chunk level** — inside one pair, the Block and Score/Merge stages
+//!   enqueue their chunk lanes onto the *same* pool, so a worker left idle
+//!   at the tail can steal chunk work from whichever pair is currently the
+//!   straggler instead of sitting it out.
 //!
 //! Both levels use [`Executor::run_lanes`], whose contract makes nesting
 //! deadlock-free: the calling thread always executes lane 0 itself, so a
@@ -29,6 +29,16 @@
 //! parallel stages write disjoint output and claim work from deterministic
 //! queues.
 //!
+//! Nesting is also kept within the pool's width. Each pool counts its
+//! *reserved lanes*: one per thread running lanes of it (a fan-out's caller
+//! reserves one on entry unless it is already inside a lane of this pool)
+//! and one per helper from its enqueue until its body finishes. A fan-out
+//! offers only the unreserved lanes, so a job lane of a batch that already
+//! holds the whole pool runs its pair's Block and Score chunks inline
+//! instead of waking one more thread per pair; chunk-level helpers come
+//! from lanes nobody holds, which at the batch tail are the lanes of job
+//! lanes that ran out of pairs.
+//!
 //! The global pool is sized by [`crate::engine::detect_threads`] (so the
 //! `SM_THREADS` override reaches it) at first use; tests and embedders that
 //! need a specific width inject their own instance via
@@ -36,9 +46,10 @@
 
 use crate::engine::detect_threads;
 use crate::obs;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// A unit of pool work: an erased helper-lane closure, tagged with the
@@ -63,6 +74,11 @@ struct PoolShared {
     /// [`obs::Counter`] mirrors are what the runtime/compile-time obs gates
     /// control.
     counters: PoolCounters,
+    /// Lanes of this pool currently held (see [`LaneSeat`]): every fan-out
+    /// offers at most `threads − reserved` helpers. A plain count that
+    /// publishes no other data, hence `Relaxed`; a helper's release still
+    /// happens before its owner returns, through the lane latch's mutex.
+    reserved: AtomicUsize,
 }
 
 #[derive(Default)]
@@ -72,6 +88,7 @@ struct PoolCounters {
     reclaimed: AtomicU64,
     parked: AtomicU64,
     inline_runs: AtomicU64,
+    withheld: AtomicU64,
     queue_depth_max: AtomicU64,
 }
 
@@ -90,6 +107,11 @@ pub struct ExecStats {
     pub parked: u64,
     /// `run_lanes` invocations that ran fully inline (no helpers offered).
     pub inline_runs: u64,
+    /// Helpers a fan-out wanted (within pool width − 1) but did not offer
+    /// because every lane of the pool was reserved — typically a pair
+    /// job's chunk fan-out inside a batch that already holds the pool.
+    /// Shortfall against a [`LaneBudget`] is not counted here.
+    pub withheld: u64,
     /// High-water mark of the shared queue depth.
     pub queue_depth_max: u64,
 }
@@ -202,6 +224,7 @@ impl Executor {
             wake: Condvar::new(),
             next_owner: std::sync::atomic::AtomicU64::new(0),
             counters: PoolCounters::default(),
+            reserved: AtomicUsize::new(0),
         });
         let workers = (0..threads)
             .map(|i| {
@@ -255,6 +278,7 @@ impl Executor {
             reclaimed: c.reclaimed.load(Ordering::Relaxed),
             parked: c.parked.load(Ordering::Relaxed),
             inline_runs: c.inline_runs.load(Ordering::Relaxed),
+            withheld: c.withheld.load(Ordering::Relaxed),
             queue_depth_max: c.queue_depth_max.load(Ordering::Relaxed),
         }
     }
@@ -316,7 +340,19 @@ impl Executor {
     /// core and made the multi-threaded dense run *slower* than the serial
     /// one (`BENCH_pipeline.json`, PR 4: 0.321 s at 2 threads vs 0.282 s at
     /// 1). In particular, a 1-wide pool now runs every lane inline on the
-    /// caller. `work` must be written as
+    /// caller.
+    ///
+    /// The cap also holds under nesting: helpers are further capped at the
+    /// pool's *unreserved* lanes, `threads − reserved`. The caller reserves
+    /// a lane for lane 0 unless its thread is already running a lane of
+    /// this pool (a thread counts once per pool however deep it nests; a
+    /// lane of another pool does not count here), and each helper stays
+    /// reserved from its enqueue until its body finishes, whoever runs it.
+    /// A standalone call thus gets its `threads − 1` helpers, while a call
+    /// from inside a fan-out that already holds the pool runs inline. The
+    /// caller's lane is released when lane 0 returns, so the lanes of a
+    /// fan-out's finished lanes go to whichever of its lanes fans out next.
+    /// `work` must be written as
     /// a *claim loop* over shared state: any subset of lanes, in any order,
     /// must complete the whole job, because a helper lane may start
     /// arbitrarily late — or find the queue already drained — when the pool
@@ -334,29 +370,45 @@ impl Executor {
     }
 
     /// [`Self::run_lanes`] with helper lanes drawn from `budget`: the
-    /// helper count is the usual `min(parallelism − 1, pool − 1)`, further
-    /// capped by a non-blocking claim against the budget. Lane 0 still
-    /// runs on the caller unconditionally, so a starved claim (0 granted)
-    /// degrades to inline execution instead of waiting. Claimed lanes are
-    /// returned to the budget when the invocation completes — including by
-    /// unwind.
+    /// helper count is the usual `min(parallelism − 1, pool − 1)` capped at
+    /// the pool's unreserved lanes, and only then by a non-blocking claim
+    /// against the budget, so the width rule never uses up budget lanes.
+    /// Lane 0 still runs on the caller unconditionally, so a starved claim
+    /// (0 granted) degrades to inline execution instead of waiting. Claimed
+    /// lanes are returned to the budget when the invocation completes —
+    /// including by unwind.
     pub fn run_lanes_budgeted<F>(&self, parallelism: usize, budget: Option<&LaneBudget>, work: F)
     where
         F: Fn(usize) + Sync,
     {
+        let seat = LaneSeat::reserve(&self.shared);
         let want = parallelism
             .max(1)
             .saturating_sub(1)
             .min(self.threads.saturating_sub(1));
+        let free = self.reserve_helpers(want);
+        if free < want {
+            let withheld = (want - free) as u64;
+            self.shared
+                .counters
+                .withheld
+                .fetch_add(withheld, Ordering::Relaxed);
+            obs::add(obs::Counter::ExecWithheld, withheld);
+        }
         let helpers = match budget {
             Some(b) => {
-                let got = b.claim(want);
-                if got < want {
-                    obs::add(obs::Counter::ExecBudgetDenied, (want - got) as u64);
+                let got = b.claim(free);
+                if got < free {
+                    obs::add(obs::Counter::ExecBudgetDenied, (free - got) as u64);
+                    // Hand the lanes the budget refused straight back: only
+                    // helpers about to be enqueued stay reserved.
+                    self.shared
+                        .reserved
+                        .fetch_sub(free - got, Ordering::Relaxed);
                 }
                 got
             }
-            None => want,
+            None => free,
         };
         let _lease = budget.map(|b| LaneLease {
             budget: b,
@@ -391,6 +443,7 @@ impl Executor {
         let launch = LanePointers {
             work: std::ptr::from_ref(work_ref),
             sync: std::ptr::from_ref(&sync),
+            pool: Arc::as_ptr(&self.shared),
         };
         let owner = self
             .shared
@@ -406,10 +459,17 @@ impl Executor {
                     // would otherwise capture the raw-pointer fields
                     // individually and lose the struct's `Send` impl.
                     let ptrs = ptrs;
-                    // SAFETY: `run_lanes` keeps `work` and `sync` alive
-                    // until this closure signals completion below.
-                    let (work, sync) = unsafe { (&*ptrs.work, &*ptrs.sync) };
-                    let outcome = catch_unwind(AssertUnwindSafe(|| work(lane)));
+                    // SAFETY: `run_lanes` keeps `work`, `sync` and the
+                    // pool alive until this closure signals completion
+                    // below.
+                    let (work, sync, pool) = unsafe { (&*ptrs.work, &*ptrs.sync, &*ptrs.pool) };
+                    let outcome = {
+                        // This helper's lane has been reserved since its
+                        // enqueue; it is released before the latch below
+                        // lets the owner return.
+                        let _seat = LaneSeat::occupy(pool);
+                        catch_unwind(AssertUnwindSafe(|| work(lane)))
+                    };
                     let mut state = sync.state.lock().expect("lane sync poisoned");
                     if let Err(payload) = outcome {
                         state.panic.get_or_insert(payload);
@@ -451,6 +511,10 @@ impl Executor {
         // waited for before unwinding (see the safety note above).
         let own = catch_unwind(AssertUnwindSafe(|| work_ref(0)));
 
+        // Lane 0 is done with the caller's lane: while it waits below, a
+        // helper still running (or one it reclaims, on that helper's own
+        // reservation) may fan out into it.
+        drop(seat);
         drop(drain); // reclaim-or-wait until every helper lane is done
         let helper_panic = sync.state.lock().expect("lane sync poisoned").panic.take();
 
@@ -460,6 +524,73 @@ impl Executor {
         if let Some(payload) = helper_panic {
             std::panic::resume_unwind(payload);
         }
+    }
+
+    /// Reserve up to `want` of the pool's unreserved lanes for helpers
+    /// about to be enqueued; returns how many were reserved. Each is
+    /// released by the [`LaneSeat`] its task occupies.
+    fn reserve_helpers(&self, want: usize) -> usize {
+        let reserved = &self.shared.reserved;
+        let mut held = reserved.load(Ordering::Relaxed);
+        loop {
+            let take = want.min(self.threads.saturating_sub(held));
+            if take == 0 {
+                return 0;
+            }
+            match reserved.compare_exchange_weak(
+                held,
+                held + take,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return take,
+                Err(now) => held = now,
+            }
+        }
+    }
+}
+
+thread_local! {
+    /// The pools this thread is running a lane of, innermost last (by
+    /// `PoolShared` address, which is stable and unique while any of its
+    /// lanes runs). A fan-out on a listed pool reserves no lane for its
+    /// caller: the thread already holds one.
+    static HELD_POOLS: RefCell<Vec<*const PoolShared>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One reserved lane of a pool, occupied by the current thread: while it
+/// lives the thread is listed in [`HELD_POOLS`], and its drop — on return
+/// and on unwind alike — unlists the thread and releases the lane. A lost
+/// release would leave the lane reserved for good and quietly make every
+/// later fan-out on the pool narrower, down to serial.
+struct LaneSeat<'a> {
+    pool: &'a PoolShared,
+}
+
+impl<'a> LaneSeat<'a> {
+    /// Reserve a lane for the calling thread, unless it already runs a lane
+    /// of `pool`.
+    fn reserve(pool: &'a PoolShared) -> Option<Self> {
+        let held = HELD_POOLS.with(|held| held.borrow().contains(&std::ptr::from_ref(pool)));
+        if held {
+            return None;
+        }
+        pool.reserved.fetch_add(1, Ordering::Relaxed);
+        Some(LaneSeat::occupy(pool))
+    }
+
+    /// Occupy a lane already counted in `pool.reserved` (an enqueued
+    /// helper's).
+    fn occupy(pool: &'a PoolShared) -> Self {
+        HELD_POOLS.with(|held| held.borrow_mut().push(std::ptr::from_ref(pool)));
+        LaneSeat { pool }
+    }
+}
+
+impl Drop for LaneSeat<'_> {
+    fn drop(&mut self) {
+        HELD_POOLS.with(|held| held.borrow_mut().pop());
+        self.pool.reserved.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -569,10 +700,11 @@ struct LaneState {
 struct LanePointers {
     work: *const (dyn Fn(usize) + Sync),
     sync: *const LaneSync,
+    pool: *const PoolShared,
 }
 
-// SAFETY: the pointees are `Sync` (`work` by bound, `LaneSync` by
-// construction) and outlive the tasks; see `run_lanes`.
+// SAFETY: the pointees are `Sync` (`work` by bound, `LaneSync` and
+// `PoolShared` by construction) and outlive the tasks; see `run_lanes`.
 unsafe impl Send for LanePointers {}
 
 fn worker_loop(shared: &PoolShared) {
@@ -612,7 +744,7 @@ fn worker_loop(shared: &PoolShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn single_lane_runs_inline() {
@@ -846,5 +978,200 @@ mod tests {
         });
         drop(exec); // must not hang
         assert!(hits.load(Ordering::Relaxed) >= 1);
+    }
+
+    fn deadline() -> std::time::Instant {
+        std::time::Instant::now() + std::time::Duration::from_secs(10)
+    }
+
+    /// Lane 1's body in the lane-rule tests: wait for lane 0's flag, but
+    /// never past a deadline. If no worker ever starts lane 1, lane 0's
+    /// drain reclaims it after lane 0 returns and it finds the flag set, so
+    /// no test can hang on it.
+    fn hold(flag: &AtomicBool) {
+        let until = deadline();
+        while !flag.load(Ordering::Acquire) && std::time::Instant::now() < until {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Wait, from one lane of a two-lane fan-out, until the other lane has
+    /// returned and released its lane, leaving only the waiter's.
+    fn await_sibling_release(exec: &Executor) {
+        let until = deadline();
+        while exec.shared.reserved.load(Ordering::Relaxed) > 1 {
+            assert!(std::time::Instant::now() < until, "lane 1 never ran");
+            std::thread::yield_now();
+        }
+    }
+
+    /// No lane of the 2-wide `exec` is left reserved: a standalone
+    /// two-lane fan-out offers exactly its one helper. It runs on a fresh
+    /// thread, so a lane marker leaked on this one cannot mask a leaked
+    /// lane.
+    fn assert_no_lane_reserved(exec: &Executor) {
+        assert_eq!(exec.threads(), 2);
+        assert_eq!(exec.shared.reserved.load(Ordering::Relaxed), 0);
+        let before = exec.stats().enqueued;
+        std::thread::scope(|scope| {
+            scope.spawn(|| exec.run_lanes(2, |_| {}));
+        });
+        assert_eq!(
+            exec.stats().enqueued,
+            before + 1,
+            "a lane of the pool stayed reserved"
+        );
+    }
+
+    /// The lane rule: a fan-out from a lane of a fan-out that holds the
+    /// whole pool offers no helper, records the shortfall as withheld, and
+    /// leaves its lane budget untouched.
+    #[test]
+    fn nested_fan_out_in_a_held_pool_runs_inline() {
+        let exec = Executor::new(2);
+        let budget = LaneBudget::new(1);
+        let release = AtomicBool::new(false);
+        exec.run_lanes(2, |lane| {
+            if lane != 0 {
+                return hold(&release);
+            }
+            let before = exec.stats();
+            let withheld_before = obs::counter_value(obs::Counter::ExecWithheld);
+            let hits = AtomicUsize::new(0);
+            exec.run_lanes_budgeted(2, Some(&budget), |inner| {
+                assert_eq!(inner, 0);
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            let after = exec.stats();
+            release.store(true, Ordering::Release);
+            assert_eq!(hits.load(Ordering::Relaxed), 1);
+            assert_eq!(after.enqueued, before.enqueued, "no helper offered");
+            assert_eq!(after.inline_runs, before.inline_runs + 1);
+            assert_eq!(after.withheld, before.withheld + 1);
+            assert_eq!(budget.available(), 1, "the width rule claims no budget");
+            if obs::enabled() {
+                assert!(obs::counter_value(obs::Counter::ExecWithheld) > withheld_before);
+            }
+        });
+        assert_no_lane_reserved(&exec);
+    }
+
+    /// The batch tail: once a sibling lane has returned, its lane goes to
+    /// the next nested fan-out.
+    #[test]
+    fn nested_fan_out_gets_a_returned_sibling_lane() {
+        let exec = Executor::new(2);
+        exec.run_lanes(2, |lane| {
+            if lane != 0 {
+                return;
+            }
+            await_sibling_release(&exec);
+            let before = exec.stats();
+            let seen = Mutex::new(Vec::new());
+            exec.run_lanes(2, |inner| seen.lock().unwrap().push(inner));
+            let after = exec.stats();
+            assert_eq!(after.enqueued, before.enqueued + 1, "one helper offered");
+            assert_eq!(after.withheld, before.withheld);
+            let mut lanes = seen.into_inner().unwrap();
+            lanes.sort_unstable();
+            assert_eq!(lanes, vec![0, 1]);
+        });
+        assert_no_lane_reserved(&exec);
+    }
+
+    /// The other side of the batch tail: once lane 0 has returned, the
+    /// caller's lane goes to a fan-out nested in the straggling helper
+    /// lane, whether a worker runs that lane or the waiting caller
+    /// reclaims it.
+    #[test]
+    fn nested_fan_out_in_a_helper_gets_the_returned_caller_lane() {
+        let exec = Executor::new(2);
+        let before = Mutex::new(None);
+        let after = Mutex::new(None);
+        exec.run_lanes(2, |lane| {
+            if lane != 1 {
+                return;
+            }
+            await_sibling_release(&exec);
+            *before.lock().unwrap() = Some(exec.stats());
+            exec.run_lanes(2, |_| {});
+            *after.lock().unwrap() = Some(exec.stats());
+        });
+        let before = before.into_inner().unwrap().expect("lane 1 ran");
+        let after = after.into_inner().unwrap().expect("lane 1 ran");
+        assert_eq!(after.enqueued, before.enqueued + 1, "one helper offered");
+        assert_eq!(after.withheld, before.withheld);
+        assert_no_lane_reserved(&exec);
+    }
+
+    /// On a 4-wide pool, a fan-out nested in a two-lane fan-out gets the
+    /// two lanes that fan-out does not hold.
+    #[test]
+    fn nested_fan_out_offers_only_unreserved_lanes() {
+        let exec = Executor::new(4);
+        let release = AtomicBool::new(false);
+        exec.run_lanes(2, |lane| {
+            if lane != 0 {
+                return hold(&release);
+            }
+            let before = exec.stats();
+            exec.run_lanes(4, |_| {});
+            let after = exec.stats();
+            release.store(true, Ordering::Release);
+            assert_eq!(after.enqueued, before.enqueued + 2);
+            assert_eq!(after.withheld, before.withheld + 1);
+        });
+        assert_eq!(exec.shared.reserved.load(Ordering::Relaxed), 0);
+    }
+
+    /// A lane-0 panic inside a nested fan-out releases every lane it
+    /// unwinds through: a nested fan-out on the same pool that got a
+    /// helper, and one in a lane of another pool, which reserves its own
+    /// lane of this pool and runs inline.
+    #[test]
+    fn lane_zero_panic_in_nested_fan_out_releases_every_lane() {
+        let exec = Executor::new(2);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            exec.run_lanes(2, |lane| {
+                if lane != 0 {
+                    return;
+                }
+                await_sibling_release(&exec);
+                exec.run_lanes(2, |inner| {
+                    if inner == 0 {
+                        panic!("nested lane zero exploded");
+                    }
+                });
+            });
+        }));
+        assert!(result.is_err(), "panic must propagate");
+        assert_no_lane_reserved(&exec);
+
+        let other = Executor::new(2);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            other.run_lanes(2, |lane| {
+                if lane == 0 {
+                    exec.run_lanes(1, |_| panic!("inline lane zero exploded"));
+                }
+            });
+        }));
+        assert!(result.is_err(), "panic must propagate");
+        assert_no_lane_reserved(&exec);
+        assert_no_lane_reserved(&other);
+    }
+
+    /// A panicking helper lane still releases the lane it was enqueued on.
+    #[test]
+    fn helper_lane_panic_releases_its_lane() {
+        let exec = Executor::new(2);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            exec.run_lanes(2, |lane| {
+                if lane == 1 {
+                    panic!("helper lane exploded");
+                }
+            });
+        }));
+        assert!(result.is_err(), "panic must propagate");
+        assert_no_lane_reserved(&exec);
     }
 }

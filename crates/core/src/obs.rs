@@ -289,10 +289,13 @@ pub enum Counter {
     CascadePhaseBPrune = 38,
     /// Cascade tier-1 exit: survived every refinement.
     CascadeFinalSurvive = 39,
+    /// Helper lanes wanted but not offered because every lane of the pool
+    /// was reserved (nested fan-outs inside a saturated fan-out).
+    ExecWithheld = 40,
 }
 
 /// Number of registered counters.
-pub const COUNTER_COUNT: usize = 40;
+pub const COUNTER_COUNT: usize = 41;
 
 /// All counters, in slot order (export iteration order).
 pub const COUNTERS: [Counter; COUNTER_COUNT] = [
@@ -336,6 +339,7 @@ pub const COUNTERS: [Counter; COUNTER_COUNT] = [
     Counter::CascadePhaseAPrune,
     Counter::CascadePhaseBPrune,
     Counter::CascadeFinalSurvive,
+    Counter::ExecWithheld,
 ];
 
 impl Counter {
@@ -382,6 +386,7 @@ impl Counter {
             Counter::CascadePhaseAPrune => "cascade.exit.phase_a_prune",
             Counter::CascadePhaseBPrune => "cascade.exit.phase_b_prune",
             Counter::CascadeFinalSurvive => "cascade.exit.final_survive",
+            Counter::ExecWithheld => "exec.withheld",
         }
     }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Scheduling-flake loop: run the tests whose assertions depend on thread
-# scheduling (three integration binaries and the executor's
-# scheduling-counter unit test) N times, pinned to one CPU with
+# scheduling (three integration binaries, the executor's scheduling-counter
+# and lane-rule unit tests, and the cancelled-batch lane test) N times,
+# pinned to one CPU with
 # `taskset -c 0`, where a starved reader or helper lane shows up as a
 # failure. Then run them once more unpinned while one busy loop per CPU
 # competes for every core, so a test that only passes on an idle machine
@@ -18,12 +19,22 @@ if ! command -v taskset >/dev/null 2>&1; then
 fi
 
 tests=(--test snapshot_stress --test serve_pin --test obs_pin)
+lib_tests=(
+    exec::tests::scheduling_counters_single_vs_multi_lane
+    exec::tests::nested_fan_out_in_a_held_pool_runs_inline
+    exec::tests::nested_fan_out_gets_a_returned_sibling_lane
+    exec::tests::nested_fan_out_in_a_helper_gets_the_returned_caller_lane
+    exec::tests::nested_fan_out_offers_only_unreserved_lanes
+    exec::tests::lane_zero_panic_in_nested_fan_out_releases_every_lane
+    exec::tests::helper_lane_panic_releases_its_lane
+    batch::tests::cancelled_round_releases_every_lane
+)
 cargo test -q --no-run "${tests[@]}"
 cargo test -q --no-run -p harmony-core --lib
 for i in $(seq 1 "$runs"); do
     echo "==> flake run $i/$runs (taskset -c 0)"
     taskset -c 0 cargo test -q "${tests[@]}"
-    taskset -c 0 cargo test -q -p harmony-core --lib exec::tests::scheduling_counters_single_vs_multi_lane
+    taskset -c 0 cargo test -q -p harmony-core --lib -- "${lib_tests[@]}"
 done
 
 cpus="$(nproc)"
@@ -41,4 +52,4 @@ for _ in $(seq 1 "$cpus"); do
 done
 echo "==> flake run under background load ($cpus busy loops)"
 cargo test -q "${tests[@]}"
-cargo test -q -p harmony-core --lib exec::tests::scheduling_counters_single_vs_multi_lane
+cargo test -q -p harmony-core --lib -- "${lib_tests[@]}"
