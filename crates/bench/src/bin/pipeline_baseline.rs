@@ -2,7 +2,9 @@
 //! paper's 1378×784 scale (§3.3's "10.2 seconds" datum).
 //!
 //! Measures the cold vs. cached Prepare stage (the `PreparedSchema` feature
-//! cache's payoff), the per-stage breakdown of full cached runs — dense and
+//! cache's payoff; cold features also at 1 and at 2 engine lanes,
+//! `prepare_secs.cold_features_t1`/`_t2`, in interleaved rounds), the
+//! per-stage breakdown of full cached runs — dense and
 //! token-blocked, single-threaded and multi-threaded — and the feature
 //! cache's hit/miss/eviction counters over the whole workload, then writes
 //! the numbers as JSON to the workspace root so regressions are diffable in
@@ -50,6 +52,10 @@ use std::time::Instant;
 /// `tests/cascade_pin.rs`); the selections-equality gates in the n-way
 /// bench keep running floor-off engines.
 const CASCADE_FLOOR: f64 = 0.30;
+
+/// Interleaved rounds of the 1- vs 2-lane cold-features comparison (each
+/// round prepares the pair twice, ~25–35 ms per preparation of both).
+const PREP_REPS: usize = 21;
 
 fn median_secs(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -205,10 +211,20 @@ fn run_trace(req: &sm_bench::TraceRequest) {
         obs::SpanKind::BlockAssemble,
         obs::SpanKind::BlockClose,
     ];
-    for covered in obs::coverage(&obs::collect(), obs::SpanKind::StageBlock, &block_passes) {
+    let events = obs::collect();
+    for covered in obs::coverage(&events, obs::SpanKind::StageBlock, &block_passes) {
         println!(
             "stage.block child-span coverage: {:.1}% (index.build, probe.chunk, \
              block.rescue, block.assemble, block.close)",
+            100.0 * covered
+        );
+    }
+    // The run's two cold preparations, each built in element chunks on
+    // the engine's lanes.
+    let prepare_passes = [obs::SpanKind::PrepareChunk, obs::SpanKind::PrepareAssemble];
+    for covered in obs::coverage(&events, obs::SpanKind::CacheBuild, &prepare_passes) {
+        println!(
+            "cache.build child-span coverage: {:.1}% (prepare.chunk, prepare.assemble)",
             100.0 * covered
         );
     }
@@ -244,6 +260,28 @@ fn main() {
         let pt = PreparedSchema::build(&pair.target, &normalizer);
         (ps.len(), pt.len())
     });
+
+    // Cold features on an engine's lanes: a fresh cache prepares both
+    // schemata in element chunks at 1 and at 2 lanes, in interleaved
+    // rounds (the cache is dropped outside the timed region).
+    let cold_lanes = [1usize, 2];
+    let mut lane_samples: Vec<Vec<f64>> = vec![Vec::with_capacity(PREP_REPS); cold_lanes.len()];
+    for round in 0..PREP_REPS {
+        for point in round_order(round, cold_lanes.len()) {
+            let engine = MatchEngine::new()
+                .with_feature_cache(std::sync::Arc::new(
+                    harmony_core::prepare::FeatureCache::new(Normalizer::new()),
+                ))
+                .with_threads(cold_lanes[point]);
+            let t0 = Instant::now();
+            let prepared = (engine.prepare(&pair.source), engine.prepare(&pair.target));
+            lane_samples[point].push(t0.elapsed().as_secs_f64());
+            drop(std::hint::black_box(prepared));
+        }
+    }
+    let cold_features_t1 = median_secs(&mut lane_samples[0]);
+    let cold_features_t2 = median_secs(&mut lane_samples[1]);
+    let cold_features_ratio = cold_features_t2 / cold_features_t1.max(1e-12);
 
     // Cold full context (features + joint TF-IDF corpus).
     let cold_context = time(REPS, || {
@@ -396,6 +434,11 @@ fn main() {
     let speedup = cold_context / cached_context.max(1e-12);
     let stats = cache.stats();
     println!("cold features        {:>10.4} s", cold_features);
+    println!(
+        "cold features, lanes {:>10.4} s at 1, {:.4} s at 2 ({cold_features_ratio:.3}×, \
+         median of {PREP_REPS} interleaved)",
+        cold_features_t1, cold_features_t2
+    );
     println!("cold context         {:>10.4} s", cold_context);
     println!(
         "cached context       {:>10.4} s   ({speedup:.1}× vs cold)",
@@ -467,6 +510,9 @@ fn main() {
     let json = format!(
         "{{\n  \"scale\": {{\"rows\": {rows}, \"cols\": {cols}, \"pairs\": {pairs}}},\n  \
          \"prepare_secs\": {{\n    \"cold_features\": {cold_features:.6},\n    \
+         \"cold_features_t1\": {cold_features_t1:.6},\n    \
+         \"cold_features_t2\": {cold_features_t2:.6},\n    \
+         \"cold_features_t2_over_t1\": {cold_features_ratio:.4},\n    \
          \"cold_context\": {cold_context:.6},\n    \
          \"cached_context\": {cached_context:.6},\n    \
          \"cached_speedup\": {speedup:.2}\n  }},\n  \

@@ -36,7 +36,7 @@
 use crate::correspondence::MatchSet;
 use crate::engine::{BlockedMatchResult, MatchEngine};
 use crate::exec::Executor;
-use crate::index::{idf_weight, BlockingPolicy, ElementTokenIndex};
+use crate::index::{idf_weight, BlockingPolicy, ElementTokenIndex, GovernedExec};
 use crate::pipeline::{BlockedRun, StageTimings};
 use crate::prepare::{CacheStats, FeatureCache, PreparedSchema};
 use crate::select::Selection;
@@ -535,6 +535,10 @@ fn delta_stats(before: CacheStats, after: CacheStats) -> CacheStats {
 /// Lanes claim schema slots from a shared queue;
 /// [`FeatureCache::get_or_prepare`] guarantees a fingerprint is built at
 /// most once even when two lanes (or two batches) race on equal content.
+/// Each miss is built on the same lanes
+/// ([`FeatureCache::get_or_prepare_on`]): while the schema lanes hold the
+/// whole pool, a build runs inline; a lone large schema fans its element
+/// chunks out to the lanes the others left free.
 /// Exposed for the enterprise layer's bulk operations (clustering,
 /// feasibility, repository warming), whose per-schema loops this replaces.
 pub fn prepare_schemas(
@@ -544,7 +548,7 @@ pub fn prepare_schemas(
     schemas: &[&Schema],
 ) -> Vec<Arc<PreparedSchema>> {
     exec.run_map(parallelism, schemas, |_, schema| {
-        cache.get_or_prepare(schema)
+        cache.get_or_prepare_on(schema, Some((exec, parallelism)), GovernedExec::default())
     })
 }
 

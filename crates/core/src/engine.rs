@@ -276,9 +276,20 @@ impl MatchEngine {
 
     /// Fetch (or build) the cached per-schema preparation — the Prepare
     /// stage's per-schema half, exposed so repositories and n-way efforts can
-    /// warm the cache explicitly.
+    /// warm the cache explicitly. A miss is built in element chunks on this
+    /// engine's executor lanes, under its lane budget and job token.
     pub fn prepare(&self, schema: &Schema) -> Arc<PreparedSchema> {
-        self.cache.prepare(schema)
+        self.cache
+            .get_or_prepare_on(schema, Some((&self.exec, self.threads)), self.governed())
+    }
+
+    /// This engine's serving-layer controls (lane budget, job token) as the
+    /// chunked fan-outs take them.
+    pub(crate) fn governed(&self) -> crate::index::GovernedExec<'_> {
+        crate::index::GovernedExec {
+            budget: self.lane_budget.as_deref(),
+            token: self.job_token.as_ref(),
+        }
     }
 
     /// A staged view of this engine's configuration.

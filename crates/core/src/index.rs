@@ -255,8 +255,9 @@ impl CandidateSet {
 
 /// Elements per build/probe chunk: small enough that lanes load-balance,
 /// large enough that per-chunk bookkeeping (one queue claim, one result
-/// push) is noise next to the posting walks inside.
-const CHUNK_ELEMENTS: usize = 64;
+/// push) is noise next to the posting walks inside. `PreparedSchema`'s
+/// chunked build uses the same width.
+pub(crate) const CHUNK_ELEMENTS: usize = 64;
 
 /// Rows per parent-closure chunk. A closure row merges all of its
 /// children's rows, so one costs about as much as a chunk of its children;
@@ -282,7 +283,7 @@ pub fn run_chunked<T: Send>(
 
 /// [`run_chunked`] under serving-layer controls: helper lanes are claimed
 /// against `gov.budget`, and `gov.token` is checked before every chunk.
-fn run_chunked_governed<T: Send>(
+pub(crate) fn run_chunked_governed<T: Send>(
     par: Option<(&Executor, usize)>,
     gov: GovernedExec<'_>,
     n: usize,

@@ -113,10 +113,17 @@ pub enum SpanKind {
     /// A match context's tier-1 column digests built, before the score
     /// lanes start (payload = source + target elements).
     ScoreDigests = 28,
+    /// One element chunk of one phase of a `PreparedSchema` build — name
+    /// normalization or element assembly (payload = elements).
+    PrepareChunk = 29,
+    /// A `PreparedSchema` build's serial tail: chunk concatenation, the
+    /// name-token signature and the blocking-feature CSR (payload =
+    /// elements).
+    PrepareAssemble = 30,
 }
 
 /// All kinds, in discriminant order (export iteration order).
-pub const SPAN_KINDS: [SpanKind; 29] = [
+pub const SPAN_KINDS: [SpanKind; 31] = [
     SpanKind::StagePrepare,
     SpanKind::StageBlock,
     SpanKind::StageScore,
@@ -146,6 +153,8 @@ pub const SPAN_KINDS: [SpanKind; 29] = [
     SpanKind::BlockAssemble,
     SpanKind::BlockClose,
     SpanKind::ScoreDigests,
+    SpanKind::PrepareChunk,
+    SpanKind::PrepareAssemble,
 ];
 
 impl SpanKind {
@@ -181,6 +190,8 @@ impl SpanKind {
             SpanKind::BlockAssemble => "block.assemble",
             SpanKind::BlockClose => "block.close",
             SpanKind::ScoreDigests => "score.digests",
+            SpanKind::PrepareChunk => "prepare.chunk",
+            SpanKind::PrepareAssemble => "prepare.assemble",
         }
     }
 

@@ -54,9 +54,7 @@ use crate::confidence::Confidence;
 use crate::context::MatchContext;
 use crate::correspondence::MatchSet;
 use crate::engine::MatchEngine;
-use crate::index::{
-    generate_candidates, BlockingPolicy, CandidateSet, ElementTokenIndex, GovernedExec,
-};
+use crate::index::{generate_candidates, BlockingPolicy, CandidateSet, ElementTokenIndex};
 use crate::matrix::MatchMatrix;
 use crate::obs;
 use crate::obs::SpanKind;
@@ -361,10 +359,7 @@ impl<'e> MatchPipeline<'e> {
                 policy,
                 self.engine.executor(),
                 self.engine.threads,
-                GovernedExec {
-                    budget: self.engine.lane_budget.as_deref(),
-                    token: self.engine.job_token.as_ref(),
-                },
+                self.engine.governed(),
             )
         });
         BlockedRun {

@@ -24,6 +24,8 @@
 //! vocabulary of a match problem) remains per-pair; see
 //! [`crate::context::MatchContext`].
 
+use crate::exec::Executor;
+use crate::index::{run_chunked_governed, GovernedExec, CHUNK_ELEMENTS};
 use sm_schema::{Schema, SchemaId};
 use sm_text::bounds::{id_signature, CharProfile, TokenStat};
 use sm_text::intern::{to_sorted_set, TokenArena, TokenId};
@@ -207,9 +209,23 @@ pub struct PreparedSchema {
     block_feature_ids: Vec<TokenId>,
 }
 
+/// Phase 1 of [`PreparedSchema::build_chunked`] for one element chunk:
+/// the chunk's normalized names and their interned ids.
+struct NameChunk {
+    /// Name bags in element order; phase 2 of the same chunk moves them
+    /// into its elements.
+    bags: Mutex<Vec<TokenBag>>,
+    /// Interned name tokens, element after element.
+    ids: Vec<TokenId>,
+    /// `offsets[i]..offsets[i + 1]` slices `ids` for the chunk's `i`-th
+    /// element.
+    offsets: Vec<u32>,
+}
+
 impl PreparedSchema {
     /// Run the full normalization pipeline once per element, interning
-    /// through the process-wide [`TokenArena`].
+    /// through the process-wide [`TokenArena`], inline on the calling
+    /// thread.
     pub fn build(schema: &Schema, normalizer: &Normalizer) -> Self {
         Self::build_with_arena(schema, normalizer, Arc::clone(TokenArena::global()))
     }
@@ -220,80 +236,171 @@ impl PreparedSchema {
         normalizer: &Normalizer,
         arena: Arc<TokenArena>,
     ) -> Self {
-        let bags: Vec<TokenBag> = schema
-            .elements()
-            .iter()
-            .map(|e| normalizer.name(&e.name))
-            .collect();
-        let bag_ids: Vec<Vec<TokenId>> = bags.iter().map(|b| arena.intern_all(&b.tokens)).collect();
-        let mut signature_ids =
-            to_sorted_set(bag_ids.iter().flat_map(|ids| ids.iter().copied()).collect());
-        arena.sort_lexical(&mut signature_ids);
-        let elements: Vec<Arc<PreparedElement>> = schema
-            .elements()
-            .iter()
-            .zip(bags)
-            .map(|(e, name_bag)| {
-                let name_ids = bag_ids[e.id.index()].clone();
-                let parent_ids: &[TokenId] = e.parent.map_or(&[], |p| &bag_ids[p.index()]);
-                let mut children_ids = Vec::new();
-                for &c in &e.children {
-                    children_ids.extend_from_slice(&bag_ids[c.index()]);
-                }
-                let children_len = count(children_ids.len());
-                let mut corpus_ids = name_ids.clone();
-                corpus_ids.extend(arena.intern_all(&normalizer.prose(e.doc_text()).tokens));
-                let raw = e.name.to_lowercase();
+        Self::build_chunked(
+            schema,
+            schema_fingerprint(schema),
+            normalizer,
+            arena,
+            None,
+            GovernedExec::default(),
+        )
+    }
 
-                // Blocking features: distinct corpus tokens plus prefixed
-                // Soundex / acronym keys, interned and ordered by resolved
-                // string — exactly the feature set (and IDF accumulation
-                // order) of the historical string-keyed blocking index.
-                let mut block_features: Vec<TokenId> = corpus_ids.clone();
-                for t in &name_bag.tokens {
-                    let code = soundex(t);
-                    if !code.is_empty() {
-                        block_features.push(arena.intern(&format!("s:{code}")));
+    /// [`Self::build_with_arena`] with element chunks fanned out across up
+    /// to `parallelism` lanes of `exec`.
+    ///
+    /// On an arena that already holds every token of the schema (a warm
+    /// arena), every id, set and CSR is bit-identical to the inline build
+    /// at every lane count. On a cold arena, ids are handed out in the
+    /// order the lanes happen to intern tokens — exactly as they already
+    /// are across schemata prepared concurrently by
+    /// [`crate::batch::prepare_schemas`] — so the ids may differ from an
+    /// inline build's while resolving to the same strings: every lexical
+    /// order, set and match score is unchanged.
+    pub fn build_parallel(
+        schema: &Schema,
+        normalizer: &Normalizer,
+        arena: Arc<TokenArena>,
+        exec: &Executor,
+        parallelism: usize,
+    ) -> Self {
+        Self::build_chunked(
+            schema,
+            schema_fingerprint(schema),
+            normalizer,
+            arena,
+            Some((exec, parallelism)),
+            GovernedExec::default(),
+        )
+    }
+
+    /// The one build body, in element chunks of the blocking index's width
+    /// ([`run_chunked_governed`]: inline for one chunk or one lane, helper
+    /// lanes claimed against `gov.budget`, `gov.token` checked before every
+    /// chunk). `fingerprint` is `schema`'s [`schema_fingerprint`], which
+    /// the feature cache has already computed as its key.
+    ///
+    /// Phase 1 normalizes and interns each element's name; phase 2
+    /// assembles each [`PreparedElement`], reading parent and child name
+    /// ids from phase 1 across chunk edges. Chunks concatenate in element
+    /// order. The serial tail derives the signature (phase-1 ids only) and
+    /// the blocking-feature CSR.
+    pub(crate) fn build_chunked(
+        schema: &Schema,
+        fingerprint: u64,
+        normalizer: &Normalizer,
+        arena: Arc<TokenArena>,
+        par: Option<(&Executor, usize)>,
+        gov: GovernedExec<'_>,
+    ) -> Self {
+        let source = schema.elements();
+        let n = source.len();
+        let names = run_chunked_governed(par, gov, n, CHUNK_ELEMENTS, |_, range| {
+            let _span = crate::obs::span(crate::obs::SpanKind::PrepareChunk, range.len() as u64);
+            let mut bags = Vec::with_capacity(range.len());
+            let mut ids = Vec::new();
+            let mut offsets = Vec::with_capacity(range.len() + 1);
+            offsets.push(0);
+            for e in &source[range] {
+                let bag = normalizer.name(&e.name);
+                ids.extend(bag.tokens.iter().map(|t| arena.intern(t)));
+                offsets.push(count(ids.len()));
+                bags.push(bag);
+            }
+            NameChunk {
+                bags: Mutex::new(bags),
+                ids,
+                offsets,
+            }
+        });
+        let name_ids_of = |idx: usize| -> &[TokenId] {
+            let chunk = &names[idx / CHUNK_ELEMENTS];
+            let at = idx % CHUNK_ELEMENTS;
+            &chunk.ids[chunk.offsets[at] as usize..chunk.offsets[at + 1] as usize]
+        };
+
+        let chunks = run_chunked_governed(par, gov, n, CHUNK_ELEMENTS, |chunk, range| {
+            let _span = crate::obs::span(crate::obs::SpanKind::PrepareChunk, range.len() as u64);
+            let bags = std::mem::take(&mut *names[chunk].bags.lock().expect("name chunk poisoned"));
+            range
+                .zip(bags)
+                .map(|(idx, name_bag)| {
+                    let e = &source[idx];
+                    let name_ids = name_ids_of(idx).to_vec();
+                    let parent_ids: &[TokenId] = e.parent.map_or(&[], |p| name_ids_of(p.index()));
+                    let mut children_ids = Vec::new();
+                    for &c in &e.children {
+                        children_ids.extend_from_slice(name_ids_of(c.index()));
                     }
-                }
-                let acronym = acronym_of(&name_bag.tokens);
-                if name_bag.len() >= 2 {
-                    block_features.push(arena.intern(&format!("a:{acronym}")));
-                }
-                if (2..=MAX_ACRONYM_LEN).contains(&raw.len()) {
-                    block_features.push(arena.intern(&format!("a:{raw}")));
-                }
-                block_features = to_sorted_set(block_features);
-                arena.sort_lexical(&mut block_features);
+                    let children_len = count(children_ids.len());
+                    let mut corpus_ids = name_ids.clone();
+                    corpus_ids.extend(arena.intern_all(&normalizer.prose(e.doc_text()).tokens));
+                    let raw = e.name.to_lowercase();
 
-                let name_set = to_sorted_set(name_ids.clone());
-                let children_set = to_sorted_set(children_ids);
-                let raw_chars: Arc<[char]> = raw.chars().collect();
-                Arc::new(PreparedElement {
-                    name_sig: id_signature(&name_set),
-                    children_sig: id_signature(&children_set),
-                    corpus_sig: id_signature(&corpus_ids),
-                    raw_profile: CharProfile::of_chars(&raw_chars),
-                    name_token_stats: name_bag.tokens.iter().map(|t| TokenStat::of(t)).collect(),
-                    name_set,
-                    name_ids,
-                    raw_name_id: arena.intern(&raw),
-                    raw_chars,
-                    acronym_id: arena.intern(&acronym),
-                    raw_soundex: soundex_key(&raw),
-                    parent_set: to_sorted_set(parent_ids.to_vec()),
-                    parent_len: count(parent_ids.len()),
-                    children_set,
-                    children_len,
-                    corpus_ids,
-                    block_features,
-                    name_bag,
+                    // Blocking features: distinct corpus tokens plus
+                    // prefixed Soundex / acronym keys, interned and ordered
+                    // by resolved string — exactly the feature set (and IDF
+                    // accumulation order) of the historical string-keyed
+                    // blocking index.
+                    let mut block_features: Vec<TokenId> = corpus_ids.clone();
+                    for t in &name_bag.tokens {
+                        let code = soundex(t);
+                        if !code.is_empty() {
+                            block_features.push(arena.intern(&format!("s:{code}")));
+                        }
+                    }
+                    let acronym = acronym_of(&name_bag.tokens);
+                    if name_bag.len() >= 2 {
+                        block_features.push(arena.intern(&format!("a:{acronym}")));
+                    }
+                    if (2..=MAX_ACRONYM_LEN).contains(&raw.len()) {
+                        block_features.push(arena.intern(&format!("a:{raw}")));
+                    }
+                    block_features = to_sorted_set(block_features);
+                    arena.sort_lexical(&mut block_features);
+
+                    let name_set = to_sorted_set(name_ids.clone());
+                    let children_set = to_sorted_set(children_ids);
+                    let raw_chars: Arc<[char]> = raw.chars().collect();
+                    Arc::new(PreparedElement {
+                        name_sig: id_signature(&name_set),
+                        children_sig: id_signature(&children_set),
+                        corpus_sig: id_signature(&corpus_ids),
+                        raw_profile: CharProfile::of_chars(&raw_chars),
+                        name_token_stats: name_bag
+                            .tokens
+                            .iter()
+                            .map(|t| TokenStat::of(t))
+                            .collect(),
+                        name_set,
+                        name_ids,
+                        raw_name_id: arena.intern(&raw),
+                        raw_chars,
+                        acronym_id: arena.intern(&acronym),
+                        raw_soundex: soundex_key(&raw),
+                        parent_set: to_sorted_set(parent_ids.to_vec()),
+                        parent_len: count(parent_ids.len()),
+                        children_set,
+                        children_len,
+                        corpus_ids,
+                        block_features,
+                        name_bag,
+                    })
                 })
-            })
-            .collect();
+                .collect::<Vec<_>>()
+        });
+
+        let _assemble = crate::obs::span(crate::obs::SpanKind::PrepareAssemble, n as u64);
+        let mut elements = Vec::with_capacity(n);
+        for chunk in chunks {
+            elements.extend(chunk);
+        }
+        let mut signature_ids =
+            to_sorted_set(names.iter().flat_map(|c| c.ids.iter().copied()).collect());
+        arena.sort_lexical(&mut signature_ids);
         Self::from_prepared_elements_presorted(
             schema.id,
-            schema_fingerprint(schema),
+            fingerprint,
             elements,
             signature_ids,
             arena,
@@ -623,8 +730,24 @@ impl FeatureCache {
     /// builds while the others wait on the in-flight slot and share the
     /// result — the same content is never prepared twice. Waiters count as
     /// `hits` (they were served without building); only the building thread
-    /// records a `miss`.
+    /// records a `miss`. A miss builds inline on the calling thread.
     pub fn get_or_prepare(&self, schema: &Schema) -> Arc<PreparedSchema> {
+        self.get_or_prepare_on(schema, None, GovernedExec::default())
+    }
+
+    /// [`Self::get_or_prepare`] whose miss is built on the caller's lanes:
+    /// element chunks fan out across up to `parallelism` lanes of `exec`
+    /// (`par`), helper lanes are claimed against `gov.budget`, and
+    /// `gov.token` is checked before every chunk (see
+    /// [`PreparedSchema::build_parallel`] for the id contract). A build
+    /// that unwinds — a tripped token included — leaves no entry, and
+    /// every waiter on it retries.
+    pub fn get_or_prepare_on(
+        &self,
+        schema: &Schema,
+        par: Option<(&Executor, usize)>,
+        gov: GovernedExec<'_>,
+    ) -> Arc<PreparedSchema> {
         let fp = schema_fingerprint(schema);
         loop {
             // Fast path / rendezvous decision under one short lock.
@@ -689,10 +812,13 @@ impl FeatureCache {
                     crate::obs::add(crate::obs::Counter::CacheMisses, 1);
                     let (prepared, _build_ns) =
                         crate::obs::timed(crate::obs::SpanKind::CacheBuild, fp, || {
-                            Arc::new(PreparedSchema::build_with_arena(
+                            Arc::new(PreparedSchema::build_chunked(
                                 schema,
+                                fp,
                                 &self.normalizer,
                                 Arc::clone(&self.arena),
+                                par,
+                                gov,
                             ))
                         });
                     guard.publish(Arc::clone(&prepared));
@@ -1118,5 +1244,152 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, 1, "the fingerprint was built exactly once");
         assert_eq!(stats.hits, 7, "waiters and late arrivals count as hits");
+    }
+
+    /// A heap-shaped schema of `n` elements (element `i`'s parent is
+    /// `(i - 1) / 2`) with recurring name tokens — many 64-element chunks.
+    fn heap_schema(id: u32, n: usize) -> Schema {
+        const WORDS: [&str; 8] = [
+            "person", "birth", "date", "order", "amount", "ship", "code", "line",
+        ];
+        let mut s = Schema::new(SchemaId(id), format!("H{n}"), SchemaFormat::Relational);
+        for i in 0..n {
+            let name = format!("{}_{}{}", WORDS[i % 8], WORDS[(i / 8) % 8], i % 11);
+            if i == 0 {
+                s.add_root(name, ElementKind::Table, DataType::None);
+            } else {
+                let parent = sm_schema::ElementId(((i - 1) / 2) as u32);
+                let e = s
+                    .add_child(parent, name, ElementKind::Column, DataType::Date)
+                    .unwrap();
+                s.set_doc(
+                    e,
+                    Documentation::embedded(format!("the {} of it", WORDS[i % 5])),
+                )
+                .unwrap();
+            }
+        }
+        s
+    }
+
+    /// A cold prepare under a lane budget with no helper lanes enqueues no
+    /// helper on the pool, and builds what an unbudgeted 2-lane prepare
+    /// (which does fan out) builds.
+    #[test]
+    fn prepare_under_an_empty_lane_budget_enqueues_nothing() {
+        let exec = Arc::new(Executor::new(2));
+        let schema = heap_schema(7, 1378);
+        let engine = || {
+            crate::engine::MatchEngine::new()
+                .with_feature_cache(Arc::new(FeatureCache::new(Normalizer::new())))
+                .with_executor(Arc::clone(&exec))
+                .with_threads(2)
+        };
+        let before = exec.stats().enqueued;
+        let starved = engine()
+            .with_lane_budget(Arc::new(crate::exec::LaneBudget::new(0)))
+            .prepare(&schema);
+        assert_eq!(
+            exec.stats().enqueued,
+            before,
+            "a zero budget must run inline"
+        );
+        let free = engine().prepare(&schema);
+        assert!(
+            exec.stats().enqueued > before,
+            "an unbudgeted prepare fans out"
+        );
+        assert_eq!(starved.elements(), free.elements());
+        assert_eq!(starved.signature_ids(), free.signature_ids());
+    }
+
+    /// A job token tripped between a cold build's chunks unwinds the
+    /// build: the cache keeps no entry and no slot, a caller waiting on the
+    /// in-flight build is not left blocked (it builds for itself), and the
+    /// next prepare equals a fresh build.
+    #[test]
+    fn cancelled_prepare_leaves_no_entry_and_no_blocked_waiter() {
+        use crate::serve::{CancelUnwind, JobToken};
+        use std::time::{Duration, Instant};
+        crate::serve::install_cancel_hook();
+        let exec = Arc::new(Executor::new(2));
+        let schema = heap_schema(8, 1378);
+        let fresh = PreparedSchema::build(&schema, &Normalizer::new());
+        let same = |p: &PreparedSchema| {
+            p.elements() == fresh.elements() && p.signature_ids() == fresh.signature_ids()
+        };
+        for with_waiter in [false, true] {
+            let mut cancelled = false;
+            for _ in 0..20 {
+                let cache = Arc::new(FeatureCache::new(Normalizer::new()));
+                let token = JobToken::new();
+                let engine = || {
+                    crate::engine::MatchEngine::new()
+                        .with_feature_cache(Arc::clone(&cache))
+                        .with_executor(Arc::clone(&exec))
+                        .with_threads(2)
+                };
+                let tokened = engine().with_job_token(token.clone());
+                let before = exec.stats().enqueued;
+                let until = Instant::now() + Duration::from_secs(10);
+                // The build's first chunk fan-out has started once it
+                // enqueued its helper.
+                let started = || exec.stats().enqueued > before || Instant::now() > until;
+                let waiting = || {
+                    let inner = cache.inner.lock().unwrap();
+                    inner
+                        .building
+                        .values()
+                        .any(|slot| Arc::strong_count(slot) > 2)
+                        || Instant::now() > until
+                };
+                let (outcome, waited) = std::thread::scope(|scope| {
+                    let waiter = with_waiter.then(|| {
+                        scope.spawn(|| {
+                            while !started() {
+                                std::thread::yield_now();
+                            }
+                            cache.get_or_prepare(&schema)
+                        })
+                    });
+                    scope.spawn(|| {
+                        while !started() || (with_waiter && !waiting()) {
+                            std::thread::yield_now();
+                        }
+                        token.cancel();
+                    });
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        tokened.prepare(&schema)
+                    }));
+                    let waited = waiter.map(|w| w.join().expect("waiter panicked"));
+                    (outcome, waited)
+                });
+                let Err(payload) = outcome else { continue };
+                assert!(payload.downcast_ref::<CancelUnwind>().is_some());
+                cancelled = true;
+                assert!(
+                    cache.inner.lock().unwrap().building.is_empty(),
+                    "slot left behind"
+                );
+                match waited {
+                    // The waiter retried and built for itself.
+                    Some(prepared) => {
+                        assert!(same(&prepared));
+                        assert_eq!(cache.stats().misses, 2);
+                        assert!(Arc::ptr_eq(&prepared, &engine().prepare(&schema)));
+                    }
+                    None => {
+                        assert_eq!(cache.stats().entries, 0, "a cancelled build was cached");
+                        assert!(same(&engine().prepare(&schema)));
+                        assert_eq!(cache.stats().misses, 2);
+                    }
+                }
+                break;
+            }
+            assert!(
+                cancelled,
+                "no build was cancelled mid-run (waiter: {with_waiter})"
+            );
+        }
     }
 }

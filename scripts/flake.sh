@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Scheduling-flake loop: run the tests whose assertions depend on thread
 # scheduling (three integration binaries, the executor's scheduling-counter
-# and lane-rule unit tests, and the cancelled-batch lane test) N times,
+# and lane-rule unit tests, the cancelled-batch lane test, and the
+# feature cache's lane-budget and cancelled-build tests) N times,
 # pinned to one CPU with
 # `taskset -c 0`, where a starved reader or helper lane shows up as a
 # failure. Then run them once more unpinned while one busy loop per CPU
@@ -28,6 +29,8 @@ lib_tests=(
     exec::tests::lane_zero_panic_in_nested_fan_out_releases_every_lane
     exec::tests::helper_lane_panic_releases_its_lane
     batch::tests::cancelled_round_releases_every_lane
+    prepare::tests::prepare_under_an_empty_lane_budget_enqueues_nothing
+    prepare::tests::cancelled_prepare_leaves_no_entry_and_no_blocked_waiter
 )
 cargo test -q --no-run "${tests[@]}"
 cargo test -q --no-run -p harmony-core --lib

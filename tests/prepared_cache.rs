@@ -3,12 +3,15 @@
 //! runs, and every consumer built from the cache agrees with one built from
 //! scratch.
 
+use harmony_core::index::{BlockingPolicy, GovernedExec};
+use harmony_core::matrix::MatchMatrix;
 use harmony_core::prelude::*;
 use harmony_core::prepare::{FeatureCache, PreparedSchema};
 use sm_enterprise::cluster::DistanceMatrix;
 use sm_enterprise::{MetadataRepository, SchemaSearch};
-use sm_schema::Schema;
+use sm_schema::{DataType, Documentation, ElementId, ElementKind, Schema, SchemaFormat, SchemaId};
 use sm_synth::{GeneratorConfig, RepositoryConfig, SchemaPair, SyntheticRepository};
+use sm_text::intern::{TokenArena, TokenId};
 use sm_text::normalize::Normalizer;
 
 fn case_pair() -> SchemaPair {
@@ -184,4 +187,202 @@ fn incremental_session_reuses_engine_cache() {
         "session construction must not re-run linguistic preprocessing"
     );
     assert!(!session.validated().is_empty());
+}
+
+/// A schema of `n` elements shaped like a binary heap — element `i`'s
+/// parent is `(i - 1) / 2` — so at 64-element chunks parents and children
+/// sit across chunk edges (element 64's parent is 31, element 63's
+/// children are 127 and 128). Names repeat tokens across elements and
+/// include a multibyte name, short raw names (acronym keys) and documented
+/// elements, so every feature kind is exercised.
+fn chunk_edge_schema(id: u32, n: usize) -> Schema {
+    const WORDS: [&str; 12] = [
+        "customer",
+        "order",
+        "line",
+        "item",
+        "ship",
+        "date",
+        "amount",
+        "postal",
+        "qty",
+        "coi",
+        "organisation",
+        "größe",
+    ];
+    let mut s = Schema::new(SchemaId(id), format!("edge{n}"), SchemaFormat::Relational);
+    for i in 0..n {
+        let name = match i % 5 {
+            0 => WORDS[i % WORDS.len()].to_string(),
+            1 => format!(
+                "{}_{}",
+                WORDS[i % WORDS.len()],
+                WORDS[(i * 7 + 3) % WORDS.len()]
+            ),
+            2 => format!("{}{}", WORDS[(i / 3) % WORDS.len()], i % 7),
+            3 => format!("c{}", i % 13),
+            _ => format!("{}Id", WORDS[(i * 5) % WORDS.len()]),
+        };
+        let e = if i == 0 {
+            s.add_root(name, ElementKind::Table, DataType::None)
+        } else {
+            s.add_child(
+                ElementId(((i - 1) / 2) as u32),
+                name,
+                ElementKind::Column,
+                DataType::Date,
+            )
+            .expect("parent precedes child")
+        };
+        if i % 3 == 0 {
+            let doc = format!(
+                "the {} of the {}",
+                WORDS[(i + 4) % WORDS.len()],
+                WORDS[i % 5]
+            );
+            s.set_doc(e, Documentation::embedded(doc))
+                .expect("element exists");
+        }
+    }
+    s
+}
+
+/// Every feature of two preparations over one arena, field by field.
+fn assert_same_preparation(a: &PreparedSchema, b: &PreparedSchema, what: &str) {
+    assert_eq!(a.schema_id, b.schema_id, "{what}: schema id");
+    assert_eq!(a.fingerprint, b.fingerprint, "{what}: fingerprint");
+    assert_eq!(a.len(), b.len(), "{what}: element count");
+    for i in 0..a.len() {
+        assert_eq!(a.element(i), b.element(i), "{what}: element {i}");
+        assert_eq!(
+            a.block_features_of(i),
+            b.block_features_of(i),
+            "{what}: block features of {i}"
+        );
+    }
+    assert_eq!(
+        a.signature_ids(),
+        b.signature_ids(),
+        "{what}: signature ids"
+    );
+}
+
+/// The element-chunked build equals the inline build at every lane count
+/// when the arena already holds the schema's tokens: at sizes around the
+/// 64-element chunk width (and the paper's 1378), the 1-, 2- and 4-lane
+/// builds on a 4-wide pool, and a cache miss built on 2 lanes, reproduce
+/// every `PreparedElement`, the signature ids and the blocking-feature CSR
+/// bit for bit.
+#[test]
+fn chunked_build_equals_inline_build_on_one_arena() {
+    let exec = Executor::new(4);
+    let normalizer = Normalizer::new();
+    let arena = std::sync::Arc::new(TokenArena::new());
+    for (id, n) in [0usize, 1, 63, 64, 65, 129, 1378].into_iter().enumerate() {
+        let schema = chunk_edge_schema(id as u32, n);
+        let inline = PreparedSchema::build_with_arena(&schema, &normalizer, arena.clone());
+        assert_eq!(inline.len(), n);
+        for lanes in [1, 2, 4] {
+            let chunked =
+                PreparedSchema::build_parallel(&schema, &normalizer, arena.clone(), &exec, lanes);
+            assert_same_preparation(&inline, &chunked, &format!("n = {n}, {lanes} lanes"));
+        }
+    }
+    // Through the cache, on the process-wide arena it interns into.
+    let cache = FeatureCache::new(Normalizer::new());
+    let schema = chunk_edge_schema(99, 1378);
+    let inline = PreparedSchema::build(&schema, &normalizer);
+    let cached = cache.get_or_prepare_on(&schema, Some((&exec, 2)), GovernedExec::default());
+    assert_same_preparation(&inline, &cached, "cache miss on 2 lanes");
+}
+
+/// On a cold arena the chunked build's ids follow the lanes' interning
+/// order, but they resolve to the inline build's strings, and a blocked
+/// match over 2-lane preparations on one fresh arena is bit-identical to
+/// one over inline preparations on another.
+#[test]
+fn chunked_build_on_a_fresh_arena_resolves_to_the_inline_strings() {
+    let exec = Executor::new(2);
+    let normalizer = Normalizer::new();
+    let pair = SchemaPair::generate(&GeneratorConfig::paper_case_study(11, 0.25));
+    let inline_arena = std::sync::Arc::new(TokenArena::new());
+    let chunked_arena = std::sync::Arc::new(TokenArena::new());
+    let prepare = |schema: &Schema| {
+        (
+            std::sync::Arc::new(PreparedSchema::build_with_arena(
+                schema,
+                &normalizer,
+                inline_arena.clone(),
+            )),
+            std::sync::Arc::new(PreparedSchema::build_parallel(
+                schema,
+                &normalizer,
+                chunked_arena.clone(),
+                &exec,
+                2,
+            )),
+        )
+    };
+    let (source_inline, source_chunked) = prepare(&pair.source);
+    let (target_inline, target_chunked) = prepare(&pair.target);
+    assert!(pair.source.len() > 64, "the pair must span several chunks");
+
+    for (inline, chunked) in [
+        (&source_inline, &source_chunked),
+        (&target_inline, &target_chunked),
+    ] {
+        let text = |p: &PreparedSchema, ids: &[TokenId]| p.arena().resolve_all(ids);
+        let set = |p: &PreparedSchema, ids: &[TokenId]| {
+            let mut strings = text(p, ids);
+            strings.sort();
+            strings
+        };
+        for i in 0..inline.len() {
+            let (a, b) = (inline.element(i), chunked.element(i));
+            assert_eq!(a.name_bag, b.name_bag, "element {i}: name bag");
+            assert_eq!(text(inline, &a.name_ids), text(chunked, &b.name_ids));
+            assert_eq!(text(inline, &a.corpus_ids), text(chunked, &b.corpus_ids));
+            assert_eq!(set(inline, &a.name_set), set(chunked, &b.name_set));
+            assert_eq!(set(inline, &a.parent_set), set(chunked, &b.parent_set));
+            assert_eq!(set(inline, &a.children_set), set(chunked, &b.children_set));
+            assert_eq!(
+                (a.parent_len, a.children_len),
+                (b.parent_len, b.children_len)
+            );
+            assert_eq!(
+                text(inline, &[a.raw_name_id, a.acronym_id]),
+                text(chunked, &[b.raw_name_id, b.acronym_id])
+            );
+            // Lexically ordered in both: the resolved lists are equal as
+            // sequences.
+            assert_eq!(
+                text(inline, inline.block_features_of(i)),
+                text(chunked, chunked.block_features_of(i)),
+                "element {i}: block features"
+            );
+        }
+        assert_eq!(
+            text(inline, inline.signature_ids()),
+            text(chunked, chunked.signature_ids())
+        );
+    }
+
+    let engine = MatchEngine::new()
+        .with_threads(2)
+        .with_score_floor(Some(0.30));
+    let policy = BlockingPolicy::default();
+    let run = |ps, pt| {
+        engine
+            .pipeline()
+            .run_blocked_prepared(&pair.source, &pair.target, ps, pt, None, &policy)
+            .matrix
+    };
+    let inline = run(&source_inline, &target_inline);
+    let chunked = run(&source_chunked, &target_chunked);
+    let bits = |m: &MatchMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&inline),
+        bits(&chunked),
+        "blocked matrices over fresh arenas diverged"
+    );
 }
