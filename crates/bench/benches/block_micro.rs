@@ -5,9 +5,7 @@
 //! bin.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use harmony_core::index::{
-    generate_candidates, BlockingPolicy, ElementTokenIndex, GovernedExec, ProbeScratch,
-};
+use harmony_core::index::{generate_candidates, BlockingPolicy, ElementTokenIndex, ProbeScratch};
 use harmony_core::prelude::*;
 use sm_bench::case_study;
 
@@ -93,9 +91,7 @@ fn bench_generate(c: &mut Criterion) {
                 &pt,
                 None,
                 &policy,
-                engine.executor(),
-                1,
-                GovernedExec::default(),
+                Job::new(engine.executor(), 1),
             )
         });
     });

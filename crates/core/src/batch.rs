@@ -35,8 +35,8 @@
 
 use crate::correspondence::MatchSet;
 use crate::engine::{BlockedMatchResult, MatchEngine};
-use crate::exec::Executor;
-use crate::index::{idf_weight, BlockingPolicy, ElementTokenIndex, GovernedExec};
+use crate::exec::{Executor, Job};
+use crate::index::{idf_weight, BlockingPolicy, ElementTokenIndex};
 use crate::pipeline::{BlockedRun, StageTimings};
 use crate::prepare::{CacheStats, FeatureCache, PreparedSchema};
 use crate::select::Selection;
@@ -434,18 +434,19 @@ impl<'e> BatchPlanner<'e> {
         }
 
         let cache = self.engine.feature_cache();
-        let exec = self.engine.executor();
+        let job = self.engine.job();
         let started = Instant::now();
         let stats_before = cache.stats();
-        // The engine's thread cap bounds planning lanes exactly like the
-        // execute phase's job lanes. An exhaustive batch never probes an
-        // index (candidate generation short-circuits to the full cross
-        // product), so building one would be dead work.
-        let prepared = prepare_schemas(cache, exec, self.engine.threads, schemas);
+        // The engine's job governs planning exactly like the execute
+        // phase's job lanes: its thread cap, lane budget and token. An
+        // exhaustive batch never probes an index (candidate generation
+        // short-circuits to the full cross product), so building one would
+        // be dead work.
+        let prepared = prepare_schemas(cache, job, schemas);
         let index = if matches!(self.policy, BlockingPolicy::Exhaustive) {
             BatchIndex::empty()
         } else {
-            BatchIndex::build(exec, self.engine.threads, &prepared)
+            BatchIndex::build(job, &prepared)
         };
         let stats_after = cache.stats();
 
@@ -528,11 +529,12 @@ fn delta_stats(before: CacheStats, after: CacheStats) -> CacheStats {
     }
 }
 
-/// Prepare many schemata through one cache, concurrently on the executor
-/// (at most `parallelism` lanes — callers bound by an engine pass its
-/// thread cap; standalone bulk consumers pass `exec.threads()`).
+/// Prepare many schemata through one cache, concurrently on `job`'s lanes
+/// (a batch plan passes its engine's job; standalone bulk consumers an
+/// ungoverned one at full pool width).
 ///
-/// Lanes claim schema slots from a shared queue;
+/// Lanes claim schema slots from a shared queue, checking the job's token
+/// before each;
 /// [`FeatureCache::get_or_prepare`] guarantees a fingerprint is built at
 /// most once even when two lanes (or two batches) race on equal content.
 /// Each miss is built on the same lanes
@@ -543,13 +545,10 @@ fn delta_stats(before: CacheStats, after: CacheStats) -> CacheStats {
 /// feasibility, repository warming), whose per-schema loops this replaces.
 pub fn prepare_schemas(
     cache: &FeatureCache,
-    exec: &Executor,
-    parallelism: usize,
+    job: Job<'_>,
     schemas: &[&Schema],
 ) -> Vec<Arc<PreparedSchema>> {
-    exec.run_map(parallelism, schemas, |_, schema| {
-        cache.get_or_prepare_on(schema, Some((exec, parallelism)), GovernedExec::default())
-    })
+    job.map(schemas, |_, schema| cache.get_or_prepare_on(schema, job))
 }
 
 /// [`prepare_schemas`] against the process-wide cache and executor at full
@@ -557,7 +556,11 @@ pub fn prepare_schemas(
 /// (clustering, feasibility, repository warming) share.
 pub fn prepare_schemas_global(schemas: &[&Schema]) -> Vec<Arc<PreparedSchema>> {
     let exec = Executor::global();
-    prepare_schemas(FeatureCache::global(), exec, exec.threads(), schemas)
+    prepare_schemas(
+        FeatureCache::global(),
+        Job::new(exec, exec.threads()),
+        schemas,
+    )
 }
 
 /// The batch's shared multi-schema token index: every schema of the batch
@@ -575,14 +578,14 @@ pub struct BatchIndex {
 }
 
 impl BatchIndex {
-    /// Index every prepared schema, concurrently on the executor (at most
-    /// `parallelism` lanes). Each schema's build further fans its element
-    /// chunks out to the same pool ([`ElementTokenIndex::build_parallel`]),
-    /// so a small batch of large schemata still fills every lane.
-    pub fn build(exec: &Executor, parallelism: usize, prepared: &[Arc<PreparedSchema>]) -> Self {
+    /// Index every prepared schema, concurrently on `job`'s lanes. Each
+    /// schema's build further maps its element chunks over the same job
+    /// ([`ElementTokenIndex::build_on`]), so a small batch of large
+    /// schemata still fills every lane.
+    pub fn build(job: Job<'_>, prepared: &[Arc<PreparedSchema>]) -> Self {
         BatchIndex {
-            per_schema: exec.run_map(parallelism, prepared, |_, prepared| {
-                ElementTokenIndex::build_parallel(prepared, exec, parallelism)
+            per_schema: job.map(prepared, |_, prepared| {
+                ElementTokenIndex::build_on(prepared, job)
             }),
         }
     }
@@ -765,12 +768,12 @@ impl MatchBatch<'_, '_> {
         R: Send,
         F: Fn(PairRequest, Instant, BlockedRun) -> R + Sync,
     {
-        let pairs = self
-            .engine
-            .run_map(self.engine.threads, &self.requests, |_, &request| {
-                let started = Instant::now();
-                finish(request, started, self.run_pair(request.left, request.right))
-            });
+        // A tripped token stops at the next pair claim, before that pair
+        // touches the cache or allocates a matrix.
+        let pairs = self.engine.job().map(&self.requests, |_, &request| {
+            let started = Instant::now();
+            finish(request, started, self.run_pair(request.left, request.right))
+        });
         let mut timings = StageTimings {
             plan: self.plan,
             plan_estimate: self.breakdown.estimate,
@@ -788,9 +791,6 @@ impl MatchBatch<'_, '_> {
     /// index (exhaustive batches carry no index — candidate generation
     /// short-circuits before probing).
     fn run_pair(&self, left: usize, right: usize) -> BlockedRun {
-        // Pair-job cancellation point: a tripped token stops between pairs
-        // before this pair touches the cache or allocates a matrix.
-        self.engine.checkpoint();
         crate::obs::add(crate::obs::Counter::PairJobs, 1);
         let _job = crate::obs::span(
             crate::obs::SpanKind::PairJob,
@@ -1335,7 +1335,7 @@ mod tests {
             // cannot mask a leaked lane.
             let before = exec.stats().enqueued;
             std::thread::scope(|scope| {
-                scope.spawn(|| exec.run_lanes(2, |_| {}));
+                scope.spawn(|| Job::new(&exec, 2).map(0..2, |_, _| ()));
             });
             assert_eq!(
                 exec.stats().enqueued,

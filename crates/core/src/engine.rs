@@ -218,32 +218,13 @@ impl MatchEngine {
         self.job_token.as_ref()
     }
 
-    /// Cooperative cancellation point: unwinds iff a token is attached and
-    /// tripped. Stages call this at chunk boundaries, never under a lock.
-    pub(crate) fn checkpoint(&self) {
-        if let Some(token) = &self.job_token {
-            token.checkpoint();
-        }
-    }
-
-    /// [`Executor::run_lanes`] through this engine's lane budget.
-    pub(crate) fn run_lanes<F>(&self, parallelism: usize, work: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.exec
-            .run_lanes_budgeted(parallelism, self.lane_budget.as_deref(), work);
-    }
-
-    /// [`Executor::run_map`] through this engine's lane budget.
-    pub(crate) fn run_map<T, R, F>(&self, parallelism: usize, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.exec
-            .run_map_budgeted(parallelism, self.lane_budget.as_deref(), items, f)
+    /// This engine's execution controls for one call: its executor,
+    /// thread cap, lane budget and job token, as every parallel stage takes
+    /// them (see [`crate::exec::Job`]).
+    pub fn job(&self) -> crate::exec::Job<'_> {
+        crate::exec::Job::new(&self.exec, self.threads)
+            .with_budget(self.lane_budget.as_deref())
+            .with_token(self.job_token.as_ref())
     }
 
     /// A batch planner over this engine's configuration — the entry point
@@ -279,17 +260,7 @@ impl MatchEngine {
     /// warm the cache explicitly. A miss is built in element chunks on this
     /// engine's executor lanes, under its lane budget and job token.
     pub fn prepare(&self, schema: &Schema) -> Arc<PreparedSchema> {
-        self.cache
-            .get_or_prepare_on(schema, Some((&self.exec, self.threads)), self.governed())
-    }
-
-    /// This engine's serving-layer controls (lane budget, job token) as the
-    /// chunked fan-outs take them.
-    pub(crate) fn governed(&self) -> crate::index::GovernedExec<'_> {
-        crate::index::GovernedExec {
-            budget: self.lane_budget.as_deref(),
-            token: self.job_token.as_ref(),
-        }
+        self.cache.get_or_prepare_on(schema, self.job())
     }
 
     /// A staged view of this engine's configuration.

@@ -11,23 +11,27 @@
 //!
 //! Scheduling is two-level:
 //!
-//! * **job level** — a batch (see [`crate::batch`]) enqueues its pairs as
-//!   independent lanes; each lane claims whole pairs from the batch's job
-//!   queue;
-//! * **chunk level** — inside one pair, the Block and Score/Merge stages
-//!   enqueue their chunk lanes onto the *same* pool, so a worker left idle
-//!   at the tail can steal chunk work from whichever pair is currently the
-//!   straggler instead of sitting it out.
+//! * **job level** — a batch (see [`crate::batch`]) maps its pairs over
+//!   lanes that claim whole pairs from the batch's request queue;
+//! * **chunk level** — inside one pair, the Prepare, Block and Score/Merge
+//!   stages map their chunks over lanes of the *same* pool, so a worker
+//!   left idle at the tail can steal chunk work from whichever pair is
+//!   currently the straggler instead of sitting it out.
 //!
-//! Both levels use [`Executor::run_lanes`], whose contract makes nesting
-//! deadlock-free: the calling thread always executes lane 0 itself, so a
-//! lane body that drains a shared claim queue completes even when the pool
-//! is saturated and no helper lane ever starts. Helper lanes that arrive
-//! after the queue is drained return immediately. A consequence worth
-//! stating: the pool bounds *helpers*, not correctness — results are
-//! byte-identical for every pool size, including zero helpers, because all
-//! parallel stages write disjoint output and claim work from deterministic
-//! queues.
+//! Both levels go through one fan-out, [`Job::map_with`]. A [`Job`] carries
+//! what governs a parallel stage: the executor, the lane width, the class
+//! [`LaneBudget`] and the [`JobToken`]. The fan-out claims items one at a
+//! time, checks the token once per claim, draws helper lanes from the
+//! budget and returns results in item order; with at most one item or a
+//! width of 1 it runs inline without touching the pool. Under it sits the
+//! one lane primitive, private to this module, whose contract makes
+//! nesting deadlock-free: the calling thread always executes lane 0
+//! itself, so a claim loop completes even when the pool is saturated and
+//! no helper lane ever starts. Helper lanes that arrive after the queue is
+//! drained return immediately. A consequence worth stating: the pool
+//! bounds *helpers*, not correctness — results are byte-identical for
+//! every pool size, including zero helpers, because every parallel stage
+//! writes disjoint output and claims work from a deterministic queue.
 //!
 //! Nesting is also kept within the pool's width. Each pool counts its
 //! *reserved lanes*: one per thread running lanes of it (a fan-out's caller
@@ -46,16 +50,17 @@
 
 use crate::engine::detect_threads;
 use crate::obs;
+use crate::serve::JobToken;
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// A unit of pool work: an erased helper-lane closure, tagged with the
-/// `run_lanes` invocation that enqueued it so the owner can claim its own
-/// pending helpers back while waiting (see the cooperative wait in
-/// [`Executor::run_lanes`]).
+/// lane-primitive invocation that enqueued it so the owner can claim its
+/// own pending helpers back while waiting (see [`DrainGuard`]).
 struct Task {
     owner: u64,
     run: Box<dyn FnOnce() + Send>,
@@ -66,7 +71,7 @@ struct PoolShared {
     queue: Mutex<PoolQueue>,
     /// Signalled when a task is enqueued or shutdown is requested.
     wake: Condvar,
-    /// Ticket counter handing each `run_lanes` invocation a unique owner id.
+    /// Ticket counter handing each fan-out a unique owner id.
     next_owner: std::sync::atomic::AtomicU64,
     /// Per-instance scheduling counters (see [`ExecStats`]). Always
     /// collected — they are per-task-granularity cheap and the regression
@@ -96,7 +101,7 @@ struct PoolCounters {
 /// ([`Executor::stats`]). All values are cumulative since pool creation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Helper tasks pushed onto the shared queue by `run_lanes`.
+    /// Helper tasks pushed onto the shared queue by fan-outs.
     pub enqueued: u64,
     /// Queued tasks executed by a pool worker.
     pub stolen: u64,
@@ -105,7 +110,10 @@ pub struct ExecStats {
     /// Worker condvar waits entered (once at startup per worker, then once
     /// per drain-to-empty).
     pub parked: u64,
-    /// `run_lanes` invocations that ran fully inline (no helpers offered).
+    /// Fan-outs that reached the pool and then ran fully inline (no helper
+    /// offered: every lane reserved, or the budget granted none). A fan-out
+    /// with at most one item or a width of 1 never reaches the pool and is
+    /// not counted.
     pub inline_runs: u64,
     /// Helpers a fan-out wanted (within pool width − 1) but did not offer
     /// because every lane of the pool was reserved — typically a pair
@@ -123,15 +131,14 @@ struct PoolQueue {
 }
 
 /// A shared cap on how many *helper* lanes a class of jobs may hold at
-/// once, enforced by [`Executor::run_lanes_budgeted`].
+/// once, enforced by every [`Job`] fan-out that carries it.
 ///
 /// The serving layer hands every job class (point match, search, batch,
 /// COI) its own budget sized as a fraction of the pool width, so a 12-way
 /// batch can never occupy more than its share of pool workers while point
 /// queries contend for the rest. The calling thread's lane 0 is never
-/// counted — caller participation is unconditional, exactly as in
-/// [`Executor::run_lanes`] — so a budget of 0 degrades a job to fully
-/// inline execution rather than blocking it.
+/// counted — caller participation is unconditional — so a budget of 0
+/// degrades a job to fully inline execution rather than blocking it.
 ///
 /// Claims are non-blocking and partial: a job wanting 7 helpers from a
 /// budget with 3 available gets 3. Correctness never depends on the grant
@@ -191,7 +198,7 @@ impl LaneBudget {
 }
 
 /// RAII release of a [`LaneBudget`] claim — helpers are returned to the
-/// budget even when the guarded `run_lanes` invocation unwinds.
+/// budget even when the guarded fan-out unwinds.
 struct LaneLease<'a> {
     budget: &'a LaneBudget,
     lanes: usize,
@@ -206,8 +213,8 @@ impl Drop for LaneLease<'_> {
 /// A persistent pool of worker threads with a shared injector queue.
 ///
 /// Workers live for the lifetime of the executor ([`Executor::global`] lives
-/// for the process). Work is submitted through [`Executor::run_lanes`]; see
-/// the module docs for the two-level scheduling model.
+/// for the process). Work is submitted through a [`Job`]; see the module
+/// docs for the two-level scheduling model.
 pub struct Executor {
     shared: Arc<PoolShared>,
     threads: usize,
@@ -283,53 +290,9 @@ impl Executor {
         }
     }
 
-    /// Parallel indexed map: apply `f` to every item of `items`, returning
-    /// the results in item order. Lanes claim items from a shared queue
-    /// (one item at a time — the right granularity when each item is
-    /// itself substantial, like preparing a schema or executing a pair);
-    /// any subset of lanes completes the whole job, per the
-    /// [`Self::run_lanes`] contract. One lane per item at most.
-    pub fn run_map<T, R, F>(&self, parallelism: usize, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.run_map_budgeted(parallelism, None, items, f)
-    }
-
-    /// [`Self::run_map`] with helper lanes drawn from `budget` (see
-    /// [`LaneBudget`]); `None` is unbudgeted.
-    pub fn run_map_budgeted<T, R, F>(
-        &self,
-        parallelism: usize,
-        budget: Option<&LaneBudget>,
-        items: &[T],
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let mut slots: Vec<Option<R>> = Vec::new();
-        slots.resize_with(items.len(), || None);
-        let queue = Mutex::new(slots.iter_mut().zip(items.iter()).enumerate());
-        self.run_lanes_budgeted(parallelism.min(items.len()), budget, |_| loop {
-            let claimed = queue.lock().expect("run_map queue poisoned").next();
-            let Some((index, (slot, item))) = claimed else {
-                break;
-            };
-            *slot = Some(f(index, item));
-        });
-        slots
-            .into_iter()
-            .map(|r| r.expect("every item mapped"))
-            .collect()
-    }
-
     /// Execute `work(lane)` from up to `parallelism` concurrent lanes and
-    /// return when every lane has finished.
+    /// return when every lane has finished: the lane primitive under
+    /// [`Job::map_with`], the one fan-out every stage calls.
     ///
     /// Lane 0 always runs on the calling thread; lanes `1..` are offered to
     /// the pool, capped at **pool width − 1**: the caller participates, so
@@ -352,32 +315,22 @@ impl Executor {
     /// from inside a fan-out that already holds the pool runs inline. The
     /// caller's lane is released when lane 0 returns, so the lanes of a
     /// fan-out's finished lanes go to whichever of its lanes fans out next.
-    /// `work` must be written as
-    /// a *claim loop* over shared state: any subset of lanes, in any order,
-    /// must complete the whole job, because a helper lane may start
-    /// arbitrarily late — or find the queue already drained — when the pool
-    /// is busy with other jobs. This is exactly the shape of the pipeline's
-    /// chunked work-stealing and the batch's pair queue.
+    ///
+    /// Only then are helpers claimed from `budget` (`None` is unbudgeted),
+    /// non-blocking, so the width rule never uses up budget lanes. A
+    /// starved claim (0 granted) degrades to inline execution instead of
+    /// waiting; claimed lanes return to the budget when the invocation
+    /// completes, including by unwind.
+    ///
+    /// `work` must be written as a *claim loop* over shared state: any
+    /// subset of lanes, in any order, must complete the whole job, because
+    /// a helper lane may start arbitrarily late — or find the queue already
+    /// drained — when the pool is busy with other jobs.
     ///
     /// Panics in any lane are captured, every other lane is still waited
     /// for (the borrow of `work` must outlive all helpers), and the first
     /// panic is then propagated on the calling thread.
-    pub fn run_lanes<F>(&self, parallelism: usize, work: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.run_lanes_budgeted(parallelism, None, work)
-    }
-
-    /// [`Self::run_lanes`] with helper lanes drawn from `budget`: the
-    /// helper count is the usual `min(parallelism − 1, pool − 1)` capped at
-    /// the pool's unreserved lanes, and only then by a non-blocking claim
-    /// against the budget, so the width rule never uses up budget lanes.
-    /// Lane 0 still runs on the caller unconditionally, so a starved claim
-    /// (0 granted) degrades to inline execution instead of waiting. Claimed
-    /// lanes are returned to the budget when the invocation completes —
-    /// including by unwind.
-    pub fn run_lanes_budgeted<F>(&self, parallelism: usize, budget: Option<&LaneBudget>, work: F)
+    fn run_lanes<F>(&self, parallelism: usize, budget: Option<&LaneBudget>, work: F)
     where
         F: Fn(usize) + Sync,
     {
@@ -550,6 +503,134 @@ impl Executor {
     }
 }
 
+/// One job's execution controls, carried into every parallel stage it
+/// runs: the executor, the lane width, the class lane budget and the
+/// cancellation token. [`crate::engine::MatchEngine::job`] builds one per
+/// call from the engine's settings; [`Job::inline`] runs everything on the
+/// caller.
+///
+/// [`Job::map_with`] (and [`Job::map`]) is the one fan-out: lanes claim
+/// items one at a time, the token is checked once per claim, helper lanes
+/// come from the budget, and results come back in item order, so every
+/// stage is bit-identical at every width and under every budget.
+#[derive(Clone, Copy)]
+pub struct Job<'a> {
+    exec: Option<&'a Executor>,
+    width: usize,
+    budget: Option<&'a LaneBudget>,
+    token: Option<&'a JobToken>,
+}
+
+impl<'a> Job<'a> {
+    /// Up to `width` lanes of `exec` (values < 1 are treated as 1),
+    /// unbudgeted and uncancellable.
+    pub fn new(exec: &'a Executor, width: usize) -> Self {
+        Job {
+            exec: Some(exec),
+            width: width.max(1),
+            budget: None,
+            token: None,
+        }
+    }
+
+    /// Everything on the calling thread: no executor, no budget, no token.
+    pub fn inline() -> Self {
+        Job {
+            exec: None,
+            width: 1,
+            budget: None,
+            token: None,
+        }
+    }
+
+    /// Draw helper lanes from `budget` (`None` is unbudgeted).
+    pub fn with_budget(self, budget: Option<&'a LaneBudget>) -> Self {
+        Job { budget, ..self }
+    }
+
+    /// Check `token` once per claim (`None` never cancels).
+    pub fn with_token(self, token: Option<&'a JobToken>) -> Self {
+        Job { token, ..self }
+    }
+
+    /// The lane width: at most this many lanes run one fan-out.
+    pub fn width(self) -> usize {
+        self.width
+    }
+
+    /// Cooperative cancellation point: unwinds iff the token has tripped
+    /// (see [`JobToken::checkpoint`]). The fan-out calls it per claim;
+    /// stages call it at their boundaries. Never call it under a lock.
+    pub fn checkpoint(self) {
+        if let Some(token) = self.token {
+            token.checkpoint();
+        }
+    }
+
+    /// [`Self::map_with`] without per-lane scratch.
+    pub fn map<I, R, F>(self, items: I, f: F) -> Vec<R>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator + Send,
+        I::Item: Send,
+        R: Send,
+        F: Fn(usize, I::Item) -> R + Sync,
+    {
+        self.map_with(items, || (), |(), index, item| f(index, item))
+    }
+
+    /// Apply `f(scratch, index, item)` to every item, returning the results
+    /// in item order. Lanes claim items one at a time from a shared queue,
+    /// checking the token before each; a lane builds its `scratch` on its
+    /// first claim and reuses it for the rest. With at most one item or a
+    /// width of 1 everything runs inline on the caller without touching the
+    /// executor; otherwise `min(width, items)` lanes run through the
+    /// executor's lane rule and this job's budget.
+    pub fn map_with<I, S, R, F>(self, items: I, scratch: impl Fn() -> S + Sync, f: F) -> Vec<R>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator + Send,
+        I::Item: Send,
+        R: Send,
+        F: Fn(&mut S, usize, I::Item) -> R + Sync,
+    {
+        let items = items.into_iter();
+        let lanes = self.width.min(items.len());
+        let mut slots: Vec<Option<R>> = Vec::new();
+        slots.resize_with(items.len(), || None);
+        let queue = Mutex::new(slots.iter_mut().zip(items.enumerate()));
+        let claim_loop = |_lane: usize| {
+            let mut lane = None;
+            loop {
+                let claimed = queue.lock().expect("job queue poisoned").next();
+                let Some((slot, (index, item))) = claimed else {
+                    break;
+                };
+                // Cancellation point: queue lock released, item untouched.
+                self.checkpoint();
+                *slot = Some(f(lane.get_or_insert_with(&scratch), index, item));
+            }
+        };
+        match self.exec {
+            Some(exec) if lanes > 1 => exec.run_lanes(lanes, self.budget, claim_loop),
+            _ => claim_loop(0),
+        }
+        slots
+            .into_iter()
+            .map(|r| r.expect("every item mapped"))
+            .collect()
+    }
+}
+
+/// `0..n` in consecutive ranges of `chunk` (the last one shorter): the
+/// items of a chunked [`Job::map`].
+pub fn chunks(n: usize, chunk: usize) -> impl ExactSizeIterator<Item = Range<usize>> + Send {
+    let chunk = chunk.max(1);
+    (0..n)
+        .step_by(chunk)
+        .map(move |start| start..(start + chunk).min(n))
+}
+
 thread_local! {
     /// The pools this thread is running a lane of, innermost last (by
     /// `PoolShared` address, which is stable and unique while any of its
@@ -594,7 +675,7 @@ impl Drop for LaneSeat<'_> {
     }
 }
 
-/// Drains one `run_lanes` invocation's outstanding helper tasks on drop —
+/// Drains one fan-out's outstanding helper tasks on drop —
 /// on the normal path and on unwind alike. See the armed-before-anything
 /// comment at its construction site.
 struct DrainGuard<'a> {
@@ -684,7 +765,7 @@ impl std::fmt::Debug for Executor {
     }
 }
 
-/// Completion latch of one `run_lanes` invocation.
+/// Completion latch of one fan-out.
 struct LaneSync {
     state: Mutex<LaneState>,
     done: Condvar,
@@ -750,7 +831,7 @@ mod tests {
     fn single_lane_runs_inline() {
         let exec = Executor::new(2);
         let hits = AtomicUsize::new(0);
-        exec.run_lanes(1, |lane| {
+        exec.run_lanes(1, None, |lane| {
             assert_eq!(lane, 0);
             hits.fetch_add(1, Ordering::Relaxed);
         });
@@ -761,7 +842,7 @@ mod tests {
     fn all_lanes_observe_distinct_indices() {
         let exec = Executor::new(4);
         let seen = Mutex::new(Vec::new());
-        exec.run_lanes(4, |lane| {
+        exec.run_lanes(4, None, |lane| {
             seen.lock().unwrap().push(lane);
         });
         let mut lanes = seen.into_inner().unwrap();
@@ -775,7 +856,7 @@ mod tests {
             let exec = Executor::new(pool);
             let next = AtomicUsize::new(0);
             let done = AtomicUsize::new(0);
-            exec.run_lanes(6, |_| loop {
+            exec.run_lanes(6, None, |_| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= 100 {
                     break;
@@ -787,15 +868,138 @@ mod tests {
     }
 
     #[test]
-    fn run_map_preserves_item_order() {
-        let exec = Executor::new(3);
+    fn job_map_preserves_item_order() {
+        let exec = Executor::new(4);
         let items: Vec<usize> = (0..50).collect();
-        let out = exec.run_map(4, &items, |i, &x| {
-            assert_eq!(i, x, "index must match the item's position");
-            x * 2
-        });
-        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
-        assert!(exec.run_map(4, &[] as &[usize], |_, &x| x).is_empty());
+        for width in [1, 2, 4] {
+            let out = Job::new(&exec, width).map(&items, |i, &x| {
+                assert_eq!(i, x, "index must match the item's position");
+                x * 2
+            });
+            assert_eq!(
+                out,
+                (0..50).map(|x| x * 2).collect::<Vec<_>>(),
+                "width {width}"
+            );
+            assert!(Job::new(&exec, width)
+                .map(&[] as &[usize], |_, &x| x)
+                .is_empty());
+        }
+        let owned: Vec<String> = items.iter().map(usize::to_string).collect();
+        let out = Job::new(&exec, 4).map(owned, |_, s| s.len());
+        assert_eq!(
+            out,
+            items
+                .iter()
+                .map(|x| x.to_string().len())
+                .collect::<Vec<_>>()
+        );
+    }
+
+    /// Wait until every worker of a fresh pool reached its startup park, so
+    /// the park counter only moves again if someone notifies.
+    fn settle(exec: &Executor) {
+        let until = deadline();
+        while exec.stats().parked < exec.threads() as u64 {
+            assert!(std::time::Instant::now() < until, "workers never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A fan-out with at most one item, or a width of 1, runs on the caller
+    /// without touching the executor: no enqueue, no wake-up and no inline
+    /// run recorded, whatever the budget.
+    #[test]
+    fn job_short_circuit_leaves_the_pool_untouched() {
+        let exec = Executor::new(2);
+        settle(&exec);
+        let budget = LaneBudget::new(1);
+        let token = JobToken::new();
+        let base = exec.stats();
+        let job = Job::new(&exec, 2)
+            .with_budget(Some(&budget))
+            .with_token(Some(&token));
+        assert!(job.map(0..0, |_, x| x).is_empty());
+        assert_eq!(job.map(0..1, |_, x| x + 1), vec![1]);
+        let serial = Job::new(&exec, 1).map(0..10, |i, x| i + x);
+        assert_eq!(serial, (0..10).map(|x| 2 * x).collect::<Vec<_>>());
+        assert_eq!(Job::inline().map(0..3, |_, x| x), vec![0, 1, 2]);
+        assert_eq!(
+            exec.stats(),
+            base,
+            "a short-circuited fan-out reached the pool"
+        );
+        assert_eq!(budget.available(), 1);
+
+        // The same job with two items does reach the pool.
+        job.map(0..2, |_, x| x);
+        assert_eq!(exec.stats().enqueued, base.enqueued + 1);
+    }
+
+    /// A token tripped inside one item's body stops every later claim: an
+    /// item whose body starts after the trip passed its checkpoint before
+    /// it, which each of the other lanes can have done at most once, and
+    /// the fan-out unwinds with the cancel payload.
+    #[test]
+    fn job_token_tripped_in_an_item_stops_further_claims() {
+        crate::serve::install_cancel_hook();
+        let exec = Executor::new(4);
+        for width in [1, 2, 4] {
+            let token = JobToken::new();
+            let late = AtomicUsize::new(0);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                Job::new(&exec, width)
+                    .with_token(Some(&token))
+                    .map(0..200, |i, _| {
+                        if token.state().is_some() {
+                            late.fetch_add(1, Ordering::Relaxed);
+                        }
+                        if i == 10 {
+                            token.cancel();
+                        }
+                    })
+            }));
+            let payload = outcome.expect_err("a tripped token must unwind the fan-out");
+            assert!(payload
+                .downcast_ref::<crate::serve::CancelUnwind>()
+                .is_some());
+            let late = late.load(Ordering::Relaxed);
+            assert!(
+                late < width,
+                "width {width}: {late} items started after the trip"
+            );
+        }
+    }
+
+    /// Per-lane scratch is built lazily, at most once per lane, and reused
+    /// across that lane's claims.
+    #[test]
+    fn job_lane_scratch_is_built_at_most_once_per_lane() {
+        let exec = Executor::new(4);
+        for width in [1, 2, 4] {
+            let built = AtomicUsize::new(0);
+            let out = Job::new(&exec, width).map_with(
+                0..64,
+                || {
+                    built.fetch_add(1, Ordering::Relaxed);
+                    Vec::<usize>::new()
+                },
+                |seen, _, x| {
+                    seen.push(x);
+                    // Claims ascend within a lane.
+                    seen.windows(2).all(|w| w[0] < w[1])
+                },
+            );
+            assert!(out.iter().all(|&ascending| ascending));
+            let built = built.load(Ordering::Relaxed);
+            assert!(
+                (1..=width).contains(&built),
+                "width {width}: {built} scratches"
+            );
+        }
+        let built = AtomicUsize::new(0);
+        Job::new(&exec, 4).map_with(0..0, || built.fetch_add(1, Ordering::Relaxed), |_, _, x| x);
+        assert_eq!(built.load(Ordering::Relaxed), 0, "no claim, no scratch");
     }
 
     #[test]
@@ -803,13 +1007,13 @@ mod tests {
         let exec = Arc::new(Executor::new(2));
         let total = AtomicUsize::new(0);
         let outer_jobs = AtomicUsize::new(0);
-        exec.run_lanes(3, |_| loop {
+        exec.run_lanes(3, None, |_| loop {
             let job = outer_jobs.fetch_add(1, Ordering::Relaxed);
             if job >= 5 {
                 break;
             }
             // Each outer job fans out again on the same saturated pool.
-            exec.run_lanes(3, |_| {
+            exec.run_lanes(3, None, |_| {
                 total.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -823,7 +1027,7 @@ mod tests {
         let exec = Executor::new(2);
         let finished = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            exec.run_lanes(3, |lane| {
+            exec.run_lanes(3, None, |lane| {
                 if lane == 0 {
                     panic!("lane zero exploded");
                 }
@@ -833,7 +1037,7 @@ mod tests {
         assert!(result.is_err(), "panic must propagate");
         // The executor remains usable afterwards.
         let hits = AtomicUsize::new(0);
-        exec.run_lanes(2, |_| {
+        exec.run_lanes(2, None, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.load(Ordering::Relaxed) >= 1);
@@ -855,7 +1059,7 @@ mod tests {
 
         let base = exec.stats();
         for _ in 0..10 {
-            exec.run_lanes(1, |lane| assert_eq!(lane, 0));
+            exec.run_lanes(1, None, |lane| assert_eq!(lane, 0));
         }
         let single = exec.stats();
         assert_eq!(
@@ -870,7 +1074,7 @@ mod tests {
         assert_eq!(single.inline_runs, base.inline_runs + 10);
 
         let hits = AtomicUsize::new(0);
-        exec.run_lanes(2, |_| {
+        exec.run_lanes(2, None, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         let multi = exec.stats();
@@ -902,7 +1106,7 @@ mod tests {
         let exec = Executor::new(4);
         let budget = LaneBudget::new(1);
         let seen = Mutex::new(Vec::new());
-        exec.run_lanes_budgeted(4, Some(&budget), |lane| {
+        exec.run_lanes(4, Some(&budget), |lane| {
             seen.lock().unwrap().push(lane);
         });
         let mut lanes = seen.into_inner().unwrap();
@@ -915,7 +1119,7 @@ mod tests {
         let starved = LaneBudget::new(0);
         let base = exec.stats().inline_runs;
         let hits = AtomicUsize::new(0);
-        exec.run_lanes_budgeted(4, Some(&starved), |lane| {
+        exec.run_lanes(4, Some(&starved), |lane| {
             assert_eq!(lane, 0);
             hits.fetch_add(1, Ordering::Relaxed);
         });
@@ -928,7 +1132,7 @@ mod tests {
         let exec = Executor::new(4);
         let budget = LaneBudget::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            exec.run_lanes_budgeted(3, Some(&budget), |lane| {
+            exec.run_lanes(3, Some(&budget), |lane| {
                 if lane == 0 {
                     panic!("caller lane unwinds");
                 }
@@ -947,7 +1151,7 @@ mod tests {
         for round in 0..3 {
             let items: Vec<usize> = (0..32).collect();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                exec.run_map(4, &items, |_, &x| {
+                Job::new(exec, 4).map(&items, |_, &x| {
                     if x == 7 {
                         panic!("job {round} item exploded");
                     }
@@ -956,7 +1160,7 @@ mod tests {
             }));
             assert!(result.is_err(), "panic must reach the caller");
             // Next job on the same shared pool is unaffected.
-            let out = exec.run_map(4, &items, |_, &x| x * 3);
+            let out = Job::new(exec, 4).map(&items, |_, &x| x * 3);
             assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
         }
     }
@@ -973,7 +1177,7 @@ mod tests {
     fn drop_joins_workers() {
         let exec = Executor::new(3);
         let hits = AtomicUsize::new(0);
-        exec.run_lanes(3, |_| {
+        exec.run_lanes(3, None, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         drop(exec); // must not hang
@@ -1014,7 +1218,7 @@ mod tests {
         assert_eq!(exec.shared.reserved.load(Ordering::Relaxed), 0);
         let before = exec.stats().enqueued;
         std::thread::scope(|scope| {
-            scope.spawn(|| exec.run_lanes(2, |_| {}));
+            scope.spawn(|| exec.run_lanes(2, None, |_| {}));
         });
         assert_eq!(
             exec.stats().enqueued,
@@ -1031,14 +1235,14 @@ mod tests {
         let exec = Executor::new(2);
         let budget = LaneBudget::new(1);
         let release = AtomicBool::new(false);
-        exec.run_lanes(2, |lane| {
+        exec.run_lanes(2, None, |lane| {
             if lane != 0 {
                 return hold(&release);
             }
             let before = exec.stats();
             let withheld_before = obs::counter_value(obs::Counter::ExecWithheld);
             let hits = AtomicUsize::new(0);
-            exec.run_lanes_budgeted(2, Some(&budget), |inner| {
+            exec.run_lanes(2, Some(&budget), |inner| {
                 assert_eq!(inner, 0);
                 hits.fetch_add(1, Ordering::Relaxed);
             });
@@ -1061,14 +1265,14 @@ mod tests {
     #[test]
     fn nested_fan_out_gets_a_returned_sibling_lane() {
         let exec = Executor::new(2);
-        exec.run_lanes(2, |lane| {
+        exec.run_lanes(2, None, |lane| {
             if lane != 0 {
                 return;
             }
             await_sibling_release(&exec);
             let before = exec.stats();
             let seen = Mutex::new(Vec::new());
-            exec.run_lanes(2, |inner| seen.lock().unwrap().push(inner));
+            exec.run_lanes(2, None, |inner| seen.lock().unwrap().push(inner));
             let after = exec.stats();
             assert_eq!(after.enqueued, before.enqueued + 1, "one helper offered");
             assert_eq!(after.withheld, before.withheld);
@@ -1088,13 +1292,13 @@ mod tests {
         let exec = Executor::new(2);
         let before = Mutex::new(None);
         let after = Mutex::new(None);
-        exec.run_lanes(2, |lane| {
+        exec.run_lanes(2, None, |lane| {
             if lane != 1 {
                 return;
             }
             await_sibling_release(&exec);
             *before.lock().unwrap() = Some(exec.stats());
-            exec.run_lanes(2, |_| {});
+            exec.run_lanes(2, None, |_| {});
             *after.lock().unwrap() = Some(exec.stats());
         });
         let before = before.into_inner().unwrap().expect("lane 1 ran");
@@ -1110,12 +1314,12 @@ mod tests {
     fn nested_fan_out_offers_only_unreserved_lanes() {
         let exec = Executor::new(4);
         let release = AtomicBool::new(false);
-        exec.run_lanes(2, |lane| {
+        exec.run_lanes(2, None, |lane| {
             if lane != 0 {
                 return hold(&release);
             }
             let before = exec.stats();
-            exec.run_lanes(4, |_| {});
+            exec.run_lanes(4, None, |_| {});
             let after = exec.stats();
             release.store(true, Ordering::Release);
             assert_eq!(after.enqueued, before.enqueued + 2);
@@ -1132,12 +1336,12 @@ mod tests {
     fn lane_zero_panic_in_nested_fan_out_releases_every_lane() {
         let exec = Executor::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            exec.run_lanes(2, |lane| {
+            exec.run_lanes(2, None, |lane| {
                 if lane != 0 {
                     return;
                 }
                 await_sibling_release(&exec);
-                exec.run_lanes(2, |inner| {
+                exec.run_lanes(2, None, |inner| {
                     if inner == 0 {
                         panic!("nested lane zero exploded");
                     }
@@ -1149,9 +1353,9 @@ mod tests {
 
         let other = Executor::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            other.run_lanes(2, |lane| {
+            other.run_lanes(2, None, |lane| {
                 if lane == 0 {
-                    exec.run_lanes(1, |_| panic!("inline lane zero exploded"));
+                    exec.run_lanes(1, None, |_| panic!("inline lane zero exploded"));
                 }
             });
         }));
@@ -1165,7 +1369,7 @@ mod tests {
     fn helper_lane_panic_releases_its_lane() {
         let exec = Executor::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            exec.run_lanes(2, |lane| {
+            exec.run_lanes(2, None, |lane| {
                 if lane == 1 {
                     panic!("helper lane exploded");
                 }

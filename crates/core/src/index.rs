@@ -37,18 +37,19 @@
 //!
 //! # Parallelism
 //!
-//! Index build and probing both run on the persistent
-//! [`crate::exec::Executor`] ([`generate_candidates`] /
-//! [`ElementTokenIndex::build_parallel`]; at parallelism 1, or through
-//! [`ElementTokenIndex::build`], the same code runs inline). Build fans element
-//! chunks out to lanes and merges their `(feature, element)` pair lists in
-//! deterministic chunk order; probing fans chunks of *both* directions out
-//! through one shared claim queue, so the source→target and target→source
-//! probes execute as concurrent lanes and each lane reuses one
-//! accumulator/scratch block across every element it claims. The passes
-//! after the probe run on the same lanes in row chunks (see below). Results
-//! are assembled in element order, so the candidate set is bit-identical at
-//! every lane count.
+//! Index build and probing both map their chunks over a caller's
+//! [`crate::exec::Job`] ([`generate_candidates`] /
+//! [`ElementTokenIndex::build_on`]; at width 1, or through
+//! [`ElementTokenIndex::build`], the same code runs inline), so they run on
+//! the persistent executor under the caller's lane budget and job token.
+//! Build fans element chunks out to lanes and merges their
+//! `(feature, element)` pair lists in deterministic chunk order; probing
+//! fans chunks of *both* directions out through one claim queue, so the
+//! source→target and target→source probes execute as concurrent lanes and
+//! each lane reuses one accumulator/scratch block across every element it
+//! claims. The passes after the probe run on the same lanes in row chunks
+//! (see below). Results are assembled in element order, so the candidate
+//! set is bit-identical at every lane count.
 //!
 //! Candidate generation runs in both directions (source→target and
 //! target→source) and the results are unioned, so an element with an
@@ -68,12 +69,12 @@
 //! deepest first, with the rows of a level fanned out across the lanes.
 //! Only the order-dependent child-rescue selection runs serially.
 
-use crate::exec::Executor;
+use crate::exec::{chunks, Executor, Job};
 use crate::prepare::PreparedSchema;
 use sm_schema::{Element, ElementId, Schema};
 use sm_text::intern::{TokenArena, TokenId};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Smoothed IDF weight of a feature present in `df` of `n` documents — the
 /// same shape the repository search index uses, so "rare ⇒ discriminating"
@@ -200,8 +201,7 @@ impl CandidateSet {
             target,
             &mut store,
             rows.iter().map(|&s| s as usize),
-            None,
-            GovernedExec::default(),
+            Job::inline(),
         );
         store.into_candidates(target.len())
     }
@@ -264,55 +264,6 @@ pub(crate) const CHUNK_ELEMENTS: usize = 64;
 /// a smaller chunk spreads a tree level of a few dozen containers across
 /// the lanes.
 const CLOSE_CHUNK_ROWS: usize = 16;
-
-/// Run `f` over `chunk`-sized ranges of `0..n`, returning the chunk outputs
-/// in chunk order. With `Some((exec, parallelism))` and more than one chunk,
-/// ranges are claimed as [`Executor::run_map`] items; otherwise the loop
-/// runs inline on the caller (no executor required — tests and the plain
-/// entry points take this path). Shared with the sharded repository index
-/// (`sm_enterprise::shard`), whose parallel build has the same
-/// deterministic chunk-merge shape.
-pub fn run_chunked<T: Send>(
-    par: Option<(&Executor, usize)>,
-    n: usize,
-    chunk: usize,
-    f: impl Fn(usize, Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    run_chunked_governed(par, GovernedExec::default(), n, chunk, f)
-}
-
-/// [`run_chunked`] under serving-layer controls: helper lanes are claimed
-/// against `gov.budget`, and `gov.token` is checked before every chunk.
-pub(crate) fn run_chunked_governed<T: Send>(
-    par: Option<(&Executor, usize)>,
-    gov: GovernedExec<'_>,
-    n: usize,
-    chunk: usize,
-    f: impl Fn(usize, Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    let ranges: Vec<Range<usize>> = (0..n)
-        .step_by(chunk.max(1))
-        .map(|start| start..(start + chunk).min(n))
-        .collect();
-    let run = |index: usize, range: Range<usize>| {
-        if let Some(token) = gov.token {
-            token.checkpoint();
-        }
-        f(index, range)
-    };
-    match par {
-        Some((exec, parallelism)) if parallelism > 1 && ranges.len() > 1 => {
-            exec.run_map_budgeted(parallelism, gov.budget, &ranges, |index, range| {
-                run(index, range.clone())
-            })
-        }
-        _ => ranges
-            .into_iter()
-            .enumerate()
-            .map(|(index, range)| run(index, range))
-            .collect(),
-    }
-}
 
 /// Reusable sets of column indices, one bit per column per set: inserts
 /// land in any order, and [`Self::drain`] visits a set's members in
@@ -447,19 +398,6 @@ impl RowStore {
     }
 }
 
-/// Serving-layer execution controls threaded through candidate generation:
-/// an optional helper-lane budget (class fair share) and an optional job
-/// token (cooperative cancellation at chunk boundaries). The default —
-/// both `None` — is exactly the historical unbudgeted, uncancellable
-/// behavior.
-#[derive(Clone, Copy, Default)]
-pub struct GovernedExec<'a> {
-    /// Helper lanes are claimed against this budget when set.
-    pub budget: Option<&'a crate::exec::LaneBudget>,
-    /// Checked at probe-chunk boundaries when set.
-    pub token: Option<&'a crate::serve::JobToken>,
-}
-
 /// Inverted index from lexical features to posting lists of element indices,
 /// built over one side's [`PreparedSchema`] — flat CSR layout with the IDF
 /// weight table precomputed at build (see the module docs).
@@ -504,26 +442,27 @@ impl ElementTokenIndex {
     /// Index every element of a prepared schema by its interned blocking
     /// features, inline on the calling thread.
     pub fn build(prepared: &PreparedSchema) -> Self {
-        Self::build_opt(prepared, None)
+        Self::build_on(prepared, Job::inline())
     }
 
-    /// [`Self::build`] with element chunks fanned out across up to
-    /// `parallelism` executor lanes. The per-chunk `(feature, element)`
-    /// pair lists are merged in chunk order before the sort that lays out
-    /// the CSR arena, so the result is bit-identical to the inline build at
-    /// every lane count.
+    /// [`Self::build_on`] over up to `parallelism` lanes of `exec`,
+    /// unbudgeted and uncancellable.
     pub fn build_parallel(prepared: &PreparedSchema, exec: &Executor, parallelism: usize) -> Self {
-        Self::build_opt(prepared, Some((exec, parallelism)))
+        Self::build_on(prepared, Job::new(exec, parallelism))
     }
 
-    fn build_opt(prepared: &PreparedSchema, par: Option<(&Executor, usize)>) -> Self {
+    /// [`Self::build`] with element chunks fanned out over `job`'s lanes.
+    /// The per-chunk `(feature, element)` pair lists are merged in chunk
+    /// order before the sort that lays out the CSR arena, so the result is
+    /// bit-identical to the inline build at every lane count.
+    pub fn build_on(prepared: &PreparedSchema, job: Job<'_>) -> Self {
         let n = prepared.len();
         let _span = crate::obs::span(crate::obs::SpanKind::IndexBuild, n as u64);
 
         // Phase 1 (parallel): per element chunk, emit packed
         // `(feature << 32) | element` pairs. Chunks merge in chunk order,
         // i.e. element order — deterministic at any lane count.
-        let chunk_pairs = run_chunked(par, n, CHUNK_ELEMENTS, |_, range| {
+        let chunk_pairs = job.map(chunks(n, CHUNK_ELEMENTS), |_, range| {
             let mut out: Vec<u64> = Vec::new();
             for idx in range {
                 for &feat in prepared.block_features_of(idx) {
@@ -785,13 +724,20 @@ impl ProbeScratch {
 
     /// Flush the locally accumulated probe counters into the process-wide
     /// [`crate::obs`] registry (`probe.rows` / `probe.postings`) and zero
-    /// them. Called once per lane by the pipeline's probe pass; custom
-    /// `probe_row` drivers may call it at whatever granularity they like.
+    /// them. Dropping the scratch flushes too, which is how the pipeline's
+    /// probe pass flushes once per lane; custom `probe_row` drivers may
+    /// call it at whatever granularity they like.
     pub fn flush_probe_counters(&mut self) {
         crate::obs::add(crate::obs::Counter::ProbeRows, self.rows_probed);
         crate::obs::add(crate::obs::Counter::ProbePostings, self.postings_touched);
         self.rows_probed = 0;
         self.postings_touched = 0;
+    }
+}
+
+impl Drop for ProbeScratch {
+    fn drop(&mut self) {
+        self.flush_probe_counters();
     }
 }
 
@@ -866,8 +812,8 @@ fn probe_element(
 }
 
 /// Both probe directions — source elements against `target_index` and
-/// target elements against `source_index` — as chunks fed through one
-/// shared claim queue, so the directions run as concurrent executor lanes
+/// target elements against `source_index` — as the chunks of one
+/// [`Job::map_with`], so the directions run as concurrent executor lanes
 /// and a lane finishing one direction's chunks immediately steals the
 /// other's. Each lane owns one [`ProbeScratch`], reused across all its
 /// claims. Chunk outputs come back in chunk order (forward chunks first),
@@ -879,7 +825,6 @@ fn probe_element(
 /// kept pairs of two containers (`containers` flags source, then target,
 /// elements with children) that overlap by at least
 /// [`CHILD_RESCUE_WEIGHT`], as `(source, target, weight)`.
-#[allow(clippy::too_many_arguments)]
 fn probe_sides(
     prepared_source: &PreparedSchema,
     prepared_target: &PreparedSchema,
@@ -887,9 +832,7 @@ fn probe_sides(
     target_index: &ElementTokenIndex,
     containers: [&[bool]; 2],
     policy: &BlockingPolicy,
-    exec: &Executor,
-    parallelism: usize,
-    gov: GovernedExec<'_>,
+    job: Job<'_>,
 ) -> (Vec<ProbedChunk>, Vec<(u32, u32, f64)>) {
     let rows = prepared_source.len();
     let cols = prepared_target.len();
@@ -899,19 +842,10 @@ fn probe_sides(
         dir: usize,
         range: Range<usize>,
     }
-    let mut descs: Vec<ChunkDesc> = Vec::new();
-    for start in (0..rows).step_by(CHUNK_ELEMENTS) {
-        descs.push(ChunkDesc {
-            dir: 0,
-            range: start..(start + CHUNK_ELEMENTS).min(rows),
-        });
-    }
-    for start in (0..cols).step_by(CHUNK_ELEMENTS) {
-        descs.push(ChunkDesc {
-            dir: 1,
-            range: start..(start + CHUNK_ELEMENTS).min(cols),
-        });
-    }
+    let descs: Vec<ChunkDesc> = chunks(rows, CHUNK_ELEMENTS)
+        .map(|range| ChunkDesc { dir: 0, range })
+        .chain(chunks(cols, CHUNK_ELEMENTS).map(|range| ChunkDesc { dir: 1, range }))
+        .collect();
 
     let run_chunk = |desc: &ChunkDesc, scratch: &mut ProbeScratch| -> ProbedChunk {
         let _chunk = crate::obs::span(crate::obs::SpanKind::ProbeChunk, desc.range.len() as u64);
@@ -944,33 +878,16 @@ fn probe_sides(
         ProbedChunk::bucketed(&kept, buckets, strong)
     };
 
-    // At parallelism 1 the caller's lane alone drains the claim queue.
-    let done: Mutex<Vec<(usize, ProbedChunk)>> = Mutex::new(Vec::with_capacity(descs.len()));
-    let queue = Mutex::new(descs.iter().enumerate());
-    exec.run_lanes_budgeted(parallelism.min(descs.len()), gov.budget, |_| {
-        let mut scratch = ProbeScratch::new(rows.max(cols));
-        loop {
-            let claimed = queue.lock().expect("probe queue poisoned").next();
-            let Some((index, desc)) = claimed else { break };
-            // Cancellation point (queue lock released, chunk not yet
-            // probed).
-            if let Some(token) = gov.token {
-                token.checkpoint();
-            }
-            let out = run_chunk(desc, &mut scratch);
-            done.lock()
-                .expect("probe results poisoned")
-                .push((index, out));
-        }
-        scratch.flush_probe_counters();
-    });
-    let mut outs = done.into_inner().expect("probe results poisoned");
-    outs.sort_unstable_by_key(|&(index, _)| index);
+    let outs = job.map_with(
+        &descs,
+        || ProbeScratch::new(rows.max(cols)),
+        |scratch, _, desc| run_chunk(desc, scratch),
+    );
     let strong = outs
         .iter()
-        .flat_map(|(_, out)| out.strong.iter().copied())
+        .flat_map(|out| out.strong.iter().copied())
         .collect();
-    (outs.into_iter().map(|(_, out)| out).collect(), strong)
+    (outs, strong)
 }
 
 /// Overlap weight at which a candidate *container* pair also enqueues its
@@ -1010,9 +927,7 @@ pub fn generate_candidates_with_exec(
         prepared_target,
         Some((source_index, target_index)),
         policy,
-        exec,
-        parallelism,
-        GovernedExec::default(),
+        Job::new(exec, parallelism),
     )
 }
 
@@ -1027,12 +942,11 @@ pub fn generate_candidates_with_exec(
 /// builds run here.
 ///
 /// Index builds, both probe directions, the row assembly and each parent
-/// closure level fan out across up to `parallelism` lanes of `exec`; at
-/// parallelism 1 (or with a single chunk) they run inline on the caller.
-/// Helper lanes are drawn from `gov.budget` and
-/// cancellation is checked at chunk boundaries against `gov.token` (see
-/// [`GovernedExec`]). The candidate set is bit-identical at every lane
-/// count and under every governance setting.
+/// closure level fan out over `job`'s lanes; at width 1 (or with a single
+/// chunk) they run inline on the caller. Helper lanes are drawn from the
+/// job's lane budget and its token is checked at every chunk claim (see
+/// [`Job`]). The candidate set is bit-identical at every lane count and
+/// under every budget.
 ///
 /// Both directions are probed and unioned, then the set is closed
 /// structurally:
@@ -1052,7 +966,6 @@ pub fn generate_candidates_with_exec(
 /// * **parent closure** (transitive) — for every candidate `(s, t)` whose
 ///   elements both have parents, `(parent(s), parent(t))` is added, up to
 ///   the roots, keeping the Propagate stage's base reads scored.
-#[allow(clippy::too_many_arguments)]
 pub fn generate_candidates(
     source: &Schema,
     target: &Schema,
@@ -1060,9 +973,7 @@ pub fn generate_candidates(
     prepared_target: &PreparedSchema,
     indices: Option<(&ElementTokenIndex, &ElementTokenIndex)>,
     policy: &BlockingPolicy,
-    exec: &Executor,
-    parallelism: usize,
-    gov: GovernedExec<'_>,
+    job: Job<'_>,
 ) -> CandidateSet {
     let rows = prepared_source.len();
     let cols = prepared_target.len();
@@ -1089,16 +1000,14 @@ pub fn generate_candidates(
     if matches!(policy, BlockingPolicy::Exhaustive) {
         return CandidateSet::exhaustive(rows, cols);
     }
-    let par = Some((exec, parallelism));
     let built;
     let (source_index, target_index) = match indices {
         Some(indices) => indices,
         None => {
             // The two builds run side by side, each fanning its own element
             // chunks out too.
-            built = run_chunked_governed(par, gov, 2, 1, |side, _| {
-                let prepared = [prepared_source, prepared_target][side];
-                ElementTokenIndex::build_parallel(prepared, exec, parallelism)
+            built = job.map([prepared_source, prepared_target], |_, prepared| {
+                ElementTokenIndex::build_on(prepared, job)
             });
             (&built[0], &built[1])
         }
@@ -1122,9 +1031,7 @@ pub fn generate_candidates(
         target_index,
         [&source_containers, &target_containers],
         policy,
-        exec,
-        parallelism,
-        gov,
+        job,
     );
     let rescue = {
         let _span = crate::obs::span(crate::obs::SpanKind::BlockRescue, strong.len() as u64);
@@ -1134,7 +1041,7 @@ pub fn generate_candidates(
     // Row assembly, in row chunks on the lanes: each source row's forward
     // and backward probe pairs, exact-name postings and child-rescue
     // columns merged into one sorted row of the chunk's arena.
-    let chunks = run_chunked_governed(par, gov, rows, CHUNK_ELEMENTS, |chunk, range| {
+    let arenas = job.map(chunks(rows, CHUNK_ELEMENTS), |chunk, range| {
         let _span = crate::obs::span(crate::obs::SpanKind::BlockAssemble, range.len() as u64);
         let mut sets = ColumnSets::new(range.len(), cols);
         for probe in &probed {
@@ -1164,11 +1071,10 @@ pub fn generate_candidates(
         arena
     });
     let mut store = RowStore::new(rows);
-    for (chunk, arena) in chunks.into_iter().enumerate() {
-        let start = chunk * CHUNK_ELEMENTS;
-        store.install(arena, start..(start + CHUNK_ELEMENTS).min(rows));
+    for (arena, range) in arenas.into_iter().zip(chunks(rows, CHUNK_ELEMENTS)) {
+        store.install(arena, range);
     }
-    close_over_parents(source, target, &mut store, 0..rows, par, gov);
+    close_over_parents(source, target, &mut store, 0..rows, job);
     store.into_candidates(cols)
 }
 
@@ -1252,8 +1158,7 @@ fn close_over_parents(
     target: &Schema,
     store: &mut RowStore,
     seeds: impl IntoIterator<Item = usize>,
-    par: Option<(&Executor, usize)>,
-    gov: GovernedExec<'_>,
+    job: Job<'_>,
 ) {
     let (elements, targets, cols) = (source.elements(), target.elements(), target.len());
     // levels[d]: rows at source depth d with a child row that holds pairs.
@@ -1271,10 +1176,10 @@ fn close_over_parents(
         level.dedup();
         let _span = crate::obs::span(crate::obs::SpanKind::BlockClose, level.len() as u64);
         let current = &*store;
-        let chunks = run_chunked_governed(par, gov, level.len(), CLOSE_CHUNK_ROWS, |_, range| {
+        let arenas = job.map(level.chunks(CLOSE_CHUNK_ROWS), |_, rows| {
             let mut sets = ColumnSets::new(1, cols);
-            let mut arena = RowArena::with_rows(range.len());
-            for &p in &level[range] {
+            let mut arena = RowArena::with_rows(rows.len());
+            for &p in rows {
                 for &t in current.row(p as usize) {
                     sets.insert(0, t);
                 }
@@ -1289,7 +1194,7 @@ fn close_over_parents(
             }
             arena
         });
-        for (arena, rows) in chunks.into_iter().zip(level.chunks(CLOSE_CHUNK_ROWS)) {
+        for (arena, rows) in arenas.into_iter().zip(level.chunks(CLOSE_CHUNK_ROWS)) {
             for (slot, &p) in rows.iter().enumerate() {
                 if !arena.row(slot).is_empty() {
                     mark_parent(&mut levels, elements, p as usize);
@@ -1319,17 +1224,7 @@ mod tests {
         pb: &PreparedSchema,
         policy: &BlockingPolicy,
     ) -> CandidateSet {
-        generate_candidates(
-            a,
-            b,
-            pa,
-            pb,
-            None,
-            policy,
-            Executor::global(),
-            1,
-            GovernedExec::default(),
-        )
+        generate_candidates(a, b, pa, pb, None, policy, Job::inline())
     }
 
     fn fixture() -> (Schema, Schema) {
@@ -1658,17 +1553,8 @@ mod tests {
             ] {
                 let expect = inline_candidates(s, t, &ps, &pt, &policy);
                 for indices in [None, Some((&is, &it))] {
-                    let parallel = generate_candidates(
-                        s,
-                        t,
-                        &ps,
-                        &pt,
-                        indices,
-                        &policy,
-                        &exec,
-                        3,
-                        GovernedExec::default(),
-                    );
+                    let parallel =
+                        generate_candidates(s, t, &ps, &pt, indices, &policy, Job::new(&exec, 3));
                     assert_eq!(parallel, expect, "CSR diverged under {policy:?}");
                 }
             }
@@ -1732,17 +1618,7 @@ mod tests {
                 .collect();
             assert_eq!(kept, vec![tied[0].0, tied[1].0, namesake.0]);
             let inline = inline_candidates(&a, &b, &pa, &pb, &policy);
-            let parallel = generate_candidates(
-                &a,
-                &b,
-                &pa,
-                &pb,
-                None,
-                &policy,
-                &exec,
-                3,
-                GovernedExec::default(),
-            );
+            let parallel = generate_candidates(&a, &b, &pa, &pb, None, &policy, Job::new(&exec, 3));
             assert_eq!(parallel, inline, "parallel generation diverged");
             assert_eq!(inline.row(alpha.index()), kept.as_slice());
         }

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::correspondence::{Correspondence, MatchAnnotation, MatchSet, MatchStatus};
     pub use crate::effort::{EffortEstimate, EffortModel, Workload};
     pub use crate::engine::{detect_threads, BlockedMatchResult, MatchEngine, MatchResult};
-    pub use crate::exec::{ExecStats, Executor};
+    pub use crate::exec::{ExecStats, Executor, Job};
     pub use crate::filter::{LinkFilter, NodeFilter};
     pub use crate::index::{BlockingPolicy, CandidateSet, ElementTokenIndex};
     pub use crate::matrix::MatchMatrix;

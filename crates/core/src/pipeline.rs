@@ -61,7 +61,7 @@ use crate::obs::SpanKind;
 use crate::prepare::PreparedSchema;
 use crate::select::Selection;
 use sm_schema::{ElementId, Schema};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Wall-clock time spent in each pipeline stage.
@@ -357,9 +357,7 @@ impl<'e> MatchPipeline<'e> {
                 prepared_target,
                 indices,
                 policy,
-                self.engine.executor(),
-                self.engine.threads,
-                self.engine.governed(),
+                self.engine.job(),
             )
         });
         BlockedRun {
@@ -393,7 +391,7 @@ impl<'e> MatchPipeline<'e> {
         );
         // Stage boundary: a token tripped during Block stops before Score
         // allocates the matrix.
-        self.engine.checkpoint();
+        self.engine.job().checkpoint();
         let mut matrix = MatchMatrix::new(ctx.source.len(), ctx.target.len());
         if candidates.is_empty() {
             return (candidates, matrix);
@@ -455,10 +453,10 @@ impl<'e> MatchPipeline<'e> {
     /// arithmetic (voter order, `f64` vote buffer, merge) is independent of
     /// the rest of the set, so a cell is bit-identical whichever candidate
     /// set it was scored in. Work-stealing operates on blocks of
-    /// *candidate-bearing rows* — rows without candidates cost nothing — and
-    /// the lanes come from the engine's persistent executor through its
-    /// lane budget. Returns per-worker CPU-nanosecond totals for the
-    /// proportional wall-clock split.
+    /// *candidate-bearing rows* — rows without candidates cost nothing —
+    /// claimed through the engine's [`crate::exec::Job`], each lane reusing
+    /// one scratch `Worker`. Returns the per-block CPU-nanosecond totals,
+    /// summed in block order, for the proportional wall-clock split.
     ///
     /// With [`MatchEngine::cascade_active`] the pass dispatches to the
     /// two-tier cascade kernels in [`crate::cascade`] instead of the
@@ -491,7 +489,8 @@ impl<'e> MatchPipeline<'e> {
                 (!cand.is_empty()).then_some((r, slice, cand))
             })
             .collect();
-        let threads = self.engine.threads.min(work.len()).max(1);
+        let job = self.engine.job();
+        let threads = job.width().min(work.len()).max(1);
         let block_rows = self.block_rows(work.len(), threads);
         let cascade = self.engine.cascade_active();
         debug_assert!(!cascade || nv == crate::cascade::LANES);
@@ -564,29 +563,27 @@ impl<'e> MatchPipeline<'e> {
         };
 
         let mut work = work;
-        let total = Mutex::new(FusedStats::default());
-        let queue = Mutex::new(work.chunks_mut(block_rows));
-        self.engine.run_lanes(threads, |_| {
-            let mut w = Worker::default();
-            loop {
-                let claimed = queue.lock().expect("pipeline queue poisoned").next();
-                let Some(block) = claimed else { break };
-                // Cancellation point (lock released, block untouched).
-                self.engine.checkpoint();
+        let blocks = job.map_with(
+            work.chunks_mut(block_rows),
+            Worker::default,
+            |w, _, block| {
                 let _chunk = obs::span(SpanKind::ScoreChunk, block.len() as u64);
                 if cascade {
-                    cascade_block(block, &mut w);
+                    cascade_block(block, w);
                 } else {
-                    reference_block(block, &mut w);
+                    reference_block(block, w);
                 }
-            }
-            let mut total = total.lock().expect("pipeline stats poisoned");
-            total.tier1_ns += w.stats.tier1_ns;
-            total.tier2_ns += w.stats.tier2_ns;
-            total.merge_ns += w.stats.merge_ns;
-            total.exits.add(&w.stats.exits);
-        });
-        total.into_inner().expect("pipeline stats poisoned")
+                std::mem::take(&mut w.stats)
+            },
+        );
+        let mut total = FusedStats::default();
+        for block in &blocks {
+            total.tier1_ns += block.tier1_ns;
+            total.tier2_ns += block.tier2_ns;
+            total.merge_ns += block.merge_ns;
+            total.exits.add(&block.exits);
+        }
+        total
     }
 
     /// Propagate: blend every parented cell of each candidate-bearing row

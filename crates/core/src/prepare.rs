@@ -24,8 +24,8 @@
 //! vocabulary of a match problem) remains per-pair; see
 //! [`crate::context::MatchContext`].
 
-use crate::exec::Executor;
-use crate::index::{run_chunked_governed, GovernedExec, CHUNK_ELEMENTS};
+use crate::exec::{chunks, Executor, Job};
+use crate::index::CHUNK_ELEMENTS;
 use sm_schema::{Schema, SchemaId};
 use sm_text::bounds::{id_signature, CharProfile, TokenStat};
 use sm_text::intern::{to_sorted_set, TokenArena, TokenId};
@@ -210,11 +210,10 @@ pub struct PreparedSchema {
 }
 
 /// Phase 1 of [`PreparedSchema::build_chunked`] for one element chunk:
-/// the chunk's normalized names and their interned ids.
+/// the interned ids of the chunk's normalized names. (Phase 1 hands the
+/// name bags themselves to phase 2 of the same chunk, which moves them into
+/// its elements.)
 struct NameChunk {
-    /// Name bags in element order; phase 2 of the same chunk moves them
-    /// into its elements.
-    bags: Mutex<Vec<TokenBag>>,
     /// Interned name tokens, element after element.
     ids: Vec<TokenId>,
     /// `offsets[i]..offsets[i + 1]` slices `ids` for the chunk's `i`-th
@@ -241,8 +240,7 @@ impl PreparedSchema {
             schema_fingerprint(schema),
             normalizer,
             arena,
-            None,
-            GovernedExec::default(),
+            Job::inline(),
         )
     }
 
@@ -269,15 +267,14 @@ impl PreparedSchema {
             schema_fingerprint(schema),
             normalizer,
             arena,
-            Some((exec, parallelism)),
-            GovernedExec::default(),
+            Job::new(exec, parallelism),
         )
     }
 
     /// The one build body, in element chunks of the blocking index's width
-    /// ([`run_chunked_governed`]: inline for one chunk or one lane, helper
-    /// lanes claimed against `gov.budget`, `gov.token` checked before every
-    /// chunk). `fingerprint` is `schema`'s [`schema_fingerprint`], which
+    /// mapped over `job`'s lanes (inline for one chunk or one lane, helper
+    /// lanes claimed against the job's budget, its token checked before
+    /// every chunk). `fingerprint` is `schema`'s [`schema_fingerprint`], which
     /// the feature cache has already computed as its key.
     ///
     /// Phase 1 normalizes and interns each element's name; phase 2
@@ -290,12 +287,11 @@ impl PreparedSchema {
         fingerprint: u64,
         normalizer: &Normalizer,
         arena: Arc<TokenArena>,
-        par: Option<(&Executor, usize)>,
-        gov: GovernedExec<'_>,
+        job: Job<'_>,
     ) -> Self {
         let source = schema.elements();
         let n = source.len();
-        let names = run_chunked_governed(par, gov, n, CHUNK_ELEMENTS, |_, range| {
+        let phase1 = job.map(chunks(n, CHUNK_ELEMENTS), |_, range| {
             let _span = crate::obs::span(crate::obs::SpanKind::PrepareChunk, range.len() as u64);
             let mut bags = Vec::with_capacity(range.len());
             let mut ids = Vec::new();
@@ -307,21 +303,18 @@ impl PreparedSchema {
                 offsets.push(count(ids.len()));
                 bags.push(bag);
             }
-            NameChunk {
-                bags: Mutex::new(bags),
-                ids,
-                offsets,
-            }
+            (bags, NameChunk { ids, offsets })
         });
+        let (bags, names): (Vec<Vec<TokenBag>>, Vec<NameChunk>) = phase1.into_iter().unzip();
         let name_ids_of = |idx: usize| -> &[TokenId] {
             let chunk = &names[idx / CHUNK_ELEMENTS];
             let at = idx % CHUNK_ELEMENTS;
             &chunk.ids[chunk.offsets[at] as usize..chunk.offsets[at + 1] as usize]
         };
 
-        let chunks = run_chunked_governed(par, gov, n, CHUNK_ELEMENTS, |chunk, range| {
+        let phase2 = bags.into_iter().zip(chunks(n, CHUNK_ELEMENTS));
+        let built = job.map(phase2, |_, (bags, range)| {
             let _span = crate::obs::span(crate::obs::SpanKind::PrepareChunk, range.len() as u64);
-            let bags = std::mem::take(&mut *names[chunk].bags.lock().expect("name chunk poisoned"));
             range
                 .zip(bags)
                 .map(|(idx, name_bag)| {
@@ -392,7 +385,7 @@ impl PreparedSchema {
 
         let _assemble = crate::obs::span(crate::obs::SpanKind::PrepareAssemble, n as u64);
         let mut elements = Vec::with_capacity(n);
-        for chunk in chunks {
+        for chunk in built {
             elements.extend(chunk);
         }
         let mut signature_ids =
@@ -732,22 +725,16 @@ impl FeatureCache {
     /// `hits` (they were served without building); only the building thread
     /// records a `miss`. A miss builds inline on the calling thread.
     pub fn get_or_prepare(&self, schema: &Schema) -> Arc<PreparedSchema> {
-        self.get_or_prepare_on(schema, None, GovernedExec::default())
+        self.get_or_prepare_on(schema, Job::inline())
     }
 
     /// [`Self::get_or_prepare`] whose miss is built on the caller's lanes:
-    /// element chunks fan out across up to `parallelism` lanes of `exec`
-    /// (`par`), helper lanes are claimed against `gov.budget`, and
-    /// `gov.token` is checked before every chunk (see
+    /// element chunks are mapped over `job`, so helper lanes are claimed
+    /// against its budget and its token is checked before every chunk (see
     /// [`PreparedSchema::build_parallel`] for the id contract). A build
     /// that unwinds — a tripped token included — leaves no entry, and
     /// every waiter on it retries.
-    pub fn get_or_prepare_on(
-        &self,
-        schema: &Schema,
-        par: Option<(&Executor, usize)>,
-        gov: GovernedExec<'_>,
-    ) -> Arc<PreparedSchema> {
+    pub fn get_or_prepare_on(&self, schema: &Schema, job: Job<'_>) -> Arc<PreparedSchema> {
         let fp = schema_fingerprint(schema);
         loop {
             // Fast path / rendezvous decision under one short lock.
@@ -817,8 +804,7 @@ impl FeatureCache {
                                 fp,
                                 &self.normalizer,
                                 Arc::clone(&self.arena),
-                                par,
-                                gov,
+                                job,
                             ))
                         });
                     guard.publish(Arc::clone(&prepared));

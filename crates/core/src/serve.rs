@@ -12,16 +12,21 @@
 //!   [`ServeError::Overloaded`];
 //! * **lane budgets** — each class draws helper lanes from its own
 //!   [`LaneBudget`] sized as a fraction of the pool, so a 12-way batch can
-//!   never occupy more than its share of workers while point queries run
-//!   (see [`Executor::run_lanes_budgeted`]; the caller's lane 0 is always
-//!   unbudgeted, so starvation degrades to inline execution, never a hang);
-//! * **deadlines + cancellation** — every job carries a [`JobToken`];
-//!   pipeline Block/Score/Merge chunk loops and batch pair jobs call
-//!   [`JobToken::checkpoint`] at chunk boundaries, which unwinds with a
-//!   [`CancelUnwind`] payload. The executor's lane machinery already drains
-//!   helper lanes on unwind and the `FeatureCache` build-slot guard already
-//!   marks in-flight builds failed, so a cancelled job leaves no partial
-//!   state behind; the admission wrapper catches the payload and returns
+//!   never occupy more than its share of workers while point queries run.
+//!   [`JobGrant::bind`] attaches the budget to an engine, and
+//!   [`crate::engine::MatchEngine::job`] carries it with the token into
+//!   every parallel stage as one [`crate::exec::Job`]: the batch Plan
+//!   stage (schema preparation and index builds), Prepare, Block (per-pair
+//!   index builds included) and Score/Merge, and the batch's pair jobs.
+//!   The caller's lane 0 is always unbudgeted, so starvation degrades to
+//!   inline execution, never a hang;
+//! * **deadlines + cancellation** — every job carries a [`JobToken`]; the
+//!   same fan-out calls [`JobToken::checkpoint`] once per claimed chunk or
+//!   pair job, which unwinds with a [`CancelUnwind`] payload. The
+//!   executor's lane machinery already drains helper lanes on unwind and
+//!   the `FeatureCache` build-slot guard already marks in-flight builds
+//!   failed, so a cancelled job leaves no partial state behind; the
+//!   admission wrapper catches the payload and returns
 //!   [`ServeError::Cancelled`];
 //! * **memory governor** — a process-RSS watermark ([`MemoryGovernor`])
 //!   that, under pressure, evicts the feature cache down to a byte budget,

@@ -64,6 +64,7 @@
 //! back to a cold start, never a wrong index.
 
 use crate::shard::ShardConfig;
+use harmony_core::exec::Job;
 use harmony_core::prepare::{PreparedElement, PreparedSchema};
 use sm_schema::SchemaId;
 use sm_text::bounds::{id_signature, CharProfile, TokenStat};
@@ -594,12 +595,12 @@ pub fn load_registry(path: &Path) -> io::Result<LoadedRegistry> {
     // schema variants, so this pass runs over the much smaller
     // deduplicated element table.
     let exec = harmony_core::exec::Executor::global();
-    let elements: Vec<Arc<PreparedElement>> =
-        exec.run_map(exec.threads(), &extents, |_idx, &(start, end)| {
-            parse_element_record(&body[start..end], &memos)
-        });
+    let job = Job::new(exec, exec.threads());
+    let elements: Vec<Arc<PreparedElement>> = job.map(&extents, |_idx, &(start, end)| {
+        parse_element_record(&body[start..end], &memos)
+    });
 
-    let prepared = exec.run_map(exec.threads(), &schema_recs, |_idx, rec| {
+    let prepared = job.map(&schema_recs, |_idx, rec| {
         let signature_ids = rec.2.iter().map(|&t| memos.remap[t as usize]).collect();
         let elems = rec
             .3

@@ -75,7 +75,7 @@
 //! [`harmony_core::swap::SnapCell`] — see
 //! [`crate::repository::MetadataRepository::token_index`].
 
-use harmony_core::exec::Executor;
+use harmony_core::exec::{chunks, Executor, Job};
 use harmony_core::index::idf_weight;
 use harmony_core::obs;
 use harmony_core::prepare::PreparedSchema;
@@ -248,7 +248,7 @@ impl ShardedRepositoryIndex {
     /// Panics when the preparations do not share one token arena, or when
     /// two preparations carry the same schema id.
     pub fn build(prepared: &[Arc<PreparedSchema>], config: ShardConfig) -> Self {
-        Self::build_opt(prepared, None, config)
+        Self::build_on(prepared, Job::inline(), config)
     }
 
     /// [`Self::build`] with schema chunks and per-shard CSR assembly fanned
@@ -261,14 +261,10 @@ impl ShardedRepositoryIndex {
         parallelism: usize,
         config: ShardConfig,
     ) -> Self {
-        Self::build_opt(prepared, Some((exec, parallelism)), config)
+        Self::build_on(prepared, Job::new(exec, parallelism), config)
     }
 
-    fn build_opt(
-        prepared: &[Arc<PreparedSchema>],
-        par: Option<(&Executor, usize)>,
-        config: ShardConfig,
-    ) -> Self {
+    fn build_on(prepared: &[Arc<PreparedSchema>], job: Job<'_>, config: ShardConfig) -> Self {
         obs::add(obs::Counter::RepoIndexBuilds, 1);
         let _span = obs::span(obs::SpanKind::RepoIndexBuild, prepared.len() as u64);
         let shard_count = config.shards.max(1);
@@ -285,31 +281,26 @@ impl ShardedRepositoryIndex {
 
         // Parallel phase 1: per schema chunk, resolve display signatures and
         // emit per-shard packed `(token << 32) | slot` pairs. Chunk outputs
-        // stitch in slot order via the shared deterministic chunk runner.
+        // stitch in slot order, as the fan-out returns them in item order.
         struct ChunkOut {
             pairs: Vec<Vec<u64>>,
             signatures: Vec<Arc<[String]>>,
         }
         let route = |t: TokenId| -> usize { ((t.0 >> TOKEN_BLOCK_BITS) as usize) % shard_count };
-        let outs: Vec<ChunkOut> = harmony_core::index::run_chunked(
-            par,
-            prepared.len(),
-            BUILD_CHUNK_SCHEMAS,
-            |_, range| {
-                let mut out = ChunkOut {
-                    pairs: vec![Vec::new(); shard_count],
-                    signatures: Vec::with_capacity(range.len()),
-                };
-                for slot in range {
-                    let sig = prepared[slot].signature_ids();
-                    for &t in sig {
-                        out.pairs[route(t)].push((u64::from(t.0) << 32) | slot as u64);
-                    }
-                    out.signatures.push(arena.resolve_all(sig).into());
+        let outs = job.map(chunks(prepared.len(), BUILD_CHUNK_SCHEMAS), |_, range| {
+            let mut out = ChunkOut {
+                pairs: vec![Vec::new(); shard_count],
+                signatures: Vec::with_capacity(range.len()),
+            };
+            for slot in range {
+                let sig = prepared[slot].signature_ids();
+                for &t in sig {
+                    out.pairs[route(t)].push((u64::from(t.0) << 32) | slot as u64);
                 }
-                out
-            },
-        );
+                out.signatures.push(arena.resolve_all(sig).into());
+            }
+            out
+        });
         let mut shard_pairs: Vec<Vec<u64>> = vec![Vec::new(); shard_count];
         let mut signatures: Vec<Arc<[String]>> = Vec::with_capacity(prepared.len());
         for out in outs {
@@ -322,26 +313,15 @@ impl ShardedRepositoryIndex {
         // Parallel phase 2: sort each shard's pairs and lay out its CSR.
         // Each shard sorts one fixed multiset, so the result is identical at
         // any lane count or assignment.
-        let build_shard = |pairs: &mut Vec<u64>| -> Shard {
+        let shards = job.map(shard_pairs, |_, mut pairs| {
             let _span = obs::span(obs::SpanKind::RepoShardBuild, pairs.len() as u64);
             obs::add(obs::Counter::RepoShardBuilds, 1);
             pairs.sort_unstable();
             Shard {
-                base: Arc::new(ShardBase::from_sorted_pairs(pairs)),
+                base: Arc::new(ShardBase::from_sorted_pairs(&pairs)),
                 ..Shard::empty()
             }
-        };
-        let shards: Vec<Shard> = match par {
-            Some((exec, parallelism)) if parallelism > 1 && shard_count > 1 => {
-                let items: Vec<std::sync::Mutex<Vec<u64>>> =
-                    shard_pairs.into_iter().map(std::sync::Mutex::new).collect();
-                exec.run_map(parallelism, &items, |_, m| {
-                    let mut pairs = std::mem::take(&mut *m.lock().expect("shard pairs poisoned"));
-                    build_shard(&mut pairs)
-                })
-            }
-            _ => shard_pairs.iter_mut().map(build_shard).collect(),
-        };
+        });
 
         let slots: Vec<SlotEntry> = prepared
             .iter()

@@ -97,10 +97,9 @@ impl SyntheticRepository {
             amin,
             amax,
         );
-        let domains: Vec<usize> = (0..config.domains).collect();
         let exec = harmony_core::exec::Executor::global();
         let per_domain: Vec<(Vec<Schema>, Ontology)> =
-            exec.run_map(exec.threads(), &domains, |_, &d| {
+            harmony_core::exec::Job::new(exec, exec.threads()).map(0..config.domains, |_, d| {
                 let mut rng = SmallRng::seed_from_u64(
                     (config.seed ^ 0x5EED_5EED_5EED_5EED)
                         .wrapping_add((d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),

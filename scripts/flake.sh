@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Scheduling-flake loop: run the tests whose assertions depend on thread
-# scheduling (three integration binaries, the executor's scheduling-counter
-# and lane-rule unit tests, the cancelled-batch lane test, and the
+# scheduling (three integration binaries, the executor's scheduling-counter,
+# lane-rule and job fan-out unit tests, the cancelled-batch lane test, and the
 # feature cache's lane-budget and cancelled-build tests) N times,
 # pinned to one CPU with
 # `taskset -c 0`, where a starved reader or helper lane shows up as a
@@ -28,6 +28,9 @@ lib_tests=(
     exec::tests::nested_fan_out_offers_only_unreserved_lanes
     exec::tests::lane_zero_panic_in_nested_fan_out_releases_every_lane
     exec::tests::helper_lane_panic_releases_its_lane
+    exec::tests::job_short_circuit_leaves_the_pool_untouched
+    exec::tests::job_token_tripped_in_an_item_stops_further_claims
+    exec::tests::job_lane_scratch_is_built_at_most_once_per_lane
     batch::tests::cancelled_round_releases_every_lane
     prepare::tests::prepare_under_an_empty_lane_budget_enqueues_nothing
     prepare::tests::cancelled_prepare_leaves_no_entry_and_no_blocked_waiter

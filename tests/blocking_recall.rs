@@ -9,7 +9,7 @@
 //!   to `run` — the sparse Score/Merge/Propagate machinery reproduces the
 //!   dense pipeline bit for bit when nothing is pruned.
 
-use harmony_core::index::{generate_candidates, BlockingPolicy, GovernedExec};
+use harmony_core::index::{generate_candidates, BlockingPolicy};
 use harmony_core::prelude::*;
 use proptest::prelude::*;
 use sm_synth::{GeneratorConfig, SchemaPair};
@@ -61,9 +61,7 @@ proptest! {
             &prepared_target,
             None,
             &BlockingPolicy::default(),
-            engine.executor(),
-            1,
-            GovernedExec::default(),
+            Job::new(engine.executor(), 1),
         );
         prop_assert!(
             candidates.len() < pair.source.len() * pair.target.len(),

@@ -9,7 +9,7 @@
 //! IDF weight bits and exact-name postings.
 
 use harmony_core::exec::Executor;
-use harmony_core::index::{generate_candidates, BlockingPolicy, ElementTokenIndex, GovernedExec};
+use harmony_core::index::{generate_candidates, BlockingPolicy, ElementTokenIndex};
 use harmony_core::prelude::*;
 use harmony_core::prepare::PreparedSchema;
 use proptest::prelude::*;
@@ -275,9 +275,7 @@ fn assert_pinned_under(source: &Schema, target: &Schema, label: &str, policies: 
                     &pt,
                     prebuilt,
                     policy,
-                    &exec,
-                    threads,
-                    GovernedExec::default(),
+                    Job::new(&exec, threads),
                 );
                 assert_eq!((got.rows(), got.cols()), (source.len(), target.len()));
                 assert_eq!(

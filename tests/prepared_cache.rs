@@ -3,7 +3,7 @@
 //! runs, and every consumer built from the cache agrees with one built from
 //! scratch.
 
-use harmony_core::index::{BlockingPolicy, GovernedExec};
+use harmony_core::index::BlockingPolicy;
 use harmony_core::matrix::MatchMatrix;
 use harmony_core::prelude::*;
 use harmony_core::prepare::{FeatureCache, PreparedSchema};
@@ -292,7 +292,7 @@ fn chunked_build_equals_inline_build_on_one_arena() {
     let cache = FeatureCache::new(Normalizer::new());
     let schema = chunk_edge_schema(99, 1378);
     let inline = PreparedSchema::build(&schema, &normalizer);
-    let cached = cache.get_or_prepare_on(&schema, Some((&exec, 2)), GovernedExec::default());
+    let cached = cache.get_or_prepare_on(&schema, Job::new(&exec, 2));
     assert_same_preparation(&inline, &cached, "cache miss on 2 lanes");
 }
 

@@ -10,8 +10,8 @@ use harmony_core::prelude::*;
 use harmony_core::serve::{
     AdmissionController, CancelReason, JobClass, JobToken, ServeConfig, ServeError,
 };
-use sm_schema::{ElementId, Schema};
-use sm_synth::{RepositoryConfig, SyntheticRepository};
+use sm_schema::Schema;
+use sm_synth::{GeneratorConfig, RepositoryConfig, SchemaPair, SyntheticRepository};
 use sm_text::normalize::Normalizer;
 use std::sync::Arc;
 use std::time::Duration;
@@ -247,84 +247,154 @@ fn mid_run_cancellation_unwinds_without_poisoning_shared_state() {
     assert_eq!(served, reference);
 }
 
-/// A schema pair and one restricted increment over it: the first schema's
-/// second root subtree against the whole second schema.
-fn increment_fixture(seed: u64) -> (Vec<Schema>, Vec<ElementId>, Vec<ElementId>) {
-    let schemas = population(seed, 2);
-    let root = schemas[0].roots()[1];
-    let source_ids = NodeFilter::subtree(root).select(&schemas[0]);
-    let target_ids = NodeFilter::All.select(&schemas[1]);
-    (schemas, source_ids, target_ids)
+/// The operations whose lane budget and job token the two pins below
+/// check on a bound engine.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// A restricted increment: the first schema's second root subtree
+    /// against the whole second schema, on a context built beforehand.
+    RestrictedIncrement,
+    /// A blocked point match with per-pair index builds, on schemata of
+    /// several 64-element chunks (a `population()` schema is one chunk,
+    /// too small for an index build to fan out).
+    BlockedMatch,
+    /// A batch plan over four schemata (preparation and index builds), then
+    /// its run.
+    BatchPlanRun,
 }
 
-/// A restricted increment on a bound engine honours the job token: a token
-/// tripped before submission cancels the increment at its first
-/// checkpoint.
-#[test]
-fn restricted_increment_with_tripped_token_is_cancelled() {
-    const THREADS: usize = 4;
-    let (schemas, source_ids, target_ids) = increment_fixture(61);
-    let exec = Arc::new(Executor::new(THREADS));
-    let cache = Arc::new(FeatureCache::new(Normalizer::new()));
-    let ctl = AdmissionController::new(
-        Arc::clone(&exec),
-        Arc::clone(&cache),
-        ServeConfig::for_pool(THREADS),
-    );
-    let ctx = engine(&exec, &cache, THREADS).build_context(&schemas[0], &schemas[1]);
-    let token = JobToken::new();
-    token.cancel();
-    let outcome = ctl.submit_with_token(JobClass::PointMatch, 5, token, |grant| {
-        grant
-            .bind(engine(&exec, &cache, THREADS))
-            .run_restricted(&ctx, &source_ids, &target_ids)
-            .pairs
-    });
-    match outcome {
-        Err(ServeError::Cancelled { reason, .. }) => assert_eq!(reason, CancelReason::Cancelled),
-        Err(other) => panic!("unexpected error {other}"),
-        Ok(_) => panic!("restricted increment ran to completion with a tripped token"),
+const OPS: [Op; 3] = [Op::RestrictedIncrement, Op::BlockedMatch, Op::BatchPlanRun];
+
+impl Op {
+    fn class(self) -> JobClass {
+        match self {
+            Op::BatchPlanRun => JobClass::Batch,
+            Op::RestrictedIncrement | Op::BlockedMatch => JobClass::PointMatch,
+        }
+    }
+
+    fn schemas(self, seed: u64) -> Vec<Schema> {
+        match self {
+            Op::RestrictedIncrement => population(seed, 2),
+            Op::BlockedMatch => {
+                let pair = SchemaPair::generate(&GeneratorConfig::paper_case_study(seed, 0.3));
+                vec![pair.source, pair.target]
+            }
+            Op::BatchPlanRun => population(seed, 4),
+        }
+    }
+
+    /// Set the operation up over `schemas` (the increment's context is
+    /// built here, on the unbound `plain` engine), then hand `body` a
+    /// closure that runs it on an engine and returns its scores.
+    fn with<R>(
+        self,
+        schemas: &[Schema],
+        plain: &MatchEngine,
+        body: impl FnOnce(&dyn Fn(&MatchEngine) -> Vec<f64>) -> R,
+    ) -> R {
+        let scores = |m: &MatchMatrix| m.as_slice().iter().map(|&v| f64::from(v)).collect();
+        match self {
+            Op::RestrictedIncrement => {
+                let ctx = plain.build_context(&schemas[0], &schemas[1]);
+                let source_ids = NodeFilter::subtree(schemas[0].roots()[1]).select(&schemas[0]);
+                let target_ids = NodeFilter::All.select(&schemas[1]);
+                body(&|e| {
+                    let pairs = e.run_restricted(&ctx, &source_ids, &target_ids).pairs;
+                    assert!(!pairs.is_empty());
+                    pairs.iter().map(|p| p.2.value()).collect()
+                })
+            }
+            Op::BlockedMatch => body(&|e| {
+                scores(
+                    &e.run_blocked(&schemas[0], &schemas[1], &BlockingPolicy::default())
+                        .matrix,
+                )
+            }),
+            Op::BatchPlanRun => {
+                let refs: Vec<&Schema> = schemas.iter().collect();
+                body(&|e| {
+                    let run = e.batch().plan_all_pairs(&refs).run();
+                    run.pairs
+                        .iter()
+                        .flat_map(|p| scores(&p.result.matrix))
+                        .collect()
+                })
+            }
+        }
     }
 }
 
-/// A restricted increment draws its helper lanes from the class budget: at
-/// a zero budget it runs inline on the caller (no lane is offered to the
-/// pool) and returns pairs identical to the unbudgeted run.
+/// Every governed operation honours the job token: a token tripped before
+/// submission cancels it at its first claim, before it prepares anything —
+/// a batch plan included, whose schemata stay out of the cache.
+#[test]
+fn restricted_increment_with_tripped_token_is_cancelled() {
+    const THREADS: usize = 4;
+    for op in OPS {
+        let schemas = op.schemas(61);
+        let exec = Arc::new(Executor::new(THREADS));
+        let cache = Arc::new(FeatureCache::new(Normalizer::new()));
+        let ctl = AdmissionController::new(
+            Arc::clone(&exec),
+            Arc::clone(&cache),
+            ServeConfig::for_pool(THREADS),
+        );
+        op.with(&schemas, &engine(&exec, &cache, THREADS), |run| {
+            let entries = cache.stats().entries;
+            let token = JobToken::new();
+            token.cancel();
+            let outcome = ctl.submit_with_token(op.class(), 5, token, |grant| {
+                run(&grant.bind(engine(&exec, &cache, THREADS)))
+            });
+            match outcome {
+                Err(ServeError::Cancelled { reason, .. }) => {
+                    assert_eq!(reason, CancelReason::Cancelled, "{op:?}")
+                }
+                Err(other) => panic!("{op:?}: unexpected error {other}"),
+                Ok(_) => panic!("{op:?} ran to completion with a tripped token"),
+            }
+            assert_eq!(
+                cache.stats().entries,
+                entries,
+                "{op:?}: a cancelled operation prepared a schema"
+            );
+        });
+    }
+}
+
+/// Every governed operation draws its helper lanes from the class budget:
+/// at a zero budget it runs inline on the caller (no lane is offered to the
+/// pool, per-pair index builds and the batch plan included) and returns
+/// scores identical to the unbudgeted run.
 #[test]
 fn restricted_increment_under_zero_lane_budget_runs_inline_identically() {
     const THREADS: usize = 4;
-    let (schemas, source_ids, target_ids) = increment_fixture(67);
-    let exec = Arc::new(Executor::new(THREADS));
-    let cache = Arc::new(FeatureCache::new(Normalizer::new()));
-    let mut config = ServeConfig::for_pool(THREADS);
-    config.policy_mut(JobClass::PointMatch).lane_fraction = 0.0;
-    let ctl = AdmissionController::new(Arc::clone(&exec), Arc::clone(&cache), config);
-    assert_eq!(ctl.budget(JobClass::PointMatch).width(), 0);
+    for op in OPS {
+        let schemas = op.schemas(67);
+        let exec = Arc::new(Executor::new(THREADS));
+        let cache = Arc::new(FeatureCache::new(Normalizer::new()));
+        let mut config = ServeConfig::for_pool(THREADS);
+        config.policy_mut(op.class()).lane_fraction = 0.0;
+        let ctl = AdmissionController::new(Arc::clone(&exec), Arc::clone(&cache), config);
+        assert_eq!(ctl.budget(op.class()).width(), 0);
 
-    let unbudgeted = engine(&exec, &cache, THREADS);
-    let ctx = unbudgeted.build_context(&schemas[0], &schemas[1]);
-    let reference = unbudgeted
-        .run_restricted(&ctx, &source_ids, &target_ids)
-        .pairs;
-
-    let before = exec.stats();
-    let served = ctl
-        .submit(JobClass::PointMatch, 5, |grant| {
-            grant
-                .bind(engine(&exec, &cache, THREADS))
-                .run_restricted(&ctx, &source_ids, &target_ids)
-                .pairs
-        })
-        .expect("increment admitted and completed");
-    let after = exec.stats();
-    assert_eq!(
-        after.enqueued, before.enqueued,
-        "a zero lane budget must not offer helper lanes to the pool"
-    );
-    assert!(
-        after.inline_runs > before.inline_runs,
-        "increment ran inline"
-    );
-    assert!(!served.is_empty());
-    assert_eq!(served, reference, "budgeted increment diverged");
+        let unbudgeted = engine(&exec, &cache, THREADS);
+        op.with(&schemas, &unbudgeted, |run| {
+            let reference = run(&unbudgeted);
+            let before = exec.stats();
+            let served = ctl
+                .submit(op.class(), 5, |grant| {
+                    run(&grant.bind(engine(&exec, &cache, THREADS)))
+                })
+                .expect("operation admitted and completed");
+            let after = exec.stats();
+            assert_eq!(
+                after.enqueued, before.enqueued,
+                "{op:?}: a zero lane budget must not offer helper lanes to the pool"
+            );
+            assert!(after.inline_runs > before.inline_runs, "{op:?} ran inline");
+            assert_eq!(served, reference, "{op:?}: budgeted run diverged");
+        });
+    }
 }
