@@ -286,14 +286,22 @@ impl Op {
 
     /// Set the operation up over `schemas` (the increment's context is
     /// built here, on the unbound `plain` engine), then hand `body` a
-    /// closure that runs it on an engine and returns its scores.
+    /// closure that runs it on an engine and returns its scored pairs as
+    /// `(source, target, score)`: the increment's element ids, a matrix's
+    /// row and column.
     fn with<R>(
         self,
         schemas: &[Schema],
         plain: &MatchEngine,
-        body: impl FnOnce(&dyn Fn(&MatchEngine) -> Vec<f64>) -> R,
+        body: impl FnOnce(&dyn Fn(&MatchEngine) -> Vec<(usize, usize, f64)>) -> R,
     ) -> R {
-        let scores = |m: &MatchMatrix| m.as_slice().iter().map(|&v| f64::from(v)).collect();
+        fn cells(m: &MatchMatrix) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+            let cols = m.cols();
+            m.as_slice()
+                .iter()
+                .enumerate()
+                .map(move |(i, &v)| (i / cols, i % cols, f64::from(v)))
+        }
         match self {
             Op::RestrictedIncrement => {
                 let ctx = plain.build_context(&schemas[0], &schemas[1]);
@@ -302,14 +310,18 @@ impl Op {
                 body(&|e| {
                     let pairs = e.run_restricted(&ctx, &source_ids, &target_ids).pairs;
                     assert!(!pairs.is_empty());
-                    pairs.iter().map(|p| p.2.value()).collect()
+                    pairs
+                        .iter()
+                        .map(|&(s, t, c)| (s.index(), t.index(), c.value()))
+                        .collect()
                 })
             }
             Op::BlockedMatch => body(&|e| {
-                scores(
+                cells(
                     &e.run_blocked(&schemas[0], &schemas[1], &BlockingPolicy::default())
                         .matrix,
                 )
+                .collect()
             }),
             Op::BatchPlanRun => {
                 let refs: Vec<&Schema> = schemas.iter().collect();
@@ -317,7 +329,7 @@ impl Op {
                     let run = e.batch().plan_all_pairs(&refs).run();
                     run.pairs
                         .iter()
-                        .flat_map(|p| scores(&p.result.matrix))
+                        .flat_map(|p| cells(&p.result.matrix))
                         .collect()
                 })
             }
@@ -366,7 +378,7 @@ fn restricted_increment_with_tripped_token_is_cancelled() {
 /// Every governed operation draws its helper lanes from the class budget:
 /// at a zero budget it runs inline on the caller (no lane is offered to the
 /// pool, per-pair index builds and the batch plan included) and returns
-/// scores identical to the unbudgeted run.
+/// scored pairs (ids and scores) identical to the unbudgeted run.
 #[test]
 fn restricted_increment_under_zero_lane_budget_runs_inline_identically() {
     const THREADS: usize = 4;
