@@ -14,6 +14,9 @@ cargo test --workspace -q
 echo "==> scheduling-flake loop (scheduling-sensitive tests, 3x on one CPU)"
 scripts/flake.sh 3
 
+echo "==> mutation gate (every recorded mutant killed by its pins)"
+scripts/mutants.sh
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -281,8 +284,7 @@ import sys
 # every instrumented run; pipeline_baseline measures its cost directly by
 # interleaving recording-enabled and runtime-disabled blocked cascade runs
 # in the same process (a same-run ratio, so host drift cancels). The median
-# ratio must stay within 5%. The compile-time `obs-off` feature removes
-# even the disabled-path branch; its build is checked below.
+# ratio must stay within 5%.
 MAX_RATIO = 1.05
 
 path = sys.argv[1]
@@ -333,7 +335,7 @@ REGISTERED_COUNTERS = [
     "cascade.exit.final_survive",
 ]
 REQUIRED_SPANS = {
-    "stage.prepare", "stage.block", "stage.score", "stage.merge",
+    "stage.prepare", "stage.block", "stage.score",
     "stage.propagate", "stage.select", "score.tier1", "score.tier2",
     "merge.row", "exec.lane", "block.rescue", "block.assemble", "block.close",
 }
@@ -365,10 +367,6 @@ print(
     f"{len(REGISTERED_COUNTERS)} registered counters"
 )
 PY
-
-echo "==> obs-off feature check (recorder compiles out, selections pinned)"
-cargo test -q -p harmony-core --features obs-off
-cargo test -q -p schema-match-suite --features harmony-core/obs-off --test obs_pin
 
 echo "==> BENCH_nway.json batch gate (executor + batch planner)"
 python3 - BENCH_nway.json <<'PY'

@@ -525,7 +525,7 @@ fn run_trace(req: &sm_bench::TraceRequest) {
         min: Confidence::new(THRESHOLD),
     };
     harmony_core::obs::reset();
-    harmony_core::obs::ObsConfig::default().apply();
+    harmony_core::obs::set_enabled(true);
     let result = engine
         .batch()
         .plan_all_pairs(&schemas)

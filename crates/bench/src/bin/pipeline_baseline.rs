@@ -191,7 +191,7 @@ fn run_trace(req: &sm_bench::TraceRequest) {
         .with_score_floor(Some(CASCADE_FLOOR))
         .with_executor(std::sync::Arc::new(Executor::new(threads)));
     obs::reset();
-    obs::ObsConfig::default().apply();
+    obs::set_enabled(true);
     let result = engine.run_blocked(&pair.source, &pair.target, &BlockingPolicy::default());
     let selected = Selection::OneToOne {
         min: Confidence::new(CASCADE_FLOOR),
@@ -375,9 +375,9 @@ fn main() {
     // engine with the obs recorder enabled vs runtime-disabled, in
     // interleaved rounds so drift lands on both sides equally. ci.sh gates
     // the ratio at ≤ 1.05 (the recorder's ring writes are a handful of
-    // relaxed stores per span; the compile-time `obs-off` feature removes
-    // even those). More reps than the timing sections because the gate is
-    // a ratio of two small numbers.
+    // relaxed stores per span; disabled, a span is two clock reads). More
+    // reps than the timing sections because the gate is a ratio of two
+    // small numbers.
     const OBS_REPS: usize = 9;
     let mut obs_samples: Vec<Vec<f64>> = (0..2).map(|_| Vec::with_capacity(OBS_REPS)).collect();
     for round in 0..OBS_REPS {

@@ -113,8 +113,7 @@ pub fn trace_request(stem: &str, traced_run: &str) -> Option<TraceRequest> {
              \x20                            lane busy-time, all counters\n\
              \x20   PATH defaults to target/{stem}.trace.json (untracked).\n\
              \n\
-             Tracing costs <5% on instrumented runs (ci.sh gates this); the\n\
-             obs-off cargo feature of harmony-core compiles it out entirely."
+             Tracing costs <5% on instrumented runs (ci.sh gates this)."
         );
         std::process::exit(0);
     }

@@ -37,7 +37,7 @@ use crate::correspondence::MatchSet;
 use crate::engine::{BlockedMatchResult, MatchEngine};
 use crate::exec::{Executor, Job};
 use crate::index::{idf_weight, BlockingPolicy, ElementTokenIndex};
-use crate::pipeline::{BlockedRun, StageTimings};
+use crate::pipeline::StageTimings;
 use crate::prepare::{CacheStats, FeatureCache, PreparedSchema};
 use crate::select::Selection;
 use sm_schema::Schema;
@@ -700,8 +700,9 @@ impl MatchBatch<'_, '_> {
     pub fn run_select_only(&self, selection: &Selection) -> BatchSelectResult {
         let started = Instant::now();
         let (pairs, timings) = self.run_jobs(
-            |PairRequest { left, right }, _, mut run| {
-                let selected = select_timed(selection, &mut run);
+            |PairRequest { left, right }, mut run| {
+                let selected;
+                (selected, run.timings.select) = selection.apply_timed(&run.matrix);
                 BatchSelection {
                     left,
                     right,
@@ -724,20 +725,17 @@ impl MatchBatch<'_, '_> {
     fn execute(&self, selection: Option<&Selection>) -> BatchResult {
         let started = Instant::now();
         let (pairs, timings) = self.run_jobs(
-            |PairRequest { left, right }, pair_started, mut run| {
-                let selected = selection.map(|sel| select_timed(sel, &mut run));
+            |PairRequest { left, right }, mut result| {
+                let selected = selection.map(|selection| {
+                    let selected;
+                    (selected, result.timings.select) = selection.apply_timed(&result.matrix);
+                    selected
+                });
                 BatchPairResult {
                     left,
                     right,
                     selected,
-                    result: BlockedMatchResult {
-                        matrix: run.matrix,
-                        elapsed: pair_started.elapsed(),
-                        pairs_considered: run.pairs_considered,
-                        pairs_scored: run.pairs_scored,
-                        candidates: run.candidates,
-                        timings: run.timings,
-                    },
+                    result,
                 }
             },
             |p| &p.result.timings,
@@ -753,12 +751,12 @@ impl MatchBatch<'_, '_> {
     /// The batch's one pair-job loop. Job-level lanes claim whole requests
     /// and run each through [`Self::run_pair`], while each pair's Block and
     /// Score/Merge fan chunk lanes out to the same pool's unreserved lanes
-    /// (see the module docs). `finish` turns a run, given the instant its
-    /// job started, into the caller's per-pair result inside the job, so
-    /// whatever it drops (a selection-only caller's matrix) never outlives
-    /// the job. Returns the per-pair results in request order plus the
-    /// aggregated timings: the Plan stage and its breakdown, then the sum of
-    /// every pair's stage times (read through `timings_of`).
+    /// (see the module docs). `finish` turns a run into the caller's
+    /// per-pair result inside the job, so whatever it drops (a
+    /// selection-only caller's matrix) never outlives the job. Returns the
+    /// per-pair results in request order plus the aggregated timings: the
+    /// Plan stage and its breakdown, then the sum of every pair's stage
+    /// times (read through `timings_of`).
     fn run_jobs<R, F>(
         &self,
         finish: F,
@@ -766,13 +764,12 @@ impl MatchBatch<'_, '_> {
     ) -> (Vec<R>, StageTimings)
     where
         R: Send,
-        F: Fn(PairRequest, Instant, BlockedRun) -> R + Sync,
+        F: Fn(PairRequest, BlockedMatchResult) -> R + Sync,
     {
         // A tripped token stops at the next pair claim, before that pair
         // touches the cache or allocates a matrix.
         let pairs = self.engine.job().map(&self.requests, |_, &request| {
-            let started = Instant::now();
-            finish(request, started, self.run_pair(request.left, request.right))
+            finish(request, self.run_pair(request.left, request.right))
         });
         let mut timings = StageTimings {
             plan: self.plan,
@@ -790,7 +787,7 @@ impl MatchBatch<'_, '_> {
     /// One pair's blocked run against the batch's shared preparation and
     /// index (exhaustive batches carry no index — candidate generation
     /// short-circuits before probing).
-    fn run_pair(&self, left: usize, right: usize) -> BlockedRun {
+    fn run_pair(&self, left: usize, right: usize) -> BlockedMatchResult {
         crate::obs::add(crate::obs::Counter::PairJobs, 1);
         let _job = crate::obs::span(
             crate::obs::SpanKind::PairJob,
@@ -807,15 +804,6 @@ impl MatchBatch<'_, '_> {
             &self.policy,
         )
     }
-}
-
-/// Apply `selection` to a pair's matrix, timing it as the pair's Select
-/// stage.
-fn select_timed(selection: &Selection, run: &mut BlockedRun) -> MatchSet {
-    let started = Instant::now();
-    let set = selection.apply(&run.matrix);
-    run.timings.select = started.elapsed();
-    set
 }
 
 /// One pair's outcome within a batch.

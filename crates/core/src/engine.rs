@@ -296,28 +296,8 @@ impl MatchEngine {
         source_instances: &sm_schema::InstanceData,
         target_instances: &sm_schema::InstanceData,
     ) -> MatchResult {
-        let started = Instant::now();
-        let prepared_source = self.prepare(source);
-        let prepared_target = self.prepare(target);
-        let ctx = MatchContext::from_prepared_trusted(
-            source,
-            target,
-            &prepared_source,
-            &prepared_target,
-            source_instances,
-            target_instances,
-        );
-        let timings = StageTimings {
-            prepare: started.elapsed(),
-            ..StageTimings::default()
-        };
-        let run = self.pipeline().run_on_context(&ctx, timings);
-        MatchResult {
-            pairs_considered: run.pairs_considered,
-            matrix: run.matrix,
-            elapsed: started.elapsed(),
-            timings: run.timings,
-        }
+        self.pipeline()
+            .run_with_instances(source, target, source_instances, target_instances)
     }
 
     /// Score one pair under the configured panel and merger.
@@ -343,14 +323,7 @@ impl MatchEngine {
     /// element. This is the paper's `MATCH(S1, S2)` operator, executed as the
     /// staged pipeline.
     pub fn run(&self, source: &Schema, target: &Schema) -> MatchResult {
-        let started = Instant::now();
-        let run = self.pipeline().run(source, target);
-        MatchResult {
-            pairs_considered: run.pairs_considered,
-            matrix: run.matrix,
-            elapsed: started.elapsed(),
-            timings: run.timings,
-        }
+        self.pipeline().run(source, target)
     }
 
     /// The blocked match: candidate pairs are generated from the token-
@@ -364,16 +337,7 @@ impl MatchEngine {
         target: &Schema,
         policy: &BlockingPolicy,
     ) -> BlockedMatchResult {
-        let started = Instant::now();
-        let run = self.pipeline().run_blocked(source, target, policy);
-        BlockedMatchResult {
-            matrix: run.matrix,
-            elapsed: started.elapsed(),
-            pairs_considered: run.pairs_considered,
-            pairs_scored: run.pairs_scored,
-            candidates: run.candidates,
-            timings: run.timings,
-        }
+        self.pipeline().run_blocked(source, target, policy)
     }
 
     /// Restricted match over explicit candidate id lists (the sub-tree /

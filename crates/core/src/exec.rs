@@ -75,9 +75,8 @@ struct PoolShared {
     next_owner: std::sync::atomic::AtomicU64,
     /// Per-instance scheduling counters (see [`ExecStats`]). Always
     /// collected — they are per-task-granularity cheap and the regression
-    /// tests rely on them even under `obs-off`; the process-wide
-    /// [`obs::Counter`] mirrors are what the runtime/compile-time obs gates
-    /// control.
+    /// tests rely on them while recording is off; the process-wide
+    /// [`obs::Counter`] mirrors are what [`obs::set_enabled`] switches.
     counters: PoolCounters,
     /// Lanes of this pool currently held (see [`LaneSeat`]): every fan-out
     /// offers at most `threads − reserved` helpers. A plain count that
@@ -727,10 +726,9 @@ impl Drop for DrainGuard<'_> {
                         .reclaimed
                         .fetch_add(1, Ordering::Relaxed);
                     obs::add(obs::Counter::ExecReclaimed, 1);
-                    let run = task.run;
-                    let _ = obs::timed(obs::SpanKind::ExecDrain, task.owner, || {
-                        let _ = catch_unwind(AssertUnwindSafe(run));
-                    });
+                    let Task { owner, run } = task;
+                    let run = || catch_unwind(AssertUnwindSafe(run));
+                    let _ = obs::timed(obs::SpanKind::ExecDrain, |_| owner, run);
                 }
                 None => {
                     let mut state = self.sync.state.lock().expect("lane sync poisoned");
@@ -801,13 +799,10 @@ fn worker_loop(shared: &PoolShared) {
                 }
                 shared.counters.parked.fetch_add(1, Ordering::Relaxed);
                 obs::add(obs::Counter::ExecParked, 1);
-                let park_start = obs::now_ns();
-                queue = shared.wake.wait(queue).expect("executor poisoned");
-                obs::record_span(
+                (queue, _) = obs::timed(
                     obs::SpanKind::ExecPark,
-                    0,
-                    park_start,
-                    obs::now_ns().saturating_sub(park_start),
+                    |_| 0,
+                    || shared.wake.wait(queue).expect("executor poisoned"),
                 );
             }
         };
@@ -815,10 +810,9 @@ fn worker_loop(shared: &PoolShared) {
         obs::add(obs::Counter::ExecStolen, 1);
         // Lane closures catch and record their own panics; this guard only
         // keeps a non-conforming task from killing the pool worker.
-        let run = task.run;
-        let _ = obs::timed(obs::SpanKind::ExecLane, task.owner, || {
-            let _ = catch_unwind(AssertUnwindSafe(run));
-        });
+        let Task { owner, run } = task;
+        let run = || catch_unwind(AssertUnwindSafe(run));
+        let _ = obs::timed(obs::SpanKind::ExecLane, |_| owner, run);
     }
 }
 

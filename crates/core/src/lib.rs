@@ -83,9 +83,9 @@ pub mod prelude {
     pub use crate::matrix::MatchMatrix;
     pub use crate::merger::MergeStrategy;
     pub use crate::nway::{NWayMatch, NWayPopulation, PairwiseOutcome, Vocabulary, VocabularyTerm};
-    pub use crate::obs::{ObsConfig, SpanKind, TraceReport};
+    pub use crate::obs::{SpanKind, TraceReport};
     pub use crate::partition::{BinaryPartition, SubsumptionAdvice};
-    pub use crate::pipeline::{BlockedRun, MatchPipeline, PipelineRun, StageTimings};
+    pub use crate::pipeline::{MatchPipeline, StageTimings};
     pub use crate::prepare::{FeatureCache, PreparedSchema};
     pub use crate::select::Selection;
     pub use crate::serve::{

@@ -22,17 +22,14 @@
 //!   `trace_event` format so a run can be opened in `chrome://tracing` or
 //!   Perfetto with one executor lane per row.
 //!
-//! Recording is governed twice: at runtime by [`ObsConfig`] (an enable flag
-//! plus a sampling knob for per-row kinds), and at compile time by the
-//! `obs-off` cargo feature, which constant-folds every record path to a
-//! no-op while keeping the API (and therefore all call sites) compiled.
+//! Recording has one switch, [`set_enabled`]. Every span comes from a call
+//! that measured it ([`timed`] or a [`SpanGuard`]); [`timed`] measures even
+//! while recording is off, so a pipeline stage's span and its
+//! [`crate::pipeline::StageTimings`] entry are one clock reading.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
-
-/// True when the `obs-off` feature compiled recording out.
-const OFF: bool = cfg!(feature = "obs-off");
+use std::time::{Duration, Instant};
 
 /// Number of `u64` words per packed event record.
 const WORDS: usize = 4;
@@ -49,85 +46,83 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum SpanKind {
-    /// Pipeline Prepare stage (whole stage, main thread); payload = the
-    /// pair corpus's documents (source plus target elements).
+    /// Pipeline Prepare stage: the feature-cache lookups (and any builds
+    /// they start) plus the pair context; payload = the pair corpus's
+    /// documents (source plus target elements).
     StagePrepare = 0,
-    /// Pipeline Block stage.
+    /// Pipeline Block stage; payload = candidate pairs.
     StageBlock = 1,
-    /// Pipeline fused Score window (tier-1 + tier-2 + merge).
+    /// Pipeline fused Score window (tier-1 + tier-2 + merge); payload =
+    /// candidate pairs.
     StageScore = 2,
-    /// Merge share of the fused window (proportional split, like
-    /// `StageTimings`).
-    StageMerge = 3,
     /// Pipeline Propagate stage; payload = source rows blended.
-    StagePropagate = 4,
-    /// Selection over a finished matrix.
-    StageSelect = 5,
+    StagePropagate = 3,
+    /// Selection over a finished matrix; payload = matrix cells.
+    StageSelect = 4,
     /// One source row through the tier-1 prefilter (cascade path).
-    ScoreTier1 = 6,
+    ScoreTier1 = 5,
     /// One source row through full tier-2 scoring (cascade path).
-    ScoreTier2 = 7,
+    ScoreTier2 = 6,
     /// One source row merged into the matrix (cascade path).
-    MergeRow = 8,
+    MergeRow = 7,
     /// One claimed chunk of the dense score+merge pass.
-    ScoreChunk = 9,
+    ScoreChunk = 8,
     /// One claimed chunk of blocked candidate probing.
-    ProbeChunk = 10,
+    ProbeChunk = 9,
     /// One helper-lane task body executed by a pool worker (a steal).
-    ExecLane = 11,
+    ExecLane = 10,
     /// A pool worker parked on the condvar waiting for work.
-    ExecPark = 12,
+    ExecPark = 11,
     /// A queued task reclaimed and drained inline by its owner.
-    ExecDrain = 13,
+    ExecDrain = 12,
     /// A `FeatureCache` miss building a `PreparedSchema`.
-    CacheBuild = 14,
+    CacheBuild = 13,
     /// A `FeatureCache` reader blocked on another thread's in-flight build.
-    CacheWait = 15,
+    CacheWait = 14,
     /// One pair job inside a batch run (payload = left<<32|right).
-    PairJob = 16,
+    PairJob = 15,
     /// Element-level blocking index build.
-    IndexBuild = 17,
+    IndexBuild = 16,
     /// Repository token index build (`sm_enterprise`).
-    RepoIndexBuild = 18,
+    RepoIndexBuild = 17,
     /// Repository search query (`sm_enterprise`).
-    RepoQuery = 19,
+    RepoQuery = 18,
     /// One shard of a sharded repository index built (`sm_enterprise`).
-    RepoShardBuild = 20,
+    RepoShardBuild = 19,
     /// One shard's delta log compacted back into flat CSR.
-    RepoCompact = 21,
+    RepoCompact = 20,
     /// A persisted repository registry loaded from disk (warm start).
-    RepoWarmLoad = 22,
+    RepoWarmLoad = 21,
     /// One admitted serving-layer job, admission to completion (payload =
     /// job class discriminant).
-    ServeJob = 23,
-    /// Time a serving-layer job spent queued before admission (payload =
-    /// job class discriminant).
-    ServeQueueWait = 24,
+    ServeJob = 22,
+    /// Time a serving-layer job spent waiting for admission, whether it
+    /// was admitted or not (payload = job class discriminant).
+    ServeQueueWait = 23,
     /// Block's serial post-probe pass: backward-probe transpose plus the
     /// child-rescue selection (payload = strong container pairs).
-    BlockRescue = 25,
+    BlockRescue = 24,
     /// One row chunk of Block's candidate assembly (payload = rows).
-    BlockAssemble = 26,
+    BlockAssemble = 25,
     /// One source tree level of Block's parent closure (payload = rows).
-    BlockClose = 27,
+    BlockClose = 26,
     /// A match context's tier-1 column digests built, before the score
     /// lanes start (payload = source + target elements).
-    ScoreDigests = 28,
+    ScoreDigests = 27,
     /// One element chunk of one phase of a `PreparedSchema` build — name
     /// normalization or element assembly (payload = elements).
-    PrepareChunk = 29,
+    PrepareChunk = 28,
     /// A `PreparedSchema` build's serial tail: chunk concatenation, the
     /// name-token signature and the blocking-feature CSR (payload =
     /// elements).
-    PrepareAssemble = 30,
+    PrepareAssemble = 29,
 }
 
 /// All kinds, in discriminant order (export iteration order).
-pub const SPAN_KINDS: [SpanKind; 31] = [
+pub const SPAN_KINDS: [SpanKind; 30] = [
     SpanKind::StagePrepare,
     SpanKind::StageBlock,
     SpanKind::StageScore,
-    SpanKind::StageMerge,
     SpanKind::StagePropagate,
     SpanKind::StageSelect,
     SpanKind::ScoreTier1,
@@ -164,7 +159,6 @@ impl SpanKind {
             SpanKind::StagePrepare => "stage.prepare",
             SpanKind::StageBlock => "stage.block",
             SpanKind::StageScore => "stage.score",
-            SpanKind::StageMerge => "stage.merge",
             SpanKind::StagePropagate => "stage.propagate",
             SpanKind::StageSelect => "stage.select",
             SpanKind::ScoreTier1 => "score.tier1",
@@ -197,15 +191,6 @@ impl SpanKind {
 
     fn from_u8(v: u8) -> Option<SpanKind> {
         SPAN_KINDS.get(v as usize).copied()
-    }
-
-    /// Per-row kinds are the only ones the sampling knob thins out; stage
-    /// and lane spans are rare enough to always keep.
-    fn sampled(self) -> bool {
-        matches!(
-            self,
-            SpanKind::ScoreTier1 | SpanKind::ScoreTier2 | SpanKind::MergeRow | SpanKind::PairJob
-        )
     }
 }
 
@@ -418,21 +403,20 @@ static COUNTER_TABLE: GlobalCounters = GlobalCounters {
     memo_flush_base: AtomicU64::new(0),
 };
 
-/// Add `delta` to a counter. Relaxed; a no-op under `obs-off` or when
-/// recording is disabled at runtime.
+/// Add `delta` to a counter. Relaxed; a no-op when recording is disabled.
 #[inline]
 pub fn add(counter: Counter, delta: u64) {
-    if OFF || delta == 0 || !enabled() {
+    if delta == 0 || !enabled() {
         return;
     }
     COUNTER_TABLE.slots[counter as usize].fetch_add(delta, Ordering::Relaxed);
 }
 
-/// Raise a gauge to at least `value` (high-water mark). A no-op under
-/// `obs-off` or when recording is disabled at runtime.
+/// Raise a gauge to at least `value` (high-water mark). A no-op when
+/// recording is disabled.
 #[inline]
 pub fn gauge_max(counter: Counter, value: u64) {
-    if OFF || !enabled() {
+    if !enabled() {
         return;
     }
     COUNTER_TABLE.slots[counter as usize].fetch_max(value, Ordering::Relaxed);
@@ -440,9 +424,6 @@ pub fn gauge_max(counter: Counter, value: u64) {
 
 /// Read one counter's current value (memo counters are polled live).
 pub fn counter_value(counter: Counter) -> u64 {
-    if OFF {
-        return 0;
-    }
     match counter {
         Counter::MemoMisses => {
             let live = sm_text::intern::pair_memo_stats().misses;
@@ -466,51 +447,19 @@ pub fn counter_snapshot() -> Vec<(&'static str, u64)> {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime configuration
+// The switch
 // ---------------------------------------------------------------------------
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
-static SAMPLE_MASK: AtomicU64 = AtomicU64::new(0);
 
-/// Runtime knobs for the recorder. Construct with [`ObsConfig::default`]
-/// (everything on, no sampling) and [`ObsConfig::apply`] it; the compile-time
-/// `obs-off` feature overrides all of this.
-#[derive(Debug, Clone, Copy)]
-pub struct ObsConfig {
-    /// Master switch: when false neither spans nor counters record.
-    pub enabled: bool,
-    /// Keep 1 of every `2^sample_shift` *per-row* events (tier-1/tier-2/
-    /// merge-row/pair-job spans). Stage, lane, and cache spans — and all
-    /// counters — are never sampled away.
-    pub sample_shift: u32,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            enabled: true,
-            sample_shift: 0,
-        }
-    }
-}
-
-impl ObsConfig {
-    /// Install this configuration process-wide.
-    pub fn apply(self) {
-        ENABLED.store(self.enabled, Ordering::Release);
-        let mask = (1u64 << self.sample_shift.min(63)) - 1;
-        SAMPLE_MASK.store(mask, Ordering::Release);
-    }
-}
-
-/// True when recording is active (compiled in and runtime-enabled).
+/// True when recording is on.
 #[inline]
 pub fn enabled() -> bool {
-    !OFF && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Convenience wrapper over [`ObsConfig::apply`] toggling only the master
-/// switch (used by the benches' interleaved overhead measurement).
+/// Turn recording of spans and counters on or off, process-wide (on by
+/// default). Off, [`timed`] still measures.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Release);
 }
@@ -523,7 +472,7 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Monotonic nanoseconds since the first observability call in this process.
 #[inline]
-pub fn now_ns() -> u64 {
+fn now_ns() -> u64 {
     let epoch = EPOCH.get_or_init(Instant::now);
     epoch.elapsed().as_nanos() as u64
 }
@@ -538,9 +487,6 @@ struct Ring {
     capacity: usize,
     /// Count of records ever written; publishing store is `Release`.
     head: AtomicU64,
-    /// Writer-local sequence for the sampling knob (only the owner touches
-    /// it, the atomic just avoids `unsafe`).
-    seq: AtomicU64,
     thread: String,
 }
 
@@ -554,22 +500,12 @@ impl Ring {
             slots,
             capacity,
             head: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
             thread,
         }
     }
 
     #[inline]
     fn push(&self, ts_ns: u64, dur_ns: u64, kind: SpanKind, payload: u64) {
-        if kind.sampled() {
-            let mask = SAMPLE_MASK.load(Ordering::Relaxed);
-            if mask != 0 {
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                if seq & mask != 0 {
-                    return;
-                }
-            }
-        }
         let head = self.head.load(Ordering::Relaxed);
         let base = (head as usize % self.capacity) * WORDS;
         self.slots[base].store(ts_ns, Ordering::Relaxed);
@@ -618,27 +554,33 @@ pub fn set_ring_capacity(capacity: usize) {
 // Recording API
 // ---------------------------------------------------------------------------
 
-/// Record a span from explicit endpoints (for call sites that already
-/// measured). A no-op under `obs-off` or when disabled.
+/// Record a span the caller measured. A no-op when disabled.
 #[inline]
-pub fn record_span(kind: SpanKind, payload: u64, start_ns: u64, dur_ns: u64) {
+fn record_span(kind: SpanKind, payload: u64, start_ns: u64, dur_ns: u64) {
     if !enabled() {
         return;
     }
     with_ring(|ring| ring.push(start_ns, dur_ns, kind, payload));
 }
 
-/// Run `f`, record it as a span, and return `(result, elapsed_ns)`.
+/// Run `f`, record it as a span, and return the result with the span's
+/// duration. The span's payload is `payload(&result)`, so a stage that
+/// learns its count only by running can still report it.
 ///
-/// The duration is measured and returned even under `obs-off` (callers feed
-/// it into `StageTimings`); only the ring write compiles out.
+/// The duration is measured and returned even when recording is off:
+/// it is the one clock reading a pipeline stage's `StageTimings` entry
+/// comes from, so the entry equals the stage's span to the nanosecond.
 #[inline]
-pub fn timed<R>(kind: SpanKind, payload: u64, f: impl FnOnce() -> R) -> (R, u64) {
+pub fn timed<R>(
+    kind: SpanKind,
+    payload: impl FnOnce(&R) -> u64,
+    f: impl FnOnce() -> R,
+) -> (R, Duration) {
     let start = now_ns();
     let result = f();
     let dur = now_ns().saturating_sub(start);
-    record_span(kind, payload, start, dur);
-    (result, dur)
+    record_span(kind, payload(&result), start, dur);
+    (result, Duration::from_nanos(dur))
 }
 
 /// RAII span: records `kind` from construction to drop. Construct via
@@ -723,9 +665,6 @@ pub struct TraceEvent {
 /// concurrently wrapping its ring may contribute a torn record, which is
 /// filtered by the watermark check.
 pub fn collect() -> Vec<TraceEvent> {
-    if OFF {
-        return Vec::new();
-    }
     let watermark = WATERMARK.load(Ordering::Acquire);
     let rings: Vec<std::sync::Arc<Ring>> = REGISTRY.lock().unwrap().clone();
     let mut out = Vec::new();
@@ -760,9 +699,6 @@ pub fn collect() -> Vec<TraceEvent> {
 /// Drop all recorded history: events older than now become invisible to
 /// [`collect`], counters zero, and the polled memo baselines re-anchor.
 pub fn reset() {
-    if OFF {
-        return;
-    }
     WATERMARK.store(now_ns(), Ordering::Release);
     for slot in &COUNTER_TABLE.slots {
         slot.store(0, Ordering::Relaxed);
@@ -1111,23 +1047,6 @@ mod tests {
             .collect();
         payloads.sort_unstable();
         assert_eq!(payloads, (12..20).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn sampling_thins_row_kinds_only() {
-        let ring = Ring::new(64, "test".into());
-        SAMPLE_MASK.store(3, Ordering::Release); // keep 1 of 4
-        for i in 0..16u64 {
-            ring.push(i + 1, 1, SpanKind::ScoreTier1, i);
-        }
-        let rows = ring.head.load(Ordering::Relaxed);
-        for i in 0..16u64 {
-            ring.push(i + 1, 1, SpanKind::StageScore, i);
-        }
-        let total = ring.head.load(Ordering::Relaxed);
-        SAMPLE_MASK.store(0, Ordering::Release);
-        assert_eq!(rows, 4);
-        assert_eq!(total - rows, 16);
     }
 
     #[test]

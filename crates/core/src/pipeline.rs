@@ -34,16 +34,22 @@
 //!    each pair's votes into one score. Score and Merge execute as one fused
 //!    parallel pass over block-sized scratch (never a full
 //!    `rows × cols × voters` tensor — at the paper's 1378×784 scale that
-//!    would be ~75 MB of transient allocation). Each worker measures its
-//!    tier-1, tier-2, and merge phases directly with per-row monotonic
-//!    timestamps; the fused pass's wall-clock is then split across
-//!    `score_tier1`/`score_tier2`/`merge` proportionally to those measured
-//!    CPU nanoseconds (`score` is the sum of the two tiers).
+//!    would be ~75 MB of transient allocation), timed as one `stage.score`
+//!    span. Only [`StageTimings`] splits it: the span's duration is divided
+//!    across `score_tier1`/`score_tier2`/`merge` in proportion to the
+//!    tier-1, tier-2 and merge nanoseconds the workers measure per row, in
+//!    whole nanoseconds, so `score + merge` is the span's duration (`score`
+//!    is the sum of the two tiers). Traces show merge time per row, in the
+//!    `merge.row` spans.
 //! 5. **Propagate** — one structural pass blends every parented cell of a
 //!    candidate-bearing row with its parents' merged score (the engine's
 //!    `propagation_alpha`).
 //! 6. **Select** — an optional [`Selection`] turns the matrix into candidate
 //!    correspondences.
+//!
+//! Each stage from Prepare through Select runs under one [`obs::timed`]
+//! call: the `stage.*` span it records is the stage's [`StageTimings`]
+//! entry, one clock reading for both.
 //!
 //! Votes are kept in `f64` and merged exactly as `MatchEngine::score_pair`
 //! does; only the merged score is narrowed to the matrix's `f32`. A cell's
@@ -53,14 +59,14 @@
 use crate::confidence::Confidence;
 use crate::context::MatchContext;
 use crate::correspondence::MatchSet;
-use crate::engine::MatchEngine;
+use crate::engine::{BlockedMatchResult, MatchEngine, MatchResult};
 use crate::index::{generate_candidates, BlockingPolicy, CandidateSet, ElementTokenIndex};
 use crate::matrix::MatchMatrix;
 use crate::obs;
 use crate::obs::SpanKind;
 use crate::prepare::PreparedSchema;
 use crate::select::Selection;
-use sm_schema::{ElementId, Schema};
+use sm_schema::{ElementId, InstanceData, Schema};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -149,64 +155,46 @@ impl StageTimings {
     }
 }
 
-/// Output of one dense pipeline execution (Prepare through Propagate).
-#[derive(Debug)]
-pub struct PipelineRun {
-    /// The merged, propagated score matrix.
-    pub matrix: MatchMatrix,
-    /// Number of candidate pairs (`|S1| · |S2|`).
-    pub pairs_considered: usize,
-    /// Per-stage wall-clock timings.
-    pub timings: StageTimings,
+/// Prepare, under its `stage.prepare` span (payload = the pair corpus's
+/// documents, one per element of either schema): `prepare` fetches both
+/// preparations, then the pair context is assembled. They come from the
+/// engine's cache, so the trusted (no re-fingerprint) assembly applies.
+fn prepare_stage<'a>(
+    source: &'a Schema,
+    target: &'a Schema,
+    instances: [&InstanceData; 2],
+    prepare: impl FnOnce() -> [Arc<PreparedSchema>; 2],
+) -> ((MatchContext<'a>, [Arc<PreparedSchema>; 2]), Duration) {
+    let documents = (source.len() + target.len()) as u64;
+    obs::timed(
+        SpanKind::StagePrepare,
+        |_| documents,
+        || {
+            let prepared = prepare();
+            let ctx = MatchContext::from_prepared_trusted(
+                source,
+                target,
+                &prepared[0],
+                &prepared[1],
+                instances[0],
+                instances[1],
+            );
+            (ctx, prepared)
+        },
+    )
 }
 
-/// Output of one blocked pipeline execution (Prepare → Block → Score →
-/// Merge → Propagate).
-#[derive(Debug)]
-pub struct BlockedRun {
-    /// The merged, propagated score matrix. Pairs pruned by blocking hold
-    /// the neutral score `0.0` (their true score was never computed).
-    pub matrix: MatchMatrix,
-    /// Size of the full cross product (`|S1| · |S2|`).
-    pub pairs_considered: usize,
-    /// Candidate pairs actually scored by the voter panel.
-    pub pairs_scored: usize,
-    /// The candidate set the run scored (kept for recall accounting).
-    pub candidates: CandidateSet,
-    /// Per-stage wall-clock timings (including the Block stage).
-    pub timings: StageTimings,
-}
-
-/// Per-worker CPU-nanosecond totals and prune counter from the fused
-/// Score/Merge pass, used for the proportional wall-clock split. On the
-/// reference (non-cascade) path all score time lands in `tier2_ns`.
+/// Per-worker CPU-time totals and the tier-1 exits of the fused
+/// Score/Merge pass. The times split the `stage.score` span's duration
+/// across [`StageTimings`]' score tiers and merge; on the reference
+/// (non-cascade) path all score time lands in `tier2`.
 #[derive(Default)]
 struct FusedStats {
-    tier1_ns: u64,
-    tier2_ns: u64,
-    merge_ns: u64,
+    tier1: Duration,
+    tier2: Duration,
+    merge: Duration,
     /// Where tier 1 settled the scored pairs (all zero without the cascade).
     exits: crate::cascade::Tier1Exits,
-}
-
-/// Emit the `stage.score` / `stage.merge` spans for one fused Score+Merge
-/// window. The fused pass has no wall-clock boundary between the two
-/// stages, so the spans carry the same proportional split `StageTimings`
-/// reports: Score from the window start, Merge immediately after.
-fn record_fused_stage_spans(fused_start_ns: u64, timings: &StageTimings) {
-    let score_ns = timings.score.as_nanos() as u64;
-    obs::record_span(
-        SpanKind::StageScore,
-        timings.pairs_full + timings.pairs_pruned,
-        fused_start_ns,
-        score_ns,
-    );
-    obs::record_span(
-        SpanKind::StageMerge,
-        0,
-        fused_start_ns + score_ns,
-        timings.merge.as_nanos() as u64,
-    );
 }
 
 /// A staged execution of the engine's match configuration.
@@ -224,27 +212,38 @@ impl<'e> MatchPipeline<'e> {
 
     /// The dense run: Prepare, then every pair of the cross product
     /// through Score, Merge and Propagate (no selection).
-    pub fn run(&self, source: &Schema, target: &Schema) -> PipelineRun {
-        let mut timings = StageTimings::default();
+    pub fn run(&self, source: &Schema, target: &Schema) -> MatchResult {
+        let none = InstanceData::empty();
+        self.run_with_instances(source, target, &none, &none)
+    }
 
-        // Stage 1: Prepare. The preparations come straight from the engine's
-        // cache, so the trusted (no re-fingerprint) assembly applies.
-        let documents = (source.len() + target.len()) as u64;
-        let (ctx, prepare_ns) = obs::timed(SpanKind::StagePrepare, documents, || {
-            let prepared_source = self.engine.prepare(source);
-            let prepared_target = self.engine.prepare(target);
-            MatchContext::from_prepared_trusted(
-                source,
-                target,
-                &prepared_source,
-                &prepared_target,
-                &sm_schema::InstanceData::empty(),
-                &sm_schema::InstanceData::empty(),
-            )
+    /// [`Self::run`] with sampled instance data in the pair context (see
+    /// [`MatchEngine::run_with_instances`]).
+    pub(crate) fn run_with_instances(
+        &self,
+        source: &Schema,
+        target: &Schema,
+        source_instances: &InstanceData,
+        target_instances: &InstanceData,
+    ) -> MatchResult {
+        let started = Instant::now();
+        let instances = [source_instances, target_instances];
+        let ((ctx, _), prepare) = prepare_stage(source, target, instances, || {
+            [self.engine.prepare(source), self.engine.prepare(target)]
         });
-        timings.prepare = Duration::from_nanos(prepare_ns);
-
-        self.run_on_context(&ctx, timings)
+        let mut timings = StageTimings {
+            prepare,
+            ..StageTimings::default()
+        };
+        let (candidates, matrix) = self.run_candidates(&ctx, &mut timings, || {
+            CandidateSet::exhaustive(source.len(), target.len())
+        });
+        MatchResult {
+            matrix,
+            elapsed: started.elapsed(),
+            pairs_considered: candidates.len(),
+            timings,
+        }
     }
 
     /// [`Self::run`], then `selection` applied to the final matrix.
@@ -253,25 +252,11 @@ impl<'e> MatchPipeline<'e> {
         source: &Schema,
         target: &Schema,
         selection: &Selection,
-    ) -> (PipelineRun, MatchSet) {
+    ) -> (MatchResult, MatchSet) {
         let mut run = self.run(source, target);
-        let started = Instant::now();
-        let selected = selection.apply(&run.matrix);
-        run.timings.select = started.elapsed();
+        let selected;
+        (selected, run.timings.select) = selection.apply_timed(&run.matrix);
         (run, selected)
-    }
-
-    /// The dense run against an existing context (the context build time,
-    /// if any, is the caller's; `timings.prepare` is carried through).
-    pub fn run_on_context(&self, ctx: &MatchContext<'_>, mut timings: StageTimings) -> PipelineRun {
-        let (candidates, matrix) = self.run_candidates(ctx, &mut timings, || {
-            CandidateSet::exhaustive(ctx.source.len(), ctx.target.len())
-        });
-        PipelineRun {
-            matrix,
-            pairs_considered: candidates.len(),
-            timings,
-        }
     }
 
     /// Run the blocked pipeline: Prepare → Block → Score/Merge → Propagate
@@ -290,24 +275,13 @@ impl<'e> MatchPipeline<'e> {
         source: &Schema,
         target: &Schema,
         policy: &BlockingPolicy,
-    ) -> BlockedRun {
-        // Per-schema preparation belongs to this run's Prepare stage (on a
-        // cold cache it dominates); the batch planner instead reports it
-        // under its Plan stage.
-        let started = Instant::now();
-        let prepared_source = self.engine.prepare(source);
-        let prepared_target = self.engine.prepare(target);
-        let prepare = started.elapsed();
-        let mut run = self.run_blocked_prepared(
-            source,
-            target,
-            &prepared_source,
-            &prepared_target,
-            None,
-            policy,
-        );
-        run.timings.prepare += prepare;
-        run
+    ) -> BlockedMatchResult {
+        // The per-schema preparations belong to this run's Prepare stage
+        // (on a cold cache they dominate it); the batch planner reports
+        // them under its Plan stage instead.
+        self.blocked(source, target, None, policy, || {
+            [self.engine.prepare(source), self.engine.prepare(target)]
+        })
     }
 
     /// The blocked pipeline against already-prepared schemata and (optionally)
@@ -327,42 +301,47 @@ impl<'e> MatchPipeline<'e> {
         prepared_target: &Arc<PreparedSchema>,
         indices: Option<(&ElementTokenIndex, &ElementTokenIndex)>,
         policy: &BlockingPolicy,
-    ) -> BlockedRun {
-        let mut timings = StageTimings::default();
+    ) -> BlockedMatchResult {
+        self.blocked(source, target, indices, policy, || {
+            [Arc::clone(prepared_source), Arc::clone(prepared_target)]
+        })
+    }
 
-        // Stage 1: Prepare (the per-schema half is the caller's cache hit;
-        // only the joint TF-IDF corpus is assembled here).
-        let documents = (source.len() + target.len()) as u64;
-        let (ctx, prepare_ns) = obs::timed(SpanKind::StagePrepare, documents, || {
-            MatchContext::from_prepared_trusted(
-                source,
-                target,
-                prepared_source,
-                prepared_target,
-                &sm_schema::InstanceData::empty(),
-                &sm_schema::InstanceData::empty(),
-            )
-        });
-        timings.prepare = Duration::from_nanos(prepare_ns);
-
-        // Block. With pre-built indices the stage is pure probing;
-        // otherwise the per-pair index builds land here. Both probe
-        // directions (and the per-pair builds) fan out across the engine's
-        // executor lanes.
+    /// The blocked run: Prepare with the preparations `prepare` fetches,
+    /// Block over token indices (`indices`, or per-pair builds), then
+    /// Score → Merge → Propagate. Both probe directions and the per-pair
+    /// builds fan out across the engine's executor lanes.
+    fn blocked(
+        &self,
+        source: &Schema,
+        target: &Schema,
+        indices: Option<(&ElementTokenIndex, &ElementTokenIndex)>,
+        policy: &BlockingPolicy,
+        prepare: impl FnOnce() -> [Arc<PreparedSchema>; 2],
+    ) -> BlockedMatchResult {
+        let started = Instant::now();
+        let none = InstanceData::empty();
+        let ((ctx, [prepared_source, prepared_target]), prepare) =
+            prepare_stage(source, target, [&none, &none], prepare);
+        let mut timings = StageTimings {
+            prepare,
+            ..StageTimings::default()
+        };
         let (candidates, matrix) = self.run_candidates(&ctx, &mut timings, || {
             generate_candidates(
                 source,
                 target,
-                prepared_source,
-                prepared_target,
+                &prepared_source,
+                &prepared_target,
                 indices,
                 policy,
                 self.engine.job(),
             )
         });
-        BlockedRun {
+        BlockedMatchResult {
             matrix,
-            pairs_considered: ctx.source.len() * ctx.target.len(),
+            elapsed: started.elapsed(),
+            pairs_considered: source.len() * target.len(),
             pairs_scored: candidates.len(),
             candidates,
             timings,
@@ -379,15 +358,11 @@ impl<'e> MatchPipeline<'e> {
         timings: &mut StageTimings,
         block: impl FnOnce() -> CandidateSet,
     ) -> (CandidateSet, MatchMatrix) {
-        let started = Instant::now();
-        let block_start = obs::now_ns();
-        let candidates = block();
-        timings.block = started.elapsed();
-        obs::record_span(
+        let candidates;
+        (candidates, timings.block) = obs::timed(
             SpanKind::StageBlock,
-            candidates.len() as u64,
-            block_start,
-            timings.block.as_nanos() as u64,
+            |candidates: &CandidateSet| candidates.len() as u64,
+            block,
         );
         // Stage boundary: a token tripped during Block stops before Score
         // allocates the matrix.
@@ -397,21 +372,23 @@ impl<'e> MatchPipeline<'e> {
             return (candidates, matrix);
         }
 
-        // Score and Merge, fused. The workers time their tier-1/tier-2/merge
-        // phases directly; the fused wall-clock is split in proportion to
-        // those measurements.
-        let started = Instant::now();
-        let fused_start = obs::now_ns();
-        let stats = self.score_and_merge(ctx, &mut matrix, &candidates);
-        let fused = started.elapsed();
-        let total_ns = (stats.tier1_ns + stats.tier2_ns + stats.merge_ns).max(1);
-        timings.score_tier1 = fused.mul_f64(stats.tier1_ns as f64 / total_ns as f64);
-        timings.score_tier2 = fused.mul_f64(stats.tier2_ns as f64 / total_ns as f64);
+        // Score and Merge, fused, under one span. Its duration is split in
+        // proportion to the workers' tier-1/tier-2/merge nanoseconds, in
+        // whole nanoseconds, so `score + merge` is the span exactly.
+        let (stats, fused) = obs::timed(
+            SpanKind::StageScore,
+            |_| candidates.len() as u64,
+            || self.score_and_merge(ctx, &mut matrix, &candidates),
+        );
+        let measured = (stats.tier1 + stats.tier2 + stats.merge).as_nanos().max(1);
+        let share =
+            |d: Duration| Duration::from_nanos((fused.as_nanos() * d.as_nanos() / measured) as u64);
+        timings.score_tier1 = share(stats.tier1);
+        timings.score_tier2 = share(stats.tier2);
         timings.score = timings.score_tier1 + timings.score_tier2;
-        timings.merge = fused.saturating_sub(timings.score);
+        timings.merge = fused - timings.score;
         timings.pairs_pruned = stats.exits.pruned();
         timings.pairs_full = candidates.len() as u64 - timings.pairs_pruned;
-        record_fused_stage_spans(fused_start, timings);
         obs::add(obs::Counter::CascadePairsPruned, timings.pairs_pruned);
         if self.engine.cascade_active() {
             obs::add(obs::Counter::CascadePairsFull, timings.pairs_full);
@@ -424,19 +401,16 @@ impl<'e> MatchPipeline<'e> {
             obs::add(obs::Counter::CascadeFinalSurvive, exits.final_survive);
         }
 
-        let started = Instant::now();
-        let prop_start = obs::now_ns();
-        let rows_blended = if self.engine.propagation_alpha > 0.0 {
-            self.propagate(ctx.source, ctx.target, &mut matrix, &candidates)
-        } else {
-            0
-        };
-        timings.propagate = started.elapsed();
-        obs::record_span(
+        (_, timings.propagate) = obs::timed(
             SpanKind::StagePropagate,
-            rows_blended as u64,
-            prop_start,
-            timings.propagate.as_nanos() as u64,
+            |&rows| rows as u64,
+            || {
+                if self.engine.propagation_alpha > 0.0 {
+                    self.propagate(ctx.source, ctx.target, &mut matrix, &candidates)
+                } else {
+                    0
+                }
+            },
         );
         (candidates, matrix)
     }
@@ -455,8 +429,8 @@ impl<'e> MatchPipeline<'e> {
     /// set it was scored in. Work-stealing operates on blocks of
     /// *candidate-bearing rows* — rows without candidates cost nothing —
     /// claimed through the engine's [`crate::exec::Job`], each lane reusing
-    /// one scratch `Worker`. Returns the per-block CPU-nanosecond totals,
-    /// summed in block order, for the proportional wall-clock split.
+    /// one scratch `Worker`. Returns the per-block CPU-time totals, summed
+    /// in block order, that split the `stage.score` span's duration.
     ///
     /// With [`MatchEngine::cascade_active`] the pass dispatches to the
     /// two-tier cascade kernels in [`crate::cascade`] instead of the
@@ -504,31 +478,38 @@ impl<'e> MatchPipeline<'e> {
         }
 
         // Cascade: each phase runs under `obs::timed`, which both feeds the
-        // per-worker nanosecond totals (the proportional stage split) and,
-        // when recording is on, emits one span per row and phase.
+        // per-worker time totals (the stage split) and, when recording is
+        // on, emits one span per row and phase.
         let tier1 = cascade.then(|| crate::cascade::Tier1::new(ctx, floor));
         let cascade_block = |block: &mut [(usize, &mut [f32], &[u32])], w: &mut Worker| {
             let tier1 = tier1.as_ref().expect("cascade pass has its tier-1 tables");
             for (r, slice, cand) in block.iter_mut() {
                 let s = ElementId(*r as u32);
+                let row_id = *r as u64;
                 let row = &mut w.row;
-                let (exits, t1_ns) = obs::timed(SpanKind::ScoreTier1, *r as u64, || {
-                    tier1.row(s, cand, slice, row)
-                });
-                let ((), t2_ns) = obs::timed(SpanKind::ScoreTier2, *r as u64, || {
-                    crate::cascade::tier2_row(ctx, s, row)
-                });
-                let ((), merge_ns) = obs::timed(SpanKind::MergeRow, *r as u64, || {
-                    crate::cascade::merge_row(merger, floor, row, slice)
-                });
+                let (exits, tier1_time) = obs::timed(
+                    SpanKind::ScoreTier1,
+                    |_| row_id,
+                    || tier1.row(s, cand, slice, row),
+                );
+                let ((), tier2_time) = obs::timed(
+                    SpanKind::ScoreTier2,
+                    |_| row_id,
+                    || crate::cascade::tier2_row(ctx, s, row),
+                );
+                let ((), merge_time) = obs::timed(
+                    SpanKind::MergeRow,
+                    |_| row_id,
+                    || crate::cascade::merge_row(merger, floor, row, slice),
+                );
                 w.stats.exits.add(&exits);
-                w.stats.tier1_ns += t1_ns;
-                w.stats.tier2_ns += t2_ns;
-                w.stats.merge_ns += merge_ns;
+                w.stats.tier1 += tier1_time;
+                w.stats.tier2 += tier2_time;
+                w.stats.merge += merge_time;
             }
         };
 
-        // Full-panel reference: all score time lands in `tier2_ns`.
+        // Full-panel reference: all score time lands in `tier2`.
         let reference_block = |block: &mut [(usize, &mut [f32], &[u32])], w: &mut Worker| {
             let pairs: usize = block.iter().map(|(_, _, cand)| cand.len()).sum();
             let t0 = Instant::now();
@@ -545,7 +526,7 @@ impl<'e> MatchPipeline<'e> {
                     cursor += nv;
                 }
             }
-            w.stats.tier2_ns += t0.elapsed().as_nanos() as u64;
+            w.stats.tier2 += t0.elapsed();
 
             let t1 = Instant::now();
             let mut votes = w.votes.chunks(nv);
@@ -559,7 +540,7 @@ impl<'e> MatchPipeline<'e> {
                     slice[t as usize] = if merged < floor { 0.0 } else { merged as f32 };
                 }
             }
-            w.stats.merge_ns += t1.elapsed().as_nanos() as u64;
+            w.stats.merge += t1.elapsed();
         };
 
         let mut work = work;
@@ -578,9 +559,9 @@ impl<'e> MatchPipeline<'e> {
         );
         let mut total = FusedStats::default();
         for block in &blocks {
-            total.tier1_ns += block.tier1_ns;
-            total.tier2_ns += block.tier2_ns;
-            total.merge_ns += block.merge_ns;
+            total.tier1 += block.tier1;
+            total.tier2 += block.tier2;
+            total.merge += block.merge;
             total.exits.add(&block.exits);
         }
         total

@@ -797,8 +797,10 @@ impl FeatureCache {
                     };
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     crate::obs::add(crate::obs::Counter::CacheMisses, 1);
-                    let (prepared, _build_ns) =
-                        crate::obs::timed(crate::obs::SpanKind::CacheBuild, fp, || {
+                    let (prepared, _) = crate::obs::timed(
+                        crate::obs::SpanKind::CacheBuild,
+                        |_| fp,
+                        || {
                             Arc::new(PreparedSchema::build_chunked(
                                 schema,
                                 fp,
@@ -806,7 +808,8 @@ impl FeatureCache {
                                 Arc::clone(&self.arena),
                                 job,
                             ))
-                        });
+                        },
+                    );
                     guard.publish(Arc::clone(&prepared));
                     return prepared;
                 }

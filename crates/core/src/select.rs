@@ -9,7 +9,9 @@
 use crate::confidence::Confidence;
 use crate::correspondence::{Correspondence, MatchSet};
 use crate::matrix::MatchMatrix;
+use crate::obs::{self, SpanKind};
 use sm_schema::ElementId;
+use std::time::Duration;
 
 /// Candidate-selection policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,10 +40,17 @@ impl Selection {
     /// cell count), so blocked/batch runs get a Select row in traces even
     /// though selection happens outside the pipeline proper.
     pub fn apply(&self, matrix: &MatchMatrix) -> MatchSet {
-        let _span = crate::obs::span(
-            crate::obs::SpanKind::StageSelect,
-            (matrix.rows() * matrix.cols()) as u64,
-        );
+        self.apply_timed(matrix).0
+    }
+
+    /// [`Self::apply`], also returning the duration of its `stage.select`
+    /// span: a run's [`crate::pipeline::StageTimings::select`].
+    pub(crate) fn apply_timed(&self, matrix: &MatchMatrix) -> (MatchSet, Duration) {
+        let cells = (matrix.rows() * matrix.cols()) as u64;
+        obs::timed(SpanKind::StageSelect, |_| cells, || self.select(matrix))
+    }
+
+    fn select(&self, matrix: &MatchMatrix) -> MatchSet {
         let mut set = match self {
             Selection::Threshold(min) => {
                 let mut out = MatchSet::new();

@@ -638,14 +638,12 @@ impl AdmissionController {
         if self.config.policy(class).pacing.is_some() {
             token.set_yield_hint();
         }
-        let queue_start = obs::now_ns();
-        self.admit(class, priority, &token)?;
-        obs::record_span(
+        let (admitted, _) = obs::timed(
             obs::SpanKind::ServeQueueWait,
-            class.index() as u64,
-            queue_start,
-            obs::now_ns().saturating_sub(queue_start),
+            |_| class.index() as u64,
+            || self.admit(class, priority, &token),
         );
+        admitted?;
         obs::add(obs::Counter::ServeAdmitted, 1);
         if degraded {
             obs::add(obs::Counter::ServeDegraded, 1);
@@ -656,9 +654,11 @@ impl AdmissionController {
             budget: Arc::clone(&self.budgets[class.index()]),
             degraded,
         };
-        let (outcome, _) = obs::timed(obs::SpanKind::ServeJob, class.index() as u64, || {
-            catch_unwind(AssertUnwindSafe(|| job(&grant)))
-        });
+        let (outcome, _) = obs::timed(
+            obs::SpanKind::ServeJob,
+            |_| class.index() as u64,
+            || catch_unwind(AssertUnwindSafe(|| job(&grant))),
+        );
         self.finish(class);
         match outcome {
             Ok(value) => Ok(value),

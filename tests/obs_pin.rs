@@ -1,18 +1,17 @@
 //! Observability pins: recording must never perturb match results, spans
-//! must nest well-formedly per lane, and concurrent executor lanes must all
-//! land in the collected trace.
+//! must nest well-formedly per lane, concurrent executor lanes must all
+//! land in the collected trace, and each pipeline stage's span must be its
+//! `StageTimings` entry.
 //!
 //! The obs recorder is process-global state (per-thread rings + one counter
 //! table), so every test here serializes on one mutex and resets the
-//! recorder before measuring. The whole file also compiles and passes with
-//! the recorder compiled out (`--features harmony-core/obs-off`): the
-//! result-identity pin then asserts the no-op path, and the trace-shape
-//! tests skip themselves (an obs-off build records nothing to inspect).
+//! recorder before measuring.
 
 use harmony_core::index::BlockingPolicy;
 use harmony_core::obs;
 use harmony_core::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::Duration;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -20,9 +19,8 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// An obs-compiled-in build with recording enabled vs runtime-disabled —
-/// and an obs-off build where both arms are the same no-op path — must
-/// select byte-identical correspondences from identical inputs.
+/// Recording enabled vs disabled must select byte-identical
+/// correspondences from identical inputs.
 #[test]
 fn recording_does_not_perturb_selections() {
     let _g = lock();
@@ -39,11 +37,7 @@ fn recording_does_not_perturb_selections() {
     let mut selected = Vec::new();
     for enabled in [true, false] {
         obs::reset();
-        obs::ObsConfig {
-            enabled,
-            sample_shift: 0,
-        }
-        .apply();
+        obs::set_enabled(enabled);
         let r = engine.run_blocked(&pair.source, &pair.target, &policy);
         let mut pairs: Vec<(u32, u32, f64)> = selection
             .apply(&r.matrix)
@@ -70,24 +64,26 @@ fn recording_does_not_perturb_selections() {
 #[test]
 fn trace_is_well_formed_across_lanes() {
     let _g = lock();
-    obs::set_enabled(true);
-    if !obs::enabled() {
-        // harmony-core was built with obs-off: nothing is recorded to
-        // inspect; the identity pin above still covers this configuration.
-        return;
-    }
     let pair = sm_synth::SchemaPair::generate(&sm_synth::GeneratorConfig::paper_case_study(7, 0.3));
+    let exec = Arc::new(Executor::new(2));
     let engine = MatchEngine::new()
         .with_threads(2)
         .with_score_floor(Some(0.30))
-        .with_executor(Arc::new(Executor::new(2)));
+        .with_executor(Arc::clone(&exec));
     obs::reset();
-    obs::ObsConfig::default().apply();
+    obs::set_enabled(true);
     let r = engine.run_blocked(&pair.source, &pair.target, &BlockingPolicy::default());
     let _ = Selection::OneToOne {
         min: Confidence::new(0.30),
     }
     .apply(&r.matrix);
+    // A pool worker records an `exec.lane` span by construction, even on
+    // one CPU: both items wait on one barrier, so lane 0 cannot claim the
+    // second item before its own returns, and only a worker can run it.
+    let barrier = Barrier::new(2);
+    Job::new(&exec, 2).map([0, 1], |_, _| {
+        barrier.wait();
+    });
 
     let mut events = obs::collect();
     assert!(!events.is_empty(), "instrumented run recorded nothing");
@@ -109,7 +105,6 @@ fn trace_is_well_formed_across_lanes() {
     for kind in [
         obs::SpanKind::StageBlock,
         obs::SpanKind::StageScore,
-        obs::SpanKind::StageMerge,
         obs::SpanKind::StagePropagate,
         obs::SpanKind::StageSelect,
     ] {
@@ -154,13 +149,7 @@ fn trace_is_well_formed_across_lanes() {
     // Well-formed nesting per lane: sweep events in start order keeping a
     // stack of open intervals; every event must fall entirely inside the
     // enclosing open one (ring eviction can drop a *parent*, which only
-    // removes a containment check, never creates an overlap). `stage.score`
-    // and `stage.merge` are exempt: the pipeline's Score+Merge phase is
-    // fused per row, and those two spans are a *proportional split* of the
-    // fused wall interval (mirroring `StageTimings`), so their shared
-    // boundary legitimately cuts through physical chunk spans. Every span
-    // that came from a real guard or `obs::timed` call must nest exactly.
-    events.retain(|e| e.kind != obs::SpanKind::StageScore && e.kind != obs::SpanKind::StageMerge);
+    // removes a containment check, never creates an overlap).
     events.sort_by_key(|e| (e.lane, e.ts_ns, std::cmp::Reverse(e.dur_ns)));
     let mut stack: Vec<(usize, u64, u64, &str)> = Vec::new(); // (lane, start, end, kind)
     for e in &events {
@@ -225,9 +214,6 @@ fn trace_is_well_formed_across_lanes() {
 fn cold_prepare_is_covered_by_its_chunk_spans() {
     let _g = lock();
     obs::set_enabled(true);
-    if !obs::enabled() {
-        return;
-    }
     let pair = sm_synth::SchemaPair::generate(&sm_synth::GeneratorConfig::paper_case_study(7, 0.3));
     let exec = Arc::new(Executor::new(2));
     for lanes in [2, 1] {
@@ -238,7 +224,6 @@ fn cold_prepare_is_covered_by_its_chunk_spans() {
             .with_threads(lanes)
             .with_executor(Arc::clone(&exec));
         obs::reset();
-        obs::ObsConfig::default().apply();
         let prepared = engine.prepare(&pair.source);
         let events = obs::collect();
 
@@ -268,4 +253,139 @@ fn cold_prepare_is_covered_by_its_chunk_spans() {
             );
         }
     }
+}
+
+/// An engine on a private cold feature cache and a private 2-wide pool.
+fn cold_engine() -> MatchEngine {
+    MatchEngine::new()
+        .with_feature_cache(Arc::new(harmony_core::prepare::FeatureCache::new(
+            sm_text::normalize::Normalizer::new(),
+        )))
+        .with_threads(2)
+        .with_score_floor(Some(0.30))
+        .with_executor(Arc::new(Executor::new(2)))
+}
+
+/// Every `stage.*` span recorded since the last reset is exactly its
+/// `StageTimings` entry, to the nanosecond (Score's span is the fused
+/// window, `score + merge`), and each stage recorded one span (Select none
+/// when the run selected nothing).
+fn assert_spans_are_timings(name: &str, timings: &StageTimings) {
+    let events = obs::collect();
+    let stages = [
+        (obs::SpanKind::StagePrepare, timings.prepare),
+        (obs::SpanKind::StageBlock, timings.block),
+        (obs::SpanKind::StageScore, timings.score + timings.merge),
+        (obs::SpanKind::StagePropagate, timings.propagate),
+        (obs::SpanKind::StageSelect, timings.select),
+    ];
+    for (kind, timing) in stages {
+        let spans: Vec<u64> = events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| e.dur_ns)
+            .collect();
+        if kind == obs::SpanKind::StageSelect && timing == Duration::ZERO {
+            assert!(spans.is_empty(), "{name}: select span without a selection");
+            continue;
+        }
+        assert_eq!(spans.len(), 1, "{name}: {} spans", kind.name());
+        assert_eq!(
+            u128::from(spans[0]),
+            timing.as_nanos(),
+            "{name}: {} span vs its StageTimings entry",
+            kind.name()
+        );
+    }
+    assert_eq!(
+        timings.score,
+        timings.score_tier1 + timings.score_tier2,
+        "{name}: score is the sum of its tiers"
+    );
+}
+
+/// Each pipeline stage is timed once, by its span: a dense run, a blocked
+/// run on a cold cache, a dense run with selection, and a one-pair batch
+/// with selection.
+#[test]
+fn stage_spans_equal_stage_timings() {
+    let _g = lock();
+    obs::set_enabled(true);
+    let pair = sm_synth::SchemaPair::generate(&sm_synth::GeneratorConfig::paper_case_study(3, 0.1));
+    let (source, target) = (&pair.source, &pair.target);
+    let selection = Selection::OneToOne {
+        min: Confidence::new(0.30),
+    };
+    let engine = cold_engine();
+
+    obs::reset();
+    let blocked = engine.run_blocked(source, target, &BlockingPolicy::default());
+    assert_spans_are_timings("blocked run", &blocked.timings);
+
+    obs::reset();
+    let dense = engine.run(source, target);
+    assert_spans_are_timings("dense run", &dense.timings);
+
+    obs::reset();
+    let (dense, _) = engine.pipeline().run_select(source, target, &selection);
+    assert!(dense.timings.select > Duration::ZERO);
+    assert_spans_are_timings("dense run_select", &dense.timings);
+
+    let batch = engine.batch().plan(&[source, target], [(0, 1)]);
+    obs::reset();
+    let result = batch.run_select_only(&selection);
+    assert_spans_are_timings("one-pair batch", &result.pairs[0].timings);
+}
+
+/// On a cold cache a blocked run's Prepare stage builds both schemata's
+/// features: every `cache.build` span nests inside the run's one
+/// `stage.prepare` span.
+#[test]
+fn cold_blocked_prepare_contains_its_cache_builds() {
+    let _g = lock();
+    obs::set_enabled(true);
+    let pair = sm_synth::SchemaPair::generate(&sm_synth::GeneratorConfig::paper_case_study(5, 0.1));
+    let engine = cold_engine();
+    obs::reset();
+    let r = engine.run_blocked(&pair.source, &pair.target, &BlockingPolicy::default());
+    let events = obs::collect();
+    let prepare: Vec<&obs::TraceEvent> = events
+        .iter()
+        .filter(|e| e.kind == obs::SpanKind::StagePrepare)
+        .collect();
+    assert_eq!(prepare.len(), 1, "one stage.prepare");
+    let (start, end) = (prepare[0].ts_ns, prepare[0].ts_ns + prepare[0].dur_ns);
+    assert_eq!(u128::from(prepare[0].dur_ns), r.timings.prepare.as_nanos());
+    let builds: Vec<&obs::TraceEvent> = events
+        .iter()
+        .filter(|e| e.kind == obs::SpanKind::CacheBuild)
+        .collect();
+    assert_eq!(builds.len(), 2, "a cold run builds both schemata");
+    for build in builds {
+        assert!(
+            build.ts_ns >= start && build.ts_ns + build.dur_ns <= end,
+            "cache.build [{}, {}) outside stage.prepare [{start}, {end})",
+            build.ts_ns,
+            build.ts_ns + build.dur_ns
+        );
+    }
+}
+
+/// A run with instance data has its Prepare stage traced like any other.
+#[test]
+fn instance_run_records_one_prepare_span() {
+    let _g = lock();
+    obs::set_enabled(true);
+    let pair = sm_synth::SchemaPair::generate(&sm_synth::GeneratorConfig::paper_case_study(5, 0.1));
+    let none = sm_schema::InstanceData::empty();
+    let engine = cold_engine();
+    obs::reset();
+    let r = engine.run_with_instances(&pair.source, &pair.target, &none, &none);
+    let prepare: Vec<u64> = obs::collect()
+        .iter()
+        .filter(|e| e.kind == obs::SpanKind::StagePrepare)
+        .map(|e| e.dur_ns)
+        .collect();
+    assert_eq!(prepare.len(), 1, "one stage.prepare");
+    assert_eq!(u128::from(prepare[0]), r.timings.prepare.as_nanos());
 }
