@@ -11,35 +11,30 @@
 # First every killer must pass on the unpatched copy and run at least one
 # test, so that a kill is the patch's doing.
 #
-# All mutants share one copy and one cargo target dir (MUTANTS_DIR, default
-# target/mutants), so each one rebuilds only what its patch touches.
+# All mutants share one copy and one cargo target dir under target/mutants,
+# so each one rebuilds only what its patch touches.
 #
-# Usage: scripts/mutants.sh [NAME...]   (default: every patch)
+# Usage: scripts/mutants.sh   (runs every scripts/mutants/*.patch)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root="$PWD"
 dir="$root/scripts/mutants"
-work="${MUTANTS_DIR:-$root/target/mutants}"
+work="$root/target/mutants"
 tree="$work/tree"
 log="$work/killer.log"
 export CARGO_TARGET_DIR="$work/target"
-# The copy may sit inside this repository (the default one does): stop git
-# at the work dir, so `git apply` patches the copy as a plain tree.
+# The copy sits inside this repository: stop git at the work dir, so
+# `git apply` patches the copy as a plain tree.
 export GIT_CEILING_DIRECTORIES="$work"
 
 names=()
-if (($#)); then
-    names=("$@")
-else
-    for patch in "$dir"/*.patch; do
-        names+=("$(basename "$patch" .patch)")
-    done
-fi
-for name in "${names[@]}"; do
-    if [[ ! -f $dir/$name.patch || ! -f $dir/$name.killers ]]; then
-        echo "mutants.sh: no patch and killers for '$name'" >&2
+for patch in "$dir"/*.patch; do
+    name=$(basename "$patch" .patch)
+    if [[ ! -f $dir/$name.killers ]]; then
+        echo "mutants.sh: no killers for '$name'" >&2
         exit 2
     fi
+    names+=("$name")
 done
 
 killers() {
