@@ -30,8 +30,8 @@
 //!
 //! The bench also measures the observability recorder's own cost: the same
 //! blocked cascade engine runs with recording enabled and runtime-disabled
-//! in interleaved rounds, and the JSON reports the ratio (`obs_overhead`);
-//! `ci.sh` gates it at ≤ 1.05.
+//! in interleaved rounds, and the JSON reports the median of the rounds'
+//! on/off ratios (`obs_overhead`); `ci.sh` gates it at ≤ 1.05.
 //!
 //! Run with: `cargo run --release -p sm-bench --bin pipeline_baseline`
 //! Trace one instrumented run instead: `... --bin pipeline_baseline -- --trace`
@@ -372,13 +372,11 @@ fn main() {
         .collect();
 
     // Observability overhead: the same single-threaded blocked cascade
-    // engine with the obs recorder enabled vs runtime-disabled, in
-    // interleaved rounds so drift lands on both sides equally. ci.sh gates
-    // the ratio at ≤ 1.05 (the recorder's ring writes are a handful of
-    // relaxed stores per span; disabled, a span is two clock reads). More
-    // reps than the timing sections because the gate is a ratio of two
-    // small numbers.
-    const OBS_REPS: usize = 9;
+    // engine with the obs recorder enabled vs runtime-disabled. ci.sh gates
+    // the ratio at ≤ 1.05 (a span is a handful of relaxed ring stores;
+    // disabled, two clock reads). It is the median of per-round ratios: a
+    // round's two runs are adjacent, so drift slower than a round cancels.
+    const OBS_REPS: usize = 41;
     let mut obs_samples: Vec<Vec<f64>> = (0..2).map(|_| Vec::with_capacity(OBS_REPS)).collect();
     for round in 0..OBS_REPS {
         for slot in round_order(round, 2) {
@@ -389,9 +387,12 @@ fn main() {
         }
     }
     obs::set_enabled(true);
+    let mut obs_ratios: Vec<f64> = (0..OBS_REPS)
+        .map(|r| obs_samples[0][r] / obs_samples[1][r])
+        .collect();
+    let obs_ratio = median_secs(&mut obs_ratios);
     let obs_on_secs = median_secs(&mut obs_samples[0]);
     let obs_off_secs = median_secs(&mut obs_samples[1]);
-    let obs_ratio = obs_on_secs / obs_off_secs.max(1e-12);
 
     // Where tier 1 settles the blocked cascade run's pairs: one counted
     // run, read off the obs exit counters.
@@ -476,7 +477,7 @@ fn main() {
     );
     println!(
         "obs overhead: blocked run {obs_on_secs:.4}s instrumented vs {obs_off_secs:.4}s \
-         disabled ({obs_ratio:.3}× , median of {OBS_REPS} interleaved)"
+         disabled ({obs_ratio:.3}×, median of {OBS_REPS} interleaved rounds' ratios)"
     );
     let memo = sm_text::intern::pair_memo_stats();
     println!(
@@ -526,7 +527,8 @@ fn main() {
          \"score_speedup\": {score_speedup:.2},\n    \
          \"exits\": {{{exits}}}\n  }},\n  \
          \"obs_overhead\": {{\n    \"instrumented_secs\": {obs_on_secs:.6},\n    \
-         \"disabled_secs\": {obs_off_secs:.6},\n    \"ratio\": {obs_ratio:.4}\n  }},\n  \
+         \"disabled_secs\": {obs_off_secs:.6},\n    \"ratio\": {obs_ratio:.4},\n    \
+         \"rounds\": {OBS_REPS}\n  }},\n  \
          \"edit_memo\": {{\"misses\": {memo_misses}, \"flushes\": {memo_flushes}, \
          \"capacity\": {memo_capacity}}},\n  \
          \"block_stage_scaling\": [\n{scaling}\n  ],\n  \

@@ -43,25 +43,27 @@
 //!
 //! # Digests and tables
 //!
-//! Three layers of precomputation keep per-pair work to integer compares,
+//! Four layers of precomputation keep per-pair work to integer compares,
 //! popcounts, table reads and a few multiplies:
 //!
-//! * **Per context** ([`Digests`], built from the element features on a
-//!   [`MatchContext`]'s first cascade pass, so a context scored without
-//!   the cascade never pays for them): one `Copy` [`ColumnDigest`] per
-//!   element holding
-//!   every scalar the coarse verdict reads — the name, parent, children
-//!   and corpus signatures; set lengths and token counts; doc term and token
-//!   counts and the offset of the element's squared-weight prefix in one
-//!   flat buffer; raw-name length, Soundex key, raw-name and acronym ids;
-//!   the first four name ids (exact-name equality); name and parent sets
-//!   of up to four ids inline (their exact Jaccard is a 4×4 compare, and
-//!   disjoint parent signatures settle the rest); a container flag and the
-//!   data type's exact key and variant. Beside it, an [`EditDigest`] (char
-//!   profile, first chars) that only the refinement reads. The context
-//!   also tables, per
-//!   lane, the evidence weight `n/(n+k)` of every count it can produce,
-//!   from the voter's own [`EvidenceLaw`] — no division per pair.
+//! * **Per schema** ([`Columns`], built by the first cascade pass over each
+//!   [`crate::prepare::PreparedSchema`]): one `Copy` [`ColumnDigest`] per
+//!   element holding every scalar the coarse verdict reads off the
+//!   preparation — the name, parent, children and corpus signatures; set
+//!   lengths and token counts; doc term and token counts (a pair corpus
+//!   gives each distinct term one weight) and the offset of the element's
+//!   squared-weight prefix in its side's buffer; raw-name length, Soundex
+//!   key, raw-name and acronym ids; the first four name ids (exact-name
+//!   equality); name and parent sets of up to four ids inline (their exact
+//!   Jaccard is a 4×4 compare, and disjoint parent signatures settle the
+//!   rest). Beside it, an [`EditDigest`] (char profile, first chars) and
+//!   per-token Jaro-Winkler digests that only the refinement reads.
+//! * **Per context** ([`Digests`], built on a [`MatchContext`]'s first
+//!   cascade pass): each side's squared TF-IDF weight prefixes against the
+//!   pair corpus, each element's type and container flag from its
+//!   [`Schema`] ([`TypeDigest`]), and per lane, the evidence weight
+//!   `n/(n+k)` of every count the context can produce, from the voter's
+//!   own [`EvidenceLaw`] — no division per pair.
 //! * **Per score pass** ([`Tier1`]): the floor fixes `φ`, so the pass
 //!   tables every term that depends only on the floor and a small
 //!   integer — the type vote of equal types and of every pair of distinct
@@ -70,8 +72,9 @@
 //!   votes, an acronym hit per count, the doc and structure lower votes
 //!   per count, and the edit lane's lower vote and coarse cap per (count,
 //!   Soundex verdict).
-//! * **Per row** (`Row`): the source digest, the exact-name hit vote, the
-//!   source's slice of the type table and its squared-weight prefix.
+//! * **Per row** (`Row`): the source digest with the source pad swapped
+//!   in, the exact-name hit vote, the source's slice of the type table and
+//!   its squared-weight prefix.
 //!
 //! # The row kernel
 //!
@@ -107,7 +110,7 @@
 use crate::confidence::Confidence;
 use crate::context::{ElementFeatures, MatchContext};
 use crate::merger::MergeStrategy;
-use crate::prepare::count;
+use crate::prepare::{count, PreparedElement};
 use crate::voter::{
     doc_vote, edit_distance_vote, exact_mismatch, role_clash, structure_vote, token_vote,
     type_vote_of, EvidenceLaw, ACRONYM_EVIDENCE, ACRONYM_RATIO, DOC_EVIDENCE, EDIT_EVIDENCE,
@@ -118,7 +121,8 @@ use sm_text::bounds::{
     edit_blend_upper_bound, id_signature, jw_prefix_len, signature_intersection_bound,
     signature_jaccard_bound, token_jw_upper_bound, CharProfile, TokenStat,
 };
-use sm_text::intern::{sorted_ids_contains, sorted_ids_jaccard, TokenId};
+use sm_text::intern::{sorted_ids_contains, sorted_ids_jaccard, to_sorted_set, TokenId};
+use std::sync::Arc;
 
 /// Number of voters in the default panel (cascade is gated on it).
 pub(crate) const LANES: usize = 9;
@@ -141,30 +145,28 @@ const EPS: f64 = 1e-9;
 /// their exact intersection is a 4×4 compare, not a merge walk behind a
 /// pointer.
 const INLINE_IDS: usize = 4;
-/// Padding of a source digest's inline ids. Source and target pad with
-/// different values and sets holding either value never go inline, so a
-/// pad matches nothing on the other side.
+/// Padding of a source row's inline ids, swapped in for the stored
+/// [`TARGET_PAD`] when the row reads its digest ([`Row::new`]). Source and
+/// target pad with different values and sets holding either value never go
+/// inline, so a pad matches nothing on the other side.
 const SOURCE_PAD: u32 = u32::MAX;
-/// Padding of a target digest's inline ids.
+/// Padding of the inline ids every [`ColumnDigest`] stores.
 const TARGET_PAD: u32 = u32::MAX - 1;
 
-/// [`ColumnDigest::flags`]: the element is a container (the role voter's
-/// only input).
-const CONTAINER: u8 = 1;
 /// [`ColumnDigest::flags`]: the raw name has a Soundex key.
-const SOUNDEX: u8 = 2;
+const SOUNDEX: u8 = 1;
 /// [`ColumnDigest::flags`]: the raw name has at least two bytes (the
-/// acronym voter's gate, [`crate::prepare::PreparedElement::raw_name_spans_two_bytes`]).
-const ACRONYM_GATE: u8 = 4;
+/// acronym voter's gate, [`PreparedElement::raw_name_spans_two_bytes`]).
+const ACRONYM_GATE: u8 = 2;
 /// [`ColumnDigest::flags`]: the name set rides inline.
-const NAME_INLINE: u8 = 8;
+const NAME_INLINE: u8 = 4;
 /// [`ColumnDigest::flags`]: the parent-name set rides inline.
-const PARENT_INLINE: u8 = 16;
+const PARENT_INLINE: u8 = 8;
 
-/// Every scalar tier 1 reads about one element, in one fixed-width record.
-/// Built per match context, from the element features: the doc counts
-/// and prefix offset belong to the pair's joint corpus. The coarse verdict
-/// reads nothing else about the target.
+/// Every scalar tier 1 reads about one element's preparation, in one
+/// fixed-width record. Built once per [`crate::prepare::PreparedSchema`]
+/// ([`Columns`]); the coarse verdict reads nothing else about the target
+/// but its [`TypeDigest`].
 #[derive(Debug, Clone, Copy)]
 struct ColumnDigest {
     name_sig: u128,
@@ -175,10 +177,11 @@ struct ColumnDigest {
     /// with equal lengths up to [`INLINE_IDS`], equal arrays are equal
     /// sequences.
     name_head: [u32; INLINE_IDS],
-    /// The name set, padded, when it rides inline ([`NAME_INLINE`]).
+    /// The name set, padded with [`TARGET_PAD`], when it rides inline
+    /// ([`NAME_INLINE`]).
     name_ids: [u32; INLINE_IDS],
-    /// The parent-name set, padded, when it rides inline
-    /// ([`PARENT_INLINE`]).
+    /// The parent-name set, padded with [`TARGET_PAD`], when it rides
+    /// inline ([`PARENT_INLINE`]).
     parent_ids: [u32; INLINE_IDS],
     /// Name tokens in sequence (with repeats).
     name_len: u32,
@@ -187,19 +190,16 @@ struct ColumnDigest {
     parent_len: u32,
     children_set_len: u32,
     children_len: u32,
+    /// Distinct terms of the TF-IDF document, one pair-corpus weight each.
     doc_terms: u32,
     doc_tokens: u32,
-    /// Start of the element's squared-weight prefix in
-    /// [`Digests::doc_prefix`].
+    /// Start of the element's squared-weight prefix in its side's buffer
+    /// ([`Digests`]): each element before it takes `doc_terms + 1` slots.
     doc_prefix: u32,
     raw_chars: u32,
     raw_name_id: u32,
     acronym_id: u32,
     soundex: u32,
-    /// The data type, encoded exactly ([`type_key`]).
-    type_key: u64,
-    /// The data type's variant ([`type_kind`]).
-    type_kind: u8,
     flags: u8,
 }
 
@@ -214,13 +214,13 @@ struct EditDigest {
 }
 
 impl EditDigest {
-    fn of(f: &ElementFeatures) -> Self {
+    fn of(e: &PreparedElement) -> Self {
         let mut first = ['\0'; 4];
-        for (slot, &c) in first.iter_mut().zip(f.raw_chars.iter()) {
+        for (slot, &c) in first.iter_mut().zip(e.raw_chars.iter()) {
             *slot = c;
         }
         EditDigest {
-            profile: f.raw_profile.clone(),
+            profile: CharProfile::of_chars(&e.raw_chars),
             first,
         }
     }
@@ -232,16 +232,122 @@ impl EditDigest {
     }
 }
 
-/// The score cascade's view of one match context: a [`ColumnDigest`] and
-/// an [`EditDigest`] per element of each side, every element's squared
-/// TF-IDF weight prefix in one flat buffer, and per-lane evidence-weight
-/// tables.
+/// The score cascade's tier-1 columns of one prepared schema: a
+/// [`ColumnDigest`] and an [`EditDigest`] per element, and the per-token
+/// Jaro-Winkler digests of every name. They read only [`PreparedElement`]s,
+/// so every match context over the preparation shares them.
+#[derive(Debug, Default)]
+pub(crate) struct Columns {
+    digests: Vec<ColumnDigest>,
+    edit: Vec<EditDigest>,
+    /// Element after element, aligned with each one's `name_ids`:
+    /// `token_offsets[i]..token_offsets[i + 1]` slices element `i`'s.
+    token_stats: Vec<TokenStat>,
+    token_offsets: Vec<u32>,
+}
+
+/// The first [`INLINE_IDS`] ids, padded with `pad`.
+fn padded(ids: &[TokenId], pad: u32) -> [u32; INLINE_IDS] {
+    let mut head = [pad; INLINE_IDS];
+    for (slot, id) in head.iter_mut().zip(ids) {
+        *slot = id.0;
+    }
+    head
+}
+
+/// True when a set can ride inline: it fits, and holds no pad value.
+fn fits_inline(set: &[TokenId]) -> bool {
+    set.len() <= INLINE_IDS && set.iter().all(|id| id.0 < TARGET_PAD)
+}
+
+impl Columns {
+    /// Digest every element of a preparation, from a context's features.
+    pub(crate) fn build(elements: &[ElementFeatures]) -> Self {
+        let mut columns = Columns {
+            token_offsets: vec![0],
+            ..Columns::default()
+        };
+        let mut doc_prefix = 0;
+        for e in elements {
+            let terms = to_sorted_set(e.corpus_ids.clone());
+            let flags = (SOUNDEX * u8::from(e.raw_soundex.is_some()))
+                | (ACRONYM_GATE * u8::from(e.raw_name_spans_two_bytes()))
+                | (NAME_INLINE * u8::from(fits_inline(&e.name_set)))
+                | (PARENT_INLINE * u8::from(fits_inline(&e.parent_set)));
+            columns.digests.push(ColumnDigest {
+                name_sig: id_signature(&e.name_set),
+                parent_sig: id_signature(&e.parent_set),
+                children_sig: id_signature(&e.children_set),
+                corpus_sig: id_signature(&terms),
+                name_head: padded(&e.name_ids, 0),
+                name_ids: padded(&e.name_set, TARGET_PAD),
+                parent_ids: padded(&e.parent_set, TARGET_PAD),
+                name_len: count(e.name_ids.len()),
+                name_set_len: count(e.name_set.len()),
+                parent_set_len: count(e.parent_set.len()),
+                parent_len: e.parent_len,
+                children_set_len: count(e.children_set.len()),
+                children_len: e.children_len,
+                doc_terms: count(terms.len()),
+                doc_tokens: count(e.corpus_ids.len()),
+                doc_prefix: count(doc_prefix),
+                raw_chars: count(e.raw_chars.len()),
+                raw_name_id: e.raw_name_id.0,
+                acronym_id: e.acronym_id.0,
+                soundex: e.raw_soundex.unwrap_or(0),
+                flags,
+            });
+            doc_prefix += terms.len() + 1;
+            columns.edit.push(EditDigest::of(e));
+            let tokens = e.name_bag.tokens.iter().map(|t| TokenStat::of(t));
+            columns.token_stats.extend(tokens);
+            columns.token_offsets.push(count(columns.token_stats.len()));
+        }
+        columns
+    }
+
+    /// Estimated heap bytes of the columns of `elements`, priced like
+    /// [`crate::prepare::PreparedSchema::estimate_bytes`] whether or not
+    /// they are built yet: the feature cache prices an entry once, when it
+    /// admits it.
+    pub(crate) fn estimate_bytes(elements: &[Arc<PreparedElement>]) -> usize {
+        use std::mem::size_of;
+        let tokens: usize = elements.iter().map(|e| e.name_ids.len()).sum();
+        let per_element = size_of::<ColumnDigest>() + size_of::<EditDigest>() + size_of::<u32>();
+        size_of::<Columns>()
+            + size_of::<u32>()
+            + elements.len() * per_element
+            + tokens * size_of::<TokenStat>()
+    }
+
+    /// The per-token digests of element `i`'s name.
+    #[inline]
+    fn token_stats(&self, i: usize) -> &[TokenStat] {
+        &self.token_stats[self.token_offsets[i] as usize..self.token_offsets[i + 1] as usize]
+    }
+}
+
+/// What tier 1 reads about one element's [`Schema`] entry, not its
+/// preparation: preparations are cached by names, docs and parents only
+/// ([`crate::prepare::schema_fingerprint`]).
+#[derive(Debug, Clone, Copy)]
+struct TypeDigest {
+    /// The data type, encoded exactly ([`type_key`]).
+    key: u64,
+    /// The data type's variant ([`type_kind`]).
+    kind: u8,
+    /// The element is a container (the role voter's only input).
+    container: bool,
+}
+
+/// The score cascade's view of one match context beyond the two schemata's
+/// [`Columns`]: each side's [`TypeDigest`]s and squared TF-IDF weight
+/// prefixes, and the per-lane evidence-weight tables.
 pub(crate) struct Digests {
-    source: Vec<ColumnDigest>,
-    target: Vec<ColumnDigest>,
-    source_edit: Vec<EditDigest>,
-    target_edit: Vec<EditDigest>,
-    doc_prefix: Vec<f64>,
+    source_types: Vec<TypeDigest>,
+    target_types: Vec<TypeDigest>,
+    source_prefix: Vec<f64>,
+    target_prefix: Vec<f64>,
     weights: Weights,
 }
 
@@ -333,100 +439,38 @@ fn type_key(t: DataType) -> u64 {
     u64::from(type_kind(t)) << 40 | params
 }
 
-/// The first [`INLINE_IDS`] ids, padded with `pad`.
-fn padded(ids: &[TokenId], pad: u32) -> [u32; INLINE_IDS] {
-    let mut head = [pad; INLINE_IDS];
-    for (slot, id) in head.iter_mut().zip(ids) {
-        *slot = id.0;
-    }
-    head
-}
-
-/// True when a set can ride inline: it fits, and holds no pad value.
-fn fits_inline(set: &[TokenId]) -> bool {
-    set.len() <= INLINE_IDS && set.iter().all(|id| id.0 < TARGET_PAD)
-}
-
-fn digest_side(
-    schema: &Schema,
-    features: &[ElementFeatures],
-    pad: u32,
-    doc_prefix: &mut Vec<f64>,
-) -> (Vec<ColumnDigest>, Vec<EditDigest>) {
-    schema
-        .elements()
-        .iter()
-        .zip(features)
-        .map(|(e, f)| {
-            let offset = count(doc_prefix.len());
-            f.doc_vector.append_top_squared_prefix(doc_prefix);
-            let mut flags = 0;
-            if e.kind.is_container_like() {
-                flags |= CONTAINER;
-            }
-            if f.raw_soundex.is_some() {
-                flags |= SOUNDEX;
-            }
-            if f.raw_name_spans_two_bytes() {
-                flags |= ACRONYM_GATE;
-            }
-            if fits_inline(&f.name_set) {
-                flags |= NAME_INLINE;
-            }
-            if fits_inline(&f.parent_set) {
-                flags |= PARENT_INLINE;
-            }
-            let digest = ColumnDigest {
-                name_sig: f.name_sig,
-                parent_sig: id_signature(&f.parent_set),
-                children_sig: f.children_sig,
-                corpus_sig: f.corpus_sig,
-                name_head: padded(&f.name_ids, 0),
-                name_ids: padded(&f.name_set, pad),
-                parent_ids: padded(&f.parent_set, pad),
-                name_len: count(f.name_ids.len()),
-                name_set_len: count(f.name_set.len()),
-                parent_set_len: count(f.parent_set.len()),
-                parent_len: f.parent_len,
-                children_set_len: count(f.children_set.len()),
-                children_len: f.children_len,
-                doc_terms: count(f.doc_vector.term_count()),
-                doc_tokens: count(f.doc_vector.token_count),
-                doc_prefix: offset,
-                raw_chars: count(f.raw_chars.len()),
-                raw_name_id: f.raw_name_id.0,
-                acronym_id: f.acronym_id.0,
-                soundex: f.raw_soundex.unwrap_or(0),
-                type_key: type_key(e.datatype),
-                type_kind: type_kind(e.datatype),
-                flags,
-            };
-            (digest, EditDigest::of(f))
-        })
-        .unzip()
-}
-
 impl Digests {
-    /// Digest both sides of a context from its element features.
-    pub(crate) fn build(
-        source: &Schema,
-        target: &Schema,
-        source_features: &[ElementFeatures],
-        target_features: &[ElementFeatures],
-    ) -> Self {
-        let mut doc_prefix = Vec::new();
-        let (source, source_edit) =
-            digest_side(source, source_features, SOURCE_PAD, &mut doc_prefix);
-        let (target, target_edit) =
-            digest_side(target, target_features, TARGET_PAD, &mut doc_prefix);
-        let weights = Weights::build(&source, &target);
+    /// The context's part of both sides: types and kinds from each
+    /// schema, squared-weight prefixes from each element's TF-IDF vector
+    /// against the pair corpus.
+    pub(crate) fn build(ctx: &MatchContext<'_>) -> Self {
+        let (source, target) = ctx.columns();
+        let types = |schema: &Schema| {
+            schema
+                .elements()
+                .iter()
+                .map(|e| TypeDigest {
+                    key: type_key(e.datatype),
+                    kind: type_kind(e.datatype),
+                    container: e.kind.is_container_like(),
+                })
+                .collect()
+        };
+        let prefix = |features: &[ElementFeatures], columns: &Columns| {
+            let mut prefix = Vec::new();
+            for (f, d) in features.iter().zip(&columns.digests) {
+                debug_assert_eq!(count(prefix.len()), d.doc_prefix);
+                debug_assert_eq!(count(f.doc_vector.term_count()), d.doc_terms);
+                f.doc_vector.append_top_squared_prefix(&mut prefix);
+            }
+            prefix
+        };
         Digests {
-            source,
-            target,
-            source_edit,
-            target_edit,
-            doc_prefix,
-            weights,
+            source_types: types(ctx.source),
+            target_types: types(ctx.target),
+            source_prefix: prefix(&ctx.source_features, source),
+            target_prefix: prefix(&ctx.target_features, target),
+            weights: Weights::build(&source.digests, &target.digests),
         }
     }
 }
@@ -599,11 +643,14 @@ fn set_jaccard(
     }
 }
 
-/// Tier 1 of one score pass: the context's digests plus every lane term
-/// that depends only on the floor and a small integer (a type variant, an
-/// evidence count, a Soundex verdict), tabled once per pass.
+/// Tier 1 of one score pass: both schemata's columns and the context's
+/// digests, plus every lane term that depends only on the floor and a
+/// small integer (a type variant, an evidence count, a Soundex verdict),
+/// tabled once per pass.
 pub(crate) struct Tier1<'a> {
     ctx: &'a MatchContext<'a>,
+    source: &'a Columns,
+    target: &'a Columns,
     dig: &'a Digests,
     floor: f64,
     /// The type vote of two equal types.
@@ -626,6 +673,7 @@ impl<'a> Tier1<'a> {
     /// Table the floor's lane terms for one score pass over `ctx`.
     pub(crate) fn new(ctx: &'a MatchContext<'a>, floor: f64) -> Self {
         let dig = ctx.digests();
+        let (source, target) = ctx.columns();
         let w = &dig.weights;
         let exact = |vote: f64| Exact::new(vote, floor);
         let lower = |table: &[f64]| table.iter().map(|&w| exact(vote(0.0, w))).collect();
@@ -645,6 +693,8 @@ impl<'a> Tier1<'a> {
             .collect();
         Tier1 {
             ctx,
+            source,
+            target,
             dig,
             floor,
             type_same: exact(type_vote_of(1.0).value()),
@@ -767,13 +817,17 @@ impl<'a> Tier1<'a> {
     }
 }
 
-/// The constants of one candidate row: the source digest and every term
-/// that depends on the source element alone.
+/// The constants of one candidate row: the source digest, with the source
+/// pad on its inline ids, and every term that depends on the source element
+/// alone.
 struct Row<'a> {
     pass: &'a Tier1<'a>,
     a: ColumnDigest,
+    a_type: TypeDigest,
     edit_digest: &'a EditDigest,
     fa: &'a ElementFeatures,
+    /// The source's per-token name digests.
+    a_tokens: &'a [TokenStat],
     /// The source's squared-weight prefix.
     doc_prefix: &'a [f64],
     /// Type votes of the source's type against a distinct one, by the
@@ -821,16 +875,20 @@ struct Terms {
 
 impl<'a> Row<'a> {
     fn new(pass: &'a Tier1<'a>, s: ElementId) -> Self {
-        let dig = pass.dig;
-        let a = dig.source[s.index()];
+        let mut a = pass.source.digests[s.index()];
+        let repad = |id| if id == TARGET_PAD { SOURCE_PAD } else { id };
+        (a.name_ids, a.parent_ids) = (a.name_ids.map(repad), a.parent_ids.map(repad));
+        let a_type = pass.dig.source_types[s.index()];
         let n = a.name_len as usize;
         Row {
             pass,
             a,
-            edit_digest: &dig.source_edit[s.index()],
+            a_type,
+            edit_digest: &pass.source.edit[s.index()],
             fa: pass.ctx.source_feat(s),
-            doc_prefix: &dig.doc_prefix[a.doc_prefix as usize..],
-            types: &pass.type_kinds[usize::from(a.type_kind) * TYPE_KINDS.len()..]
+            a_tokens: pass.source.token_stats(s.index()),
+            doc_prefix: &pass.dig.source_prefix[a.doc_prefix as usize..],
+            types: &pass.type_kinds[usize::from(a_type.kind) * TYPE_KINDS.len()..]
                 [..TYPE_KINDS.len()],
             exact_hit: Exact::new(EXACT_EVIDENCE.vote(1.0, n, n).value(), pass.floor),
         }
@@ -838,7 +896,7 @@ impl<'a> Row<'a> {
 
     #[inline(always)]
     fn target(&self, t: u32) -> &'a ColumnDigest {
-        &self.pass.dig.target[t as usize]
+        &self.pass.target.digests[t as usize]
     }
 
     #[inline(always)]
@@ -918,10 +976,11 @@ impl<'a> Row<'a> {
             pass.exact_miss
         }
         .when(names);
-        let types = if a.type_key == b.type_key {
+        let b_type = &pass.dig.target_types[t as usize];
+        let types = if self.a_type.key == b_type.key {
             pass.type_same
         } else {
-            self.types[usize::from(b.type_kind)]
+            self.types[usize::from(b_type.kind)]
         };
         let path_jacc = set_jaccard(
             a.flags & b.flags & PARENT_INLINE != 0,
@@ -937,7 +996,9 @@ impl<'a> Row<'a> {
             floor,
         )
         .when((a.parent_set_len != 0) & (b.parent_set_len != 0));
-        let role = pass.role_clash.when((a.flags ^ b.flags) & CONTAINER != 0);
+        let role = pass
+            .role_clash
+            .when(self.a_type.container != b_type.container);
         let acronym_hit = (a.flags & b.flags & ACRONYM_GATE != 0)
             & (((b.name_len >= 2) & (a.raw_name_id == b.acronym_id))
                 | ((a.name_len >= 2) & (b.raw_name_id == a.acronym_id)));
@@ -970,7 +1031,7 @@ impl<'a> Row<'a> {
         );
         let doc_lower = pass.doc_lower[doc_count];
         let dot_ub = (self.doc_prefix[shared]
-            * pass.dig.doc_prefix[b.doc_prefix as usize + shared])
+            * pass.dig.target_prefix[b.doc_prefix as usize + shared])
             .sqrt()
             .min(1.0);
         let doc_open = docs & (shared != 0);
@@ -1036,7 +1097,7 @@ impl<'a> Row<'a> {
         let floor = self.pass.floor;
         if (a.raw_chars != 0) & (b.raw_chars != 0) {
             let edit = self.edit(b);
-            let (ea, eb) = (self.edit_digest, &self.pass.dig.target_edit[t as usize]);
+            let (ea, eb) = (self.edit_digest, &self.pass.target.edit[t as usize]);
             let blend_ub = edit_blend_upper_bound(
                 &ea.profile,
                 &eb.profile,
@@ -1054,7 +1115,7 @@ impl<'a> Row<'a> {
             let tok = self.token(b, t);
             let rest = slack - tok.cap;
             if rest + tok.lower.phi < -EPS {
-                let soft_ub = monge_elkan_soft_upper_bound(self.fa, self.target_feat(t));
+                let soft_ub = self.soft_upper_bound(t);
                 let soft = tok.jacc.max(SOFT_DISCOUNT * soft_ub);
                 let u = Confidence::weighted(soft, tok.weight).value();
                 if rest + tok.lower.up_to(u, floor) < -EPS {
@@ -1066,26 +1127,18 @@ impl<'a> Row<'a> {
         exits.final_survive += 1;
         true
     }
-}
 
-/// Upper bound on `monge_elkan_jw_interned` from per-token digests: shared
-/// tokens contribute their exact 1.0 (mirroring the kernel's id
-/// short-circuit), the rest their best O(1) pairwise Jaro-Winkler cap.
-/// Callers guarantee both sides are non-empty.
-fn monge_elkan_soft_upper_bound(fa: &ElementFeatures, fb: &ElementFeatures) -> f64 {
-    let d_ab = directed_soft_ub(
-        &fa.name_token_stats,
-        &fa.name_ids,
-        &fb.name_set,
-        &fb.name_token_stats,
-    );
-    let d_ba = directed_soft_ub(
-        &fb.name_token_stats,
-        &fb.name_ids,
-        &fa.name_set,
-        &fa.name_token_stats,
-    );
-    (d_ab + d_ba) / 2.0
+    /// Upper bound on `monge_elkan_jw_interned` of `(row, t)` from per-token
+    /// digests: shared tokens contribute their exact 1.0 (the kernel's id
+    /// short-circuit), the rest their best O(1) pairwise Jaro-Winkler cap.
+    /// Callers guarantee both sides are non-empty.
+    fn soft_upper_bound(&self, t: u32) -> f64 {
+        let (fa, fb) = (self.fa, self.target_feat(t));
+        let b_tokens = self.pass.target.token_stats(t as usize);
+        let d_ab = directed_soft_ub(self.a_tokens, &fa.name_ids, &fb.name_set, b_tokens);
+        let d_ba = directed_soft_ub(b_tokens, &fb.name_ids, &fa.name_set, self.a_tokens);
+        (d_ab + d_ba) / 2.0
+    }
 }
 
 fn directed_soft_ub(
@@ -1165,6 +1218,7 @@ pub(crate) fn merge_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepare::PreparedSchema;
     use crate::voter::{default_voters, type_vote};
     use sm_schema::{Documentation, ElementKind, SchemaFormat, SchemaId};
     use sm_text::normalize::Normalizer;
@@ -1389,6 +1443,57 @@ mod tests {
             inline,
             [true, true],
             "both the inline and the walked path ran"
+        );
+    }
+
+    /// The schema columns mirror the prepared elements they digest, a
+    /// pair corpus gives each element as many weights as its digest counts
+    /// terms, a row reads its source ids with the source pad while the
+    /// stored ids keep the target pad, and the cache prices the columns
+    /// as built.
+    #[test]
+    fn columns_mirror_the_prepared_elements() {
+        let (a, b) = fixture();
+        let n = Normalizer::new();
+        let (pa, pb) = (PreparedSchema::build(&a, &n), PreparedSchema::build(&b, &n));
+        let ctx = MatchContext::from_prepared(&a, &b, &pa, &pb);
+        let pass = Tier1::new(&ctx, 0.3);
+        let mut prefix = 0;
+        for (i, e) in pa.elements().iter().enumerate() {
+            let (columns, _) = ctx.columns();
+            let d = &columns.digests[i];
+            assert_eq!(d.name_sig, id_signature(&e.name_set));
+            assert_eq!(d.parent_sig, id_signature(&e.parent_set));
+            assert_eq!(d.children_sig, id_signature(&e.children_set));
+            assert_eq!(d.corpus_sig, id_signature(&e.corpus_ids));
+            assert_eq!(columns.edit[i].profile, CharProfile::of_chars(&e.raw_chars));
+            assert_eq!(columns.token_stats(i).len(), e.name_bag.tokens.len());
+            for (stat, tok) in columns.token_stats(i).iter().zip(&e.name_bag.tokens) {
+                assert_eq!(*stat, TokenStat::of(tok));
+            }
+            let doc = &ctx.source_feat(ElementId(i as u32)).doc_vector;
+            assert_eq!(d.doc_terms as usize, doc.term_count());
+            assert_eq!(d.doc_tokens as usize, doc.token_count);
+            assert_eq!(d.doc_prefix, prefix);
+            prefix += d.doc_terms + 1;
+            let row = Row::new(&pass, ElementId(i as u32));
+            for (stored, read, len) in [
+                (d.name_ids, row.a.name_ids, d.name_set_len),
+                (d.parent_ids, row.a.parent_ids, d.parent_set_len),
+            ] {
+                for k in (len as usize).min(INLINE_IDS)..INLINE_IDS {
+                    assert_eq!((stored[k], read[k]), (TARGET_PAD, SOURCE_PAD));
+                }
+            }
+        }
+        let (built, _) = ctx.columns();
+        assert_eq!(
+            Columns::estimate_bytes(pa.elements()),
+            std::mem::size_of::<Columns>()
+                + built.digests.len() * std::mem::size_of::<ColumnDigest>()
+                + built.edit.len() * std::mem::size_of::<EditDigest>()
+                + built.token_stats.len() * std::mem::size_of::<TokenStat>()
+                + built.token_offsets.len() * std::mem::size_of::<u32>()
         );
     }
 

@@ -10,7 +10,7 @@
 //! instance profiles. Per-pair voter cost stays a handful of set
 //! intersections.
 
-use crate::cascade::Digests;
+use crate::cascade::{Columns, Digests};
 use crate::prepare::{PreparedElement, PreparedSchema};
 use sm_schema::instances::{InstanceData, InstanceProfile};
 use sm_schema::{ElementId, Schema};
@@ -61,8 +61,8 @@ pub struct MatchContext<'a> {
     pub source: &'a Schema,
     /// The target schema (columns of the match matrix).
     pub target: &'a Schema,
-    source_features: Vec<ElementFeatures>,
-    target_features: Vec<ElementFeatures>,
+    pub(crate) source_features: Vec<ElementFeatures>,
+    pub(crate) target_features: Vec<ElementFeatures>,
     /// TF-IDF statistics of the corpus built over *both* schemata's
     /// documentation, so IDF reflects the joint vocabulary of the match
     /// problem. The document vectors themselves moved into the elements'
@@ -70,9 +70,13 @@ pub struct MatchContext<'a> {
     pub corpus: IdfTable,
     /// Tag of the arena both preparations' ids point into (memo keys).
     arena_tag: u32,
-    /// Fixed-width per-element records the score cascade's tier 1 reads,
-    /// built on first use: a context scored without the cascade never
-    /// pays for them.
+    /// The score cascade's tier-1 columns of each preparation, shared with
+    /// it and built by the first cascade pass over it ([`Self::columns`]).
+    source_columns: std::sync::Arc<std::sync::OnceLock<Columns>>,
+    target_columns: std::sync::Arc<std::sync::OnceLock<Columns>>,
+    /// What tier 1 reads about the pair and the schemata beyond the
+    /// columns, built on first use: a context scored without the cascade
+    /// never pays for it.
     digests: std::sync::OnceLock<Digests>,
 }
 
@@ -232,6 +236,8 @@ impl<'a> MatchContext<'a> {
             target_features,
             corpus,
             arena_tag: prepared_source.arena().tag(),
+            source_columns: std::sync::Arc::clone(&prepared_source.columns),
+            target_columns: std::sync::Arc::clone(&prepared_target.columns),
             digests: std::sync::OnceLock::new(),
         }
     }
@@ -244,20 +250,26 @@ impl<'a> MatchContext<'a> {
         self.arena_tag
     }
 
-    /// The cascade's per-element digests of this context, built on the
-    /// first call.
+    /// The cascade's tier-1 columns of the source and target preparations,
+    /// each built on the first call over its preparation.
+    pub(crate) fn columns(&self) -> (&Columns, &Columns) {
+        (
+            self.source_columns
+                .get_or_init(|| Columns::build(&self.source_features)),
+            self.target_columns
+                .get_or_init(|| Columns::build(&self.target_features)),
+        )
+    }
+
+    /// The cascade's per-context digests, built on the first call (with
+    /// the columns, when no context over a preparation built them yet).
     pub(crate) fn digests(&self) -> &Digests {
         self.digests.get_or_init(|| {
             let _span = crate::obs::span(
                 crate::obs::SpanKind::ScoreDigests,
                 (self.source.len() + self.target.len()) as u64,
             );
-            Digests::build(
-                self.source,
-                self.target,
-                &self.source_features,
-                &self.target_features,
-            )
+            Digests::build(self)
         })
     }
 

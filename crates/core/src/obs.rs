@@ -106,7 +106,8 @@ pub enum SpanKind {
     BlockAssemble = 25,
     /// One source tree level of Block's parent closure (payload = rows).
     BlockClose = 26,
-    /// A match context's tier-1 column digests built, before the score
+    /// A match context's per-pair tier-1 digests built, with any
+    /// preparation's columns no earlier context built, before the score
     /// lanes start (payload = source + target elements).
     ScoreDigests = 27,
     /// One element chunk of one phase of a `PreparedSchema` build — name

@@ -24,10 +24,10 @@
 //! vocabulary of a match problem) remains per-pair; see
 //! [`crate::context::MatchContext`].
 
+use crate::cascade::Columns;
 use crate::exec::{chunks, Executor, Job};
 use crate::index::CHUNK_ELEMENTS;
 use sm_schema::{Schema, SchemaId};
-use sm_text::bounds::{id_signature, CharProfile, TokenStat};
 use sm_text::intern::{to_sorted_set, TokenArena, TokenId};
 use sm_text::normalize::{Normalizer, TokenBag};
 use sm_text::soundex::{soundex, soundex_key};
@@ -132,23 +132,6 @@ pub struct PreparedElement {
     /// historical string-keyed blocking index accumulated IDF weights in,
     /// so candidate generation stays bit-for-bit reproducible.
     pub block_features: Vec<TokenId>,
-    /// 128-bit hash signature of [`Self::name_set`] — two signatures'
-    /// difference popcounts bound the true token intersection from above
-    /// (see [`sm_text::bounds::signature_intersection_bound`]), the tier-1
-    /// prefilter of the score cascade.
-    pub name_sig: u128,
-    /// Signature of [`Self::children_set`] (structure-voter prefilter).
-    pub children_sig: u128,
-    /// Signature of the *distinct* ids in [`Self::corpus_ids`] — a zero AND
-    /// against the opposing element proves the TF-IDF dot product is zero.
-    pub corpus_sig: u128,
-    /// Character-kind counts of [`Self::raw_chars`] — O(1) upper bounds on
-    /// Jaro-Winkler and Levenshtein similarity of the raw names.
-    pub raw_profile: CharProfile,
-    /// Per-token O(1) Jaro-Winkler bound summaries of
-    /// [`Self::name_bag`]`.tokens`, aligned with [`Self::name_ids`] — the
-    /// tier-1 refinement of the Monge-Elkan soft-overlap bound.
-    pub name_token_stats: Vec<TokenStat>,
 }
 
 impl PreparedElement {
@@ -207,6 +190,9 @@ pub struct PreparedSchema {
     /// contiguous arena instead of chasing per-element `Vec`s.
     block_feature_offsets: Vec<u32>,
     block_feature_ids: Vec<TokenId>,
+    /// The score cascade's tier-1 columns, built by the first cascade pass
+    /// of a match context over this preparation and shared with every one.
+    pub(crate) columns: Arc<OnceLock<Columns>>,
 }
 
 /// Phase 1 of [`PreparedSchema::build_chunked`] for one element chunk:
@@ -352,28 +338,16 @@ impl PreparedSchema {
                     block_features = to_sorted_set(block_features);
                     arena.sort_lexical(&mut block_features);
 
-                    let name_set = to_sorted_set(name_ids.clone());
-                    let children_set = to_sorted_set(children_ids);
-                    let raw_chars: Arc<[char]> = raw.chars().collect();
                     Arc::new(PreparedElement {
-                        name_sig: id_signature(&name_set),
-                        children_sig: id_signature(&children_set),
-                        corpus_sig: id_signature(&corpus_ids),
-                        raw_profile: CharProfile::of_chars(&raw_chars),
-                        name_token_stats: name_bag
-                            .tokens
-                            .iter()
-                            .map(|t| TokenStat::of(t))
-                            .collect(),
-                        name_set,
+                        name_set: to_sorted_set(name_ids.clone()),
                         name_ids,
                         raw_name_id: arena.intern(&raw),
-                        raw_chars,
+                        raw_chars: raw.chars().collect(),
                         acronym_id: arena.intern(&acronym),
                         raw_soundex: soundex_key(&raw),
                         parent_set: to_sorted_set(parent_ids.to_vec()),
                         parent_len: count(parent_ids.len()),
-                        children_set,
+                        children_set: to_sorted_set(children_ids),
                         children_len,
                         corpus_ids,
                         block_features,
@@ -462,6 +436,7 @@ impl PreparedSchema {
     /// preparation) are out of scope. What matters for the cache's byte
     /// budget is that entries are priced roughly and *consistently*, so a
     /// 3000-element AUTOSAR release costs ~100× a 30-element form schema.
+    /// The score cascade's columns count whether or not they are built yet.
     pub fn estimate_bytes(&self) -> usize {
         use std::mem::size_of;
         let id = size_of::<TokenId>();
@@ -482,9 +457,8 @@ impl PreparedSchema {
                 + e.corpus_ids.len()
                 + e.block_features.len())
                 * id;
-            bytes += e.name_token_stats.len() * size_of::<TokenStat>();
         }
-        bytes
+        bytes + Columns::estimate_bytes(&self.elements)
     }
 
     /// Does this preparation still reflect `schema`'s current content?
@@ -495,7 +469,8 @@ impl PreparedSchema {
     /// Assemble a preparation from built elements plus its signature ids:
     /// the distinct name-token ids, already sorted lexicographically by
     /// resolved string. Both [`Self::build`] and the warm-start loader end
-    /// here; only the flat blocking-feature CSR is derived. The warm-start
+    /// here; only the flat blocking-feature CSR is derived (the score
+    /// cascade's columns are built on first use). The warm-start
     /// image carries each schema's signature in that order (lexical
     /// *string* order is process-independent, unlike the ids themselves),
     /// so the loader skips a per-schema dedup pass and string-compare sort
@@ -533,6 +508,7 @@ impl PreparedSchema {
             schema_id,
             fingerprint,
             arena,
+            columns: Arc::default(),
             elements,
             signature: OnceLock::new(),
             signature_ids,
@@ -1040,15 +1016,6 @@ mod tests {
             assert_eq!(e.raw_name_spans_two_bytes(), raw.len() >= 2);
             // Sets are sorted, deduped views of the corresponding lists.
             assert_eq!(e.name_set, to_sorted_set(e.name_ids.clone()));
-            // Cascade signatures/profiles mirror the fields they summarize.
-            assert_eq!(e.name_sig, id_signature(&e.name_set));
-            assert_eq!(e.children_sig, id_signature(&e.children_set));
-            assert_eq!(e.corpus_sig, id_signature(&e.corpus_ids));
-            assert_eq!(e.raw_profile, CharProfile::of_chars(&e.raw_chars));
-            assert_eq!(e.name_token_stats.len(), e.name_bag.tokens.len());
-            for (stat, tok) in e.name_token_stats.iter().zip(&e.name_bag.tokens) {
-                assert_eq!(*stat, TokenStat::of(tok));
-            }
             assert!(e.block_features.windows(2).all(|w| w[0] != w[1]));
             // Block features are sorted by resolved string.
             let resolved = arena.resolve_all(&e.block_features);

@@ -5,8 +5,11 @@
 //! blocking features) on every element — by far the dominant cost of the
 //! first query. This module serializes each schema's prepared elements —
 //! exactly the normalizer *output*, as token lists and counts — to a
-//! compact binary image, so a restarted process re-interns strings and
-//! recomputes the cheap derived fields instead of re-normalizing.
+//! compact binary image, so a restarted process re-interns strings instead
+//! of re-normalizing. The image stores no derived field: the load decodes
+//! each raw name's chars and Soundex key once per distinct string, and the
+//! rest (the blocking-feature CSR, the score cascade's columns) is derived
+//! from the loaded elements exactly as after a cold build.
 //!
 //! ## Format (version 2, little-endian)
 //!
@@ -49,8 +52,8 @@
 //! so identical records reconstruct to one shared `Arc<PreparedElement>`.
 //! At load the string table is interned into the process-wide
 //! [`TokenArena`] in one pass — the table position → arena id remap —
-//! every string-derived feature (char profile, token stats, Soundex key,
-//! decoded chars) is memoized per distinct table string, and each distinct
+//! every string-derived element field (Soundex key, decoded chars) is
+//! memoized per distinct table string, and each distinct
 //! element record is built exactly once; per-schema reconstruction is then
 //! `Arc` clones plus integer-level schema-level views. Interned arena ids
 //! are deliberately *not* stored: they are process-local (intern order
@@ -67,7 +70,6 @@ use crate::shard::ShardConfig;
 use harmony_core::exec::Job;
 use harmony_core::prepare::{PreparedElement, PreparedSchema};
 use sm_schema::SchemaId;
-use sm_text::bounds::{id_signature, CharProfile, TokenStat};
 use sm_text::intern::{to_sorted_set, TokenArena, TokenId};
 use sm_text::normalize::TokenBag;
 use sm_text::soundex::soundex_key;
@@ -125,10 +127,10 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Table-entry role: the string appears as a raw element name somewhere, so
-/// the loader must memoize its char decode, char profile, and Soundex key.
+/// the loader must memoize its char decode and Soundex key.
 const ROLE_RAW: u8 = 1;
-/// Table-entry role: the string appears as a normalized name token, so the
-/// loader must memoize its [`TokenStat`].
+/// Table-entry role: the string appears as a normalized name token. The
+/// version-2 format carries the bit; the loader derives nothing from it.
 const ROLE_NAME: u8 = 2;
 
 /// Deduplicating string table builder keyed by interned id: first
@@ -365,7 +367,7 @@ fn walk_element_record(r: &mut Reader<'_>, table_len: usize) -> io::Result<(usiz
 
 /// Everything the record parser needs per table entry, computed exactly once
 /// per **distinct** string: the arena remap plus every string-derived
-/// per-element feature. A registry has millions of token occurrences but only
+/// element field. A registry has millions of token occurrences but only
 /// thousands of distinct tokens, so deriving per occurrence (what cold
 /// preparation inherently does — it has no table) is the dominant cost this
 /// table removes from the warm path.
@@ -374,8 +376,6 @@ struct TableMemos {
     /// The arena's own shared allocation of each table string — name bags
     /// are assembled by `Arc` clone, never by copying string bytes.
     arcs: Vec<Arc<str>>,
-    stats: Vec<TokenStat>,
-    profiles: Vec<CharProfile>,
     /// One decode per distinct string; every element holding that raw name
     /// shares the allocation (`PreparedElement::raw_chars` is `Arc<[char]>`).
     chars: Vec<Arc<[char]>>,
@@ -384,71 +384,33 @@ struct TableMemos {
 
 impl TableMemos {
     /// Derive only what some element will consume: `roles` marks which
-    /// entries appear as raw names (chars / profile / Soundex) or name
-    /// tokens (stats). Most of the table is block-feature and documentation
-    /// vocabulary needing neither; unflagged entries get shared placeholders
-    /// no element ever reads.
+    /// entries appear as raw names (chars / Soundex). Most of the table is
+    /// name, block-feature and documentation vocabulary needing neither;
+    /// unflagged entries get shared placeholders no element ever reads.
     fn build(table: &[&str], roles: &[u8], arena: &TokenArena) -> Self {
         let remap = arena.intern_all(table);
         let arcs = arena.resolve_shared(&remap);
         let no_chars: Arc<[char]> = Arc::from(&[][..]);
-        let no_profile = CharProfile::of_chars(&[]);
-        let no_stat = TokenStat::of("");
-        let chars: Vec<Arc<[char]>> = table
+        let (chars, soundex) = table
             .iter()
             .zip(roles)
-            .map(|(s, &f)| {
-                if f & ROLE_RAW != 0 {
-                    s.chars().collect()
-                } else {
-                    Arc::clone(&no_chars)
-                }
+            .map(|(s, &f)| match f & ROLE_RAW {
+                0 => (Arc::clone(&no_chars), None),
+                _ => (s.chars().collect(), soundex_key(s)),
             })
-            .collect();
+            .unzip();
         TableMemos {
-            stats: table
-                .iter()
-                .zip(roles)
-                .map(|(s, &f)| {
-                    if f & ROLE_NAME != 0 {
-                        TokenStat::of(s)
-                    } else {
-                        no_stat
-                    }
-                })
-                .collect(),
-            profiles: chars
-                .iter()
-                .zip(roles)
-                .map(|(c, &f)| {
-                    if f & ROLE_RAW != 0 {
-                        CharProfile::of_chars(c)
-                    } else {
-                        no_profile.clone()
-                    }
-                })
-                .collect(),
-            soundex: table
-                .iter()
-                .zip(roles)
-                .map(|(s, &f)| {
-                    if f & ROLE_RAW != 0 {
-                        soundex_key(s)
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
             remap,
             arcs,
             chars,
+            soundex,
         }
     }
 }
 
 /// Parse one walked (already-validated) element record straight into a
 /// [`PreparedElement`]: ids via the remap, name tokens by `Arc` clone off
-/// the memos, string-derived features by memo lookup. No hashing, no
+/// the memos, string-derived fields by memo lookup. No hashing, no
 /// string-byte copies, and no per-character analysis. Runs once per
 /// **distinct** element record; every schema holding the record shares the
 /// resulting `Arc`.
@@ -461,12 +423,10 @@ fn parse_element_record(bytes: &[u8], memos: &TableMemos) -> Arc<PreparedElement
     let n_names = r.walked();
     let mut name_tokens = Vec::with_capacity(n_names);
     let mut name_ids = Vec::with_capacity(n_names);
-    let mut name_token_stats = Vec::with_capacity(n_names);
     for _ in 0..n_names {
         let t = r.walked();
         name_tokens.push(Arc::clone(&memos.arcs[t]));
         name_ids.push(remap[t]);
-        name_token_stats.push(memos.stats[t]);
     }
     // The corpus document is name tokens then doc tokens, filled at exact
     // capacity.
@@ -483,14 +443,8 @@ fn parse_element_record(bytes: &[u8], memos: &TableMemos) -> Arc<PreparedElement
     let children_set = to_sorted_set(r.walked_ids(remap));
     let block_features = r.walked_ids(remap);
 
-    let name_set = to_sorted_set(name_ids.clone());
     Arc::new(PreparedElement {
-        name_sig: id_signature(&name_set),
-        children_sig: id_signature(&children_set),
-        corpus_sig: id_signature(&corpus_ids),
-        raw_profile: memos.profiles[raw].clone(),
-        name_token_stats,
-        name_set,
+        name_set: to_sorted_set(name_ids.clone()),
         name_ids,
         raw_name_id: remap[raw],
         raw_chars: Arc::clone(&memos.chars[raw]),
@@ -584,9 +538,9 @@ pub fn load_registry(path: &Path) -> io::Result<LoadedRegistry> {
         return Err(corrupt("trailing bytes"));
     }
 
-    // The table → arena remap plus every string-derived feature, computed
-    // once per distinct table string: the only interning and the only
-    // per-character analysis the whole load performs.
+    // The table → arena remap plus every string-derived element field,
+    // computed once per distinct table string: the only interning the
+    // whole load performs.
     let arena = TokenArena::global();
     let memos = TableMemos::build(&table, &roles, arena);
 

@@ -112,8 +112,8 @@ pub fn char_kind(c: char) -> usize {
     }
 }
 
-/// Per-string counts of the 32 coarse character kinds, precomputed once at
-/// prepare time. Counts saturate at `u16::MAX`; a saturated profile makes
+/// Per-string counts of the 32 coarse character kinds, precomputed once per
+/// prepared schema. Counts saturate at `u16::MAX`; a saturated profile makes
 /// every bound fall back to the trivial cap (never to an under-estimate).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CharProfile {

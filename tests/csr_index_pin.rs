@@ -451,7 +451,7 @@ fn deep_trees_pin_to_reference() {
 }
 
 /// The full blocked pipeline carries the pinned candidate sets: the
-/// `BlockedRun` scores exactly the oracle's candidates at every pool
+/// `BlockedMatchResult` scores exactly the oracle's candidates at every pool
 /// width, so blocked matrices stay byte-identical across thread counts.
 #[test]
 fn blocked_pipeline_candidates_pin_to_reference() {

@@ -386,3 +386,79 @@ fn chunked_build_on_a_fresh_arena_resolves_to_the_inline_strings() {
         "blocked matrices over fresh arenas diverged"
     );
 }
+
+/// `schema` rebuilt with the same ids, names, docs and parents, so its
+/// fingerprint is unchanged, but with every fifth leaf's data type and
+/// every seventh element's container role switched.
+fn retyped(schema: &Schema) -> Schema {
+    let mut out = Schema::new(schema.id, schema.name.clone(), schema.format);
+    for e in schema.elements() {
+        let i = e.id.index();
+        let datatype = match (i % 5, e.datatype) {
+            (0, DataType::Date) => DataType::Integer,
+            (0, _) if e.is_leaf() => DataType::Date,
+            (_, t) => t,
+        };
+        let kind = match (i % 7, e.kind.is_container_like()) {
+            (0, true) => ElementKind::XmlElement,
+            (0, false) => ElementKind::Table,
+            (_, _) => e.kind,
+        };
+        let id = match e.parent {
+            None => out.add_root(e.name.clone(), kind, datatype),
+            Some(p) => out
+                .add_child(p, e.name.clone(), kind, datatype)
+                .expect("parent precedes child"),
+        };
+        assert_eq!(id, e.id);
+        if let Some(doc) = &e.doc {
+            out.set_doc(id, doc.clone()).expect("element exists");
+        }
+    }
+    out
+}
+
+/// Types and kinds are read from the `Schema`, never from its cached
+/// preparation: a preparation's fingerprint covers names, docs and parents
+/// only, so an engine whose cache holds the original schemata serves their
+/// preparations to retyped copies, and its cascade-on blocked and dense
+/// runs over the copies must equal a fresh engine's bit for bit.
+#[test]
+fn retyped_schemata_reuse_the_cached_preparation_and_score_as_fresh() {
+    let pair = case_pair();
+    let (source, target) = (retyped(&pair.source), retyped(&pair.target));
+    assert_eq!(
+        harmony_core::prepare::schema_fingerprint(&source),
+        harmony_core::prepare::schema_fingerprint(&pair.source)
+    );
+    let engine = || {
+        MatchEngine::new()
+            .with_normalizer(Normalizer::new())
+            .with_threads(2)
+            .with_score_floor(Some(0.30))
+    };
+    let policy = BlockingPolicy::default();
+    let bits = |m: &MatchMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let runs = |engine: &MatchEngine, s: &Schema, t: &Schema| {
+        [
+            bits(&engine.run_blocked(s, t, &policy).matrix),
+            bits(&engine.run(s, t).matrix),
+        ]
+    };
+
+    let warm = engine();
+    assert!(warm.cascade_active());
+    let original = runs(&warm, &pair.source, &pair.target);
+    let misses = warm.feature_cache().stats().misses;
+    let cached = runs(&warm, &source, &target);
+    assert_eq!(
+        warm.feature_cache().stats().misses,
+        misses,
+        "the retyped schemata are served the original preparations"
+    );
+    let fresh = runs(&engine(), &source, &target);
+    assert_eq!(cached, fresh, "a cached preparation carried types or kinds");
+    for (cached, original) in cached.iter().zip(&original) {
+        assert_ne!(cached, original, "the edit must change some score");
+    }
+}
