@@ -235,8 +235,8 @@ import sys
 # and the digest row kernel that replaced it measures ~4-5x on the same
 # host, so 3.0x fails if tier 1 falls back toward per-pair pointer
 # chasing while leaving room for host drift. The exit histogram must
-# account for every pair: the three prune exits sum to pairs_pruned, the
-# two survive exits to pairs_full.
+# account for every pair: the coarse and phase-A prune exits sum to
+# pairs_pruned, and the final-survive exit is pairs_full.
 OLD_BLOCKED_SCORE_SECS = 0.042891
 MAX_BLOCKED_SCORE_SECS = OLD_BLOCKED_SCORE_SECS
 MIN_SAME_RUN_SPEEDUP = 3.0
@@ -257,12 +257,12 @@ if cascade["tier1_skip_rate"] <= 0.0 or cascade["pairs_pruned"] <= 0:
 if cascade["pairs_pruned"] + cascade["pairs_full"] != doc["blocked_pairs_scored"]:
     sys.exit(f"{path}: tier counters do not partition the scored pairs")
 exits = cascade["exits"]
-pruned = exits["coarse_prune"] + exits["phase_a_prune"] + exits["phase_b_prune"]
+pruned = exits["coarse_prune"] + exits["phase_a_prune"]
 if pruned != cascade["pairs_pruned"]:
     sys.exit(f"{path}: prune exits sum to {pruned}, not pairs_pruned {cascade['pairs_pruned']}")
-survived = exits["early_survive"] + exits["final_survive"]
+survived = exits["final_survive"]
 if survived != cascade["pairs_full"]:
-    sys.exit(f"{path}: survive exits sum to {survived}, not pairs_full {cascade['pairs_full']}")
+    sys.exit(f"{path}: survive exit is {survived}, not pairs_full {cascade['pairs_full']}")
 if cascade["score_speedup"] < MIN_SAME_RUN_SPEEDUP:
     sys.exit(
         f"{path}: same-run cascade speedup {cascade['score_speedup']:.2f}x is "
@@ -330,8 +330,7 @@ REGISTERED_COUNTERS = [
     "serve.cancelled", "serve.degraded", "serve.queue_depth_max",
     "serve.rss_peak_bytes",
     "cache.resident_bytes",
-    "cascade.exit.coarse_prune", "cascade.exit.early_survive",
-    "cascade.exit.phase_a_prune", "cascade.exit.phase_b_prune",
+    "cascade.exit.coarse_prune", "cascade.exit.phase_a_prune",
     "cascade.exit.final_survive",
 ]
 REQUIRED_SPANS = {

@@ -4,8 +4,9 @@
 //! Measures the cold vs. cached Prepare stage (the `PreparedSchema` feature
 //! cache's payoff; cold features also at 1 and at 2 engine lanes,
 //! `prepare_secs.cold_features_t1`/`_t2`, in interleaved rounds), the
-//! per-stage breakdown of full cached runs — dense and
-//! token-blocked, single-threaded and multi-threaded — and the feature
+//! per-stage breakdown of full cached runs — dense (floorless, and at the
+//! cascade floor: `dense_cascade_run_secs`) and token-blocked,
+//! single-threaded and multi-threaded — and the feature
 //! cache's hit/miss/eviction counters over the whole workload, then writes
 //! the numbers as JSON to the workspace root so regressions are diffable in
 //! review. The blocked runs enable the score cascade with the floor at the
@@ -26,7 +27,7 @@
 //! cascade's Score tier 1 at 1 and 2 threads the same way. One further
 //! counted cascade run reads where tier 1 settled its pairs off the obs
 //! exit counters (`score_cascade.exits`): the prune exits sum to
-//! `pairs_pruned`, the survive exits to `pairs_full`.
+//! `pairs_pruned`, the survive exit is `pairs_full`.
 //!
 //! The bench also measures the observability recorder's own cost: the same
 //! blocked cascade engine runs with recording enabled and runtime-disabled
@@ -291,9 +292,13 @@ fn main() {
     // Cached context against a warm feature cache. The single- and multi-
     // threaded engines share it, so it is warmed exactly once.
     let cache = std::sync::Arc::new(harmony_core::prepare::FeatureCache::new(Normalizer::new()));
-    let engine_st = MatchEngine::new()
-        .with_feature_cache(std::sync::Arc::clone(&cache))
-        .with_threads(1);
+    let cached = |threads: usize, floor: Option<f64>| {
+        MatchEngine::new()
+            .with_feature_cache(std::sync::Arc::clone(&cache))
+            .with_threads(threads)
+            .with_score_floor(floor)
+    };
+    let engine_st = cached(1, None);
     let _warm = engine_st.build_context(&pair.source, &pair.target);
     let cached_context = time(REPS, || engine_st.build_context(&pair.source, &pair.target));
 
@@ -303,35 +308,31 @@ fn main() {
     // genuinely different code path (scoped workers + work-stealing queue)
     // even on a single-core host, and `threads_mt` records what actually ran.
     let threads_mt = detect_threads().max(2);
-    let engine_mt = MatchEngine::new()
-        .with_feature_cache(std::sync::Arc::clone(&cache))
-        .with_threads(threads_mt);
-    let dense = timed_runs_interleaved(&[&engine_st, &engine_mt], &pair, REPS);
+    let engine_mt = cached(threads_mt, None);
+    // The cascade engines run the score cascade with the floor at the 0.30
+    // operating threshold the experiments select at — cells the Harmony
+    // merge scores below it are floored to the matrix's neutral 0.0 before
+    // propagation, which tier 1 exploits losslessly (the matrix is
+    // byte-identical to the same-floor full-panel reference;
+    // tests/cascade_pin.rs pins this). The dense cascade runs every pair
+    // of the cross product through tier 1, as an analyst's whole-schema
+    // re-match does, in the same interleaved rounds as the floorless runs.
+    let engine_bst = cached(1, Some(CASCADE_FLOOR));
+    let engine_bmt = cached(threads_mt, Some(CASCADE_FLOOR));
+    let dense = timed_runs_interleaved(
+        &[&engine_st, &engine_mt, &engine_bst, &engine_bmt],
+        &pair,
+        REPS,
+    );
     let ((st_total, st_stages), (mt_total, mt_stages)) = (dense[0], dense[1]);
+    let ((dst_total, dst_stages), (dmt_total, dmt_stages)) = (dense[2], dense[3]);
 
     // Blocked runs at both thread counts: the sparse Score stage fans out
-    // across the same work-stealing workers as the dense one. The blocked
-    // engines run the score cascade with the floor at the 0.30 operating
-    // threshold the experiments select at — cells the Harmony merge scores
-    // below it are floored to the matrix's neutral 0.0 before propagation,
-    // which tier 1 exploits losslessly (the matrix is byte-identical to
-    // the same-floor full-panel reference; tests/cascade_pin.rs pins
-    // this). A cascade-off reference engine rides along in the same
-    // interleaved rounds so the cascade's Score-stage speedup is measured
-    // under identical drift.
-    let engine_bst = MatchEngine::new()
-        .with_feature_cache(std::sync::Arc::clone(&cache))
-        .with_threads(1)
-        .with_score_floor(Some(CASCADE_FLOOR));
-    let engine_bmt = MatchEngine::new()
-        .with_feature_cache(std::sync::Arc::clone(&cache))
-        .with_threads(threads_mt)
-        .with_score_floor(Some(CASCADE_FLOOR));
-    let engine_bref = MatchEngine::new()
-        .with_feature_cache(std::sync::Arc::clone(&cache))
-        .with_threads(1)
-        .with_score_floor(Some(CASCADE_FLOOR))
-        .with_cascade(false);
+    // across the same work-stealing workers as the dense one. A
+    // cascade-off reference engine rides along in the same interleaved
+    // rounds so the cascade's Score-stage speedup is measured under
+    // identical drift.
+    let engine_bref = cached(1, Some(CASCADE_FLOOR)).with_cascade(false);
     let policy = BlockingPolicy::default();
     let blocked = timed_blocked_runs_interleaved(
         &[&engine_bst, &engine_bmt, &engine_bref],
@@ -350,14 +351,8 @@ fn main() {
     // lands on every point equally instead of biasing one.
     let mut scaling_threads: Vec<usize> = vec![1, 2, threads_mt];
     scaling_threads.dedup();
-    let scaling_engines: Vec<MatchEngine> = scaling_threads
-        .iter()
-        .map(|&n| {
-            MatchEngine::new()
-                .with_feature_cache(std::sync::Arc::clone(&cache))
-                .with_threads(n)
-        })
-        .collect();
+    let scaling_engines: Vec<MatchEngine> =
+        scaling_threads.iter().map(|&n| cached(n, None)).collect();
     let mut block_samples: Vec<Vec<f64>> = vec![Vec::with_capacity(REPS); scaling_threads.len()];
     for round in 0..REPS {
         for point in round_order(round, scaling_engines.len()) {
@@ -400,9 +395,7 @@ fn main() {
     std::hint::black_box(engine_bst.run_blocked(&pair.source, &pair.target, &policy));
     let exits = [
         ("coarse_prune", obs::Counter::CascadeCoarsePrune),
-        ("early_survive", obs::Counter::CascadeEarlySurvive),
         ("phase_a_prune", obs::Counter::CascadePhaseAPrune),
-        ("phase_b_prune", obs::Counter::CascadePhaseBPrune),
         ("final_survive", obs::Counter::CascadeFinalSurvive),
     ]
     .map(|(name, counter)| (name, obs::counter_value(counter)));
@@ -412,12 +405,7 @@ fn main() {
     let tier1_threads = [1usize, 2];
     let tier1_engines: Vec<MatchEngine> = tier1_threads
         .iter()
-        .map(|&n| {
-            MatchEngine::new()
-                .with_feature_cache(std::sync::Arc::clone(&cache))
-                .with_threads(n)
-                .with_score_floor(Some(CASCADE_FLOOR))
-        })
+        .map(|&n| cached(n, Some(CASCADE_FLOOR)))
         .collect();
     let mut tier1_samples: Vec<Vec<f64>> = vec![Vec::with_capacity(REPS); tier1_threads.len()];
     for round in 0..REPS {
@@ -448,6 +436,14 @@ fn main() {
     println!("dense run   (1 thr)  {:>10.4} s", st_total);
     println!("dense run   ({threads_mt} thr)  {:>10.4} s", mt_total);
     println!(
+        "dense run (1 thr, floor {CASCADE_FLOOR})  {:>10.4} s",
+        dst_total
+    );
+    println!(
+        "dense run ({threads_mt} thr, floor {CASCADE_FLOOR})  {:>10.4} s",
+        dmt_total
+    );
+    println!(
         "blocked run (1 thr)  {:>10.4} s   ({pairs_scored} pairs scored, {:.1}% of cross product)",
         bst_total,
         100.0 * pairs_scored as f64 / (rows * cols) as f64
@@ -457,6 +453,8 @@ fn main() {
     for (label, stages) in [
         ("dense 1-thread", &st_stages),
         ("dense mt", &mt_stages),
+        ("dense cascade 1-thread", &dst_stages),
+        ("dense cascade mt", &dmt_stages),
         ("blocked 1-thread", &bst_stages),
         ("blocked mt", &bmt_stages),
         ("blocked reference", &bref_stages),
@@ -517,7 +515,7 @@ fn main() {
          \"cold_context\": {cold_context:.6},\n    \
          \"cached_context\": {cached_context:.6},\n    \
          \"cached_speedup\": {speedup:.2}\n  }},\n  \
-         {single},\n  {multi},\n  {bsingle},\n  {bmulti},\n  {bref},\n  \
+         {single},\n  {multi},\n  {dsingle},\n  {dmulti},\n  {bsingle},\n  {bmulti},\n  {bref},\n  \
          \"blocked_pairs_scored\": {pairs_scored},\n  \
          \"score_cascade\": {{\n    \"floor\": {CASCADE_FLOOR},\n    \
          \"pairs_pruned\": {pruned},\n    \"pairs_full\": {full},\n    \
@@ -562,6 +560,13 @@ fn main() {
             .join(",\n"),
         single = stage_json("full_run_secs", 1, st_total, &st_stages),
         multi = stage_json("full_run_mt_secs", threads_mt, mt_total, &mt_stages),
+        dsingle = stage_json("dense_cascade_run_secs", 1, dst_total, &dst_stages),
+        dmulti = stage_json(
+            "dense_cascade_run_mt_secs",
+            threads_mt,
+            dmt_total,
+            &dmt_stages
+        ),
         bsingle = stage_json("blocked_run_secs", 1, bst_total, &bst_stages),
         bmulti = stage_json("blocked_run_mt_secs", threads_mt, bmt_total, &bmt_stages),
         hits = stats.hits,

@@ -1,15 +1,14 @@
 //! Two-tier score cascade over CSR candidate rows.
 //!
 //! Tier 1 computes, per candidate pair, a provable upper bound on the
-//! merged Harmony-weighted score from fixed-width per-element digests
+//! merged Harmony-weighted score from fixed-width per-element columns
 //! (128-bit token signatures, counts, inline id sets, char-count
-//! profiles, per-token Jaro-Winkler digests). Pairs whose bound falls
-//! below the engine's score floor are written as `0.0` without ever
-//! running the expensive voters. Tier 2 then runs the remaining voters
-//! structure-of-arrays style — one voter lane at a time over the row's
-//! survivors — calling the exact same free-function kernels in
-//! `crate::voter` that the per-pair reference path uses, so surviving
-//! cells are bit-identical to the reference by construction.
+//! profiles). Pairs whose bound falls below the engine's score floor are
+//! written as `0.0` without ever running the expensive voters. Tier 2 then
+//! runs the remaining voters structure-of-arrays style — one voter lane at
+//! a time over the row's survivors — calling the exact same free-function
+//! kernels in `crate::voter` that the per-pair reference path uses, so
+//! surviving cells are bit-identical to the reference by construction.
 //!
 //! # Losslessness
 //!
@@ -41,23 +40,19 @@
 //! [`EvidenceLaw`] — the vote is monotone in the ratio, so ratio bounds
 //! survive the mapping (including its clamps).
 //!
-//! # Digests and tables
+//! # Columns and tables
 //!
 //! Four layers of precomputation keep per-pair work to integer compares,
 //! popcounts, table reads and a few multiplies:
 //!
 //! * **Per schema** ([`Columns`], built by the first cascade pass over each
-//!   [`crate::prepare::PreparedSchema`]): one `Copy` [`ColumnDigest`] per
-//!   element holding every scalar the coarse verdict reads off the
-//!   preparation — the name, parent, children and corpus signatures; set
-//!   lengths and token counts; doc term and token counts (a pair corpus
-//!   gives each distinct term one weight) and the offset of the element's
-//!   squared-weight prefix in its side's buffer; raw-name length, Soundex
-//!   key, raw-name and acronym ids; the first four name ids (exact-name
-//!   equality); name and parent sets of up to four ids inline (their exact
-//!   Jaccard is a 4×4 compare, and disjoint parent signatures settle the
-//!   rest). Beside it, an [`EditDigest`] (char profile, first chars) and
-//!   per-token Jaro-Winkler digests that only the refinement reads.
+//!   [`crate::prepare::PreparedSchema`]): one struct-of-arrays column per
+//!   field the coarse verdict reads, indexed by element — signatures, set
+//!   lengths and token counts, the doc's place in its side's weight
+//!   buffer, the raw name's length, Soundex key and acronym keys, and name
+//!   and parent sets of up to four ids inline (their exact intersection is
+//!   a 4×4 compare, and disjoint signatures settle the rest) — and the raw
+//!   name's char profile and first chars, which only phase A reads.
 //! * **Per context** ([`Digests`], built on a [`MatchContext`]'s first
 //!   cascade pass): each side's squared TF-IDF weight prefixes against the
 //!   pair corpus, each element's type and container flag from its
@@ -65,47 +60,57 @@
 //!   `n/(n+k)` of every count the context can produce, from the voter's
 //!   own [`EvidenceLaw`] — no division per pair.
 //! * **Per score pass** ([`Tier1`]): the floor fixes `φ`, so the pass
-//!   tables every term that depends only on the floor and a small
-//!   integer — the type vote of equal types and of every pair of distinct
-//!   variants (distinct types' compatibility reads only their variants,
+//!   tables every term that depends only on the floor and small integers —
+//!   the type vote of equal types and of every pair of distinct variants
+//!   (distinct types' compatibility reads only their variants,
 //!   [`DataType::distinct_compatibility`]), the role and exact-mismatch
-//!   votes, an acronym hit per count, the doc and structure lower votes
-//!   per count, and the edit lane's lower vote and coarse cap per (count,
-//!   Soundex verdict).
-//! * **Per row** (`Row`): the source digest with the source pad swapped
-//!   in, the exact-name hit vote, the source's slice of the type table and
-//!   its squared-weight prefix.
+//!   votes, an acronym hit per count, the doc and structure lower votes per
+//!   count, the edit lane's lower vote and coarse cap per (count, Soundex
+//!   verdict), and the token lane's coarse term and the path vote per
+//!   (intersection, union, count) of two sets that ride inline.
+//! * **Per row** (`Row`): the source's column entries with the source pad
+//!   swapped in, the exact-name hit vote, the source's row of the type
+//!   table and its squared-weight prefix.
 //!
 //! # The row kernel
 //!
-//! [`Tier1::row`] runs in two passes. The first is straight-line per
-//! pair: every lane's coarse term from the two digests, then the verdict
-//! with the edit lane at its coarse cap (Jaro-Winkler and Levenshtein
-//! ≤ 1). A pair is pruned when `slack + coarse < −EPS`; otherwise its
-//! column is kept by a branch-free store-then-advance compaction, marked
-//! an *early survivor* when no refinement — every pending lane at its
-//! lower vote — could push `slack` negative. Lane presence is a select,
-//! not a branch; the only branches are the rare fallbacks (names longer
-//! than four ids to confirm equal, sets too large to ride inline). The
-//! second pass visits only the kept columns (~16% at 1378×784 and floor
-//! 0.30): undecided pairs run the scalar refinement — the char-profile
-//! edit cap (phase A), then, only when a perfect refinement would prune,
-//! the per-token soft-overlap cap of the token lane (phase B) — and
-//! survivors record their resolved votes for tier 2.
+//! [`Tier1::row`] scores a row's candidates in blocks of [`BLOCK`], two
+//! passes per block over per-lane arrays that live in the worker's
+//! [`CascadeScratch`]:
+//!
+//! 1. **The gather** reads each candidate's column entries — through a
+//!    [`View`] that slices every target column to one length, so one
+//!    bounds check per candidate covers them — and does the integer work:
+//!    inline-id intersections, signature popcounts, evidence counts, and
+//!    the table reads they key. Its only branches are predictable: the
+//!    rare fallbacks (names longer than four ids to confirm equal, sets
+//!    too large to ride inline, which walk their ids), and the structure
+//!    lane, gathered only on rows whose source has children.
+//! 2. **The f64 pass** runs over every lane of the block without a
+//!    branch: φ of the resolved votes, the doc and structure lanes' caps
+//!    and [`lane_max`], the slack, and the coarse verdict
+//!    `slack + edit ≥ −EPS` with the edit lane at its coarse cap
+//!    (Jaro-Winkler and Levenshtein ≤ 1). Lanes past the end of a short
+//!    last block hold an earlier block's values; they are computed and
+//!    never read back.
+//!
+//! A pair the verdict leaves open (~16% of the blocked candidates at
+//! 1378×784 and floor 0.30, ~2% of the dense pairs) runs phase A, the
+//! scalar char-profile edit cap; a survivor then takes its resolved votes
+//! from its lane of the block.
 //!
 //! On x86-64 the same kernel body is also compiled with `popcnt` and
 //! `avx2` and chosen at run time when the CPU has both: the signature
-//! bounds popcount four `u128`s per pair. Float semantics do not change
-//! (nothing contracts into fused multiply-adds), so verdicts are the same
-//! bit for bit.
+//! bounds popcount in hardware and the f64 pass runs four lanes per
+//! instruction. Float semantics do not change (nothing contracts into
+//! fused multiply-adds), so verdicts are the same bit for bit.
 //!
 //! # Exit histogram
 //!
 //! Each row reports where its pairs left tier 1 ([`Tier1Exits`]): coarse
-//! prune, early survive, phase-A prune, phase-B prune, final survive. The
-//! pipeline sums them per worker and adds them to the `cascade.exit.*`
-//! obs counters once per score pass; the three prune exits sum to
-//! `pairs_pruned`, the two survive exits to `pairs_full`.
+//! prune, phase-A prune, survive. The pipeline sums them per worker and
+//! adds them to the `cascade.exit.*` obs counters once per score pass; the
+//! two prune exits sum to `pairs_pruned`, the survive exit is `pairs_full`.
 
 use crate::confidence::Confidence;
 use crate::context::{ElementFeatures, MatchContext};
@@ -117,12 +122,9 @@ use crate::voter::{
     EXACT_EVIDENCE, PATH_EVIDENCE, SOFT_DISCOUNT, STRUCTURE_EVIDENCE, TOKEN_EVIDENCE,
 };
 use sm_schema::{DataType, ElementId, Schema};
-use sm_text::bounds::{
-    edit_blend_upper_bound, id_signature, jw_prefix_len, signature_intersection_bound,
-    signature_jaccard_bound, token_jw_upper_bound, CharProfile, TokenStat,
-};
-use sm_text::intern::{sorted_ids_contains, sorted_ids_jaccard, to_sorted_set, TokenId};
-use std::sync::Arc;
+use sm_text::bounds::{edit_blend_upper_bound, id_signature, jw_prefix_len, CharProfile};
+use sm_text::intern::{sorted_ids_intersection, to_sorted_set, TokenId};
+use std::sync::{Arc, OnceLock};
 
 /// Number of voters in the default panel (cascade is gated on it).
 pub(crate) const LANES: usize = 9;
@@ -136,43 +138,122 @@ const LANE_STRUCT: usize = 6;
 const LANE_ROLE: usize = 7;
 const LANE_ACRONYM: usize = 8;
 
+/// Candidates per block of the row kernel: two AVX2 vectors of `f64` per
+/// lane array.
+pub(crate) const BLOCK: usize = 8;
+
 /// Margin absorbing f64 rounding-order differences between the bound
 /// arithmetic here and the reference merge. Both are exact to ~1e-15
 /// relative, so 1e-9 is ample and costs essentially no pruning power.
 const EPS: f64 = 1e-9;
 
-/// Id sets of at most this many ids ride inline in a [`ColumnDigest`]:
-/// their exact intersection is a 4×4 compare, not a merge walk behind a
-/// pointer.
+/// Id sets of at most this many ids ride inline in [`Columns`]: their
+/// exact intersection is a 4×4 compare, not a merge walk behind a pointer.
 const INLINE_IDS: usize = 4;
 /// Padding of a source row's inline ids, swapped in for the stored
-/// [`TARGET_PAD`] when the row reads its digest ([`Row::new`]). Source and
+/// [`TARGET_PAD`] when the row reads its columns ([`Row::new`]). Source and
 /// target pad with different values and sets holding either value never go
 /// inline, so a pad matches nothing on the other side.
 const SOURCE_PAD: u32 = u32::MAX;
-/// Padding of the inline ids every [`ColumnDigest`] stores.
+/// Padding of the inline ids every [`Columns`] stores.
 const TARGET_PAD: u32 = u32::MAX - 1;
 
-/// [`ColumnDigest::flags`]: the raw name has a Soundex key.
-const SOUNDEX: u8 = 1;
-/// [`ColumnDigest::flags`]: the raw name has at least two bytes (the
-/// acronym voter's gate, [`PreparedElement::raw_name_spans_two_bytes`]).
-const ACRONYM_GATE: u8 = 2;
-/// [`ColumnDigest::flags`]: the name set rides inline.
-const NAME_INLINE: u8 = 4;
-/// [`ColumnDigest::flags`]: the parent-name set rides inline.
-const PARENT_INLINE: u8 = 8;
+/// Unions of two inline sets run `0..=2·INLINE_IDS`.
+const UNIONS: usize = 2 * INLINE_IDS + 1;
+/// Overlap slots per evidence count in the token and path tables: slot
+/// `intersection · UNIONS + union` of two sets that ride inline.
+const OVERLAPS: usize = (INLINE_IDS + 1) * UNIONS;
+/// The overlap slot of two sets that share nothing, whatever their sizes:
+/// intersection 0 over union 1 is the same `0.0` Jaccard as over any other.
+const DISJOINT: usize = 1;
 
-/// Every scalar tier 1 reads about one element's preparation, in one
-/// fixed-width record. Built once per [`crate::prepare::PreparedSchema`]
-/// ([`Columns`]); the coarse verdict reads nothing else about the target
-/// but its [`TypeDigest`].
-#[derive(Debug, Clone, Copy)]
-struct ColumnDigest {
+/// [`Columns::flags`]: the raw name has a Soundex key.
+const SOUNDEX: u8 = 1;
+/// [`Columns::flags`]: the name set rides inline.
+const NAME_INLINE: u8 = 2;
+/// [`Columns::flags`]: the parent-name set rides inline.
+const PARENT_INLINE: u8 = 4;
+
+/// [`Columns::raw_key`] of a raw name the acronym voter does not read:
+/// one shorter than two bytes ([`PreparedElement::raw_name_spans_two_bytes`]).
+const NO_RAW: u64 = u64::MAX;
+/// [`Columns::acronym_key`] of an acronym the acronym voter does not read:
+/// of a raw name shorter than two bytes, or of a name of one token. It
+/// differs from [`NO_RAW`] and from every id, so a pair hits only when both
+/// sides pass the voter's gates.
+const NO_ACRONYM: u64 = u64::MAX - 1;
+
+/// Declares [`Columns`] with one `Vec` column per listed field, and from the
+/// same list [`Entry`] (one element's entry in every column), [`View`]
+/// (every column sliced to one length) and [`COLUMN_BYTES`].
+macro_rules! columns {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty,)*) => {
+        /// The score cascade's tier-1 columns of one prepared schema: one
+        /// struct-of-arrays column per field tier 1 reads, indexed by
+        /// element. They read only [`PreparedElement`]s, so every match
+        /// context over the preparation shares them.
+        #[derive(Debug, Default)]
+        pub(crate) struct Columns {
+            $($(#[$doc])* $field: Vec<$ty>,)*
+        }
+
+        /// One element's entry in every column of its [`Columns`], and its
+        /// [`TypeDigest`].
+        #[derive(Clone, Copy)]
+        struct Entry {
+            $($field: $ty,)*
+            types: TypeDigest,
+        }
+
+        /// Every column of one side and its [`TypeDigest`]s, sliced to the
+        /// side's element count, so that one bounds check per element
+        /// covers every read.
+        struct View<'a> {
+            $($field: &'a [$ty],)*
+            types: &'a [TypeDigest],
+        }
+
+        impl Columns {
+            /// The columns, with `types`, as a [`View`].
+            #[inline(always)]
+            fn view<'a>(&'a self, types: &'a [TypeDigest]) -> View<'a> {
+                let n = types.len();
+                View {
+                    $($field: &self.$field[..n],)*
+                    types: &types[..n],
+                }
+            }
+
+            /// Element `i`'s entry, with its type digest from `types`.
+            fn entry(&self, i: usize, types: &[TypeDigest]) -> Entry {
+                Entry {
+                    $($field: self.$field[i],)*
+                    types: types[i],
+                }
+            }
+
+            /// Heap bytes of the built columns.
+            #[cfg(test)]
+            fn heap_bytes(&self) -> usize {
+                0 $(+ std::mem::size_of_val(&self.$field[..]))*
+            }
+        }
+
+        /// Heap bytes per element of [`Columns`]: every column's entry.
+        const COLUMN_BYTES: usize = 0 $(+ std::mem::size_of::<$ty>())*;
+    };
+}
+
+columns! {
     name_sig: u128,
     parent_sig: u128,
     children_sig: u128,
     corpus_sig: u128,
+    /// Set length minus signature popcount, of the children set and the
+    /// doc terms: with it, one popcount gives the signature cap on an
+    /// intersection ([`shared_bound`]).
+    children_excess: u32,
+    corpus_excess: u32,
     /// The first [`INLINE_IDS`] ids of the name sequence, zero-padded:
     /// with equal lengths up to [`INLINE_IDS`], equal arrays are equal
     /// sequences.
@@ -197,62 +278,47 @@ struct ColumnDigest {
     /// ([`Digests`]): each element before it takes `doc_terms + 1` slots.
     doc_prefix: u32,
     raw_chars: u32,
-    raw_name_id: u32,
-    acronym_id: u32,
+    /// The raw-name id, or [`NO_RAW`].
+    raw_key: u64,
+    /// The acronym id, or [`NO_ACRONYM`].
+    acronym_key: u64,
     soundex: u32,
     flags: u8,
-}
-
-/// What the edit lane's refinement reads about one element, kept beside
-/// its [`ColumnDigest`] so the coarse pass never loads it: the raw name's
-/// char profile and its first chars (Jaro-Winkler's prefix).
-#[derive(Debug, Clone)]
-struct EditDigest {
+    /// The raw name's char profile, for phase A's edit cap.
     profile: CharProfile,
-    /// The first `min(len, 4)` chars of the raw name, `'\0'`-padded.
-    first: [char; 4],
+    /// The raw name's first `min(len, 4)` chars, `'\0'`-padded: phase A's
+    /// exact Jaro-Winkler prefix.
+    first_chars: [char; 4],
 }
 
-impl EditDigest {
-    fn of(e: &PreparedElement) -> Self {
-        let mut first = ['\0'; 4];
-        for (slot, &c) in first.iter_mut().zip(e.raw_chars.iter()) {
-            *slot = c;
-        }
-        EditDigest {
-            profile: CharProfile::of_chars(&e.raw_chars),
-            first,
-        }
-    }
-
-    /// The first chars, as many as the raw name has (at most 4).
-    #[inline]
-    fn first(&self, raw_chars: u32) -> &[char] {
-        &self.first[..(raw_chars as usize).min(4)]
-    }
-}
-
-/// The score cascade's tier-1 columns of one prepared schema: a
-/// [`ColumnDigest`] and an [`EditDigest`] per element, and the per-token
-/// Jaro-Winkler digests of every name. They read only [`PreparedElement`]s,
-/// so every match context over the preparation shares them.
-#[derive(Debug, Default)]
-pub(crate) struct Columns {
-    digests: Vec<ColumnDigest>,
-    edit: Vec<EditDigest>,
-    /// Element after element, aligned with each one's `name_ids`:
-    /// `token_offsets[i]..token_offsets[i + 1]` slices element `i`'s.
-    token_stats: Vec<TokenStat>,
-    token_offsets: Vec<u32>,
-}
-
-/// The first [`INLINE_IDS`] ids, padded with `pad`.
-fn padded(ids: &[TokenId], pad: u32) -> [u32; INLINE_IDS] {
-    let mut head = [pad; INLINE_IDS];
-    for (slot, id) in head.iter_mut().zip(ids) {
-        *slot = id.0;
+/// The first `N` items, padded with `pad`.
+fn padded<T: Copy, const N: usize>(items: impl IntoIterator<Item = T>, pad: T) -> [T; N] {
+    let mut head = [pad; N];
+    for (slot, item) in head.iter_mut().zip(items) {
+        *slot = item;
     }
     head
+}
+
+/// The raw ids of a set or sequence.
+fn raw(ids: &[TokenId]) -> impl Iterator<Item = u32> + '_ {
+    ids.iter().map(|id| id.0)
+}
+
+/// A set's length minus the popcount of its signature (`ids` may repeat).
+fn excess(ids: &[TokenId], len: usize) -> u32 {
+    count(len) - id_signature(ids).count_ones()
+}
+
+/// [`sm_text::bounds::signature_intersection_bound`] from two signatures
+/// and their [`excess`]es, with one popcount: every bit of `a & !b`
+/// witnesses an element of `A` outside `B`, so
+/// `|A ∩ B| ≤ |A| − (popcount(a) − popcount(a & b))`, which is
+/// `popcount(a & b) + excess(A)`, and symmetrically for `B`. (The bound's
+/// caps at `|A|` and `|B|` never bind: `popcount(a & b) ≤ popcount(a)`.)
+#[inline(always)]
+fn shared_bound(a_sig: u128, a_excess: u32, b_sig: u128, b_excess: u32) -> usize {
+    ((a_sig & b_sig).count_ones() + a_excess.min(b_excess)) as usize
 }
 
 /// True when a set can ride inline: it fits, and holds no pad value.
@@ -261,49 +327,67 @@ fn fits_inline(set: &[TokenId]) -> bool {
 }
 
 impl Columns {
-    /// Digest every element of a preparation, from a context's features.
+    /// The columns of every element of a preparation, from a context's
+    /// features.
     pub(crate) fn build(elements: &[ElementFeatures]) -> Self {
-        let mut columns = Columns {
-            token_offsets: vec![0],
-            ..Columns::default()
-        };
-        let mut doc_prefix = 0;
-        for e in elements {
-            let terms = to_sorted_set(e.corpus_ids.clone());
-            let flags = (SOUNDEX * u8::from(e.raw_soundex.is_some()))
-                | (ACRONYM_GATE * u8::from(e.raw_name_spans_two_bytes()))
-                | (NAME_INLINE * u8::from(fits_inline(&e.name_set)))
-                | (PARENT_INLINE * u8::from(fits_inline(&e.parent_set)));
-            columns.digests.push(ColumnDigest {
-                name_sig: id_signature(&e.name_set),
-                parent_sig: id_signature(&e.parent_set),
-                children_sig: id_signature(&e.children_set),
-                corpus_sig: id_signature(&terms),
-                name_head: padded(&e.name_ids, 0),
-                name_ids: padded(&e.name_set, TARGET_PAD),
-                parent_ids: padded(&e.parent_set, TARGET_PAD),
-                name_len: count(e.name_ids.len()),
-                name_set_len: count(e.name_set.len()),
-                parent_set_len: count(e.parent_set.len()),
-                parent_len: e.parent_len,
-                children_set_len: count(e.children_set.len()),
-                children_len: e.children_len,
-                doc_terms: count(terms.len()),
-                doc_tokens: count(e.corpus_ids.len()),
-                doc_prefix: count(doc_prefix),
-                raw_chars: count(e.raw_chars.len()),
-                raw_name_id: e.raw_name_id.0,
-                acronym_id: e.acronym_id.0,
-                soundex: e.raw_soundex.unwrap_or(0),
-                flags,
-            });
-            doc_prefix += terms.len() + 1;
-            columns.edit.push(EditDigest::of(e));
-            let tokens = e.name_bag.tokens.iter().map(|t| TokenStat::of(t));
-            columns.token_stats.extend(tokens);
-            columns.token_offsets.push(count(columns.token_stats.len()));
+        fn column<T>(elements: &[ElementFeatures], f: impl Fn(&ElementFeatures) -> T) -> Vec<T> {
+            elements.iter().map(f).collect()
         }
-        columns
+        let doc_terms = column(elements, |e| {
+            count(to_sorted_set(e.corpus_ids.clone()).len())
+        });
+        let mut next = 0;
+        let doc_prefix = doc_terms
+            .iter()
+            .map(|&terms| {
+                let at = next;
+                next += terms + 1;
+                at
+            })
+            .collect();
+        Columns {
+            name_sig: column(elements, |e| id_signature(&e.name_set)),
+            parent_sig: column(elements, |e| id_signature(&e.parent_set)),
+            children_sig: column(elements, |e| id_signature(&e.children_set)),
+            corpus_sig: column(elements, |e| id_signature(&e.corpus_ids)),
+            children_excess: column(elements, |e| excess(&e.children_set, e.children_set.len())),
+            corpus_excess: doc_terms
+                .iter()
+                .zip(elements)
+                .map(|(&terms, e)| excess(&e.corpus_ids, terms as usize))
+                .collect(),
+            name_head: column(elements, |e| padded(raw(&e.name_ids), 0)),
+            name_ids: column(elements, |e| padded(raw(&e.name_set), TARGET_PAD)),
+            parent_ids: column(elements, |e| padded(raw(&e.parent_set), TARGET_PAD)),
+            name_len: column(elements, |e| count(e.name_ids.len())),
+            name_set_len: column(elements, |e| count(e.name_set.len())),
+            parent_set_len: column(elements, |e| count(e.parent_set.len())),
+            parent_len: column(elements, |e| e.parent_len),
+            children_set_len: column(elements, |e| count(e.children_set.len())),
+            children_len: column(elements, |e| e.children_len),
+            doc_terms,
+            doc_tokens: column(elements, |e| count(e.corpus_ids.len())),
+            doc_prefix,
+            raw_chars: column(elements, |e| count(e.raw_chars.len())),
+            raw_key: column(elements, |e| match e.raw_name_spans_two_bytes() {
+                true => u64::from(e.raw_name_id.0),
+                false => NO_RAW,
+            }),
+            acronym_key: column(elements, |e| {
+                match e.raw_name_spans_two_bytes() && e.name_ids.len() >= 2 {
+                    true => u64::from(e.acronym_id.0),
+                    false => NO_ACRONYM,
+                }
+            }),
+            soundex: column(elements, |e| e.raw_soundex.unwrap_or(0)),
+            flags: column(elements, |e| {
+                (SOUNDEX * u8::from(e.raw_soundex.is_some()))
+                    | (NAME_INLINE * u8::from(fits_inline(&e.name_set)))
+                    | (PARENT_INLINE * u8::from(fits_inline(&e.parent_set)))
+            }),
+            profile: column(elements, |e| CharProfile::of_chars(&e.raw_chars)),
+            first_chars: column(elements, |e| padded(e.raw_chars.iter().copied(), '\0')),
+        }
     }
 
     /// Estimated heap bytes of the columns of `elements`, priced like
@@ -311,19 +395,7 @@ impl Columns {
     /// they are built yet: the feature cache prices an entry once, when it
     /// admits it.
     pub(crate) fn estimate_bytes(elements: &[Arc<PreparedElement>]) -> usize {
-        use std::mem::size_of;
-        let tokens: usize = elements.iter().map(|e| e.name_ids.len()).sum();
-        let per_element = size_of::<ColumnDigest>() + size_of::<EditDigest>() + size_of::<u32>();
-        size_of::<Columns>()
-            + size_of::<u32>()
-            + elements.len() * per_element
-            + tokens * size_of::<TokenStat>()
-    }
-
-    /// The per-token digests of element `i`'s name.
-    #[inline]
-    fn token_stats(&self, i: usize) -> &[TokenStat] {
-        &self.token_stats[self.token_offsets[i] as usize..self.token_offsets[i + 1] as usize]
+        std::mem::size_of::<Columns>() + elements.len() * COLUMN_BYTES
     }
 }
 
@@ -363,28 +435,22 @@ struct Weights {
 }
 
 impl Weights {
-    fn build(source: &[ColumnDigest], target: &[ColumnDigest]) -> Self {
-        let table = |law: EvidenceLaw, count: fn(&ColumnDigest) -> u32| -> Vec<f64> {
-            let max = |side: &[ColumnDigest]| side.iter().map(count).max().unwrap_or(0) as usize;
+    fn build(source: &Columns, target: &Columns) -> Self {
+        let table = |law: EvidenceLaw, column: fn(&Columns) -> &[u32]| -> Vec<f64> {
+            let max = |side| column(side).iter().copied().max().unwrap_or(0) as usize;
             (0..=law.count(max(source), max(target)))
                 .map(|n| law.weight(n))
                 .collect()
         };
         Weights {
-            token: table(TOKEN_EVIDENCE, |d| d.name_len),
-            edit: table(EDIT_EVIDENCE, |d| d.raw_chars),
-            doc: table(DOC_EVIDENCE, |d| d.doc_tokens),
-            path: table(PATH_EVIDENCE, |d| d.parent_len),
-            structure: table(STRUCTURE_EVIDENCE, |d| d.children_len),
-            acronym: table(ACRONYM_EVIDENCE, |d| d.name_len),
+            token: table(TOKEN_EVIDENCE, |c| &c.name_len),
+            edit: table(EDIT_EVIDENCE, |c| &c.raw_chars),
+            doc: table(DOC_EVIDENCE, |c| &c.doc_tokens),
+            path: table(PATH_EVIDENCE, |c| &c.parent_len),
+            structure: table(STRUCTURE_EVIDENCE, |c| &c.children_len),
+            acronym: table(ACRONYM_EVIDENCE, |c| &c.name_len),
         }
     }
-}
-
-/// A lane's weight for one pair, read from its table.
-#[inline(always)]
-fn weight(table: &[f64], law: EvidenceLaw, a: u32, b: u32) -> f64 {
-    table[law.count(a as usize, b as usize)]
 }
 
 /// Every data-type variant, parameters zeroed, in [`type_kind`] order.
@@ -427,6 +493,15 @@ fn type_kind(t: DataType) -> u8 {
     }
 }
 
+/// The type vote of two distinct types, by (source, target) variant:
+/// the same for every pass, so tabled once per process.
+fn distinct_type_votes() -> &'static [[f64; TYPE_KINDS.len()]; TYPE_KINDS.len()] {
+    static VOTES: OnceLock<[[f64; TYPE_KINDS.len()]; TYPE_KINDS.len()]> = OnceLock::new();
+    VOTES.get_or_init(|| {
+        TYPE_KINDS.map(|a| TYPE_KINDS.map(|b| type_vote_of(a.distinct_compatibility(b)).value()))
+    })
+}
+
 /// An injective encoding of a data type: its variant above its
 /// parameters, so equal keys are equal types.
 fn type_key(t: DataType) -> u64 {
@@ -458,9 +533,9 @@ impl Digests {
         };
         let prefix = |features: &[ElementFeatures], columns: &Columns| {
             let mut prefix = Vec::new();
-            for (f, d) in features.iter().zip(&columns.digests) {
-                debug_assert_eq!(count(prefix.len()), d.doc_prefix);
-                debug_assert_eq!(count(f.doc_vector.term_count()), d.doc_terms);
+            for (i, f) in features.iter().enumerate() {
+                debug_assert_eq!(count(prefix.len()), columns.doc_prefix[i]);
+                debug_assert_eq!(count(f.doc_vector.term_count()), columns.doc_terms[i]);
                 f.doc_vector.append_top_squared_prefix(&mut prefix);
             }
             prefix
@@ -470,8 +545,125 @@ impl Digests {
             target_types: types(ctx.target),
             source_prefix: prefix(&ctx.source_features, source),
             target_prefix: prefix(&ctx.target_features, target),
-            weights: Weights::build(&source.digests, &target.digests),
+            weights: Weights::build(source, target),
         }
+    }
+}
+
+/// One block's per-lane terms, lane `i` for the block's `i`-th candidate:
+/// the gather writes the inputs, the f64 pass the slack and the verdict.
+#[derive(Default)]
+struct BlockLanes {
+    /// Resolved votes: the exact-name, type, path, role and acronym lanes.
+    exact: [f64; BLOCK],
+    types: [f64; BLOCK],
+    path: [f64; BLOCK],
+    role: [f64; BLOCK],
+    acronym: [f64; BLOCK],
+    /// The token lane's coarse term, `0.0` when a side has no name.
+    token: [f64; BLOCK],
+    /// The doc lane's lower vote (cosine 0), `0.0` when a side has no doc;
+    /// with `doc_open` it is the low end of the lane's interval, without it
+    /// the lane's resolved vote.
+    doc_lower: [f64; BLOCK],
+    doc_weight: [f64; BLOCK],
+    /// The two sides' sums of their top `shared` squared weights, where
+    /// `shared` caps the doc terms the pair shares.
+    doc_source: [f64; BLOCK],
+    doc_target: [f64; BLOCK],
+    doc_open: [bool; BLOCK],
+    /// The structure lane, like the doc lane: its lower vote and weight, and
+    /// the signature cap on the children sets' intersection and union.
+    kids_lower: [f64; BLOCK],
+    kids_weight: [f64; BLOCK],
+    kids_inter: [f64; BLOCK],
+    kids_union: [f64; BLOCK],
+    kids_open: [bool; BLOCK],
+    /// The edit lane's coarse cap, `0.0` when a side has no raw name.
+    edit: [f64; BLOCK],
+    /// The edit lane's table key: `2 · count + Soundex hit`.
+    edit_key: [u32; BLOCK],
+    /// Lanes tier 2 must still run.
+    pending: [u8; BLOCK],
+    /// Written by the f64 pass: the slack without the edit lane, and
+    /// whether the coarse verdict leaves the pair open.
+    slack: [f64; BLOCK],
+    open: [bool; BLOCK],
+    /// The open lanes, compacted.
+    kept: [u8; BLOCK],
+}
+
+impl BlockLanes {
+    /// The f64 pass over every lane: φ of the resolved votes, the doc and
+    /// structure caps, the slack and the coarse verdict. Each loop is
+    /// branch-free, so it compiles to vector code; the structure lane's
+    /// loop runs on rows whose source has children (`kids`).
+    #[inline(always)]
+    fn verdicts(&mut self, floor: f64, kids: bool) {
+        for i in 0..BLOCK {
+            let mut slack = 0.0;
+            for v in [
+                self.exact[i],
+                self.types[i],
+                self.path[i],
+                self.role[i],
+                self.acronym[i],
+            ] {
+                slack += phi(v, floor);
+            }
+            slack += self.token[i];
+            // Doc lane: Cauchy-Schwarz over the shared-term cap, then the
+            // voter's cosine transform.
+            let doc = self.doc_lower[i];
+            let dot_ub = (self.doc_source[i] * self.doc_target[i]).sqrt().min(1.0);
+            let doc_cap = lane_max(doc, vote(dot_ub.sqrt(), self.doc_weight[i]), floor);
+            slack += if self.doc_open[i] {
+                doc_cap
+            } else {
+                phi(doc, floor)
+            };
+            self.slack[i] = slack;
+        }
+        // Structure lane: the children-signature Jaccard cap, on rows whose
+        // source has children. On the others the lane is absent, and its
+        // `φ(0) = +0.0` would change no slack: a sum that starts at `+0.0`
+        // is never `-0.0`.
+        if kids {
+            for i in 0..BLOCK {
+                let lower = self.kids_lower[i];
+                let jacc = self.kids_inter[i] / self.kids_union[i];
+                let cap = lane_max(lower, vote(jacc, self.kids_weight[i]), floor);
+                self.slack[i] += if self.kids_open[i] {
+                    cap
+                } else {
+                    phi(lower, floor)
+                };
+            }
+        }
+        for i in 0..BLOCK {
+            self.open[i] = self.slack[i] + self.edit[i] >= -EPS;
+        }
+    }
+
+    /// Lane `i`'s votes in panel order, `0.0` on the lanes tier 2 runs.
+    fn votes(&self, i: usize) -> [f64; LANES] {
+        let mut votes = [0.0f64; LANES];
+        votes[LANE_EXACT] = self.exact[i];
+        votes[LANE_DOC] = if self.doc_open[i] {
+            0.0
+        } else {
+            self.doc_lower[i]
+        };
+        votes[LANE_TYPE] = self.types[i];
+        votes[LANE_PATH] = self.path[i];
+        votes[LANE_STRUCT] = if self.kids_open[i] {
+            0.0
+        } else {
+            self.kids_lower[i]
+        };
+        votes[LANE_ROLE] = self.role[i];
+        votes[LANE_ACRONYM] = self.acronym[i];
+        votes
     }
 }
 
@@ -479,12 +671,8 @@ impl Digests {
 /// per row; allocations amortize across the whole run.
 #[derive(Default)]
 pub(crate) struct CascadeScratch {
-    /// Target columns the coarse pass left open, compacted.
-    open: Vec<u32>,
-    /// Per open column: its coarse slack.
-    slack: Vec<f64>,
-    /// Per open column: the coarse pass already proved it survives.
-    early: Vec<bool>,
+    /// The block being scored.
+    lanes: BlockLanes,
     /// `LANES` vote values per survivor, panel order, survivor-major.
     votes: Vec<f64>,
     /// Per-survivor bitmask of lanes still awaiting their tier-2 vote.
@@ -495,39 +683,27 @@ pub(crate) struct CascadeScratch {
     scratch: Vec<Confidence>,
 }
 
-/// Where tier 1 settled each pair of a row — the five exits, in the order
+/// Where tier 1 settled each pair of a row — the three exits, in the order
 /// the kernel reaches them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Tier1Exits {
-    /// Pruned by the straight-line pass, every lane at its coarse cap.
+    /// Pruned by the coarse verdict, the edit lane at its coarse cap.
     pub(crate) coarse_prune: u64,
-    /// Proved to survive by the straight-line pass: no refinement could
-    /// prune it.
-    pub(crate) early_survive: u64,
     /// Pruned once the edit lane's char-profile cap replaced the coarse one.
     pub(crate) phase_a_prune: u64,
-    /// Pruned by the per-token soft-overlap refinement of the token lane.
-    pub(crate) phase_b_prune: u64,
-    /// Survived every refinement.
+    /// Survived both and handed to tier 2.
     pub(crate) final_survive: u64,
 }
 
 impl Tier1Exits {
     /// Pairs written as `0.0` without running tier 2.
     pub(crate) fn pruned(&self) -> u64 {
-        self.coarse_prune + self.phase_a_prune + self.phase_b_prune
-    }
-
-    /// Pairs handed to tier 2.
-    pub(crate) fn survived(&self) -> u64 {
-        self.early_survive + self.final_survive
+        self.coarse_prune + self.phase_a_prune
     }
 
     pub(crate) fn add(&mut self, other: &Tier1Exits) {
         self.coarse_prune += other.coarse_prune;
-        self.early_survive += other.early_survive;
         self.phase_a_prune += other.phase_a_prune;
-        self.phase_b_prune += other.phase_b_prune;
         self.final_survive += other.final_survive;
     }
 }
@@ -539,14 +715,14 @@ fn phi(v: f64, floor: f64) -> f64 {
     v * v.abs() - floor * v.abs()
 }
 
-/// Maximum of `φ` over a vote interval `[l, u]`, given `phi_l = φ(l)`.
+/// Maximum of `φ` over a vote interval `[l, u]`.
 /// `φ` is quadratic on each sign branch: on `v ≥ 0` it opens upward
 /// (interior minimum only), on `v < 0` downward with its apex at
 /// `floor/2` — reachable only when the floor is negative. The kink at
 /// `v = 0` always scores `φ(0) = 0`.
 #[inline(always)]
-fn lane_max(l: f64, phi_l: f64, u: f64, floor: f64) -> f64 {
-    let m = phi_l.max(phi(u, floor));
+fn lane_max(l: f64, u: f64, floor: f64) -> f64 {
+    let m = phi(l, floor).max(phi(u, floor));
     let m = if (l <= 0.0) & (0.0 <= u) {
         m.max(0.0)
     } else {
@@ -560,49 +736,13 @@ fn lane_max(l: f64, phi_l: f64, u: f64, floor: f64) -> f64 {
     }
 }
 
-/// A vote the cascade resolves without tier 2, with its `φ`.
-#[derive(Debug, Clone, Copy, Default)]
-struct Exact {
-    vote: f64,
-    phi: f64,
-}
-
-impl Exact {
-    #[inline(always)]
-    fn new(vote: f64, floor: f64) -> Self {
-        Exact {
-            vote,
-            phi: phi(vote, floor),
-        }
-    }
-
-    /// `self` where `on`, else the neutral vote (which scores `φ(0) = 0`).
-    #[inline(always)]
-    fn when(self, on: bool) -> Self {
-        if on {
-            self
-        } else {
-            Exact::default()
-        }
-    }
-
-    /// `lane_max` over `[self.vote, u]`.
-    #[inline(always)]
-    fn up_to(self, u: f64, floor: f64) -> f64 {
-        lane_max(self.vote, self.phi, u, floor)
-    }
-}
-
-/// The edit lane's coarse terms for one evidence count and Soundex verdict.
+/// The edit lane's tabled terms for one evidence count and Soundex verdict.
 #[derive(Debug, Clone, Copy, Default)]
 struct EditFixed {
     /// The lower vote: Jaro-Winkler and Levenshtein at 0.
-    lower: Exact,
+    lower: f64,
     /// The lane at its coarse cap (Jaro-Winkler and Levenshtein at 1).
     coarse: f64,
-    /// The lane at its lower vote, `φ(lower)`: the least any edit
-    /// refinement leaves.
-    best: f64,
 }
 
 /// [`Confidence::weighted`]`(ratio, weight).value()` for a `ratio` in
@@ -614,39 +754,72 @@ fn vote(ratio: f64, weight: f64) -> f64 {
     ((2.0 * ratio - 1.0) * weight).clamp(-Confidence::LIMIT, Confidence::LIMIT)
 }
 
-/// Exact Jaccard of two id sets (both non-empty when the caller uses the
-/// result): a 4×4 compare of the padded inline ids when both ride inline
-/// (`inline`), else zero for disjoint signatures, else the merge walk
-/// `walk`. Sets are deduplicated, so the number of target ids equal to
-/// some source id is the intersection size.
+/// `x` when `on`, else `+0.0`, by a mask on the bits.
 #[inline(always)]
-fn set_jaccard(
+fn keep(x: f64, on: bool) -> f64 {
+    f64::from_bits(x.to_bits() & u64::from(on).wrapping_neg())
+}
+
+/// The Jaccard ratio of an intersection and a union — what
+/// [`sm_text::intern::sorted_ids_jaccard`] computes for two non-empty sets.
+#[inline(always)]
+fn jaccard(inter: usize, union: usize) -> f64 {
+    inter as f64 / union as f64
+}
+
+/// The token lane's coarse term for a name-set Jaccard: `lane_max` from the
+/// exact Jaccard half of the blend to the soft half capped at 1.
+fn token_cap(jacc: f64, weight: f64, floor: f64) -> f64 {
+    lane_max(
+        vote(jacc, weight),
+        vote(jacc.max(SOFT_DISCOUNT), weight),
+        floor,
+    )
+}
+
+/// One set overlap of a pair, as the token and path lanes key it.
+enum Overlap {
+    /// Both sets ride inline, or their signatures prove them disjoint: the
+    /// overlap slot in the lane's table.
+    Slot(usize),
+    /// The walked sets' Jaccard.
+    Walked(f64),
+}
+
+/// The overlap of a source set (its inline ids rotated, [`Row::new`]) and
+/// a target set: a 4×4 compare when both ride inline (`inline`), else
+/// the empty overlap for disjoint signatures, else the merge walk `walk`.
+/// Sets are deduplicated, so the number of target ids equal to some
+/// source id is the intersection size.
+#[inline(always)]
+fn overlap<'s>(
     inline: bool,
-    a: (&[u32; INLINE_IDS], u32, u128),
-    b: (&[u32; INLINE_IDS], u32, u128),
-    walk: impl FnOnce() -> f64,
-) -> f64 {
-    let ((a_ids, la, a_sig), (b_ids, lb, b_sig)) = (a, b);
+    (a_rot, la, a_sig): (&[[u32; INLINE_IDS]; INLINE_IDS], u32, u128),
+    (b_ids, lb, b_sig): (&[u32; INLINE_IDS], u32, u128),
+    walk: impl FnOnce() -> (&'s [TokenId], &'s [TokenId]),
+) -> Overlap {
     if inline {
         let mut hit = [false; INLINE_IDS];
-        for k in 0..INLINE_IDS {
-            for (j, h) in hit.iter_mut().enumerate() {
-                *h |= b_ids[j] == a_ids[(j + k) % INLINE_IDS];
+        for rot in a_rot {
+            for (h, (&b, &a)) in hit.iter_mut().zip(b_ids.iter().zip(rot)) {
+                *h |= b == a;
             }
         }
         let inter = hit.iter().map(|&h| u32::from(h)).sum::<u32>();
-        f64::from(inter) / f64::from(la + lb - inter)
+        Overlap::Slot(inter as usize * UNIONS + (la + lb - inter) as usize)
     } else if a_sig & b_sig == 0 {
-        0.0
+        Overlap::Slot(DISJOINT)
     } else {
-        walk()
+        let (a, b) = walk();
+        let inter = sorted_ids_intersection(a, b);
+        Overlap::Walked(jaccard(inter, a.len() + b.len() - inter))
     }
 }
 
 /// Tier 1 of one score pass: both schemata's columns and the context's
-/// digests, plus every lane term that depends only on the floor and a
-/// small integer (a type variant, an evidence count, a Soundex verdict),
-/// tabled once per pass.
+/// digests, plus every lane term that depends only on the floor and small
+/// integers (a type variant, an evidence count, a Soundex verdict, a set
+/// overlap), tabled once per pass.
 pub(crate) struct Tier1<'a> {
     ctx: &'a MatchContext<'a>,
     source: &'a Columns,
@@ -654,19 +827,24 @@ pub(crate) struct Tier1<'a> {
     dig: &'a Digests,
     floor: f64,
     /// The type vote of two equal types.
-    type_same: Exact,
-    /// The type vote of two distinct types, by (source, target) variant.
-    type_kinds: Vec<Exact>,
-    role_clash: Exact,
-    exact_miss: Exact,
+    type_same: f64,
+    role_clash: f64,
+    exact_miss: f64,
     /// By acronym-evidence count: an acronym hit.
-    acronym_hit: Vec<Exact>,
-    /// By doc-evidence count: the lower doc vote (cosine 0).
-    doc_lower: Vec<Exact>,
-    /// By structure-evidence count: the lower structure vote (Jaccard 0).
-    kids_lower: Vec<Exact>,
+    acronym_hit: Vec<f64>,
+    /// By doc-evidence count: the lower doc vote (cosine 0) and the lane's
+    /// weight.
+    doc: Vec<(f64, f64)>,
+    /// By structure-evidence count: the lower structure vote (Jaccard 0)
+    /// and the lane's weight.
+    kids: Vec<(f64, f64)>,
     /// By edit-evidence count, then Soundex miss / hit.
-    edit: Vec<[EditFixed; 2]>,
+    edit: Vec<EditFixed>,
+    /// By token-evidence count, then overlap slot: the token lane's coarse
+    /// term ([`token_cap`]).
+    token: Vec<f64>,
+    /// By path-evidence count, then overlap slot: the path vote.
+    path: Vec<f64>,
 }
 
 impl<'a> Tier1<'a> {
@@ -675,18 +853,34 @@ impl<'a> Tier1<'a> {
         let dig = ctx.digests();
         let (source, target) = ctx.columns();
         let w = &dig.weights;
-        let exact = |vote: f64| Exact::new(vote, floor);
-        let lower = |table: &[f64]| table.iter().map(|&w| exact(vote(0.0, w))).collect();
+        let lower = |table: &[f64]| table.iter().map(|&w| (vote(0.0, w), w)).collect();
+        // Only the slots two inline sets reach are computed: intersection
+        // at most the union, the two summing to at most both sets' sizes.
+        // An empty intersection scores the same over any union.
+        let overlaps = |table: &[f64], term: &dyn Fn(f64, f64) -> f64| {
+            let reachable =
+                |inter: usize, union: usize| inter <= union && inter + union <= 2 * INLINE_IDS;
+            table
+                .iter()
+                .flat_map(|&w| {
+                    let disjoint = term(0.0, w);
+                    (0..OVERLAPS).map(move |slot| match (slot / UNIONS, slot % UNIONS) {
+                        (0, _) => disjoint,
+                        (inter, union) if reachable(inter, union) => term(jaccard(inter, union), w),
+                        _ => f64::NAN,
+                    })
+                })
+                .collect()
+        };
         let edit = w
             .edit
             .iter()
-            .map(|&w| {
+            .flat_map(|&w| {
                 [0.0, 1.0].map(|sdx| {
-                    let lower = exact(vote(0.1 * sdx, w));
+                    let lower = vote(0.1 * sdx, w);
                     EditFixed {
                         lower,
-                        coarse: lower.up_to(vote(0.9 + 0.1 * sdx, w), floor),
-                        best: lower.phi,
+                        coarse: lane_max(lower, vote(0.9 + 0.1 * sdx, w), floor),
                     }
                 })
             })
@@ -697,22 +891,15 @@ impl<'a> Tier1<'a> {
             target,
             dig,
             floor,
-            type_same: exact(type_vote_of(1.0).value()),
-            type_kinds: TYPE_KINDS
-                .iter()
-                .flat_map(|a| TYPE_KINDS.iter().map(|&b| a.distinct_compatibility(b)))
-                .map(|compat| exact(type_vote_of(compat).value()))
-                .collect(),
-            role_clash: exact(role_clash().value()),
-            exact_miss: exact(exact_mismatch().value()),
-            acronym_hit: w
-                .acronym
-                .iter()
-                .map(|&w| exact(vote(ACRONYM_RATIO, w)))
-                .collect(),
-            doc_lower: lower(&w.doc),
-            kids_lower: lower(&w.structure),
+            type_same: type_vote_of(1.0).value(),
+            role_clash: role_clash().value(),
+            exact_miss: exact_mismatch().value(),
+            acronym_hit: w.acronym.iter().map(|&w| vote(ACRONYM_RATIO, w)).collect(),
+            doc: lower(&w.doc),
+            kids: lower(&w.structure),
             edit,
+            token: overlaps(&w.token, &|jacc, w| token_cap(jacc, w, floor)),
+            path: overlaps(&w.path, &vote),
         }
     }
 
@@ -720,11 +907,9 @@ impl<'a> Tier1<'a> {
     /// cell, stash survivors' votes in `out`, and report where each pair
     /// exited.
     ///
-    /// Two passes. The first computes every pair's coarse terms from the
-    /// digests alone and compacts the columns it cannot prune into
-    /// `out.open` with a branch-free store-then-advance. The second visits
-    /// only those: the undecided run the scalar refinement, and survivors
-    /// record their votes.
+    /// Block by block: the gather and the f64 pass give every candidate its
+    /// coarse verdict, the open ones run phase A, and survivors record
+    /// their votes from the block.
     pub(crate) fn row(
         &self,
         s: ElementId,
@@ -745,10 +930,9 @@ impl<'a> Tier1<'a> {
 
     /// [`Self::row_kernel`] compiled with hardware popcount and AVX2: the
     /// signature bounds popcount four `u128`s per pair, which the baseline
-    /// target lowers to a bit-twiddling sequence, and the three-operand
-    /// encoding drops most register copies from the lane arithmetic. Float
-    /// semantics are unchanged (no contraction into fused multiply-adds),
-    /// so both builds give bit-identical verdicts.
+    /// target lowers to a bit-twiddling sequence, and the f64 pass runs on
+    /// 256-bit vectors. Float semantics are unchanged (no contraction into
+    /// fused multiply-adds), so both builds give bit-identical verdicts.
     ///
     /// # Safety
     ///
@@ -773,393 +957,254 @@ impl<'a> Tier1<'a> {
         slice: &mut [f32],
         out: &mut CascadeScratch,
     ) -> Tier1Exits {
-        out.votes.clear();
-        out.pending.clear();
-        out.survivors.clear();
-        out.open.clear();
-        out.open.resize(cand.len(), 0);
-        out.slack.clear();
-        out.slack.resize(cand.len(), 0.0);
-        out.early.clear();
-        out.early.resize(cand.len(), false);
-        let row = Row::new(self, s);
-
-        let mut open = 0usize;
-        for &t in cand {
-            let p = row.terms(t);
-            slice[t as usize] = 0.0;
-            out.open[open] = t;
-            out.slack[open] = p.slack;
-            out.early[open] = p.slack - p.tok.drop + p.edit.best >= -EPS;
-            open += usize::from(p.slack + p.edit.coarse >= -EPS);
-        }
-
-        let mut exits = Tier1Exits {
-            coarse_prune: (cand.len() - open) as u64,
-            ..Tier1Exits::default()
-        };
-        for i in 0..open {
-            let t = out.open[i];
-            let survives = if out.early[i] {
-                exits.early_survive += 1;
-                true
-            } else {
-                row.refine(t, out.slack[i], &mut exits)
-            };
-            if survives {
-                let p = row.terms(t);
-                out.survivors.push(t);
-                out.votes.extend_from_slice(&p.votes);
-                out.pending.push(p.pending);
+        let CascadeScratch {
+            lanes,
+            votes,
+            pending,
+            survivors,
+            ..
+        } = out;
+        votes.clear();
+        pending.clear();
+        survivors.clear();
+        let (row, view) = (Row::new(self, s), self.target.view(&self.dig.target_types));
+        let mut exits = Tier1Exits::default();
+        for block in cand.chunks(BLOCK) {
+            row.gather(&view, block, lanes);
+            lanes.verdicts(self.floor, row.a.children_set_len != 0);
+            let mut open = 0usize;
+            for (i, &t) in block.iter().enumerate() {
+                slice[t as usize] = 0.0;
+                lanes.kept[open] = i as u8;
+                open += usize::from(lanes.open[i]);
+            }
+            exits.coarse_prune += (block.len() - open) as u64;
+            for &i in &lanes.kept[..open] {
+                let i = usize::from(i);
+                let t = block[i];
+                if !row.phase_a(&view, t, lanes, i) {
+                    exits.phase_a_prune += 1;
+                    continue;
+                }
+                exits.final_survive += 1;
+                survivors.push(t);
+                votes.extend_from_slice(&lanes.votes(i));
+                pending.push(lanes.pending[i]);
             }
         }
         exits
     }
 }
 
-/// The constants of one candidate row: the source digest, with the source
-/// pad on its inline ids, and every term that depends on the source element
-/// alone.
+/// The constants of one candidate row: the source's column entries, its
+/// inline ids rotated and padded with the source pad, and every term that
+/// depends on the source element alone.
 struct Row<'a> {
     pass: &'a Tier1<'a>,
-    a: ColumnDigest,
-    a_type: TypeDigest,
-    edit_digest: &'a EditDigest,
     fa: &'a ElementFeatures,
-    /// The source's per-token name digests.
-    a_tokens: &'a [TokenStat],
+    /// The source's entry (its inline ids keep the stored target pad).
+    a: Entry,
+    /// The source's inline name and parent ids, each rotation `k` holding
+    /// id `(j + k) % INLINE_IDS` in slot `j`, padded with [`SOURCE_PAD`].
+    name_rot: [[u32; INLINE_IDS]; INLINE_IDS],
+    parent_rot: [[u32; INLINE_IDS]; INLINE_IDS],
+    /// Type votes of the source's type against a distinct one, by the
+    /// target's variant, then against an equal one.
+    types: [f64; TYPE_KINDS.len() + 1],
     /// The source's squared-weight prefix.
     doc_prefix: &'a [f64],
-    /// Type votes of the source's type against a distinct one, by the
-    /// target's variant.
-    types: &'a [Exact],
-    exact_hit: Exact,
-}
-
-/// The token lane of one pair: the exact Jaccard half of the blend, the
-/// Monge-Elkan soft half capped at 1.
-#[derive(Clone, Copy)]
-struct TokenTerms {
-    jacc: f64,
-    weight: f64,
-    lower: Exact,
-    /// `lane_max` of the capped interval.
-    cap: f64,
-    /// How far phase B could lower the slack: the cap collapsed to the
-    /// lower vote, where `φ` is `lower.phi` (`lane_max` over the single
-    /// point `[l, l]` is `φ(l)`, up to the sign of a zero no verdict sees).
-    drop: f64,
-}
-
-/// The edit lane of one pair at its coarse cap.
-#[derive(Clone, Copy)]
-struct EditTerms {
-    sdx: f64,
-    weight: f64,
-    lower: Exact,
-    coarse: f64,
-    best: f64,
-}
-
-/// The tier-1 terms of one pair: the votes it resolves exactly, the lanes
-/// tier 2 must still run, and the linearized slack (see the module doc).
-#[derive(Clone, Copy)]
-struct Terms {
-    votes: [f64; LANES],
-    pending: u8,
-    /// Exact lanes, the token lane's cap, the doc and structure terms.
-    slack: f64,
-    tok: TokenTerms,
-    edit: EditTerms,
+    exact_hit: f64,
 }
 
 impl<'a> Row<'a> {
     fn new(pass: &'a Tier1<'a>, s: ElementId) -> Self {
-        let mut a = pass.source.digests[s.index()];
-        let repad = |id| if id == TARGET_PAD { SOURCE_PAD } else { id };
-        (a.name_ids, a.parent_ids) = (a.name_ids.map(repad), a.parent_ids.map(repad));
-        let a_type = pass.dig.source_types[s.index()];
+        let a = pass.source.entry(s.index(), &pass.dig.source_types);
+        let rotations = |ids: [u32; INLINE_IDS]| {
+            let ids = ids.map(|id| if id == TARGET_PAD { SOURCE_PAD } else { id });
+            std::array::from_fn(|k| std::array::from_fn(|j| ids[(j + k) % INLINE_IDS]))
+        };
+        let mut types = [pass.type_same; TYPE_KINDS.len() + 1];
+        let kinds = TYPE_KINDS.len();
+        types[..kinds].copy_from_slice(&distinct_type_votes()[usize::from(a.types.kind)]);
         let n = a.name_len as usize;
         Row {
             pass,
-            a,
-            a_type,
-            edit_digest: &pass.source.edit[s.index()],
             fa: pass.ctx.source_feat(s),
-            a_tokens: pass.source.token_stats(s.index()),
+            a,
+            name_rot: rotations(a.name_ids),
+            parent_rot: rotations(a.parent_ids),
+            types,
             doc_prefix: &pass.dig.source_prefix[a.doc_prefix as usize..],
-            types: &pass.type_kinds[usize::from(a_type.kind) * TYPE_KINDS.len()..]
-                [..TYPE_KINDS.len()],
-            exact_hit: Exact::new(EXACT_EVIDENCE.vote(1.0, n, n).value(), pass.floor),
+            exact_hit: EXACT_EVIDENCE.vote(1.0, n, n).value(),
         }
     }
 
     #[inline(always)]
-    fn target(&self, t: u32) -> &'a ColumnDigest {
-        &self.pass.target.digests[t as usize]
-    }
-
-    #[inline(always)]
-    fn target_feat(&self, t: u32) -> &'a ElementFeatures {
-        self.pass.ctx.target_feat(ElementId(t))
+    fn target_feat(&self, t: usize) -> &'a ElementFeatures {
+        self.pass.ctx.target_feat(ElementId(t as u32))
     }
 
     /// Same interned name sequence on both sides: equal lengths and
     /// heads decide it, unless the names are longer than the heads.
     #[inline(always)]
-    fn same_name(&self, b: &ColumnDigest, t: u32) -> bool {
-        let a = &self.a;
-        (a.name_len == b.name_len) & (a.name_head == b.name_head)
-            && (a.name_len as usize <= INLINE_IDS
+    fn same_name(&self, c: &View<'_>, t: usize) -> bool {
+        (self.a.name_len == c.name_len[t]) & (self.a.name_head == c.name_head[t])
+            && (self.a.name_len as usize <= INLINE_IDS
                 || self.fa.name_ids == self.target_feat(t).name_ids)
     }
 
-    /// The token lane: exact Jaccard, soft half capped at 1.
+    /// The name sets' overlap.
     #[inline(always)]
-    fn token(&self, b: &ColumnDigest, t: u32) -> TokenTerms {
-        let (a, floor) = (&self.a, self.pass.floor);
-        let jacc = set_jaccard(
-            a.flags & b.flags & NAME_INLINE != 0,
-            (&a.name_ids, a.name_set_len, a.name_sig),
-            (&b.name_ids, b.name_set_len, b.name_sig),
-            || sorted_ids_jaccard(&self.fa.name_set, &self.target_feat(t).name_set),
-        );
-        let weight = weight(
-            &self.pass.dig.weights.token,
-            TOKEN_EVIDENCE,
-            a.name_len,
-            b.name_len,
-        );
-        let lower = Exact::new(vote(jacc, weight), floor);
-        let cap = lower.up_to(vote(jacc.max(SOFT_DISCOUNT), weight), floor);
-        TokenTerms {
-            jacc,
-            weight,
-            lower,
-            cap,
-            drop: cap - lower.phi,
-        }
-    }
-
-    /// The edit lane at its coarse cap: Jaro-Winkler and Levenshtein ≤ 1,
-    /// the Soundex term exact.
-    #[inline(always)]
-    fn edit(&self, b: &ColumnDigest) -> EditTerms {
-        let a = &self.a;
-        let hit = (a.flags & b.flags & SOUNDEX != 0) & (a.soundex == b.soundex);
-        let count = EDIT_EVIDENCE.count(a.raw_chars as usize, b.raw_chars as usize);
-        let fixed = self.pass.edit[count][usize::from(hit)];
-        EditTerms {
-            sdx: if hit { 1.0 } else { 0.0 },
-            weight: self.pass.dig.weights.edit[count],
-            lower: fixed.lower,
-            coarse: fixed.coarse,
-            best: fixed.best,
-        }
-    }
-
-    /// Every lane's tier-1 term for the pair `(row, t)`. Straight-line
-    /// apart from the rare fallbacks: a name-hash match to confirm, and
-    /// id sets too large to ride inline.
-    #[inline(always)]
-    fn terms(&self, t: u32) -> Terms {
-        let (a, b) = (&self.a, self.target(t));
-        let pass = self.pass;
-        let (floor, w) = (pass.floor, &pass.dig.weights);
-
-        // Exact lanes: hoisted row votes, the type table, integer
-        // compares, and the parent-set Jaccard.
-        let names = (a.name_len != 0) & (b.name_len != 0);
-        let exact = if self.same_name(b, t) {
-            self.exact_hit
-        } else {
-            pass.exact_miss
-        }
-        .when(names);
-        let b_type = &pass.dig.target_types[t as usize];
-        let types = if self.a_type.key == b_type.key {
-            pass.type_same
-        } else {
-            self.types[usize::from(b_type.kind)]
-        };
-        let path_jacc = set_jaccard(
-            a.flags & b.flags & PARENT_INLINE != 0,
-            (&a.parent_ids, a.parent_set_len, a.parent_sig),
-            (&b.parent_ids, b.parent_set_len, b.parent_sig),
-            || sorted_ids_jaccard(&self.fa.parent_set, &self.target_feat(t).parent_set),
-        );
-        let path = Exact::new(
-            vote(
-                path_jacc,
-                weight(&w.path, PATH_EVIDENCE, a.parent_len, b.parent_len),
-            ),
-            floor,
+    fn name_overlap(&self, c: &View<'_>, t: usize) -> Overlap {
+        overlap(
+            self.a.flags & c.flags[t] & NAME_INLINE != 0,
+            (&self.name_rot, self.a.name_set_len, self.a.name_sig),
+            (&c.name_ids[t], c.name_set_len[t], c.name_sig[t]),
+            || (&self.fa.name_set[..], &self.target_feat(t).name_set[..]),
         )
-        .when((a.parent_set_len != 0) & (b.parent_set_len != 0));
-        let role = pass
-            .role_clash
-            .when(self.a_type.container != b_type.container);
-        let acronym_hit = (a.flags & b.flags & ACRONYM_GATE != 0)
-            & (((b.name_len >= 2) & (a.raw_name_id == b.acronym_id))
-                | ((a.name_len >= 2) & (b.raw_name_id == a.acronym_id)));
-        let acronym = pass.acronym_hit
-            [ACRONYM_EVIDENCE.count(a.name_len as usize, b.name_len as usize)]
-        .when(acronym_hit);
-        let mut slack = 0.0;
-        for lane in [exact, types, path, role, acronym] {
-            slack += lane.phi;
-        }
+    }
 
-        // Token lane: refined only in phase B; absent, it adds nothing.
-        let mut tok = self.token(b, t);
-        if !names {
-            (tok.cap, tok.drop) = (0.0, 0.0);
-        }
-        slack += tok.cap;
+    /// The gather over one block: each candidate's integer work and the
+    /// table reads it keys, into lane `i` of `lanes` for the block's `i`-th
+    /// candidate.
+    #[inline(always)]
+    fn gather(&self, c: &View<'_>, block: &[u32], lanes: &mut BlockLanes) {
+        let pass = self.pass;
+        let (w, floor) = (&pass.dig.weights, pass.floor);
+        for (i, &t) in block.iter().enumerate() {
+            let t = t as usize;
+            let flags = c.flags[t];
 
-        // Doc lane: corpus-signature cap on the shared-term count, then
-        // Cauchy-Schwarz over each side's top-i squared TF-IDF weights. A
-        // provably empty term intersection resolves the vote exactly (the
-        // cosine walk accumulates nothing and returns exactly 0.0).
-        let docs = (a.doc_terms != 0) & (b.doc_terms != 0);
-        let doc_count = DOC_EVIDENCE.count(a.doc_tokens as usize, b.doc_tokens as usize);
-        let shared = signature_intersection_bound(
-            a.corpus_sig,
-            a.doc_terms as usize,
-            b.corpus_sig,
-            b.doc_terms as usize,
-        );
-        let doc_lower = pass.doc_lower[doc_count];
-        let dot_ub = (self.doc_prefix[shared]
-            * pass.dig.target_prefix[b.doc_prefix as usize + shared])
-            .sqrt()
-            .min(1.0);
-        let doc_open = docs & (shared != 0);
-        let doc_exact = doc_lower.when(docs & !doc_open);
-        slack += if doc_open {
-            doc_lower.up_to(vote(dot_ub.sqrt(), w.doc[doc_count]), floor)
-        } else {
-            doc_exact.phi
-        };
+            // Names: the exact-name, token and acronym lanes.
+            let name_len = c.name_len[t];
+            let names = (self.a.name_len != 0) & (name_len != 0);
+            let exact = if self.same_name(c, t) {
+                self.exact_hit
+            } else {
+                pass.exact_miss
+            };
+            lanes.exact[i] = keep(exact, names);
+            let count = TOKEN_EVIDENCE.count(self.a.name_len as usize, name_len as usize);
+            let token = match self.name_overlap(c, t) {
+                Overlap::Slot(slot) => pass.token[count * OVERLAPS + slot],
+                Overlap::Walked(jacc) => token_cap(jacc, w.token[count], floor),
+            };
+            lanes.token[i] = keep(token, names);
+            let acronym_hit =
+                (self.a.raw_key == c.acronym_key[t]) | (c.raw_key[t] == self.a.acronym_key);
+            let count = ACRONYM_EVIDENCE.count(self.a.name_len as usize, name_len as usize);
+            lanes.acronym[i] = keep(pass.acronym_hit[count], acronym_hit);
 
-        // Structure lane: children-signature Jaccard cap; disjoint
-        // signatures resolve the vote exactly (0.0 Jaccard).
-        let kids = (a.children_set_len != 0) & (b.children_set_len != 0);
-        let kids_count = STRUCTURE_EVIDENCE.count(a.children_len as usize, b.children_len as usize);
-        let kids_lower = pass.kids_lower[kids_count];
-        let kids_jacc_ub = signature_jaccard_bound(
-            a.children_sig,
-            a.children_set_len as usize,
-            b.children_sig,
-            b.children_set_len as usize,
-        );
-        let kids_open = kids & (a.children_sig & b.children_sig != 0);
-        let kids_exact = kids_lower.when(kids & !kids_open);
-        slack += if kids_open {
-            kids_lower.up_to(vote(kids_jacc_ub, w.structure[kids_count]), floor)
-        } else {
-            kids_exact.phi
-        };
+            // Types: the type table and the container flags.
+            let b = &c.types[t];
+            let kind = if self.a.types.key == b.key {
+                TYPE_KINDS.len()
+            } else {
+                usize::from(b.kind)
+            };
+            lanes.types[i] = self.types[kind];
+            lanes.role[i] = keep(pass.role_clash, self.a.types.container != b.container);
 
-        // Edit lane at its coarse cap; absent, it adds nothing.
-        let raws = (a.raw_chars != 0) & (b.raw_chars != 0);
-        let mut edit = self.edit(b);
-        if !raws {
-            (edit.coarse, edit.best) = (0.0, 0.0);
-        }
+            // Path: the parent sets' Jaccard.
+            let set_len = c.parent_set_len[t];
+            let count = PATH_EVIDENCE.count(self.a.parent_len as usize, c.parent_len[t] as usize);
+            let path = match overlap(
+                self.a.flags & flags & PARENT_INLINE != 0,
+                (&self.parent_rot, self.a.parent_set_len, self.a.parent_sig),
+                (&c.parent_ids[t], set_len, c.parent_sig[t]),
+                || (&self.fa.parent_set[..], &self.target_feat(t).parent_set[..]),
+            ) {
+                Overlap::Slot(slot) => pass.path[count * OVERLAPS + slot],
+                Overlap::Walked(jacc) => vote(jacc, w.path[count]),
+            };
+            lanes.path[i] = keep(path, (self.a.parent_set_len != 0) & (set_len != 0));
 
-        let mut votes = [0.0f64; LANES];
-        votes[LANE_EXACT] = exact.vote;
-        votes[LANE_DOC] = doc_exact.vote;
-        votes[LANE_TYPE] = types.vote;
-        votes[LANE_PATH] = path.vote;
-        votes[LANE_STRUCT] = kids_exact.vote;
-        votes[LANE_ROLE] = role.vote;
-        votes[LANE_ACRONYM] = acronym.vote;
-        Terms {
-            votes,
-            pending: (u8::from(names) << LANE_TOKEN)
+            // Doc: the corpus-signature cap on the shared-term count picks
+            // each side's top squared weights. A provably empty term
+            // intersection resolves the vote exactly (the cosine walk
+            // accumulates nothing and returns exactly 0.0).
+            let docs = (self.a.doc_terms != 0) & (c.doc_terms[t] != 0);
+            let shared = shared_bound(
+                self.a.corpus_sig,
+                self.a.corpus_excess,
+                c.corpus_sig[t],
+                c.corpus_excess[t],
+            );
+            let count = DOC_EVIDENCE.count(self.a.doc_tokens as usize, c.doc_tokens[t] as usize);
+            let (lower, weight) = pass.doc[count];
+            let doc_open = docs & (shared != 0);
+            lanes.doc_lower[i] = keep(lower, docs);
+            lanes.doc_weight[i] = weight;
+            lanes.doc_source[i] = self.doc_prefix[shared];
+            lanes.doc_target[i] = pass.dig.target_prefix[c.doc_prefix[t] as usize + shared];
+            lanes.doc_open[i] = doc_open;
+
+            // Structure, on rows whose source has children: the
+            // children-signature cap; disjoint signatures resolve the vote
+            // exactly (0.0 Jaccard). On the other rows the lane is absent.
+            let mut kids_open = false;
+            if self.a.children_set_len != 0 {
+                let (set_len, sig) = (c.children_set_len[t], c.children_sig[t]);
+                let kids = set_len != 0;
+                let inter = shared_bound(
+                    self.a.children_sig,
+                    self.a.children_excess,
+                    sig,
+                    c.children_excess[t],
+                );
+                let count = STRUCTURE_EVIDENCE
+                    .count(self.a.children_len as usize, c.children_len[t] as usize);
+                let (lower, weight) = pass.kids[count];
+                kids_open = kids & (self.a.children_sig & sig != 0);
+                lanes.kids_lower[i] = keep(lower, kids);
+                lanes.kids_weight[i] = weight;
+                let inter = inter as u32;
+                lanes.kids_inter[i] = f64::from(inter);
+                lanes.kids_union[i] = f64::from(self.a.children_set_len + set_len - inter);
+            } else {
+                lanes.kids_lower[i] = 0.0;
+            }
+            lanes.kids_open[i] = kids_open;
+
+            // Edit at its coarse cap: Jaro-Winkler and Levenshtein ≤ 1, the
+            // Soundex term exact.
+            let raw_chars = c.raw_chars[t];
+            let raws = (self.a.raw_chars != 0) & (raw_chars != 0);
+            let sdx = (self.a.flags & flags & SOUNDEX != 0) & (self.a.soundex == c.soundex[t]);
+            let key = 2 * EDIT_EVIDENCE.count(self.a.raw_chars as usize, raw_chars as usize)
+                + usize::from(sdx);
+            lanes.edit[i] = keep(pass.edit[key].coarse, raws);
+            lanes.edit_key[i] = key as u32;
+
+            lanes.pending[i] = (u8::from(names) << LANE_TOKEN)
                 | (u8::from(raws) << LANE_EDIT)
                 | (u8::from(doc_open) << LANE_DOC)
-                | (u8::from(kids_open) << LANE_STRUCT),
-            slack,
-            tok,
-            edit,
+                | (u8::from(kids_open) << LANE_STRUCT);
         }
     }
 
-    /// The scalar refinement of a pair the coarse pass left undecided,
-    /// from its coarse `slack`: the char-profile edit cap (phase A), then —
-    /// only when a perfect refinement would prune — the per-token
-    /// soft-overlap cap (phase B). Returns whether the pair survives.
-    fn refine(&self, t: u32, mut slack: f64, exits: &mut Tier1Exits) -> bool {
-        let (a, b) = (&self.a, self.target(t));
-        let floor = self.pass.floor;
-        if (a.raw_chars != 0) & (b.raw_chars != 0) {
-            let edit = self.edit(b);
-            let (ea, eb) = (self.edit_digest, &self.pass.target.edit[t as usize]);
-            let blend_ub = edit_blend_upper_bound(
-                &ea.profile,
-                &eb.profile,
-                jw_prefix_len(ea.first(a.raw_chars), eb.first(b.raw_chars)),
-                edit.sdx,
-            );
-            let u = Confidence::weighted(blend_ub, edit.weight).value();
-            slack += edit.lower.up_to(u, floor);
+    /// Phase A for the pair in lane `i`: the edit lane's char-profile cap
+    /// in place of its coarse one. Returns whether the pair survives.
+    fn phase_a(&self, c: &View<'_>, t: u32, lanes: &BlockLanes, i: usize) -> bool {
+        let slack = lanes.slack[i];
+        if lanes.pending[i] & (1 << LANE_EDIT) == 0 {
+            return slack >= -EPS;
         }
-        if slack < -EPS {
-            exits.phase_a_prune += 1;
-            return false;
-        }
-        if (a.name_len != 0) & (b.name_len != 0) {
-            let tok = self.token(b, t);
-            let rest = slack - tok.cap;
-            if rest + tok.lower.phi < -EPS {
-                let soft_ub = self.soft_upper_bound(t);
-                let soft = tok.jacc.max(SOFT_DISCOUNT * soft_ub);
-                let u = Confidence::weighted(soft, tok.weight).value();
-                if rest + tok.lower.up_to(u, floor) < -EPS {
-                    exits.phase_b_prune += 1;
-                    return false;
-                }
-            }
-        }
-        exits.final_survive += 1;
-        true
+        let t = t as usize;
+        let key = lanes.edit_key[i] as usize;
+        let (a_len, b_len) = (self.a.raw_chars.min(4), c.raw_chars[t].min(4));
+        let blend_ub = edit_blend_upper_bound(
+            &self.a.profile,
+            &c.profile[t],
+            jw_prefix_len(
+                &self.a.first_chars[..a_len as usize],
+                &c.first_chars[t][..b_len as usize],
+            ),
+            if key % 2 == 1 { 1.0 } else { 0.0 },
+        );
+        let u = Confidence::weighted(blend_ub, self.pass.dig.weights.edit[key / 2]).value();
+        slack + lane_max(self.pass.edit[key].lower, u, self.pass.floor) >= -EPS
     }
-
-    /// Upper bound on `monge_elkan_jw_interned` of `(row, t)` from per-token
-    /// digests: shared tokens contribute their exact 1.0 (the kernel's id
-    /// short-circuit), the rest their best O(1) pairwise Jaro-Winkler cap.
-    /// Callers guarantee both sides are non-empty.
-    fn soft_upper_bound(&self, t: u32) -> f64 {
-        let (fa, fb) = (self.fa, self.target_feat(t));
-        let b_tokens = self.pass.target.token_stats(t as usize);
-        let d_ab = directed_soft_ub(self.a_tokens, &fa.name_ids, &fb.name_set, b_tokens);
-        let d_ba = directed_soft_ub(b_tokens, &fb.name_ids, &fa.name_set, self.a_tokens);
-        (d_ab + d_ba) / 2.0
-    }
-}
-
-fn directed_soft_ub(
-    xs: &[TokenStat],
-    x_ids: &[TokenId],
-    ys_set: &[TokenId],
-    ys: &[TokenStat],
-) -> f64 {
-    let mut total = 0.0;
-    for (x, &id) in xs.iter().zip(x_ids) {
-        if sorted_ids_contains(ys_set, id) {
-            total += 1.0;
-        } else {
-            let mut best = 0.0f64;
-            for y in ys {
-                best = best.max(token_jw_upper_bound(x, y));
-            }
-            total += best;
-        }
-    }
-    total / xs.len() as f64
 }
 
 /// Tier 2 over one row's survivors, voter-major: each unresolved lane is
@@ -1218,9 +1263,13 @@ pub(crate) fn merge_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Job;
+    use crate::index::{generate_candidates, BlockingPolicy, CandidateSet};
     use crate::prepare::PreparedSchema;
     use crate::voter::{default_voters, type_vote};
     use sm_schema::{Documentation, ElementKind, SchemaFormat, SchemaId};
+    use sm_text::bounds::signature_intersection_bound;
+    use sm_text::intern::sorted_ids_jaccard;
     use sm_text::normalize::Normalizer;
 
     /// A pair with long names (past the inline sets), shared and repeated
@@ -1279,49 +1328,193 @@ mod tests {
         (a, b)
     }
 
+    /// The fixture with a wide table on each side, so that rows run past
+    /// two blocks: its columns share words with each other and with the
+    /// fixture, in snake case on one side and camel case on the other.
+    fn wide_fixture() -> (Schema, Schema) {
+        let (mut a, mut b) = fixture();
+        let words = [
+            "account", "amount", "begin", "code", "customer", "date", "end", "id", "member",
+            "name", "status", "type",
+        ];
+        let word = |k: usize| words[k % words.len()];
+        let capital = |w: &str| w[..1].to_uppercase() + &w[1..];
+        let ta = a.add_root("Ledger", ElementKind::Table, DataType::None);
+        let tb = b.add_root("LedgerType", ElementKind::ComplexType, DataType::None);
+        for k in 0..2 * BLOCK + 5 {
+            let (first, second) = (word(k), word(k + 1 + k / words.len()));
+            let dt = [DataType::Integer, DataType::text(), DataType::Date][k % 3];
+            let e = a
+                .add_child(ta, format!("{first}_{second}"), ElementKind::Column, dt)
+                .unwrap();
+            if k % 4 != 0 {
+                let doc = format!("the {first} {second} of the ledger");
+                a.set_doc(e, Documentation::embedded(doc)).unwrap();
+            }
+            let name = format!("{}{}", capital(second), capital(first));
+            let dt = [DataType::varchar(20), DataType::Integer, DataType::Date][k % 3];
+            let e = b.add_child(tb, name, ElementKind::XmlElement, dt).unwrap();
+            if k % 3 == 0 {
+                let doc = format!("a {second} {first} in the ledger");
+                b.set_doc(e, Documentation::embedded(doc)).unwrap();
+            }
+        }
+        (a, b)
+    }
+
     /// One row's tier-1 outcome: exits, survivors, their votes and pending
     /// lanes, and the matrix row.
     type RowRun = (Tier1Exits, Vec<u32>, Vec<f64>, Vec<u8>, Vec<f32>);
 
-    /// Every row of the fixture against every column, through `kernel`.
+    /// A row kernel: the dispatched one or the portable build.
+    type Kernel = fn(&Tier1<'_>, ElementId, &[u32], &mut [f32], &mut CascadeScratch) -> Tier1Exits;
+
+    /// The dense, rectangle and blocked candidate sets of a pair.
+    fn candidate_sets(a: &Schema, b: &Schema) -> [(&'static str, CandidateSet); 3] {
+        let n = Normalizer::new();
+        let (pa, pb) = (PreparedSchema::build(a, &n), PreparedSchema::build(b, &n));
+        let sources: Vec<ElementId> = a.ids().step_by(2).collect();
+        let targets: Vec<ElementId> = b.ids().filter(|t| t.0 % 3 != 1).collect();
+        let policy = BlockingPolicy::default();
+        [
+            ("dense", CandidateSet::exhaustive(a.len(), b.len())),
+            (
+                "rectangle",
+                CandidateSet::rectangle(a, b, &sources, &targets),
+            ),
+            (
+                "blocked",
+                generate_candidates(a, b, &pa, &pb, None, &policy, Job::inline()),
+            ),
+        ]
+    }
+
+    /// Every candidate row through `kernel`, one scratch reused across the
+    /// rows as a pipeline worker reuses it.
     fn run_rows(
         ctx: &MatchContext<'_>,
         floor: f64,
-        kernel: impl Fn(&Tier1<'_>, ElementId, &[u32], &mut [f32], &mut CascadeScratch) -> Tier1Exits,
+        cands: &CandidateSet,
+        kernel: Kernel,
     ) -> Vec<RowRun> {
         let pass = Tier1::new(ctx, floor);
-        let cand: Vec<u32> = (0..ctx.target.len() as u32).collect();
+        let mut out = CascadeScratch::default();
         ctx.source
             .ids()
             .map(|s| {
-                let mut out = CascadeScratch::default();
                 let mut slice = vec![f32::NAN; ctx.target.len()];
-                let exits = kernel(&pass, s, &cand, &mut slice, &mut out);
-                (exits, out.survivors, out.votes, out.pending, slice)
+                let exits = kernel(&pass, s, cands.row(s.index()), &mut slice, &mut out);
+                let (survivors, votes, pending) = (
+                    out.survivors.clone(),
+                    out.votes.clone(),
+                    out.pending.clone(),
+                );
+                (exits, survivors, votes, pending, slice)
             })
             .collect()
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn bits32(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn dispatched_kernel_matches_the_portable_build() {
-        let (a, b) = fixture();
+        let (a, b) = wide_fixture();
         let ctx = MatchContext::build(&a, &b, &Normalizer::new());
-        for floor in [0.0, 0.3, -0.2] {
-            let dispatched = run_rows(&ctx, floor, |p, s, c, sl, o| p.row(s, c, sl, o));
-            let portable = run_rows(&ctx, floor, |p, s, c, sl, o| p.row_kernel(s, c, sl, o));
-            for (d, p) in dispatched.iter().zip(&portable) {
-                assert_eq!(d.0, p.0);
-                assert_eq!(d.1, p.1);
-                assert_eq!(
-                    d.2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    p.2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
-                assert_eq!(d.3, p.3);
-                assert_eq!(
-                    d.4.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    p.4.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
+        for (kind, cands) in candidate_sets(&a, &b) {
+            for floor in [0.0, 0.3, -0.2] {
+                let dispatched = run_rows(&ctx, floor, &cands, |p, s, c, sl, o| p.row(s, c, sl, o));
+                let portable = run_rows(&ctx, floor, &cands, |p, s, c, sl, o| {
+                    p.row_kernel(s, c, sl, o)
+                });
+                for (d, p) in dispatched.iter().zip(&portable) {
+                    assert_eq!(d.0, p.0, "{kind} at {floor}");
+                    assert_eq!(d.1, p.1, "{kind} at {floor}");
+                    assert_eq!(bits(&d.2), bits(&p.2), "{kind} at {floor}");
+                    assert_eq!(d.3, p.3, "{kind} at {floor}");
+                    assert_eq!(bits32(&d.4), bits32(&p.4), "{kind} at {floor}");
+                }
             }
+        }
+    }
+
+    /// One column's tier-1 outcome: its coarse slack and verdict, whether
+    /// it survives phase A, and a survivor's votes and pending lanes.
+    type ColumnRun = (u64, bool, bool, Option<(Vec<u64>, u8)>);
+
+    /// Each candidate's outcome in the row `cand`, block by block as the
+    /// row kernel scores it, through one reused scratch.
+    fn column_runs(row: &Row<'_>, cand: &[u32], out: &mut CascadeScratch) -> Vec<ColumnRun> {
+        let view = row.pass.target.view(&row.pass.dig.target_types);
+        let mut runs = Vec::new();
+        for block in cand.chunks(BLOCK) {
+            row.gather(&view, block, &mut out.lanes);
+            out.lanes
+                .verdicts(row.pass.floor, row.a.children_set_len != 0);
+            for (i, &t) in block.iter().enumerate() {
+                let lanes = &out.lanes;
+                let survives = lanes.open[i] && row.phase_a(&view, t, lanes, i);
+                let votes = survives.then(|| (bits(&lanes.votes(i)), lanes.pending[i]));
+                runs.push((lanes.slack[i].to_bits(), lanes.open[i], survives, votes));
+            }
+        }
+        runs
+    }
+
+    /// A column's verdict, slack and survivor votes do not depend on where
+    /// it sits in its row: scored in a row of 1, B − 1, B, B + 1 or 2B + 3
+    /// candidates (B the block width) of a dense, rectangle or blocked set,
+    /// or alone, it comes out the same, and so do the row kernel's
+    /// survivors, votes and matrix cells.
+    #[test]
+    fn verdicts_do_not_depend_on_the_column_position() {
+        let (a, b) = wide_fixture();
+        let ctx = MatchContext::build(&a, &b, &Normalizer::new());
+        let lengths = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3];
+        let mut out = CascadeScratch::default();
+        for (kind, cands) in candidate_sets(&a, &b) {
+            let mut covered = [false; 5];
+            for floor in [0.3, 0.0, -0.2] {
+                let pass = Tier1::new(&ctx, floor);
+                for s in ctx.source.ids() {
+                    let row = Row::new(&pass, s);
+                    let full = cands.row(s.index());
+                    for (seen, &len) in covered.iter_mut().zip(&lengths) {
+                        let Some(cand) = full.get(..len) else {
+                            continue;
+                        };
+                        *seen = true;
+                        let runs = column_runs(&row, cand, &mut out);
+                        let mut slice = vec![f32::NAN; ctx.target.len()];
+                        let exits = pass.row(s, cand, &mut slice, &mut out);
+                        assert_eq!(
+                            exits.final_survive,
+                            runs.iter().filter(|r| r.2).count() as u64
+                        );
+                        let survivors = out.survivors.clone();
+                        let (votes, pending) = (out.votes.clone(), out.pending.clone());
+                        for (k, &t) in cand.iter().enumerate() {
+                            let alone = column_runs(&row, &[t], &mut out);
+                            assert_eq!(runs[k], alone[0], "{kind} row {s:?} column {t} of {len}");
+                            let mut cell = vec![f32::NAN; ctx.target.len()];
+                            pass.row(s, &[t], &mut cell, &mut out);
+                            assert_eq!(cell[t as usize].to_bits(), slice[t as usize].to_bits());
+                            let at = survivors.iter().position(|&c| c == t);
+                            assert_eq!(at.is_some(), out.survivors == [t]);
+                            if let Some(i) = at {
+                                assert_eq!(bits(&votes[i * LANES..][..LANES]), bits(&out.votes));
+                                assert_eq!(pending[i], out.pending[0]);
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(covered, [true; 5], "{kind} rows cover every length");
         }
     }
 
@@ -1333,15 +1526,21 @@ mod tests {
         let (a, b) = fixture();
         let ctx = MatchContext::build(&a, &b, &Normalizer::new());
         let panel = default_voters();
+        let dense = CandidateSet::exhaustive(a.len(), b.len());
         let mut pruned_somewhere = false;
         for floor in [0.0, 0.3] {
             for (s, (exits, survivors, votes, pending, slice)) in
                 ctx.source
                     .ids()
-                    .zip(run_rows(&ctx, floor, |p, s, c, sl, o| p.row(s, c, sl, o)))
+                    .zip(run_rows(&ctx, floor, &dense, |p, s, c, sl, o| {
+                        p.row(s, c, sl, o)
+                    }))
             {
-                assert_eq!(exits.pruned() + exits.survived(), ctx.target.len() as u64);
-                assert_eq!(exits.survived(), survivors.len() as u64);
+                assert_eq!(
+                    exits.pruned() + exits.final_survive,
+                    ctx.target.len() as u64
+                );
+                assert_eq!(exits.final_survive, survivors.len() as u64);
                 pruned_somewhere |= exits.pruned() > 0;
                 for t in ctx.target.ids() {
                     let full: Vec<Confidence> = panel.iter().map(|v| v.vote(&ctx, s, t)).collect();
@@ -1402,16 +1601,15 @@ mod tests {
         let (a, b) = fixture();
         let ctx = MatchContext::build(&a, &b, &Normalizer::new());
         let pass = Tier1::new(&ctx, 0.3);
-        let k = TYPE_KINDS.len();
         for &x in &types {
             for &y in &types {
                 assert_eq!(type_key(x) == type_key(y), x == y, "{x} vs {y}");
                 let table = if type_key(x) == type_key(y) {
                     pass.type_same
                 } else {
-                    pass.type_kinds[usize::from(type_kind(x)) * k + usize::from(type_kind(y))]
+                    distinct_type_votes()[usize::from(type_kind(x))][usize::from(type_kind(y))]
                 };
-                assert_eq!(table.vote, type_vote(x, y).value(), "{x} vs {y}");
+                assert_eq!(table, type_vote(x, y).value(), "{x} vs {y}");
             }
         }
     }
@@ -1421,21 +1619,23 @@ mod tests {
         let (a, b) = fixture();
         let ctx = MatchContext::build(&a, &b, &Normalizer::new());
         let pass = Tier1::new(&ctx, 0.3);
+        let view = pass.target.view(&pass.dig.target_types);
         let mut inline = [false, false];
         for s in ctx.source.ids() {
             let row = Row::new(&pass, s);
             let fa = ctx.source_feat(s);
             for t in ctx.target.ids() {
-                let (b, fb) = (row.target(t.0), ctx.target_feat(t));
-                assert_eq!(row.same_name(b, t.0), fa.name_ids == fb.name_ids);
+                let fb = ctx.target_feat(t);
+                assert_eq!(row.same_name(&view, t.index()), fa.name_ids == fb.name_ids);
                 let names = !fa.name_set.is_empty() && !fb.name_set.is_empty();
                 if names {
-                    let on = row.a.flags & b.flags & NAME_INLINE != 0;
-                    inline[usize::from(on)] = true;
-                    assert_eq!(
-                        row.token(b, t.0).jacc,
-                        sorted_ids_jaccard(&fa.name_set, &fb.name_set)
-                    );
+                    let flags = view.flags[t.index()];
+                    inline[usize::from(row.a.flags & flags & NAME_INLINE != 0)] = true;
+                    let jacc = match row.name_overlap(&view, t.index()) {
+                        Overlap::Slot(slot) => jaccard(slot / UNIONS, slot % UNIONS),
+                        Overlap::Walked(jacc) => jacc,
+                    };
+                    assert_eq!(jacc, sorted_ids_jaccard(&fa.name_set, &fb.name_set));
                 }
             }
         }
@@ -1446,8 +1646,8 @@ mod tests {
         );
     }
 
-    /// The schema columns mirror the prepared elements they digest, a
-    /// pair corpus gives each element as many weights as its digest counts
+    /// The schema columns mirror the prepared elements they hold, a pair
+    /// corpus gives each element as many weights as its columns count
     /// terms, a row reads its source ids with the source pad while the
     /// stored ids keep the target pad, and the cache prices the columns
     /// as built.
@@ -1458,43 +1658,73 @@ mod tests {
         let (pa, pb) = (PreparedSchema::build(&a, &n), PreparedSchema::build(&b, &n));
         let ctx = MatchContext::from_prepared(&a, &b, &pa, &pb);
         let pass = Tier1::new(&ctx, 0.3);
+        let (c, _) = ctx.columns();
         let mut prefix = 0;
         for (i, e) in pa.elements().iter().enumerate() {
-            let (columns, _) = ctx.columns();
-            let d = &columns.digests[i];
-            assert_eq!(d.name_sig, id_signature(&e.name_set));
-            assert_eq!(d.parent_sig, id_signature(&e.parent_set));
-            assert_eq!(d.children_sig, id_signature(&e.children_set));
-            assert_eq!(d.corpus_sig, id_signature(&e.corpus_ids));
-            assert_eq!(columns.edit[i].profile, CharProfile::of_chars(&e.raw_chars));
-            assert_eq!(columns.token_stats(i).len(), e.name_bag.tokens.len());
-            for (stat, tok) in columns.token_stats(i).iter().zip(&e.name_bag.tokens) {
-                assert_eq!(*stat, TokenStat::of(tok));
-            }
+            assert_eq!(c.name_sig[i], id_signature(&e.name_set));
+            assert_eq!(c.parent_sig[i], id_signature(&e.parent_set));
+            assert_eq!(c.children_sig[i], id_signature(&e.children_set));
+            assert_eq!(c.corpus_sig[i], id_signature(&e.corpus_ids));
+            assert_eq!(c.profile[i], CharProfile::of_chars(&e.raw_chars));
             let doc = &ctx.source_feat(ElementId(i as u32)).doc_vector;
-            assert_eq!(d.doc_terms as usize, doc.term_count());
-            assert_eq!(d.doc_tokens as usize, doc.token_count);
-            assert_eq!(d.doc_prefix, prefix);
-            prefix += d.doc_terms + 1;
+            assert_eq!(c.doc_terms[i] as usize, doc.term_count());
+            assert_eq!(c.doc_tokens[i] as usize, doc.token_count);
+            assert_eq!(c.doc_prefix[i], prefix);
+            prefix += c.doc_terms[i] + 1;
             let row = Row::new(&pass, ElementId(i as u32));
             for (stored, read, len) in [
-                (d.name_ids, row.a.name_ids, d.name_set_len),
-                (d.parent_ids, row.a.parent_ids, d.parent_set_len),
+                (c.name_ids[i], row.name_rot[0], c.name_set_len[i]),
+                (c.parent_ids[i], row.parent_rot[0], c.parent_set_len[i]),
             ] {
                 for k in (len as usize).min(INLINE_IDS)..INLINE_IDS {
                     assert_eq!((stored[k], read[k]), (TARGET_PAD, SOURCE_PAD));
                 }
             }
         }
-        let (built, _) = ctx.columns();
         assert_eq!(
             Columns::estimate_bytes(pa.elements()),
-            std::mem::size_of::<Columns>()
-                + built.digests.len() * std::mem::size_of::<ColumnDigest>()
-                + built.edit.len() * std::mem::size_of::<EditDigest>()
-                + built.token_stats.len() * std::mem::size_of::<TokenStat>()
-                + built.token_offsets.len() * std::mem::size_of::<u32>()
+            std::mem::size_of::<Columns>() + c.heap_bytes()
         );
+    }
+
+    /// The excess form of the signature cap on a set intersection is the
+    /// bounds module's, on every pair of the wide fixture's doc term sets
+    /// and children sets.
+    #[test]
+    fn shared_bound_is_the_signature_intersection_bound() {
+        let (a, b) = wide_fixture();
+        let ctx = MatchContext::build(&a, &b, &Normalizer::new());
+        let (ca, cb) = ctx.columns();
+        let check = |(sa, ea, la): (u128, u32, u32), (sb, eb, lb): (u128, u32, u32)| {
+            let bound = shared_bound(sa, ea, sb, eb);
+            assert_eq!(
+                bound,
+                signature_intersection_bound(sa, la as usize, sb, lb as usize)
+            );
+            usize::from(bound != 0)
+        };
+        let mut shared = 0;
+        for s in 0..a.len() {
+            for t in 0..b.len() {
+                shared += check(
+                    (ca.corpus_sig[s], ca.corpus_excess[s], ca.doc_terms[s]),
+                    (cb.corpus_sig[t], cb.corpus_excess[t], cb.doc_terms[t]),
+                );
+                shared += check(
+                    (
+                        ca.children_sig[s],
+                        ca.children_excess[s],
+                        ca.children_set_len[s],
+                    ),
+                    (
+                        cb.children_sig[t],
+                        cb.children_excess[t],
+                        cb.children_set_len[t],
+                    ),
+                );
+            }
+        }
+        assert!(shared > 0);
     }
 
     #[test]
@@ -1522,9 +1752,9 @@ mod tests {
         let f = 0.3;
         let (l, u) = (-0.4, 0.2);
         assert!(phi(l, f) < 0.0 && phi(u, f) < 0.0);
-        assert_eq!(lane_max(l, phi(l, f), u, f), 0.0);
+        assert_eq!(lane_max(l, u, f), 0.0);
         // Interval strictly negative: endpoint max only.
-        assert_eq!(lane_max(-0.6, phi(-0.6, f), -0.2, f), phi(-0.2, f));
+        assert_eq!(lane_max(-0.6, -0.2, f), phi(-0.2, f));
     }
 
     #[test]
@@ -1532,7 +1762,7 @@ mod tests {
         // With f < 0 the negative branch −v² + f·v peaks at v = f/2.
         let f = -0.4;
         let apex = 0.5 * f;
-        assert!(lane_max(-0.9, phi(-0.9, f), -0.1, f) >= phi(apex, f));
+        assert!(lane_max(-0.9, -0.1, f) >= phi(apex, f));
         assert!(phi(apex, f) > phi(-0.9, f) && phi(apex, f) > phi(-0.1, f));
     }
 }

@@ -334,19 +334,9 @@ impl Executor {
         F: Fn(usize) + Sync,
     {
         let seat = LaneSeat::reserve(&self.shared);
-        let want = parallelism
-            .max(1)
-            .saturating_sub(1)
-            .min(self.threads.saturating_sub(1));
+        let want = self.helpers_wanted(parallelism);
         let free = self.reserve_helpers(want);
-        if free < want {
-            let withheld = (want - free) as u64;
-            self.shared
-                .counters
-                .withheld
-                .fetch_add(withheld, Ordering::Relaxed);
-            obs::add(obs::Counter::ExecWithheld, withheld);
-        }
+        self.withhold(want - free);
         let helpers = match budget {
             Some(b) => {
                 let got = b.claim(free);
@@ -367,11 +357,7 @@ impl Executor {
             lanes: helpers,
         });
         if helpers == 0 {
-            self.shared
-                .counters
-                .inline_runs
-                .fetch_add(1, Ordering::Relaxed);
-            obs::add(obs::Counter::ExecInline, 1);
+            self.count_inline();
             work(0);
             return;
         }
@@ -476,6 +462,50 @@ impl Executor {
         if let Some(payload) = helper_panic {
             std::panic::resume_unwind(payload);
         }
+    }
+
+    /// The helpers a fan-out of `parallelism` lanes asks for: all but the
+    /// caller's lane, within the pool's width.
+    fn helpers_wanted(&self, parallelism: usize) -> usize {
+        parallelism
+            .max(1)
+            .saturating_sub(1)
+            .min(self.threads.saturating_sub(1))
+    }
+
+    /// True when a fan-out of `parallelism` lanes from the calling thread
+    /// can get no helper: the pool is one lane wide, or the thread runs a
+    /// lane of it and every lane is reserved. It is then counted as
+    /// [`Self::run_lanes`] counts a fan-out it gives no helper, and its
+    /// caller runs it without reserving anything.
+    fn offers_no_helper(&self, parallelism: usize) -> bool {
+        let want = self.helpers_wanted(parallelism);
+        if want > 0 {
+            let pool = Arc::as_ptr(&self.shared);
+            let held = HELD_POOLS.with(|held| held.borrow().contains(&pool));
+            if !held || self.shared.reserved.load(Ordering::Relaxed) < self.threads {
+                return false;
+            }
+        }
+        self.withhold(want);
+        self.count_inline();
+        true
+    }
+
+    /// Count `lanes` helpers a fan-out wanted and the pool could not offer.
+    fn withhold(&self, lanes: usize) {
+        if lanes > 0 {
+            let counter = &self.shared.counters.withheld;
+            counter.fetch_add(lanes as u64, Ordering::Relaxed);
+            obs::add(obs::Counter::ExecWithheld, lanes as u64);
+        }
+    }
+
+    /// Count a fan-out that runs inline on its caller.
+    fn count_inline(&self) {
+        let counter = &self.shared.counters.inline_runs;
+        counter.fetch_add(1, Ordering::Relaxed);
+        obs::add(obs::Counter::ExecInline, 1);
     }
 
     /// Reserve up to `want` of the pool's unreserved lanes for helpers
@@ -584,7 +614,10 @@ impl<'a> Job<'a> {
     /// first claim and reuses it for the rest. With at most one item or a
     /// width of 1 everything runs inline on the caller without touching the
     /// executor; otherwise `min(width, items)` lanes run through the
-    /// executor's lane rule and this job's budget.
+    /// executor's lane rule and this job's budget. A fan-out the lane rule
+    /// can give no helper ([`Executor::offers_no_helper`]) also maps its
+    /// items in order on the caller, checking the token before each, with
+    /// no claim queue and no result slots.
     pub fn map_with<I, S, R, F>(self, items: I, scratch: impl Fn() -> S + Sync, f: F) -> Vec<R>
     where
         I: IntoIterator,
@@ -595,6 +628,19 @@ impl<'a> Job<'a> {
     {
         let items = items.into_iter();
         let lanes = self.width.min(items.len());
+        let exec = match self.exec {
+            Some(exec) if lanes > 1 && !exec.offers_no_helper(lanes) => exec,
+            _ => {
+                let mut lane = None;
+                return items
+                    .enumerate()
+                    .map(|(index, item)| {
+                        self.checkpoint();
+                        f(lane.get_or_insert_with(&scratch), index, item)
+                    })
+                    .collect();
+            }
+        };
         let mut slots: Vec<Option<R>> = Vec::new();
         slots.resize_with(items.len(), || None);
         let queue = Mutex::new(slots.iter_mut().zip(items.enumerate()));
@@ -610,10 +656,7 @@ impl<'a> Job<'a> {
                 *slot = Some(f(lane.get_or_insert_with(&scratch), index, item));
             }
         };
-        match self.exec {
-            Some(exec) if lanes > 1 => exec.run_lanes(lanes, self.budget, claim_loop),
-            _ => claim_loop(0),
-        }
+        exec.run_lanes(lanes, self.budget, claim_loop);
         slots
             .into_iter()
             .map(|r| r.expect("every item mapped"))
@@ -1249,6 +1292,48 @@ mod tests {
             assert_eq!(budget.available(), 1, "the width rule claims no budget");
             if obs::enabled() {
                 assert!(obs::counter_value(obs::Counter::ExecWithheld) > withheld_before);
+            }
+        });
+        assert_no_lane_reserved(&exec);
+    }
+
+    /// A `Job::map_with` fan-out nested in a fan-out that holds the whole
+    /// pool runs inline on its lane, in item order, scratch built once,
+    /// and still counts as a withheld fan-out and an inline run.
+    #[test]
+    fn nested_job_map_in_a_held_pool_runs_inline_in_item_order() {
+        let exec = Executor::new(2);
+        let release = AtomicBool::new(false);
+        exec.run_lanes(2, None, |lane| {
+            if lane != 0 {
+                return hold(&release);
+            }
+            let before = exec.stats();
+            let withheld_before = obs::counter_value(obs::Counter::ExecWithheld);
+            let inline_before = obs::counter_value(obs::Counter::ExecInline);
+            let caller = std::thread::current().id();
+            let scratches = AtomicUsize::new(0);
+            let order = Mutex::new(Vec::new());
+            let out = Job::new(&exec, 2).map_with(
+                10..16,
+                || scratches.fetch_add(1, Ordering::Relaxed),
+                |_, index, item| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    order.lock().unwrap().push(index);
+                    item * 2
+                },
+            );
+            let after = exec.stats();
+            release.store(true, Ordering::Release);
+            assert_eq!(out, vec![20, 22, 24, 26, 28, 30]);
+            assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3, 4, 5]);
+            assert_eq!(scratches.load(Ordering::Relaxed), 1);
+            assert_eq!(after.enqueued, before.enqueued, "no helper offered");
+            assert_eq!(after.inline_runs, before.inline_runs + 1);
+            assert_eq!(after.withheld, before.withheld + 1);
+            if obs::enabled() {
+                assert!(obs::counter_value(obs::Counter::ExecWithheld) > withheld_before);
+                assert!(obs::counter_value(obs::Counter::ExecInline) > inline_before);
             }
         });
         assert_no_lane_reserved(&exec);

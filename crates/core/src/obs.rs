@@ -275,24 +275,19 @@ pub enum Counter {
     CacheResidentBytes = 33,
     /// Shard compactions deferred because of memory pressure.
     RepoCompactionsDeferred = 34,
-    /// Cascade tier-1 exit: pruned by the straight-line coarse pass.
+    /// Cascade tier-1 exit: pruned by the coarse verdict.
     CascadeCoarsePrune = 35,
-    /// Cascade tier-1 exit: proved to survive by the coarse pass.
-    CascadeEarlySurvive = 36,
     /// Cascade tier-1 exit: pruned by the char-profile edit cap (phase A).
-    CascadePhaseAPrune = 37,
-    /// Cascade tier-1 exit: pruned by the per-token soft-overlap cap
-    /// (phase B).
-    CascadePhaseBPrune = 38,
-    /// Cascade tier-1 exit: survived every refinement.
-    CascadeFinalSurvive = 39,
+    CascadePhaseAPrune = 36,
+    /// Cascade tier-1 exit: survived phase A, handed to tier 2.
+    CascadeFinalSurvive = 37,
     /// Helper lanes wanted but not offered because every lane of the pool
     /// was reserved (nested fan-outs inside a saturated fan-out).
-    ExecWithheld = 40,
+    ExecWithheld = 38,
 }
 
 /// Number of registered counters.
-pub const COUNTER_COUNT: usize = 41;
+pub const COUNTER_COUNT: usize = 39;
 
 /// All counters, in slot order (export iteration order).
 pub const COUNTERS: [Counter; COUNTER_COUNT] = [
@@ -332,9 +327,7 @@ pub const COUNTERS: [Counter; COUNTER_COUNT] = [
     Counter::CacheResidentBytes,
     Counter::RepoCompactionsDeferred,
     Counter::CascadeCoarsePrune,
-    Counter::CascadeEarlySurvive,
     Counter::CascadePhaseAPrune,
-    Counter::CascadePhaseBPrune,
     Counter::CascadeFinalSurvive,
     Counter::ExecWithheld,
 ];
@@ -379,9 +372,7 @@ impl Counter {
             Counter::CacheResidentBytes => "cache.resident_bytes",
             Counter::RepoCompactionsDeferred => "repo.compactions_deferred",
             Counter::CascadeCoarsePrune => "cascade.exit.coarse_prune",
-            Counter::CascadeEarlySurvive => "cascade.exit.early_survive",
             Counter::CascadePhaseAPrune => "cascade.exit.phase_a_prune",
-            Counter::CascadePhaseBPrune => "cascade.exit.phase_b_prune",
             Counter::CascadeFinalSurvive => "cascade.exit.final_survive",
             Counter::ExecWithheld => "exec.withheld",
         }

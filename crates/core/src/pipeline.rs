@@ -393,11 +393,9 @@ impl<'e> MatchPipeline<'e> {
         if self.engine.cascade_active() {
             obs::add(obs::Counter::CascadePairsFull, timings.pairs_full);
             let exits = &stats.exits;
-            debug_assert_eq!(exits.survived(), timings.pairs_full);
+            debug_assert_eq!(exits.final_survive, timings.pairs_full);
             obs::add(obs::Counter::CascadeCoarsePrune, exits.coarse_prune);
-            obs::add(obs::Counter::CascadeEarlySurvive, exits.early_survive);
             obs::add(obs::Counter::CascadePhaseAPrune, exits.phase_a_prune);
-            obs::add(obs::Counter::CascadePhaseBPrune, exits.phase_b_prune);
             obs::add(obs::Counter::CascadeFinalSurvive, exits.final_survive);
         }
 

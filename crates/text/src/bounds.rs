@@ -9,7 +9,7 @@
 //! lossless exactly because every bound in this module is a true upper
 //! bound: it may over-estimate, it must never under-estimate.
 //!
-//! Three families:
+//! Two families:
 //!
 //! * **Token-id signatures** ([`id_signature`]) — each interned id sets one
 //!   bit of a `u128`. The *difference popcount* bounds set intersection:
@@ -30,10 +30,6 @@
 //!   ([`levenshtein_sim_upper_bound`]), and Jaro-Winkler follows because it
 //!   is monotone in Jaro for any fixed exact prefix
 //!   ([`jaro_winkler_upper_bound`]).
-//! * **Token stats** ([`TokenStat`]) — a 16-byte per-token digest (kind
-//!   bitmask, length, first four chars) giving an O(1) per-token-pair
-//!   Jaro-Winkler cap ([`token_jw_upper_bound`]) for bounding Monge-Elkan
-//!   without touching characters.
 
 use crate::intern::TokenId;
 
@@ -115,7 +111,7 @@ pub fn char_kind(c: char) -> usize {
 /// Per-string counts of the 32 coarse character kinds, precomputed once per
 /// prepared schema. Counts saturate at `u16::MAX`; a saturated profile makes
 /// every bound fall back to the trivial cap (never to an under-estimate).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CharProfile {
     counts: [u16; CHAR_KINDS],
     len: usize,
@@ -250,84 +246,11 @@ pub fn edit_blend_upper_bound(a: &CharProfile, b: &CharProfile, prefix: usize, s
     0.5 * jw + 0.4 * lev + 0.1 * sdx
 }
 
-/// A 16-byte per-token digest for O(1) Jaro-Winkler caps between tokens:
-/// which character kinds occur, how many characters, how many distinct
-/// kinds, and the first four characters (for the exact Winkler prefix).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TokenStat {
-    /// Bitmask over the 32 character kinds present in the token.
-    pub mask: u32,
-    /// Character length, saturating at `u16::MAX` (saturation falls back
-    /// to the trivial bound).
-    pub len: u16,
-    /// Number of distinct kinds present (`mask.count_ones()`).
-    pub kinds: u8,
-    /// First four characters, `'\0'`-padded (only `len` of them are real).
-    pub prefix: [char; 4],
-}
-
-impl TokenStat {
-    /// Digest one token.
-    pub fn of(token: &str) -> Self {
-        let mut mask = 0u32;
-        let mut len = 0u16;
-        let mut prefix = ['\0'; 4];
-        for (i, c) in token.chars().enumerate() {
-            mask |= 1u32 << char_kind(c);
-            len = len.saturating_add(1);
-            if i < 4 {
-                prefix[i] = c;
-            }
-        }
-        TokenStat {
-            mask,
-            len,
-            kinds: mask.count_ones() as u8,
-            prefix,
-        }
-    }
-}
-
-/// O(1) upper bound on `jaro_winkler(a, b)` from token digests.
-///
-/// Kind masks bound the matched-character count: every kind present in
-/// `a` but absent from `b` contributes at least one character of `a` that
-/// cannot match, so `m ≤ la − (kinds_a − common_kinds)` (and
-/// symmetrically). The Winkler prefix is exact — the digests carry the
-/// first four characters of each token.
-pub fn token_jw_upper_bound(a: &TokenStat, b: &TokenStat) -> f64 {
-    let (la, lb) = (a.len as usize, b.len as usize);
-    if la == 0 && lb == 0 {
-        return 1.0;
-    }
-    if la == 0 || lb == 0 {
-        return 0.0;
-    }
-    if a.len == u16::MAX || b.len == u16::MAX {
-        return 1.0;
-    }
-    let common = (a.mask & b.mask).count_ones() as usize;
-    let m = la
-        .saturating_sub((a.kinds as usize).saturating_sub(common))
-        .min(lb.saturating_sub((b.kinds as usize).saturating_sub(common)))
-        .min(la)
-        .min(lb);
-    let prefix = (0..4.min(la).min(lb))
-        .take_while(|&i| a.prefix[i] == b.prefix[i])
-        .count();
-    if m == 0 {
-        return 0.0;
-    }
-    let mf = m as f64;
-    let j = (mf / la as f64 + mf / lb as f64 + 1.0) / 3.0;
-    (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::intern::{sorted_ids_jaccard, to_sorted_set, TokenArena};
-    use crate::similarity::{jaro_winkler, jaro_winkler_chars, levenshtein_sim_chars};
+    use crate::similarity::{jaro_winkler_chars, levenshtein_sim_chars};
 
     const WORDS: &[&str] = &[
         "",
@@ -437,20 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn token_stat_bound_dominates_jaro_winkler() {
-        for a in WORDS {
-            for b in WORDS {
-                let bound = token_jw_upper_bound(&TokenStat::of(a), &TokenStat::of(b));
-                let truth = jaro_winkler(a, b);
-                assert!(
-                    bound >= truth - 1e-12,
-                    "token jw bound {bound} < {truth} for {a:?} vs {b:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn empty_edges_mirror_the_measures() {
         let e = CharProfile::of_chars(&[]);
         let x = CharProfile::of_chars(&chars("x"));
@@ -459,13 +368,5 @@ mod tests {
         assert_eq!(levenshtein_sim_upper_bound(&e, &e), 1.0);
         assert_eq!(signature_jaccard_bound(0, 0, 0, 0), 1.0);
         assert_eq!(signature_jaccard_bound(0, 0, 1, 1), 0.0);
-        assert_eq!(
-            token_jw_upper_bound(&TokenStat::of(""), &TokenStat::of("")),
-            1.0
-        );
-        assert_eq!(
-            token_jw_upper_bound(&TokenStat::of(""), &TokenStat::of("x")),
-            0.0
-        );
     }
 }
