@@ -61,16 +61,16 @@
 //!   own [`EvidenceLaw`] — no division per pair.
 //! * **Per score pass** ([`Tier1`]): the floor fixes `φ`, so the pass
 //!   tables every term that depends only on the floor and small integers —
-//!   the type vote of equal types and of every pair of distinct variants
-//!   (distinct types' compatibility reads only their variants,
-//!   [`DataType::distinct_compatibility`]), the role and exact-mismatch
-//!   votes, an acronym hit per count, the doc and structure lower votes per
-//!   count, the edit lane's lower vote and coarse cap per (count, Soundex
-//!   verdict), and the token lane's coarse term and the path vote per
-//!   (intersection, union, count) of two sets that ride inline.
-//! * **Per row** (`Row`): the source's column entries with the source pad
-//!   swapped in, the exact-name hit vote, the source's row of the type
-//!   table and its squared-weight prefix.
+//!   the role and exact-mismatch votes, an acronym hit per count, the doc
+//!   and structure lower votes per count, the edit lane's lower vote and
+//!   coarse cap per (count, Soundex verdict), and the token lane's coarse
+//!   term and the path vote per (intersection, union, count) of two sets
+//!   that ride inline. (The type vote of two distinct types reads only
+//!   their variants, [`DataType::distinct_compatibility`], so that table
+//!   is built once per process.)
+//! * **Per row** (`Row`): the source's [`Entry`], its inline ids rotated
+//!   and padded with the source pad, the exact-name hit vote, the source's
+//!   row of the type table and its squared-weight prefix.
 //!
 //! # The row kernel
 //!
