@@ -337,6 +337,7 @@ REQUIRED_SPANS = {
     "stage.prepare", "stage.block", "stage.score",
     "stage.propagate", "stage.select", "score.tier1", "score.tier2",
     "merge.row", "exec.lane", "block.rescue", "block.assemble", "block.close",
+    "stage.plan",
 }
 
 trace_path, report_path = sys.argv[1], sys.argv[2]

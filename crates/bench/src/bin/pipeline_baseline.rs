@@ -174,13 +174,14 @@ fn print_stages(label: &str, stages: &StageTimings) {
 }
 
 /// `--trace` mode: one instrumented blocked cascade run at the paper scale,
-/// plus the one-to-one selection at the operating threshold, exported as
-/// chrome-trace + report JSON. A private ≥2-wide executor guarantees the
-/// trace has per-lane worker rows even on a single-core host.
+/// plus the one-to-one selection at the operating threshold and a one-pair
+/// batch plan of the same pair, exported as chrome-trace + report JSON. A
+/// private ≥2-wide executor guarantees the trace has per-lane worker rows
+/// even on a single-core host.
 fn run_trace(req: &sm_bench::TraceRequest) {
     header(
         "pipeline_baseline --trace",
-        "one instrumented blocked cascade run + selection at 1378×784",
+        "one instrumented blocked cascade run + selection + one-pair plan at 1378×784",
     );
     let pair = case_study(1.0);
     let threads = detect_threads().max(2);
@@ -203,6 +204,18 @@ fn run_trace(req: &sm_bench::TraceRequest) {
         result.pairs_scored,
         selected.len(),
         result.elapsed.as_secs_f64(),
+    );
+    // The pair planned as a one-pair batch over the warm cache: the trace's
+    // `stage.plan` span and its `plan.*` parts (the run indexed both
+    // preparations, so `plan.index` builds nothing).
+    let batch = engine
+        .batch()
+        .with_plan_policy(PlanPolicy::provable())
+        .plan(&[&pair.source, &pair.target], [(0, 1)]);
+    println!(
+        "one-pair plan over the warm cache: {:.6}s ({} of 1 pair planned)",
+        batch.plan_time().as_secs_f64(),
+        batch.requests().len(),
     );
     // Dark time of the Block stage: wall time no child pass accounts for.
     let block_passes = [
@@ -235,7 +248,7 @@ fn run_trace(req: &sm_bench::TraceRequest) {
 fn main() {
     if let Some(req) = sm_bench::trace_request(
         "pipeline_baseline",
-        "one blocked cascade match + selection at 1378×784",
+        "one blocked cascade match + selection + one-pair plan at 1378×784",
     ) {
         run_trace(&req);
         return;

@@ -1,4 +1,4 @@
-//! Batch match planning: one shared index and one worker pool for a whole
+//! Batch match planning: one plan and one worker pool for a whole
 //! many-pair workload.
 //!
 //! The paper's enterprise scenarios are inherently *many-pair*: the
@@ -6,20 +6,24 @@
 //! clustering for consolidation compares every registry schema with every
 //! other, COI agreement matches each member against each member. Executing
 //! those as a loop of independent two-schema runs repays per-pair costs that
-//! are really per-*schema*: linguistic preparation (already cached by
-//! [`FeatureCache`]) and — before this module — the token-blocking index,
-//! which `generate_candidates` rebuilt twice per pair (once per probe
-//! direction), i.e. `N·(N−1)` builds for an N-way effort that needs exactly
-//! `N`.
+//! are really per-*schema*: linguistic preparation and the token-blocking
+//! index, which `generate_candidates` once rebuilt twice per pair (once per
+//! probe direction), i.e. `N·(N−1)` builds for an N-way effort that needs
+//! exactly `N`. Both now live with the preparation in the [`FeatureCache`]:
+//! each [`PreparedSchema`] holds its own [`crate::index::ElementTokenIndex`],
+//! built by its first blocked use ([`PreparedSchema::token_index`]).
 //!
 //! [`BatchPlanner::plan`] front-loads all shared work into a **Plan** stage
-//! (reported as [`StageTimings::plan`]): every schema is prepared through
-//! the engine's cache (concurrently, on the executor, with
+//! (timed under its `stage.plan` span and reported as
+//! [`StageTimings::plan`]): every schema is prepared through the engine's
+//! cache (concurrently, on the executor, with
 //! [`FeatureCache::get_or_prepare`] coalescing racing preparations of the
-//! same content) and indexed exactly once into a [`BatchIndex`] — the
-//! multi-schema token index, partitioned per schema so each pair's IDF
-//! weights are bit-for-bit those of a standalone run. [`MatchBatch::run`]
-//! then executes all requested pairs concurrently on the persistent
+//! same content), every preparation that holds no index yet is indexed, and
+//! the plan policy prunes the request list. Each index weighs features by
+//! its own schema's element count and document frequencies, so each pair's
+//! IDF weights are bit-for-bit those of a standalone run; a plan over warm
+//! preparations builds nothing. [`MatchBatch::run`] then executes all
+//! requested pairs concurrently on the persistent
 //! [`Executor`]: pairs are job-level lanes claiming from the batch's
 //! request queue, and each pair's Block and Score/Merge stages fan their
 //! chunks out to the *same* pool (two-level scheduling; see
@@ -36,12 +40,12 @@
 use crate::correspondence::MatchSet;
 use crate::engine::{BlockedMatchResult, MatchEngine};
 use crate::exec::{Executor, Job};
-use crate::index::{idf_weight, BlockingPolicy, ElementTokenIndex};
+use crate::index::{ensure_token_indices, idf_weight, BlockingPolicy};
+use crate::obs::{self, SpanKind};
 use crate::pipeline::StageTimings;
 use crate::prepare::{CacheStats, FeatureCache, PreparedSchema};
 use crate::select::Selection;
 use sm_schema::Schema;
-use sm_text::intern::TokenId;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -113,9 +117,9 @@ impl PlanPolicy {
 /// uncapped, an upper bound when frequent tokens are capped into the
 /// shared `ubiquitous` mass ([`OverlapEstimates::from_prepared_capped`]).
 ///
-/// The walk reuses the same per-schema blocking vocabulary the shared
-/// [`BatchIndex`] is built from (each schema's distinct
-/// [`PreparedSchema::block_features_of`] union), weighted by the same
+/// The walk reads each schema's blocking vocabulary from its token index
+/// (the distinct union of its [`PreparedSchema::block_features_of`],
+/// [`crate::index::ElementTokenIndex::features`]), weighted by the same
 /// smoothed IDF shape ([`idf_weight`]) at schema granularity — so a zero
 /// bound means *zero shared blocking tokens*, the condition under which a
 /// pair's candidate set is provably empty.
@@ -155,26 +159,28 @@ impl OverlapEstimates {
                 );
             }
         }
-        // Distinct blocking tokens per schema, then one global sort: the
-        // posting list of every token is a contiguous run of (token, slot)
-        // pairs, walked exactly once.
-        let mut postings: Vec<(TokenId, u32)> = Vec::new();
+        // Distinct blocking tokens per schema — its token index's feature
+        // table, built inline for a preparation no blocked use indexed
+        // yet — then one global sort of packed `(token << 32) | slot`
+        // pairs: the posting list of every token is a contiguous run,
+        // walked exactly once.
+        let mut postings: Vec<u64> = Vec::new();
         for (slot, p) in prepared.iter().enumerate() {
-            let mut ids: Vec<TokenId> = (0..p.len())
-                .flat_map(|e| p.block_features_of(e).iter().copied())
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            postings.extend(ids.into_iter().map(|t| (t, slot as u32)));
+            let features = p.token_index(Job::inline()).features();
+            postings.extend(
+                features
+                    .iter()
+                    .map(|t| (u64::from(t.0) << 32) | slot as u64),
+            );
         }
         postings.sort_unstable();
 
         // CSR over the sorted pairs: one contiguous slot run per distinct
         // token, no per-token allocation.
-        let slots: Vec<u32> = postings.iter().map(|&(_, s)| s).collect();
+        let slots: Vec<u32> = postings.iter().map(|&pair| pair as u32).collect();
         let mut offsets: Vec<usize> = vec![0];
         for i in 1..postings.len() {
-            if postings[i].0 != postings[i - 1].0 {
+            if postings[i] >> 32 != postings[i - 1] >> 32 {
                 offsets.push(i);
             }
         }
@@ -367,11 +373,17 @@ impl ClusterPlan {
     }
 }
 
-/// Wall-clock split of the Plan stage's overlap-aware work — the
-/// estimate/cluster/schedule sub-components of [`StageTimings::plan`]
-/// (all zero under [`PlanPolicy::Exhaustive`]).
+/// Wall-clock split of the Plan stage past preparation — the
+/// index/estimate/cluster/schedule sub-components of
+/// [`StageTimings::plan`], each the duration of its child span of
+/// `stage.plan` (`plan.index`, `plan.estimate`, `plan.cluster`,
+/// `plan.schedule`). All zero when neither the blocking policy nor the
+/// plan policy needs an index; the last three zero under
+/// [`PlanPolicy::Exhaustive`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanBreakdown {
+    /// Building the token index of every preparation that holds none yet.
+    pub index: Duration,
     /// Building the [`OverlapEstimates`] (the one posting walk).
     pub estimate: Duration,
     /// Clustering the estimates and electing hubs (`ClusterFirst` only).
@@ -411,9 +423,9 @@ impl<'e> BatchPlanner<'e> {
         self
     }
 
-    /// Plan a batch: prepare all `schemas` and build the shared
-    /// [`BatchIndex`] up front (the Plan stage), recording the requested
-    /// pairs for [`MatchBatch::run`].
+    /// Plan a batch: prepare all `schemas`, make sure each preparation
+    /// holds its token index, and prune the requested pairs by the plan
+    /// policy (the Plan stage), recording them for [`MatchBatch::run`].
     ///
     /// # Panics
     /// Panics when a request indexes outside `schemas`.
@@ -432,73 +444,89 @@ impl<'e> BatchPlanner<'e> {
                 schemas.len()
             );
         }
+        let (mut batch, plan) = obs::timed(
+            SpanKind::StagePlan,
+            |_| schemas.len() as u64,
+            || self.plan_stage(schemas, requests),
+        );
+        batch.plan = plan;
+        batch
+    }
 
+    /// The Plan stage's body. The engine's job governs it exactly like the
+    /// execute phase's job lanes: its thread cap, lane budget and token.
+    fn plan_stage<'s>(
+        &self,
+        schemas: &[&'s Schema],
+        mut requests: Vec<PairRequest>,
+    ) -> MatchBatch<'e, 's> {
         let cache = self.engine.feature_cache();
         let job = self.engine.job();
-        let started = Instant::now();
         let stats_before = cache.stats();
-        // The engine's job governs planning exactly like the execute
-        // phase's job lanes: its thread cap, lane budget and token. An
-        // exhaustive batch never probes an index (candidate generation
-        // short-circuits to the full cross product), so building one would
-        // be dead work.
         let prepared = prepare_schemas(cache, job, schemas);
-        let index = if matches!(self.policy, BlockingPolicy::Exhaustive) {
-            BatchIndex::empty()
-        } else {
-            BatchIndex::build(job, &prepared)
-        };
         let stats_after = cache.stats();
+        let n = prepared.len() as u64;
+
+        // Every preparation's token index, so that no pair job builds one;
+        // warm preparations already hold theirs. Only a batch that neither
+        // probes (exhaustive blocking) nor estimates needs none.
+        let mut breakdown = PlanBreakdown::default();
+        if self.policy != BlockingPolicy::Exhaustive || self.plan_policy != PlanPolicy::Exhaustive {
+            ((), breakdown.index) = obs::timed(
+                SpanKind::PlanIndex,
+                |_| n,
+                || ensure_token_indices(prepared.iter().map(|p| &**p), job),
+            );
+        }
 
         // Overlap-aware scheduling: estimate all-pairs overlap bounds in
         // one posting walk, optionally cluster, then filter the request
-        // list — all still inside the Plan stage's wall clock, with the
-        // sub-stages split out in the breakdown.
-        let mut breakdown = PlanBreakdown::default();
+        // list.
         let mut overlap = None;
         let mut clusters = None;
-        let mut pruned: Vec<PairRequest> = Vec::new();
-        let mut requests = requests;
+        let mut pruned = Vec::new();
         if self.plan_policy != PlanPolicy::Exhaustive {
-            let t = Instant::now();
-            let estimates = OverlapEstimates::from_prepared(&prepared);
-            breakdown.estimate = t.elapsed();
-            match self.plan_policy {
+            let estimates;
+            (estimates, breakdown.estimate) = obs::timed(
+                SpanKind::PlanEstimate,
+                |_| n,
+                || OverlapEstimates::from_prepared(&prepared),
+            );
+            let schedule = |requests: Vec<PairRequest>, keeps: &dyn Fn(&PairRequest) -> bool| {
+                obs::timed(
+                    SpanKind::PlanSchedule,
+                    |(kept, _): &(Vec<_>, Vec<_>)| kept.len() as u64,
+                    || requests.into_iter().partition(keeps),
+                )
+            };
+            ((requests, pruned), breakdown.schedule) = match self.plan_policy {
                 PlanPolicy::Exhaustive => unreachable!(),
-                PlanPolicy::OverlapThreshold { min_weight } => {
-                    let t = Instant::now();
-                    let (keep, drop) = requests
-                        .into_iter()
-                        .partition(|r| estimates.bound(r.left, r.right) >= min_weight);
-                    (requests, pruned) = (keep, drop);
-                    breakdown.schedule = t.elapsed();
-                }
+                PlanPolicy::OverlapThreshold { min_weight } => schedule(requests, &|r| {
+                    estimates.bound(r.left, r.right) >= min_weight
+                }),
                 PlanPolicy::ClusterFirst { max_distance } => {
-                    let t = Instant::now();
-                    let plan = ClusterPlan::from_overlap(&estimates, max_distance);
-                    breakdown.cluster = t.elapsed();
-                    let t = Instant::now();
-                    let (keep, drop) = requests
-                        .into_iter()
-                        .partition(|r| plan.keeps(r.left, r.right));
-                    (requests, pruned) = (keep, drop);
-                    breakdown.schedule = t.elapsed();
+                    let plan;
+                    (plan, breakdown.cluster) = obs::timed(
+                        SpanKind::PlanCluster,
+                        |plan: &ClusterPlan| plan.components() as u64,
+                        || ClusterPlan::from_overlap(&estimates, max_distance),
+                    );
+                    let scheduled = schedule(requests, &|r| plan.keeps(r.left, r.right));
                     clusters = Some(plan);
+                    scheduled
                 }
-            }
+            };
             overlap = Some(estimates);
         }
-        let plan = started.elapsed();
 
         MatchBatch {
             engine: self.engine,
             policy: self.policy,
             schemas: schemas.to_vec(),
             prepared,
-            index,
             requests,
             pruned,
-            plan,
+            plan: Duration::ZERO,
             breakdown,
             overlap,
             clusters,
@@ -563,65 +591,13 @@ pub fn prepare_schemas_global(schemas: &[&Schema]) -> Vec<Arc<PreparedSchema>> {
     )
 }
 
-/// The batch's shared multi-schema token index: every schema of the batch
-/// indexed exactly once, partitioned per schema.
-///
-/// Partitioning is what keeps batching invisible to results: blocking
-/// weights are IDF-smoothed per opposing schema (`ln((n+1)/(df+1))+1` with
-/// that schema's `n` and `df`), so candidate generation for a pair reads
-/// only that pair's two partitions and reproduces the standalone
-/// [`ElementTokenIndex`] probe bit for bit — while an N-way batch performs
-/// `N` index builds instead of the sequential loop's `N·(N−1)`.
-#[derive(Debug)]
-pub struct BatchIndex {
-    per_schema: Vec<ElementTokenIndex>,
-}
-
-impl BatchIndex {
-    /// Index every prepared schema, concurrently on `job`'s lanes. Each
-    /// schema's build further maps its element chunks over the same job
-    /// ([`ElementTokenIndex::build_on`]), so a small batch of large
-    /// schemata still fills every lane.
-    pub fn build(job: Job<'_>, prepared: &[Arc<PreparedSchema>]) -> Self {
-        BatchIndex {
-            per_schema: job.map(prepared, |_, prepared| {
-                ElementTokenIndex::build_on(prepared, job)
-            }),
-        }
-    }
-
-    /// An index over no schemata — what an exhaustive batch carries, since
-    /// its candidate generation never probes one.
-    pub fn empty() -> Self {
-        BatchIndex {
-            per_schema: Vec::new(),
-        }
-    }
-
-    /// Number of indexed schemata.
-    pub fn len(&self) -> usize {
-        self.per_schema.len()
-    }
-
-    /// True when the batch holds no schemata.
-    pub fn is_empty(&self) -> bool {
-        self.per_schema.is_empty()
-    }
-
-    /// The partition of one schema slot.
-    pub fn schema(&self, slot: usize) -> &ElementTokenIndex {
-        &self.per_schema[slot]
-    }
-}
-
-/// A planned batch: prepared schemata, the shared index, and the request
-/// list, ready to execute (possibly several times).
+/// A planned batch: prepared (and, unless exhaustive, indexed) schemata
+/// and the request list, ready to execute (possibly several times).
 pub struct MatchBatch<'e, 's> {
     engine: &'e MatchEngine,
     policy: BlockingPolicy,
     schemas: Vec<&'s Schema>,
     prepared: Vec<Arc<PreparedSchema>>,
-    index: BatchIndex,
     requests: Vec<PairRequest>,
     pruned: Vec<PairRequest>,
     plan: Duration,
@@ -667,13 +643,8 @@ impl MatchBatch<'_, '_> {
         &self.prepared
     }
 
-    /// The shared multi-schema token index ([`BatchIndex::empty`] for an
-    /// exhaustive batch, which never probes one).
-    pub fn index(&self) -> &BatchIndex {
-        &self.index
-    }
-
-    /// Wall-clock time of the Plan stage (bulk prepare + index build).
+    /// Wall-clock time of the Plan stage (bulk prepare, index builds and
+    /// pruning).
     pub fn plan_time(&self) -> Duration {
         self.plan
     }
@@ -784,23 +755,18 @@ impl MatchBatch<'_, '_> {
         (pairs, timings)
     }
 
-    /// One pair's blocked run against the batch's shared preparation and
-    /// index (exhaustive batches carry no index — candidate generation
-    /// short-circuits before probing).
+    /// One pair's blocked run against the batch's preparations, which hold
+    /// the indices the plan built (exhaustive batches probe none —
+    /// candidate generation short-circuits before probing).
     fn run_pair(&self, left: usize, right: usize) -> BlockedMatchResult {
-        crate::obs::add(crate::obs::Counter::PairJobs, 1);
-        let _job = crate::obs::span(
-            crate::obs::SpanKind::PairJob,
-            ((left as u64) << 32) | right as u64,
-        );
-        let indices = (!matches!(self.policy, BlockingPolicy::Exhaustive))
-            .then(|| (self.index.schema(left), self.index.schema(right)));
+        obs::add(obs::Counter::PairJobs, 1);
+        let _job = obs::span(SpanKind::PairJob, ((left as u64) << 32) | right as u64);
         self.engine.pipeline().run_blocked_prepared(
             self.schemas[left],
             self.schemas[right],
             &self.prepared[left],
             &self.prepared[right],
-            indices,
+            None,
             &self.policy,
         )
     }
@@ -910,6 +876,7 @@ mod tests {
     use super::*;
     use crate::confidence::Confidence;
     use sm_schema::{DataType, ElementKind, SchemaFormat, SchemaId};
+    use sm_text::intern::TokenId;
     use sm_text::normalize::Normalizer;
 
     fn schema(id: u32, words: &[&str]) -> Schema {
@@ -996,15 +963,20 @@ mod tests {
         let engine = engine();
         let batch = engine.batch().plan_all_pairs(&refs);
         assert_eq!(batch.prepared().len(), 3);
-        assert_eq!(batch.index().len(), 3);
         assert_eq!(batch.requests().len(), 3);
-        // Cold plan: every schema prepared exactly once, no re-preparation
-        // per pair.
+        // Cold plan: every schema prepared and indexed exactly once, no
+        // re-preparation per pair.
         assert_eq!(batch.cache.misses, 3);
-        // A second plan over the same schemata is all hits.
+        assert!(batch.plan_breakdown().index > Duration::ZERO);
+        // A second plan over the same schemata is all hits and reads the
+        // indices the first one built.
         let batch2 = engine.batch().plan_all_pairs(&refs);
         assert_eq!(batch2.cache.misses, 0);
         assert_eq!(batch2.cache.hits, 3);
+        for (first, second) in batch.prepared().iter().zip(batch2.prepared()) {
+            let index = first.built_token_index().expect("the plan indexed it");
+            assert!(std::ptr::eq(index, second.built_token_index().unwrap()));
+        }
     }
 
     #[test]
@@ -1142,6 +1114,64 @@ mod tests {
         assert!(est.bound(3, 4) > 0.0, "islands share flux/warp vocabulary");
     }
 
+    /// The estimate as it was before it read the token indices' feature
+    /// tables: each schema's block features collected, sorted and
+    /// deduplicated, then one global sort of `(token, slot)` tuples.
+    fn collected_estimates(prepared: &[Arc<PreparedSchema>], df_cap: usize) -> OverlapEstimates {
+        let mut postings: Vec<(TokenId, u32)> = Vec::new();
+        for (slot, p) in prepared.iter().enumerate() {
+            let mut ids: Vec<TokenId> = (0..p.len())
+                .flat_map(|e| p.block_features_of(e).iter().copied())
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            postings.extend(ids.into_iter().map(|t| (t, slot as u32)));
+        }
+        postings.sort_unstable();
+        let n = prepared.len() as f64;
+        let runs = postings.chunk_by(|a, b| a.0 == b.0).map(|run| {
+            let slots: Vec<u32> = run.iter().map(|&(_, slot)| slot).collect();
+            (idf_weight(n, slots.len() as f64), slots)
+        });
+        OverlapEstimates::from_token_postings(prepared.len(), runs, df_cap)
+    }
+
+    /// Bounds read from the token indices' feature tables are the
+    /// collected estimate's to the bit, uncapped and capped, on preparations
+    /// whose indices a plan built and on fresh ones no blocked use indexed.
+    #[test]
+    fn index_feature_bounds_are_the_collected_bounds() {
+        let mut fixtures = vec![two_islands(), population(12, 9)];
+        fixtures.push(Vec::new());
+        let check = |prepared: &[Arc<PreparedSchema>]| {
+            for df_cap in [usize::MAX, 1, 2] {
+                let want = collected_estimates(prepared, df_cap);
+                let got = OverlapEstimates::from_prepared_capped(prepared, df_cap);
+                for i in 0..prepared.len() {
+                    for j in 0..prepared.len() {
+                        assert_eq!(
+                            got.bound(i, j).to_bits(),
+                            want.bound(i, j).to_bits(),
+                            "bound({i}, {j}) at cap {df_cap}"
+                        );
+                    }
+                }
+            }
+        };
+        for schemas in &fixtures {
+            let refs: Vec<&Schema> = schemas.iter().collect();
+            let fresh = prepare_schemas(engine().feature_cache(), Job::inline(), &refs);
+            assert!(fresh.iter().all(|p| p.built_token_index().is_none()));
+            check(&fresh);
+            let engine = engine();
+            let batch = engine
+                .batch()
+                .with_plan_policy(PlanPolicy::provable())
+                .plan_all_pairs(&refs);
+            check(batch.prepared());
+        }
+    }
+
     #[test]
     fn capped_bounds_dominate_exact_bounds() {
         let schemas = two_islands();
@@ -1255,7 +1285,25 @@ mod tests {
         let batch = engine.batch().plan_all_pairs(&refs);
         assert!(batch.overlap().is_none());
         assert!(batch.pruned().is_empty());
-        assert_eq!(batch.plan_breakdown(), PlanBreakdown::default());
+        let breakdown = batch.plan_breakdown();
+        assert_eq!(
+            breakdown,
+            PlanBreakdown {
+                index: breakdown.index,
+                ..PlanBreakdown::default()
+            }
+        );
+        // A batch that neither probes nor estimates builds no index.
+        let cold = self::engine();
+        let dense = cold
+            .batch()
+            .with_policy(BlockingPolicy::Exhaustive)
+            .plan_all_pairs(&refs);
+        assert_eq!(dense.plan_breakdown(), PlanBreakdown::default());
+        assert!(dense
+            .prepared()
+            .iter()
+            .all(|p| p.built_token_index().is_none()));
     }
 
     /// `n` schemata of `cols` columns each, named over one small

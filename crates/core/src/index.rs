@@ -35,6 +35,15 @@
 //! weight bit against a brute-force oracle that restates the policy below
 //! over all `(s, t)` pairs.
 //!
+//! # One index per preparation
+//!
+//! An index is a pure function of its [`PreparedSchema`]: its IDF weights
+//! read only that schema's element count and document frequencies. So each
+//! preparation holds its own index, built by its first blocked use
+//! ([`PreparedSchema::token_index`]) and read by every later one — a
+//! point match, a batch pair job or the batch planner's overlap estimate —
+//! for as long as the feature cache keeps the preparation.
+//!
 //! # Parallelism
 //!
 //! Index build and probing both map their chunks over a caller's
@@ -72,9 +81,8 @@
 use crate::exec::{chunks, Executor, Job};
 use crate::prepare::PreparedSchema;
 use sm_schema::{Element, ElementId, Schema};
-use sm_text::intern::{TokenArena, TokenId};
+use sm_text::intern::TokenId;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Smoothed IDF weight of a feature present in `df` of `n` documents — the
 /// same shape the repository search index uses, so "rare ⇒ discriminating"
@@ -400,7 +408,8 @@ impl RowStore {
 
 /// Inverted index from lexical features to posting lists of element indices,
 /// built over one side's [`PreparedSchema`] — flat CSR layout with the IDF
-/// weight table precomputed at build (see the module docs).
+/// weight table precomputed at build (see the module docs). Its feature
+/// ids point into the preparation's arena ([`PreparedSchema::arena`]).
 ///
 /// Features per element are the preparation's interned
 /// [`crate::prepare::PreparedElement::block_features`] (building the index
@@ -410,7 +419,7 @@ impl RowStore {
 ///   convention drift (`organisation`/`organization`) still collide;
 /// * `a:`-prefixed acronym keys: every short raw name, and the acronym of
 ///   every multi-token name (`coi` ↔ `community_of_interest`).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct ElementTokenIndex {
     /// Distinct feature ids, ascending — the binary-search probe table.
     features: Vec<TokenId>,
@@ -431,9 +440,6 @@ pub struct ElementTokenIndex {
     /// building it here means a batch pays it once per schema.
     name_post_offsets: Vec<u32>,
     name_posts: Vec<u32>,
-    /// The arena the feature ids point into (string-keyed lookups intern
-    /// through it).
-    arena: Arc<TokenArena>,
     /// Number of indexed elements.
     len: usize,
 }
@@ -527,7 +533,6 @@ impl ElementTokenIndex {
             name_tokens,
             name_post_offsets,
             name_posts,
-            arena: Arc::clone(prepared.arena()),
             len: n,
         }
     }
@@ -595,18 +600,39 @@ impl ElementTokenIndex {
         self.features.len()
     }
 
+    /// The distinct feature ids, ascending: the union of every element's
+    /// blocking features.
+    pub(crate) fn features(&self) -> &[TokenId] {
+        &self.features
+    }
+
+    /// Heap bytes of `prepared`'s index, priced without building it: every
+    /// feature and every name counted as distinct, so the price bounds the
+    /// built index's bytes from above and equals them when no two elements
+    /// share a feature or a name.
+    pub(crate) fn estimate_bytes(prepared: &PreparedSchema) -> usize {
+        use std::mem::size_of;
+        let (mut features, mut names, mut name_tokens) = (0, 0, 0);
+        for e in prepared.elements() {
+            features += e.block_features.len();
+            if !e.name_ids.is_empty() {
+                names += 1;
+                name_tokens += e.name_ids.len();
+            }
+        }
+        let id = size_of::<TokenId>();
+        let pos = size_of::<u32>();
+        features * (id + pos + pos + size_of::<f64>())
+            + pos
+            + 2 * (names + 1) * pos
+            + name_tokens * id
+            + names * pos
+    }
+
     /// Posting list of an interned feature (empty when absent).
     pub fn postings_by_id(&self, feature: TokenId) -> &[u32] {
         self.probe_feature(feature)
             .map_or(&[], |(posting, _)| posting)
-    }
-
-    /// Posting list of a feature string (empty when absent). Convenience
-    /// for inspection and tests; the probe loop uses ids.
-    pub fn postings(&self, feature: &str) -> &[u32] {
-        self.arena
-            .lookup(feature)
-            .map_or(&[], |id| self.postings_by_id(id))
     }
 
     /// IDF weight of an interned feature under this index's document
@@ -616,14 +642,6 @@ impl ElementTokenIndex {
         self.feature_slot(feature).map_or_else(
             || idf_weight(self.len as f64, 0.0),
             |slot| self.weights[slot],
-        )
-    }
-
-    /// IDF weight of a feature under this index's document frequency.
-    pub fn weight(&self, feature: &str) -> f64 {
-        self.arena.lookup(feature).map_or_else(
-            || idf_weight(self.len as f64, 0.0),
-            |id| self.weight_by_id(id),
         )
     }
 
@@ -642,6 +660,22 @@ impl ElementTokenIndex {
         probe_element(feats, self, policy, scratch);
         &scratch.kept
     }
+}
+
+/// Build the token index of every preparation in `prepared` that holds
+/// none yet ([`PreparedSchema::token_index`]), side by side on `job`'s
+/// lanes, each build fanning its own element chunks out too.
+pub(crate) fn ensure_token_indices<'p>(
+    prepared: impl IntoIterator<Item = &'p PreparedSchema>,
+    job: Job<'_>,
+) {
+    let cold: Vec<&PreparedSchema> = prepared
+        .into_iter()
+        .filter(|p| p.built_token_index().is_none())
+        .collect();
+    job.map(cold, |_, p| {
+        p.token_index(job);
+    });
 }
 
 /// One probe chunk's kept pairs as `(source, target)`, grouped by source
@@ -935,11 +969,11 @@ pub fn generate_candidates_with_exec(
 /// under `policy`.
 ///
 /// `indices`, when given, are pre-built token indices over exactly
-/// `prepared_source` / `prepared_target` — the batch planner indexes each
-/// of a batch's N schemata once instead of once per pair per direction.
-/// Index construction is deterministic per schema, so sharing one build
-/// across pairs changes no bit of the result. Without them the per-pair
-/// builds run here.
+/// `prepared_source` / `prepared_target`. Without them each preparation's
+/// own index is read ([`PreparedSchema::token_index`]); a preparation that
+/// holds none yet builds it here, once for every later use. Index
+/// construction is deterministic per schema, so sharing one build across
+/// pairs and calls changes no bit of the result.
 ///
 /// Index builds, both probe directions, the row assembly and each parent
 /// closure level fan out over `job`'s lanes; at width 1 (or with a single
@@ -1000,18 +1034,13 @@ pub fn generate_candidates(
     if matches!(policy, BlockingPolicy::Exhaustive) {
         return CandidateSet::exhaustive(rows, cols);
     }
-    let built;
-    let (source_index, target_index) = match indices {
-        Some(indices) => indices,
-        None => {
-            // The two builds run side by side, each fanning its own element
-            // chunks out too.
-            built = job.map([prepared_source, prepared_target], |_, prepared| {
-                ElementTokenIndex::build_on(prepared, job)
-            });
-            (&built[0], &built[1])
-        }
-    };
+    let (source_index, target_index) = indices.unwrap_or_else(|| {
+        ensure_token_indices([prepared_source, prepared_target], job);
+        (
+            prepared_source.token_index(job),
+            prepared_target.token_index(job),
+        )
+    });
 
     let containers = |schema: &Schema| -> Vec<bool> {
         schema
@@ -1216,7 +1245,21 @@ mod tests {
         PreparedSchema::build(s, default_normalizer())
     }
 
-    /// Candidate generation at parallelism 1 with per-pair index builds.
+    /// Heap bytes of the built tables.
+    fn heap_bytes(index: &ElementTokenIndex) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&index.features[..])
+            + size_of_val(&index.offsets[..])
+            + size_of_val(&index.postings[..])
+            + size_of_val(&index.weights[..])
+            + size_of_val(&index.name_key_offsets[..])
+            + size_of_val(&index.name_tokens[..])
+            + size_of_val(&index.name_post_offsets[..])
+            + size_of_val(&index.name_posts[..])
+    }
+
+    /// Candidate generation at parallelism 1 over the preparations' own
+    /// indices.
     fn inline_candidates(
         a: &Schema,
         b: &Schema,
@@ -1267,19 +1310,18 @@ mod tests {
         let (a, _) = fixture();
         let pa = prepared(&a);
         let index = ElementTokenIndex::build(&pa);
+        let postings = |feature: &str| index.postings_by_id(pa.arena().intern(feature));
         assert_eq!(index.len(), a.len());
         let person = a.find_by_name("person_id").unwrap();
         // Name token posting.
-        assert!(index.postings("person").contains(&(person.0)));
+        assert!(postings("person").contains(&(person.0)));
         // Doc token posting ("unique" survives prose normalization).
-        assert!(index.postings("uniqu").contains(&(person.0)));
+        assert!(postings("uniqu").contains(&(person.0)));
         // Soundex key of a name token.
-        assert!(!index
-            .postings(&format!("s:{}", soundex("person")))
-            .is_empty());
+        assert!(!postings(&format!("s:{}", soundex("person"))).is_empty());
         // Short raw name indexed as an acronym key.
         let coi = a.find_by_name("COI").unwrap();
-        assert!(index.postings("a:coi").contains(&(coi.0)));
+        assert!(postings("a:coi").contains(&(coi.0)));
     }
 
     /// The CSR store mirrors the index's definition on the fixture: each
@@ -1326,32 +1368,81 @@ mod tests {
         let exec = Executor::new(4);
         let inline = ElementTokenIndex::build(&pa);
         let parallel = ElementTokenIndex::build_parallel(&pa, &exec, 4);
-        assert_eq!(inline.features, parallel.features);
-        assert_eq!(inline.offsets, parallel.offsets);
-        assert_eq!(inline.postings, parallel.postings);
-        assert_eq!(
-            inline
-                .weights
-                .iter()
-                .map(|w| w.to_bits())
-                .collect::<Vec<_>>(),
-            parallel
-                .weights
-                .iter()
-                .map(|w| w.to_bits())
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(inline.name_posts, parallel.name_posts);
-        assert_eq!(inline.name_tokens, parallel.name_tokens);
+        assert_eq!(inline, parallel);
+    }
+
+    /// The price of an unbuilt index bounds the built index's heap bytes,
+    /// and equals them when no two elements share a feature or a name: a
+    /// one-element schema, and an empty one.
+    #[test]
+    fn estimate_bytes_prices_the_built_index() {
+        let (a, b) = fixture();
+        let mut one = Schema::new(SchemaId(3), "One", SchemaFormat::Generic);
+        one.add_root("person_id", ElementKind::Column, DataType::Integer);
+        let empty = Schema::new(SchemaId(4), "E", SchemaFormat::Generic);
+        for (s, exact) in [(&a, false), (&b, false), (&one, true), (&empty, true)] {
+            let p = prepared(s);
+            let price = ElementTokenIndex::estimate_bytes(&p);
+            let heap = heap_bytes(&ElementTokenIndex::build(&p));
+            if exact {
+                assert_eq!(price, heap, "{}", s.name);
+            } else {
+                assert!(
+                    heap <= price && price < 2 * heap,
+                    "{}: {heap} vs {price}",
+                    s.name
+                );
+            }
+        }
+    }
+
+    /// A first use the job token cancels unwinds out of the build and
+    /// leaves the preparation without an index, whether it is the
+    /// preparation's own call or a blocked run's; a later use builds the
+    /// index the standalone build does, and the run's candidates with it.
+    #[test]
+    fn cancelled_first_use_leaves_no_index_and_a_later_use_builds_it() {
+        crate::serve::install_cancel_hook();
+        let (a, b) = fixture();
+        let (pa, pb) = (prepared(&a), prepared(&b));
+        let exec = Executor::new(2);
+        let token = crate::serve::JobToken::new();
+        token.cancel();
+        let doomed = Job::new(&exec, 2).with_token(Some(&token));
+        let policy = BlockingPolicy::default();
+        let unwound = |f: &dyn Fn()| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("a tripped token cancels the first use");
+            assert!(payload
+                .downcast_ref::<crate::serve::CancelUnwind>()
+                .is_some());
+        };
+        unwound(&|| {
+            pa.token_index(doomed);
+        });
+        unwound(&|| {
+            generate_candidates(&a, &b, &pa, &pb, None, &policy, doomed);
+        });
+        assert!(pa.built_token_index().is_none());
+        assert!(pb.built_token_index().is_none());
+
+        let got = generate_candidates(&a, &b, &pa, &pb, None, &policy, Job::new(&exec, 2));
+        let (ia, ib) = (ElementTokenIndex::build(&pa), ElementTokenIndex::build(&pb));
+        assert_eq!(pa.built_token_index(), Some(&ia));
+        assert_eq!(pb.built_token_index(), Some(&ib));
+        let built = generate_candidates(&a, &b, &pa, &pb, Some((&ia, &ib)), &policy, Job::inline());
+        assert_eq!(got, built);
     }
 
     #[test]
     fn rare_features_outweigh_common_ones() {
         let (a, _) = fixture();
-        let index = ElementTokenIndex::build(&prepared(&a));
+        let pa = prepared(&a);
+        let index = ElementTokenIndex::build(&pa);
+        let weight = |feature: &str| index.weight_by_id(pa.arena().intern(feature));
         // "person" appears in two elements, "member" in one.
-        assert!(index.weight("member") > index.weight("person"));
-        assert!(index.weight("absent-token") > index.weight("member"));
+        assert!(weight("member") > weight("person"));
+        assert!(weight("absent-token") > weight("member"));
     }
 
     #[test]

@@ -189,7 +189,7 @@ impl<'a> NWayMatch<'a> {
     /// hand — and since the batch planner landed, the sequential dense loop
     /// this method itself used to run. Each of the N schemata is prepared
     /// **and token-indexed** once rather than once per pairing, candidates
-    /// come from the shared index under [`BlockingPolicy::default`], and
+    /// come from those indices under [`BlockingPolicy::default`], and
     /// all pairs execute concurrently on the engine's persistent executor.
     ///
     /// Scores of scored pairs are byte-identical to the dense loop's;

@@ -117,10 +117,21 @@ pub enum SpanKind {
     /// name-token signature and the blocking-feature CSR (payload =
     /// elements).
     PrepareAssemble = 29,
+    /// A batch's Plan stage; payload = schemata planned.
+    StagePlan = 30,
+    /// Plan sub-stage: the token index of every preparation that holds
+    /// none yet; payload = schemata.
+    PlanIndex = 31,
+    /// Plan sub-stage: the overlap estimate walk; payload = schemata.
+    PlanEstimate = 32,
+    /// Plan sub-stage: clustering the estimates; payload = components.
+    PlanCluster = 33,
+    /// Plan sub-stage: filtering the requests; payload = pairs kept.
+    PlanSchedule = 34,
 }
 
 /// All kinds, in discriminant order (export iteration order).
-pub const SPAN_KINDS: [SpanKind; 30] = [
+pub const SPAN_KINDS: [SpanKind; 35] = [
     SpanKind::StagePrepare,
     SpanKind::StageBlock,
     SpanKind::StageScore,
@@ -151,6 +162,11 @@ pub const SPAN_KINDS: [SpanKind; 30] = [
     SpanKind::ScoreDigests,
     SpanKind::PrepareChunk,
     SpanKind::PrepareAssemble,
+    SpanKind::StagePlan,
+    SpanKind::PlanIndex,
+    SpanKind::PlanEstimate,
+    SpanKind::PlanCluster,
+    SpanKind::PlanSchedule,
 ];
 
 impl SpanKind {
@@ -187,6 +203,11 @@ impl SpanKind {
             SpanKind::ScoreDigests => "score.digests",
             SpanKind::PrepareChunk => "prepare.chunk",
             SpanKind::PrepareAssemble => "prepare.assemble",
+            SpanKind::StagePlan => "stage.plan",
+            SpanKind::PlanIndex => "plan.index",
+            SpanKind::PlanEstimate => "plan.estimate",
+            SpanKind::PlanCluster => "plan.cluster",
+            SpanKind::PlanSchedule => "plan.schedule",
         }
     }
 

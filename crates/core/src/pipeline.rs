@@ -73,10 +73,9 @@ use std::time::{Duration, Instant};
 /// Wall-clock time spent in each pipeline stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Batch planning: bulk preparation of all schemata plus the shared
-    /// multi-schema token index build (zero on single-pair runs, whose
-    /// per-pair preparation is reported under `prepare`). See
-    /// [`crate::batch`].
+    /// Batch planning: bulk preparation of all schemata, the token index
+    /// builds and pair pruning (zero on single-pair runs, whose per-pair
+    /// preparation is reported under `prepare`). See [`crate::batch`].
     pub plan: Duration,
     /// Plan sub-stage: the pairwise-overlap estimate walk (zero under
     /// [`crate::batch::PlanPolicy::Exhaustive`], which never estimates).
@@ -262,8 +261,9 @@ impl<'e> MatchPipeline<'e> {
     /// Run the blocked pipeline: Prepare → Block → Score/Merge → Propagate
     /// over the blocking index's candidates.
     ///
-    /// The Block stage builds token indices over both prepared schemata and
-    /// lets `policy` prune the cross product to a [`CandidateSet`]; only
+    /// The Block stage probes both preparations' token indices (a
+    /// preparation's first blocked use builds its index) and lets `policy`
+    /// prune the cross product to a [`CandidateSet`]; only
     /// candidates are scored. Propagation densifies exactly the rows that
     /// have candidates: every cell of such a row with a parented target is
     /// blended with its parents' base score (the parent pair is itself a
@@ -284,15 +284,16 @@ impl<'e> MatchPipeline<'e> {
         })
     }
 
-    /// The blocked pipeline against already-prepared schemata and (optionally)
-    /// pre-built token indices — the batch planner's per-pair entry point.
+    /// The blocked pipeline against already-prepared schemata — the batch
+    /// planner's per-pair entry point — optionally over caller-built token
+    /// indices.
     ///
     /// `prepared_*` must be the preparations of exactly these schemata (the
     /// batch fetches them from the engine's content-fingerprint-keyed cache,
     /// which guarantees it); when `indices` is `Some((source_index,
-    /// target_index))` they must be built over the same preparations.
-    /// Output is byte-identical to [`Self::run_blocked`] — index reuse only
-    /// removes the per-pair index builds from the Block stage.
+    /// target_index))` they must be built over the same preparations, and
+    /// without them the preparations' own indices are read. Output is
+    /// byte-identical to [`Self::run_blocked`] either way.
     pub fn run_blocked_prepared(
         &self,
         source: &Schema,
@@ -308,9 +309,9 @@ impl<'e> MatchPipeline<'e> {
     }
 
     /// The blocked run: Prepare with the preparations `prepare` fetches,
-    /// Block over token indices (`indices`, or per-pair builds), then
-    /// Score → Merge → Propagate. Both probe directions and the per-pair
-    /// builds fan out across the engine's executor lanes.
+    /// Block over token indices (`indices`, or the preparations' own), then
+    /// Score → Merge → Propagate. Both probe directions and any first-use
+    /// index builds fan out across the engine's executor lanes.
     fn blocked(
         &self,
         source: &Schema,

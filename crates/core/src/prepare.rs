@@ -26,7 +26,7 @@
 
 use crate::cascade::Columns;
 use crate::exec::{chunks, Executor, Job};
-use crate::index::CHUNK_ELEMENTS;
+use crate::index::{ElementTokenIndex, CHUNK_ELEMENTS};
 use sm_schema::{Schema, SchemaId};
 use sm_text::intern::{to_sorted_set, TokenArena, TokenId};
 use sm_text::normalize::{Normalizer, TokenBag};
@@ -193,6 +193,9 @@ pub struct PreparedSchema {
     /// The score cascade's tier-1 columns, built by the first cascade pass
     /// of a match context over this preparation and shared with every one.
     pub(crate) columns: Arc<OnceLock<Columns>>,
+    /// The blocking index over the elements, built by the first blocked
+    /// use ([`Self::token_index`]) and read by every later one.
+    token_index: OnceLock<ElementTokenIndex>,
 }
 
 /// Phase 1 of [`PreparedSchema::build_chunked`] for one element chunk:
@@ -429,6 +432,21 @@ impl PreparedSchema {
         &self.arena
     }
 
+    /// The blocking index over this preparation's elements. The first call
+    /// builds it on `job`'s lanes, under its lane budget and token; a build
+    /// the token cancels unwinds and leaves no index behind, and callers
+    /// racing the first build wait for it, so each preparation is indexed
+    /// once. Later calls read the same index.
+    pub fn token_index(&self, job: Job<'_>) -> &ElementTokenIndex {
+        self.token_index
+            .get_or_init(|| ElementTokenIndex::build_on(self, job))
+    }
+
+    /// The blocking index, if a use has built it yet.
+    pub fn built_token_index(&self) -> Option<&ElementTokenIndex> {
+        self.token_index.get()
+    }
+
     /// Estimated resident-heap footprint of this preparation in bytes.
     ///
     /// Deliberately an estimate: `Vec` spare capacity, allocator headers,
@@ -436,7 +454,8 @@ impl PreparedSchema {
     /// preparation) are out of scope. What matters for the cache's byte
     /// budget is that entries are priced roughly and *consistently*, so a
     /// 3000-element AUTOSAR release costs ~100× a 30-element form schema.
-    /// The score cascade's columns count whether or not they are built yet.
+    /// The score cascade's columns and the blocking index count whether or
+    /// not they are built yet.
     pub fn estimate_bytes(&self) -> usize {
         use std::mem::size_of;
         let id = size_of::<TokenId>();
@@ -458,7 +477,7 @@ impl PreparedSchema {
                 + e.block_features.len())
                 * id;
         }
-        bytes + Columns::estimate_bytes(&self.elements)
+        bytes + Columns::estimate_bytes(&self.elements) + ElementTokenIndex::estimate_bytes(self)
     }
 
     /// Does this preparation still reflect `schema`'s current content?
@@ -470,11 +489,12 @@ impl PreparedSchema {
     /// the distinct name-token ids, already sorted lexicographically by
     /// resolved string. Both [`Self::build`] and the warm-start loader end
     /// here; only the flat blocking-feature CSR is derived (the score
-    /// cascade's columns are built on first use). The warm-start
-    /// image carries each schema's signature in that order (lexical
-    /// *string* order is process-independent, unlike the ids themselves),
-    /// so the loader skips a per-schema dedup pass and string-compare sort
-    /// — at registry scale those were the dominant cost of schema assembly.
+    /// cascade's columns and the blocking index are built on first use).
+    /// The warm-start image carries each schema's signature in that order
+    /// (lexical *string* order is process-independent, unlike the ids
+    /// themselves), so the loader skips a per-schema dedup pass and
+    /// string-compare sort — at registry scale those were the dominant
+    /// cost of schema assembly.
     pub fn from_prepared_elements_presorted(
         schema_id: SchemaId,
         fingerprint: u64,
@@ -514,6 +534,7 @@ impl PreparedSchema {
             signature_ids,
             block_feature_offsets,
             block_feature_ids,
+            token_index: OnceLock::new(),
         }
     }
 }

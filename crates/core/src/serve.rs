@@ -16,8 +16,9 @@
 //!   [`JobGrant::bind`] attaches the budget to an engine, and
 //!   [`crate::engine::MatchEngine::job`] carries it with the token into
 //!   every parallel stage as one [`crate::exec::Job`]: the batch Plan
-//!   stage (schema preparation and index builds), Prepare, Block (per-pair
-//!   index builds included) and Score/Merge, and the batch's pair jobs.
+//!   stage (schema preparation and index builds), Prepare, Block (a first
+//!   use's index builds included) and Score/Merge, and the batch's pair
+//!   jobs.
 //!   The caller's lane 0 is always unbudgeted, so starvation degrades to
 //!   inline execution, never a hang;
 //! * **deadlines + cancellation** — every job carries a [`JobToken`]; the

@@ -29,8 +29,8 @@ fn main() {
     // Pairwise matching is one planned batch — the production path for
     // every many-pair workload: the planner prepares and token-indexes each
     // of the five schemata exactly once, generates candidates per pair from
-    // the shared index under the default blocking policy, and executes all
-    // ten pairs concurrently on the persistent executor.
+    // the preparations' own indices under the default blocking policy, and
+    // executes all ten pairs concurrently on the persistent executor.
     let engine = MatchEngine::new();
     let threshold = Confidence::new(0.35);
 
@@ -39,7 +39,7 @@ fn main() {
     let batch = engine.batch().plan_all_pairs(&schemas);
     println!(
         "batch plan: {} schemata indexed once, {} pair requests, planned in {:?}",
-        batch.index().len(),
+        batch.prepared().len(),
         batch.requests().len(),
         batch.plan_time()
     );

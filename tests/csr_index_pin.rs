@@ -500,3 +500,60 @@ proptest! {
         assert_store_pinned(&pt, &ps);
     }
 }
+
+/// Each preparation's cached token index, built by its first blocked use —
+/// a blocked candidate generation or a batch plan — is the standalone
+/// build field for field: on the case-study pair, on the N=100 vocabulary
+/// corpus and on an empty schema.
+#[test]
+fn cached_index_is_the_standalone_build() {
+    fn assert_cached(prepared: &PreparedSchema, label: &str) {
+        let cached = prepared
+            .built_token_index()
+            .unwrap_or_else(|| panic!("{label}: no cached index"));
+        assert!(*cached == ElementTokenIndex::build(prepared), "{label}");
+    }
+    let exec = Executor::new(2);
+    let engine = engine()
+        .with_executor(Arc::new(Executor::new(2)))
+        .with_threads(2);
+
+    let pair = SchemaPair::generate(&GeneratorConfig::paper_case_study(42, 1.0));
+    let (ps, pt) = (engine.prepare(&pair.source), engine.prepare(&pair.target));
+    let policy = BlockingPolicy::default();
+    generate_candidates(
+        &pair.source,
+        &pair.target,
+        &ps,
+        &pt,
+        None,
+        &policy,
+        Job::new(&exec, 2),
+    );
+    assert_cached(&ps, "case-study source");
+    assert_cached(&pt, "case-study target");
+
+    let corpus = sm_synth::SyntheticRepository::generate(&sm_synth::RepositoryConfig {
+        seed: 2031,
+        domains: 10,
+        schemas_per_domain: 10,
+        concepts_per_domain: 12,
+        concept_coverage: 0.65,
+        attrs_per_concept: (3, 6),
+        scoped_attributes: true,
+    });
+    let empty = Schema::new(SchemaId(9_999), "Empty", SchemaFormat::Generic);
+    let refs: Vec<&Schema> = corpus.schemas.iter().chain([&empty]).collect();
+    assert_eq!(refs.len(), 101);
+    let batch = engine
+        .batch()
+        .with_plan_policy(PlanPolicy::OverlapThreshold { min_weight: 45.0 })
+        .plan_all_pairs(&refs);
+    for (slot, prepared) in batch.prepared().iter().enumerate() {
+        assert_cached(prepared, &format!("corpus slot {slot}"));
+    }
+    assert!(batch.prepared()[100]
+        .built_token_index()
+        .unwrap()
+        .is_empty());
+}

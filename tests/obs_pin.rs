@@ -389,3 +389,140 @@ fn instance_run_records_one_prepare_span() {
     assert_eq!(prepare.len(), 1, "one stage.prepare");
     assert_eq!(u128::from(prepare[0]), r.timings.prepare.as_nanos());
 }
+
+/// A batch's Plan stage is timed once, by its `stage.plan` span, which is
+/// `StageTimings::plan` to the nanosecond. Its index, estimate, cluster and
+/// schedule parts are child spans inside it, each the `PlanBreakdown` field
+/// of its name. A cold plan builds one index per schema, inside
+/// `plan.index`; a warm plan builds none, and neither does any pair job of
+/// the run.
+#[test]
+fn plan_spans_equal_the_plan_breakdown() {
+    let _g = lock();
+    obs::set_enabled(true);
+    let corpus = sm_synth::SyntheticRepository::generate(&sm_synth::RepositoryConfig {
+        seed: 11,
+        domains: 2,
+        schemas_per_domain: 4,
+        concepts_per_domain: 10,
+        concept_coverage: 0.5,
+        attrs_per_concept: (3, 6),
+        scoped_attributes: true,
+    });
+    let refs: Vec<&sm_schema::Schema> = corpus.schemas.iter().collect();
+    let selection = Selection::OneToOne {
+        min: Confidence::new(0.30),
+    };
+    for policy in [
+        PlanPolicy::provable(),
+        PlanPolicy::ClusterFirst { max_distance: 0.6 },
+    ] {
+        let engine = cold_engine();
+        for (round, index_builds) in [("cold", refs.len()), ("warm", 0)] {
+            let label = format!("{round} {policy:?}");
+            obs::reset();
+            let batch = engine
+                .batch()
+                .with_plan_policy(policy)
+                .plan_all_pairs(&refs);
+            let events = obs::collect();
+            let of = |kind: obs::SpanKind| -> Vec<&obs::TraceEvent> {
+                events.iter().filter(|e| e.kind == kind).collect()
+            };
+            let plan = of(obs::SpanKind::StagePlan);
+            assert_eq!(plan.len(), 1, "{label}: one stage.plan");
+            let (start, end) = (plan[0].ts_ns, plan[0].ts_ns + plan[0].dur_ns);
+            assert_eq!(
+                u128::from(plan[0].dur_ns),
+                batch.plan_time().as_nanos(),
+                "{label}"
+            );
+            let inside = |e: &obs::TraceEvent| e.ts_ns >= start && e.ts_ns + e.dur_ns <= end;
+            let breakdown = batch.plan_breakdown();
+            let clustered = matches!(policy, PlanPolicy::ClusterFirst { .. });
+            for (kind, timing, expected) in [
+                (obs::SpanKind::PlanIndex, breakdown.index, true),
+                (obs::SpanKind::PlanEstimate, breakdown.estimate, true),
+                (obs::SpanKind::PlanCluster, breakdown.cluster, clustered),
+                (obs::SpanKind::PlanSchedule, breakdown.schedule, true),
+            ] {
+                let spans = of(kind);
+                if !expected {
+                    assert!(spans.is_empty(), "{label}: {}", kind.name());
+                    assert_eq!(timing, Duration::ZERO, "{label}: {}", kind.name());
+                    continue;
+                }
+                assert_eq!(spans.len(), 1, "{label}: one {}", kind.name());
+                assert!(
+                    inside(spans[0]),
+                    "{label}: {} outside stage.plan",
+                    kind.name()
+                );
+                assert_eq!(
+                    u128::from(spans[0].dur_ns),
+                    timing.as_nanos(),
+                    "{label}: {} span vs its PlanBreakdown field",
+                    kind.name()
+                );
+            }
+            let index = of(obs::SpanKind::PlanIndex)[0];
+            let builds = of(obs::SpanKind::IndexBuild);
+            assert_eq!(builds.len(), index_builds, "{label}: index builds");
+            assert!(builds.iter().all(|b| {
+                b.ts_ns >= index.ts_ns && b.ts_ns + b.dur_ns <= index.ts_ns + index.dur_ns
+            }));
+
+            obs::reset();
+            let run = batch.run_select_only(&selection);
+            assert_eq!(run.timings.plan, batch.plan_time(), "{label}");
+            assert!(
+                obs::collect()
+                    .iter()
+                    .all(|e| e.kind != obs::SpanKind::IndexBuild),
+                "{label}: a pair job built an index"
+            );
+        }
+    }
+}
+
+/// Two blocked matches racing to be the first blocked use of the same two
+/// preparations build each one's token index once, and block identically;
+/// a later match builds none.
+#[test]
+fn racing_first_uses_build_each_index_once() {
+    let _g = lock();
+    obs::set_enabled(true);
+    let pair = sm_synth::SchemaPair::generate(&sm_synth::GeneratorConfig::paper_case_study(5, 0.1));
+    let (source, target) = (&pair.source, &pair.target);
+    let policy = BlockingPolicy::default();
+    let engine = cold_engine();
+    engine.prepare(source);
+    engine.prepare(target);
+    let count_builds = || {
+        obs::collect()
+            .iter()
+            .filter(|e| e.kind == obs::SpanKind::IndexBuild)
+            .count()
+    };
+    obs::reset();
+    let barrier = Barrier::new(2);
+    let runs: Vec<BlockedMatchResult> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    engine.run_blocked(source, target, &policy)
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(runs[0].candidates, runs[1].candidates);
+    assert_eq!(runs[0].matrix.as_slice(), runs[1].matrix.as_slice());
+    assert_eq!(count_builds(), 2, "one index.build per preparation");
+
+    obs::reset();
+    let later = engine.run_blocked(source, target, &policy);
+    assert_eq!(later.candidates, runs[0].candidates);
+    assert_eq!(count_builds(), 0, "a later use reads the cached indices");
+}

@@ -377,8 +377,11 @@ fn restricted_increment_with_tripped_token_is_cancelled() {
 
 /// Every governed operation draws its helper lanes from the class budget:
 /// at a zero budget it runs inline on the caller (no lane is offered to the
-/// pool, per-pair index builds and the batch plan included) and returns
-/// scored pairs (ids and scores) identical to the unbudgeted run.
+/// pool, the first blocked use's index builds and the batch plan included)
+/// and returns scored pairs (ids and scores) identical to the unbudgeted
+/// run. The unbudgeted reference runs on a cache of its own, so the
+/// governed run finds its schemata neither prepared nor indexed and does
+/// both itself.
 #[test]
 fn restricted_increment_under_zero_lane_budget_runs_inline_identically() {
     const THREADS: usize = 4;
@@ -391,9 +394,17 @@ fn restricted_increment_under_zero_lane_budget_runs_inline_identically() {
         let ctl = AdmissionController::new(Arc::clone(&exec), Arc::clone(&cache), config);
         assert_eq!(ctl.budget(op.class()).width(), 0);
 
-        let unbudgeted = engine(&exec, &cache, THREADS);
-        op.with(&schemas, &unbudgeted, |run| {
+        let unbudgeted = engine(
+            &exec,
+            &Arc::new(FeatureCache::new(Normalizer::new())),
+            THREADS,
+        );
+        op.with(&schemas, &engine(&exec, &cache, THREADS), |run| {
             let reference = run(&unbudgeted);
+            let blocks = !matches!(op, Op::RestrictedIncrement);
+            if blocks {
+                assert_eq!(cache.stats().entries, 0, "{op:?}: the cache is cold");
+            }
             let before = exec.stats();
             let served = ctl
                 .submit(op.class(), 5, |grant| {
@@ -407,6 +418,15 @@ fn restricted_increment_under_zero_lane_budget_runs_inline_identically() {
             );
             assert!(after.inline_runs > before.inline_runs, "{op:?} ran inline");
             assert_eq!(served, reference, "{op:?}: budgeted run diverged");
+            if blocks {
+                for schema in &schemas {
+                    let prepared = cache.get_or_prepare(schema);
+                    assert!(
+                        prepared.built_token_index().is_some(),
+                        "{op:?}: the governed run indexed every schema"
+                    );
+                }
+            }
         });
     }
 }
