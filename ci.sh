@@ -23,6 +23,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
+echo "==> rustdoc with warnings denied (project packages)"
+# Catches doc links to deleted or private items. vendor/ stays out: its
+# offline stand-ins are not this project's docs (vendor/proptest has an
+# ambiguous intra-doc link).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline \
+    -p schema-match-suite -p harmony-core -p sm-enterprise -p sm-export \
+    -p sm-schema -p sm-synth -p sm-text -p sm-bench
+
 echo "==> BENCH_*.json schema check (keys must parse)"
 for f in BENCH_*.json; do
     python3 - "$f" <<'PY'

@@ -19,18 +19,21 @@
 //! cache (concurrently, on the executor, with
 //! [`FeatureCache::get_or_prepare`] coalescing racing preparations of the
 //! same content), every preparation that holds no index yet is indexed, and
-//! the plan policy prunes the request list. Each index weighs features by
-//! its own schema's element count and document frequencies, so each pair's
-//! IDF weights are bit-for-bit those of a standalone run; a plan over warm
-//! preparations builds nothing. [`MatchBatch::run`] then executes all
-//! requested pairs concurrently on the persistent
-//! [`Executor`]: pairs are job-level lanes claiming from the batch's
-//! request queue, and each pair's Block and Score/Merge stages fan their
-//! chunks out to the *same* pool (two-level scheduling; see
-//! [`crate::exec`]). While the job lanes hold the whole pool those chunk
-//! fan-outs run inline, since a fan-out offers only unreserved lanes; at
-//! the tail, a job lane that runs out of pairs frees its lane, and the
-//! straggler pair's next fan-out takes it instead of the worker idling.
+//! the plan policy prunes the request list: [`PlanPolicy::Exhaustive`]
+//! keeps every pair, and [`PlanPolicy::OverlapThreshold`] drops the pairs
+//! whose exact shared blocking weight ([`OverlapEstimates`], one walk over
+//! the indices' feature tables) falls below its cut. Each index weighs
+//! features by its own schema's element count and document frequencies, so
+//! each pair's IDF weights are bit-for-bit those of a standalone run; a plan
+//! over warm preparations builds nothing. [`MatchBatch::run`] then executes
+//! all requested pairs concurrently on the persistent [`Executor`]: pairs
+//! are job-level lanes claiming from the batch's request queue, and each
+//! pair's Block and Score/Merge stages fan their chunks out to the *same*
+//! pool (two-level scheduling; see [`crate::exec`]). While the job lanes
+//! hold the whole pool those chunk fan-outs run inline, since a fan-out
+//! offers only unreserved lanes; at the tail, a job lane that runs out of
+//! pairs frees its lane, and the straggler pair's next fan-out takes it
+//! instead of the worker idling.
 //!
 //! The contract mirrors the blocking index's: batching is an *execution*
 //! change, never a semantics change. Per-pair results are byte-identical to
@@ -70,28 +73,18 @@ impl From<(usize, usize)> for PairRequest {
 /// the plan policy prunes whole pairs before any pipeline runs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PlanPolicy {
-    /// Execute every requested pair — today's behavior, retained as the
-    /// recall reference for the pruning policies.
+    /// Execute every requested pair — the recall reference for
+    /// [`PlanPolicy::OverlapThreshold`].
     #[default]
     Exhaustive,
-    /// Prune pairs whose IDF-weighted vocabulary-overlap upper bound (see
+    /// Prune pairs whose IDF-weighted shared vocabulary weight (see
     /// [`OverlapEstimates`]) falls below `min_weight`. At
     /// [`PlanPolicy::provable`]'s threshold this drops exactly the
     /// zero-overlap pairs, whose selections are provably empty — the
     /// surviving plan reproduces the exhaustive selections byte for byte.
     OverlapThreshold {
-        /// Minimum overlap bound a pair must reach to stay planned.
+        /// Minimum shared weight a pair must reach to stay planned.
         min_weight: f64,
-    },
-    /// Cluster the schemata by overlap distance (single-linkage connected
-    /// components at the cut) and match densely only *within* clusters;
-    /// across clusters, only the per-cluster hub schemata meet. A lossy,
-    /// much sparser plan for registry-scale N — the [`ClusterPlan`] is
-    /// exposed on the batch for inspection.
-    ClusterFirst {
-        /// Merge schemata into one cluster while their overlap distance
-        /// ([`OverlapEstimates::distance`]) is at most this cut.
-        max_distance: f64,
     },
 }
 
@@ -110,46 +103,32 @@ impl PlanPolicy {
     }
 }
 
-/// IDF-weighted vocabulary-overlap upper bounds for all `n²` schema pairs,
+/// IDF-weighted vocabulary-overlap weights for all `n²` schema pairs,
 /// computed in **one walk** over the schema-level token postings — no
-/// per-pair probes. Entry `(i, j)` bounds the total IDF weight of blocking
-/// tokens schemata `i` and `j` share: exactly that weight when built
-/// uncapped, an upper bound when frequent tokens are capped into the
-/// shared `ubiquitous` mass ([`OverlapEstimates::from_prepared_capped`]).
+/// per-pair probes. Entry `(i, j)` is the exact total IDF weight of the
+/// blocking tokens schemata `i` and `j` share.
 ///
 /// The walk reads each schema's blocking vocabulary from its token index
 /// (the distinct union of its [`PreparedSchema::block_features_of`],
-/// [`crate::index::ElementTokenIndex::features`]), weighted by the same
-/// smoothed IDF shape ([`idf_weight`]) at schema granularity — so a zero
-/// bound means *zero shared blocking tokens*, the condition under which a
-/// pair's candidate set is provably empty.
+/// `ElementTokenIndex::features`), weighted by the same smoothed IDF shape
+/// ([`idf_weight`]) at schema granularity — so a zero weight means *zero
+/// shared blocking tokens*, the condition under which a pair's candidate
+/// set is provably empty.
 #[derive(Debug, Clone)]
 pub struct OverlapEstimates {
     n: usize,
     /// Row-major `n × n`; the diagonal holds each schema's total distinct
     /// blocking-token weight (its self-overlap).
     bounds: Vec<f64>,
-    /// Weight mass of tokens more frequent than the df cap, charged to
-    /// every off-diagonal bound instead of walked pair-by-pair.
-    ubiquitous: f64,
 }
 
 impl OverlapEstimates {
-    /// Exact overlap weights from prepared schemata (no df cap).
+    /// Exact overlap weights from prepared schemata.
     ///
     /// # Panics
     /// Panics when the preparations do not share one token arena (ids
     /// would not be comparable across schemata).
     pub fn from_prepared(prepared: &[Arc<PreparedSchema>]) -> Self {
-        Self::from_prepared_capped(prepared, usize::MAX)
-    }
-
-    /// Like [`Self::from_prepared`], but tokens appearing in more than
-    /// `df_cap` schemata are not walked pair-by-pair: their weight joins a
-    /// shared `ubiquitous` mass added to every off-diagonal bound. Bounds
-    /// stay upper bounds (they can only grow); the walk drops from
-    /// `O(df²)` to `O(df)` for the frequent tail.
-    pub fn from_prepared_capped(prepared: &[Arc<PreparedSchema>], df_cap: usize) -> Self {
         let n = prepared.len();
         if let Some(first) = prepared.first() {
             for p in prepared {
@@ -162,8 +141,8 @@ impl OverlapEstimates {
         // Distinct blocking tokens per schema — its token index's feature
         // table, built inline for a preparation no blocked use indexed
         // yet — then one global sort of packed `(token << 32) | slot`
-        // pairs: the posting list of every token is a contiguous run,
-        // walked exactly once.
+        // pairs: the posting list of every token is a contiguous run of
+        // ascending slots, walked exactly once.
         let mut postings: Vec<u64> = Vec::new();
         for (slot, p) in prepared.iter().enumerate() {
             let features = p.token_index(Job::inline()).features();
@@ -175,73 +154,22 @@ impl OverlapEstimates {
         }
         postings.sort_unstable();
 
-        // CSR over the sorted pairs: one contiguous slot run per distinct
-        // token, no per-token allocation.
-        let slots: Vec<u32> = postings.iter().map(|&pair| pair as u32).collect();
-        let mut offsets: Vec<usize> = vec![0];
-        for i in 1..postings.len() {
-            if postings[i] >> 32 != postings[i - 1] >> 32 {
-                offsets.push(i);
-            }
-        }
-        offsets.push(postings.len());
-
         let nf = n as f64;
-        Self::from_token_postings(
-            n,
-            offsets.windows(2).map(|w| {
-                let run = &slots[w[0]..w[1]];
-                (idf_weight(nf, run.len() as f64), run)
-            }),
-            df_cap,
-        )
-    }
-
-    /// Build bounds from arbitrary weighted token postings — `(weight,
-    /// ascending slots holding the token)` per distinct token. This is the
-    /// generic walk the enterprise repository index reuses with its own
-    /// live-document IDF weights.
-    pub fn from_token_postings<S>(
-        n: usize,
-        postings: impl IntoIterator<Item = (f64, S)>,
-        df_cap: usize,
-    ) -> Self
-    where
-        S: AsRef<[u32]>,
-    {
+        let slot = |pair: u64| pair as u32 as usize;
         let mut bounds = vec![0.0f64; n * n];
-        let mut ubiquitous = 0.0f64;
-        for (w, slots) in postings {
-            let slots = slots.as_ref();
-            let df = slots.len();
-            if df == 0 {
-                continue;
-            }
-            if df > df_cap {
-                // Too frequent to walk quadratically: charge the weight to
-                // the shared mass (every off-diagonal bound) and to the
-                // self-weight of the slots that actually hold it.
-                ubiquitous += w;
-                for &s in slots {
-                    bounds[(s as usize) * n + s as usize] += w;
-                }
-                continue;
-            }
-            for (k, &a) in slots.iter().enumerate() {
-                let ai = a as usize;
-                bounds[ai * n + ai] += w;
-                for &b in &slots[k + 1..] {
-                    let bi = b as usize;
-                    bounds[ai * n + bi] += w;
-                    bounds[bi * n + ai] += w;
+        for run in postings.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let w = idf_weight(nf, run.len() as f64);
+            for (k, &a) in run.iter().enumerate() {
+                let a = slot(a);
+                bounds[a * n + a] += w;
+                for &b in &run[k + 1..] {
+                    let b = slot(b);
+                    bounds[a * n + b] += w;
+                    bounds[b * n + a] += w;
                 }
             }
         }
-        OverlapEstimates {
-            n,
-            bounds,
-            ubiquitous,
-        }
+        OverlapEstimates { n, bounds }
     }
 
     /// Number of schemata covered.
@@ -254,131 +182,24 @@ impl OverlapEstimates {
         self.n == 0
     }
 
-    /// A schema's total distinct blocking-token weight (its self-overlap
-    /// bound — the maximum any pair involving it can reach exactly).
+    /// A schema's total distinct blocking-token weight (its self-overlap —
+    /// the maximum any pair involving it can reach).
     pub fn self_weight(&self, i: usize) -> f64 {
         self.bounds[i * self.n + i]
     }
 
-    /// Upper bound on the shared blocking-vocabulary weight of pair
-    /// `(i, j)`. Exact when built uncapped; `bound == 0` always means the
-    /// pair shares no blocking token at all.
+    /// The exact shared blocking-vocabulary weight of pair `(i, j)`;
+    /// `bound == 0` means the pair shares no blocking token at all.
     pub fn bound(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            self.self_weight(i)
-        } else {
-            self.bounds[i * self.n + j] + self.ubiquitous
-        }
-    }
-
-    /// Overlap distance in `[0, 1]`: `1 − bound/min(self_i, self_j)` —
-    /// zero when the smaller vocabulary is fully covered by the shared
-    /// bound, one when nothing is shared (or a side is empty).
-    pub fn distance(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return 0.0;
-        }
-        let denom = self.self_weight(i).min(self.self_weight(j));
-        if denom <= 0.0 {
-            return 1.0;
-        }
-        (1.0 - self.bound(i, j) / denom).clamp(0.0, 1.0)
-    }
-}
-
-/// The clustering a [`PlanPolicy::ClusterFirst`] plan committed to:
-/// single-linkage connected components of the overlap-distance graph at
-/// the policy's cut, plus one elected hub per component.
-///
-/// Single-linkage at a max-distance cut is exactly connected components of
-/// the "distance ≤ cut" graph, so the planner computes it with a
-/// union-find instead of a full agglomerative merge — the enterprise
-/// layer's `DistanceMatrix` agglomerative path produces the identical
-/// partition (pinned in its tests).
-#[derive(Debug, Clone)]
-pub struct ClusterPlan {
-    /// Component id of each schema slot (components numbered by first
-    /// member in slot order).
-    pub component_of: Vec<usize>,
-    /// Hub slot of each component: the member with the greatest total
-    /// within-component overlap bound (ties to the lowest slot). Hubs are
-    /// the only schemata matched *across* components.
-    pub hubs: Vec<usize>,
-}
-
-impl ClusterPlan {
-    /// Cluster by overlap distance at `max_distance` and elect hubs.
-    pub fn from_overlap(overlap: &OverlapEstimates, max_distance: f64) -> Self {
-        let n = overlap.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]]; // path halving
-                x = parent[x];
-            }
-            x
-        }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if overlap.distance(i, j) <= max_distance {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[ri.max(rj)] = ri.min(rj);
-                    }
-                }
-            }
-        }
-        // Number components by first-seen slot order.
-        let mut component_of = vec![usize::MAX; n];
-        let mut roots: Vec<usize> = Vec::new();
-        for (i, slot) in component_of.iter_mut().enumerate() {
-            let r = find(&mut parent, i);
-            let c = match roots.iter().position(|&x| x == r) {
-                Some(c) => c,
-                None => {
-                    roots.push(r);
-                    roots.len() - 1
-                }
-            };
-            *slot = c;
-        }
-        // Hub election: maximize total within-component bound, ties to the
-        // lowest slot (the iteration order guarantees that).
-        let mut hubs = vec![usize::MAX; roots.len()];
-        let mut hub_score = vec![f64::NEG_INFINITY; roots.len()];
-        for i in 0..n {
-            let c = component_of[i];
-            let score: f64 = (0..n)
-                .filter(|&j| j != i && component_of[j] == c)
-                .map(|j| overlap.bound(i, j))
-                .sum();
-            if score > hub_score[c] {
-                hub_score[c] = score;
-                hubs[c] = i;
-            }
-        }
-        ClusterPlan { component_of, hubs }
-    }
-
-    /// Number of components.
-    pub fn components(&self) -> usize {
-        self.hubs.len()
-    }
-
-    /// Whether the plan keeps pair `(left, right)`: same component, or
-    /// both slots are their components' hubs.
-    pub fn keeps(&self, left: usize, right: usize) -> bool {
-        let (cl, cr) = (self.component_of[left], self.component_of[right]);
-        cl == cr || (self.hubs[cl] == left && self.hubs[cr] == right)
+        self.bounds[i * self.n + j]
     }
 }
 
 /// Wall-clock split of the Plan stage past preparation — the
-/// index/estimate/cluster/schedule sub-components of
-/// [`StageTimings::plan`], each the duration of its child span of
-/// `stage.plan` (`plan.index`, `plan.estimate`, `plan.cluster`,
-/// `plan.schedule`). All zero when neither the blocking policy nor the
-/// plan policy needs an index; the last three zero under
+/// index/estimate/schedule sub-components of [`StageTimings::plan`], each
+/// the duration of its child span of `stage.plan` (`plan.index`,
+/// `plan.estimate`, `plan.schedule`). All zero when neither the blocking
+/// policy nor the plan policy needs an index; the last two zero under
 /// [`PlanPolicy::Exhaustive`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanBreakdown {
@@ -386,8 +207,6 @@ pub struct PlanBreakdown {
     pub index: Duration,
     /// Building the [`OverlapEstimates`] (the one posting walk).
     pub estimate: Duration,
-    /// Clustering the estimates and electing hubs (`ClusterFirst` only).
-    pub cluster: Duration,
     /// Filtering the request list through the plan policy.
     pub schedule: Duration,
 }
@@ -479,43 +298,26 @@ impl<'e> BatchPlanner<'e> {
             );
         }
 
-        // Overlap-aware scheduling: estimate all-pairs overlap bounds in
-        // one posting walk, optionally cluster, then filter the request
-        // list.
+        // Overlap-aware scheduling: all-pairs shared weights in one posting
+        // walk, then the request list filtered by the threshold.
         let mut overlap = None;
-        let mut clusters = None;
         let mut pruned = Vec::new();
-        if self.plan_policy != PlanPolicy::Exhaustive {
+        if let PlanPolicy::OverlapThreshold { min_weight } = self.plan_policy {
             let estimates;
             (estimates, breakdown.estimate) = obs::timed(
                 SpanKind::PlanEstimate,
                 |_| n,
                 || OverlapEstimates::from_prepared(&prepared),
             );
-            let schedule = |requests: Vec<PairRequest>, keeps: &dyn Fn(&PairRequest) -> bool| {
-                obs::timed(
-                    SpanKind::PlanSchedule,
-                    |(kept, _): &(Vec<_>, Vec<_>)| kept.len() as u64,
-                    || requests.into_iter().partition(keeps),
-                )
-            };
-            ((requests, pruned), breakdown.schedule) = match self.plan_policy {
-                PlanPolicy::Exhaustive => unreachable!(),
-                PlanPolicy::OverlapThreshold { min_weight } => schedule(requests, &|r| {
-                    estimates.bound(r.left, r.right) >= min_weight
-                }),
-                PlanPolicy::ClusterFirst { max_distance } => {
-                    let plan;
-                    (plan, breakdown.cluster) = obs::timed(
-                        SpanKind::PlanCluster,
-                        |plan: &ClusterPlan| plan.components() as u64,
-                        || ClusterPlan::from_overlap(&estimates, max_distance),
-                    );
-                    let scheduled = schedule(requests, &|r| plan.keeps(r.left, r.right));
-                    clusters = Some(plan);
-                    scheduled
-                }
-            };
+            ((requests, pruned), breakdown.schedule) = obs::timed(
+                SpanKind::PlanSchedule,
+                |(kept, _): &(Vec<_>, Vec<_>)| kept.len() as u64,
+                || {
+                    requests
+                        .into_iter()
+                        .partition(|r| estimates.bound(r.left, r.right) >= min_weight)
+                },
+            );
             overlap = Some(estimates);
         }
 
@@ -529,7 +331,6 @@ impl<'e> BatchPlanner<'e> {
             plan: Duration::ZERO,
             breakdown,
             overlap,
-            clusters,
             cache: delta_stats(stats_before, stats_after),
         }
     }
@@ -603,7 +404,6 @@ pub struct MatchBatch<'e, 's> {
     plan: Duration,
     breakdown: PlanBreakdown,
     overlap: Option<OverlapEstimates>,
-    clusters: Option<ClusterPlan>,
     cache: CacheStats,
 }
 
@@ -620,22 +420,16 @@ impl MatchBatch<'_, '_> {
         &self.pruned
     }
 
-    /// The Plan stage's estimate/cluster/schedule wall-clock split (all
-    /// zero under [`PlanPolicy::Exhaustive`]).
+    /// The Plan stage's index/estimate/schedule wall-clock split (the
+    /// last two zero under [`PlanPolicy::Exhaustive`]).
     pub fn plan_breakdown(&self) -> PlanBreakdown {
         self.breakdown
     }
 
-    /// The overlap bounds the plan policy consulted (`None` under
+    /// The overlap weights the plan policy consulted (`None` under
     /// [`PlanPolicy::Exhaustive`], which never estimates).
     pub fn overlap(&self) -> Option<&OverlapEstimates> {
         self.overlap.as_ref()
-    }
-
-    /// The committed clustering (`Some` only under
-    /// [`PlanPolicy::ClusterFirst`]).
-    pub fn clusters(&self) -> Option<&ClusterPlan> {
-        self.clusters.as_ref()
     }
 
     /// The prepared schemata, in schema-list order.
@@ -745,7 +539,6 @@ impl MatchBatch<'_, '_> {
         let mut timings = StageTimings {
             plan: self.plan,
             plan_estimate: self.breakdown.estimate,
-            plan_cluster: self.breakdown.cluster,
             plan_schedule: self.breakdown.schedule,
             ..StageTimings::default()
         };
@@ -1068,20 +861,12 @@ mod tests {
         schemas
     }
 
-    #[test]
-    fn overlap_bounds_are_exact_when_uncapped() {
-        let schemas = two_islands();
-        let refs: Vec<&Schema> = schemas.iter().collect();
-        let engine = engine();
-        let batch = engine
-            .batch()
-            .with_plan_policy(PlanPolicy::provable())
-            .plan_all_pairs(&refs);
-        let est = batch.overlap().expect("policy estimates");
-        let prepared = batch.prepared();
+    /// Every pair's true shared-vocabulary weight (the diagonal: each
+    /// schema's own), recomputed by brute force from the prepared block
+    /// features: per pair, the IDF weights of the tokens both schemata
+    /// hold, summed in ascending token order.
+    fn brute_force_weights(prepared: &[Arc<PreparedSchema>]) -> Vec<Vec<f64>> {
         let n = prepared.len() as f64;
-        // Recompute every pair's true shared-vocabulary weight from the
-        // prepared block features by brute force.
         let vocab: Vec<Vec<TokenId>> = prepared
             .iter()
             .map(|p| {
@@ -1094,17 +879,38 @@ mod tests {
             })
             .collect();
         let df_of = |t: TokenId| vocab.iter().filter(|v| v.binary_search(&t).is_ok()).count();
-        for i in 0..prepared.len() {
-            for j in (i + 1)..prepared.len() {
-                let shared: f64 = vocab[i]
+        vocab
+            .iter()
+            .map(|a| {
+                vocab
                     .iter()
-                    .filter(|t| vocab[j].binary_search(t).is_ok())
-                    .map(|&t| idf_weight(n, df_of(t) as f64))
-                    .sum();
+                    .map(|b| {
+                        a.iter()
+                            .filter(|t| b.binary_search(t).is_ok())
+                            .fold(0.0, |sum, &t| sum + idf_weight(n, df_of(t) as f64))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn overlap_bounds_are_exact_when_uncapped() {
+        let schemas = two_islands();
+        let refs: Vec<&Schema> = schemas.iter().collect();
+        let engine = engine();
+        let batch = engine
+            .batch()
+            .with_plan_policy(PlanPolicy::provable())
+            .plan_all_pairs(&refs);
+        let est = batch.overlap().expect("policy estimates");
+        let truth = brute_force_weights(batch.prepared());
+        for (i, row) in truth.iter().enumerate() {
+            for (j, &shared) in row.iter().enumerate() {
                 let bound = est.bound(i, j);
                 assert!(
                     (bound - shared).abs() < 1e-9,
-                    "uncapped bound({i}, {j}) = {bound} must equal true shared weight {shared}"
+                    "bound({i}, {j}) = {bound} must equal true shared weight {shared}"
                 );
             }
         }
@@ -1114,47 +920,21 @@ mod tests {
         assert!(est.bound(3, 4) > 0.0, "islands share flux/warp vocabulary");
     }
 
-    /// The estimate as it was before it read the token indices' feature
-    /// tables: each schema's block features collected, sorted and
-    /// deduplicated, then one global sort of `(token, slot)` tuples.
-    fn collected_estimates(prepared: &[Arc<PreparedSchema>], df_cap: usize) -> OverlapEstimates {
-        let mut postings: Vec<(TokenId, u32)> = Vec::new();
-        for (slot, p) in prepared.iter().enumerate() {
-            let mut ids: Vec<TokenId> = (0..p.len())
-                .flat_map(|e| p.block_features_of(e).iter().copied())
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            postings.extend(ids.into_iter().map(|t| (t, slot as u32)));
-        }
-        postings.sort_unstable();
-        let n = prepared.len() as f64;
-        let runs = postings.chunk_by(|a, b| a.0 == b.0).map(|run| {
-            let slots: Vec<u32> = run.iter().map(|&(_, slot)| slot).collect();
-            (idf_weight(n, slots.len() as f64), slots)
-        });
-        OverlapEstimates::from_token_postings(prepared.len(), runs, df_cap)
-    }
-
-    /// Bounds read from the token indices' feature tables are the
-    /// collected estimate's to the bit, uncapped and capped, on preparations
-    /// whose indices a plan built and on fresh ones no blocked use indexed.
+    /// The walk over the token indices' feature tables adds each pair's
+    /// shared weights in ascending token order, as the brute-force sum
+    /// does, so its weights are the brute force's to the bit — on fresh
+    /// preparations no blocked use indexed and on ones a plan indexed.
     #[test]
     fn index_feature_bounds_are_the_collected_bounds() {
         let mut fixtures = vec![two_islands(), population(12, 9)];
         fixtures.push(Vec::new());
         let check = |prepared: &[Arc<PreparedSchema>]| {
-            for df_cap in [usize::MAX, 1, 2] {
-                let want = collected_estimates(prepared, df_cap);
-                let got = OverlapEstimates::from_prepared_capped(prepared, df_cap);
-                for i in 0..prepared.len() {
-                    for j in 0..prepared.len() {
-                        assert_eq!(
-                            got.bound(i, j).to_bits(),
-                            want.bound(i, j).to_bits(),
-                            "bound({i}, {j}) at cap {df_cap}"
-                        );
-                    }
+            let got = OverlapEstimates::from_prepared(prepared);
+            assert_eq!(got.len(), prepared.len());
+            for (i, row) in brute_force_weights(prepared).iter().enumerate() {
+                assert_eq!(got.self_weight(i).to_bits(), row[i].to_bits());
+                for (j, want) in row.iter().enumerate() {
+                    assert_eq!(got.bound(i, j).to_bits(), want.to_bits(), "bound({i}, {j})");
                 }
             }
         };
@@ -1169,28 +949,6 @@ mod tests {
                 .with_plan_policy(PlanPolicy::provable())
                 .plan_all_pairs(&refs);
             check(batch.prepared());
-        }
-    }
-
-    #[test]
-    fn capped_bounds_dominate_exact_bounds() {
-        let schemas = two_islands();
-        let refs: Vec<&Schema> = schemas.iter().collect();
-        let engine = engine();
-        let batch = engine.batch().plan_all_pairs(&refs);
-        let exact = OverlapEstimates::from_prepared(batch.prepared());
-        let capped = OverlapEstimates::from_prepared_capped(batch.prepared(), 1);
-        for i in 0..refs.len() {
-            for j in 0..refs.len() {
-                assert!(
-                    capped.bound(i, j) >= exact.bound(i, j) - 1e-12,
-                    "capped bound({i}, {j}) must dominate the exact bound"
-                );
-            }
-            assert!(
-                (capped.self_weight(i) - exact.self_weight(i)).abs() < 1e-9,
-                "self weights are never capped away"
-            );
         }
     }
 
@@ -1241,40 +999,10 @@ mod tests {
         }
         let breakdown = pruned.plan_breakdown();
         assert!(breakdown.estimate > Duration::ZERO);
-        assert_eq!(breakdown.cluster, Duration::ZERO);
         assert!(pruned.plan_time() >= breakdown.estimate + breakdown.schedule);
         let timings = pruned.run().timings;
         assert_eq!(timings.plan_estimate, breakdown.estimate);
         assert_eq!(timings.plan_schedule, breakdown.schedule);
-    }
-
-    #[test]
-    fn cluster_first_matches_within_and_hubs_across() {
-        let schemas = two_islands();
-        let refs: Vec<&Schema> = schemas.iter().collect();
-        let engine = engine();
-        let batch = engine
-            .batch()
-            .with_plan_policy(PlanPolicy::ClusterFirst { max_distance: 0.9 })
-            .plan_all_pairs(&refs);
-        let plan = batch.clusters().expect("cluster-first commits a plan");
-        // Trio {0,1,2} and island {3,4} are separate components.
-        assert_eq!(plan.component_of[0], plan.component_of[1]);
-        assert_eq!(plan.component_of[0], plan.component_of[2]);
-        assert_eq!(plan.component_of[3], plan.component_of[4]);
-        assert_ne!(plan.component_of[0], plan.component_of[3]);
-        assert_eq!(plan.components(), 2);
-        // Within-component pairs all planned; across only hub×hub.
-        for r in batch.requests() {
-            assert!(plan.keeps(r.left, r.right));
-        }
-        let cross_planned = batch
-            .requests()
-            .iter()
-            .filter(|r| plan.component_of[r.left] != plan.component_of[r.right])
-            .count();
-        assert_eq!(cross_planned, 1, "exactly one hub×hub bridge pair");
-        assert!(batch.plan_breakdown().cluster > Duration::ZERO);
     }
 
     #[test]

@@ -615,7 +615,7 @@ impl<'a> Job<'a> {
     /// width of 1 everything runs inline on the caller without touching the
     /// executor; otherwise `min(width, items)` lanes run through the
     /// executor's lane rule and this job's budget. A fan-out the lane rule
-    /// can give no helper ([`Executor::offers_no_helper`]) also maps its
+    /// can give no helper (`Executor::offers_no_helper`) also maps its
     /// items in order on the caller, checking the token before each, with
     /// no claim queue and no result slots.
     pub fn map_with<I, S, R, F>(self, items: I, scratch: impl Fn() -> S + Sync, f: F) -> Vec<R>

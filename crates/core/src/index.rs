@@ -994,7 +994,7 @@ pub fn generate_candidates_with_exec(
 ///   join on the interned token sequences recovers exactly those pairs at
 ///   `O((rows + cols) log keys + collisions)` cost;
 /// * **child rescue** — a candidate pair of containers whose overlap weight
-///   reaches [`CHILD_RESCUE_WEIGHT`] adds its children's cross product, so
+///   reaches `CHILD_RESCUE_WEIGHT` (5.0) adds its children's cross product, so
 ///   pairs that only clear the operating threshold through their parents'
 ///   propagation blend are still scored;
 /// * **parent closure** (transitive) — for every candidate `(s, t)` whose

@@ -70,8 +70,8 @@ pub mod workflow;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::batch::{
-        BatchPairResult, BatchPlanner, BatchResult, BatchSelectResult, BatchSelection, ClusterPlan,
-        MatchBatch, OverlapEstimates, PairRequest, PlanBreakdown, PlanPolicy,
+        BatchPairResult, BatchPlanner, BatchResult, BatchSelectResult, BatchSelection, MatchBatch,
+        OverlapEstimates, PairRequest, PlanBreakdown, PlanPolicy,
     };
     pub use crate::confidence::Confidence;
     pub use crate::correspondence::{Correspondence, MatchAnnotation, MatchSet, MatchStatus};

@@ -162,11 +162,28 @@ impl<'a> NWayMatch<'a> {
     /// schemata at indices `left` and `right`.
     ///
     /// # Panics
-    /// Panics if either index is out of range.
+    /// Panics if either index is out of range, or if a validated
+    /// correspondence's source is not an element of schema `left` or its
+    /// target not one of schema `right` — before recording anything.
     pub fn add_pairwise(&mut self, left: usize, right: usize, matches: &MatchSet) {
-        assert!(left < self.schemas.len() && right < self.schemas.len());
+        let n = self.schemas.len();
+        assert!(
+            left < n && right < n,
+            "pairwise match ({left}, {right}) outside the {n}-schema match"
+        );
+        let (left_len, right_len) = (self.schemas[left].len(), self.schemas[right].len());
         let pairs: Vec<(ElementId, ElementId)> =
             matches.validated().map(|c| (c.source, c.target)).collect();
+        for &(s, t) in &pairs {
+            assert!(
+                s.index() < left_len,
+                "source element {s:?} outside schema {left}'s {left_len} elements"
+            );
+            assert!(
+                t.index() < right_len,
+                "target element {t:?} outside schema {right}'s {right_len} elements"
+            );
+        }
         for (s, t) in pairs {
             let a = self.node(GlobalElement {
                 schema_idx: left,
@@ -247,8 +264,8 @@ impl<'a> NWayMatch<'a> {
     ///
     /// Under [`PlanPolicy::provable`] the consolidation equals
     /// [`Self::populate_pairwise_with_policy`] exactly: the pruned pairs
-    /// provably select nothing. Higher thresholds and
-    /// [`PlanPolicy::ClusterFirst`] trade recall for plan size.
+    /// provably select nothing. Higher thresholds trade recall for plan
+    /// size.
     pub fn populate_planned(
         &mut self,
         engine: &MatchEngine,
@@ -277,15 +294,13 @@ impl<'a> NWayMatch<'a> {
     ///
     /// The plan is made over all N+k schemata, so every new pair is kept or
     /// pruned exactly as a full [`Self::populate_planned`] replan would keep
-    /// or prune it: its overlap bound is computed at the final N, and under
-    /// [`PlanPolicy::ClusterFirst`] the new slots take part in the
-    /// re-clustering and hub election of all N+k schemata. Standing pairs
-    /// keep the decisions made at their own N. Under
+    /// or prune it: its shared weight is computed at the final N. Standing
+    /// pairs keep the decisions made at their own N. Under
     /// [`PlanPolicy::Exhaustive`] and [`PlanPolicy::provable`] those never
     /// change with N, so the grown consolidation is byte-identical to a
-    /// full replan. Under other cuts a replan may decide some standing pairs
-    /// differently — IDF weights shift with N, and a new schema can bridge
-    /// two components or take over a hub — and those are not revisited.
+    /// full replan. Under higher cuts a replan may decide some standing
+    /// pairs differently — IDF weights shift with N — and those are not
+    /// revisited.
     ///
     /// The new pairs run as one batch on the engine's executor, drawing
     /// lanes from its lane budget and stopping at its job token's pair-job
@@ -872,6 +887,31 @@ mod tests {
         let v = NWayMatch::new(vec![&a, &b]).vocabulary();
         let mediated = v.mediated_schema(&[&a, &b], SchemaId(52), "Empty", 2);
         assert!(mediated.is_empty());
+    }
+
+    /// Record one validated `(s, t)` between the first two of three
+    /// schemata. An id past schema 0's or schema 1's three elements would
+    /// map to the next schema's nodes and merge an unrelated element.
+    fn add_between_first_two(s: u32, t: u32) {
+        let a = schema(1, &["date", "name", "alpha"]);
+        let b = schema(2, &["dt", "name", "beta"]);
+        let c = schema(3, &["event_date", "gamma"]);
+        let mut nway = NWayMatch::new(vec![&a, &b, &c]);
+        let mut ab = MatchSet::new();
+        ab.push(validated(ElementId(s), ElementId(t)));
+        nway.add_pairwise(0, 1, &ab);
+    }
+
+    #[test]
+    #[should_panic(expected = "source element ElementId(3) outside schema 0's 3 elements")]
+    fn out_of_range_source_on_a_non_last_schema_rejected() {
+        add_between_first_two(3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "target element ElementId(3) outside schema 1's 3 elements")]
+    fn out_of_range_target_on_a_non_last_schema_rejected() {
+        add_between_first_two(0, 3);
     }
 
     #[test]

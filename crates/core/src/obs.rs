@@ -124,14 +124,12 @@ pub enum SpanKind {
     PlanIndex = 31,
     /// Plan sub-stage: the overlap estimate walk; payload = schemata.
     PlanEstimate = 32,
-    /// Plan sub-stage: clustering the estimates; payload = components.
-    PlanCluster = 33,
     /// Plan sub-stage: filtering the requests; payload = pairs kept.
-    PlanSchedule = 34,
+    PlanSchedule = 33,
 }
 
 /// All kinds, in discriminant order (export iteration order).
-pub const SPAN_KINDS: [SpanKind; 35] = [
+pub const SPAN_KINDS: [SpanKind; 34] = [
     SpanKind::StagePrepare,
     SpanKind::StageBlock,
     SpanKind::StageScore,
@@ -165,7 +163,6 @@ pub const SPAN_KINDS: [SpanKind; 35] = [
     SpanKind::StagePlan,
     SpanKind::PlanIndex,
     SpanKind::PlanEstimate,
-    SpanKind::PlanCluster,
     SpanKind::PlanSchedule,
 ];
 
@@ -206,7 +203,6 @@ impl SpanKind {
             SpanKind::StagePlan => "stage.plan",
             SpanKind::PlanIndex => "plan.index",
             SpanKind::PlanEstimate => "plan.estimate",
-            SpanKind::PlanCluster => "plan.cluster",
             SpanKind::PlanSchedule => "plan.schedule",
         }
     }

@@ -24,8 +24,8 @@
 //!    cannot idle the other cores the way a static partition can, and the
 //!    pool is shared with every concurrent pair of a batch instead of being
 //!    spawned and joined per run. When the engine's score cascade is active
-//!    ([`MatchEngine::cascade_active`]), Score runs in two tiers (see
-//!    [`crate::cascade`]): tier 1 prunes candidate pairs whose provable
+//!    ([`MatchEngine::cascade_active`]), Score runs in two tiers (see the
+//!    private `cascade` module): tier 1 prunes candidate pairs whose provable
 //!    upper bound on the merged score falls below the engine's floor, tier 2
 //!    runs the remaining voter lanes SoA-style over the survivors —
 //!    losslessly, the matrix stays bit-identical to the full-panel
@@ -81,11 +81,6 @@ pub struct StageTimings {
     /// [`crate::batch::PlanPolicy::Exhaustive`], which never estimates).
     /// A sub-component of `plan`, not an extra stage.
     pub plan_estimate: Duration,
-    /// Plan sub-stage: clustering the overlap estimates and electing hub
-    /// schemata (non-zero only under
-    /// [`crate::batch::PlanPolicy::ClusterFirst`]). A sub-component of
-    /// `plan`, not an extra stage.
-    pub plan_cluster: Duration,
     /// Plan sub-stage: filtering the request list through the plan policy.
     /// A sub-component of `plan`, not an extra stage.
     pub plan_schedule: Duration,
@@ -139,7 +134,6 @@ impl StageTimings {
     pub fn accumulate(&mut self, other: &StageTimings) {
         self.plan += other.plan;
         self.plan_estimate += other.plan_estimate;
-        self.plan_cluster += other.plan_cluster;
         self.plan_schedule += other.plan_schedule;
         self.prepare += other.prepare;
         self.block += other.block;

@@ -9,7 +9,7 @@
 //! Each voter's scoring body is a `pub(crate)` free function over
 //! [`ElementFeatures`] (`exact_name_vote`, `token_vote`, …); the trait impls
 //! here delegate to them, and so do the structure-of-arrays batch kernels in
-//! [`crate::cascade`], which re-invoke the *same* functions voter-major over
+//! the private `cascade` module, which re-invoke the *same* functions voter-major over
 //! a CSR candidate row. One body per voter is what keeps the cascaded score
 //! path bit-identical to per-pair `MatchVoter` dispatch.
 

@@ -91,42 +91,6 @@ impl DistanceMatrix {
         ))
     }
 
-    /// Overlap distances straight from the batch planner's Plan-stage
-    /// estimates ([`harmony_core::batch::OverlapEstimates`], also served
-    /// by [`ShardedRepositoryIndex::overlap_estimates`]): the same one-walk bounds
-    /// that prune pair execution feed clustering, so a cluster-first plan
-    /// over a registry estimates once and reuses it for both decisions.
-    /// `ids[i]` labels row `i` of the estimates.
-    ///
-    /// Distances are the estimator's weighted-coverage metric
-    /// ([`harmony_core::batch::OverlapEstimates::distance`]) — IDF-mass
-    /// coverage of the smaller vocabulary, not the unweighted Jaccard of
-    /// [`Self::from_index`]; the two agree on "identical" (0) and
-    /// "disjoint" (1) and rank overlaps similarly in between.
-    ///
-    /// # Panics
-    /// Panics when `ids` and the estimates disagree on schema count.
-    pub fn from_overlap(
-        estimates: &harmony_core::batch::OverlapEstimates,
-        ids: Vec<SchemaId>,
-    ) -> Self {
-        assert_eq!(
-            estimates.len(),
-            ids.len(),
-            "one id per estimated schema row"
-        );
-        let n = ids.len();
-        let mut d = vec![0.0; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let dist = estimates.distance(i, j);
-                d[i * n + j] = dist;
-                d[j * n + i] = dist;
-            }
-        }
-        DistanceMatrix { ids, d }
-    }
-
     /// Vocabulary-overlap distances from a token index. Pairwise
     /// intersection counts come from one walk over each posting list
     /// (`Σ df²` work) instead of `n²` per-pair set intersections; the
@@ -453,64 +417,5 @@ mod tests {
         let c = agglomerative(&m, Linkage::Complete, Cut::K(1));
         assert_eq!(c.len(), 1);
         assert_eq!(c.clusters[0].len(), 4);
-    }
-
-    /// The core batch planner's `ClusterFirst` partition (union-find
-    /// connected components at a distance cut) must equal single-linkage
-    /// agglomerative clustering over `from_overlap` distances at the same
-    /// cut — the equivalence that lets `harmony_core` plan without
-    /// depending on this crate.
-    #[test]
-    fn cluster_first_components_equal_single_linkage_at_cut() {
-        use harmony_core::batch::prepare_schemas_global;
-        use harmony_core::batch::{ClusterPlan, OverlapEstimates};
-
-        let ss = schemas();
-        let refs: Vec<&Schema> = ss.iter().collect();
-        let prepared = prepare_schemas_global(&refs);
-        let estimates = OverlapEstimates::from_prepared(&prepared);
-        let ids: Vec<SchemaId> = ss.iter().map(|s| s.id).collect();
-        let m = DistanceMatrix::from_overlap(&estimates, ids.clone());
-
-        for cut in [0.01, 0.3, 0.6, 0.9] {
-            let plan = ClusterPlan::from_overlap(&estimates, cut);
-            let aggl = agglomerative(&m, Linkage::Single, Cut::MaxDistance(cut));
-            // Compare as partitions: same component ⇔ same cluster.
-            for i in 0..ids.len() {
-                for j in 0..ids.len() {
-                    let same_plan = plan.component_of[i] == plan.component_of[j];
-                    let same_aggl = aggl.cluster_of(ids[i]) == aggl.cluster_of(ids[j]);
-                    assert_eq!(
-                        same_plan, same_aggl,
-                        "cut {cut}: pair ({i}, {j}) split differently"
-                    );
-                }
-            }
-            assert_eq!(plan.components(), aggl.len(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn from_overlap_distances_are_metric_like() {
-        use harmony_core::batch::prepare_schemas_global;
-        use harmony_core::batch::OverlapEstimates;
-
-        let ss = schemas();
-        let refs: Vec<&Schema> = ss.iter().collect();
-        let prepared = prepare_schemas_global(&refs);
-        let estimates = OverlapEstimates::from_prepared(&prepared);
-        let ids: Vec<SchemaId> = ss.iter().map(|s| s.id).collect();
-        let m = DistanceMatrix::from_overlap(&estimates, ids);
-        for i in 0..4 {
-            assert_eq!(m.get(i, i), 0.0);
-            for j in 0..4 {
-                assert!((m.get(i, j) - m.get(j, i)).abs() < 1e-12);
-                assert!((0.0..=1.0).contains(&m.get(i, j)));
-            }
-        }
-        // Same-domain pairs are closer than cross-domain, as in the
-        // Jaccard matrix.
-        assert!(m.get(0, 1) < m.get(0, 2));
-        assert!(m.get(2, 3) < m.get(1, 3));
     }
 }

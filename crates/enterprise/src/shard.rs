@@ -633,73 +633,6 @@ impl ShardedRepositoryIndex {
         inter
     }
 
-    /// IDF-weighted vocabulary-overlap upper bounds for all live schema
-    /// pairs ([`harmony_core::batch::OverlapEstimates`]) in
-    /// [`Self::live_slots`] order — the batch planner's Plan-stage
-    /// estimator served from the maintained registry index, in one walk
-    /// over every shard's live postings (base ∪ delta, tombstones
-    /// skipped). Weights are the index's own live `idf_weight(n, df)`, so
-    /// the bounds agree with search scoring at any point of the
-    /// insert/remove/compact lifecycle. Tokens posted in more than
-    /// `df_cap` live schemata join the shared ubiquitous mass instead of
-    /// being walked quadratically (pass `usize::MAX` for exact bounds).
-    pub fn overlap_estimates(&self, df_cap: usize) -> harmony_core::batch::OverlapEstimates {
-        let live = self.live_slots();
-        let n = live.len();
-        let mut rank = vec![u32::MAX; self.slots.len()];
-        for (r, &s) in live.iter().enumerate() {
-            rank[s as usize] = r as u32;
-        }
-        // One (weight, live ranks) posting per live token, gathered shard
-        // by shard — a token routes to exactly one shard, so no token is
-        // visited twice and shard-local df is global df.
-        let mut postings: Vec<(f64, Vec<u32>)> = Vec::new();
-        let mut row: Vec<u32> = Vec::new();
-        let nf = self.n_live();
-        for shard in &self.shards {
-            let mut push = |token: TokenId, row: &[u32]| {
-                if !row.is_empty() {
-                    let df = shard.live_df(token);
-                    postings.push((idf_weight(nf, f64::from(df)), row.to_vec()));
-                }
-            };
-            for (k, w) in shard.base.offsets.windows(2).enumerate() {
-                let token = shard.base.tokens[k];
-                let posting = &shard.base.postings[w[0] as usize..w[1] as usize];
-                row.clear();
-                row.extend(
-                    posting
-                        .iter()
-                        .filter(|&&s| rank[s as usize] != u32::MAX)
-                        .map(|&s| rank[s as usize]),
-                );
-                if let Some(delta) = shard.delta.get(&token) {
-                    row.extend(
-                        delta
-                            .iter()
-                            .filter(|&&s| rank[s as usize] != u32::MAX)
-                            .map(|&s| rank[s as usize]),
-                    );
-                }
-                push(token, &row);
-            }
-            for (t, delta) in &shard.delta {
-                if shard.base.posting(*t).is_some() {
-                    continue;
-                }
-                row.clear();
-                row.extend(
-                    delta
-                        .iter()
-                        .filter(|&&s| rank[s as usize] != u32::MAX)
-                        .map(|&s| rank[s as usize]),
-                );
-                push(*t, &row);
-            }
-        }
-        harmony_core::batch::OverlapEstimates::from_token_postings(n, postings, df_cap)
-    }
-
     /// Tokens present in *every* given live schema, sorted lexicographically
     /// (walks the smallest member's signature; unknown ids yield empty).
     pub fn shared_tokens(&self, members: &[SchemaId]) -> Vec<String> {
@@ -988,40 +921,6 @@ mod tests {
             for t in ["vin", "blood", "unseen-token"] {
                 assert_eq!(sharded.weight(t).to_bits(), mono.weight(t).to_bits());
             }
-        }
-    }
-
-    /// Overlap estimates served after delta maintenance (live slots only,
-    /// live weights) equal a fresh one-shard build's over the live set.
-    #[test]
-    fn overlap_estimates_match_monolithic_through_maintenance() {
-        let prepared = prepare(&world());
-        let rebuilt = monolithic(&live_after_maintenance(&prepared));
-        for config in [ShardConfig::default(), eager()] {
-            let idx = maintained(&prepared, config);
-            let a = idx.overlap_estimates(usize::MAX);
-            let b = rebuilt.overlap_estimates(usize::MAX);
-            assert_eq!(a.len(), 3);
-            for i in 0..3 {
-                assert!(
-                    (a.self_weight(i) - b.self_weight(i)).abs() < 1e-9,
-                    "config {config:?}"
-                );
-                for j in 0..3 {
-                    assert!(
-                        (a.bound(i, j) - b.bound(i, j)).abs() < 1e-9,
-                        "config {config:?}: bound({i}, {j})"
-                    );
-                    assert!(
-                        (a.distance(i, j) - b.distance(i, j)).abs() < 1e-9,
-                        "config {config:?}: distance({i}, {j})"
-                    );
-                }
-            }
-            // Live ranks: 0 → schema 0, 1 → schema 2, 2 → schema 3.
-            // Schemata 0 and 3 share "vin", 0 and 2 share only the "root"
-            // container token — strictly more overlap for the vin pair.
-            assert!(a.bound(0, 1) < a.bound(0, 2));
         }
     }
 

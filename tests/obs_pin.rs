@@ -391,9 +391,9 @@ fn instance_run_records_one_prepare_span() {
 }
 
 /// A batch's Plan stage is timed once, by its `stage.plan` span, which is
-/// `StageTimings::plan` to the nanosecond. Its index, estimate, cluster and
-/// schedule parts are child spans inside it, each the `PlanBreakdown` field
-/// of its name. A cold plan builds one index per schema, inside
+/// `StageTimings::plan` to the nanosecond. Its index, estimate and schedule
+/// parts are its only `plan.*` child spans, one each and inside it, each the
+/// `PlanBreakdown` field of its name. A cold plan builds one index per schema, inside
 /// `plan.index`; a warm plan builds none, and neither does any pair job of
 /// the run.
 #[test]
@@ -413,75 +413,72 @@ fn plan_spans_equal_the_plan_breakdown() {
     let selection = Selection::OneToOne {
         min: Confidence::new(0.30),
     };
-    for policy in [
-        PlanPolicy::provable(),
-        PlanPolicy::ClusterFirst { max_distance: 0.6 },
-    ] {
-        let engine = cold_engine();
-        for (round, index_builds) in [("cold", refs.len()), ("warm", 0)] {
-            let label = format!("{round} {policy:?}");
-            obs::reset();
-            let batch = engine
-                .batch()
-                .with_plan_policy(policy)
-                .plan_all_pairs(&refs);
-            let events = obs::collect();
-            let of = |kind: obs::SpanKind| -> Vec<&obs::TraceEvent> {
-                events.iter().filter(|e| e.kind == kind).collect()
-            };
-            let plan = of(obs::SpanKind::StagePlan);
-            assert_eq!(plan.len(), 1, "{label}: one stage.plan");
-            let (start, end) = (plan[0].ts_ns, plan[0].ts_ns + plan[0].dur_ns);
-            assert_eq!(
-                u128::from(plan[0].dur_ns),
-                batch.plan_time().as_nanos(),
-                "{label}"
-            );
-            let inside = |e: &obs::TraceEvent| e.ts_ns >= start && e.ts_ns + e.dur_ns <= end;
-            let breakdown = batch.plan_breakdown();
-            let clustered = matches!(policy, PlanPolicy::ClusterFirst { .. });
-            for (kind, timing, expected) in [
-                (obs::SpanKind::PlanIndex, breakdown.index, true),
-                (obs::SpanKind::PlanEstimate, breakdown.estimate, true),
-                (obs::SpanKind::PlanCluster, breakdown.cluster, clustered),
-                (obs::SpanKind::PlanSchedule, breakdown.schedule, true),
-            ] {
-                let spans = of(kind);
-                if !expected {
-                    assert!(spans.is_empty(), "{label}: {}", kind.name());
-                    assert_eq!(timing, Duration::ZERO, "{label}: {}", kind.name());
-                    continue;
-                }
-                assert_eq!(spans.len(), 1, "{label}: one {}", kind.name());
-                assert!(
-                    inside(spans[0]),
-                    "{label}: {} outside stage.plan",
-                    kind.name()
-                );
-                assert_eq!(
-                    u128::from(spans[0].dur_ns),
-                    timing.as_nanos(),
-                    "{label}: {} span vs its PlanBreakdown field",
-                    kind.name()
-                );
-            }
-            let index = of(obs::SpanKind::PlanIndex)[0];
-            let builds = of(obs::SpanKind::IndexBuild);
-            assert_eq!(builds.len(), index_builds, "{label}: index builds");
-            assert!(builds.iter().all(|b| {
-                b.ts_ns >= index.ts_ns && b.ts_ns + b.dur_ns <= index.ts_ns + index.dur_ns
-            }));
-
-            obs::reset();
-            let run = batch.run_select_only(&selection);
-            assert_eq!(run.timings.plan, batch.plan_time(), "{label}");
+    let engine = cold_engine();
+    for (label, index_builds) in [("cold", refs.len()), ("warm", 0)] {
+        obs::reset();
+        let batch = engine
+            .batch()
+            .with_plan_policy(PlanPolicy::provable())
+            .plan_all_pairs(&refs);
+        let events = obs::collect();
+        let of = |kind: obs::SpanKind| -> Vec<&obs::TraceEvent> {
+            events.iter().filter(|e| e.kind == kind).collect()
+        };
+        let plan = of(obs::SpanKind::StagePlan);
+        assert_eq!(plan.len(), 1, "{label}: one stage.plan");
+        let (start, end) = (plan[0].ts_ns, plan[0].ts_ns + plan[0].dur_ns);
+        assert_eq!(
+            u128::from(plan[0].dur_ns),
+            batch.plan_time().as_nanos(),
+            "{label}"
+        );
+        let inside = |e: &obs::TraceEvent| e.ts_ns >= start && e.ts_ns + e.dur_ns <= end;
+        let breakdown = batch.plan_breakdown();
+        let mut children: Vec<&str> = events
+            .iter()
+            .map(|e| e.kind.name())
+            .filter(|name| name.starts_with("plan."))
+            .collect();
+        children.sort_unstable();
+        assert_eq!(
+            children,
+            ["plan.estimate", "plan.index", "plan.schedule"],
+            "{label}: stage.plan's child spans"
+        );
+        for (kind, timing) in [
+            (obs::SpanKind::PlanIndex, breakdown.index),
+            (obs::SpanKind::PlanEstimate, breakdown.estimate),
+            (obs::SpanKind::PlanSchedule, breakdown.schedule),
+        ] {
+            let spans = of(kind);
             assert!(
-                obs::collect()
-                    .iter()
-                    .all(|e| e.kind != obs::SpanKind::IndexBuild),
-                "{label}: a pair job built an index"
+                inside(spans[0]),
+                "{label}: {} outside stage.plan",
+                kind.name()
+            );
+            assert_eq!(
+                u128::from(spans[0].dur_ns),
+                timing.as_nanos(),
+                "{label}: {} span vs its PlanBreakdown field",
+                kind.name()
             );
         }
+        let index = of(obs::SpanKind::PlanIndex)[0];
+        let builds = of(obs::SpanKind::IndexBuild);
+        assert_eq!(builds.len(), index_builds, "{label}: index builds");
+        assert!(builds.iter().all(|b| {
+            b.ts_ns >= index.ts_ns && b.ts_ns + b.dur_ns <= index.ts_ns + index.dur_ns
+        }));
+
+        obs::reset();
+        let run = batch.run_select_only(&selection);
+        assert_eq!(run.timings.plan, batch.plan_time(), "{label}");
+        assert!(
+            obs::collect()
+                .iter()
+                .all(|e| e.kind != obs::SpanKind::IndexBuild),
+            "{label}: a pair job built an index"
+        );
     }
 }
 

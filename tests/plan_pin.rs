@@ -2,19 +2,18 @@
 //! semantics change.
 //!
 //! The overlap estimator (`harmony_core::batch::OverlapEstimates`) computes
-//! IDF-weighted vocabulary-overlap upper bounds for all N² pairs in one
-//! posting walk. Its contract, pinned here across synthetic seeds:
+//! the IDF-weighted shared vocabulary weight of all N² pairs in one posting
+//! walk. Its contract, pinned here across synthetic seeds:
 //!
-//! * the uncapped bound *equals* the true shared blocking-vocabulary
-//!   weight, and a df-capped bound always dominates it (upper bound);
+//! * the bound *equals* the true shared blocking-vocabulary weight;
 //! * `PlanPolicy::OverlapThreshold` only partitions the pair list — every
 //!   planned pair's selections are byte-identical to the exhaustive plan's,
 //!   and the provable cut (`PlanPolicy::provable()`) never prunes a pair
 //!   that would have selected anything;
 //! * incremental N-way consolidation (`populate_planned` + `add_schema` +
 //!   `populate_incremental`) reproduces the full replan's vocabulary, and
-//!   under `ClusterFirst` keeps and prunes exactly the new pairs the
-//!   replan does.
+//!   under any `OverlapThreshold` cut keeps and prunes exactly the new
+//!   pairs the replan does.
 
 use harmony_core::index::idf_weight;
 use harmony_core::prelude::*;
@@ -61,13 +60,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The estimator's bound against the true shared vocabulary weight,
-    /// recomputed per pair by brute force: equality when uncapped,
-    /// domination under any df cap.
+    /// recomputed per pair by brute force: they are equal, so the bound
+    /// dominates it and pruning below a cut loses no pair above it.
     #[test]
-    fn overlap_bound_dominates_true_shared_weight(
-        seed in 0u64..300,
-        df_cap in 1usize..6,
-    ) {
+    fn overlap_bound_dominates_true_shared_weight(seed in 0u64..300) {
         let schemas = population(seed, 3);
         let refs: Vec<&Schema> = schemas.iter().collect();
         let engine = engine();
@@ -91,7 +87,6 @@ proptest! {
         }
 
         let exact = OverlapEstimates::from_prepared(prepared);
-        let capped = OverlapEstimates::from_prepared_capped(prepared, df_cap);
         for i in 0..n {
             for j in (i + 1)..n {
                 let truth: f64 = vocab[i]
@@ -100,13 +95,8 @@ proptest! {
                     .sum();
                 prop_assert!(
                     (exact.bound(i, j) - truth).abs() < 1e-9,
-                    "uncapped bound {} != true shared weight {truth} (pair {i},{j})",
+                    "bound {} != true shared weight {truth} (pair {i},{j})",
                     exact.bound(i, j),
-                );
-                prop_assert!(
-                    capped.bound(i, j) >= truth - 1e-9,
-                    "df_cap {df_cap} bound {} fell below true weight {truth} (pair {i},{j})",
-                    capped.bound(i, j),
                 );
             }
         }
@@ -208,21 +198,21 @@ proptest! {
         );
     }
 
-    /// Under `ClusterFirst`, the add-one step decides every new pair the
-    /// way a full replan over all N+1 schemata does: it executes exactly
-    /// the replan's planned requests with `right ≥ base` and prunes exactly
-    /// its pruned ones — same-component and hub×hub pairs included, not
-    /// only direct `distance ≤ cut` edges.
+    /// Under an `OverlapThreshold` cut above the provable one, the add-one
+    /// step decides every new pair the way a full replan over all N+1
+    /// schemata does: it executes exactly the replan's planned requests
+    /// with `right ≥ base` and prunes exactly its pruned ones, because both
+    /// weigh the new pairs at the final N.
     #[test]
-    fn incremental_addone_cluster_first_decides_new_pairs_like_replan(
+    fn incremental_addone_overlap_threshold_decides_new_pairs_like_replan(
         seed in 0u64..300,
-        max_distance in 0.3f64..0.95,
+        min_weight in 1.0f64..30.0,
     ) {
         let schemas = population(seed, 3);
         let refs: Vec<&Schema> = schemas.iter().collect();
         let engine = engine();
         let blocking = BlockingPolicy::default();
-        let policy = PlanPolicy::ClusterFirst { max_distance };
+        let policy = PlanPolicy::OverlapThreshold { min_weight };
         let base = refs.len() - 1;
 
         let replan = engine
@@ -249,13 +239,13 @@ proptest! {
             executed,
             new_pairs(replan.requests()),
             "add-one executed other new pairs than the replan plans (cut {})",
-            max_distance
+            min_weight
         );
         prop_assert_eq!(
             added.pruned,
             new_pairs(replan.pruned()).len(),
             "add-one pruned other new pairs than the replan prunes (cut {})",
-            max_distance
+            min_weight
         );
     }
 }

@@ -5,11 +5,9 @@
 //! Any interleaving of insert / remove / replace ops — with or without
 //! forced per-op compaction, at any shard count, at any executor width —
 //! must yield the oracle's token weights, total weights, postings and
-//! probe accumulations bit for bit, its pairwise intersection counts and
-//! shared tokens, and its overlap estimates, and therefore the same search
-//! rankings. Warm-start serialization must round-trip to the same bits.
+//! probe accumulations bit for bit, and its pairwise intersection counts
+//! and shared tokens, and therefore the same search rankings. Warm-start serialization must round-trip to the same bits.
 
-use harmony_core::batch::OverlapEstimates;
 use harmony_core::exec::Executor;
 use harmony_core::prepare::{FeatureCache, PreparedSchema};
 use proptest::prelude::*;
@@ -111,15 +109,6 @@ impl Oracle {
         counts
     }
 
-    /// The planner's estimates over every live token's postings.
-    fn overlap_estimates(&self, df_cap: usize) -> OverlapEstimates {
-        let mut tokens: Vec<TokenId> = self.sigs.iter().flatten().copied().collect();
-        tokens.sort_unstable();
-        tokens.dedup();
-        let postings = tokens.iter().map(|&t| (self.weight(t), self.postings(t)));
-        OverlapEstimates::from_token_postings(self.ids.len(), postings, df_cap)
-    }
-
     /// Tokens every member holds, in signature order; empty when a member
     /// is not live.
     fn shared_tokens(&self, members: &[SchemaId]) -> Vec<TokenId> {
@@ -145,8 +134,7 @@ impl Oracle {
 /// every token of the live and query vocabularies (unseen ones included),
 /// its weight bits and live postings; every live schema's signature and
 /// total-weight bits; the probe of every query and live signature, bit for
-/// bit; pairwise intersection counts; shared tokens of member sets; and
-/// overlap estimates, capped and uncapped.
+/// bit; pairwise intersection counts; and shared tokens of member sets.
 fn assert_pinned(
     index: &ShardedRepositoryIndex,
     live: &[Arc<PreparedSchema>],
@@ -212,26 +200,6 @@ fn assert_pinned(
             index.arena().resolve_all(&oracle.shared_tokens(&members)),
             "shared tokens of {members:?} diverged"
         );
-    }
-
-    // The index walks its tokens shard by shard, the oracle in id order,
-    // so each bound adds the same weights in a different order.
-    for df_cap in [usize::MAX, 2] {
-        let (got, want) = (
-            index.overlap_estimates(df_cap),
-            oracle.overlap_estimates(df_cap),
-        );
-        assert_eq!(got.len(), want.len());
-        for i in 0..want.len() {
-            assert!((got.self_weight(i) - want.self_weight(i)).abs() < 1e-9);
-            for j in 0..want.len() {
-                assert!(
-                    (got.bound(i, j) - want.bound(i, j)).abs() < 1e-9,
-                    "bound({i}, {j}) at df cap {df_cap}"
-                );
-                assert!((got.distance(i, j) - want.distance(i, j)).abs() < 1e-9);
-            }
-        }
     }
 }
 
@@ -449,8 +417,8 @@ fn maintenance_pins_to_oracle() {
         assert!(idx.shared_tokens(&[SchemaId(0), SchemaId(1)]).is_empty());
         // Live ranks: 0 → schema 0, 1 → schema 2, 2 → schema 3. Schemata 0
         // and 3 share "vin", 0 and 2 only the "root" container token.
-        let estimates = idx.overlap_estimates(usize::MAX);
-        assert!(estimates.bound(0, 1) < estimates.bound(0, 2));
+        let inter = idx.pairwise_intersections();
+        assert!(inter[1] < inter[2]);
     }
 }
 
