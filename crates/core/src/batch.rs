@@ -17,7 +17,7 @@
 //! (timed under its `stage.plan` span and reported as
 //! [`StageTimings::plan`]): every schema is prepared through the engine's
 //! cache (concurrently, on the executor, with
-//! [`FeatureCache::get_or_prepare`] coalescing racing preparations of the
+//! [`FeatureCache::prepare`] coalescing racing preparations of the
 //! same content), every preparation that holds no index yet is indexed, and
 //! the plan policy prunes the request list: [`PlanPolicy::Exhaustive`]
 //! keeps every pair, and [`PlanPolicy::OverlapThreshold`] drops the pairs
@@ -364,7 +364,7 @@ fn delta_stats(before: CacheStats, after: CacheStats) -> CacheStats {
 ///
 /// Lanes claim schema slots from a shared queue, checking the job's token
 /// before each;
-/// [`FeatureCache::get_or_prepare`] guarantees a fingerprint is built at
+/// [`FeatureCache::prepare`] guarantees a fingerprint is built at
 /// most once even when two lanes (or two batches) race on equal content.
 /// Each miss is built on the same lanes
 /// ([`FeatureCache::get_or_prepare_on`]): while the schema lanes hold the

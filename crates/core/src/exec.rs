@@ -72,12 +72,13 @@ struct PoolShared {
     /// Signalled when a task is enqueued or shutdown is requested.
     wake: Condvar,
     /// Ticket counter handing each fan-out a unique owner id.
-    next_owner: std::sync::atomic::AtomicU64,
-    /// Per-instance scheduling counters (see [`ExecStats`]). Always
-    /// collected — they are per-task-granularity cheap and the regression
-    /// tests rely on them while recording is off; the process-wide
-    /// [`obs::Counter`] mirrors are what [`obs::set_enabled`] switches.
-    counters: PoolCounters,
+    next_owner: AtomicU64,
+    /// This pool's scheduling counters (see [`ExecStats`]): each event is
+    /// counted once, here, and obs sums the block into its `exec.*`
+    /// counters. They count whether or not [`obs::set_enabled`] is on.
+    counters: obs::CounterBlock,
+    /// High-water mark of the shared queue's depth (this pool's gauge).
+    queue_depth_max: AtomicU64,
     /// Lanes of this pool currently held (see [`LaneSeat`]): every fan-out
     /// offers at most `threads − reserved` helpers. A plain count that
     /// publishes no other data, hence `Relaxed`; a helper's release still
@@ -85,19 +86,10 @@ struct PoolShared {
     reserved: AtomicUsize,
 }
 
-#[derive(Default)]
-struct PoolCounters {
-    enqueued: AtomicU64,
-    stolen: AtomicU64,
-    reclaimed: AtomicU64,
-    parked: AtomicU64,
-    inline_runs: AtomicU64,
-    withheld: AtomicU64,
-    queue_depth_max: AtomicU64,
-}
-
 /// Snapshot of one executor instance's scheduling counters
-/// ([`Executor::stats`]). All values are cumulative since pool creation.
+/// ([`Executor::stats`]). All values are cumulative since pool creation,
+/// and count whether or not [`obs::set_enabled`] is on; the process-wide
+/// `exec.*` counters read the same block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
     /// Helper tasks pushed onto the shared queue by fan-outs.
@@ -228,8 +220,9 @@ impl Executor {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(PoolQueue::default()),
             wake: Condvar::new(),
-            next_owner: std::sync::atomic::AtomicU64::new(0),
-            counters: PoolCounters::default(),
+            next_owner: AtomicU64::new(0),
+            counters: obs::CounterBlock::new(),
+            queue_depth_max: AtomicU64::new(0),
             reserved: AtomicUsize::new(0),
         });
         let workers = (0..threads)
@@ -262,30 +255,20 @@ impl Executor {
         self.threads
     }
 
-    /// Tasks currently queued but not yet claimed by a worker (observability
-    /// for benches; racy by nature).
-    pub fn queued(&self) -> usize {
-        self.shared
-            .queue
-            .lock()
-            .expect("executor poisoned")
-            .tasks
-            .len()
-    }
-
-    /// Cumulative scheduling counters of this pool instance. Unlike the
-    /// process-wide [`obs`] counters these are per-instance and always on,
-    /// so a private pool can be asserted against without cross-test noise.
+    /// Cumulative scheduling counters of this pool instance, so a private
+    /// pool can be asserted against without cross-test noise. They count
+    /// whether or not [`obs::set_enabled`] is on; the process-wide `exec.*`
+    /// counters sum this pool's block with every other pool's.
     pub fn stats(&self) -> ExecStats {
         let c = &self.shared.counters;
         ExecStats {
-            enqueued: c.enqueued.load(Ordering::Relaxed),
-            stolen: c.stolen.load(Ordering::Relaxed),
-            reclaimed: c.reclaimed.load(Ordering::Relaxed),
-            parked: c.parked.load(Ordering::Relaxed),
-            inline_runs: c.inline_runs.load(Ordering::Relaxed),
-            withheld: c.withheld.load(Ordering::Relaxed),
-            queue_depth_max: c.queue_depth_max.load(Ordering::Relaxed),
+            enqueued: c.get(obs::Counter::ExecEnqueued),
+            stolen: c.get(obs::Counter::ExecStolen),
+            reclaimed: c.get(obs::Counter::ExecReclaimed),
+            parked: c.get(obs::Counter::ExecParked),
+            inline_runs: c.get(obs::Counter::ExecInline),
+            withheld: c.get(obs::Counter::ExecWithheld),
+            queue_depth_max: self.shared.queue_depth_max.load(Ordering::Relaxed),
         }
     }
 
@@ -433,15 +416,11 @@ impl Executor {
             sync: &sync,
             owner,
         };
-        self.shared
+        let shared = &self.shared;
+        shared
             .counters
-            .enqueued
-            .fetch_add(helpers as u64, Ordering::Relaxed);
-        self.shared
-            .counters
-            .queue_depth_max
-            .fetch_max(depth, Ordering::Relaxed);
-        obs::add(obs::Counter::ExecEnqueued, helpers as u64);
+            .add(obs::Counter::ExecEnqueued, helpers as u64);
+        shared.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
         obs::gauge_max(obs::Counter::ExecQueueDepthMax, depth);
         self.shared.wake.notify_all();
 
@@ -495,17 +474,15 @@ impl Executor {
     /// Count `lanes` helpers a fan-out wanted and the pool could not offer.
     fn withhold(&self, lanes: usize) {
         if lanes > 0 {
-            let counter = &self.shared.counters.withheld;
-            counter.fetch_add(lanes as u64, Ordering::Relaxed);
-            obs::add(obs::Counter::ExecWithheld, lanes as u64);
+            self.shared
+                .counters
+                .add(obs::Counter::ExecWithheld, lanes as u64);
         }
     }
 
     /// Count a fan-out that runs inline on its caller.
     fn count_inline(&self) {
-        let counter = &self.shared.counters.inline_runs;
-        counter.fetch_add(1, Ordering::Relaxed);
-        obs::add(obs::Counter::ExecInline, 1);
+        self.shared.counters.add(obs::Counter::ExecInline, 1);
     }
 
     /// Reserve up to `want` of the pool's unreserved lanes for helpers
@@ -764,11 +741,7 @@ impl Drop for DrainGuard<'_> {
                 // (nothing may unwind out of this frame before
                 // `remaining == 0`) even for a non-conforming future task.
                 Some(task) => {
-                    self.shared
-                        .counters
-                        .reclaimed
-                        .fetch_add(1, Ordering::Relaxed);
-                    obs::add(obs::Counter::ExecReclaimed, 1);
+                    self.shared.counters.add(obs::Counter::ExecReclaimed, 1);
                     let Task { owner, run } = task;
                     let run = || catch_unwind(AssertUnwindSafe(run));
                     let _ = obs::timed(obs::SpanKind::ExecDrain, |_| owner, run);
@@ -840,8 +813,7 @@ fn worker_loop(shared: &PoolShared) {
                 if queue.shutdown {
                     return;
                 }
-                shared.counters.parked.fetch_add(1, Ordering::Relaxed);
-                obs::add(obs::Counter::ExecParked, 1);
+                shared.counters.add(obs::Counter::ExecParked, 1);
                 (queue, _) = obs::timed(
                     obs::SpanKind::ExecPark,
                     |_| 0,
@@ -849,8 +821,7 @@ fn worker_loop(shared: &PoolShared) {
                 );
             }
         };
-        shared.counters.stolen.fetch_add(1, Ordering::Relaxed);
-        obs::add(obs::Counter::ExecStolen, 1);
+        shared.counters.add(obs::Counter::ExecStolen, 1);
         // Lane closures catch and record their own panics; this guard only
         // keeps a non-conforming task from killing the pool worker.
         let Task { owner, run } = task;

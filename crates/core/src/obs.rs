@@ -11,14 +11,16 @@
 //!   nanoseconds and never contends. Readers ([`collect`]) take an `Acquire`
 //!   snapshot of every registered ring; the view is exact once the writing
 //!   threads are quiescent and best-effort while they are live.
-//! * **Counters** — a fixed registry of named process-wide atomics
+//! * **Counters** — a fixed registry of named process-wide counters
 //!   ([`Counter`]) replacing the scattered ad-hoc stats (cache hit/miss,
-//!   cascade pruned/full, executor steal/park, probe rows/postings). The
-//!   per-thread `PairMemo` stats from `sm_text` are polled into the same
-//!   snapshot so one export carries everything.
+//!   cascade pruned/full, executor steal/park, probe rows/postings). An
+//!   executor pool and a feature cache count their events once, in their
+//!   own [`CounterBlock`], which every snapshot sums; the per-thread
+//!   `PairMemo` stats from `sm_text` are polled into the same snapshot, so
+//!   one export carries everything.
 //! * **Exporters** — [`TraceReport`] aggregates per-kind duration
 //!   histograms (p50/p95/p99) and per-lane utilization, and
-//!   [`chrome_trace_json`] serializes the raw events in Chrome
+//!   [`chrome_trace_from_events`] serializes the raw events in Chrome
 //!   `trace_event` format so a run can be opened in `chrome://tracing` or
 //!   Perfetto with one executor lane per row.
 //!
@@ -28,14 +30,14 @@
 //! [`crate::pipeline::StageTimings`] entry are one clock reading.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of `u64` words per packed event record.
 const WORDS: usize = 4;
 
-/// Default per-thread ring capacity, in events.
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
+/// Per-thread ring capacity, in events.
+const RING_CAPACITY: usize = 1 << 14;
 
 // ---------------------------------------------------------------------------
 // Span kinds
@@ -217,7 +219,8 @@ impl SpanKind {
 // ---------------------------------------------------------------------------
 
 /// Named process-wide counters and gauges. The numeric value doubles as the
-/// slot index into the global table, so `add` is one relaxed `fetch_add`.
+/// slot index into the global table and into every [`CounterBlock`], so
+/// counting is one relaxed `fetch_add`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
@@ -396,21 +399,66 @@ impl Counter {
     }
 }
 
-struct GlobalCounters {
-    slots: [AtomicU64; COUNTER_COUNT],
-    /// `pair_memo_stats` baseline captured at the last [`reset`], so the
-    /// polled memo counters report deltas like every native counter.
-    memo_miss_base: AtomicU64,
-    memo_flush_base: AtomicU64,
-}
+type Slots = [AtomicU64; COUNTER_COUNT];
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
-static COUNTER_TABLE: GlobalCounters = GlobalCounters {
-    slots: [ZERO; COUNTER_COUNT],
-    memo_miss_base: AtomicU64::new(0),
-    memo_flush_base: AtomicU64::new(0),
-};
+/// The global table: what [`add`] and [`gauge_max`] write since the last
+/// [`reset`], and where a dropped [`CounterBlock`] leaves its counts.
+static COUNTER_TABLE: Slots = [ZERO; COUNTER_COUNT];
+/// What the live blocks and the pair memos had counted at the last
+/// [`reset`]; reads report the distance from it.
+static BASELINES: Slots = [ZERO; COUNTER_COUNT];
+/// Every live [`CounterBlock`]'s slots.
+static BLOCKS: Mutex<Vec<Arc<Slots>>> = Mutex::new(Vec::new());
+
+fn blocks() -> MutexGuard<'static, Vec<Arc<Slots>>> {
+    BLOCKS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One instance's own counters, indexed by [`Counter`]: an executor pool
+/// or a feature cache counts each of its events once, here, and reads its
+/// per-instance stats from here. A counter's process-wide value is the
+/// global table's slot plus every live block's, so a block reaches every
+/// snapshot without a mirror. A block counts whether or not recording is
+/// on. When it drops it folds its slots into the global table, so a
+/// dropped instance's counts stay in the totals.
+pub struct CounterBlock {
+    slots: Arc<Slots>,
+}
+
+impl CounterBlock {
+    /// A zeroed block, registered with the process-wide totals.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
+        let slots = Arc::new([ZERO; COUNTER_COUNT]);
+        blocks().push(Arc::clone(&slots));
+        CounterBlock { slots }
+    }
+
+    /// Add `delta` to `counter`. Relaxed.
+    #[inline]
+    pub fn add(&self, counter: Counter, delta: u64) {
+        self.slots[counter as usize].fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// This block's value of `counter`, cumulative since it was made.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.slots[counter as usize].load(Ordering::Relaxed)
+    }
+}
+
+impl Drop for CounterBlock {
+    fn drop(&mut self) {
+        // Fold and unregister under the registry lock: a snapshot sees
+        // these counts in the block or in the table, never both or neither.
+        let mut blocks = blocks();
+        for (total, slot) in COUNTER_TABLE.iter().zip(self.slots.iter()) {
+            total.fetch_add(slot.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        blocks.retain(|b| !Arc::ptr_eq(b, &self.slots));
+    }
+}
 
 /// Add `delta` to a counter. Relaxed; a no-op when recording is disabled.
 #[inline]
@@ -418,7 +466,7 @@ pub fn add(counter: Counter, delta: u64) {
     if delta == 0 || !enabled() {
         return;
     }
-    COUNTER_TABLE.slots[counter as usize].fetch_add(delta, Ordering::Relaxed);
+    COUNTER_TABLE[counter as usize].fetch_add(delta, Ordering::Relaxed);
 }
 
 /// Raise a gauge to at least `value` (high-water mark). A no-op when
@@ -428,30 +476,46 @@ pub fn gauge_max(counter: Counter, value: u64) {
     if !enabled() {
         return;
     }
-    COUNTER_TABLE.slots[counter as usize].fetch_max(value, Ordering::Relaxed);
+    COUNTER_TABLE[counter as usize].fetch_max(value, Ordering::Relaxed);
 }
 
-/// Read one counter's current value (memo counters are polled live).
-pub fn counter_value(counter: Counter) -> u64 {
-    match counter {
-        Counter::MemoMisses => {
-            let live = sm_text::intern::pair_memo_stats().misses;
-            live.saturating_sub(COUNTER_TABLE.memo_miss_base.load(Ordering::Relaxed))
+/// What the `blocks` and the pair memos (polled from `sm_text`) have
+/// counted, per counter.
+fn instance_totals(blocks: &[Arc<Slots>]) -> [u64; COUNTER_COUNT] {
+    let mut totals = [0; COUNTER_COUNT];
+    for block in blocks {
+        for (total, slot) in totals.iter_mut().zip(block.iter()) {
+            *total += slot.load(Ordering::Relaxed);
         }
-        Counter::MemoFlushes => {
-            let live = sm_text::intern::pair_memo_stats().flushes;
-            live.saturating_sub(COUNTER_TABLE.memo_flush_base.load(Ordering::Relaxed))
-        }
-        _ => COUNTER_TABLE.slots[counter as usize].load(Ordering::Relaxed),
     }
+    let memo = sm_text::intern::pair_memo_stats();
+    totals[Counter::MemoMisses as usize] = memo.misses;
+    totals[Counter::MemoFlushes as usize] = memo.flushes;
+    totals
+}
+
+/// Every counter's value since the last [`reset`], in slot order.
+fn counter_values() -> [u64; COUNTER_COUNT] {
+    let blocks = blocks();
+    let instances = instance_totals(&blocks);
+    std::array::from_fn(|i| {
+        let total = COUNTER_TABLE[i].load(Ordering::Relaxed) + instances[i];
+        total.saturating_sub(BASELINES[i].load(Ordering::Relaxed))
+    })
+}
+
+/// Read one counter's current value.
+pub fn counter_value(counter: Counter) -> u64 {
+    counter_values()[counter as usize]
 }
 
 /// Snapshot every registered counter as `(name, value)` pairs, in registry
 /// order. This is the one list the exporters and the CI schema check share.
 pub fn counter_snapshot() -> Vec<(&'static str, u64)> {
+    let values = counter_values();
     COUNTERS
         .iter()
-        .map(|&c| (c.name(), counter_value(c)))
+        .map(|&c| (c.name(), values[c as usize]))
         .collect()
 }
 
@@ -468,7 +532,8 @@ pub fn enabled() -> bool {
 }
 
 /// Turn recording of spans and counters on or off, process-wide (on by
-/// default). Off, [`timed`] still measures.
+/// default). Off, [`timed`] still measures, and every [`CounterBlock`]
+/// (an executor pool's or a feature cache's event counters) still counts.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Release);
 }
@@ -525,11 +590,10 @@ impl Ring {
     }
 }
 
-static REGISTRY: Mutex<Vec<std::sync::Arc<Ring>>> = Mutex::new(Vec::new());
-static RING_CAPACITY: AtomicU64 = AtomicU64::new(DEFAULT_RING_CAPACITY as u64);
+static REGISTRY: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
 
 thread_local! {
-    static RING: std::cell::RefCell<Option<std::sync::Arc<Ring>>> =
+    static RING: std::cell::RefCell<Option<Arc<Ring>>> =
         const { std::cell::RefCell::new(None) };
 }
 
@@ -542,21 +606,12 @@ fn with_ring(f: impl FnOnce(&Ring)) {
                 .name()
                 .map(str::to_string)
                 .unwrap_or_else(|| format!("thread-{}", registry.len()));
-            let ring = std::sync::Arc::new(Ring::new(
-                RING_CAPACITY.load(Ordering::Relaxed) as usize,
-                name,
-            ));
+            let ring = Arc::new(Ring::new(RING_CAPACITY, name));
             registry.push(ring.clone());
             *slot = Some(ring);
         }
         f(slot.as_ref().unwrap());
     });
-}
-
-/// Override the capacity (in events) of rings created *after* this call.
-/// Existing rings keep their size; intended for test setup.
-pub fn set_ring_capacity(capacity: usize) {
-    RING_CAPACITY.store(capacity.max(1) as u64, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -638,14 +693,6 @@ macro_rules! obs_span {
     };
 }
 
-/// Bump a registered counter by name: `obs_counter!(CacheHits, 1);`
-#[macro_export]
-macro_rules! obs_counter {
-    ($counter:ident, $delta:expr) => {
-        $crate::obs::add($crate::obs::Counter::$counter, $delta as u64)
-    };
-}
-
 // ---------------------------------------------------------------------------
 // Collection and reset
 // ---------------------------------------------------------------------------
@@ -675,7 +722,7 @@ pub struct TraceEvent {
 /// filtered by the watermark check.
 pub fn collect() -> Vec<TraceEvent> {
     let watermark = WATERMARK.load(Ordering::Acquire);
-    let rings: Vec<std::sync::Arc<Ring>> = REGISTRY.lock().unwrap().clone();
+    let rings: Vec<Arc<Ring>> = REGISTRY.lock().unwrap().clone();
     let mut out = Vec::new();
     for (lane, ring) in rings.iter().enumerate() {
         let head = ring.head.load(Ordering::Acquire) as usize;
@@ -706,19 +753,16 @@ pub fn collect() -> Vec<TraceEvent> {
 }
 
 /// Drop all recorded history: events older than now become invisible to
-/// [`collect`], counters zero, and the polled memo baselines re-anchor.
+/// [`collect`], and every counter reads 0, the gauges, the live blocks'
+/// counters and the polled memo counters included.
 pub fn reset() {
     WATERMARK.store(now_ns(), Ordering::Release);
-    for slot in &COUNTER_TABLE.slots {
-        slot.store(0, Ordering::Relaxed);
+    let blocks = blocks();
+    let instances = instance_totals(&blocks);
+    for ((total, base), instance) in COUNTER_TABLE.iter().zip(&BASELINES).zip(instances) {
+        total.store(0, Ordering::Relaxed);
+        base.store(instance, Ordering::Relaxed);
     }
-    let memo = sm_text::intern::pair_memo_stats();
-    COUNTER_TABLE
-        .memo_miss_base
-        .store(memo.misses, Ordering::Relaxed);
-    COUNTER_TABLE
-        .memo_flush_base
-        .store(memo.flushes, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -821,14 +865,8 @@ pub fn coverage(events: &[TraceEvent], parent: SpanKind, children: &[SpanKind]) 
 }
 
 impl TraceReport {
-    /// Aggregate everything recorded since the last [`reset`].
-    pub fn build() -> TraceReport {
-        let events = collect();
-        TraceReport::from_events(&events)
-    }
-
-    /// Aggregate a pre-collected event list (lets callers share one
-    /// [`collect`] with the chrome exporter).
+    /// Aggregate a collected event list (callers share one [`collect`]
+    /// with the chrome exporter).
     pub fn from_events(events: &[TraceEvent]) -> TraceReport {
         type LaneAccum = (String, u64, Vec<(u64, u64)>);
         let mut durs: Vec<Vec<u64>> = vec![Vec::new(); SPAN_KINDS.len()];
@@ -939,15 +977,10 @@ fn json_escape(s: &str) -> String {
         .collect()
 }
 
-/// Serialize everything recorded since the last [`reset`] as Chrome
-/// `trace_event` JSON (the "JSON array format"): one `ph:"X"` complete event
-/// per span plus thread-name metadata, one row per recording thread. Open
-/// the file in `chrome://tracing` or <https://ui.perfetto.dev>.
-pub fn chrome_trace_json() -> String {
-    chrome_trace_from_events(&collect())
-}
-
-/// Chrome `trace_event` serialization of a pre-collected event list.
+/// Chrome `trace_event` JSON (the "JSON array format") of a collected
+/// event list: one `ph:"X"` complete event per span plus thread-name
+/// metadata, one row per recording thread. Open the file in
+/// `chrome://tracing` or <https://ui.perfetto.dev>.
 pub fn chrome_trace_from_events(events: &[TraceEvent]) -> String {
     let mut out = String::from("[\n");
     let mut named: std::collections::BTreeMap<usize, &str> = std::collections::BTreeMap::new();

@@ -33,7 +33,6 @@ use sm_text::normalize::{Normalizer, TokenBag};
 use sm_text::soundex::{soundex, soundex_key};
 use sm_text::tokenize::acronym_of;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// The default normalizer shared by every process path that does not
@@ -539,8 +538,8 @@ impl PreparedSchema {
     }
 }
 
-/// Hit/miss counters of a [`FeatureCache`] (observability for benches and
-/// regression tests).
+/// Hit/miss counters of a [`FeatureCache`], counted whether or not obs
+/// recording is on (observability for benches and regression tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -578,9 +577,9 @@ pub struct FeatureCache {
     /// resident bytes exceed it (always keeping at least one entry, so a
     /// single over-budget schema still caches).
     byte_budget: Option<usize>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    evictions: AtomicUsize,
+    /// Hits, misses and evictions (see [`CacheStats`]): each counted once,
+    /// here, and summed by obs into its `cache.*` counters.
+    counters: crate::obs::CounterBlock,
 }
 
 #[derive(Default)]
@@ -616,7 +615,7 @@ enum BuildState {
     Failed,
 }
 
-/// What `get_or_prepare`'s rendezvous decided for the calling thread.
+/// What `get_or_prepare_on`'s rendezvous decided for the calling thread.
 enum Waiter {
     Wait(Arc<BuildSlot>),
     Build(Arc<BuildSlot>),
@@ -684,9 +683,7 @@ impl FeatureCache {
             inner: Mutex::new(CacheInner::default()),
             capacity: capacity.max(1),
             byte_budget,
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
+            counters: crate::obs::CounterBlock::new(),
         }
     }
 
@@ -710,22 +707,17 @@ impl FeatureCache {
 
     /// Fetch (or build and memoize) the preparation of `schema`. Keyed by
     /// content fingerprint, so mutated or replaced schemata never see stale
-    /// features. Alias of [`Self::get_or_prepare`].
-    pub fn prepare(&self, schema: &Schema) -> Arc<PreparedSchema> {
-        self.get_or_prepare(schema)
-    }
-
-    /// Contention-safe fetch-or-build: when several threads (batch jobs,
+    /// features. Contention-safe: when several threads (batch jobs,
     /// concurrent engines) ask for the same fingerprint at once, exactly one
     /// builds while the others wait on the in-flight slot and share the
     /// result — the same content is never prepared twice. Waiters count as
     /// `hits` (they were served without building); only the building thread
     /// records a `miss`. A miss builds inline on the calling thread.
-    pub fn get_or_prepare(&self, schema: &Schema) -> Arc<PreparedSchema> {
+    pub fn prepare(&self, schema: &Schema) -> Arc<PreparedSchema> {
         self.get_or_prepare_on(schema, Job::inline())
     }
 
-    /// [`Self::get_or_prepare`] whose miss is built on the caller's lanes:
+    /// [`Self::prepare`] whose miss is built on the caller's lanes:
     /// element chunks are mapped over `job`, so helper lanes are claimed
     /// against its budget and its token is checked before every chunk (see
     /// [`PreparedSchema::build_parallel`] for the id contract). A build
@@ -741,8 +733,7 @@ impl FeatureCache {
                 let tick = inner.tick;
                 if let Some(entry) = inner.map.get_mut(&fp) {
                     entry.last_used = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    crate::obs::add(crate::obs::Counter::CacheHits, 1);
+                    self.counters.add(crate::obs::Counter::CacheHits, 1);
                     return Arc::clone(&entry.prepared);
                 }
                 match inner.building.get(&fp) {
@@ -771,8 +762,7 @@ impl FeatureCache {
                                 state = slot.done.wait(state).expect("build slot poisoned");
                             }
                             BuildState::Ready(prepared) => {
-                                self.hits.fetch_add(1, Ordering::Relaxed);
-                                crate::obs::add(crate::obs::Counter::CacheHits, 1);
+                                self.counters.add(crate::obs::Counter::CacheHits, 1);
                                 return Arc::clone(prepared);
                             }
                             // Builder unwound; retry from the top (this
@@ -792,8 +782,7 @@ impl FeatureCache {
                         fp,
                         published: false,
                     };
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    crate::obs::add(crate::obs::Counter::CacheMisses, 1);
+                    self.counters.add(crate::obs::Counter::CacheMisses, 1);
                     let (prepared, _) = crate::obs::timed(
                         crate::obs::SpanKind::CacheBuild,
                         |_| fp,
@@ -860,8 +849,7 @@ impl FeatureCache {
             if let Some(entry) = inner.map.remove(&evict) {
                 inner.resident_bytes = inner.resident_bytes.saturating_sub(entry.bytes);
             }
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            crate::obs::add(crate::obs::Counter::CacheEvictions, 1);
+            self.counters.add(crate::obs::Counter::CacheEvictions, 1);
         }
     }
 
@@ -934,8 +922,8 @@ impl FeatureCache {
                 keep
             });
             inner.resident_bytes = inner.resident_bytes.saturating_sub(freed);
-            self.evictions.fetch_add(excess, Ordering::Relaxed);
-            crate::obs::add(crate::obs::Counter::CacheEvictions, excess as u64);
+            self.counters
+                .add(crate::obs::Counter::CacheEvictions, excess as u64);
         }
         // Survivors of the count sweep may still exceed the byte budget.
         self.sweep_locked(&mut inner, self.capacity, self.byte_budget);
@@ -955,10 +943,11 @@ impl FeatureCache {
     /// Current hit/miss/occupancy counters.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("feature cache poisoned");
+        let count = |c| self.counters.get(c) as usize;
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: count(crate::obs::Counter::CacheHits),
+            misses: count(crate::obs::Counter::CacheMisses),
+            evictions: count(crate::obs::Counter::CacheEvictions),
             entries: inner.map.len(),
             resident_bytes: inner.resident_bytes,
         }
@@ -1204,7 +1193,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    cache.get_or_prepare(&s)
+                    cache.prepare(&s)
                 })
             })
             .collect();
@@ -1326,7 +1315,7 @@ mod tests {
                             while !started() {
                                 std::thread::yield_now();
                             }
-                            cache.get_or_prepare(&schema)
+                            cache.prepare(&schema)
                         })
                     });
                     scope.spawn(|| {

@@ -102,10 +102,10 @@ impl DistanceMatrix {
         let inter = index.pairwise_intersections();
         let mut d = vec![0.0; n * n];
         for i in 0..n {
-            let len_i = index.signature(live[i]).len();
+            let len_i = index.signature_ids(live[i]).len();
             for j in (i + 1)..n {
                 let shared = f64::from(inter[i * n + j]);
-                let union = (len_i + index.signature(live[j]).len()) as f64 - shared;
+                let union = (len_i + index.signature_ids(live[j]).len()) as f64 - shared;
                 let dist = if union == 0.0 {
                     0.0
                 } else {

@@ -128,7 +128,7 @@ impl<'a> SlotMap<'a> {
 /// without any lock when it is current. When it is stale, exactly one caller
 /// refreshes — incrementally applying the touched ids to the previous
 /// snapshot — while racing callers wait on the condvar and share the result
-/// (the `FeatureCache::get_or_prepare` coalescing discipline; the historical
+/// (the `FeatureCache::prepare` coalescing discipline; the historical
 /// `Mutex<Option<Arc<_>>>` cache let racing callers both rebuild).
 #[derive(Debug, Default)]
 struct IndexCell {
@@ -351,7 +351,7 @@ impl MetadataRepository {
     /// caller folds the accumulated delta into the index *incrementally*
     /// (shard-local delta logs + tombstones, no full rebuild) and publishes
     /// a new snapshot; racing callers coalesce on that one refresh instead
-    /// of each rebuilding — mirroring `FeatureCache::get_or_prepare`.
+    /// of each rebuilding — mirroring `FeatureCache::prepare`.
     pub fn token_index(&self) -> Arc<ShardedRepositoryIndex> {
         let target = self.index.version.load(Ordering::SeqCst);
         if self.index.applied.load(Ordering::SeqCst) == target {

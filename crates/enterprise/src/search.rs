@@ -186,23 +186,20 @@ impl SchemaSearch {
     }
 
     /// Up to 8 tokens shared between the query signature and a slot,
-    /// most discriminating first (weight desc, token asc).
+    /// most discriminating first (weight desc, token asc). A slot's ids are
+    /// in lexical token order and the sort is stable, so ties keep it; only
+    /// the tokens kept are resolved.
     fn shared_token_sample(&self, q_set: &HashSet<TokenId>, slot: u32) -> Vec<String> {
-        let slot_ids = self.index.signature_ids(slot);
-        let mut shared: Vec<(&String, f64)> = self
+        let mut shared: Vec<(TokenId, f64)> = self
             .index
-            .signature(slot)
+            .signature_ids(slot)
             .iter()
-            .zip(slot_ids)
-            .filter(|(_, id)| q_set.contains(id))
-            .map(|(t, &id)| (t, self.index.weight_by_id(id)))
+            .filter(|id| q_set.contains(id))
+            .map(|&id| (id, self.index.weight_by_id(id)))
             .collect();
-        shared.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("finite")
-                .then_with(|| a.0.cmp(b.0))
-        });
-        shared.into_iter().take(8).map(|(t, _)| t.clone()).collect()
+        shared.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        let kept: Vec<TokenId> = shared.iter().take(8).map(|&(id, _)| id).collect();
+        self.index.arena().resolve_all(&kept)
     }
 
     /// Fragment search — §5's "a more sophisticated one could return
@@ -510,9 +507,9 @@ mod tests {
         for hit in hits {
             let slot = index.slot(hit.schema_id).unwrap();
             let cand: HashSet<std::sync::Arc<str>> = index
-                .signature(slot)
-                .iter()
-                .map(|s| std::sync::Arc::from(s.as_str()))
+                .arena()
+                .resolve_shared(index.signature_ids(slot))
+                .into_iter()
                 .collect();
             let weight = |t: &str| index.weight(t);
             let shared: f64 = {

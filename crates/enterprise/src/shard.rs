@@ -125,8 +125,6 @@ struct SlotEntry {
     id: SchemaId,
     fingerprint: u64,
     alive: bool,
-    /// Resolved signature, lexicographic (display + shared-token reports).
-    signatures: Arc<[String]>,
     /// The slot's preparation — the source of `signature_ids` and what
     /// warm-start serialization persists. `None` once tombstoned.
     prepared: Option<Arc<PreparedSchema>>,
@@ -279,35 +277,24 @@ impl ShardedRepositoryIndex {
             );
         }
 
-        // Parallel phase 1: per schema chunk, resolve display signatures and
-        // emit per-shard packed `(token << 32) | slot` pairs. Chunk outputs
-        // stitch in slot order, as the fan-out returns them in item order.
-        struct ChunkOut {
-            pairs: Vec<Vec<u64>>,
-            signatures: Vec<Arc<[String]>>,
-        }
+        // Parallel phase 1: per schema chunk, emit per-shard packed
+        // `(token << 32) | slot` pairs. Chunk outputs stitch in slot order,
+        // as the fan-out returns them in item order.
         let route = |t: TokenId| -> usize { ((t.0 >> TOKEN_BLOCK_BITS) as usize) % shard_count };
         let outs = job.map(chunks(prepared.len(), BUILD_CHUNK_SCHEMAS), |_, range| {
-            let mut out = ChunkOut {
-                pairs: vec![Vec::new(); shard_count],
-                signatures: Vec::with_capacity(range.len()),
-            };
+            let mut pairs = vec![Vec::new(); shard_count];
             for slot in range {
-                let sig = prepared[slot].signature_ids();
-                for &t in sig {
-                    out.pairs[route(t)].push((u64::from(t.0) << 32) | slot as u64);
+                for &t in prepared[slot].signature_ids() {
+                    pairs[route(t)].push((u64::from(t.0) << 32) | slot as u64);
                 }
-                out.signatures.push(arena.resolve_all(sig).into());
             }
-            out
+            pairs
         });
         let mut shard_pairs: Vec<Vec<u64>> = vec![Vec::new(); shard_count];
-        let mut signatures: Vec<Arc<[String]>> = Vec::with_capacity(prepared.len());
         for out in outs {
-            for (s, pairs) in out.pairs.into_iter().enumerate() {
+            for (s, pairs) in out.into_iter().enumerate() {
                 shard_pairs[s].extend(pairs);
             }
-            signatures.extend(out.signatures);
         }
 
         // Parallel phase 2: sort each shard's pairs and lay out its CSR.
@@ -325,12 +312,10 @@ impl ShardedRepositoryIndex {
 
         let slots: Vec<SlotEntry> = prepared
             .iter()
-            .zip(signatures)
-            .map(|(p, signatures)| SlotEntry {
+            .map(|p| SlotEntry {
                 id: p.schema_id,
                 fingerprint: p.fingerprint,
                 alive: true,
-                signatures,
                 prepared: Some(Arc::clone(p)),
             })
             .collect();
@@ -408,11 +393,6 @@ impl ShardedRepositoryIndex {
     /// Content fingerprint a slot was indexed under.
     pub fn fingerprint(&self, slot: u32) -> u64 {
         self.slots[slot as usize].fingerprint
-    }
-
-    /// Resolved signature of a slot, lexicographic.
-    pub fn signature(&self, slot: u32) -> &[String] {
-        &self.slots[slot as usize].signatures
     }
 
     /// Interned signature of a slot, lexicographically ordered by resolved
@@ -698,7 +678,6 @@ impl ShardedRepositoryIndex {
             id: prepared.schema_id,
             fingerprint: prepared.fingerprint,
             alive: true,
-            signatures: self.arena.resolve_all(sig).into(),
             prepared: Some(Arc::clone(prepared)),
         });
         self.total_weights.push(OnceLock::new());
@@ -903,7 +882,7 @@ mod tests {
             assert_eq!(sharded.len(), mono.len());
             assert_eq!(sharded.shard_count(), shards);
             for slot in 0..mono.len() as u32 {
-                assert_eq!(sharded.signature(slot), mono.signature(slot));
+                assert_eq!(sharded.signature_ids(slot), mono.signature_ids(slot));
                 assert_eq!(
                     sharded.total_weight(slot).to_bits(),
                     mono.total_weight(slot).to_bits(),

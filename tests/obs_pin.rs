@@ -523,3 +523,164 @@ fn racing_first_uses_build_each_index_once() {
     assert_eq!(later.candidates, runs[0].candidates);
     assert_eq!(count_builds(), 0, "a later use reads the cached indices");
 }
+
+/// The executor and feature-cache counters each instance keeps in its own
+/// block, as the snapshot names them.
+const INSTANCE_COUNTERS: [&str; 9] = [
+    "exec.enqueued",
+    "exec.stolen",
+    "exec.reclaimed",
+    "exec.parked",
+    "exec.inline",
+    "exec.withheld",
+    "cache.hits",
+    "cache.misses",
+    "cache.evictions",
+];
+
+/// The pools' and caches' summed values of [`INSTANCE_COUNTERS`], in order.
+fn instance_counts(pools: &[&Executor], caches: &[&FeatureCache]) -> [u64; 9] {
+    let mut counts = [0; 9];
+    for e in pools.iter().map(|p| p.stats()) {
+        let pool = [
+            e.enqueued,
+            e.stolen,
+            e.reclaimed,
+            e.parked,
+            e.inline_runs,
+            e.withheld,
+        ];
+        for (count, value) in counts.iter_mut().zip(pool) {
+            *count += value;
+        }
+    }
+    for c in caches.iter().map(|c| c.stats()) {
+        let cache = [c.hits, c.misses, c.evictions].map(|v| v as u64);
+        for (count, value) in counts[6..].iter_mut().zip(cache) {
+            *count += value;
+        }
+    }
+    counts
+}
+
+/// The snapshot's values of [`INSTANCE_COUNTERS`], in order.
+fn snapshot_counts() -> [u64; 9] {
+    let snapshot = obs::counter_snapshot();
+    INSTANCE_COUNTERS.map(|name| {
+        let (_, value) = snapshot.iter().find(|(n, _)| *n == name).unwrap();
+        *value
+    })
+}
+
+/// A snapshot read while `read` held still, with what it read. Pool
+/// workers park on their own time, and the counters only grow, so a
+/// snapshot between two equal reads is the one that matches them.
+fn settled<T: PartialEq>(read: impl Fn() -> T) -> (T, [u64; 9]) {
+    loop {
+        let before = read();
+        let snapshot = snapshot_counts();
+        if read() == before {
+            return (before, snapshot);
+        }
+    }
+}
+
+/// Executor and feature-cache events are counted once, in the instance's
+/// counter block, and the snapshot sums the blocks: over batches on a
+/// private pool and a private cache, the snapshot's `exec.*` and `cache.*`
+/// deltas are the deltas of `ExecStats` and `CacheStats`, summed over the
+/// instances alive in the process (the private ones and the global pool
+/// and cache, which the corpus generator uses). Dropping the pool leaves
+/// its counts in the snapshot, and after a reset the snapshot counts only
+/// what the instances counted since.
+#[test]
+fn instance_counters_are_the_snapshot() {
+    let _g = lock();
+    obs::set_enabled(true);
+    let corpus = sm_synth::SyntheticRepository::generate(&sm_synth::RepositoryConfig {
+        seed: 13,
+        domains: 2,
+        schemas_per_domain: 4,
+        concepts_per_domain: 10,
+        concept_coverage: 0.5,
+        attrs_per_concept: (3, 6),
+        scoped_attributes: true,
+    });
+    let refs: Vec<&sm_schema::Schema> = corpus.schemas.iter().collect();
+    let selection = Selection::OneToOne {
+        min: Confidence::new(0.30),
+    };
+    let exec = Arc::new(Executor::new(2));
+    let cache = Arc::new(FeatureCache::new(sm_text::normalize::Normalizer::new()));
+    let engine = MatchEngine::new()
+        .with_feature_cache(Arc::clone(&cache))
+        .with_threads(2)
+        .with_executor(Arc::clone(&exec));
+    let (global_pool, global_cache) = (Executor::global(), FeatureCache::global());
+    let others = || instance_counts(&[global_pool], &[&cache, global_cache]);
+    let both = || (instance_counts(&[&exec], &[]), others());
+
+    let ((pool_before, others_before), snapshot_before) = settled(both);
+    for _ in 0..2 {
+        let batch = engine.batch().plan_all_pairs(&refs);
+        assert!(!batch.run_select_only(&selection).pairs.is_empty());
+    }
+    cache.evict_to_bytes(0);
+    let ((pool_after, others_after), snapshot_after) = settled(both);
+    for (i, name) in INSTANCE_COUNTERS.into_iter().enumerate() {
+        let moved = pool_after[i] - pool_before[i] + others_after[i] - others_before[i];
+        assert_eq!(
+            snapshot_after[i],
+            snapshot_before[i] + moved,
+            "{name}: snapshot delta vs instance delta"
+        );
+        if [
+            "exec.enqueued",
+            "cache.hits",
+            "cache.misses",
+            "cache.evictions",
+        ]
+        .contains(&name)
+        {
+            assert!(moved > 0, "{name} did not move; the pin needs it to");
+        }
+    }
+
+    // The dropped pool's counts fold into the global table. Its workers
+    // may park once more after the last read, and those parks count too.
+    drop(engine);
+    drop(Arc::try_unwrap(exec).expect("the test holds the last pool handle"));
+    let (others_dropped, snapshot_dropped) = settled(others);
+    for (i, name) in INSTANCE_COUNTERS.into_iter().enumerate() {
+        let expected = snapshot_after[i] + others_dropped[i] - others_after[i];
+        if name == "exec.parked" {
+            assert!(
+                snapshot_dropped[i] >= expected,
+                "{name} lost parks as the pool dropped"
+            );
+        } else {
+            assert_eq!(
+                snapshot_dropped[i], expected,
+                "{name} moved as the pool dropped"
+            );
+        }
+    }
+
+    // The reset's baselines hold the live blocks' counts (the private
+    // cache's among them): afterwards the snapshot counts only what the
+    // instances counted since.
+    assert!(cache.stats().hits > 0, "the reset pin needs a live block");
+    let at_reset = loop {
+        let before = others();
+        obs::reset();
+        if others() == before {
+            break before;
+        }
+    };
+    let (others_later, snapshot_later) = settled(others);
+    assert_eq!(
+        snapshot_later,
+        std::array::from_fn(|i| others_later[i] - at_reset[i]),
+        "after a reset, {INSTANCE_COUNTERS:?}"
+    );
+}

@@ -420,7 +420,7 @@ fn restricted_increment_under_zero_lane_budget_runs_inline_identically() {
             assert_eq!(served, reference, "{op:?}: budgeted run diverged");
             if blocks {
                 for schema in &schemas {
-                    let prepared = cache.get_or_prepare(schema);
+                    let prepared = cache.prepare(schema);
                     assert!(
                         prepared.built_token_index().is_some(),
                         "{op:?}: the governed run indexed every schema"
