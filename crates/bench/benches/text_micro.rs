@@ -101,10 +101,10 @@ fn bench_tfidf(c: &mut Criterion) {
         corpus.add_document(d);
     }
     let f = corpus.finalize();
-    let v1 = f.vector(0).clone();
-    let v2 = f.vector(500).clone();
+    let v1 = f.vector(0);
+    let v2 = f.vector(500);
     c.bench_function("tfidf_cosine", |b| {
-        b.iter(|| black_box(&v1).cosine(black_box(&v2)));
+        b.iter(|| black_box(v1).cosine(black_box(v2)));
     });
 }
 
@@ -168,9 +168,9 @@ fn bench_interned_kernels(c: &mut Criterion) {
     ]));
     corpus.add_document(&toks(&["vehicle", "wheel", "size"]));
     let f = corpus.finalize();
-    let (v1, v2) = (f.vector(d1).clone(), f.vector(d2).clone());
+    let (v1, v2) = (f.vector(d1), f.vector(d2));
     c.bench_function("tfidf_cosine_interned", |bch| {
-        bch.iter(|| black_box(&v1).cosine(black_box(&v2)));
+        bch.iter(|| black_box(v1).cosine(black_box(v2)));
     });
 }
 

@@ -23,6 +23,11 @@
 //! tier-split Score timings in the JSON; its losslessness relative to a
 //! same-floor full panel is pinned separately in `tests/cascade_pin.rs`.
 //!
+//! The N=100 section also reports a `pair_job` split: per stage, the median
+//! and mean of the planned pairs' own `StageTimings` over warm rounds on a
+//! cascade engine at the same 0.30 floor as the `nway_plan` benchmark, and
+//! the coverage Σ pair totals / (lanes × run wall), for report only.
+//!
 //! Run with: `cargo run --release -p sm-bench --bin nway_baseline`
 
 use harmony_core::prelude::*;
@@ -313,6 +318,81 @@ struct N100Point {
     addone_secs: f64,
     full_replan_secs: f64,
     addone_over_replan: f64,
+    pair_job: PairJobSplit,
+}
+
+/// Rounds of the planned pairs whose per-pair stage timings the `pair_job`
+/// split summarizes.
+const PAIR_JOB_ROUNDS: usize = 5;
+
+/// Where a planned pair job's time goes: per stage, the median and mean
+/// over every job of [`PAIR_JOB_ROUNDS`] warm rounds of the planned pairs,
+/// on a cascade engine at [`CASCADE_FLOOR`], in microseconds, from each
+/// job's own `StageTimings`. `coverage` is the jobs' summed totals over
+/// lanes × the rounds' summed run walls: the share of the lanes' time
+/// the pair jobs account for (reported, not gated — on a contended host
+/// the lanes get less than the wall).
+struct PairJobSplit {
+    jobs: usize,
+    lanes: usize,
+    /// `(stage, median µs, mean µs)`, in pipeline order, `total` last.
+    stages: Vec<(&'static str, f64, f64)>,
+    coverage: f64,
+}
+
+/// The `pair_job` split of the planned pairs of `schemas` on `engine`.
+fn measure_pair_jobs(
+    engine: &MatchEngine,
+    schemas: &[&Schema],
+    policy: PlanPolicy,
+    selection: &Selection,
+) -> PairJobSplit {
+    let batch = engine
+        .batch()
+        .with_plan_policy(policy)
+        .plan_all_pairs(schemas);
+    // A first round builds what later rounds reuse (indices, columns,
+    // vocabularies), as the measured rounds of a long-running planner do.
+    let _ = batch.run_select_only(selection);
+    let mut timings = Vec::new();
+    let mut run_secs = 0.0;
+    for _ in 0..PAIR_JOB_ROUNDS {
+        let result = batch.run_select_only(selection);
+        run_secs += result.elapsed.as_secs_f64();
+        timings.extend(result.pairs.iter().map(|p| p.timings));
+    }
+    type Stage = fn(&StageTimings) -> std::time::Duration;
+    let stages: [(&'static str, Stage); 8] = [
+        ("prepare", |t| t.prepare),
+        ("block", |t| t.block),
+        ("score_tier1", |t| t.score_tier1),
+        ("score_tier2", |t| t.score_tier2),
+        ("merge", |t| t.merge),
+        ("propagate", |t| t.propagate),
+        ("select", |t| t.select),
+        ("total", |t| t.total()),
+    ];
+    let jobs = timings.len();
+    let lanes = engine.job().width();
+    let stages = stages
+        .into_iter()
+        .map(|(name, stage)| {
+            let mut us: Vec<f64> = timings
+                .iter()
+                .map(|t| stage(t).as_secs_f64() * 1e6)
+                .collect();
+            us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            let mean = us.iter().sum::<f64>() / jobs.max(1) as f64;
+            (name, us.get(jobs / 2).copied().unwrap_or(0.0), mean)
+        })
+        .collect::<Vec<_>>();
+    let total_secs: f64 = timings.iter().map(|t| t.total().as_secs_f64()).sum();
+    PairJobSplit {
+        jobs,
+        lanes,
+        coverage: total_secs / (lanes as f64 * run_secs).max(1e-12),
+        stages,
+    }
 }
 
 /// The scoped clustered registry corpus: 10 latent domains × 10 schemata.
@@ -347,7 +427,7 @@ fn keyed_selections(
 /// Exhaustive-plan vs `OverlapThreshold`-plan batch population at N=100,
 /// interleaved in the same run (the PR 5/6 drift convention), plus the
 /// incremental add-one consolidation against a full replan.
-fn measure_n100(engine: &MatchEngine) -> N100Point {
+fn measure_n100(engine: &MatchEngine, cascade_engine: &MatchEngine) -> N100Point {
     let population = n100_corpus();
     let schemas: Vec<&Schema> = population.schemas.iter().collect();
     let n = schemas.len();
@@ -455,6 +535,7 @@ fn measure_n100(engine: &MatchEngine) -> N100Point {
     addone_secs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let full_replan_secs = replan_secs[REPS / 2];
     let addone = addone_secs[REPS / 2];
+    let pair_job = measure_pair_jobs(cascade_engine, &schemas, policy, &selection);
 
     let pairs = n * (n - 1) / 2;
     N100Point {
@@ -475,7 +556,29 @@ fn measure_n100(engine: &MatchEngine) -> N100Point {
         addone_secs: addone,
         full_replan_secs,
         addone_over_replan: addone / full_replan_secs.max(1e-12),
+        pair_job,
     }
+}
+
+fn pair_job_json(p: &PairJobSplit) -> String {
+    let stats = |pick: fn(&(&str, f64, f64)) -> f64| {
+        p.stages
+            .iter()
+            .map(|stage| format!("\"{}\": {:.3}", stage.0, pick(stage)))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    format!(
+        "\"pair_job\": {{\n      \"floor\": {CASCADE_FLOOR},\n      \"rounds\": {PAIR_JOB_ROUNDS},\n      \
+         \"jobs\": {jobs},\n      \"lanes\": {lanes},\n      \
+         \"median_us\": {{{median}}},\n      \"mean_us\": {{{mean}}},\n      \
+         \"coverage\": {coverage:.6}\n    }}",
+        jobs = p.jobs,
+        lanes = p.lanes,
+        median = stats(|s| s.1),
+        mean = stats(|s| s.2),
+        coverage = p.coverage,
+    )
 }
 
 fn n100_json(p: &N100Point) -> String {
@@ -491,7 +594,7 @@ fn n100_json(p: &N100Point) -> String {
          \"plan_secs\": {plan:.6},\n    \
          \"plan_estimate_secs\": {pest:.6},\n    \"plan_schedule_secs\": {psch:.6},\n    \
          \"addone_secs\": {addone:.6},\n    \"full_replan_secs\": {replan:.6},\n    \
-         \"addone_over_replan\": {aratio:.6}\n  }}",
+         \"addone_over_replan\": {aratio:.6},\n    {pair_job}\n  }}",
         schemas = p.schemas,
         pairs = p.pairs,
         elements = p.elements,
@@ -509,6 +612,7 @@ fn n100_json(p: &N100Point) -> String {
         addone = p.addone_secs,
         replan = p.full_replan_secs,
         aratio = p.addone_over_replan,
+        pair_job = pair_job_json(&p.pair_job),
     )
 }
 
@@ -618,7 +722,7 @@ fn main() {
         );
     }
 
-    let n100 = measure_n100(&engine);
+    let n100 = measure_n100(&engine, &cascade_engine);
     println!(
         "{:<14} {} schemata / {} pairs: exhaustive {:>8.3}s  pruned {:>8.3}s  \
          ratio {:.3}  planned {}/{} ({:.1}%)  recall {:.4} over {} selected",
@@ -645,6 +749,14 @@ fn main() {
         n100.full_replan_secs,
         n100.addone_over_replan,
     );
+    let split = &n100.pair_job;
+    println!(
+        "{:<14} pair jobs (floor {CASCADE_FLOOR}, {} jobs on {} lanes, coverage {:.3}), median/mean us:",
+        "", split.jobs, split.lanes, split.coverage,
+    );
+    for (stage, median, mean) in &split.stages {
+        println!("{:<14}   {stage:<12} {median:>9.2} {mean:>9.2}", "");
+    }
 
     // Hand-rolled JSON (the offline serde stand-in has no serializer).
     let json = format!(

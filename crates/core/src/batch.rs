@@ -345,7 +345,7 @@ impl<'e> BatchPlanner<'e> {
 }
 
 /// Counter movement of the feature cache across one batch phase.
-/// `hits`/`misses`/`evictions` are after−before deltas; `entries` and
+/// `hits`/`misses`/`evictions`/`coalesced` are after−before deltas; `entries` and
 /// `resident_bytes` are the absolute occupancy at the end of the phase (a
 /// gauge has no meaningful delta).
 fn delta_stats(before: CacheStats, after: CacheStats) -> CacheStats {
@@ -353,6 +353,7 @@ fn delta_stats(before: CacheStats, after: CacheStats) -> CacheStats {
         hits: after.hits.saturating_sub(before.hits),
         misses: after.misses.saturating_sub(before.misses),
         evictions: after.evictions.saturating_sub(before.evictions),
+        coalesced: after.coalesced.saturating_sub(before.coalesced),
         entries: after.entries,
         resident_bytes: after.resident_bytes,
     }

@@ -55,22 +55,28 @@
 //!   name's char profile and first chars, which only phase A reads.
 //! * **Per context** ([`Digests`], built on a [`MatchContext`]'s first
 //!   cascade pass): each side's squared TF-IDF weight prefixes against the
-//!   pair corpus, each element's type and container flag from its
-//!   [`Schema`] ([`TypeDigest`]), and per lane, the evidence weight
-//!   `n/(n+k)` of every count the context can produce, from the voter's
-//!   own [`EvidenceLaw`] — no division per pair.
-//! * **Per score pass** ([`Tier1`]): the floor fixes `φ`, so the pass
-//!   tables every term that depends only on the floor and small integers —
-//!   the role and exact-mismatch votes, an acronym hit per count, the doc
-//!   and structure lower votes per count, the edit lane's lower vote and
-//!   coarse cap per (count, Soundex verdict), and the token lane's coarse
-//!   term and the path vote per (intersection, union, count) of two sets
-//!   that ride inline. (The type vote of two distinct types reads only
-//!   their variants, [`DataType::distinct_compatibility`], so that table
-//!   is built once per process.)
-//! * **Per row** (`Row`): the source's [`Entry`], its inline ids rotated
-//!   and padded with the source pad, the exact-name hit vote, the source's
-//!   row of the type table and its squared-weight prefix.
+//!   pair corpus, and each element's type and container flag from its
+//!   [`Schema`] ([`TypeDigest`]).
+//! * **Per floor** ([`LaneTables`]): the floor fixes `φ`, so every term
+//!   that depends only on the floor and small integers is tabled — per
+//!   lane, the evidence weight `n/(n+k)` of each count from the voter's
+//!   own [`EvidenceLaw`] (no division per pair), an acronym hit per count,
+//!   the doc and structure lower votes per count, the edit lane's lower
+//!   vote and coarse cap per (count, Soundex verdict), and the token lane's
+//!   coarse term and the path vote per (intersection, union, count) of two
+//!   sets that ride inline. An entry depends on its indices and the floor
+//!   alone, so each thread keeps its last tables and a score pass
+//!   ([`Tier1`]) at the same floor reads them when they reach its
+//!   context's largest counts; a small pair job tables nothing. The pass
+//!   itself holds the role, exact-mismatch and equal-type votes. (The type
+//!   vote of two distinct types reads only their variants,
+//!   [`DataType::distinct_compatibility`], so that table is built once per
+//!   process.)
+//! * **Per row** (`Row`): the source's [`Entry`] — only the columns the
+//!   gather reads — its inline ids rotated and padded with the source pad,
+//!   the exact-name hit vote, the source's row of the type table and its
+//!   squared-weight prefix. Phase A reads the source's char profile from
+//!   its columns.
 //!
 //! # The row kernel
 //!
@@ -113,7 +119,7 @@
 //! two prune exits sum to `pairs_pruned`, the survive exit is `pairs_full`.
 
 use crate::confidence::Confidence;
-use crate::context::{ElementFeatures, MatchContext};
+use crate::context::{ElementFeatures, MatchContext, Side};
 use crate::merger::MergeStrategy;
 use crate::prepare::{count, PreparedElement};
 use crate::voter::{
@@ -184,10 +190,14 @@ const NO_RAW: u64 = u64::MAX;
 const NO_ACRONYM: u64 = u64::MAX - 1;
 
 /// Declares [`Columns`] with one `Vec` column per listed field, and from the
-/// same list [`Entry`] (one element's entry in every column), [`View`]
-/// (every column sliced to one length) and [`COLUMN_BYTES`].
+/// same lists [`Entry`] (one element's entry in the columns a row's gather
+/// reads, the first list), [`View`] (every column sliced to one length) and
+/// [`COLUMN_BYTES`].
 macro_rules! columns {
-    ($($(#[$doc:meta])* $field:ident: $ty:ty,)*) => {
+    (
+        gathered { $($(#[$doc:meta])* $field:ident: $ty:ty,)* }
+        rest { $($(#[$rest_doc:meta])* $rest:ident: $rest_ty:ty,)* }
+    ) => {
         /// The score cascade's tier-1 columns of one prepared schema: one
         /// struct-of-arrays column per field tier 1 reads, indexed by
         /// element. They read only [`PreparedElement`]s, so every match
@@ -195,10 +205,11 @@ macro_rules! columns {
         #[derive(Debug, Default)]
         pub(crate) struct Columns {
             $($(#[$doc])* $field: Vec<$ty>,)*
+            $($(#[$rest_doc])* $rest: Vec<$rest_ty>,)*
         }
 
-        /// One element's entry in every column of its [`Columns`], and its
-        /// [`TypeDigest`].
+        /// One element's entry in the columns the gather reads, and its
+        /// [`TypeDigest`]: what a [`Row`] copies of its source.
         #[derive(Clone, Copy)]
         struct Entry {
             $($field: $ty,)*
@@ -210,6 +221,7 @@ macro_rules! columns {
         /// covers every read.
         struct View<'a> {
             $($field: &'a [$ty],)*
+            $($rest: &'a [$rest_ty],)*
             types: &'a [TypeDigest],
         }
 
@@ -220,6 +232,7 @@ macro_rules! columns {
                 let n = types.len();
                 View {
                     $($field: &self.$field[..n],)*
+                    $($rest: &self.$rest[..n],)*
                     types: &types[..n],
                 }
             }
@@ -236,59 +249,65 @@ macro_rules! columns {
             #[cfg(test)]
             fn heap_bytes(&self) -> usize {
                 0 $(+ std::mem::size_of_val(&self.$field[..]))*
+                    $(+ std::mem::size_of_val(&self.$rest[..]))*
             }
         }
 
         /// Heap bytes per element of [`Columns`]: every column's entry.
-        const COLUMN_BYTES: usize = 0 $(+ std::mem::size_of::<$ty>())*;
+        const COLUMN_BYTES: usize =
+            0 $(+ std::mem::size_of::<$ty>())* $(+ std::mem::size_of::<$rest_ty>())*;
     };
 }
 
 columns! {
-    name_sig: u128,
-    parent_sig: u128,
-    children_sig: u128,
-    corpus_sig: u128,
-    /// Set length minus signature popcount, of the children set and the
-    /// doc terms: with it, one popcount gives the signature cap on an
-    /// intersection ([`shared_bound`]).
-    children_excess: u32,
-    corpus_excess: u32,
-    /// The first [`INLINE_IDS`] ids of the name sequence, zero-padded:
-    /// with equal lengths up to [`INLINE_IDS`], equal arrays are equal
-    /// sequences.
-    name_head: [u32; INLINE_IDS],
-    /// The name set, padded with [`TARGET_PAD`], when it rides inline
-    /// ([`NAME_INLINE`]).
-    name_ids: [u32; INLINE_IDS],
-    /// The parent-name set, padded with [`TARGET_PAD`], when it rides
-    /// inline ([`PARENT_INLINE`]).
-    parent_ids: [u32; INLINE_IDS],
-    /// Name tokens in sequence (with repeats).
-    name_len: u32,
-    name_set_len: u32,
-    parent_set_len: u32,
-    parent_len: u32,
-    children_set_len: u32,
-    children_len: u32,
-    /// Distinct terms of the TF-IDF document, one pair-corpus weight each.
-    doc_terms: u32,
-    doc_tokens: u32,
-    /// Start of the element's squared-weight prefix in its side's buffer
-    /// ([`Digests`]): each element before it takes `doc_terms + 1` slots.
-    doc_prefix: u32,
-    raw_chars: u32,
-    /// The raw-name id, or [`NO_RAW`].
-    raw_key: u64,
-    /// The acronym id, or [`NO_ACRONYM`].
-    acronym_key: u64,
-    soundex: u32,
-    flags: u8,
-    /// The raw name's char profile, for phase A's edit cap.
-    profile: CharProfile,
-    /// The raw name's first `min(len, 4)` chars, `'\0'`-padded: phase A's
-    /// exact Jaro-Winkler prefix.
-    first_chars: [char; 4],
+    gathered {
+        name_sig: u128,
+        parent_sig: u128,
+        children_sig: u128,
+        corpus_sig: u128,
+        /// Set length minus signature popcount, of the children set and the
+        /// doc terms: with it, one popcount gives the signature cap on an
+        /// intersection ([`shared_bound`]).
+        children_excess: u32,
+        corpus_excess: u32,
+        /// The first [`INLINE_IDS`] ids of the name sequence, zero-padded:
+        /// with equal lengths up to [`INLINE_IDS`], equal arrays are equal
+        /// sequences.
+        name_head: [u32; INLINE_IDS],
+        /// Name tokens in sequence (with repeats).
+        name_len: u32,
+        name_set_len: u32,
+        parent_set_len: u32,
+        parent_len: u32,
+        children_set_len: u32,
+        children_len: u32,
+        /// Distinct terms of the TF-IDF document, one pair-corpus weight each.
+        doc_terms: u32,
+        doc_tokens: u32,
+        raw_chars: u32,
+        /// The raw-name id, or [`NO_RAW`].
+        raw_key: u64,
+        /// The acronym id, or [`NO_ACRONYM`].
+        acronym_key: u64,
+        soundex: u32,
+        flags: u8,
+    }
+    rest {
+        /// The name set, padded with [`TARGET_PAD`], when it rides inline
+        /// ([`NAME_INLINE`]).
+        name_ids: [u32; INLINE_IDS],
+        /// The parent-name set, padded with [`TARGET_PAD`], when it rides
+        /// inline ([`PARENT_INLINE`]).
+        parent_ids: [u32; INLINE_IDS],
+        /// Start of the element's squared-weight prefix in its side's buffer
+        /// ([`Digests`]): each element before it takes `doc_terms + 1` slots.
+        doc_prefix: u32,
+        /// The raw name's char profile, for phase A's edit cap.
+        profile: CharProfile,
+        /// The raw name's first `min(len, 4)` chars, `'\0'`-padded: phase A's
+        /// exact Jaro-Winkler prefix.
+        first_chars: [char; 4],
+    }
 }
 
 /// The first `N` items, padded with `pad`.
@@ -414,43 +433,12 @@ struct TypeDigest {
 
 /// The score cascade's view of one match context beyond the two schemata's
 /// [`Columns`]: each side's [`TypeDigest`]s and squared TF-IDF weight
-/// prefixes, and the per-lane evidence-weight tables.
+/// prefixes.
 pub(crate) struct Digests {
     source_types: Vec<TypeDigest>,
     target_types: Vec<TypeDigest>,
     source_prefix: Vec<f64>,
     target_prefix: Vec<f64>,
-    weights: Weights,
-}
-
-/// Evidence weights by combined count, one table per lane, built from the
-/// voters' own [`EvidenceLaw`]s and sized to the context's largest count.
-struct Weights {
-    token: Vec<f64>,
-    edit: Vec<f64>,
-    doc: Vec<f64>,
-    path: Vec<f64>,
-    structure: Vec<f64>,
-    acronym: Vec<f64>,
-}
-
-impl Weights {
-    fn build(source: &Columns, target: &Columns) -> Self {
-        let table = |law: EvidenceLaw, column: fn(&Columns) -> &[u32]| -> Vec<f64> {
-            let max = |side| column(side).iter().copied().max().unwrap_or(0) as usize;
-            (0..=law.count(max(source), max(target)))
-                .map(|n| law.weight(n))
-                .collect()
-        };
-        Weights {
-            token: table(TOKEN_EVIDENCE, |c| &c.name_len),
-            edit: table(EDIT_EVIDENCE, |c| &c.raw_chars),
-            doc: table(DOC_EVIDENCE, |c| &c.doc_tokens),
-            path: table(PATH_EVIDENCE, |c| &c.parent_len),
-            structure: table(STRUCTURE_EVIDENCE, |c| &c.children_len),
-            acronym: table(ACRONYM_EVIDENCE, |c| &c.name_len),
-        }
-    }
 }
 
 /// Every data-type variant, parameters zeroed, in [`type_kind`] order.
@@ -531,21 +519,21 @@ impl Digests {
                 })
                 .collect()
         };
-        let prefix = |features: &[ElementFeatures], columns: &Columns| {
+        let prefix = |side: Side, schema: &Schema, columns: &Columns| {
             let mut prefix = Vec::new();
-            for (i, f) in features.iter().enumerate() {
+            for (i, id) in schema.ids().enumerate() {
+                let doc = ctx.doc_vector(side, id);
                 debug_assert_eq!(count(prefix.len()), columns.doc_prefix[i]);
-                debug_assert_eq!(count(f.doc_vector.term_count()), columns.doc_terms[i]);
-                f.doc_vector.append_top_squared_prefix(&mut prefix);
+                debug_assert_eq!(count(doc.term_count()), columns.doc_terms[i]);
+                doc.append_top_squared_prefix(&mut prefix);
             }
             prefix
         };
         Digests {
             source_types: types(ctx.source),
             target_types: types(ctx.target),
-            source_prefix: prefix(&ctx.source_features, source),
-            target_prefix: prefix(&ctx.target_features, target),
-            weights: Weights::build(source, target),
+            source_prefix: prefix(Side::Source, ctx.source, source),
+            target_prefix: prefix(Side::Target, ctx.target, target),
         }
     }
 }
@@ -816,20 +804,29 @@ fn overlap<'s>(
     }
 }
 
-/// Tier 1 of one score pass: both schemata's columns and the context's
-/// digests, plus every lane term that depends only on the floor and small
-/// integers (a type variant, an evidence count, a Soundex verdict, a set
-/// overlap), tabled once per pass.
-pub(crate) struct Tier1<'a> {
-    ctx: &'a MatchContext<'a>,
-    source: &'a Columns,
-    target: &'a Columns,
-    dig: &'a Digests,
+/// The lanes whose terms [`LaneTables`] tables by evidence count, as
+/// indices into its sizes.
+const TOKEN: usize = 0;
+const EDIT: usize = 1;
+const DOC: usize = 2;
+const PATH: usize = 3;
+const STRUCTURE: usize = 4;
+const ACRONYM: usize = 5;
+
+/// Every lane term of tier 1 that depends only on the floor and small
+/// integers — an evidence count, a Soundex verdict, a set overlap — tabled
+/// by count up to a size per lane ([`TOKEN`] … [`ACRONYM`]). An entry is a
+/// function of its indices and the floor alone, so two tables of one floor
+/// agree wherever both have it, and a score pass can read any table of its
+/// floor that reaches its context's largest counts
+/// ([`LaneTables::for_pass`]).
+struct LaneTables {
     floor: f64,
-    /// The type vote of two equal types.
-    type_same: f64,
-    role_clash: f64,
-    exact_miss: f64,
+    /// Evidence weight by count, of the token, edit and path lanes
+    /// (the others' weights sit in their tables below).
+    token_weight: Vec<f64>,
+    edit_weight: Vec<f64>,
+    path_weight: Vec<f64>,
     /// By acronym-evidence count: an acronym hit.
     acronym_hit: Vec<f64>,
     /// By doc-evidence count: the lower doc vote (cosine 0) and the lane's
@@ -847,13 +844,13 @@ pub(crate) struct Tier1<'a> {
     path: Vec<f64>,
 }
 
-impl<'a> Tier1<'a> {
-    /// Table the floor's lane terms for one score pass over `ctx`.
-    pub(crate) fn new(ctx: &'a MatchContext<'a>, floor: f64) -> Self {
-        let dig = ctx.digests();
-        let (source, target) = ctx.columns();
-        let w = &dig.weights;
-        let lower = |table: &[f64]| table.iter().map(|&w| (vote(0.0, w), w)).collect();
+impl LaneTables {
+    /// Tables of `floor` holding `sizes[lane]` counts per lane.
+    fn build(floor: f64, sizes: [usize; 6]) -> Self {
+        let weights = |law: EvidenceLaw, lane: usize| -> Vec<f64> {
+            (0..sizes[lane]).map(|n| law.weight(n)).collect()
+        };
+        let lower = |table: Vec<f64>| table.into_iter().map(|w| (vote(0.0, w), w)).collect();
         // Only the slots two inline sets reach are computed: intersection
         // at most the union, the two summing to at most both sets' sizes.
         // An empty intersection scores the same over any union.
@@ -872,8 +869,10 @@ impl<'a> Tier1<'a> {
                 })
                 .collect()
         };
-        let edit = w
-            .edit
+        let token_weight = weights(TOKEN_EVIDENCE, TOKEN);
+        let edit_weight = weights(EDIT_EVIDENCE, EDIT);
+        let path_weight = weights(PATH_EVIDENCE, PATH);
+        let edit = edit_weight
             .iter()
             .flat_map(|&w| {
                 [0.0, 1.0].map(|sdx| {
@@ -885,6 +884,103 @@ impl<'a> Tier1<'a> {
                 })
             })
             .collect();
+        LaneTables {
+            floor,
+            acronym_hit: weights(ACRONYM_EVIDENCE, ACRONYM)
+                .into_iter()
+                .map(|w| vote(ACRONYM_RATIO, w))
+                .collect(),
+            doc: lower(weights(DOC_EVIDENCE, DOC)),
+            kids: lower(weights(STRUCTURE_EVIDENCE, STRUCTURE)),
+            edit,
+            token: overlaps(&token_weight, &|jacc, w| token_cap(jacc, w, floor)),
+            path: overlaps(&path_weight, &vote),
+            token_weight,
+            edit_weight,
+            path_weight,
+        }
+    }
+
+    /// Counts per lane a pass over `source` and `target` can produce:
+    /// each lane's law over the two sides' largest counts.
+    fn sizes_for(source: &Columns, target: &Columns) -> [usize; 6] {
+        let size = |law: EvidenceLaw, column: fn(&Columns) -> &[u32]| {
+            let max = |side| column(side).iter().copied().max().unwrap_or(0) as usize;
+            law.count(max(source), max(target)) + 1
+        };
+        [
+            size(TOKEN_EVIDENCE, |c| &c.name_len),
+            size(EDIT_EVIDENCE, |c| &c.raw_chars),
+            size(DOC_EVIDENCE, |c| &c.doc_tokens),
+            size(PATH_EVIDENCE, |c| &c.parent_len),
+            size(STRUCTURE_EVIDENCE, |c| &c.children_len),
+            size(ACRONYM_EVIDENCE, |c| &c.name_len),
+        ]
+    }
+
+    /// Counts tabled per lane.
+    fn sizes(&self) -> [usize; 6] {
+        [
+            self.token_weight.len(),
+            self.edit_weight.len(),
+            self.doc.len(),
+            self.path_weight.len(),
+            self.kids.len(),
+            self.acronym_hit.len(),
+        ]
+    }
+
+    /// Tables of `floor` holding at least `sizes[lane]` counts per lane:
+    /// the calling thread's last tables when they are of `floor` and reach
+    /// that far, else new ones, which the thread keeps instead — sized to
+    /// cover both, when the last ones were of the same floor.
+    fn for_pass(floor: f64, mut sizes: [usize; 6]) -> Arc<LaneTables> {
+        thread_local! {
+            static LAST: std::cell::RefCell<Option<Arc<LaneTables>>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        LAST.with(|last| {
+            let mut last = last.borrow_mut();
+            if let Some(tables) = last
+                .as_ref()
+                .filter(|t| t.floor.to_bits() == floor.to_bits())
+            {
+                let held = tables.sizes();
+                if held.iter().zip(&sizes).all(|(held, need)| held >= need) {
+                    return Arc::clone(tables);
+                }
+                for (need, held) in sizes.iter_mut().zip(held) {
+                    *need = (*need).max(held);
+                }
+            }
+            let tables = Arc::new(LaneTables::build(floor, sizes));
+            *last = Some(Arc::clone(&tables));
+            tables
+        })
+    }
+}
+
+/// Tier 1 of one score pass: both schemata's columns and the context's
+/// digests, plus the lane terms of the pass's floor ([`LaneTables`]).
+pub(crate) struct Tier1<'a> {
+    ctx: &'a MatchContext<'a>,
+    source: &'a Columns,
+    target: &'a Columns,
+    dig: &'a Digests,
+    floor: f64,
+    /// The type vote of two equal types.
+    type_same: f64,
+    role_clash: f64,
+    exact_miss: f64,
+    tables: Arc<LaneTables>,
+}
+
+impl<'a> Tier1<'a> {
+    /// Tier 1 of one score pass over `ctx` at `floor`, with lane tables
+    /// that reach every count the context's columns can produce.
+    pub(crate) fn new(ctx: &'a MatchContext<'a>, floor: f64) -> Self {
+        let dig = ctx.digests();
+        let (source, target) = ctx.columns();
         Tier1 {
             ctx,
             source,
@@ -894,12 +990,7 @@ impl<'a> Tier1<'a> {
             type_same: type_vote_of(1.0).value(),
             role_clash: role_clash().value(),
             exact_miss: exact_mismatch().value(),
-            acronym_hit: w.acronym.iter().map(|&w| vote(ACRONYM_RATIO, w)).collect(),
-            doc: lower(&w.doc),
-            kids: lower(&w.structure),
-            edit,
-            token: overlaps(&w.token, &|jacc, w| token_cap(jacc, w, floor)),
-            path: overlaps(&w.path, &vote),
+            tables: LaneTables::for_pass(floor, LaneTables::sizes_for(source, target)),
         }
     }
 
@@ -996,21 +1087,23 @@ impl<'a> Tier1<'a> {
     }
 }
 
-/// The constants of one candidate row: the source's column entries, its
-/// inline ids rotated and padded with the source pad, and every term that
-/// depends on the source element alone.
+/// The constants of one candidate row: the source's entry in the columns
+/// the gather reads, its inline ids rotated and padded with the source pad,
+/// and every term that depends on the source element alone.
 struct Row<'a> {
     pass: &'a Tier1<'a>,
+    tables: &'a LaneTables,
     fa: &'a ElementFeatures,
-    /// The source's entry (its inline ids keep the stored target pad).
+    /// The source's element index (phase A reads its char profile).
+    s: usize,
     a: Entry,
     /// The source's inline name and parent ids, each rotation `k` holding
     /// id `(j + k) % INLINE_IDS` in slot `j`, padded with [`SOURCE_PAD`].
     name_rot: [[u32; INLINE_IDS]; INLINE_IDS],
     parent_rot: [[u32; INLINE_IDS]; INLINE_IDS],
     /// Type votes of the source's type against a distinct one, by the
-    /// target's variant, then against an equal one.
-    types: [f64; TYPE_KINDS.len() + 1],
+    /// target's variant.
+    distinct_types: &'static [f64; TYPE_KINDS.len()],
     /// The source's squared-weight prefix.
     doc_prefix: &'a [f64],
     exact_hit: f64,
@@ -1018,23 +1111,23 @@ struct Row<'a> {
 
 impl<'a> Row<'a> {
     fn new(pass: &'a Tier1<'a>, s: ElementId) -> Self {
-        let a = pass.source.entry(s.index(), &pass.dig.source_types);
+        let (source, s) = (pass.source, s.index());
+        let a = source.entry(s, &pass.dig.source_types);
         let rotations = |ids: [u32; INLINE_IDS]| {
             let ids = ids.map(|id| if id == TARGET_PAD { SOURCE_PAD } else { id });
             std::array::from_fn(|k| std::array::from_fn(|j| ids[(j + k) % INLINE_IDS]))
         };
-        let mut types = [pass.type_same; TYPE_KINDS.len() + 1];
-        let kinds = TYPE_KINDS.len();
-        types[..kinds].copy_from_slice(&distinct_type_votes()[usize::from(a.types.kind)]);
         let n = a.name_len as usize;
         Row {
             pass,
-            fa: pass.ctx.source_feat(s),
+            tables: &pass.tables,
+            fa: pass.ctx.source_feat(ElementId(s as u32)),
+            s,
             a,
-            name_rot: rotations(a.name_ids),
-            parent_rot: rotations(a.parent_ids),
-            types,
-            doc_prefix: &pass.dig.source_prefix[a.doc_prefix as usize..],
+            name_rot: rotations(source.name_ids[s]),
+            parent_rot: rotations(source.parent_ids[s]),
+            distinct_types: &distinct_type_votes()[usize::from(a.types.kind)],
+            doc_prefix: &pass.dig.source_prefix[source.doc_prefix[s] as usize..],
             exact_hit: EXACT_EVIDENCE.vote(1.0, n, n).value(),
         }
     }
@@ -1069,8 +1162,7 @@ impl<'a> Row<'a> {
     /// candidate.
     #[inline(always)]
     fn gather(&self, c: &View<'_>, block: &[u32], lanes: &mut BlockLanes) {
-        let pass = self.pass;
-        let (w, floor) = (&pass.dig.weights, pass.floor);
+        let (pass, tables) = (self.pass, self.tables);
         for (i, &t) in block.iter().enumerate() {
             let t = t as usize;
             let flags = c.flags[t];
@@ -1086,23 +1178,22 @@ impl<'a> Row<'a> {
             lanes.exact[i] = keep(exact, names);
             let count = TOKEN_EVIDENCE.count(self.a.name_len as usize, name_len as usize);
             let token = match self.name_overlap(c, t) {
-                Overlap::Slot(slot) => pass.token[count * OVERLAPS + slot],
-                Overlap::Walked(jacc) => token_cap(jacc, w.token[count], floor),
+                Overlap::Slot(slot) => tables.token[count * OVERLAPS + slot],
+                Overlap::Walked(jacc) => token_cap(jacc, tables.token_weight[count], pass.floor),
             };
             lanes.token[i] = keep(token, names);
             let acronym_hit =
                 (self.a.raw_key == c.acronym_key[t]) | (c.raw_key[t] == self.a.acronym_key);
             let count = ACRONYM_EVIDENCE.count(self.a.name_len as usize, name_len as usize);
-            lanes.acronym[i] = keep(pass.acronym_hit[count], acronym_hit);
+            lanes.acronym[i] = keep(tables.acronym_hit[count], acronym_hit);
 
             // Types: the type table and the container flags.
             let b = &c.types[t];
-            let kind = if self.a.types.key == b.key {
-                TYPE_KINDS.len()
+            lanes.types[i] = if self.a.types.key == b.key {
+                pass.type_same
             } else {
-                usize::from(b.kind)
+                self.distinct_types[usize::from(b.kind)]
             };
-            lanes.types[i] = self.types[kind];
             lanes.role[i] = keep(pass.role_clash, self.a.types.container != b.container);
 
             // Path: the parent sets' Jaccard.
@@ -1114,8 +1205,8 @@ impl<'a> Row<'a> {
                 (&c.parent_ids[t], set_len, c.parent_sig[t]),
                 || (&self.fa.parent_set[..], &self.target_feat(t).parent_set[..]),
             ) {
-                Overlap::Slot(slot) => pass.path[count * OVERLAPS + slot],
-                Overlap::Walked(jacc) => vote(jacc, w.path[count]),
+                Overlap::Slot(slot) => tables.path[count * OVERLAPS + slot],
+                Overlap::Walked(jacc) => vote(jacc, tables.path_weight[count]),
             };
             lanes.path[i] = keep(path, (self.a.parent_set_len != 0) & (set_len != 0));
 
@@ -1131,7 +1222,7 @@ impl<'a> Row<'a> {
                 c.corpus_excess[t],
             );
             let count = DOC_EVIDENCE.count(self.a.doc_tokens as usize, c.doc_tokens[t] as usize);
-            let (lower, weight) = pass.doc[count];
+            let (lower, weight) = tables.doc[count];
             let doc_open = docs & (shared != 0);
             lanes.doc_lower[i] = keep(lower, docs);
             lanes.doc_weight[i] = weight;
@@ -1154,7 +1245,7 @@ impl<'a> Row<'a> {
                 );
                 let count = STRUCTURE_EVIDENCE
                     .count(self.a.children_len as usize, c.children_len[t] as usize);
-                let (lower, weight) = pass.kids[count];
+                let (lower, weight) = tables.kids[count];
                 kids_open = kids & (self.a.children_sig & sig != 0);
                 lanes.kids_lower[i] = keep(lower, kids);
                 lanes.kids_weight[i] = weight;
@@ -1173,7 +1264,7 @@ impl<'a> Row<'a> {
             let sdx = (self.a.flags & flags & SOUNDEX != 0) & (self.a.soundex == c.soundex[t]);
             let key = 2 * EDIT_EVIDENCE.count(self.a.raw_chars as usize, raw_chars as usize)
                 + usize::from(sdx);
-            lanes.edit[i] = keep(pass.edit[key].coarse, raws);
+            lanes.edit[i] = keep(tables.edit[key].coarse, raws);
             lanes.edit_key[i] = key as u32;
 
             lanes.pending[i] = (u8::from(names) << LANE_TOKEN)
@@ -1192,18 +1283,19 @@ impl<'a> Row<'a> {
         }
         let t = t as usize;
         let key = lanes.edit_key[i] as usize;
+        let source = self.pass.source;
         let (a_len, b_len) = (self.a.raw_chars.min(4), c.raw_chars[t].min(4));
         let blend_ub = edit_blend_upper_bound(
-            &self.a.profile,
+            &source.profile[self.s],
             &c.profile[t],
             jw_prefix_len(
-                &self.a.first_chars[..a_len as usize],
+                &source.first_chars[self.s][..a_len as usize],
                 &c.first_chars[t][..b_len as usize],
             ),
             if key % 2 == 1 { 1.0 } else { 0.0 },
         );
-        let u = Confidence::weighted(blend_ub, self.pass.dig.weights.edit[key / 2]).value();
-        slack + lane_max(self.pass.edit[key].lower, u, self.pass.floor) >= -EPS
+        let u = Confidence::weighted(blend_ub, self.tables.edit_weight[key / 2]).value();
+        slack + lane_max(self.tables.edit[key].lower, u, self.pass.floor) >= -EPS
     }
 }
 
@@ -1228,7 +1320,8 @@ pub(crate) fn tier2_row(ctx: &MatchContext<'_>, s: ElementId, out: &mut CascadeS
     }
     for (i, &t) in out.survivors.iter().enumerate() {
         if out.pending[i] & (1 << LANE_DOC) != 0 {
-            out.votes[i * LANES + LANE_DOC] = doc_vote(fa, ctx.target_feat(ElementId(t))).value();
+            out.votes[i * LANES + LANE_DOC] =
+                doc_vote(ctx.source_doc(s), ctx.target_doc(ElementId(t))).value();
         }
     }
     for (i, &t) in out.survivors.iter().enumerate() {
@@ -1666,7 +1759,7 @@ mod tests {
             assert_eq!(c.children_sig[i], id_signature(&e.children_set));
             assert_eq!(c.corpus_sig[i], id_signature(&e.corpus_ids));
             assert_eq!(c.profile[i], CharProfile::of_chars(&e.raw_chars));
-            let doc = &ctx.source_feat(ElementId(i as u32)).doc_vector;
+            let doc = ctx.source_doc(ElementId(i as u32));
             assert_eq!(c.doc_terms[i] as usize, doc.term_count());
             assert_eq!(c.doc_tokens[i] as usize, doc.token_count);
             assert_eq!(c.doc_prefix[i], prefix);
@@ -1685,6 +1778,64 @@ mod tests {
             Columns::estimate_bytes(pa.elements()),
             std::mem::size_of::<Columns>() + c.heap_bytes()
         );
+    }
+
+    /// Every entry of a pass's lane tables, bit for bit.
+    fn table_bits(t: &LaneTables) -> Vec<u64> {
+        let pairs = |v: &[(f64, f64)]| v.iter().flat_map(|&(a, b)| [a, b]).collect::<Vec<_>>();
+        let edit: Vec<f64> = t.edit.iter().flat_map(|e| [e.lower, e.coarse]).collect();
+        [
+            &t.token_weight[..],
+            &t.edit_weight,
+            &t.path_weight,
+            &t.acronym_hit,
+            &pairs(&t.doc),
+            &pairs(&t.kids),
+            &edit,
+            &t.token,
+            &t.path,
+        ]
+        .concat()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+    }
+
+    /// A pass reads the lane tables its floor would build fresh at the
+    /// sizes it holds, which reach the pass's counts: across passes of one
+    /// thread at changing floors, and after a context with larger counts
+    /// grew the thread's tables.
+    #[test]
+    fn shared_lane_tables_are_the_fresh_ones() {
+        let (a, b) = fixture();
+        let (wa, wb) = wide_fixture();
+        let n = Normalizer::new();
+        let small = MatchContext::build(&a, &b, &n);
+        let wide = MatchContext::build(&wa, &wb, &n);
+        let mut grew = false;
+        for (ctx, floor) in [
+            (&small, 0.3),
+            (&small, 0.3),
+            (&wide, 0.3),
+            (&small, 0.3),
+            (&small, -0.2),
+            (&wide, f64::NEG_INFINITY),
+            (&small, 0.3),
+        ] {
+            let pass = Tier1::new(ctx, floor);
+            let (source, target) = ctx.columns();
+            let (held, own) = (pass.tables.sizes(), LaneTables::sizes_for(source, target));
+            assert!(held.iter().zip(own).all(|(&held, own)| held >= own));
+            grew |= held != own;
+            let fresh = LaneTables::build(floor, held);
+            assert_eq!(pass.tables.floor.to_bits(), floor.to_bits());
+            assert_eq!(
+                table_bits(&pass.tables),
+                table_bits(&fresh),
+                "floor {floor}"
+            );
+        }
+        assert!(grew, "a context read tables another one grew");
     }
 
     /// The excess form of the signature cap on a set intersection is the

@@ -4,18 +4,22 @@
 //! 1378×784 case). All per-*element* work — tokenization, stemming,
 //! abbreviation expansion — lives in [`crate::prepare::PreparedSchema`] and
 //! is computed once per schema (and cached across runs by
-//! [`crate::prepare::FeatureCache`]). This module assembles the per-*pair*
-//! remainder: the joint TF-IDF corpus, whose IDF weights depend on the
-//! combined vocabulary of the two schemata being matched, and optional
-//! instance profiles. Per-pair voter cost stays a handful of set
-//! intersections.
+//! [`crate::prepare::FeatureCache`]). So is the per-schema half of the
+//! joint TF-IDF corpus, whose IDF weights depend on the combined
+//! vocabulary of the two schemata being matched: each preparation holds
+//! its documents' corpus vocabulary
+//! ([`crate::prepare::PreparedSchema::vocabulary`]), built by the first
+//! context over it. This module assembles the per-*pair* remainder: one
+//! linear merge of the two vocabularies into the pair's document vectors,
+//! held in one flat buffer, and optional instance profiles. Per-pair voter
+//! cost stays a handful of set intersections.
 
 use crate::cascade::{Columns, Digests};
 use crate::prepare::{PreparedElement, PreparedSchema};
 use sm_schema::instances::{InstanceData, InstanceProfile};
 use sm_schema::{ElementId, Schema};
 use sm_text::normalize::Normalizer;
-use sm_text::tfidf::{Corpus, DocVector, IdfTable};
+use sm_text::tfidf::{DocVectors, DocView};
 
 /// Which side of the match an element belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,19 +32,17 @@ pub enum Side {
 
 /// Per-element precomputed features: the shared per-schema part (interned
 /// name, parent, children and corpus ids with their token counts, raw-name
-/// chars — see [`PreparedElement`]) plus the per-pair part (TF-IDF vector
-/// against the joint corpus, instance profile).
+/// chars — see [`PreparedElement`]) plus the instance profile. The
+/// element's TF-IDF vector against the joint corpus is the context's
+/// ([`MatchContext::doc_vector`]).
 ///
 /// The per-schema half is held by `Arc` and surfaced through `Deref`, so
 /// voters read `feat.name_set` etc. without the context having deep-cloned
-/// any feature: a context build against a warm cache copies only pointers
-/// and the per-pair vectors.
+/// any feature: a context build against a warm cache copies only pointers.
 #[derive(Debug, Clone)]
 pub struct ElementFeatures {
     /// Shared per-schema features (interned ids and counts, raw-name chars).
     pub base: std::sync::Arc<PreparedElement>,
-    /// TF-IDF vector of name + documentation against the pair's joint corpus.
-    pub doc_vector: DocVector,
     /// Distributional profile of sampled instance values, when available.
     /// `None` in the paper's common case ("data … may not yet exist, or may
     /// be sensitive").
@@ -63,11 +65,10 @@ pub struct MatchContext<'a> {
     pub target: &'a Schema,
     pub(crate) source_features: Vec<ElementFeatures>,
     pub(crate) target_features: Vec<ElementFeatures>,
-    /// TF-IDF statistics of the corpus built over *both* schemata's
-    /// documentation, so IDF reflects the joint vocabulary of the match
-    /// problem. The document vectors themselves moved into the elements'
-    /// [`ElementFeatures::doc_vector`].
-    pub corpus: IdfTable,
+    /// Every element's TF-IDF vector against the corpus of *both*
+    /// schemata's documents, so IDF reflects the joint vocabulary of the
+    /// match problem: the source's elements, then the target's.
+    docs: DocVectors,
     /// Tag of the arena both preparations' ids point into (memo keys).
     arena_tag: u32,
     /// The score cascade's tier-1 columns of each preparation, shared with
@@ -118,7 +119,8 @@ impl<'a> MatchContext<'a> {
     }
 
     /// Assemble the context from already-prepared schemata (the Prepare stage
-    /// of the match pipeline). Only the joint TF-IDF corpus is computed here.
+    /// of the match pipeline). Only the joint TF-IDF corpus is computed
+    /// here, by merging the preparations' vocabularies.
     pub fn from_prepared(
         source: &'a Schema,
         target: &'a Schema,
@@ -142,8 +144,7 @@ impl<'a> MatchContext<'a> {
     /// content (see [`PreparedSchema::is_current_for`]): a stale preparation
     /// would silently misalign the TF-IDF corpus and produce wrong scores,
     /// so the check is enforced in release builds too. The fingerprint
-    /// comparison is O(total name/doc bytes) — noise next to the corpus
-    /// assembly this method performs anyway.
+    /// comparison is O(total name/doc bytes).
     pub fn from_prepared_with_instances(
         source: &'a Schema,
         target: &'a Schema,
@@ -197,44 +198,28 @@ impl<'a> MatchContext<'a> {
 
         // Joint TF-IDF corpus over name+doc tokens, source rows first —
         // the same document order the historical single-pass build used.
-        // Documents are fed as pre-interned ids: corpus assembly allocates
-        // no strings at all.
-        let mut corpus = Corpus::with_arena(std::sync::Arc::clone(prepared_source.arena()));
-        for e in prepared_source.elements() {
-            corpus.add_document_ids(&e.corpus_ids);
-        }
-        for e in prepared_target.elements() {
-            corpus.add_document_ids(&e.corpus_ids);
-        }
-        let (corpus, vectors) = corpus.finalize().into_parts();
-        let mut vectors = vectors.into_iter();
-
-        let mut attach = |schema: &Schema,
-                          prepared: &PreparedSchema,
-                          instances: &InstanceData|
-         -> Vec<ElementFeatures> {
+        let docs = prepared_source
+            .vocabulary()
+            .merge(prepared_target.vocabulary(), prepared_source.arena())
+            .into_vectors();
+        let attach = |schema: &Schema, prepared: &PreparedSchema, instances: &InstanceData| {
             schema
                 .elements()
                 .iter()
                 .zip(prepared.elements())
-                .zip(vectors.by_ref())
-                .map(|((e, p), doc_vector)| ElementFeatures {
+                .map(|(e, p)| ElementFeatures {
                     base: std::sync::Arc::clone(p),
-                    doc_vector,
                     instances: instances.get(e.id).and_then(InstanceProfile::from_values),
                 })
                 .collect()
         };
 
-        let source_features = attach(source, prepared_source, source_instances);
-        let target_features = attach(target, prepared_target, target_instances);
-
         MatchContext {
             source,
             target,
-            source_features,
-            target_features,
-            corpus,
+            source_features: attach(source, prepared_source, source_instances),
+            target_features: attach(target, prepared_target, target_instances),
+            docs,
             arena_tag: prepared_source.arena().tag(),
             source_columns: std::sync::Arc::clone(&prepared_source.columns),
             target_columns: std::sync::Arc::clone(&prepared_target.columns),
@@ -293,6 +278,29 @@ impl<'a> MatchContext<'a> {
             Side::Target => self.target_feat(id),
         }
     }
+
+    /// TF-IDF vector of a source element's name + documentation against
+    /// the pair's joint corpus.
+    #[inline]
+    pub fn source_doc(&self, id: ElementId) -> DocView<'_> {
+        self.docs.get(id.index())
+    }
+
+    /// TF-IDF vector of a target element's name + documentation against
+    /// the pair's joint corpus.
+    #[inline]
+    pub fn target_doc(&self, id: ElementId) -> DocView<'_> {
+        self.docs.get(self.source_features.len() + id.index())
+    }
+
+    /// TF-IDF vector of an element on the given side.
+    #[inline]
+    pub fn doc_vector(&self, side: Side, id: ElementId) -> DocView<'_> {
+        match side {
+            Side::Source => self.source_doc(id),
+            Side::Target => self.target_doc(id),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -328,7 +336,7 @@ mod tests {
         for id in b.ids() {
             let _ = ctx.target_feat(id);
         }
-        assert_eq!(ctx.corpus.len(), a.len() + b.len());
+        assert_eq!(ctx.docs.len(), a.len() + b.len());
     }
 
     #[test]
@@ -376,10 +384,7 @@ mod tests {
         let ctx = MatchContext::build(&a, &b, &n);
         let src = a.find_by_name("birth_dt").unwrap();
         let tgt = b.find_by_name("BirthDate").unwrap();
-        let sim = ctx
-            .source_feat(src)
-            .doc_vector
-            .cosine(&ctx.target_feat(tgt).doc_vector);
+        let sim = ctx.source_doc(src).cosine(ctx.target_doc(tgt));
         assert!(
             sim > 0.3,
             "documented date columns should be similar: {sim}"
@@ -392,7 +397,7 @@ mod tests {
         let b = Schema::new(SchemaId(2), "e2", SchemaFormat::Generic);
         let n = Normalizer::new();
         let ctx = MatchContext::build(&a, &b, &n);
-        assert_eq!(ctx.corpus.len(), 0);
+        assert!(ctx.docs.is_empty());
     }
 
     #[test]
@@ -407,13 +412,10 @@ mod tests {
             let d = direct.source_feat(id);
             let c = cached.source_feat(id);
             assert_eq!(d.base, c.base);
-            assert_eq!(d.doc_vector, c.doc_vector);
+            assert_eq!(direct.source_doc(id), cached.source_doc(id));
         }
         for id in b.ids() {
-            assert_eq!(
-                direct.target_feat(id).doc_vector,
-                cached.target_feat(id).doc_vector
-            );
+            assert_eq!(direct.target_doc(id), cached.target_doc(id));
         }
     }
 }

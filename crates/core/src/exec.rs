@@ -111,6 +111,9 @@ pub struct ExecStats {
     /// job's chunk fan-out inside a batch that already holds the pool.
     /// Shortfall against a [`LaneBudget`] is not counted here.
     pub withheld: u64,
+    /// Helpers the pool could offer but a fan-out's [`LaneBudget`]
+    /// refused.
+    pub budget_denied: u64,
     /// High-water mark of the shared queue depth.
     pub queue_depth_max: u64,
 }
@@ -268,6 +271,7 @@ impl Executor {
             parked: c.get(obs::Counter::ExecParked),
             inline_runs: c.get(obs::Counter::ExecInline),
             withheld: c.get(obs::Counter::ExecWithheld),
+            budget_denied: c.get(obs::Counter::ExecBudgetDenied),
             queue_depth_max: self.shared.queue_depth_max.load(Ordering::Relaxed),
         }
     }
@@ -324,7 +328,9 @@ impl Executor {
             Some(b) => {
                 let got = b.claim(free);
                 if got < free {
-                    obs::add(obs::Counter::ExecBudgetDenied, (free - got) as u64);
+                    self.shared
+                        .counters
+                        .add(obs::Counter::ExecBudgetDenied, (free - got) as u64);
                     // Hand the lanes the budget refused straight back: only
                     // helpers about to be enqueued stay reserved.
                     self.shared

@@ -128,10 +128,13 @@ pub enum SpanKind {
     PlanEstimate = 32,
     /// Plan sub-stage: filtering the requests; payload = pairs kept.
     PlanSchedule = 33,
+    /// A preparation's corpus vocabulary built by the first match context
+    /// over it; payload = documents (elements).
+    PrepareVocabulary = 34,
 }
 
 /// All kinds, in discriminant order (export iteration order).
-pub const SPAN_KINDS: [SpanKind; 34] = [
+pub const SPAN_KINDS: [SpanKind; 35] = [
     SpanKind::StagePrepare,
     SpanKind::StageBlock,
     SpanKind::StageScore,
@@ -166,6 +169,7 @@ pub const SPAN_KINDS: [SpanKind; 34] = [
     SpanKind::PlanIndex,
     SpanKind::PlanEstimate,
     SpanKind::PlanSchedule,
+    SpanKind::PrepareVocabulary,
 ];
 
 impl SpanKind {
@@ -206,6 +210,7 @@ impl SpanKind {
             SpanKind::PlanIndex => "plan.index",
             SpanKind::PlanEstimate => "plan.estimate",
             SpanKind::PlanSchedule => "plan.schedule",
+            SpanKind::PrepareVocabulary => "prepare.vocabulary",
         }
     }
 
@@ -533,7 +538,9 @@ pub fn enabled() -> bool {
 
 /// Turn recording of spans and counters on or off, process-wide (on by
 /// default). Off, [`timed`] still measures, and every [`CounterBlock`]
-/// (an executor pool's or a feature cache's event counters) still counts.
+/// still counts: an executor pool's `exec.*` events and a feature cache's
+/// `cache.*` events, `exec.budget_denied` and `cache.coalesced` among
+/// them.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Release);
 }

@@ -31,6 +31,7 @@ use sm_schema::{Schema, SchemaId};
 use sm_text::intern::{to_sorted_set, TokenArena, TokenId};
 use sm_text::normalize::{Normalizer, TokenBag};
 use sm_text::soundex::{soundex, soundex_key};
+use sm_text::tfidf::Vocabulary;
 use sm_text::tokenize::acronym_of;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -107,9 +108,9 @@ pub struct PreparedElement {
     /// (structure-voter evidence).
     pub children_len: u32,
     /// The element's TF-IDF document, interned: name tokens then
-    /// documentation tokens, in normalization order — the zero-copy input
-    /// to each match pair's joint TF-IDF corpus. The documentation ids are
-    /// [`Self::doc_ids`].
+    /// documentation tokens, in normalization order — the input to its
+    /// schema's corpus vocabulary ([`PreparedSchema::vocabulary`]). The
+    /// documentation ids are [`Self::doc_ids`].
     pub corpus_ids: Vec<TokenId>,
     /// The raw lowercased name, interned whole (acronym-voter equality in
     /// one integer compare).
@@ -195,6 +196,10 @@ pub struct PreparedSchema {
     /// The blocking index over the elements, built by the first blocked
     /// use ([`Self::token_index`]) and read by every later one.
     token_index: OnceLock<ElementTokenIndex>,
+    /// The corpus vocabulary of the elements' TF-IDF documents, built by
+    /// the first match context over this preparation
+    /// ([`Self::vocabulary`]) and merged by every one.
+    vocabulary: OnceLock<Vocabulary>,
 }
 
 /// Phase 1 of [`PreparedSchema::build_chunked`] for one element chunk:
@@ -446,6 +451,21 @@ impl PreparedSchema {
         self.token_index.get()
     }
 
+    /// The corpus vocabulary of the elements' TF-IDF documents
+    /// ([`PreparedElement::corpus_ids`], in element order): the
+    /// per-schema half of every pair corpus this preparation takes part
+    /// in. The first call builds it; callers racing that build wait for
+    /// it, so each preparation builds one.
+    pub fn vocabulary(&self) -> &Vocabulary {
+        self.vocabulary.get_or_init(|| {
+            let _span = crate::obs::span(
+                crate::obs::SpanKind::PrepareVocabulary,
+                self.elements.len() as u64,
+            );
+            Vocabulary::build(&self.arena, self.elements.iter().map(|e| &e.corpus_ids[..]))
+        })
+    }
+
     /// Estimated resident-heap footprint of this preparation in bytes.
     ///
     /// Deliberately an estimate: `Vec` spare capacity, allocator headers,
@@ -453,8 +473,8 @@ impl PreparedSchema {
     /// preparation) are out of scope. What matters for the cache's byte
     /// budget is that entries are priced roughly and *consistently*, so a
     /// 3000-element AUTOSAR release costs ~100× a 30-element form schema.
-    /// The score cascade's columns and the blocking index count whether or
-    /// not they are built yet.
+    /// The score cascade's columns, the blocking index and the corpus
+    /// vocabulary count whether or not they are built yet.
     pub fn estimate_bytes(&self) -> usize {
         use std::mem::size_of;
         let id = size_of::<TokenId>();
@@ -462,7 +482,9 @@ impl PreparedSchema {
             + self.block_feature_offsets.len() * size_of::<u32>()
             + self.block_feature_ids.len() * id
             + self.signature_ids.len() * id;
+        let mut corpus_tokens = 0;
         for e in &self.elements {
+            corpus_tokens += e.corpus_ids.len();
             bytes += size_of::<PreparedElement>() + size_of::<Arc<PreparedElement>>();
             bytes += e.raw_chars.len() * size_of::<char>();
             // The name bag holds `Arc<str>` handles; the string bodies are
@@ -476,7 +498,10 @@ impl PreparedSchema {
                 + e.block_features.len())
                 * id;
         }
-        bytes + Columns::estimate_bytes(&self.elements) + ElementTokenIndex::estimate_bytes(self)
+        bytes
+            + Columns::estimate_bytes(&self.elements)
+            + ElementTokenIndex::estimate_bytes(self)
+            + Vocabulary::estimate_bytes(self.elements.len(), corpus_tokens)
     }
 
     /// Does this preparation still reflect `schema`'s current content?
@@ -488,7 +513,8 @@ impl PreparedSchema {
     /// the distinct name-token ids, already sorted lexicographically by
     /// resolved string. Both [`Self::build`] and the warm-start loader end
     /// here; only the flat blocking-feature CSR is derived (the score
-    /// cascade's columns and the blocking index are built on first use).
+    /// cascade's columns, the blocking index and the corpus vocabulary are
+    /// built on first use).
     /// The warm-start image carries each schema's signature in that order
     /// (lexical *string* order is process-independent, unlike the ids
     /// themselves), so the loader skips a per-schema dedup pass and
@@ -534,6 +560,7 @@ impl PreparedSchema {
             block_feature_offsets,
             block_feature_ids,
             token_index: OnceLock::new(),
+            vocabulary: OnceLock::new(),
         }
     }
 }
@@ -548,6 +575,9 @@ pub struct CacheStats {
     pub misses: usize,
     /// Entries displaced by the LRU capacity bound since creation.
     pub evictions: usize,
+    /// Lookups that waited on another thread's build of the same content
+    /// (a waiter the build serves also counts as a hit).
+    pub coalesced: usize,
     /// Entries currently resident.
     pub entries: usize,
     /// Estimated bytes currently resident (sum of
@@ -753,7 +783,7 @@ impl FeatureCache {
                 Waiter::Wait(slot) => {
                     // The whole rendezvous is a coalesced wait: this thread
                     // is blocked on someone else's build.
-                    crate::obs::add(crate::obs::Counter::CacheCoalesced, 1);
+                    self.counters.add(crate::obs::Counter::CacheCoalesced, 1);
                     let _wait = crate::obs::span(crate::obs::SpanKind::CacheWait, fp);
                     let mut state = slot.state.lock().expect("build slot poisoned");
                     loop {
@@ -948,6 +978,7 @@ impl FeatureCache {
             hits: count(crate::obs::Counter::CacheHits),
             misses: count(crate::obs::Counter::CacheMisses),
             evictions: count(crate::obs::Counter::CacheEvictions),
+            coalesced: count(crate::obs::Counter::CacheCoalesced),
             entries: inner.map.len(),
             resident_bytes: inner.resident_bytes,
         }
@@ -1210,6 +1241,30 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, 1, "the fingerprint was built exactly once");
         assert_eq!(stats.hits, 7, "waiters and late arrivals count as hits");
+    }
+
+    /// The cache prices a preparation's corpus vocabulary before it is
+    /// built, at what the vocabulary's own estimate says: building it
+    /// changes no price, and the estimate is its exact heap when no term
+    /// repeats.
+    #[test]
+    fn estimate_bytes_prices_the_vocabulary_built_or_not() {
+        let n = Normalizer::new();
+        let mut distinct = Schema::new(SchemaId(5), "D", SchemaFormat::Generic);
+        let t = distinct.add_root("person", ElementKind::Table, DataType::None);
+        distinct
+            .add_child(t, "birth_dt", ElementKind::Column, DataType::Date)
+            .unwrap();
+        for (s, exact) in [(schema(1), false), (distinct, true)] {
+            let p = PreparedSchema::build(&s, &n);
+            let tokens = p.elements().iter().map(|e| e.corpus_ids.len()).sum();
+            let priced = Vocabulary::estimate_bytes(p.len(), tokens);
+            let before = p.estimate_bytes();
+            let built = p.vocabulary().heap_bytes();
+            assert_eq!(p.estimate_bytes(), before, "{}", s.name);
+            assert!(built <= priced, "{}: {built} vs {priced}", s.name);
+            assert_eq!(built == priced, exact, "{}: {built} vs {priced}", s.name);
+        }
     }
 
     /// A heap-shaped schema of `n` elements (element `i`'s parent is

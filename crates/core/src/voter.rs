@@ -19,6 +19,7 @@ use sm_schema::{DataType, ElementId, ElementKind};
 use sm_text::intern::sorted_ids_jaccard;
 use sm_text::similarity::{jaro_winkler_chars, levenshtein_sim_chars, monge_elkan_jw_interned};
 use sm_text::soundex::soundex_key_sim;
+use sm_text::tfidf::DocView;
 
 /// A strategy that scores candidate correspondences.
 pub trait MatchVoter: Send + Sync {
@@ -227,16 +228,16 @@ pub(crate) fn edit_distance_vote(
 }
 
 /// [`DocVoter`]'s body.
-pub(crate) fn doc_vote(fa: &ElementFeatures, fb: &ElementFeatures) -> Confidence {
-    if fa.doc_vector.is_empty() || fb.doc_vector.is_empty() {
+pub(crate) fn doc_vote(a: DocView<'_>, b: DocView<'_>) -> Confidence {
+    if a.is_empty() || b.is_empty() {
         return Confidence::NEUTRAL;
     }
-    let cosine = fa.doc_vector.cosine(&fb.doc_vector);
+    let cosine = a.cosine(b);
     // Calibration: a random documentation pair has cosine near 0, not
     // near 0.5, so raw cosine is a poor evidence *ratio*. The square
     // root re-centres it: cosine 0.25 ≈ "as much for as against".
     let ratio = cosine.sqrt();
-    DOC_EVIDENCE.vote(ratio, fa.doc_vector.token_count, fb.doc_vector.token_count)
+    DOC_EVIDENCE.vote(ratio, a.token_count, b.token_count)
 }
 
 /// [`TypeVoter`]'s body.
@@ -363,7 +364,7 @@ impl MatchVoter for DocVoter {
     }
 
     fn vote(&self, ctx: &MatchContext<'_>, s: ElementId, t: ElementId) -> Confidence {
-        doc_vote(ctx.source_feat(s), ctx.target_feat(t))
+        doc_vote(ctx.source_doc(s), ctx.target_doc(t))
     }
 }
 

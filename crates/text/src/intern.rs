@@ -164,6 +164,17 @@ impl TokenArena {
         ids.sort_by(|a, b| inner.strings[a.index()].cmp(&inner.strings[b.index()]));
     }
 
+    /// Run `f` with the order [`Self::sort_lexical`] sorts by — two ids
+    /// compared by their resolved strings — under one read lock, for walks
+    /// that compare as they go (merging two lexically sorted id lists).
+    pub fn with_lexical_order<R>(
+        &self,
+        f: impl FnOnce(&dyn Fn(TokenId, TokenId) -> std::cmp::Ordering) -> R,
+    ) -> R {
+        let inner = self.inner.read().expect("token arena poisoned");
+        f(&|a, b| inner.strings[a.index()].cmp(&inner.strings[b.index()]))
+    }
+
     /// Number of distinct interned tokens.
     pub fn len(&self) -> usize {
         self.inner

@@ -3,10 +3,11 @@
 use proptest::prelude::*;
 use sm_text::abbrev::AbbrevDict;
 use sm_text::intern::TokenArena;
+use sm_text::intern::TokenId;
 use sm_text::normalize::{NormalizeOptions, Normalizer};
 use sm_text::soundex::soundex;
 use sm_text::stem::porter_stem;
-use sm_text::tfidf::{Corpus, DocVector, FinalizedCorpus};
+use sm_text::tfidf::{Corpus, FinalizedCorpus, Vocabulary};
 use sm_text::tokenize::{char_ngrams, tokenize_identifier};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -121,7 +122,7 @@ fn assert_corpus_matches(
     assert_eq!(corpus.len(), reference.vectors.len());
     assert_eq!(corpus.vocab_len(), reference.terms.len());
     for (i, (weights, tokens)) in reference.vectors.iter().enumerate() {
-        let v: &DocVector = corpus.vector(i);
+        let v = corpus.vector(i);
         assert_eq!(bits(v.weights()), bits(weights), "document {i}");
         assert_eq!(v.token_count, *tokens, "document {i} token count");
     }
@@ -132,8 +133,28 @@ fn assert_corpus_matches(
     for query in queries {
         let (weights, tokens) = reference.vectorize(arena, query);
         let v = corpus.vectorize(query);
+        let v = v.view();
         assert_eq!(bits(v.weights()), bits(&weights), "vectorize({query:?})");
         assert_eq!(v.token_count, tokens);
+    }
+}
+
+/// Two corpora answer alike, bit for bit: document count, `vocab_len`,
+/// every vector's weights and token count, and `idf` of every term.
+fn assert_same_corpus(merged: &FinalizedCorpus, joint: &FinalizedCorpus) {
+    assert_eq!(merged.len(), joint.len());
+    assert_eq!(merged.vocab_len(), joint.vocab_len());
+    for i in 0..joint.len() {
+        let (m, j) = (merged.vector(i), joint.vector(i));
+        assert_eq!(bits(m.weights()), bits(j.weights()), "document {i}");
+        assert_eq!(m.token_count, j.token_count, "document {i} token count");
+    }
+    for term in WORDS.iter().chain(&UNSEEN) {
+        assert_eq!(
+            merged.idf(term).map(f64::to_bits),
+            joint.idf(term).map(f64::to_bits),
+            "idf({term})"
+        );
     }
 }
 
@@ -320,5 +341,66 @@ proptest! {
             &RefCorpus::build(repeats_only),
             &queries,
         );
+    }
+
+    /// Merging the vocabularies of two halves of a document list gives the
+    /// corpus `Corpus::finalize` builds over the whole list, bit for bit —
+    /// including `idf` and `vocab_len` — over empty documents, empty halves,
+    /// repeated tokens, halves with disjoint vocabularies and halves with
+    /// identical ones, in arenas whose id order is not string order.
+    #[test]
+    fn merged_vocabularies_match_the_joint_corpus(
+        picks in prop::collection::vec(prop::collection::vec(0usize..WORDS.len(), 0..7), 0..8),
+        split in 0usize..9,
+        shape in 0u8..3,
+        intern_seed in any::<u64>(),
+    ) {
+        let arena = TokenArena::new();
+        let mut order: Vec<&str> = WORDS.to_vec();
+        order.sort_unstable_by_key(|w| {
+            w.bytes().fold(intern_seed, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
+        });
+        for w in &order {
+            arena.intern(w);
+        }
+        let arena = Arc::new(arena);
+
+        let words = |pick: &[usize], offset: usize| -> Vec<TokenId> {
+            let terms: Vec<&str> = pick.iter().map(|&i| WORDS[(i + offset) % WORDS.len()]).collect();
+            arena.intern_all(&terms)
+        };
+        let split = split.min(picks.len());
+        let half = WORDS.len() / 2;
+        let (left, right): (Vec<Vec<TokenId>>, Vec<Vec<TokenId>>) = match shape {
+            // As drawn: the halves share some terms.
+            0 => (
+                picks[..split].iter().map(|p| words(p, 0)).collect(),
+                picks[split..].iter().map(|p| words(p, 0)).collect(),
+            ),
+            // Disjoint: the left half draws from the first half of the
+            // words, the right half from the second.
+            1 => {
+                let disjoint = |p: &Vec<usize>, offset| {
+                    words(&p.iter().map(|&i| i % half).collect::<Vec<_>>(), offset)
+                };
+                (
+                    picks[..split].iter().map(|p| disjoint(p, 0)).collect(),
+                    picks[split..].iter().map(|p| disjoint(p, half)).collect(),
+                )
+            }
+            // Identical: the right half repeats the left one.
+            _ => {
+                let left: Vec<Vec<TokenId>> = picks[..split].iter().map(|p| words(p, 0)).collect();
+                (left.clone(), left)
+            }
+        };
+
+        let vocabulary = |docs: &[Vec<TokenId>]| Vocabulary::build(&arena, docs.iter().map(Vec::as_slice));
+        let merged = vocabulary(&left).merge(&vocabulary(&right), &arena);
+        let mut joint = Corpus::with_arena(Arc::clone(&arena));
+        for doc in left.iter().chain(&right) {
+            joint.add_document_ids(doc);
+        }
+        assert_same_corpus(&merged, &joint.finalize());
     }
 }

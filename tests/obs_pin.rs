@@ -526,21 +526,23 @@ fn racing_first_uses_build_each_index_once() {
 
 /// The executor and feature-cache counters each instance keeps in its own
 /// block, as the snapshot names them.
-const INSTANCE_COUNTERS: [&str; 9] = [
+const INSTANCE_COUNTERS: [&str; 11] = [
     "exec.enqueued",
     "exec.stolen",
     "exec.reclaimed",
     "exec.parked",
     "exec.inline",
     "exec.withheld",
+    "exec.budget_denied",
     "cache.hits",
     "cache.misses",
     "cache.evictions",
+    "cache.coalesced",
 ];
 
 /// The pools' and caches' summed values of [`INSTANCE_COUNTERS`], in order.
-fn instance_counts(pools: &[&Executor], caches: &[&FeatureCache]) -> [u64; 9] {
-    let mut counts = [0; 9];
+fn instance_counts(pools: &[&Executor], caches: &[&FeatureCache]) -> [u64; 11] {
+    let mut counts = [0; 11];
     for e in pools.iter().map(|p| p.stats()) {
         let pool = [
             e.enqueued,
@@ -549,22 +551,58 @@ fn instance_counts(pools: &[&Executor], caches: &[&FeatureCache]) -> [u64; 9] {
             e.parked,
             e.inline_runs,
             e.withheld,
+            e.budget_denied,
         ];
         for (count, value) in counts.iter_mut().zip(pool) {
             *count += value;
         }
     }
     for c in caches.iter().map(|c| c.stats()) {
-        let cache = [c.hits, c.misses, c.evictions].map(|v| v as u64);
-        for (count, value) in counts[6..].iter_mut().zip(cache) {
+        let cache = [c.hits, c.misses, c.evictions, c.coalesced].map(|v| v as u64);
+        for (count, value) in counts[7..].iter_mut().zip(cache) {
             *count += value;
         }
     }
     counts
 }
 
+/// First uses of one schema racing on `cache` until one of them waits on
+/// another's build (`cache.coalesced` moves): each round races four
+/// threads on a fresh schema large enough that its build outlasts a
+/// scheduler time slice.
+fn race_until_coalesced(cache: &FeatureCache) {
+    for round in 0..50u32 {
+        let mut schema = sm_schema::Schema::new(
+            sm_schema::SchemaId(9_000 + round),
+            "race",
+            sm_schema::SchemaFormat::Generic,
+        );
+        for i in 0..4_000 {
+            schema.add_root(
+                format!("race_{round}_column_{i}"),
+                sm_schema::ElementKind::Column,
+                sm_schema::DataType::Integer,
+            );
+        }
+        let before = cache.stats().coalesced;
+        let barrier = Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    cache.prepare(&schema);
+                });
+            }
+        });
+        if cache.stats().coalesced > before {
+            return;
+        }
+    }
+    panic!("no first use waited on another's build in 50 rounds");
+}
+
 /// The snapshot's values of [`INSTANCE_COUNTERS`], in order.
-fn snapshot_counts() -> [u64; 9] {
+fn snapshot_counts() -> [u64; 11] {
     let snapshot = obs::counter_snapshot();
     INSTANCE_COUNTERS.map(|name| {
         let (_, value) = snapshot.iter().find(|(n, _)| *n == name).unwrap();
@@ -575,7 +613,7 @@ fn snapshot_counts() -> [u64; 9] {
 /// A snapshot read while `read` held still, with what it read. Pool
 /// workers park on their own time, and the counters only grow, so a
 /// snapshot between two equal reads is the one that matches them.
-fn settled<T: PartialEq>(read: impl Fn() -> T) -> (T, [u64; 9]) {
+fn settled<T: PartialEq>(read: impl Fn() -> T) -> (T, [u64; 11]) {
     loop {
         let before = read();
         let snapshot = snapshot_counts();
@@ -590,9 +628,11 @@ fn settled<T: PartialEq>(read: impl Fn() -> T) -> (T, [u64; 9]) {
 /// private pool and a private cache, the snapshot's `exec.*` and `cache.*`
 /// deltas are the deltas of `ExecStats` and `CacheStats`, summed over the
 /// instances alive in the process (the private ones and the global pool
-/// and cache, which the corpus generator uses). Dropping the pool leaves
-/// its counts in the snapshot, and after a reset the snapshot counts only
-/// what the instances counted since.
+/// and cache, which the corpus generator uses) — `exec.budget_denied` (a
+/// fan-out under a zero-helper budget) and `cache.coalesced` (racing first
+/// uses of one schema) among them. Dropping the pool leaves its counts in
+/// the snapshot, and after a reset the snapshot counts only what the
+/// instances counted since.
 #[test]
 fn instance_counters_are_the_snapshot() {
     let _g = lock();
@@ -625,6 +665,12 @@ fn instance_counters_are_the_snapshot() {
         let batch = engine.batch().plan_all_pairs(&refs);
         assert!(!batch.run_select_only(&selection).pairs.is_empty());
     }
+    let no_helper = harmony_core::exec::LaneBudget::new(0);
+    let doubled = Job::new(&exec, 2)
+        .with_budget(Some(&no_helper))
+        .map(0..4, |_, x| 2 * x);
+    assert_eq!(doubled, [0, 2, 4, 6]);
+    race_until_coalesced(&cache);
     cache.evict_to_bytes(0);
     let ((pool_after, others_after), snapshot_after) = settled(both);
     for (i, name) in INSTANCE_COUNTERS.into_iter().enumerate() {
@@ -636,9 +682,11 @@ fn instance_counters_are_the_snapshot() {
         );
         if [
             "exec.enqueued",
+            "exec.budget_denied",
             "cache.hits",
             "cache.misses",
             "cache.evictions",
+            "cache.coalesced",
         ]
         .contains(&name)
         {
@@ -682,5 +730,43 @@ fn instance_counters_are_the_snapshot() {
         snapshot_later,
         std::array::from_fn(|i| others_later[i] - at_reset[i]),
         "after a reset, {INSTANCE_COUNTERS:?}"
+    );
+}
+
+/// Racing first uses of one preparation's corpus vocabulary build it once:
+/// every caller reads the same vocabulary, and one `prepare.vocabulary`
+/// span is recorded.
+#[test]
+fn racing_first_uses_build_one_vocabulary() {
+    let _g = lock();
+    obs::reset();
+    obs::set_enabled(true);
+    let pair = sm_synth::SchemaPair::generate(&sm_synth::GeneratorConfig::paper_case_study(5, 0.1));
+    let prepared = harmony_core::prepare::PreparedSchema::build(
+        &pair.source,
+        &sm_text::normalize::Normalizer::new(),
+    );
+    let barrier = Barrier::new(4);
+    let seen: Vec<usize> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    std::ptr::from_ref(prepared.vocabulary()) as usize
+                })
+            })
+            .collect();
+        readers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert!(seen.iter().all(|&v| v == seen[0]), "one vocabulary");
+    let builds: Vec<u64> = obs::collect()
+        .iter()
+        .filter(|e| e.kind == obs::SpanKind::PrepareVocabulary)
+        .map(|e| e.payload)
+        .collect();
+    assert_eq!(
+        builds,
+        [pair.source.len() as u64],
+        "one build, of every element"
     );
 }
